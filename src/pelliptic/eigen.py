@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import kp, snp, snp_deriv_many, snp_many, snp_second_deriv_many
-from .errors import DomainError, GridTooCoarse, IdentityMismatch, SingularPoint
+from .errors import DomainError, GridTooCoarse, SingularPoint
 
 __all__ = [
     "EigenPair",
@@ -100,7 +100,7 @@ def _build(p: float, mu: float, n: int, sign: int) -> EigenPair:
     base_lam = (1.0 + mu**p) * (2.0 * K) ** p
     # n enters through a single final multiplication, so lam and
     # amplitude scale across n with no rounding drift
-    pair = EigenPair(
+    return EigenPair(
         p=p,
         mu=mu,
         n=n,
@@ -108,26 +108,14 @@ def _build(p: float, mu: float, n: int, sign: int) -> EigenPair:
         amplitude=n * base_amp,
         lam=float(n) ** p * base_lam,
     )
-    # oscillation check: phi must change sign exactly n-1 times inside
-    # (0, 1); midpoint samples avoid landing on the zeros themselves
-    m = 1000 * n
-    xs = (2.0 * np.arange(m) + 1.0) / (2.0 * m)
-    vals = snp_many(p, mu, 2.0 * n * K * xs)
-    s = np.sign(vals)
-    changes = int(np.count_nonzero(s[1:] * s[:-1] < 0.0))
-    if changes != n - 1:
-        raise IdentityMismatch(
-            f"constructed eigenfunction for n={n} shows {changes} interior "
-            f"sign changes instead of {n - 1}"
-        )
-    return pair
 
 
 def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
     """Construct the n-th eigenpair with the given sign.
 
-    The oscillation count of the eigenfunction (n - 1 interior sign
-    changes) is validated on a 1000 n midpoint grid at build time.
+    The eigenfunction has n - 1 interior sign changes by construction: the
+    zeros of sn_p sit at multiples of 2 K_p, so phi vanishes exactly at the
+    multiples of 1/n.
     """
     if not (p > 1.0) or not math.isfinite(p):
         raise DomainError(f"p must be > 1, got {p}")

@@ -19,11 +19,10 @@ B = 1 - mu**p s**p at s = sn_p:
 For p > 2 the second derivative diverges at odd multiples of K_p but stays
 locally integrable.
 
-Evaluation inverts w_p.  The scalar path uses the generic bracketed root
-finder on [0, 1]; the batch path runs a bracket-safeguarded Newton iteration
-vectorized across all requested points, which the rest of the package uses
-for grids.  Both reduce y modulo the period first and agree to inversion
-tolerance (about 1e-12 on the value).
+Evaluation reduces y modulo the period, then inverts w_p by a
+bracket-safeguarded Newton iteration vectorized across all requested
+points.  Scalar and batch entry points share that one path, so a scalar
+call returns exactly the value the batch call gives at the same y.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ from .errors import DomainError, NonConvergence, SingularPoint, SlowConvergence
 from .quadrature import (
     QuadratureResult,
     SingularIntegrand,
-    bracketed_root,
     integrate_singular,
-    _ts_levels,
-    _H0,
+    _tanh_sinh,
 )
 
 __all__ = [
@@ -96,6 +93,18 @@ def _pow_ratio(e: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _tail_factor(e: np.ndarray, p: float, mu: float) -> np.ndarray:
+    """w_p'(s) / (1-s)**(-1/p) at s = 1 - e, accurate for all e in [0, 1].
+
+    The second factor is expanded as 1 - mu**p s**p = eps + mu**p (1 - s**p)
+    with eps = 1 - mu**p, so the boundary layer that forms as mu approaches 1
+    is evaluated from the exact endpoint distance.
+    """
+    eps = 1.0 if mu == 0.0 else -math.expm1(p * math.log(mu))
+    ratio = _pow_ratio(e, p)
+    return (ratio * (eps + mu**p * ratio * e)) ** (-1.0 / p)
+
+
 def _one_minus_mupsp(log_s: np.ndarray, p: float, mu: float) -> np.ndarray:
     """1 - mu**p * s**p from log(s), accurate when the product is near 1."""
     if mu == 0.0:
@@ -106,25 +115,17 @@ def _one_minus_mupsp(log_s: np.ndarray, p: float, mu: float) -> np.ndarray:
 def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult:
     """The K_p integral with the engine's own error assessment attached.
 
-    The second factor is expanded as 1 - mu**p s**p = eps + mu**p (1 - s**p)
-    with eps = 1 - mu**p, so the boundary layer that forms as mu approaches 1
-    is evaluated from the exact endpoint distance and the integral stays
-    accurate even for 1 - mu of order 1e-15.
+    The smooth factor is :func:`_tail_factor` of the exact endpoint
+    distance, so the integral stays accurate even for 1 - mu of order 1e-15.
 
     For p close to 1 the endpoint exponent -1/p approaches -1 and the
     unresolvable tail below the double-precision node horizon grows; the
     engine then refuses tolerances it cannot certify and raises.
     """
     _validate_pmu(p, mu)
-    eps = 1.0 if mu == 0.0 else -math.expm1(p * math.log(mu))
-    mup = mu**p
-
-    def smooth(s: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        ratio = _pow_ratio(cs, p)
-        other = eps + mup * ratio * cs
-        return (ratio * other) ** (-1.0 / p)
-
-    f = SingularIntegrand(smooth_part=smooth, right_exponent=-1.0 / p)
+    f = SingularIntegrand(
+        smooth_part=lambda s, cs: _tail_factor(cs, p, mu), right_exponent=-1.0 / p
+    )
     return integrate_singular(f, tol=tol)
 
 
@@ -256,7 +257,7 @@ class _SnpEngine:
     inverse flattens out.
     """
 
-    __slots__ = ("p", "mu", "K", "_mup", "_logmu")
+    __slots__ = ("p", "mu", "K", "_mup")
 
     def __init__(self, p: float, mu: float):
         _validate_pmu(p, mu)
@@ -264,7 +265,6 @@ class _SnpEngine:
         self.mu = mu
         self.K = kp(p, mu)
         self._mup = mu**p
-        self._logmu = math.log(mu) if mu > 0.0 else None
 
     # -- integrand pieces -------------------------------------------------
 
@@ -276,33 +276,6 @@ class _SnpEngine:
         one = -np.expm1(p * log_v)
         other = _one_minus_mupsp(log_v, p, self.mu)
         return (one * other) ** (-1.0 / p)
-
-    # -- batched tanh-sinh driver -----------------------------------------
-
-    def _batch_ts(self, F, ea: float, eb: float, tol: float) -> np.ndarray:
-        """Integrate smooth F (batched) times s**(ea-1) (1-s)**(eb-1) on [0,1].
-
-        F(x) maps a 1-D node array to a (batch, nodes) array.  Refines levels
-        until every entry moves by less than tol relative to its magnitude;
-        tail-branch raw values can be huge before their power-of-(1-z)
-        rescaling, so an absolute test would sit below their noise floor.
-        """
-        center = np.pi * 0.5**ea * 0.5**eb * F(np.array([0.5]))[:, 0]
-        sums = [center]
-        prev = None
-        for lev, L in enumerate(_ts_levels()):
-            wr = L.picosh * L.s**ea * L.oms**eb
-            wl = L.picosh * L.oms**ea * L.s**eb
-            sums.append(F(L.s) @ wr + F(L.oms) @ wl)
-            h = _H0 / 2.0**lev
-            value = h * np.sum(np.stack(sums), axis=0)
-            if lev >= 2 and prev is not None:
-                if np.all(np.abs(value - prev) <= tol * np.maximum(1.0, np.abs(value))):
-                    return value
-            prev = value
-        raise NonConvergence(
-            f"batched tanh-sinh failed to reach {tol:.3e} for p={self.p}, mu={self.mu}"
-        )
 
     def wp_many(self, z: np.ndarray) -> np.ndarray:
         """w_p at each z in [0, 1], vectorized."""
@@ -320,32 +293,27 @@ class _SnpEngine:
             return z
         tol = 5e-14 * (1.0 + self.K)
 
-        def F(x: np.ndarray) -> np.ndarray:
+        def F(lev: int, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
             return self._G(np.multiply.outer(z, x))
 
-        return z * self._batch_ts(F, 1.0, 1.0, tol)
+        return z * _tanh_sinh(F, 1.0, 1.0, tol)[0]
 
     def _wp_tail(self, z: np.ndarray) -> np.ndarray:
         """integral_z^1 w_p' ds via s = 1 - (1-z) u; u**(-1/p) declared.
 
-        1 - mu**p s**p is expanded as eps + mu**p (1 - s**p) with
-        eps = 1 - mu**p, keeping the mu -> 1 boundary layer accurate.
+        The smooth factor is the one :func:`kp_quadrature` integrates, at
+        endpoint distance e = (1-z) u.
         """
         if z.size == 0:
             return z
         p = self.p
         omz = 1.0 - z
         tol = 5e-14 * (1.0 + self.K)
-        eps = 1.0 if self._logmu is None else -math.expm1(p * self._logmu)
-        mup = self._mup
 
-        def F(u: np.ndarray) -> np.ndarray:
-            e = np.multiply.outer(omz, u)
-            ratio = _pow_ratio(e, p)
-            other = eps + mup * ratio * e
-            return (ratio * other) ** (-1.0 / p)
+        def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+            return _tail_factor(np.multiply.outer(omz, u), p, self.mu)
 
-        return omz ** (1.0 - 1.0 / p) * self._batch_ts(F, 1.0 - 1.0 / p, 1.0, tol)
+        return omz ** (1.0 - 1.0 / p) * _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, tol)[0]
 
     # -- inversion ---------------------------------------------------------
 
@@ -462,54 +430,50 @@ def wp(p: float, mu: float, z: float) -> float:
     return float(eng.wp_many(np.array([z]))[0])
 
 
-def _reduce_scalar(p: float, mu: float, y: float):
-    eng = _engine(p, mu)
-    u, sign, quarter, period = eng.reduce(np.array([y]))
-    return eng, float(u[0]), float(sign[0]), int(quarter[0]), int(period[0])
+def _snp_args(p: float, mu: float, y):
+    """Input check shared by every sn_p entry point: returns the engine for
+    (p, mu) and y as a float array, rejecting non-finite y."""
+    _validate_pmu(p, mu)
+    y = np.asarray(y, dtype=float)
+    bad = y[~np.isfinite(y)]
+    if bad.size:
+        raise DomainError(f"y must be finite, got {bad[0]}")
+    return _engine(p, mu), y
 
 
 def snp(p: float, mu: float, y: float) -> float:
     """sn_p(y, mu): odd, 4 K_p-periodic, equal to the inverse of w_p on
-    [0, K_p].  Scalar path: range reduction, then bracketed inversion of
-    w_p on [0, 1] to tolerance 1e-13 on the value."""
-    _validate_pmu(p, mu)
-    if not math.isfinite(y):
-        raise DomainError(f"y must be finite, got {y}")
-    eng, u, sign, _, _ = _reduce_scalar(p, mu, y)
-    if u == 0.0:
-        return 0.0
-    if u >= eng.K:
-        return sign * 1.0
-    z = bracketed_root(
-        lambda zz: float(eng.wp_many(np.array([zz]))[0]) - u, 0.0, 1.0, tol=1e-13
-    )
-    return sign * z
+    [0, K_p].  Scalar form of :func:`snp_many`, bit-identical to it."""
+    eng, ys = _snp_args(p, mu, [y])
+    return float(eng.value_many(ys)[0])
 
 
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
     """sn_p evaluation bundled with the period index used in reduction."""
-    eng, _, _, _, period = _reduce_scalar(p, mu, y)
-    return SnpValue(y=y, value=snp(p, mu, y), branch_period_index=period)
+    eng, ys = _snp_args(p, mu, [y])
+    u, sign, _, period = eng.reduce(ys)
+    value = sign * eng.invert(u)
+    return SnpValue(y=y, value=float(value[0]), branch_period_index=int(period[0]))
 
 
 def snp_many(p: float, mu: float, y) -> np.ndarray:
-    """Vectorized sn_p over an array of y; same reduction as :func:`snp`
-    with a batched safeguarded-Newton inversion."""
-    _validate_pmu(p, mu)
-    return _engine(p, mu).value_many(np.asarray(y, dtype=float))
+    """Vectorized sn_p over an array of y: range reduction, then a batched
+    safeguarded-Newton inversion of w_p."""
+    eng, y = _snp_args(p, mu, y)
+    return eng.value_many(y)
 
 
 def snp_deriv(p: float, mu: float, y: float) -> float:
     """d/dy sn_p(y, mu) = sgn * ((1 - s**p)(1 - mu**p s**p))**(1/p) with
     s = |sn_p(y)|; vanishes at odd multiples of K_p."""
-    _validate_pmu(p, mu)
-    return float(snp_deriv_many(p, mu, np.array([y]))[0])
+    eng, ys = _snp_args(p, mu, [y])
+    return float(eng.deriv_many(ys)[0])
 
 
 def snp_deriv_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized first derivative."""
-    _validate_pmu(p, mu)
-    return _engine(p, mu).deriv_many(np.asarray(y, dtype=float))
+    eng, y = _snp_args(p, mu, y)
+    return eng.deriv_many(y)
 
 
 def snp_second_deriv(p: float, mu: float, y: float) -> float:
@@ -519,21 +483,20 @@ def snp_second_deriv(p: float, mu: float, y: float) -> float:
     periodic symmetry.  For p > 2 it diverges at odd multiples of K_p;
     evaluation within 1e-6 of such a point raises :class:`SingularPoint`.
     """
-    _validate_pmu(p, mu)
-    eng, u, _, _, _ = _reduce_scalar(p, mu, y)
-    if p > 2.0 and abs(u - eng.K) < _SING_MARGIN:
+    eng, ys = _snp_args(p, mu, [y])
+    if p > 2.0 and abs(eng.reduce(ys)[0][0] - eng.K) < _SING_MARGIN:
         raise SingularPoint(
             f"sn_p'' is singular at odd multiples of K_p for p = {p} "
             f"(y within {_SING_MARGIN} of one)"
         )
-    return float(snp_second_deriv_many(p, mu, np.array([y]))[0])
+    return float(eng.second_many(ys)[0])
 
 
 def snp_second_deriv_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized second derivative; caller keeps p > 2 grids away from odd
     multiples of K_p."""
-    _validate_pmu(p, mu)
-    return _engine(p, mu).second_many(np.asarray(y, dtype=float))
+    eng, y = _snp_args(p, mu, y)
+    return eng.second_many(y)
 
 
 def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:

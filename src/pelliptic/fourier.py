@@ -9,9 +9,11 @@ transform absorbs it.  Both halves are computed independently, so the
 even-k coefficients vanish only through genuine numerical cancellation of
 the two pieces, not by construction.
 
+All of these integrals run through the package's one tanh-sinh routine.
 sn_p evaluations are the expensive part and depend only on (p, mu), never
-on k, so each profile caches them per refinement level and every tau_k
-reuses the cache; only the sine factors are recomputed per k.
+on k, so each profile caches them per refinement level of that routine's
+nodes and every tau_k reuses the cache; only the sine factors are
+recomputed per k.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import kp, snp_many
-from .errors import DomainError, NonConvergence
-from .quadrature import _H0, _ts_levels
+from .elliptic import _validate_pmu, kp, snp_many
+from .errors import DomainError
+from .quadrature import _tanh_sinh
 
 __all__ = [
     "FourierProfile",
@@ -46,8 +48,6 @@ __all__ = [
 _TAU1_FLOOR = 4.0 * math.sqrt(2.0) / math.pi**2
 
 _TAU_TOL = 1e-11
-_MIN_LEVEL = 3
-_CAP_LEVEL = 10
 
 
 @dataclass(frozen=True)
@@ -65,33 +65,24 @@ class FourierProfile:
 
 
 class _TauProfile:
-    """Cached sn_p values at the transform nodes of both half-intervals.
+    """Cached sn_p values at the tanh-sinh nodes for both half-intervals.
 
     For the half-interval variable u, piece A needs sn_p(K u) and piece B
-    needs sn_p(K (1 + u)); each refinement level stores both at the
-    level's right-cluster nodes (u = s) and left-cluster nodes (u = 1-s).
+    needs sn_p(K (1 + u)); level ``lev`` stores both at that level's nodes.
     """
 
     def __init__(self, p: float, mu: float):
         self.p = p
         self.mu = mu
         self.K = kp(p, mu)
-        center = snp_many(p, mu, np.array([0.5 * self.K, 1.5 * self.K]))
-        self.snA_c = float(center[0])
-        self.snB_c = float(center[1])
         self._levels: list[tuple] = []
 
-    def level(self, lev: int):
-        tables = _ts_levels()
-        while len(self._levels) <= lev:
-            L = tables[len(self._levels)]
-            u = np.concatenate([L.s, L.oms])
-            y = self.K * np.concatenate([u, 1.0 + u])
-            v = snp_many(self.p, self.mu, y)
-            m = L.s.size
-            self._levels.append(
-                (L, v[:m], v[m : 2 * m], v[2 * m : 3 * m], v[3 * m :])
-            )
+    def level(self, lev: int, u: np.ndarray):
+        """(sn_p(K u), sn_p(K (1 + u))) at the nodes u of level ``lev``;
+        levels are filled in order, as the level loop visits them."""
+        if lev == len(self._levels):
+            v = snp_many(self.p, self.mu, self.K * np.concatenate([u, 1.0 + u]))
+            self._levels.append((v[: u.size], v[u.size :]))
         return self._levels[lev]
 
 
@@ -100,46 +91,22 @@ def _profile(p: float, mu: float) -> _TauProfile:
     return _TauProfile(p, mu)
 
 
-def _validate_pmu(p: float, mu: float) -> None:
-    if not (p > 1.0) or not math.isfinite(p):
-        raise DomainError(f"p must be > 1, got {p}")
-    if not (0.0 <= mu < 1.0):
-        raise DomainError(f"mu must lie in [0, 1), got {mu}")
-
-
 def tau_k(p: float, mu: float, k: int) -> float:
     """k-th sine coefficient sqrt(2) int_0^1 sn_p(2 K_p x, mu) sin(k pi x) dx.
 
-    Adaptive refinement on the shared node cache until two successive
-    levels agree to 1e-11 absolute.
+    Computed on the profile's sn_p cache to an error of about 1e-11.
     """
     _validate_pmu(p, mu)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k}")
     prof = _profile(float(p), float(mu))
     kh = 0.5 * k * math.pi
-    center = 0.25 * math.pi * (
-        prof.snA_c * math.sin(0.5 * kh) + prof.snB_c * math.sin(1.5 * kh)
-    )
-    level_sums: list[float] = []
-    prev = math.nan
-    best = math.inf
-    for lev in range(_CAP_LEVEL + 1):
-        L, ar, al, br, bl = prof.level(lev)
-        w_r = L.picosh * L.s * L.oms
-        right = w_r * (ar * np.sin(kh * L.s) + br * np.sin(kh * (1.0 + L.s)))
-        left = w_r * (al * np.sin(kh * L.oms) + bl * np.sin(kh * (1.0 + L.oms)))
-        level_sums.append(math.fsum(right) + math.fsum(left))
-        h = _H0 / 2.0**lev
-        value = h * (center + math.fsum(level_sums))
-        if lev >= _MIN_LEVEL:
-            best = min(best, abs(value - prev))
-            if best <= _TAU_TOL:
-                return math.sqrt(2.0) * 0.5 * value
-        prev = value
-    raise NonConvergence(
-        f"tau_{k} refinement stalled at error {best:.3e} for p={p}, mu={mu}"
-    )
+
+    def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+        a, b = prof.level(lev, u)
+        return a * np.sin(kh * u) + b * np.sin(kh * (1.0 + u))
+
+    return math.sqrt(2.0) * 0.5 * float(_tanh_sinh(F, 1.0, 1.0, _TAU_TOL)[0])
 
 
 def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
@@ -172,26 +139,12 @@ def _sn_l2(p: float, mu: float) -> float:
     """
     _validate_pmu(p, mu)
     prof = _profile(float(p), float(mu))
-    center = 0.25 * math.pi * (prof.snA_c**2 + prof.snB_c**2)
-    level_sums: list[float] = []
-    prev = math.nan
-    best = math.inf
-    for lev in range(_CAP_LEVEL + 1):
-        L, ar, al, br, bl = prof.level(lev)
-        w = L.picosh * L.s * L.oms
-        level_sums.append(
-            math.fsum(w * (ar**2 + br**2)) + math.fsum(w * (al**2 + bl**2))
-        )
-        h = _H0 / 2.0**lev
-        value = h * (center + math.fsum(level_sums))
-        if lev >= _MIN_LEVEL:
-            best = min(best, abs(value - prev))
-            if best <= 1e-12:
-                return 0.5 * value
-        prev = value
-    raise NonConvergence(
-        f"profile L2 refinement stalled at error {best:.3e} for p={p}, mu={mu}"
-    )
+
+    def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+        a, b = prof.level(lev, u)
+        return a**2 + b**2
+
+    return 0.5 * float(_tanh_sinh(F, 1.0, 1.0, 1e-12)[0])
 
 
 def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:

@@ -4,15 +4,24 @@ The integration engine targets integrals on [0, 1] whose integrand factors as
 ``smooth(s) * s**a * (1-s)**b`` with algebraic endpoint exponents a, b in
 (-1, 0].  The double-exponential substitution s = (1 + tanh((pi/2) sinh t))/2
 turns the trapezoid rule in t into a geometrically convergent scheme even when
-the integrand blows up at an endpoint; halving the step until successive
-values agree gives a conservative absolute error estimate.
+the integrand blows up at an endpoint.
+
+One batched routine runs the level loop for every integral in the package:
+the generic :func:`integrate_singular` here, and the w_p, tau_k and profile
+norm integrals elsewhere.  It halves the step level by level and evaluates
+the caller's smooth factor once per level on that level's new nodes, for
+one integrand or a batch of rows at once.  From level 2 on, a row stops
+when the running minimum of the differences between successive levels,
+plus a truncation allowance taken from the outermost node pair, drops to
+``tol * max(1, |value|)``; that sum is the row's error estimate, floored
+at the spacing of the value.
 
 Endpoint distances are taken directly from the transform: 1-s is formed from
 exponentials, never by subtracting s from 1, so the endpoint power factors
-keep full precision down to distances of order 1e-300.  The smooth factor is
-the only part the caller supplies; it receives both s and the exact 1-s, so
-integrands with thin boundary layers (scale well below 1e-16 next to an
-endpoint) never have to reconstruct the endpoint distance by subtraction.
+keep full precision down to distances of order 1e-300.  The smooth factor
+receives both s and the exact 1-s, so integrands with thin boundary layers
+(scale well below 1e-16 next to an endpoint) never have to reconstruct the
+endpoint distance by subtraction.
 
 Everything here is pure floating point arithmetic in a fixed evaluation
 order, so identical inputs give bit-identical outputs.
@@ -100,13 +109,18 @@ class SingularIntegrand:
 
 
 class _Level:
-    """Precomputed transform data for the new nodes of one refinement level."""
+    """Transform data for the new nodes of one refinement level.
 
-    __slots__ = ("s", "oms", "picosh")
+    ``x`` holds the right cluster s, then the left cluster 1-s (level 0
+    ends with the centre 1/2); ``cx`` holds the exact complements 1-x and
+    ``picosh`` the transform weights pi cosh t.
+    """
 
-    def __init__(self, s: np.ndarray, oms: np.ndarray, picosh: np.ndarray):
-        self.s = s
-        self.oms = oms
+    __slots__ = ("x", "cx", "picosh")
+
+    def __init__(self, x: np.ndarray, cx: np.ndarray, picosh: np.ndarray):
+        self.x = x
+        self.cx = cx
         self.picosh = picosh
 
 
@@ -128,8 +142,60 @@ def _ts_levels() -> Sequence[_Level]:
             e = np.exp(-2.0 * u)
             s = 1.0 / (1.0 + e)
             oms = e / (1.0 + e)
-            _LEVELS.append(_Level(s=s, oms=oms, picosh=np.pi * np.cosh(t)))
+            picosh = np.pi * np.cosh(t)
+            x, cx, w = [s, oms], [oms, s], [picosh, picosh]
+            if lev == 0:
+                x.append([0.5])
+                cx.append([0.5])
+                w.append([np.pi])
+            _LEVELS.append(
+                _Level(np.concatenate(x), np.concatenate(cx), np.concatenate(w))
+            )
     return _LEVELS
+
+
+def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
+    """Integrate F * x**(ea-1) * (1-x)**(eb-1) over [0, 1], row by row.
+
+    ``F(lev, x, cx)`` receives the nodes of refinement level ``lev`` and
+    their exact complements and returns shape ``(n,)`` or ``(rows, n)``.
+    A row stops at the first level (from level 2 on) where the running
+    minimum of successive-level differences plus the truncation allowance
+    of the outermost node pair is at most ``tol * max(1, |value|)``; it
+    keeps that level's value, so its result does not depend on the other
+    rows.  The relative part of the test keeps it above the rounding noise
+    of large values, such as the w_p tail integrals before their (1-z)
+    rescaling.  Returns (value, abs_error_estimate, nodes_used); the estimate
+    is floored at the spacing of the value.
+    """
+    sums = []
+    nodes = 0
+    with np.errstate(divide="ignore"):
+        for lev, L in enumerate(_ts_levels()):
+            terms = F(lev, L.x, L.cx) * (L.picosh * L.x**ea * L.cx**eb)
+            nodes += L.x.size
+            sums.append(np.sum(terms, axis=-1))
+            value = (_H0 / 2.0**lev) * np.sum(sums, axis=0)
+            if lev == 0:
+                m = L.x.size // 2
+                trunc = np.abs(terms[..., m - 1]) + np.abs(terms[..., 2 * m - 1])
+                best = np.full_like(value, math.inf)
+                out, err = value, best
+                done = np.zeros(value.shape, dtype=bool)
+            elif lev >= _MIN_LEVEL:
+                best = np.minimum(best, np.abs(value - prev))
+                ok = best + trunc <= tol * np.maximum(1.0, np.abs(value))
+                fresh = ok & ~done
+                out = np.where(fresh, value, out)
+                err = np.where(fresh, best + trunc, err)
+                done |= ok
+                if np.all(done):
+                    return out, np.maximum(err, np.spacing(np.abs(out))), nodes
+            prev = value
+    raise NonConvergence(
+        f"tanh-sinh refinement exhausted {nodes} nodes with error estimate "
+        f"{np.max(best[~done] + trunc[~done]):.3e} above tol {tol:.3e}"
+    )
 
 
 def _as_batch(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -161,9 +227,10 @@ def integrate_singular(f: SingularIntegrand, tol: float = 1e-12) -> QuadratureRe
     f : SingularIntegrand
         Integrand description; exponents in (-1, 0].
     tol : float
-        Target absolute error.  The engine refines until its error estimate
-        drops to ``tol`` and raises :class:`NonConvergence` if the node
-        budget runs out first.
+        Target error: absolute for integrals of magnitude up to 1, relative
+        beyond.  The engine refines until its error estimate drops to
+        ``tol * max(1, |value|)`` and raises :class:`NonConvergence` if the
+        node budget runs out first.
 
     Returns
     -------
@@ -173,45 +240,19 @@ def integrate_singular(f: SingularIntegrand, tol: float = 1e-12) -> QuadratureRe
     -----
     The reported estimate is monotone under tol refinement: asking for a
     smaller tol never yields a larger ``abs_error_estimate`` for the same
-    integrand.
+    integrand.  It is never below the spacing of the value.
     """
     if not (tol >= 1e-14) or not math.isfinite(tol):
         raise DomainError(f"tol must be a finite number >= 1e-14, got {tol}")
-    ea = 1.0 + f.left_exponent
-    eb = 1.0 + f.right_exponent
     smooth = _as_batch(f.smooth_part)
-
-    half = np.array([0.5])
-    center = np.pi * 0.5**ea * 0.5**eb * float(smooth(half, half)[0])
-    nodes_used = 1
-
-    level_sums: list[float] = []
-    prev_value = math.nan
-    best_err = math.inf
-    trunc = 0.0
-    with np.errstate(divide="ignore"):
-        for lev, L in enumerate(_ts_levels()):
-            right = L.picosh * L.s**ea * L.oms**eb * smooth(L.s, L.oms)
-            left = L.picosh * L.oms**ea * L.s**eb * smooth(L.oms, L.s)
-            nodes_used += 2 * L.s.size
-            level_sums.append(math.fsum(right) + math.fsum(left))
-            if lev == 0:
-                # Window truncation allowance from the outermost node pair.
-                trunc = abs(float(right[-1])) + abs(float(left[-1]))
-            h = _H0 / 2.0**lev
-            value = h * (center + math.fsum(level_sums))
-            if lev >= _MIN_LEVEL:
-                best_err = min(best_err, abs(value - prev_value))
-                if best_err + trunc <= tol:
-                    return QuadratureResult(
-                        value=value,
-                        abs_error_estimate=best_err + trunc,
-                        nodes_used=nodes_used,
-                    )
-            prev_value = value
-    raise NonConvergence(
-        f"tanh-sinh refinement exhausted {nodes_used} nodes with error "
-        f"estimate {best_err + trunc:.3e} above tol {tol:.3e}"
+    value, err, nodes = _tanh_sinh(
+        lambda lev, x, cx: smooth(x, cx),
+        1.0 + f.left_exponent,
+        1.0 + f.right_exponent,
+        tol,
+    )
+    return QuadratureResult(
+        value=float(value), abs_error_estimate=float(err), nodes_used=nodes
     )
 
 

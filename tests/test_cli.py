@@ -5,6 +5,7 @@ numeric payloads must round-trip through the printed 17 significant
 digits to the exact doubles the library computes.
 """
 
+import json
 import math
 import os
 import shutil
@@ -209,6 +210,49 @@ def test_certify_invert_report_consistent():
     lhs, rhs, margin = (float(env[k]) for k in ("lhs", "rhs", "margin"))
     assert margin == rhs - lhs
     assert env["truncation_K"] == "7"
+
+
+GOLDEN = json.loads((REPO / "tests" / "data" / "cli_envelopes.json").read_text())
+
+
+def assert_fields_match(got, ref, where):
+    """Equal keys in equal order; numbers to 1e-13 + 1e-12 |ref|, any
+    other value exactly."""
+    assert [k for k, _ in got] == [k for k, _ in ref], where
+    for (key, a), (_, b) in zip(got, ref):
+        if a == b:
+            continue
+        try:
+            fa, fb = float(a), float(b)
+        except ValueError:
+            fa = fb = None
+        assert fb is not None, f"{where}: {key}={a!r}, golden {b!r}"
+        assert abs(fa - fb) <= 1e-13 + 1e-12 * abs(fb), f"{where}: {key}={a}, was {b}"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["args"]))
+def test_default_envelopes_match_golden(case, tmp_path):
+    # envelopes of the default CLI output, captured before the tanh-sinh
+    # level loops and the sn_p inversion paths were merged; drifts are
+    # listed in CHANGES.md
+    r = run_cli(*case["args"], cwd=tmp_path)
+    assert r.returncode == case["returncode"], r.stderr
+
+    def fields(text):
+        return [line.partition("=")[::2] for line in text.splitlines()]
+
+    assert_fields_match(fields(r.stdout), fields(case["stdout"]), "stdout")
+    if "csv" in case:
+        rows = (tmp_path / "region.csv").read_text().splitlines()
+        ref = case["csv"].splitlines()
+        assert len(rows) == len(ref)
+        for i, (row, ref_row) in enumerate(zip(rows, ref)):
+            header = ref[0].split(",")
+            assert_fields_match(
+                list(zip(header, row.split(","))),
+                list(zip(header, ref_row.split(","))),
+                f"csv row {i}",
+            )
 
 
 def test_region_writes_csv(tmp_path):

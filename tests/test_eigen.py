@@ -67,14 +67,16 @@ def test_peak_value_at_half_bump():
 
 
 def test_sign_change_count():
-    # n-1 interior sign changes, checked on a fresh sample grid
-    for n in (1, 2, 4):
-        e = eg.eigenpair(2.5, 0.4, n)
-        xs = (2.0 * np.arange(600 * n) + 1.0) / (1200.0 * n)
-        K = el.kp(2.5, 0.4)
-        v = e.sign * e.amplitude * el.snp_many(2.5, 0.4, 2.0 * n * K * xs)
-        s = np.sign(v)
-        assert int(np.count_nonzero(s[1:] * s[:-1] < 0)) == n - 1
+    # n-1 interior sign changes, checked on a fresh sample grid across the
+    # (p, mu) range the certificate pipeline uses
+    for p, mu in [(2.5, 0.4), (1.5, 0.95), (2.0, 0.5), (2.0, 0.95), (6.0, 0.95)]:
+        K = el.kp(p, mu)
+        for n in (1, 2, 4):
+            e = eg.eigenpair(p, mu, n)
+            xs = (2.0 * np.arange(600 * n) + 1.0) / (1200.0 * n)
+            v = e.sign * e.amplitude * el.snp_many(p, mu, 2.0 * n * K * xs)
+            s = np.sign(v)
+            assert int(np.count_nonzero(s[1:] * s[:-1] < 0)) == n - 1
 
 
 def test_symmetry_about_half_bump():

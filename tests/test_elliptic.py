@@ -147,8 +147,10 @@ def test_snp_scalar_matches_batch():
         K = el.kp(p, mu)
         ys = np.linspace(-2.0 * K, 6.0 * K, 17)
         batch = el.snp_many(p, mu, ys)
-        for y, b in zip(ys, batch):
-            assert abs(el.snp(p, mu, float(y)) - b) < 5e-13
+        dbatch = el.snp_deriv_many(p, mu, ys)
+        for y, b, d in zip(ys, batch, dbatch):
+            assert el.snp(p, mu, float(y)) == b
+            assert el.snp_deriv(p, mu, float(y)) == d
 
 
 def test_snp_small_mu_is_p_sine():
@@ -340,8 +342,22 @@ def test_pmodulus_eager_cache():
 
 
 def test_snp_rejects_bad_domain():
-    with pytest.raises(DomainError):
-        el.snp(2.0, 0.5, math.inf)
+    entry_points = [
+        el.snp,
+        el.snp_value,
+        el.snp_many,
+        el.snp_deriv,
+        el.snp_deriv_many,
+        el.snp_second_deriv,
+        el.snp_second_deriv_many,
+    ]
+    for fn in entry_points:
+        for y in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                fn(2.0, 0.5, y)
+    for fn in (el.snp_many, el.snp_deriv_many, el.snp_second_deriv_many):
+        with pytest.raises(DomainError):
+            fn(2.0, 0.5, [0.1, math.nan, 0.3])
     with pytest.raises(DomainError):
         el.snp(2.0, 1.0, 0.5)
     with pytest.raises(DomainError):

@@ -88,6 +88,16 @@ def test_estimate_monotone_under_tol_halving():
         prev = est
 
 
+def test_estimate_not_below_rounding():
+    # a polynomial is integrated exactly after a few levels, so the level
+    # differences vanish; the estimate must still cover the rounding of
+    # the value itself
+    f = SingularIntegrand(smooth_part=lambda s, cs: 1.0 - 2.0 * s + 3.0 * s * s)
+    r = integrate_singular(f, tol=1e-13)
+    assert r.abs_error_estimate >= np.spacing(abs(r.value))
+    assert r.abs_error_estimate <= 1e-13
+
+
 def test_deterministic_bit_identical():
     f = SingularIntegrand(
         smooth_part=lambda s, cs: np.cos(3.0 * s), right_exponent=-0.5

@@ -153,10 +153,10 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     """
     if not isinstance(K, (int, np.integer)) or K < 5 or K % 2 == 0:
         raise DomainError(f"K must be an odd integer >= 5, got {K}")
-    rhs = min(tau_k(p, mu, 1) for mu in ms.values)
-    lhs = math.fsum(
-        max(abs(tau_k(p, mu, k)) for mu in ms.values) for k in range(3, K + 1, 2)
-    )
+    # one row per modulus, one column per odd k = 1, 3, ..., K
+    taus = np.array([tau_k(p, mu, np.arange(1, K + 1, 2)) for mu in ms.values])
+    rhs = float(np.min(taus[:, 0]))
+    lhs = math.fsum(np.max(np.abs(taus[:, 1:]), axis=0))
     tail = tau_tail_bound(p, max(kp(p, mu) for mu in ms.values), int(K) + 2)
     verdict, margin = _verdict(lhs, rhs, tail)
     notes = []

@@ -24,12 +24,18 @@ wrong second-derivative formula would show up immediately.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import kp, snp, snp_deriv_many, snp_many, snp_second_deriv_many
+from .elliptic import (
+    _validate_pmu,
+    kp,
+    snp,
+    snp_deriv_many,
+    snp_many,
+    snp_second_deriv_many,
+)
 from .errors import DomainError, GridTooCoarse, SingularPoint
 
 __all__ = [
@@ -117,9 +123,9 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
     zeros of sn_p sit at multiples of 2 K_p, so phi vanishes exactly at the
     multiples of 1/n.
     """
-    if not (p > 1.0) or not math.isfinite(p):
-        raise DomainError(f"p must be > 1, got {p}")
-    if not (0.0 < mu < 1.0):
+    _validate_pmu(p, mu)
+    if mu == 0.0:
+        # alpha = amplitude**p / mu**p is 0/0 there
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")

@@ -129,16 +129,17 @@ def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult
     return integrate_singular(f, tol=tol)
 
 
-def _f21(alpha: float, beta: float, gamma: float, y: float) -> float:
-    """Gauss series 2F1(alpha, beta; gamma; y) for small positive y."""
+def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
+    """Gauss series 2F1(alpha, beta; gamma; y) for small positive y, summed
+    until a term drops below 1e-17 of the total, at most ``terms`` terms."""
     term = 1.0
     total = 1.0
-    for n in range(500):
+    for n in range(terms):
         term *= (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n)) * y
         total += term
         if abs(term) < 1e-17 * abs(total):
             return total
-    raise NonConvergence(f"2F1 series stalled at y={y}")
+    raise NonConvergence(f"2F1 series did not settle within {terms} terms at y={y}")
 
 
 def _kp_near_one_2f1(p: float, mu: float) -> float:
@@ -212,15 +213,7 @@ def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:
     if x > 0.9:
         raise SlowConvergence(f"mu**p = {x:.6f} > 0.9; hypergeometric series too slow")
     pref = math.pi / (p * math.sin(math.pi / p))
-    a = 1.0 / p
-    term = 1.0
-    total = 1.0
-    for n in range(terms):
-        term *= ((n + a) / (n + 1.0)) ** 2 * x
-        total += term
-        if term < 1e-17 * total:
-            return pref * total
-    raise NonConvergence(f"2F1 series did not settle within {terms} terms")
+    return pref * _f21(1.0 / p, 1.0 / p, 1.0, x, terms)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ the two pieces, not by construction.
 All of these integrals run through the package's one tanh-sinh routine.
 sn_p evaluations are the expensive part and depend only on (p, mu), never
 on k, so each profile caches them per refinement level of that routine's
-nodes and every tau_k reuses the cache; only the sine factors are
-recomputed per k.
+nodes.  Any set of indices k is one call of the routine, one row per k:
+every row multiplies the same cached sn_p values by its own sine factors
+and stops at its own level, so a coefficient does not depend on which
+other k were asked for with it.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -64,49 +66,56 @@ class FourierProfile:
     tail_bound: float
 
 
-class _TauProfile:
-    """Cached sn_p values at the tanh-sinh nodes for both half-intervals.
-
-    For the half-interval variable u, piece A needs sn_p(K u) and piece B
-    needs sn_p(K (1 + u)); level ``lev`` stores both at that level's nodes.
-    """
-
-    def __init__(self, p: float, mu: float):
-        self.p = p
-        self.mu = mu
-        self.K = kp(p, mu)
-        self._levels: list[tuple] = []
-
-    def level(self, lev: int, u: np.ndarray):
-        """(sn_p(K u), sn_p(K (1 + u))) at the nodes u of level ``lev``;
-        levels are filled in order, as the level loop visits them."""
-        if lev == len(self._levels):
-            v = snp_many(self.p, self.mu, self.K * np.concatenate([u, 1.0 + u]))
-            self._levels.append((v[: u.size], v[u.size :]))
-        return self._levels[lev]
-
-
 @functools.lru_cache(maxsize=64)
-def _profile(p: float, mu: float) -> _TauProfile:
-    return _TauProfile(p, mu)
+def _profile(p: float, mu: float) -> list:
+    """Per tanh-sinh level, (sn_p(K u), sn_p(K (1 + u))) at that level's
+    nodes u, filled by :func:`_split_integral`."""
+    return []
 
 
-def tau_k(p: float, mu: float, k: int) -> float:
-    """k-th sine coefficient sqrt(2) int_0^1 sn_p(2 K_p x, mu) sin(k pi x) dx.
+def _split_integral(p: float, mu: float, g, tol: float):
+    """int_0^1 f(x) dx for an integrand built on s(x) = sn_p(2 K_p x, mu),
+    split at x = 1/2 and mapped to u in [0, 1].
 
-    Computed on the profile's sn_p cache to an error of about 1e-11.
+    ``g(a, b, u)`` returns f(u/2) + f((1+u)/2) given a = sn_p(K u) and
+    b = sn_p(K (1 + u)), with shape (n,) or (rows, n).  Both are read from
+    the profile cache; the driver visits levels in order, so a level
+    missing from the cache is computed and appended.
     """
-    _validate_pmu(p, mu)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    prof = _profile(float(p), float(mu))
-    kh = 0.5 * k * math.pi
+    p, mu = float(p), float(mu)
+    levels = _profile(p, mu)
+    K = kp(p, mu)
 
     def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        a, b = prof.level(lev, u)
+        if lev == len(levels):
+            v = snp_many(p, mu, K * np.concatenate([u, 1.0 + u]))
+            levels.append((v[: u.size], v[u.size :]))
+        return g(*levels[lev], u)
+
+    return 0.5 * _tanh_sinh(F, 1.0, 1.0, tol)[0]
+
+
+def tau_k(p: float, mu: float, k):
+    """Sine coefficient sqrt(2) int_0^1 sn_p(2 K_p x, mu) sin(k pi x) dx.
+
+    ``k`` is a positive integer, giving a float, or a nonempty 1-D
+    sequence of positive integers, giving an array of the coefficients in
+    that order.  All of them are rows of one quadrature on the profile's
+    sn_p cache, each to an error of about 1e-11; a row's value is the same,
+    bit for bit, whatever the other rows are.
+    """
+    _validate_pmu(p, mu)
+    scalar = isinstance(k, (int, np.integer))
+    ks = np.array([int(k)]) if scalar else np.asarray(k)
+    if ks.ndim != 1 or ks.size == 0 or ks.dtype.kind not in "iu" or np.any(ks < 1):
+        raise DomainError(f"k must be a positive integer or a 1-D run of them, got {k!r}")
+    kh = (0.5 * ks * math.pi)[:, None]
+
+    def g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
         return a * np.sin(kh * u) + b * np.sin(kh * (1.0 + u))
 
-    return math.sqrt(2.0) * 0.5 * float(_tanh_sinh(F, 1.0, 1.0, _TAU_TOL)[0])
+    taus = math.sqrt(2.0) * _split_integral(p, mu, g, _TAU_TOL)
+    return float(taus[0]) if scalar else taus
 
 
 def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
@@ -118,9 +127,9 @@ def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
     _validate_pmu(p, mu)
     if not isinstance(K_max, (int, np.integer)) or K_max < 1:
         raise DomainError(f"K_max must be a positive integer, got {K_max}")
-    coeffs = tuple(tau_k(p, mu, k) for k in range(1, K_max + 1))
+    coeffs = tuple(tau_k(p, mu, np.arange(1, K_max + 1)).tolist())
     start = K_max + 1 if K_max % 2 == 0 else K_max + 2
-    tail = tau_tail_bound(p, kp(p, mu), start) if start >= 3 else math.inf
+    tail = tau_tail_bound(p, kp(p, mu), start)
     return FourierProfile(
         p=p, mu=mu, coefficients=coeffs, K_max=int(K_max), tail_bound=tail
     )
@@ -138,13 +147,7 @@ def _sn_l2(p: float, mu: float) -> float:
     for p > 2.
     """
     _validate_pmu(p, mu)
-    prof = _profile(float(p), float(mu))
-
-    def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        a, b = prof.level(lev, u)
-        return a**2 + b**2
-
-    return 0.5 * float(_tanh_sinh(F, 1.0, 1.0, 1e-12)[0])
+    return float(_split_integral(p, mu, lambda a, b, u: a**2 + b**2, 1e-12))
 
 
 def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:

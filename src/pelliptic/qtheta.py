@@ -4,9 +4,9 @@ This module collects the p = 2 toolkit: an AGM/Landen evaluation of
 Jacobi sn (used as an independent oracle for the generalized functions),
 Jacobi theta constants, the nome <-> modulus maps, the Lambert series
 L(beta) = sum beta^n / (1 - beta^n), the q-digamma function, an odd-index
-Lambert-type sum evaluated by two independent routes, and the solver for
-the distinguished nome q0 at which (1 - q) * sum_{n>=1} q^n/(1-q^{2n+1})
-equals 1.  The modulus mu0 associated to q0 lies within 1e-7 of 1.
+Lambert-type sum, and the solver for the distinguished nome q0 at which
+(1 - q) * sum_{n>=1} q^n/(1-q^{2n+1}) equals 1.  The modulus mu0
+associated to q0 lies within 1e-7 of 1.
 
 All series stop once the next term falls below 1e-16 relative to the
 running sum.  Arguments with q > 0.99 are rejected outright: every
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IdentityMismatch, NonConvergence
+from .errors import DomainError, NonConvergence
 from .quadrature import bracketed_root
 
 __all__ = [
@@ -231,12 +231,10 @@ def lambert_via_digamma(beta: float) -> float:
 
 
 def odd_lambert_sum(q: float) -> float:
-    """sum_{n>=1} q^n / (1 - q^(2n+1)), computed two independent ways.
+    """sum_{n>=1} q^n / (1 - q^(2n+1)), summed directly.
 
-    The direct summation is returned; it is cross-checked against the
-    Lambert-series combination (L(sqrt(q)) - 2 L(q) + L(q^2))/sqrt(q)
-    - 1/(1-q), and a discrepancy beyond 1e-9 raises IdentityMismatch,
-    which would indicate a series implementation bug.
+    It equals the Lambert-series combination (L(sqrt(q)) - 2 L(q) +
+    L(q^2))/sqrt(q) - 1/(1-q), which :func:`_sharp_equation` uses.
     """
     _check_q(q)
     if q <= 0.0:
@@ -254,17 +252,7 @@ def odd_lambert_sum(q: float) -> float:
             break
         terms.append(term)
         partial += term
-    direct = math.fsum(terms)
-    rq = math.sqrt(q)
-    combo = (lambert_L(rq) - 2.0 * lambert_L(q) + lambert_L(q2)) / rq - 1.0 / (
-        1.0 - q
-    )
-    if abs(direct - combo) > 1e-9:
-        raise IdentityMismatch(
-            f"odd Lambert sum mismatch at q={q}: direct={direct!r}, "
-            f"series combination={combo!r}"
-        )
-    return direct
+    return math.fsum(terms)
 
 
 def _sharp_equation(q: float) -> float:

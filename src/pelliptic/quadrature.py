@@ -162,20 +162,24 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
     of the outermost node pair is at most ``tol * max(1, |value|)``; it
-    keeps that level's value, so its result does not depend on the other
-    rows.  The relative part of the test keeps it above the rounding noise
-    of large values, such as the w_p tail integrals before their (1-z)
-    rescaling.  Returns (value, abs_error_estimate, nodes_used); the estimate
-    is floored at the spacing of the value.
+    keeps that level's value, so its result does not depend, to the last
+    bit, on the other rows or on how many there are.  The relative part of
+    the test keeps it above the rounding noise of large values, such as the
+    w_p tail integrals before their (1-z) rescaling.  Returns (value,
+    abs_error_estimate, nodes_used); the estimate is floored at the spacing
+    of the value.
     """
-    sums = []
     nodes = 0
     with np.errstate(divide="ignore"):
         for lev, L in enumerate(_ts_levels()):
             terms = F(lev, L.x, L.cx) * (L.picosh * L.x**ea * L.cx**eb)
             nodes += L.x.size
-            sums.append(np.sum(terms, axis=-1))
-            value = (_H0 / 2.0**lev) * np.sum(sums, axis=0)
+            if lev == 0:
+                # one column per level: each row sums its own levels, in
+                # the same order as a row computed alone
+                sums = np.zeros(terms.shape[:-1] + (_MAX_LEVEL + 1,))
+            sums[..., lev] = np.sum(terms, axis=-1)
+            value = (_H0 / 2.0**lev) * np.sum(sums[..., : lev + 1], axis=-1)
             if lev == 0:
                 m = L.x.size // 2
                 trunc = np.abs(terms[..., m - 1]) + np.abs(terms[..., 2 * m - 1])

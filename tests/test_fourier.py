@@ -68,6 +68,37 @@ def test_tau_k_validation():
         fr.tau_k(1.0, 0.5, 1)
     with pytest.raises(DomainError):
         fr.tau_k(2.0, 1.0, 1)
+    for bad in ([], [1, 0, 3], np.array([1.0, 3.0]), np.array([[1, 3], [5, 7]])):
+        with pytest.raises(DomainError):
+            fr.tau_k(2.0, 0.5, bad)
+
+
+def test_tau_k_sequence_rows_match_scalar_calls():
+    # k = 121..201 run to tanh-sinh level 7, where numpy's sum over the
+    # levels would differ between one row and many unless taken per row
+    ks = np.arange(1, 202)
+    for p in (1.5, 3.0, 6.0):
+        batch = fr.tau_k(p, 0.6, ks)
+        assert isinstance(batch, np.ndarray) and batch.shape == ks.shape
+        for i in list(range(0, 201, 20)) + [199, 200]:
+            assert fr.tau_k(p, 0.6, int(ks[i])) == batch[i]
+        assert np.array_equal(fr.tau_k(p, 0.6, [201, 3, 1]), batch[[200, 2, 0]])
+
+
+def test_warm_profile_makes_no_snp_call(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return el.snp_many(*args)
+
+    monkeypatch.setattr(fr, "snp_many", counting)
+    fr._profile.cache_clear()
+    first = fr.fourier_profile(2.5, 0.45, 41)
+    assert len(calls) > 0
+    calls.clear()
+    assert fr.fourier_profile(2.5, 0.45, 41) == first
+    assert calls == []
 
 
 def test_rho_coeff_values():

@@ -159,10 +159,16 @@ def test_odd_lambert_sum_small_q():
 
 
 def test_odd_lambert_sum_identity_grid():
-    # the cross-route identity check is built in; any mismatch raises
+    # the direct sum against the Lambert-series combination that the
+    # sharp equation uses
     for i in range(1, 10):
         q = i / 10.0
+        rq = math.sqrt(q)
+        combo = (
+            qt.lambert_L(rq) - 2.0 * qt.lambert_L(q) + qt.lambert_L(q * q)
+        ) / rq - 1.0 / (1.0 - q)
         assert qt.odd_lambert_sum(q) > 0.0
+        assert abs(qt.odd_lambert_sum(q) - combo) <= 1e-9
 
 
 def test_odd_lambert_sum_at_q0_gives_unit_s():

@@ -28,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (
-    _validate_pmu,
-    kp,
-    snp,
-    snp_deriv_many,
-    snp_many,
-    snp_second_deriv_many,
-)
+from .elliptic import _snp_parts, _validate_pmu, kp, snp
 from .errors import DomainError, GridTooCoarse, SingularPoint
 
 __all__ = [
@@ -177,8 +170,9 @@ def first_integral_residual(e: EigenPair, grid) -> ResidualReport:
         )
     p, mu = e.p, e.mu
     K = kp(p, mu)
-    phi = e.amplitude * np.abs(snp_many(p, mu, y))
-    dphi = e.amplitude * 2.0 * e.n * K * np.abs(snp_deriv_many(p, mu, y))
+    eng, s, _, quarter = _snp_parts(p, mu, y)
+    phi = e.amplitude * s
+    dphi = e.amplitude * 2.0 * e.n * K * np.abs(eng.deriv(s, quarter))
     r = dphi**p - 0.5 * (e.alpha - phi**p) * (e.beta - phi**p)
     return ResidualReport(
         max_abs_residual=float(np.max(np.abs(r))),
@@ -205,9 +199,10 @@ def ode_residual(e: EigenPair, grid) -> ResidualReport:
     p, mu = e.p, e.mu
     K = kp(p, mu)
     scale = 2.0 * e.n * K
-    phi = e.sign * e.amplitude * snp_many(p, mu, y)
-    d1 = e.sign * e.amplitude * scale * snp_deriv_many(p, mu, y)
-    d2 = e.sign * e.amplitude * scale**2 * snp_second_deriv_many(p, mu, y)
+    eng, s, sgn, quarter = _snp_parts(p, mu, y)
+    phi = e.sign * e.amplitude * (sgn * s)
+    d1 = e.sign * e.amplitude * scale * eng.deriv(s, quarter)
+    d2 = e.sign * e.amplitude * scale**2 * eng.second(s, quarter)
     lead = np.abs(d1) ** (p - 2.0) * d2
     r = (p - 1.0) * (
         lead

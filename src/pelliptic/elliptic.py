@@ -21,8 +21,14 @@ locally integrable.
 
 Evaluation reduces y modulo the period, then inverts w_p by a
 bracket-safeguarded Newton iteration vectorized across all requested
-points.  Scalar and batch entry points share that one path, so a scalar
-call returns exactly the value the batch call gives at the same y.
+points.  Each (p, mu) engine tabulates w_p once at 16 interior nodes,
+evenly spaced in the tail variable v = (1-z)**(1-1/p); every point starts
+inside its table bracket, from z interpolated linearly in v.  A point
+stops once its raw Newton step is at most 5e-15, and that step is taken
+(clipped into the bracket) before the safeguard could swap it for a
+midpoint, so converged points never fall through to bisection.  Scalar
+and batch entry points share that one path, so a scalar call returns
+exactly the value the batch call gives at the same y.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ _KP_TOL = 1e-13
 # p > 2 only: margin around odd multiples of K_p inside which the second
 # derivative is treated as singular.
 _SING_MARGIN = 1e-6
+# interior nodes of the table each _SnpEngine builds to start its inversion
+_TAB_NODES = 16
 
 
 def _validate_pmu(p: float, mu: float) -> None:
@@ -250,7 +258,7 @@ class _SnpEngine:
     inverse flattens out.
     """
 
-    __slots__ = ("p", "mu", "K", "_mup")
+    __slots__ = ("p", "mu", "K", "_mup", "_table")
 
     def __init__(self, p: float, mu: float):
         _validate_pmu(p, mu)
@@ -258,6 +266,7 @@ class _SnpEngine:
         self.mu = mu
         self.K = kp(p, mu)
         self._mup = mu**p
+        self._table = None
 
     # -- integrand pieces -------------------------------------------------
 
@@ -310,21 +319,45 @@ class _SnpEngine:
 
     # -- inversion ---------------------------------------------------------
 
+    def _brackets(self):
+        """(v, z, w) at the _TAB_NODES + 2 table nodes, endpoints included.
+
+        The nodes are evenly spaced in the tail variable v = (1-z)**(1-1/p),
+        in which K - w_p is nearly linear.  Built by one wp_many call on the
+        first inversion, not at construction, so w_p alone never needs it.
+        """
+        if self._table is None:
+            v = np.linspace(1.0, 0.0, _TAB_NODES + 2)
+            z = 1.0 - v ** (self.p / (self.p - 1.0))
+            w = np.concatenate(([0.0], self.wp_many(z[1:-1]), [self.K]))
+            self._table = (v, z, w)
+        return self._table
+
     def invert(self, t: np.ndarray) -> np.ndarray:
         """Solve w_p(z) = t for each t in [0, K], vectorized.
 
-        Newton steps with the analytic derivative w_p' = G, confined to a
-        per-point sign-change bracket; out-of-bracket or non-finite
-        proposals fall back to bisection, so every iterate stays admissible.
+        Each t starts inside its bracket [z_j, z_j+1] of the engine's table,
+        from z interpolated linearly in v = (1-z)**(1-1/p), and takes Newton
+        steps with the analytic derivative w_p' = G.  A point stops once its
+        raw Newton step |f / G| is at most 5e-15: that step is accepted,
+        clipped into the bracket, before any safeguard can replace it.  A
+        larger step that leaves the bracket or is not finite falls back to
+        bisection, so every iterate stays admissible.
         """
         t = np.asarray(t, dtype=float)
-        z = np.clip(t / self.K, 0.0, 1.0)
+        v_tab, z_tab, w_tab = self._brackets()
+        j = np.clip(np.searchsorted(w_tab, t, side="right") - 1, 0, _TAB_NODES)
+        z_lo, z_hi = z_tab[j], z_tab[j + 1]
+        # for p near 1 the last nodes round to z = 1, so an edge t can land
+        # in an empty interval; its start is overwritten below
+        with np.errstate(invalid="ignore"):
+            frac = np.clip((t - w_tab[j]) / (w_tab[j + 1] - w_tab[j]), 0.0, 1.0)
+        v = v_tab[j] + frac * (v_tab[j + 1] - v_tab[j])
+        z = np.clip(1.0 - v ** (self.p / (self.p - 1.0)), z_lo, z_hi)
         # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
         at_edge = (t <= 0.0) | (t >= self.K)
         z[t <= 0.0] = 0.0
         z[t >= self.K] = 1.0
-        z_lo = np.zeros_like(z)
-        z_hi = np.ones_like(z)
         active = ~at_edge
         for _ in range(80):
             idx = np.nonzero(active)[0]
@@ -335,12 +368,15 @@ class _SnpEngine:
             lo_upd = f < 0.0
             z_lo[idx[lo_upd]] = za[lo_upd]
             z_hi[idx[~lo_upd]] = za[~lo_upd]
+            lo, hi = z_lo[idx], z_hi[idx]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 step = f / self._G(za)
                 z_new = za - step
-            bad = ~np.isfinite(z_new) | (z_new <= z_lo[idx]) | (z_new >= z_hi[idx])
-            z_new[bad] = 0.5 * (z_lo[idx][bad] + z_hi[idx][bad])
-            done = (np.abs(z_new - za) <= 5e-15) | (z_hi[idx] - z_lo[idx] <= 1e-14)
+            done = np.abs(step) <= 5e-15
+            z_new[done] = np.clip(z_new[done], lo[done], hi[done])
+            bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
+            z_new[bad] = 0.5 * (lo[bad] + hi[bad])
+            done |= hi - lo <= 1e-14
             z[idx] = z_new
             active[idx[done]] = False
         raise NonConvergence(
@@ -370,39 +406,26 @@ class _SnpEngine:
         u = np.where(np.abs(u - self.K) <= 8.0 * _EPS * self.K, self.K, u)
         return u, sign, quarter, period.astype(int)
 
-    def value_many(self, y: np.ndarray) -> np.ndarray:
-        u, sign, _, _ = self.reduce(y)
-        return sign * self.invert(u)
-
-    def deriv_many(self, y: np.ndarray) -> np.ndarray:
-        u, _, quarter, _ = self.reduce(y)
-        s = self.invert(u)
-        m = self._deriv_mag(s)
-        dsign = np.where((quarter == 0) | (quarter == 3), 1.0, -1.0)
-        return dsign * m
-
-    def _deriv_mag(self, s: np.ndarray) -> np.ndarray:
+    def deriv(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+        """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K."""
         p = self.p
         with np.errstate(divide="ignore"):
             log_s = np.log(s)
         A = -np.expm1(p * log_s)
         B = _one_minus_mupsp(log_s, p, self.mu)
-        return (A * B) ** (1.0 / p)
+        dsign = np.where((quarter == 0) | (quarter == 3), 1.0, -1.0)
+        return dsign * (A * B) ** (1.0 / p)
 
-    def second_many(self, y: np.ndarray) -> np.ndarray:
-        u, _, quarter, _ = self.reduce(y)
-        s = self.invert(u)
-        h = self._second_signed(s)
-        return np.where(quarter <= 1, h, -h)
-
-    def _second_signed(self, s: np.ndarray) -> np.ndarray:
-        """Chain-rule second derivative on the rising quarter (negative there)."""
+    def second(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+        """sn_p'' from s = |sn_p(y)| and the quarter of y mod 4K; the
+        chain-rule value below is the one on the rising quarter."""
         p = self.p
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_s = np.log(s)
             A = -np.expm1(p * log_s)
             B = _one_minus_mupsp(log_s, p, self.mu)
-            return -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self._mup * A)
+            h = -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self._mup * A)
+        return np.where(quarter <= 1, h, -h)
 
 
 @functools.lru_cache(maxsize=256)
@@ -434,11 +457,21 @@ def _snp_args(p: float, mu: float, y):
     return _engine(p, mu), y
 
 
+def _snp_parts(p: float, mu: float, y):
+    """Check, reduce and invert y once: (engine, s, sign, quarter) with
+    s = |sn_p(y)|, sign = sgn(sn_p(y)) and quarter = the quarter of y mod
+    4 K_p.  Every sn_p value and derivative is built from these, so callers
+    that need several of them at the same y invert only once."""
+    eng, y = _snp_args(p, mu, y)
+    u, sign, quarter, _ = eng.reduce(y)
+    return eng, eng.invert(u), sign, quarter
+
+
 def snp(p: float, mu: float, y: float) -> float:
     """sn_p(y, mu): odd, 4 K_p-periodic, equal to the inverse of w_p on
     [0, K_p].  Scalar form of :func:`snp_many`, bit-identical to it."""
-    eng, ys = _snp_args(p, mu, [y])
-    return float(eng.value_many(ys)[0])
+    _, s, sign, _ = _snp_parts(p, mu, [y])
+    return float(sign[0] * s[0])
 
 
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
@@ -452,21 +485,21 @@ def snp_value(p: float, mu: float, y: float) -> SnpValue:
 def snp_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized sn_p over an array of y: range reduction, then a batched
     safeguarded-Newton inversion of w_p."""
-    eng, y = _snp_args(p, mu, y)
-    return eng.value_many(y)
+    _, s, sign, _ = _snp_parts(p, mu, y)
+    return sign * s
 
 
 def snp_deriv(p: float, mu: float, y: float) -> float:
     """d/dy sn_p(y, mu) = sgn * ((1 - s**p)(1 - mu**p s**p))**(1/p) with
     s = |sn_p(y)|; vanishes at odd multiples of K_p."""
-    eng, ys = _snp_args(p, mu, [y])
-    return float(eng.deriv_many(ys)[0])
+    eng, s, _, quarter = _snp_parts(p, mu, [y])
+    return float(eng.deriv(s, quarter)[0])
 
 
 def snp_deriv_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized first derivative."""
-    eng, y = _snp_args(p, mu, y)
-    return eng.deriv_many(y)
+    eng, s, _, quarter = _snp_parts(p, mu, y)
+    return eng.deriv(s, quarter)
 
 
 def snp_second_deriv(p: float, mu: float, y: float) -> float:
@@ -477,19 +510,20 @@ def snp_second_deriv(p: float, mu: float, y: float) -> float:
     evaluation within 1e-6 of such a point raises :class:`SingularPoint`.
     """
     eng, ys = _snp_args(p, mu, [y])
-    if p > 2.0 and abs(eng.reduce(ys)[0][0] - eng.K) < _SING_MARGIN:
+    u, _, quarter, _ = eng.reduce(ys)
+    if p > 2.0 and abs(u[0] - eng.K) < _SING_MARGIN:
         raise SingularPoint(
             f"sn_p'' is singular at odd multiples of K_p for p = {p} "
             f"(y within {_SING_MARGIN} of one)"
         )
-    return float(eng.second_many(ys)[0])
+    return float(eng.second(eng.invert(u), quarter)[0])
 
 
 def snp_second_deriv_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized second derivative; caller keeps p > 2 grids away from odd
     multiples of K_p."""
-    eng, y = _snp_args(p, mu, y)
-    return eng.second_many(y)
+    eng, s, _, quarter = _snp_parts(p, mu, y)
+    return eng.second(s, quarter)
 
 
 def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:
@@ -502,5 +536,6 @@ def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:
     eng = _engine(p, mu)
     if not (0.0 < y < eng.K):
         raise DomainError(f"y must lie in (0, K_p) = (0, {eng.K}), got {y}")
-    ratio = float(eng.value_many(np.array([y]))[0]) / y
+    _, s, _, _ = _snp_parts(p, mu, [y])
+    ratio = float(s[0]) / y
     return ratio - 1.0 / eng.K, 1.0 - ratio

@@ -150,6 +150,43 @@ def test_ode_residual_sign_symmetry():
     assert rp.max_abs_residual == rm.max_abs_residual
 
 
+def test_residuals_invert_once_and_match_public_functions(monkeypatch):
+    # both residual routines build phi and its derivatives from one
+    # reduction and inversion; the result is bit-identical to the residual
+    # formed from the public sn_p functions
+    inverts = []
+    invert = el._SnpEngine.invert
+
+    def counting(self, t):
+        inverts.append(np.size(t))
+        return invert(self, t)
+
+    g = np.linspace(0.01, 1.49, 97)
+    for p, mu, n, sign in [(2.0, 0.5, 1, 1), (3.0, 0.3, 1, -1), (1.5, 0.9, 2, 1)]:
+        e = eg.eigenpair(p, mu, n, sign)
+        y, _, _ = eg._admissible(e, g)
+        scale = 2.0 * n * el.kp(p, mu)
+        phi = sign * e.amplitude * el.snp_many(p, mu, y)
+        d1 = sign * e.amplitude * scale * el.snp_deriv_many(p, mu, y)
+        d2 = sign * e.amplitude * scale**2 * el.snp_second_deriv_many(p, mu, y)
+        ode = (p - 1.0) * (
+            np.abs(d1) ** (p - 2.0) * d2
+            - np.sign(phi) * np.abs(phi) ** (2.0 * p - 1.0)
+            + e.lam * np.sign(phi) * np.abs(phi) ** (p - 1.0)
+        )
+        first = np.abs(d1) ** p - 0.5 * (e.alpha - np.abs(phi) ** p) * (
+            e.beta - np.abs(phi) ** p
+        )
+        monkeypatch.setattr(el._SnpEngine, "invert", counting)
+        inverts.clear()
+        assert eg.ode_residual(e, g).max_abs_residual == np.max(np.abs(ode))
+        assert eg.first_integral_residual(e, g).max_abs_residual == np.max(
+            np.abs(first)
+        )
+        assert inverts == [y.size, y.size]
+        monkeypatch.undo()
+
+
 def test_residual_exclusion_counting():
     e = eg.eigenpair(3.0, 0.4, 1)
     K = el.kp(3.0, 0.4)

@@ -1,13 +1,15 @@
 """Tests for K_p, w_p, sn_p and derivatives.
 
 Oracles: scipy's AGM-based ellipk/ellipj at p=2 (away from mu=1, where
-scipy's own near-one approximation breaks down), closed forms at mu=0,
-centered finite differences for the derivative chain, and a handful of
-values frozen from a 50-digit evaluation of the defining integrals.
+scipy's own near-one approximation breaks down), a 30-digit mpmath
+inversion of w_p for p != 2, closed forms at mu=0, centered finite
+differences for the derivative chain, and a handful of values frozen from
+a 50-digit evaluation of the defining integrals.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ellipj, ellipk
@@ -126,6 +128,52 @@ def test_snp_matches_scipy_ellipj():
         ys = np.linspace(-1.3 * K, 5.1 * K, 29)
         ref = ellipj(ys, mu * mu)[0]
         assert np.max(np.abs(el.snp_many(2.0, mu, ys) - ref)) < 1e-9
+
+
+def _mp_snp(p, mu, y, s):
+    """30-digit sn_p(y) on (0, K_p): one Newton step from s on mpmath's
+    quadrature of w_p, which squares the error of s."""
+    with mpmath.workdps(30):
+        P, M, S = mpmath.mpf(p), mpmath.mpf(mu), mpmath.mpf(s)
+
+        def g(x):
+            return ((1 - x**P) * (1 - (M * x) ** P)) ** (-1 / P)
+
+        return float(S - (mpmath.quad(g, [0, S]) - mpmath.mpf(y)) / g(S))
+
+
+def test_snp_inversion_accuracy_oracle():
+    for mu in [0.3, 0.6, 0.9, 0.99]:
+        ys = el.kp(2.0, mu) * np.linspace(0.0, 1.0, 42)[1:-1]
+        got = el.snp_many(2.0, mu, ys)
+        assert np.max(np.abs(got - ellipj(ys, mu * mu)[0])) <= 1e-15, mu
+    for p in [1.2, 1.5, 3.0, 6.0]:
+        for mu in [0.3, 0.9, 0.99]:
+            ys = el.kp(p, mu) * np.linspace(0.0, 1.0, 14)[1:-1]
+            got = el.snp_many(p, mu, ys)
+            ref = [_mp_snp(p, mu, y, s) for y, s in zip(ys, got)]
+            assert np.max(np.abs(got - ref)) <= 1e-15, (p, mu)
+
+
+def test_invert_takes_few_newton_passes(monkeypatch):
+    # every point starts in its table bracket and stops on its raw Newton
+    # step, so no point is left to bisection; a fresh engine counts its
+    # table build as one of the passes
+    passes = []
+    wp_many = el._SnpEngine.wp_many
+
+    def counting(self, z):
+        passes.append(np.size(z))
+        return wp_many(self, z)
+
+    for p, mu in [(2.0, 0.5), (3.0, 0.6), (1.5, 0.9), (2.0, 0.99), (6.0, 0.3)]:
+        eng = el._SnpEngine(p, mu)
+        t = np.linspace(0.0, eng.K, 1002)[1:-1]
+        monkeypatch.setattr(el._SnpEngine, "wp_many", counting)
+        passes.clear()
+        eng.invert(t)
+        monkeypatch.undo()
+        assert len(passes) <= 6, (p, mu, len(passes))
 
 
 def test_snp_extreme_modulus_frozen():

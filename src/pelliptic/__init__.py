@@ -9,7 +9,6 @@ live on the unit interval with the orthonormal sine basis sqrt(2) sin(k pi x).
 from .errors import (
     DomainError,
     GridTooCoarse,
-    IdentityMismatch,
     InvalidExponent,
     MaxIterations,
     NoSignChange,

@@ -245,7 +245,8 @@ def region_csv(rows) -> str:
 def firstcond_boundary(p: float, tol: float = 1e-10) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
-    Bisection-based root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999].
+    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], found by Brent's
+    method in about a dozen K_p evaluations.
     Raises the root finder's no-sign-change error when the crossing lies
     outside the scan range for this p.
     """

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 domain error (invalid inputs),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -422,9 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser unchanged, so main builds one per process
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -448,9 +448,9 @@ def wp(p: float, mu: float, z: float) -> float:
 
 def _snp_args(p: float, mu: float, y):
     """Input check shared by every sn_p entry point: returns the engine for
-    (p, mu) and y as a float array, rejecting non-finite y."""
+    (p, mu) and y as a flat float array, rejecting non-finite y."""
     _validate_pmu(p, mu)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
     bad = y[~np.isfinite(y)]
     if bad.size:
         raise DomainError(f"y must be finite, got {bad[0]}")
@@ -484,9 +484,9 @@ def snp_value(p: float, mu: float, y: float) -> SnpValue:
 
 def snp_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized sn_p over an array of y: range reduction, then a batched
-    safeguarded-Newton inversion of w_p."""
+    safeguarded-Newton inversion of w_p.  The result has the shape of y."""
     _, s, sign, _ = _snp_parts(p, mu, y)
-    return sign * s
+    return (sign * s).reshape(np.shape(y))
 
 
 def snp_deriv(p: float, mu: float, y: float) -> float:
@@ -497,9 +497,9 @@ def snp_deriv(p: float, mu: float, y: float) -> float:
 
 
 def snp_deriv_many(p: float, mu: float, y) -> np.ndarray:
-    """Vectorized first derivative."""
+    """Vectorized first derivative, in the shape of y."""
     eng, s, _, quarter = _snp_parts(p, mu, y)
-    return eng.deriv(s, quarter)
+    return eng.deriv(s, quarter).reshape(np.shape(y))
 
 
 def snp_second_deriv(p: float, mu: float, y: float) -> float:
@@ -521,9 +521,9 @@ def snp_second_deriv(p: float, mu: float, y: float) -> float:
 
 def snp_second_deriv_many(p: float, mu: float, y) -> np.ndarray:
     """Vectorized second derivative; caller keeps p > 2 grids away from odd
-    multiples of K_p."""
+    multiples of K_p.  The result has the shape of y."""
     eng, s, _, quarter = _snp_parts(p, mu, y)
-    return eng.second(s, quarter)
+    return eng.second(s, quarter).reshape(np.shape(y))
 
 
 def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:

@@ -37,7 +37,3 @@ class MaxIterations(NonConvergence):
 
 class SlowConvergence(NonConvergence):
     """A series argument is too close to its convergence boundary."""
-
-
-class IdentityMismatch(NonConvergence):
-    """Two supposedly equal evaluation routes disagree; implementation bug."""

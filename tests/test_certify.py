@@ -317,3 +317,34 @@ def test_firstcond_boundary_out_of_range():
     # exists inside the scan window
     with pytest.raises(NoSignChange):
         ct.firstcond_boundary(1.2)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
+    # bisection alone would need log2(0.999 / 1e-10) + 2, about 35
+    calls = _counting(monkeypatch, ct, "kp")
+    b = ct.firstcond_boundary(p)
+    assert calls[0] <= 16
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-6
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])
+def test_nome_from_modulus_takes_few_evaluations(monkeypatch, mu):
+    # bisection alone would need log2(0.98 / 1e-13) + 2, about 45
+    calls = _counting(monkeypatch, qt, "modulus_from_nome")
+    q = qt.nome_from_modulus(mu)
+    assert calls[0] <= 16
+    assert abs(qt.modulus_from_nome(q) - mu) < 1e-12

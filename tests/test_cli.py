@@ -1,4 +1,4 @@
-"""End-to-end CLI tests through subprocess.
+"""End-to-end CLI tests, through subprocess unless noted.
 
 Each invocation checks the exit code and the flat key=value envelope;
 numeric payloads must round-trip through the printed 17 significant
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import pelliptic
+import pelliptic.cli as cli
 import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
@@ -230,6 +231,10 @@ def assert_fields_match(got, ref, where):
         assert abs(fa - fb) <= 1e-13 + 1e-12 * abs(fb), f"{where}: {key}={a}, was {b}"
 
 
+def fields(text):
+    return [line.partition("=")[::2] for line in text.splitlines()]
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["args"]))
 def test_default_envelopes_match_golden(case, tmp_path):
     # envelopes of the default CLI output, captured before the tanh-sinh
@@ -237,10 +242,6 @@ def test_default_envelopes_match_golden(case, tmp_path):
     # listed in CHANGES.md
     r = run_cli(*case["args"], cwd=tmp_path)
     assert r.returncode == case["returncode"], r.stderr
-
-    def fields(text):
-        return [line.partition("=")[::2] for line in text.splitlines()]
-
     assert_fields_match(fields(r.stdout), fields(case["stdout"]), "stdout")
     if "csv" in case:
         rows = (tmp_path / "region.csv").read_text().splitlines()
@@ -253,6 +254,25 @@ def test_default_envelopes_match_golden(case, tmp_path):
                 list(zip(header, ref_row.split(","))),
                 f"csv row {i}",
             )
+
+
+def test_main_runs_several_commands_in_one_process(capsys):
+    # main reuses one parser across calls; each call must still parse its
+    # own arguments and print its own envelope
+    cases = {" ".join(c["args"]): c for c in GOLDEN}
+    for args in ("q0", "certify --criterion p2sharp --mu-const 0.9909", "s --q 0.3"):
+        case = cases[args]
+        assert cli.main(args.split()) == case["returncode"]
+        out = capsys.readouterr().out
+        assert_fields_match(fields(out), fields(case["stdout"]), args)
+    for bad in ([], ["bogus"], ["kp", "--p", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 1
+    capsys.readouterr()
+    assert cli.main(["s", "--q", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert_fields_match(fields(out), fields(cases["s --q 0.3"]["stdout"]), "s")
 
 
 def test_region_writes_csv(tmp_path):

@@ -201,6 +201,23 @@ def test_snp_scalar_matches_batch():
             assert el.snp_deriv(p, mu, float(y)) == d
 
 
+def test_many_entry_points_keep_the_shape_of_y():
+    pairs = [
+        (el.snp_many, el.snp),
+        (el.snp_deriv_many, el.snp_deriv),
+        (el.snp_second_deriv_many, el.snp_second_deriv),
+    ]
+    for p, mu, y in [(2.0, 0.5, 1.0), (3.0, 0.6, -0.7), (1.3, 0.9, 5.0)]:
+        grid = np.array([[y, 0.5 * y], [2.0 * y, -y]])
+        for many, scalar in pairs:
+            r = many(p, mu, y)
+            assert isinstance(r, np.ndarray) and r.shape == ()
+            assert r == scalar(p, mu, y)
+            rows = many(p, mu, grid)
+            assert rows.shape == (2, 2)
+            assert np.array_equal(rows.ravel(), many(p, mu, grid.ravel()))
+
+
 def test_snp_small_mu_is_p_sine():
     # at p=2, mu -> 0 the function degenerates to sin
     for y in [0.3, 1.1, 2.5, -0.7]:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from pelliptic.certify import FIRSTCOND_RHS
+from pelliptic.elliptic import kp
 from pelliptic.quadrature import (
     QuadratureResult,
     SingularIntegrand,
@@ -195,7 +198,7 @@ def test_root_no_sign_change():
 
 
 def test_root_max_iterations():
-    # steep sigmoid defeats the secant step, so the bracket only shrinks
+    # steep sigmoid defeats interpolation, so the bracket only shrinks
     # geometrically and three iterations cannot reach tol
     g = lambda x: math.tanh(1e6 * (x - 1.0 / 3.0))
     with pytest.raises(MaxIterations):
@@ -205,3 +208,32 @@ def test_root_max_iterations():
 def test_root_deterministic():
     g = lambda x: math.tanh(x) - 0.5
     assert bracketed_root(g, 0.0, 2.0) == bracketed_root(g, 0.0, 2.0)
+
+
+ROOT_CASES = [
+    (lambda x: x - 0.25, 0.0, 1.0),
+    (lambda x: x * x - 2.0, 1.0, 2.0),
+    (math.cos, 1.0, 2.0),
+    *[
+        (lambda x, c=c: (x - c) ** 3 + 0.1 * (x - c), 0.0, 1.0)
+        for c in [0.1, 0.33, 0.5, 0.77, 0.9]
+    ],
+    (lambda x: math.tanh(1e6 * (x - 1.0 / 3.0)), 0.0, 1.0),
+    (lambda x: math.tanh(x) - 0.5, 0.0, 2.0),
+    (lambda mu: kp(2.0, mu) - FIRSTCOND_RHS, 1e-6, 0.999),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ROOT_CASES)))
+def test_root_matches_scipy_brentq(case):
+    g, lo, hi = ROOT_CASES[case]
+    ref = brentq(g, lo, hi, xtol=1e-15)
+    assert abs(bracketed_root(g, lo, hi, tol=TOL) - ref) <= TOL
+
+
+def test_root_steep_sigmoid_converges():
+    # the worst case for interpolation: the bisection fallback must still
+    # close the bracket in about log2(1 / tol) steps
+    g = lambda x: math.tanh(1e6 * (x - 1.0 / 3.0))
+    r = bracketed_root(g, 0.0, 1.0, tol=TOL, max_iter=60)
+    assert abs(r - 1.0 / 3.0) <= TOL

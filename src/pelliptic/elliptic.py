@@ -21,14 +21,24 @@ locally integrable.
 
 Evaluation reduces y modulo the period, then inverts w_p by a
 bracket-safeguarded Newton iteration vectorized across all requested
-points.  Each (p, mu) engine tabulates w_p once at 16 interior nodes,
-evenly spaced in the tail variable v = (1-z)**(1-1/p); every point starts
+points.  Each (p, mu) engine evaluates w_p from an approximant it builds
+once, so the Newton passes run no quadrature: for z <= 0.6 a power series
+in x = z**p, the z**p-diagonal of the Appell form
+
+    w_p(z) = z F1(1/p; 1/p, 1/p; 1 + 1/p; z**p, mu**p z**p),
+
+and for z > 0.6, K_p - e**(1-1/p) H(e) with e = 1 - z and H a Chebyshev
+interpolant of degree 32 on panels of [0, 0.4] graded toward e = 0
+(Trefethen, Approximation Theory and Approximation Practice, ch. 8).  The
+engine tabulates w_p at 16 interior nodes evenly spaced in the tail
+variable v = (1-z)**(1-1/p) and at the panel edges; every point starts
 inside its table bracket, from z interpolated linearly in v.  A point
 stops once its raw Newton step is at most 5e-15, and that step is taken
 (clipped into the bracket) before the safeguard could swap it for a
 midpoint, so converged points never fall through to bisection.  Scalar
-and batch entry points share that one path, so a scalar call returns
-exactly the value the batch call gives at the same y.
+and batch entry points share that one path, and the approximant is
+evaluated row by row, so a scalar call returns exactly the value the
+batch call gives at the same y.
 """
 
 from __future__ import annotations
@@ -73,6 +83,18 @@ _KP_TOL = 1e-13
 _SING_MARGIN = 1e-6
 # interior nodes of the table each _SnpEngine builds to start its inversion
 _TAB_NODES = 16
+# w_p tail panels: Chebyshev interpolants of degree _CHEB_N - 1, sampled at
+# the first-kind points _CHEB_X; _DCT maps samples to coefficients, with
+# each angle k (2j+1) pi / (2n) reduced modulo 2 pi in integers
+_CHEB_N = 33
+_CHEB_X = np.sin(0.5 * np.pi * np.arange(_CHEB_N - 1, -_CHEB_N, -2) / _CHEB_N)
+_DCT = (2.0 / _CHEB_N) * np.cos(
+    0.5
+    * np.pi
+    / _CHEB_N
+    * (np.outer(np.arange(_CHEB_N), np.arange(1, 2 * _CHEB_N, 2)) % (4 * _CHEB_N))
+)
+_DCT[0] *= 0.5
 
 
 def _validate_pmu(p: float, mu: float) -> None:
@@ -171,6 +193,23 @@ def _kp_near_one_2f1(p: float, mu: float) -> float:
     return pref * (coef_a * f1 + coef_b * y ** (1.0 - 2.0 * a) * f2)
 
 
+def _direct_series(p: float, mup: float) -> np.ndarray:
+    """c_N / (p N + 1) for w_p(z) = z * sum_N c_N x**N / (p N + 1), x = z**p.
+
+    c_N is the Cauchy product of the binomial series (1/p)_n / n! of
+    (1 - x)**(-1/p) and (1/p)_n mup**n / n! of (1 - mup x)**(-1/p).  Since
+    c_N <= N + 1, a term is at most (0.6**p)**N on z <= 0.6; the series
+    stops at the last term above 1e-18 of the first there.
+    """
+    x0 = 0.6**p
+    n = math.ceil(math.log(1e-18) / math.log(x0)) + 1
+    k = np.arange(1, n)
+    poch = np.concatenate(([1.0], np.cumprod((1.0 / p + k - 1.0) / k)))
+    c = np.convolve(poch, poch * mup ** np.arange(n))[:n] / (p * np.arange(n) + 1.0)
+    keep = c * x0 ** np.arange(n) >= 1e-18 * c[0]
+    return c[: np.nonzero(keep)[0][-1] + 1]
+
+
 @functools.lru_cache(maxsize=8192)
 def kp(p: float, mu: float) -> float:
     """Complete integral K_p(mu) = w_p(1).
@@ -251,14 +290,31 @@ class SnpValue:
 class _SnpEngine:
     """Vectorized w_p evaluation and inversion for one (p, mu) pair.
 
-    w_p is computed two ways depending on where z sits: below 0.6 the
-    integral is scaled onto [0, 1] directly; above, the complementary tail
-    integral (substituted so its singularity sits at the left endpoint) is
-    subtracted from K_p, which also keeps K_p - w_p fully accurate where the
+    w_p comes from one of two approximants, by where z sits:
+
+    * z <= 0.6: expanding both factors of w_p' in binomial series and
+      integrating gives z * sum_N c_N x**N / (p N + 1) with x = z**p, the
+      diagonal of the Appell F1 form of w_p.  The coefficients are made at
+      construction (:func:`_direct_series`).
+    * z > 0.6: K_p - w_p(1-e) = e**(1-1/p) H(e) with
+      H(e) = integral_0^1 u**(-1/p) T(e u) du, T the tail factor that K_p
+      integrates.  H is analytic around [0, 0.4]; its nearest
+      singularities are e = -(1-mu)/mu and, for p > 2, the zeros
+      1 - exp(+-2 pi i/p) of 1 - (1-e)**p.  Panels e_0 = 0,
+      e_(k+1) = 2 e_k + d, with d the distance from 0 to the nearer, keep
+      each panel about its own length away from them, so degree 32 in
+      Chebyshev polynomials resolves H to rounding on each (Trefethen,
+      Approximation Theory and Approximation Practice, ch. 8).
+      One batched tanh-sinh quadrature samples H at the first-kind
+      Chebyshev points of every panel.  The panels are built on the first
+      z > 0.6, not at construction: for p close to 1 that quadrature
+      cannot converge, and w_p on the direct branch must not need it.
+
+    Subtracting the tail from K_p keeps K_p - w_p fully accurate where the
     inverse flattens out.
     """
 
-    __slots__ = ("p", "mu", "K", "_mup", "_table")
+    __slots__ = ("p", "mu", "K", "_mup", "_series", "_panels", "_table")
 
     def __init__(self, p: float, mu: float):
         _validate_pmu(p, mu)
@@ -266,6 +322,8 @@ class _SnpEngine:
         self.mu = mu
         self.K = kp(p, mu)
         self._mup = mu**p
+        self._series = _direct_series(p, self._mup)
+        self._panels = None
         self._table = None
 
     # -- integrand pieces -------------------------------------------------
@@ -280,55 +338,93 @@ class _SnpEngine:
         return (one * other) ** (-1.0 / p)
 
     def wp_many(self, z: np.ndarray) -> np.ndarray:
-        """w_p at each z in [0, 1], vectorized."""
+        """w_p at each z in [0, 1], vectorized, from the engine's approximant:
+        the series up to z = 0.6, the tail panels above."""
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
         lo = z <= 0.6
         if np.any(lo):
-            out[lo] = self._wp_direct(z[lo])
+            out[lo] = self._direct(z[lo])
         if np.any(~lo):
-            out[~lo] = self.K - self._wp_tail(z[~lo])
+            out[~lo] = self._tail(1.0 - z[~lo])
         return out
 
-    def _wp_direct(self, z: np.ndarray) -> np.ndarray:
-        if z.size == 0:
-            return z
-        tol = 5e-14 * (1.0 + self.K)
+    def _direct(self, z: np.ndarray) -> np.ndarray:
+        """z * sum_N c_N x**N with x = z**p, one row of powers per point."""
+        c = self._series
+        x = np.broadcast_to((z**self.p)[:, None], (z.size, c.size - 1))
+        terms = np.cumprod(x, axis=1)
+        terms *= c[1:]
+        return z * (c[0] + np.sum(terms, axis=-1))
 
-        def F(lev: int, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
-            return self._G(np.multiply.outer(z, x))
+    def _tail(self, e: np.ndarray) -> np.ndarray:
+        """K - e**(1-1/p) H(e) at e = 1 - z, with H summed from its panel's
+        Chebyshev coefficients as c_0 + sum_k c_k cos(k theta), theta the
+        arccos of e mapped onto [-1, 1]."""
+        edges, coef = self._tail_panels()
+        i = np.clip(np.searchsorted(edges, e, side="right") - 1, 0, edges.size - 2)
+        a, b = edges[i], edges[i + 1]
+        theta = np.arccos(np.clip((2.0 * e - a - b) / (b - a), -1.0, 1.0))
+        terms = np.cos(theta[:, None] * np.arange(1, coef.shape[1]))
+        terms *= coef[i, 1:]
+        H = coef[i, 0] + np.sum(terms, axis=-1)
+        return self.K - e ** (1.0 - 1.0 / self.p) * H
 
-        return z * _tanh_sinh(F, 1.0, 1.0, tol)[0]
+    def _tail_panels(self):
+        """(edges, coef): the panel edges in e = 1 - z and, one row per
+        panel, the Chebyshev coefficients of H, chopped below 2 eps |c_0|."""
+        if self._panels is None:
+            p, mu = self.p, self.mu
+            # distance from e = 0 to the nearest singularity of H: -(1-mu)/mu,
+            # or for p > 2 the zeros 1 - exp(+-2 pi i / p) of 1 - (1-e)**p
+            d = 2.0 * math.sin(math.pi / max(p, 2.0))
+            if mu > 0.0:
+                d = min(d, (1.0 - mu) / mu)
+            edges = [0.0]
+            while edges[-1] < 0.4:
+                edges.append(2.0 * edges[-1] + d)
+            edges = np.array(edges[:-1] + [0.4])
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            e = (mid[:, None] + half[:, None] * _CHEB_X).ravel()
 
-    def _wp_tail(self, z: np.ndarray) -> np.ndarray:
-        """integral_z^1 w_p' ds via s = 1 - (1-z) u; u**(-1/p) declared.
+            def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+                return _tail_factor(np.multiply.outer(e, u), p, mu)
 
-        The smooth factor is the one :func:`kp_quadrature` integrates, at
-        endpoint distance e = (1-z) u.
-        """
-        if z.size == 0:
-            return z
-        p = self.p
-        omz = 1.0 - z
-        tol = 5e-14 * (1.0 + self.K)
-
-        def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-            return _tail_factor(np.multiply.outer(omz, u), p, self.mu)
-
-        return omz ** (1.0 - 1.0 / p) * _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, tol)[0]
+            try:
+                H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 5e-14)[0]
+            except NonConvergence:
+                # p close to 1: the node window cannot resolve u**(-1/p) to
+                # 5e-14 of H; settle for 1e-11, the last rung of kp's ladder
+                H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 1e-11)[0]
+            H = H.reshape(mid.size, -1)
+            # transform the variation about the middle sample, whose
+            # rounding is then relative to |c_1| rather than to |c_0|
+            H0 = H[:, _CHEB_N // 2 : _CHEB_N // 2 + 1]
+            coef = np.sum((H - H0)[:, None, :] * _DCT, axis=-1)
+            coef[:, 0] += H0[:, 0]
+            coef[np.abs(coef) < 2.0 * _EPS * np.abs(coef[:, :1])] = 0.0
+            n = np.nonzero(np.any(coef != 0.0, axis=0))[0][-1] + 1
+            self._panels = (edges, coef[:, :n])
+        return self._panels
 
     # -- inversion ---------------------------------------------------------
 
     def _brackets(self):
-        """(v, z, w) at the _TAB_NODES + 2 table nodes, endpoints included.
+        """(v, z, w) at the table nodes, endpoints included.
 
-        The nodes are evenly spaced in the tail variable v = (1-z)**(1-1/p),
-        in which K - w_p is nearly linear.  Built by one wp_many call on the
-        first inversion, not at construction, so w_p alone never needs it.
+        _TAB_NODES nodes are evenly spaced in the tail variable
+        v = (1-z)**(1-1/p), in which K - w_p is nearly linear; the tail
+        panel edges z = 1 - e_k join them, so the boundary layer that forms
+        at z = 1 as mu -> 1 is bracketed as finely as it is fitted.  Built
+        by one wp_many call on the first inversion, not at construction, so
+        w_p alone never needs it.
         """
         if self._table is None:
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)
             z = 1.0 - v ** (self.p / (self.p - 1.0))
+            z = np.sort(np.concatenate((z, 1.0 - self._tail_panels()[0][1:])))
+            v = (1.0 - z) ** (1.0 - 1.0 / self.p)
             w = np.concatenate(([0.0], self.wp_many(z[1:-1]), [self.K]))
             self._table = (v, z, w)
         return self._table
@@ -346,7 +442,7 @@ class _SnpEngine:
         """
         t = np.asarray(t, dtype=float)
         v_tab, z_tab, w_tab = self._brackets()
-        j = np.clip(np.searchsorted(w_tab, t, side="right") - 1, 0, _TAB_NODES)
+        j = np.clip(np.searchsorted(w_tab, t, side="right") - 1, 0, w_tab.size - 2)
         z_lo, z_hi = z_tab[j], z_tab[j + 1]
         # for p near 1 the last nodes round to z = 1, so an edge t can land
         # in an empty interval; its start is overwritten below

@@ -59,6 +59,7 @@ _T_MAX = 6.1
 _H0 = 1.0
 _MAX_LEVEL = 11
 _MIN_LEVEL = 2
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,13 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     their exact complements and returns shape ``(n,)`` or ``(rows, n)``.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
-    of the outermost node pair is at most ``tol * max(1, |value|)``; it
+    of the outermost node pair is at most ``tol * max(1, |value|)``, and
     keeps that level's value, so its result does not depend, to the last
     bit, on the other rows or on how many there are.  The relative part of
-    the test keeps it above the rounding noise of large values, such as the
-    w_p tail integrals before their (1-z) rescaling.  Returns (value,
+    the test keeps it above the rounding noise of large values, such as
+    K_p near mu = 1.  :class:`NonConvergence` is raised when the levels
+    run out, or at level 2 if a row's truncation allowance alone exceeds
+    twice its target, which no refinement can mend.  Returns (value,
     abs_error_estimate, nodes_used); the estimate is floored at the spacing
     of the value.
     """
@@ -187,17 +190,22 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
                 out, err = value, best
                 done = np.zeros(value.shape, dtype=bool)
             elif lev >= _MIN_LEVEL:
+                target = tol * np.maximum(1.0, np.abs(value))
                 best = np.minimum(best, np.abs(value - prev))
-                ok = best + trunc <= tol * np.maximum(1.0, np.abs(value))
+                ok = best + trunc <= target
                 fresh = ok & ~done
                 out = np.where(fresh, value, out)
                 err = np.where(fresh, best + trunc, err)
                 done |= ok
                 if np.all(done):
                     return out, np.maximum(err, np.spacing(np.abs(out))), nodes
+                # the truncation allowance is fixed at level 0, so a row it
+                # alone puts well above its target can never stop
+                if lev == _MIN_LEVEL and (trunc > 2.0 * target).any():
+                    break
             prev = value
     raise NonConvergence(
-        f"tanh-sinh refinement exhausted {nodes} nodes with error estimate "
+        f"tanh-sinh refinement stopped after {nodes} nodes with error estimate "
         f"{np.max(best[~done] + trunc[~done]):.3e} above tol {tol:.3e}"
     )
 
@@ -234,7 +242,8 @@ def integrate_singular(f: SingularIntegrand, tol: float = 1e-12) -> QuadratureRe
         Target error: absolute for integrals of magnitude up to 1, relative
         beyond.  The engine refines until its error estimate drops to
         ``tol * max(1, |value|)`` and raises :class:`NonConvergence` if the
-        node budget runs out first.
+        node budget runs out first or the truncation of the node window
+        alone exceeds the target.
 
     Returns
     -------
@@ -274,11 +283,13 @@ def bracketed_root(
     ``c`` across the sign change from it.  Each step interpolates (inverse
     quadratic, or secant with two points) and bisects instead when the
     proposal leaves the bracket or fails to halve the step of two
-    iterations before; no step is shorter than ``tol / 4``.  Convergence
+    iterations before; no step is shorter than ``tol / 4 + 2 eps |b|``,
+    where eps is the double epsilon, so a root far from 0 is still
+    reached in steps the spacing of the doubles can take.  Convergence
     is superlinear at a smooth simple root and takes at most about k**2
     evaluations, where bisection takes k = log2((hi - lo) / tol).  Every
-    evaluated point lies in [lo, hi]; once ``|c - b| <= tol`` the midpoint
-    of b and c is returned.
+    evaluated point lies in [lo, hi]; once ``|c - b| <= tol + 4 eps |b|``
+    the midpoint of b and c is returned.
 
     Raises
     ------
@@ -304,13 +315,14 @@ def bracketed_root(
     b, fb = hi, fhi
     c, fc = lo, flo
     d = e = hi - lo  # the last step and the one before it
-    min_step = 0.25 * tol
     for _ in range(max_iter):
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        if abs(c - b) <= tol:
+        slack = 2.0 * _EPS * abs(b)
+        if abs(c - b) <= tol + 2.0 * slack:
             return 0.5 * (b + c)
         m = 0.5 * (c - b)
+        min_step = 0.25 * tol + slack
         if abs(e) >= min_step and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:

@@ -45,6 +45,20 @@ def test_kp_against_scipy_agm():
         assert abs(el.kp(2.0, mu) - float(ellipk(mu * mu))) < 1e-10
 
 
+def test_kp_matches_mpmath_hyp2f1():
+    # K_p = pi / (p sin(pi/p)) 2F1(1/p, 1/p; 1; mu^p), summed by mpmath at
+    # 30 digits on the exact double inputs
+    for p in [1.1, 1.2, 1.5, 1.9, 2.0, 2.1, 3.0, 6.0, 12.0]:
+        for mu in [0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]:
+            with mpmath.workdps(30):
+                P, M = mpmath.mpf(p), mpmath.mpf(mu)
+                ref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P)) * mpmath.hyp2f1(
+                    1 / P, 1 / P, 1, M**P
+                )
+                err = float(abs(el.kp(p, mu) - ref) / ref)
+            assert err <= 1e-14, (p, mu, err)
+
+
 def test_kp_extreme_modulus():
     # scipy's ellipk is still fine here; the frozen value guards the
     # boundary-layer handling independently
@@ -122,6 +136,60 @@ def test_wp_strictly_increasing():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def _wp_quadrature(p, mu, z):
+    """w_p(z) by the tanh-sinh engine: z * int_0^1 w_p'(z s) ds up to
+    z = 0.6, else K - (1-z)**(1-1/p) int_0^1 u**(-1/p) T((1-z) u) du with
+    the tail factor T that K_p integrates."""
+    if z <= 0.6:
+        f = SingularIntegrand(
+            smooth_part=lambda s, cs: ((1 - (z * s) ** p) * (1 - (mu * z * s) ** p))
+            ** (-1.0 / p)
+        )
+        return z * integrate_singular(f, tol=1e-14).value
+    e = 1.0 - z
+    f = SingularIntegrand(
+        smooth_part=lambda s, cs: el._tail_factor(e * s, p, mu),
+        left_exponent=-1.0 / p,
+    )
+    return el.kp(p, mu) - e ** (1.0 - 1.0 / p) * integrate_singular(f, tol=1e-14).value
+
+
+def test_wp_approximant_matches_quadrature():
+    # the series and the tail panels against the quadrature they replace;
+    # p = 100 needs panels graded by the zeros of 1 - (1-e)**p, mu -> 1 by
+    # the pole of the tail factor at e = -(1-mu)/mu
+    cases = [(2.0, 0.5), (1.5, 0.99), (1.2, 0.999), (1.1, 1.0 - 1e-6), (6.0, 0.3),
+             (100.0, 0.5), (2.0, 1.0 - 1e-12)]
+    zs = np.concatenate([np.linspace(0.01, 0.99, 50), 1.0 - np.logspace(-12, -2, 11)])
+    for p, mu in cases:
+        got = el._SnpEngine(p, mu).wp_many(zs)
+        ref = np.array([_wp_quadrature(p, mu, z) for z in zs])
+        err = np.max(np.abs(got - ref))
+        assert err <= 8.0 * el._EPS * (1.0 + el.kp(p, mu)), (p, mu, err)
+
+
+def _mp_wp(p, mu, z):
+    with mpmath.workdps(30):
+        P, M = mpmath.mpf(p), mpmath.mpf(mu)
+        return mpmath.quad(
+            lambda s: ((1 - s**P) * (1 - (M * s) ** P)) ** (-1 / P), [0, 0.5, z]
+        )
+
+
+def test_wp_close_to_p_one():
+    # the series branch needs no quadrature, so it works for any p > 1;
+    # the tail samples settle for 1e-11 below p of about 1.058, and below
+    # about 1.048 even that is out of the node window's reach
+    for p, mu, z in [(1.01, 0.9, 0.6), (1.03, 0.5, 0.3)]:
+        ref = _mp_wp(p, mu, z)
+        assert abs(el.wp(p, mu, z) - ref) <= 1e-15 * ref
+    with pytest.raises(NonConvergence):
+        el.wp(1.03, 0.5, 0.9)
+    for mu in [0.5, 0.99]:
+        ref = _mp_wp(1.05, mu, 0.9)
+        assert abs(el.wp(1.05, mu, 0.9) - ref) <= 1e-12 * ref
+
+
 def test_snp_matches_scipy_ellipj():
     for mu in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
         K = el.kp(2.0, mu)
@@ -158,7 +226,8 @@ def test_snp_inversion_accuracy_oracle():
 def test_invert_takes_few_newton_passes(monkeypatch):
     # every point starts in its table bracket and stops on its raw Newton
     # step, so no point is left to bisection; a fresh engine counts its
-    # table build as one of the passes
+    # table build as one of the passes.  Near mu = 1 the tail panel edges
+    # in the table bracket the boundary layer at z = 1
     passes = []
     wp_many = el._SnpEngine.wp_many
 
@@ -166,7 +235,9 @@ def test_invert_takes_few_newton_passes(monkeypatch):
         passes.append(np.size(z))
         return wp_many(self, z)
 
-    for p, mu in [(2.0, 0.5), (3.0, 0.6), (1.5, 0.9), (2.0, 0.99), (6.0, 0.3)]:
+    cases = [(2.0, 0.5), (3.0, 0.6), (1.5, 0.9), (2.0, 0.99), (6.0, 0.3),
+             (2.0, 1.0 - 1e-12), (1.2, 1.0 - 1e-9)]
+    for p, mu in cases:
         eng = el._SnpEngine(p, mu)
         t = np.linspace(0.0, eng.K, 1002)[1:-1]
         monkeypatch.setattr(el._SnpEngine, "wp_many", counting)

@@ -1,6 +1,8 @@
 """Tests for sine coefficients, tail bounds and the p=2 series."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,15 @@ def test_tau_k_sequence_rows_match_scalar_calls():
         for i in list(range(0, 201, 20)) + [199, 200]:
             assert fr.tau_k(p, 0.6, int(ks[i])) == batch[i]
         assert np.array_equal(fr.tau_k(p, 0.6, [201, 3, 1]), batch[[200, 2, 0]])
+
+
+def test_tau_k_matches_mpmath_reference():
+    # 30-digit tau_1 and tau_3 at p in {1.5, 3} from perfbench/make_tau_ref.py,
+    # an independent route through the cosine integral of w_p
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tau_ref.json"
+    for v in json.loads(path.read_text())["values"]:
+        err = abs(fr.tau_k(v["p"], v["mu"], v["k"]) - float(v["digits"]))
+        assert err <= 1e-12, (v["p"], v["mu"], v["k"], err)
 
 
 def test_warm_profile_makes_no_snp_call(monkeypatch):

@@ -11,6 +11,7 @@ from pelliptic.elliptic import kp
 from pelliptic.quadrature import (
     QuadratureResult,
     SingularIntegrand,
+    _tanh_sinh,
     bracketed_root,
     integrate_singular,
 )
@@ -159,6 +160,21 @@ def test_nonconvergence_on_interior_kink():
 # -- bracketed_root -----------------------------------------------------------
 
 
+def test_truncation_above_target_raises_at_once():
+    # x**(-0.96): the node window leaves about 1e-10 of the integral
+    # beyond its outermost node, so no level can reach tol 1e-14 and the
+    # driver stops at the first level it tests instead of the last
+    levels = []
+
+    def F(lev, x, cx):
+        levels.append(lev)
+        return np.ones_like(x)
+
+    with pytest.raises(NonConvergence):
+        _tanh_sinh(F, 0.04, 1.0, 1e-14)
+    assert levels == [0, 1, 2]
+
+
 def test_root_linear():
     assert abs(bracketed_root(lambda x: x - 0.25, 0.0, 1.0, tol=1e-12) - 0.25) < 1e-11
 
@@ -237,3 +253,15 @@ def test_root_steep_sigmoid_converges():
     g = lambda x: math.tanh(1e6 * (x - 1.0 / 3.0))
     r = bracketed_root(g, 0.0, 1.0, tol=TOL, max_iter=60)
     assert abs(r - 1.0 / 3.0) <= TOL
+
+
+def test_root_far_from_zero():
+    # tol lies below the double spacing at the root; the 2 eps |b| term in
+    # the stop test and the minimum step still closes the bracket
+    for g, lo, hi, root in [
+        (lambda x: x - 1e5 - 0.3, 0.0, 2e5, 100000.3),
+        (lambda x: x + 1e5 + 0.3, -2e5, 0.0, -100000.3),
+        (lambda x: x - 1e12 - 0.3, 0.0, 2e12, 1e12 + 0.3),
+    ]:
+        r = bracketed_root(g, lo, hi, tol=1e-12)
+        assert abs(r - root) <= 4.0 * np.spacing(abs(root)), (root, r)

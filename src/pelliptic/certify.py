@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import kp
-from .errors import DomainError
+from .elliptic import _kp_rows, kp
+from .errors import DomainError, NonConvergence
 from .fourier import tau_k, tau_tail_bound
 from .qtheta import mu0, nome_from_modulus, odd_lambert_sum
 from .quadrature import bracketed_root
@@ -50,6 +50,12 @@ __all__ = [
 FIRSTCOND_RHS = 8.0 / (math.pi**2 - 8.0)
 
 _SLACK = 1e-9
+# region_scan: at most this many grid points per batched K_p call
+_CHUNK = 64
+# firstcond_boundary: moduli of the batch that brackets the crossing,
+# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999
+_BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
+_BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
 _KINDS = ("explicit-list", "constant", "interval-grid")
 
 
@@ -214,6 +220,11 @@ def region_scan(p_points, mu_points) -> list:
     moduli in (0, 0.999], the cap reflecting reduced accuracy claims
     near mu = 1.  Returns rows (one_over_p, mu, kp, inside) sorted by
     (one_over_p, mu), with inside = 1 when K_p(mu) < 8/(pi^2 - 8).
+
+    The sorted grid points go in chunks of at most 64 through one batched
+    quadrature each, whose rows equal scalar :func:`kp` bit for bit.  A
+    chunk the batch cannot converge (p near 1) is computed point by point
+    with :func:`kp`, which falls back to its tolerance ladder and series.
     """
     ps = [float(v) for v in p_points]
     mus = [float(v) for v in mu_points]
@@ -225,11 +236,17 @@ def region_scan(p_points, mu_points) -> list:
     for mu in mus:
         if not (0.0 < mu <= 0.999):
             raise DomainError(f"mu values must lie in (0, 0.999], got {mu}")
+    keys = [(op, mu) for op in sorted(ps) for mu in sorted(mus)]
     rows = []
-    for op in sorted(ps):
-        p = 1.0 / op
-        for mu in sorted(mus):
-            val = kp(p, mu)
+    for i in range(0, len(keys), _CHUNK):
+        chunk = keys[i : i + _CHUNK]
+        p_chunk = [1.0 / op for op, _ in chunk]
+        mu_chunk = [mu for _, mu in chunk]
+        try:
+            vals = _kp_rows(p_chunk, mu_chunk).tolist()
+        except NonConvergence:
+            vals = [kp(p, mu) for p, mu in zip(p_chunk, mu_chunk)]
+        for (op, mu), val in zip(chunk, vals):
             rows.append((op, mu, val, int(val < FIRSTCOND_RHS)))
     return rows
 
@@ -245,11 +262,21 @@ def region_csv(rows) -> str:
 def firstcond_boundary(p: float, tol: float = 1e-10) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
-    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], found by Brent's
-    method in about a dozen K_p evaluations.
-    Raises the root finder's no-sign-change error when the crossing lies
-    outside the scan range for this p.
+    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999].  One batched
+    quadrature evaluates K_p at 16 moduli geometric in 1 - mu across that
+    range; Brent's method then runs on scalar :func:`kp` only inside the
+    grid interval where the sign changes, in about seven K_p evaluations.
+    When the batch does not converge (p near 1) or shows no sign change,
+    the root finder runs on the whole range as before, and raises its
+    no-sign-change error when the crossing lies outside it.
     """
-    return bracketed_root(
-        lambda mu: kp(p, mu) - FIRSTCOND_RHS, 1e-6, 0.999, tol=tol
-    )
+    lo, hi = 1e-6, 0.999
+    try:
+        above = _kp_rows([p] * _BOUNDARY_MUS.size, _BOUNDARY_MUS) >= FIRSTCOND_RHS
+    except NonConvergence:
+        pass
+    else:
+        if not above[0] and above[-1]:
+            k = int(np.argmax(above))
+            lo, hi = float(_BOUNDARY_MUS[k - 1]), float(_BOUNDARY_MUS[k])
+    return bracketed_root(lambda mu: kp(p, mu) - FIRSTCOND_RHS, lo, hi, tol=tol)

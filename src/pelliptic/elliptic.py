@@ -104,35 +104,43 @@ def _validate_pmu(p: float, mu: float) -> None:
         raise DomainError(f"mu must lie in [0, 1), got {mu}")
 
 
-def _pow_ratio(e: np.ndarray, p: float) -> np.ndarray:
+def _pow_ratio(e: np.ndarray, p) -> np.ndarray:
     """(1 - s**p) / (1 - s) for s = 1 - e, stable for all e in [0, 1].
 
-    The direct quotient collapses to 0/0 as e underflows; below 1e-6 a
-    three-term expansion around s = 1 carries full double precision.
+    ``p`` is a float or a column of per-row exponents that broadcasts
+    against ``e``.  The direct quotient collapses to 0/0 as e underflows;
+    below 1e-6 a three-term expansion around s = 1 carries full double
+    precision.  Both branches are evaluated on every element, so the value
+    at one e never depends on the other elements or rows.
     """
     e = np.asarray(e, dtype=float)
-    out = np.empty_like(e)
-    small = e < 1e-6
-    big = ~small
-    if np.any(big):
-        with np.errstate(divide="ignore"):
-            out[big] = -np.expm1(p * np.log1p(-e[big])) / e[big]
-    if np.any(small):
-        es = e[small]
-        out[small] = p * (1.0 + (p - 1.0) * es * (-0.5 + (p - 2.0) * es / 6.0))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = -np.expm1(p * np.log1p(-e)) / e
+    small = p * (1.0 + (p - 1.0) * e * (-0.5 + (p - 2.0) * e / 6.0))
+    return np.where(e < 1e-6, small, big)
 
 
-def _tail_factor(e: np.ndarray, p: float, mu: float) -> np.ndarray:
+def _eps_mup(p: float, mu: float) -> tuple[float, float]:
+    """(1 - mu**p, mu**p), the first without cancellation as mu -> 1.
+
+    Scalar ``math`` on purpose: batched rows build their columns from these
+    same floats, so a row matches the scalar integrand to the last bit.
+    """
+    eps = 1.0 if mu == 0.0 else -math.expm1(p * math.log(mu))
+    return eps, mu**p
+
+
+def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     """w_p'(s) / (1-s)**(-1/p) at s = 1 - e, accurate for all e in [0, 1].
 
     The second factor is expanded as 1 - mu**p s**p = eps + mu**p (1 - s**p)
-    with eps = 1 - mu**p, so the boundary layer that forms as mu approaches 1
-    is evaluated from the exact endpoint distance.
+    with ``eps, mup`` = :func:`_eps_mup` (p, mu), so the boundary layer
+    that forms as mu approaches 1 is evaluated from the exact endpoint
+    distance.  ``p``, ``eps`` and ``mup`` are floats, or columns holding
+    one (p, mu) per row.
     """
-    eps = 1.0 if mu == 0.0 else -math.expm1(p * math.log(mu))
     ratio = _pow_ratio(e, p)
-    return (ratio * (eps + mu**p * ratio * e)) ** (-1.0 / p)
+    return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
 
 
 def _one_minus_mupsp(log_s: np.ndarray, p: float, mu: float) -> np.ndarray:
@@ -153,10 +161,35 @@ def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult
     engine then refuses tolerances it cannot certify and raises.
     """
     _validate_pmu(p, mu)
+    eps, mup = _eps_mup(p, mu)
     f = SingularIntegrand(
-        smooth_part=lambda s, cs: _tail_factor(cs, p, mu), right_exponent=-1.0 / p
+        smooth_part=lambda s, cs: _tail_factor(cs, p, eps, mup),
+        right_exponent=-1.0 / p,
     )
     return integrate_singular(f, tol=tol)
+
+
+def _kp_rows(p, mu) -> np.ndarray:
+    """K_p at each pair (p[i], mu[i]), as the rows of one driver call.
+
+    Row i runs the integrand and stop test of
+    ``kp_quadrature(p[i], mu[i])`` at ``_KP_TOL``, with the right exponent
+    1 - 1/p as a per-row column, and returns its value bit for bit.
+    Raises :class:`NonConvergence` if any row fails to converge; the
+    caller then falls back to scalar :func:`kp` and its ladder.
+    """
+    p = [float(v) for v in p]
+    mu = [float(v) for v in mu]
+    for a, b in zip(p, mu):
+        _validate_pmu(a, b)
+    p_col = np.array(p)[:, None]
+    eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
+    return _tanh_sinh(
+        lambda lev, x, cx: _tail_factor(cx, p_col, eps, mup),
+        1.0,
+        1.0 - 1.0 / p_col,
+        _KP_TOL,
+    )[0]
 
 
 def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
@@ -214,9 +247,11 @@ def _direct_series(p: float, mup: float) -> np.ndarray:
 def kp(p: float, mu: float) -> float:
     """Complete integral K_p(mu) = w_p(1).
 
-    Strictly increasing in mu, with K_p(0) = pi / (p sin(pi/p)).  Computed by
-    tanh-sinh quadrature with the (1-s)**(-1/p) endpoint factor declared to
-    the engine; absolute accuracy is about 1e-13.
+    Strictly increasing in mu, with K_p(0) = pi / (p sin(pi/p)) > 1.  Computed
+    by tanh-sinh quadrature with the (1-s)**(-1/p) endpoint factor declared
+    to the engine, to a relative error target of 1e-13: the engine's
+    tolerance is relative once |value| > 1, which K_p always is, so at
+    K_p = 4.9e8 (p = 1.2, mu = 1 - 1e-12) the allowed error is about 5e-5.
 
     For p close to 1 the quadrature cannot certify that tolerance in double
     precision, so after a short tolerance ladder the value is taken from a
@@ -388,8 +423,10 @@ class _SnpEngine:
             half = 0.5 * (edges[1:] - edges[:-1])
             e = (mid[:, None] + half[:, None] * _CHEB_X).ravel()
 
+            eps, mup = _eps_mup(p, mu)
+
             def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-                return _tail_factor(np.multiply.outer(e, u), p, mu)
+                return _tail_factor(np.multiply.outer(e, u), p, eps, mup)
 
             try:
                 H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 5e-14)[0]

@@ -159,7 +159,8 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     """Integrate F * x**(ea-1) * (1-x)**(eb-1) over [0, 1], row by row.
 
     ``F(lev, x, cx)`` receives the nodes of refinement level ``lev`` and
-    their exact complements and returns shape ``(n,)`` or ``(rows, n)``.
+    their exact complements and returns shape ``(n,)`` or ``(rows, n)``;
+    ``eb`` may be a ``(rows, 1)`` column, one right exponent per row.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
     of the outermost node pair is at most ``tol * max(1, |value|)``, and
@@ -172,10 +173,19 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     abs_error_estimate, nodes_used); the estimate is floored at the spacing
     of the value.
     """
+    if np.ndim(eb):
+        # one power per distinct exponent, taken with a float exponent as a
+        # row alone takes it: numpy's power has shortcuts (sqrt at 0.5) for
+        # a scalar exponent that it does not apply to every element of a
+        # broadcast column
+        eb_vals, eb_row = np.unique(np.ravel(eb), return_inverse=True)
+        right = lambda cx: np.stack([cx ** float(v) for v in eb_vals])[eb_row]
+    else:
+        right = lambda cx: cx**eb
     nodes = 0
     with np.errstate(divide="ignore"):
         for lev, L in enumerate(_ts_levels()):
-            terms = F(lev, L.x, L.cx) * (L.picosh * L.x**ea * L.cx**eb)
+            terms = F(lev, L.x, L.cx) * (L.picosh * L.x**ea * right(L.cx))
             nodes += L.x.size
             if lev == 0:
                 # one column per level: each row sums its own levels, in

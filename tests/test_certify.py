@@ -9,6 +9,7 @@ its edges.  The p = 2 firstcond boundary modulus was confirmed with a
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,6 +257,21 @@ def test_region_scan_monotone_prefix():
         assert flags == sorted(flags, reverse=True)
 
 
+def test_region_scan_large_grid_matches_kp_across_fallback(monkeypatch):
+    # 96 points: the first chunk of 64 is one batched quadrature, the
+    # second holds p = 51/50, which the batch cannot converge, and goes
+    # through scalar kp point by point
+    ops = [0.2, 0.4, 0.6, 50.0 / 51.0]
+    mus = list(np.linspace(0.05, 0.999, 24))
+    calls = _counting(monkeypatch, ct, "kp")
+    rows = ct.region_scan(ops, mus)
+    assert len(rows) == 96
+    assert calls[0] == 32
+    for op, mu, val, inside in rows:
+        assert val == el.kp(1.0 / op, mu)
+        assert inside == int(val < ct.FIRSTCOND_RHS)
+
+
 def test_region_scan_validation():
     with pytest.raises(DomainError):
         ct.region_scan([], [0.5])
@@ -319,6 +335,30 @@ def test_firstcond_boundary_out_of_range():
         ct.firstcond_boundary(1.2)
 
 
+def test_firstcond_boundary_no_crossing_above_p_2_02():
+    # K_p(0.999) < 8/(pi^2 - 8) for p beyond about 2.02, so the crossing
+    # lies above the scan window
+    assert el.kp(2.03, 0.999) < ct.FIRSTCOND_RHS
+    with pytest.raises(NoSignChange):
+        ct.firstcond_boundary(2.03)
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_matches_mpmath_newton_step(p):
+    # one Newton step on the 30-digit K_p = pi/(p sin(pi/p)) 2F1(a, a; 1; x),
+    # a = 1/p, x = mu^p, with dK/dmu = pi/(p sin(pi/p)) a^2 2F1(a+1, a+1; 2; x)
+    # p mu^(p-1), lands within the square of the root's error of the root
+    b = ct.firstcond_boundary(p)
+    with mpmath.workdps(30):
+        P, M = mpmath.mpf(p), mpmath.mpf(b)
+        a, x = 1 / P, M**P
+        pref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P))
+        K = pref * mpmath.hyp2f1(a, a, 1, x)
+        dK = pref * a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x) * P * M ** (P - 1)
+        root = M - (K - 8 / (mpmath.pi**2 - 8)) / dK
+        assert abs(float(root - M)) < 1e-9
+
+
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that counts its calls."""
     calls = [0]
@@ -338,6 +378,16 @@ def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
     calls = _counting(monkeypatch, ct, "kp")
     b = ct.firstcond_boundary(p)
     assert calls[0] <= 16
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-6
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
+    # the 16-modulus batch narrows the bracket to one grid interval, so
+    # Brent's method needs its two endpoints and a few steps
+    calls = _counting(monkeypatch, ct, "kp")
+    b = ct.firstcond_boundary(p)
+    assert calls[0] <= 10
     assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-6
 
 

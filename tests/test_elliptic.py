@@ -148,7 +148,7 @@ def _wp_quadrature(p, mu, z):
         return z * integrate_singular(f, tol=1e-14).value
     e = 1.0 - z
     f = SingularIntegrand(
-        smooth_part=lambda s, cs: el._tail_factor(e * s, p, mu),
+        smooth_part=lambda s, cs: el._tail_factor(e * s, p, *el._eps_mup(p, mu)),
         left_exponent=-1.0 / p,
     )
     return el.kp(p, mu) - e ** (1.0 - 1.0 / p) * integrate_singular(f, tol=1e-14).value

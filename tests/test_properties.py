@@ -1,4 +1,4 @@
-"""Seeded property tests of w_p and sn_p.
+"""Seeded property tests of K_p, w_p and sn_p.
 
 hypothesis runs derandomized, so every run draws the same examples.  The
 bounds are a few units of rounding in K_p, the scale of every w_p value,
@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pelliptic.certify as ct
 import pelliptic.elliptic as el
 
 SEEDED = settings(derandomize=True, max_examples=60, deadline=None)
@@ -64,3 +65,21 @@ def test_wp_continuous_across_branches_and_panels(p, mu):
     jump = np.abs(eng.wp_many(above) - eng.wp_many(below))
     slope = eng._G(above)
     assert np.all(jump <= slope * (above - below) + _w_tol(eng.K))
+
+
+@SEEDED
+@given(
+    st.floats(min_value=0.05, max_value=0.87), st.floats(min_value=0.3, max_value=0.939)
+)
+def test_region_tile_matches_kp_and_increases_in_mu(op, mu):
+    # a 4x4 tile of spacing 0.02, as the region scan benchmark draws them;
+    # from mu = 0.3 on, a 0.02 step raises K_p by far more than rounding
+    # even at p = 20
+    ops = [op + 0.02 * i for i in range(4)]
+    mus = [mu + 0.02 * j for j in range(4)]
+    rows = ct.region_scan(ops, mus)
+    for o, m, val, _ in rows:
+        assert val == el.kp(1.0 / o, m)
+    for i in range(4):
+        vals = [r[2] for r in rows[4 * i : 4 * i + 4]]
+        assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -175,6 +175,23 @@ def test_truncation_above_target_raises_at_once():
     assert levels == [0, 1, 2]
 
 
+def test_column_exponent_rows_match_rows_computed_alone():
+    # rows with their own right exponent and integrand stop at different
+    # levels; each keeps the exact bits it has when computed alone
+    c = np.array([0.0, 0.5, 3.0, 40.0])[:, None]
+    b = np.array([0.0, -0.3, -0.5, -0.8])[:, None]
+    F = lambda lev, x, cx: 1.0 / (1.0 + c * x)
+    value, err, _ = _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
+    assert value.shape == err.shape == (4,)
+    for i in range(4):
+        ci, bi = float(c[i, 0]), float(b[i, 0])
+        Fi = lambda lev, x, cx: 1.0 / (1.0 + ci * x)
+        v, e, _ = _tanh_sinh(Fi, 1.0, 1.0 + bi, 1e-13)
+        assert value[i] == v and err[i] == e
+    # the constant row: integral of (1-s)**0 = 1
+    assert abs(value[0] - 1.0) < 1e-13
+
+
 def test_root_linear():
     assert abs(bracketed_root(lambda x: x - 0.25, 0.0, 1.0, tol=1e-12) - 0.25) < 1e-11
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _kp_rows, kp
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 from .fourier import tau_k, tau_tail_bound
 from .qtheta import mu0, nome_from_modulus, odd_lambert_sum
 from .quadrature import bracketed_root
@@ -222,9 +222,7 @@ def region_scan(p_points, mu_points) -> list:
     (one_over_p, mu), with inside = 1 when K_p(mu) < 8/(pi^2 - 8).
 
     The sorted grid points go in chunks of at most 64 through one batched
-    quadrature each, whose rows equal scalar :func:`kp` bit for bit.  A
-    chunk the batch cannot converge (p near 1) is computed point by point
-    with :func:`kp`, which falls back to its tolerance ladder and series.
+    K_p call each, whose values equal scalar :func:`kp` bit for bit.
     """
     ps = [float(v) for v in p_points]
     mus = [float(v) for v in mu_points]
@@ -240,13 +238,8 @@ def region_scan(p_points, mu_points) -> list:
     rows = []
     for i in range(0, len(keys), _CHUNK):
         chunk = keys[i : i + _CHUNK]
-        p_chunk = [1.0 / op for op, _ in chunk]
-        mu_chunk = [mu for _, mu in chunk]
-        try:
-            vals = _kp_rows(p_chunk, mu_chunk).tolist()
-        except NonConvergence:
-            vals = [kp(p, mu) for p, mu in zip(p_chunk, mu_chunk)]
-        for (op, mu), val in zip(chunk, vals):
+        vals = _kp_rows([1.0 / op for op, _ in chunk], [mu for _, mu in chunk])
+        for (op, mu), val in zip(chunk, vals.tolist()):
             rows.append((op, mu, val, int(val < FIRSTCOND_RHS)))
     return rows
 
@@ -262,21 +255,24 @@ def region_csv(rows) -> str:
 def firstcond_boundary(p: float, tol: float = 1e-10) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
-    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999].  One batched
-    quadrature evaluates K_p at 16 moduli geometric in 1 - mu across that
-    range; Brent's method then runs on scalar :func:`kp` only inside the
-    grid interval where the sign changes, in about seven K_p evaluations.
-    When the batch does not converge (p near 1) or shows no sign change,
-    the root finder runs on the whole range as before, and raises its
-    no-sign-change error when the crossing lies outside it.
+    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999].  One batched K_p call
+    evaluates 16 moduli geometric in 1 - mu across that range; Brent's
+    method then runs only inside the grid interval where the sign
+    changes, taking K_p at its ends from the batch and calling scalar
+    :func:`kp` for the five or so moduli in between.  When the batch shows
+    no sign change, the root finder gets the whole range and raises its
+    no-sign-change error.
     """
+    batch = _kp_rows([p] * _BOUNDARY_MUS.size, _BOUNDARY_MUS)
+    known = dict(zip(_BOUNDARY_MUS.tolist(), batch.tolist()))
     lo, hi = 1e-6, 0.999
-    try:
-        above = _kp_rows([p] * _BOUNDARY_MUS.size, _BOUNDARY_MUS) >= FIRSTCOND_RHS
-    except NonConvergence:
-        pass
-    else:
-        if not above[0] and above[-1]:
-            k = int(np.argmax(above))
-            lo, hi = float(_BOUNDARY_MUS[k - 1]), float(_BOUNDARY_MUS[k])
-    return bracketed_root(lambda mu: kp(p, mu) - FIRSTCOND_RHS, lo, hi, tol=tol)
+    above = batch >= FIRSTCOND_RHS
+    if not above[0] and above[-1]:
+        k = int(np.argmax(above))
+        lo, hi = float(_BOUNDARY_MUS[k - 1]), float(_BOUNDARY_MUS[k])
+
+    def g(mu: float) -> float:
+        K = known.get(mu)
+        return (kp(p, mu) if K is None else K) - FIRSTCOND_RHS
+
+    return bracketed_root(g, lo, hi, tol=tol)

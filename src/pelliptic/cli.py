@@ -82,8 +82,8 @@ def _mu_grid(text: str):
 def cmd_kp(args) -> int:
     if args.method == "series":
         value = el.kp_via_2f1(args.p, args.mu)
-        # the quadrature route is independent, so the disagreement is an
-        # honest error gauge for the series value
+        # an independent error gauge where kp is the quadrature; below p of
+        # about 1.06, where the quadrature fails, kp is this series and it reads 0
         err = abs(value - el.kp(args.p, args.mu))
     else:
         res = el.kp_quadrature(args.p, args.mu)

@@ -170,13 +170,12 @@ def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult
 
 
 def _kp_rows(p, mu) -> np.ndarray:
-    """K_p at each pair (p[i], mu[i]), as the rows of one driver call.
+    """K_p at each pair (p[i], mu[i]), equal to :func:`kp` bit for bit.
 
-    Row i runs the integrand and stop test of
-    ``kp_quadrature(p[i], mu[i])`` at ``_KP_TOL``, with the right exponent
-    1 - 1/p as a per-row column, and returns its value bit for bit.
-    Raises :class:`NonConvergence` if any row fails to converge; the
-    caller then falls back to scalar :func:`kp` and its ladder.
+    The rows run the integrand and stop test of ``kp_quadrature(p[i],
+    mu[i])`` at ``_KP_TOL`` as one driver call, with the right exponent
+    1 - 1/p as a per-row column.  If any row fails to converge (p near 1),
+    every pair goes through scalar :func:`kp` and its series fallback.
     """
     p = [float(v) for v in p]
     mu = [float(v) for v in mu]
@@ -184,12 +183,15 @@ def _kp_rows(p, mu) -> np.ndarray:
         _validate_pmu(a, b)
     p_col = np.array(p)[:, None]
     eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
-    return _tanh_sinh(
-        lambda lev, x, cx: _tail_factor(cx, p_col, eps, mup),
-        1.0,
-        1.0 - 1.0 / p_col,
-        _KP_TOL,
-    )[0]
+    try:
+        return _tanh_sinh(
+            lambda lev, x, cx: _tail_factor(cx, p_col, eps, mup),
+            1.0,
+            1.0 - 1.0 / p_col,
+            _KP_TOL,
+        )[0]
+    except NonConvergence:
+        return np.array([kp(a, b) for a, b in zip(p, mu)])
 
 
 def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
@@ -253,25 +255,18 @@ def kp(p: float, mu: float) -> float:
     tolerance is relative once |value| > 1, which K_p always is, so at
     K_p = 4.9e8 (p = 1.2, mu = 1 - 1e-12) the allowed error is about 5e-5.
 
-    For p close to 1 the quadrature cannot certify that tolerance in double
-    precision, so after a short tolerance ladder the value is taken from a
-    hypergeometric series instead: the mu**p expansion when mu**p <= 0.9,
-    else the connection-formula expansion around mu = 1.  Both keep relative
-    accuracy near 1e-13.
+    For p below about 1.06 the quadrature cannot certify that target in
+    double precision, and the value comes from a hypergeometric series
+    instead: the mu**p expansion when mu**p <= 0.9, else the
+    connection-formula expansion around mu = 1.  Both keep relative
+    accuracy near 1e-14.
     """
-    last: Optional[NonConvergence] = None
-    for tol in (_KP_TOL, 1e-12, 1e-11):
-        try:
-            return kp_quadrature(p, mu, tol=tol).value
-        except NonConvergence as exc:
-            last = exc
-    x = mu**p
-    if x <= 0.9:
-        return kp_via_2f1(p, mu)
     try:
-        return _kp_near_one_2f1(p, mu)
+        return kp_quadrature(p, mu).value
     except NonConvergence:
-        raise last
+        if mu**p <= 0.9:
+            return kp_via_2f1(p, mu)
+        return _kp_near_one_2f1(p, mu)
 
 
 def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:
@@ -432,7 +427,7 @@ class _SnpEngine:
                 H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 5e-14)[0]
             except NonConvergence:
                 # p close to 1: the node window cannot resolve u**(-1/p) to
-                # 5e-14 of H; settle for 1e-11, the last rung of kp's ladder
+                # 5e-14 of H; settle for 1e-11
                 H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 1e-11)[0]
             H = H.reshape(mid.size, -1)
             # transform the variation about the middle sample, whose

@@ -269,16 +269,12 @@ def _sharp_equation(q: float) -> float:
 def solve_q0(tol: float) -> float:
     """The unique q in (0, 1) with (1-q) sum_{n>=1} q^n/(1-q^(2n+1)) = 1.
 
-    Root of the sharp equation, bracketed in (0.5, 0.95); if the sign
-    check at those endpoints fails the bracket widens once to
-    (0.01, 0.99) before giving up.
+    Root of the sharp equation in the bracket (0.5, 0.95), where it
+    changes sign (about -0.92 at 0.5 and 16.3 at 0.95).
     """
     if not (tol >= 1e-12) or not math.isfinite(tol):
         raise DomainError(f"tol must be a finite number >= 1e-12, got {tol}")
-    lo, hi = 0.5, 0.95
-    if _sharp_equation(lo) * _sharp_equation(hi) > 0.0:
-        lo, hi = 0.01, 0.99
-    return bracketed_root(_sharp_equation, lo, hi, tol=tol)
+    return bracketed_root(_sharp_equation, 0.5, 0.95, tol=tol)
 
 
 _mu0_cache: dict = {}

@@ -263,7 +263,7 @@ def test_region_scan_large_grid_matches_kp_across_fallback(monkeypatch):
     # through scalar kp point by point
     ops = [0.2, 0.4, 0.6, 50.0 / 51.0]
     mus = list(np.linspace(0.05, 0.999, 24))
-    calls = _counting(monkeypatch, ct, "kp")
+    calls = _counting(monkeypatch, el, "kp")
     rows = ct.region_scan(ops, mus)
     assert len(rows) == 96
     assert calls[0] == 32
@@ -389,6 +389,22 @@ def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
     b = ct.firstcond_boundary(p)
     assert calls[0] <= 10
     assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-6
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
+    # the batch holds K_p at every grid modulus, so scalar kp only ever
+    # sees the moduli Brent's method tries inside the bracket
+    seen = []
+    kp = ct.kp
+
+    def spy(p_, mu):
+        seen.append(mu)
+        return kp(p_, mu)
+
+    monkeypatch.setattr(ct, "kp", spy)
+    ct.firstcond_boundary(p)
+    assert seen and not set(seen) & set(ct._BOUNDARY_MUS.tolist())
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])

@@ -47,8 +47,10 @@ def test_kp_against_scipy_agm():
 
 def test_kp_matches_mpmath_hyp2f1():
     # K_p = pi / (p sin(pi/p)) 2F1(1/p, 1/p; 1; mu^p), summed by mpmath at
-    # 30 digits on the exact double inputs
-    for p in [1.1, 1.2, 1.5, 1.9, 2.0, 2.1, 3.0, 6.0, 12.0]:
+    # 30 digits on the exact double inputs; p from 1.044 to 1.058 is where
+    # the quadrature cannot certify 1e-13 and kp takes the series
+    for p in [1.044, 1.048, 1.052, 1.056, 1.058,
+              1.1, 1.2, 1.5, 1.9, 2.0, 2.1, 3.0, 6.0, 12.0]:
         for mu in [0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]:
             with mpmath.workdps(30):
                 P, M = mpmath.mpf(p), mpmath.mpf(mu)
@@ -91,6 +93,22 @@ KP_SMALL_P_REF = {
 def test_kp_small_p_corners():
     for (p, mu), ref in KP_SMALL_P_REF.items():
         assert abs(el.kp(p, mu) - ref) < 1e-12 * ref
+
+
+def test_kp_tries_the_quadrature_once(monkeypatch):
+    # at (1.05, 0.5) the quadrature cannot certify 1e-13; kp then takes
+    # the series, without retrying at looser tolerances
+    calls = []
+    quad = el.kp_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(el, "kp_quadrature", counted)
+    # past kp's cache, so an earlier call cannot hide the quadrature
+    assert el.kp.__wrapped__(1.05, 0.5) == el.kp_via_2f1(1.05, 0.5)
+    assert calls == [((1.05, 0.5), {})]
 
 
 def test_kp_near_one_series_dual_route():

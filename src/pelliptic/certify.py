@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _kp_rows, kp
-from .errors import DomainError
+from .errors import DomainError, _check_int, _check_interval
 from .fourier import tau_k, tau_tail_bound
 from .qtheta import mu0, nome_from_modulus, odd_lambert_sum
 from .quadrature import bracketed_root
@@ -77,8 +77,7 @@ class ModulusSet:
         if len(self.values) == 0:
             raise DomainError("modulus set must be nonempty")
         for mu in self.values:
-            if not (0.0 < mu < 1.0):
-                raise DomainError(f"every modulus must lie in (0, 1), got {mu}")
+            _check_interval("mu", mu, 0.0, 1.0, "()")
         if self.kind == "constant" and len(self.values) != 1:
             raise DomainError("constant modulus set must hold exactly one value")
         if self.kind == "interval-grid" and self.grid_resolution != len(self.values):
@@ -94,10 +93,9 @@ class ModulusSet:
 
     @staticmethod
     def grid(lo: float, hi: float, n: int) -> "ModulusSet":
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise DomainError(f"grid needs at least 2 points, got {n}")
-        if not (0.0 < lo < hi < 1.0):
-            raise DomainError(f"grid endpoints must satisfy 0 < lo < hi < 1, got {lo}, {hi}")
+        _check_int("n", n, 2)
+        _check_interval("lo", lo, 0.0, 1.0, "()")
+        _check_interval("hi", hi, lo, 1.0, "()")
         vals = tuple(float(v) for v in np.linspace(lo, hi, int(n)))
         return ModulusSet(kind="interval-grid", values=vals, grid_resolution=int(n))
 
@@ -157,8 +155,7 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     controlled (tau_k need not be monotone in mu), and the report says
     so.
     """
-    if not isinstance(K, (int, np.integer)) or K < 5 or K % 2 == 0:
-        raise DomainError(f"K must be an odd integer >= 5, got {K}")
+    _check_int("K", K, 5, odd=True)
     # one row per modulus, one column per odd k = 1, 3, ..., K
     taus = np.array([tau_k(p, mu, np.arange(1, K + 1, 2)) for mu in ms.values])
     rhs = float(np.min(taus[:, 0]))
@@ -229,11 +226,9 @@ def region_scan(p_points, mu_points) -> list:
     if len(ps) == 0 or len(mus) == 0:
         raise DomainError("grids must be nonempty")
     for v in ps:
-        if not (0.0 < v < 1.0):
-            raise DomainError(f"1/p values must lie in (0, 1), got {v}")
+        _check_interval("1/p", v, 0.0, 1.0, "()")
     for mu in mus:
-        if not (0.0 < mu <= 0.999):
-            raise DomainError(f"mu values must lie in (0, 0.999], got {mu}")
+        _check_interval("mu", mu, 0.0, 0.999, "(]")
     keys = [(op, mu) for op in sorted(ps) for mu in sorted(mus)]
     rows = []
     for i in range(0, len(keys), _CHUNK):

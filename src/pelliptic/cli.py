@@ -25,7 +25,7 @@ from . import eigen as eg
 from . import elliptic as el
 from . import fourier as fr
 from . import qtheta as qt
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, _check_int
 
 __all__ = ["main", "build_parser"]
 
@@ -235,8 +235,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if args.pgrid < 1 or args.mugrid < 1:
-        raise DomainError("grid counts must be positive")
+    _check_int("pgrid", args.pgrid, 1)
+    _check_int("mugrid", args.mugrid, 1)
     ops = [(i + 1.0) / (args.pgrid + 1.0) for i in range(args.pgrid)]
     # dividing before scaling keeps the last node exactly at the 0.999 cap
     mus = [0.999 * ((j + 1.0) / args.mugrid) for j in range(args.mugrid)]

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _snp_parts, _validate_pmu, kp, snp
+from .elliptic import _snp_parts, kp, snp
 from .errors import DomainError, GridTooCoarse, SingularPoint
+from .errors import _check_finite, _check_int, _validate_pmu
 
 __all__ = [
     "EigenPair",
@@ -116,12 +117,9 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
     zeros of sn_p sit at multiples of 2 K_p, so phi vanishes exactly at the
     multiples of 1/n.
     """
-    _validate_pmu(p, mu)
-    if mu == 0.0:
-        # alpha = amplitude**p / mu**p is 0/0 there
-        raise DomainError(f"mu must lie in (0, 1), got {mu}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    # mu = 0 is excluded: alpha = amplitude**p / mu**p is 0/0 there
+    _validate_pmu(p, mu, "()")
+    _check_int("n", n, 1)
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     return _build(float(p), float(mu), int(n), int(sign))
@@ -139,9 +137,10 @@ def _admissible(e: EigenPair, grid) -> tuple[np.ndarray, int, int]:
     Returns (kept y-values, total, excluded).  phi'(x) vanishes where the
     reduced argument of sn_p hits the quarter period, i.e. at odd
     multiples of 1/(2n) in x; a margin of ``_EXCLUDE_MARGIN`` in the
-    reduced variable is excluded whenever p != 2.
+    reduced variable is excluded whenever p != 2.  A NaN or infinite
+    grid point is rejected, not counted as an exclusion.
     """
-    xs = np.asarray(grid, dtype=float)
+    xs = _check_finite("grid", grid)
     if xs.ndim != 1 or xs.size == 0:
         raise GridTooCoarse("grid must be a nonempty one-dimensional array")
     K = kp(e.p, e.mu)

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, SingularPoint, SlowConvergence
+from .errors import NonConvergence, SingularPoint, SlowConvergence
+from .errors import _check_finite, _check_int, _check_interval, _validate_pmu
 from .quadrature import (
     QuadratureResult,
     SingularIntegrand,
@@ -95,13 +95,6 @@ _DCT = (2.0 / _CHEB_N) * np.cos(
     * (np.outer(np.arange(_CHEB_N), np.arange(1, 2 * _CHEB_N, 2)) % (4 * _CHEB_N))
 )
 _DCT[0] *= 0.5
-
-
-def _validate_pmu(p: float, mu: float) -> None:
-    if not (p > 1.0) or not math.isfinite(p):
-        raise DomainError(f"p must be a finite real > 1, got {p}")
-    if not (0.0 <= mu < 1.0):
-        raise DomainError(f"mu must lie in [0, 1), got {mu}")
 
 
 def _pow_ratio(e: np.ndarray, p) -> np.ndarray:
@@ -284,8 +277,7 @@ def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:
         If ``terms`` is exhausted before the tail drops below 1e-17.
     """
     _validate_pmu(p, mu)
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+    _check_int("terms", terms, 1)
     x = mu**p
     if x > 0.9:
         raise SlowConvergence(f"mu**p = {x:.6f} > 0.9; hypergeometric series too slow")
@@ -299,12 +291,11 @@ class PModulus:
 
     p: float
     mu: float
-    kp_cached: Optional[float] = None
+    kp_cached: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _validate_pmu(self.p, self.mu)
-        if self.kp_cached is None:
-            object.__setattr__(self, "kp_cached", kp(self.p, self.mu))
+        # kp checks (p, mu) before it computes anything
+        object.__setattr__(self, "kp_cached", kp(self.p, self.mu))
 
 
 @dataclass(frozen=True)
@@ -347,7 +338,6 @@ class _SnpEngine:
     __slots__ = ("p", "mu", "K", "_mup", "_series", "_panels", "_table")
 
     def __init__(self, p: float, mu: float):
-        _validate_pmu(p, mu)
         self.p = p
         self.mu = mu
         self.K = kp(p, mu)
@@ -564,8 +554,7 @@ def _engine(p: float, mu: float) -> _SnpEngine:
 def wp(p: float, mu: float, z: float) -> float:
     """Incomplete integral w_p(z) for z in [0, 1]."""
     _validate_pmu(p, mu)
-    if not (0.0 <= z <= 1.0):
-        raise DomainError(f"z must lie in [0, 1], got {z}")
+    _check_interval("z", z, 0.0, 1.0, "[]")
     if z == 0.0:
         return 0.0
     eng = _engine(p, mu)
@@ -578,11 +567,7 @@ def _snp_args(p: float, mu: float, y):
     """Input check shared by every sn_p entry point: returns the engine for
     (p, mu) and y as a flat float array, rejecting non-finite y."""
     _validate_pmu(p, mu)
-    y = np.asarray(y, dtype=float).ravel()
-    bad = y[~np.isfinite(y)]
-    if bad.size:
-        raise DomainError(f"y must be finite, got {bad[0]}")
-    return _engine(p, mu), y
+    return _engine(p, mu), _check_finite("y", y).ravel()
 
 
 def _snp_parts(p: float, mu: float, y):
@@ -660,10 +645,8 @@ def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:
     Returns (sn_p(y)/y - 1/K_p, 1 - sn_p(y)/y); both are nonnegative up to
     evaluation tolerance.
     """
-    _validate_pmu(p, mu)
-    eng = _engine(p, mu)
-    if not (0.0 < y < eng.K):
-        raise DomainError(f"y must lie in (0, K_p) = (0, {eng.K}), got {y}")
+    K = kp(p, mu)
+    _check_interval("y", y, 0.0, K, "()")
     _, s, _, _ = _snp_parts(p, mu, [y])
     ratio = float(s[0]) / y
-    return ratio - 1.0 / eng.K, 1.0 - ratio
+    return ratio - 1.0 / K, 1.0 - ratio

@@ -1,10 +1,22 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and the input checks shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class so
 the CLI can map errors onto stable exit codes: invalid inputs (DomainError and
 subclasses) versus algorithms that ran out of budget (NonConvergence and
 subclasses).
+
+Every range, count and finiteness check on an input goes through the private
+checks at the end, which raise DomainError as "{name} must lie in [lo, hi),
+got {x}" (or "must be an integer in", "must be finite").  NaN fails every
+comparison, so each check rejects it; a count must be an int or a numpy
+integer, not a bool.  The scalar checks are plain comparisons, cheap enough
+to run once per (p, mu) pair of a batch.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -37,3 +49,44 @@ class MaxIterations(NonConvergence):
 
 class SlowConvergence(NonConvergence):
     """A series argument is too close to its convergence boundary."""
+
+
+def _num(v) -> str:
+    return str(float(v)).removesuffix(".0")
+
+
+def _check_interval(name: str, x, lo: float, hi: float, ends: str = "[)") -> None:
+    """Reject x outside the interval from lo to hi; ``ends`` spells its
+    brackets, "[" or "]" for a closed end and "(" or ")" for an open one.
+    An infinite end is open, so (-inf, inf) admits exactly the finite x."""
+    if lo < x < hi:  # the common case, decided by one chained comparison
+        return
+    above = lo < x if ends[0] == "(" else lo <= x
+    below = x < hi if ends[1] == ")" else x <= hi
+    if not (above and below):
+        raise DomainError(
+            f"{name} must lie in {ends[0]}{_num(lo)}, {_num(hi)}{ends[1]}, got {x}"
+        )
+
+
+def _check_int(name: str, n, lo: int, odd: bool = False) -> None:
+    """Reject n unless it is an integer (not a bool) >= lo, and odd if asked."""
+    is_int = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+    if not is_int or n < lo or (odd and n % 2 == 0):
+        kind = "an odd integer" if odd else "an integer"
+        raise DomainError(f"{name} must be {kind} in [{lo}, inf), got {n}")
+
+
+def _check_finite(name: str, x) -> np.ndarray:
+    """x as a float array, rejecting it if any entry is NaN or infinite."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise DomainError(f"{name} must be finite, got {bad[0]}")
+    return x
+
+
+def _validate_pmu(p: float, mu: float, mu_ends: str = "[)") -> None:
+    """p in (1, inf) and mu in [0, 1), or (0, 1) with ``mu_ends="()"``."""
+    _check_interval("p", p, 1.0, math.inf, "()")
+    _check_interval("mu", mu, 0.0, 1.0, mu_ends)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _validate_pmu, kp, snp_many
-from .errors import DomainError
+from .elliptic import kp, snp_many
+from .errors import DomainError, _check_int, _check_interval, _validate_pmu
 from .quadrature import _tanh_sinh
 
 __all__ = [
@@ -105,7 +105,9 @@ def tau_k(p: float, mu: float, k):
     bit for bit, whatever the other rows are.
     """
     _validate_pmu(p, mu)
-    scalar = isinstance(k, (int, np.integer))
+    scalar = np.ndim(k) == 0
+    if scalar:
+        _check_int("k", k, 1)
     ks = np.array([int(k)]) if scalar else np.asarray(k)
     if ks.ndim != 1 or ks.size == 0 or ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise DomainError(f"k must be a positive integer or a 1-D run of them, got {k!r}")
@@ -125,8 +127,7 @@ def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
     K_p value as the sup.
     """
     _validate_pmu(p, mu)
-    if not isinstance(K_max, (int, np.integer)) or K_max < 1:
-        raise DomainError(f"K_max must be a positive integer, got {K_max}")
+    _check_int("K_max", K_max, 1)
     coeffs = tuple(tau_k(p, mu, np.arange(1, K_max + 1)).tolist())
     start = K_max + 1 if K_max % 2 == 0 else K_max + 2
     tail = tau_tail_bound(p, kp(p, mu), start)
@@ -160,12 +161,9 @@ def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:
     the sum is below (1/2) int_{K-1}^inf t^-2 dt = 1/(2(K-2)) with a full
     unit of slack in the lower limit.
     """
-    if not (p > 1.0) or not math.isfinite(p):
-        raise DomainError(f"p must be > 1, got {p}")
-    if not isinstance(K, (int, np.integer)) or K < 3 or K % 2 == 0:
-        raise DomainError(f"K must be an odd integer >= 3, got {K}")
-    if not (sup_kp > 0.0) or not math.isfinite(sup_kp):
-        raise DomainError(f"sup_kp must be positive and finite, got {sup_kp}")
+    _check_interval("p", p, 1.0, math.inf, "()")
+    _check_int("K", K, 3, odd=True)
+    _check_interval("sup_kp", sup_kp, 0.0, math.inf, "()")
     return 4.0 * math.sqrt(2.0) * sup_kp / math.pi**2 / (2.0 * (K - 2.0))
 
 
@@ -175,10 +173,8 @@ def rho_coeff(q: float, j: int) -> float:
     Equals tau_(2j+1)/tau_1 for the p = 2 profile whose modulus has nome
     q; rho_0 is identically 1.
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not isinstance(j, (int, np.integer)) or j < 0:
-        raise DomainError(f"j must be a nonnegative integer, got {j}")
+    _check_interval("q", q, 0.0, 1.0, "()")
+    _check_int("j", j, 0)
     return (1.0 - q) * q**j / (1.0 - q ** (2 * j + 1))
 
 
@@ -188,10 +184,9 @@ def g_eval(q: float, x: float, terms: int = 200) -> float:
     The truncation error is bounded by :func:`g_tail_bound` for the same
     (q, terms).
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not isinstance(terms, (int, np.integer)) or terms < 1:
-        raise DomainError(f"terms must be a positive integer, got {terms}")
+    _check_interval("q", q, 0.0, 1.0, "()")
+    _check_interval("x", x, -math.inf, math.inf, "()")
+    _check_int("terms", terms, 1)
     js = np.arange(terms)
     coeff = q**js / (1.0 - q ** (2 * js + 1))
     sines = np.sin((2 * js + 1) * math.pi * x)
@@ -201,8 +196,6 @@ def g_eval(q: float, x: float, terms: int = 200) -> float:
 def g_tail_bound(q: float, terms: int = 200) -> float:
     """Geometric bound sqrt(2) q^terms / (1 - q^(2 terms + 1)) on the
     truncation error of :func:`g_eval`."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not isinstance(terms, (int, np.integer)) or terms < 1:
-        raise DomainError(f"terms must be a positive integer, got {terms}")
+    _check_interval("q", q, 0.0, 1.0, "()")
+    _check_int("terms", terms, 1)
     return math.sqrt(2.0) * q**terms / (1.0 - q ** (2 * terms + 1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, _check_interval
 from .quadrature import bracketed_root
 
 __all__ = [
@@ -44,16 +44,6 @@ __all__ = [
 _Q_MAX = 0.99
 
 
-def _check_q(q: float, name: str = "q") -> None:
-    if not (0.0 <= q < 1.0) or not math.isfinite(q):
-        raise DomainError(f"{name} must lie in [0, 1), got {q}")
-    if q > _Q_MAX:
-        raise DomainError(
-            f"{name} = {q} is too close to 1 for fast series convergence "
-            f"(cutoff {_Q_MAX})"
-        )
-
-
 @dataclass(frozen=True)
 class Nome:
     """A nome value, constrained to [0, 1)."""
@@ -61,8 +51,7 @@ class Nome:
     q: float
 
     def __post_init__(self):
-        if not (0.0 <= self.q < 1.0):
-            raise DomainError(f"nome must lie in [0, 1), got {self.q}")
+        _check_interval("nome", self.q, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +74,8 @@ def agm_jacobi_sn(y: float, mu: float) -> float:
     parameter is m = mu**2.  Independent of the quadrature-based path,
     which makes it a genuine cross-check for the p = 2 case.
     """
-    if not (0.0 <= mu < 1.0):
-        raise DomainError(f"mu must lie in [0, 1), got {mu}")
+    _check_interval("y", y, -math.inf, math.inf, "()")
+    _check_interval("mu", mu, 0.0, 1.0)
     a, b, c = 1.0, math.sqrt((1.0 - mu) * (1.0 + mu)), mu
     scales = []
     while abs(c) > 1e-17 * a and len(scales) < 60:
@@ -104,7 +93,7 @@ def theta_constants(q: float) -> ThetaConstants:
 
     Terms are added until the next one drops below 1e-16.
     """
-    _check_q(q)
+    _check_interval("q", q, 0.0, _Q_MAX, "[]")
     if q == 0.0:
         return ThetaConstants(q=q, theta2=0.0, theta3=1.0, terms_used=0)
     t2_terms = []
@@ -172,8 +161,7 @@ def nome_from_modulus(mu: float) -> float:
     mu >= 1 - 1e-9 the inversion is refused outright, because the map
     saturates in double precision there and any answer would be a guess.
     """
-    if not (0.0 <= mu < 1.0):
-        raise DomainError(f"mu must lie in [0, 1), got {mu}")
+    _check_interval("mu", mu, 0.0, 1.0)
     if mu >= 1.0 - 1e-9:
         raise NonConvergence(
             f"modulus {mu} is too close to 1: the nome map saturates in "
@@ -186,9 +174,7 @@ def nome_from_modulus(mu: float) -> float:
 
 def lambert_L(beta: float) -> float:
     """Lambert series L(beta) = sum_{n>=1} beta^n / (1 - beta^n)."""
-    _check_q(beta, "beta")
-    if beta <= 0.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
     terms = []
     partial = 0.0
     bn = 1.0
@@ -204,11 +190,8 @@ def lambert_L(beta: float) -> float:
 
 def q_digamma(q: float, x: float) -> float:
     """q-digamma psi_q(x) = -log(1-q) + log(q) sum_{n>=1} q^(n x)/(1-q^n)."""
-    _check_q(q)
-    if q <= 0.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not (x > 0.0):
-        raise DomainError(f"x must be positive, got {x}")
+    _check_interval("q", q, 0.0, _Q_MAX, "(]")
+    _check_interval("x", x, 0.0, math.inf, "()")
     terms = []
     partial = 0.0
     n = 1
@@ -224,9 +207,7 @@ def q_digamma(q: float, x: float) -> float:
 
 def lambert_via_digamma(beta: float) -> float:
     """L(beta) recovered from the q-digamma: (psi_beta(1) + log(1-beta)) / log(beta)."""
-    _check_q(beta, "beta")
-    if beta <= 0.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
     return (q_digamma(beta, 1.0) + math.log1p(-beta)) / math.log(beta)
 
 
@@ -236,9 +217,7 @@ def odd_lambert_sum(q: float) -> float:
     It equals the Lambert-series combination (L(sqrt(q)) - 2 L(q) +
     L(q^2))/sqrt(q) - 1/(1-q), which :func:`_sharp_equation` uses.
     """
-    _check_q(q)
-    if q <= 0.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_interval("q", q, 0.0, _Q_MAX, "(]")
     terms = []
     partial = 0.0
     qn = 1.0
@@ -272,8 +251,7 @@ def solve_q0(tol: float) -> float:
     Root of the sharp equation in the bracket (0.5, 0.95), where it
     changes sign (about -0.92 at 0.5 and 16.3 at 0.95).
     """
-    if not (tol >= 1e-12) or not math.isfinite(tol):
-        raise DomainError(f"tol must be a finite number >= 1e-12, got {tol}")
+    _check_interval("tol", tol, 1e-12, math.inf)
     return bracketed_root(_sharp_equation, 0.5, 0.95, tol=tol)
 
 
@@ -295,9 +273,7 @@ def mu0() -> float:
 
 def fraenkel_s(q: float, sign: int) -> float:
     """The scale parameter s = sign * 4 pi sqrt(q) / (1 - q), sign = +-1."""
-    _check_q(q)
-    if q <= 0.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_interval("q", q, 0.0, _Q_MAX, "(]")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     return sign * 4.0 * math.pi * math.sqrt(q) / (1.0 - q)

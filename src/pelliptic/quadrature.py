@@ -36,13 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidExponent,
-    MaxIterations,
-    NonConvergence,
-    NoSignChange,
-)
+from .errors import InvalidExponent, MaxIterations, NonConvergence, NoSignChange
+from .errors import _check_interval
 
 __all__ = [
     "QuadratureResult",
@@ -265,8 +260,7 @@ def integrate_singular(f: SingularIntegrand, tol: float = 1e-12) -> QuadratureRe
     smaller tol never yields a larger ``abs_error_estimate`` for the same
     integrand.  It is never below the spacing of the value.
     """
-    if not (tol >= 1e-14) or not math.isfinite(tol):
-        raise DomainError(f"tol must be a finite number >= 1e-14, got {tol}")
+    _check_interval("tol", tol, 1e-14, math.inf)
     smooth = _as_batch(f.smooth_part)
     value, err, nodes = _tanh_sinh(
         lambda lev, x, cx: smooth(x, cx),
@@ -303,15 +297,17 @@ def bracketed_root(
 
     Raises
     ------
+    DomainError
+        If lo or hi is not finite, hi <= lo, or tol is not positive and
+        finite.
     NoSignChange
         If g(lo) and g(hi) have the same (nonzero) sign.
     MaxIterations
         If the bracket fails to reach ``tol`` within ``max_iter`` steps.
     """
-    if not (lo < hi):
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_interval("lo", lo, -math.inf, math.inf, "()")
+    _check_interval("hi", hi, lo, math.inf, "()")
+    _check_interval("tol", tol, 0.0, math.inf, "()")
     flo = float(g(lo))
     fhi = float(g(hi))
     if flo == 0.0:

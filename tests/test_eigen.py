@@ -48,6 +48,9 @@ def test_eigenpair_validation():
             eg.eigenpair(*bad)
     with pytest.raises(DomainError):
         eg.eigenpair(2.0, 0.5, 1.5, 1)
+    # a bool is not a count, though True == 1
+    with pytest.raises(DomainError):
+        eg.eigenpair(2.0, 0.5, True)
 
 
 def test_boundary_values_and_nodes():
@@ -209,6 +212,15 @@ def test_residual_grid_errors():
         eg.ode_residual(e, bad)
     with pytest.raises(GridTooCoarse):
         eg.first_integral_residual(e, np.array([]))
+    # a NaN or infinite point is rejected, never counted as an exclusion
+    for p in (2.0, 3.0):
+        pair = eg.eigenpair(p, 0.5, 1)
+        for x in (math.nan, math.inf):
+            grid = [0.1, 0.2, 0.3, x]
+            with pytest.raises(DomainError):
+                eg.first_integral_residual(pair, grid)
+            with pytest.raises(DomainError):
+                eg.ode_residual(pair, grid)
 
 
 def test_eigenfunction_periodic_extension():

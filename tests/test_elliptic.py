@@ -77,6 +77,9 @@ def test_kp_domain_errors():
     for p, mu in [(1.0, 0.5), (0.5, 0.5), (2.0, 1.0), (2.0, -0.1), (2.0, 1.5)]:
         with pytest.raises(DomainError):
             el.kp(p, mu)
+    # a fractional series budget is a domain error, not a TypeError
+    with pytest.raises(DomainError):
+        el.kp_via_2f1(2.0, 0.5, 2.5)
 
 
 KP_SMALL_P_REF = {
@@ -487,8 +490,10 @@ def test_pmodulus_eager_cache():
     pm = el.PModulus(2.0, 0.5)
     assert pm.kp_cached == el.kp(2.0, 0.5)
     assert pm.kp_cached >= math.pi / (2.0 * math.sin(math.pi / 2.0)) - 1e-12
-    pm2 = el.PModulus(3.0, 0.6, kp_cached=1.241435702221483947)
-    assert abs(pm2.kp_cached - el.kp(3.0, 0.6)) < 1e-12
+    assert el.PModulus(3.0, 0.6).kp_cached == el.kp(3.0, 0.6)
+    # K_p is always computed; a caller cannot supply its own value
+    with pytest.raises(TypeError):
+        el.PModulus(3.0, 0.6, kp_cached=5.0)
     with pytest.raises(DomainError):
         el.PModulus(0.9, 0.5)
     with pytest.raises(DomainError):

@@ -73,6 +73,8 @@ def test_tau_k_validation():
     for bad in ([], [1, 0, 3], np.array([1.0, 3.0]), np.array([[1, 3], [5, 7]])):
         with pytest.raises(DomainError):
             fr.tau_k(2.0, 0.5, bad)
+    with pytest.raises(DomainError):
+        fr.tau_k(2.0, 0.5, True)
 
 
 def test_tau_k_sequence_rows_match_scalar_calls():
@@ -120,6 +122,8 @@ def test_rho_coeff_values():
         fr.rho_coeff(0.0, 1)
     with pytest.raises(DomainError):
         fr.rho_coeff(0.5, -1)
+    with pytest.raises(DomainError):
+        fr.rho_coeff(0.5, True)
 
 
 def test_rho_sum_at_q0_is_one():
@@ -176,6 +180,9 @@ def test_g_eval_basics():
         fr.g_eval(1.0, 0.3)
     with pytest.raises(DomainError):
         fr.g_eval(0.5, 0.3, 0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fr.g_eval(0.5, x)
 
 
 def test_g_tail_bound_controls_truncation():
@@ -248,3 +255,5 @@ def test_fourier_profile_invariants():
     assert prof.tail_bound > 0.0
     with pytest.raises(DomainError):
         fr.fourier_profile(2.0, 0.5, 0)
+    with pytest.raises(DomainError):
+        fr.fourier_profile(2.0, 0.5, True)

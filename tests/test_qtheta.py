@@ -40,6 +40,9 @@ def test_agm_sn_domain():
         qt.agm_jacobi_sn(0.5, 1.0)
     with pytest.raises(DomainError):
         qt.agm_jacobi_sn(0.5, -0.1)
+    for y in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            qt.agm_jacobi_sn(y, 0.5)
 
 
 def test_theta_constants_at_zero():
@@ -152,6 +155,8 @@ def test_q_digamma_domain():
         qt.q_digamma(0.0, 1.0)
     with pytest.raises(DomainError):
         qt.q_digamma(1.0, 1.0)
+    with pytest.raises(DomainError):
+        qt.q_digamma(0.5, math.inf)
 
 
 def test_odd_lambert_sum_small_q():

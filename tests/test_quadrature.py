@@ -147,6 +147,18 @@ def test_bad_tol_rejected():
         integrate_singular(f, tol=1e-15)
     with pytest.raises(DomainError):
         integrate_singular(f, tol=-1.0)
+    # bracketed_root: an infinite end or tol is rejected before g runs
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 1.0
+
+    bad = [(0.0, math.inf, 1e-12), (-math.inf, 2.0, 1e-12), (0.0, 2.0, math.inf)]
+    for lo, hi, tol in bad:
+        with pytest.raises(DomainError):
+            bracketed_root(g, lo, hi, tol=tol)
+    assert calls == []
 
 
 def test_nonconvergence_on_interior_kink():

@@ -39,7 +39,6 @@ from .elliptic import (
     wp,
 )
 from .qtheta import (
-    Nome,
     ThetaConstants,
     agm_jacobi_sn,
     fraenkel_s,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _snp_parts, kp, snp
-from .errors import DomainError, GridTooCoarse, SingularPoint
-from .errors import _check_finite, _check_int, _validate_pmu
+from .errors import GridTooCoarse, SingularPoint
+from .errors import _check_finite, _check_int, _check_sign, _validate_pmu
 
 __all__ = [
     "EigenPair",
@@ -120,8 +120,7 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
     # mu = 0 is excluded: alpha = amplitude**p / mu**p is 0/0 there
     _validate_pmu(p, mu, "()")
     _check_int("n", n, 1)
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    _check_sign("sign", sign)
     return _build(float(p), float(mu), int(n), int(sign))
 
 

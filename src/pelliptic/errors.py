@@ -5,12 +5,13 @@ the CLI can map errors onto stable exit codes: invalid inputs (DomainError and
 subclasses) versus algorithms that ran out of budget (NonConvergence and
 subclasses).
 
-Every range, count and finiteness check on an input goes through the private
-checks at the end, which raise DomainError as "{name} must lie in [lo, hi),
-got {x}" (or "must be an integer in", "must be finite").  NaN fails every
-comparison, so each check rejects it; a count must be an int or a numpy
-integer, not a bool.  The scalar checks are plain comparisons, cheap enough
-to run once per (p, mu) pair of a batch.
+Every range, count, sign and finiteness check on an input goes through the
+private checks at the end, which raise DomainError as "{name} must lie in
+[lo, hi), got {x}" (or "must be an integer in", "must be +1 or -1", "must
+be finite").  NaN fails every comparison, so each check rejects it; a count
+or a sign must be an int or a numpy integer, not a bool or a float.  The
+scalar checks are plain comparisons, cheap enough to run once per (p, mu)
+pair of a batch.
 """
 
 import math
@@ -75,6 +76,13 @@ def _check_int(name: str, n, lo: int, odd: bool = False) -> None:
     if not is_int or n < lo or (odd and n % 2 == 0):
         kind = "an odd integer" if odd else "an integer"
         raise DomainError(f"{name} must be {kind} in [{lo}, inf), got {n}")
+
+
+def _check_sign(name: str, s) -> None:
+    """Reject s unless it is the integer +1 or -1 (not a bool or a float)."""
+    is_int = isinstance(s, numbers.Integral) and not isinstance(s, bool)
+    if not is_int or s not in (1, -1):
+        raise DomainError(f"{name} must be +1 or -1, got {s}")
 
 
 def _check_finite(name: str, x) -> np.ndarray:

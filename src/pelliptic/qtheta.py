@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, _check_interval
+from .errors import NonConvergence, _check_interval, _check_sign
 from .quadrature import bracketed_root
 
 __all__ = [
-    "Nome",
     "ThetaConstants",
     "agm_jacobi_sn",
     "theta_constants",
@@ -42,16 +41,6 @@ __all__ = [
 
 # series cutoff: beyond this the geometric tails are no longer "fast"
 _Q_MAX = 0.99
-
-
-@dataclass(frozen=True)
-class Nome:
-    """A nome value, constrained to [0, 1)."""
-
-    q: float
-
-    def __post_init__(self):
-        _check_interval("nome", self.q, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -274,6 +263,5 @@ def mu0() -> float:
 def fraenkel_s(q: float, sign: int) -> float:
     """The scale parameter s = sign * 4 pi sqrt(q) / (1 - q), sign = +-1."""
     _check_interval("q", q, 0.0, _Q_MAX, "(]")
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    _check_sign("sign", sign)
     return sign * 4.0 * math.pi * math.sqrt(q) / (1.0 - q)

@@ -51,6 +51,10 @@ def test_eigenpair_validation():
     # a bool is not a count, though True == 1
     with pytest.raises(DomainError):
         eg.eigenpair(2.0, 0.5, True)
+    # a sign is the integer +1 or -1: not a bool, a float or 0
+    for bad in (True, 1.0, 0):
+        with pytest.raises(DomainError):
+            eg.eigenpair(2.0, 0.5, 1, sign=bad)
 
 
 def test_boundary_values_and_nodes():

@@ -11,6 +11,7 @@ import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
 import pelliptic.qtheta as qt
+import pelliptic.quadrature as quad
 from pelliptic.errors import DomainError
 
 GRID_P = [1.2, 1.5, 2.0, 3.0, 5.0]
@@ -98,20 +99,68 @@ def test_tau_k_matches_mpmath_reference():
         assert err <= 1e-12, (v["p"], v["mu"], v["k"], err)
 
 
-def test_warm_profile_makes_no_snp_call(monkeypatch):
-    calls = []
+def _snp_counter(monkeypatch):
+    """Clear the profile cache and record the number of points of every
+    sn_p call the profiles make from then on."""
+    sizes = []
 
-    def counting(*args):
-        calls.append(args)
-        return el.snp_many(*args)
+    def counting(p, mu, y):
+        sizes.append(np.size(y))
+        return el.snp_many(p, mu, y)
 
     monkeypatch.setattr(fr, "snp_many", counting)
     fr._profile.cache_clear()
+    return sizes
+
+
+def test_warm_profile_makes_no_snp_call(monkeypatch):
+    sizes = _snp_counter(monkeypatch)
     first = fr.fourier_profile(2.5, 0.45, 41)
-    assert len(calls) > 0
-    calls.clear()
+    assert len(sizes) > 0
+    sizes.clear()
     assert fr.fourier_profile(2.5, 0.45, 41) == first
-    assert calls == []
+    assert sizes == []
+
+
+def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
+    sizes = _snp_counter(monkeypatch)
+    fr.fourier_profile(2.5, 0.45, 21)
+    # levels 0..5 hold 391 nodes u, each inverted at K u and at K (1 + u)
+    assert sizes == [782]
+    sizes.clear()
+    fr._profile.cache_clear()
+    fr.fourier_profile(2.5, 0.45, 201)
+    # levels 0..5 in one call, then levels 6 and 7 one call each
+    assert len(sizes) == 3 and sizes[0] == 782
+    sizes.clear()
+    fr._profile.cache_clear()
+    fr.tau_k(2.5, 0.45, 1)
+    assert sizes == [782]
+
+
+def test_grouped_fill_matches_per_level_fill():
+    # the one-call fill of the first levels gives, bit for bit, what one
+    # sn_p call per level gives, since the inversion treats each point alone
+    levels = quad._ts_levels()
+    rng = np.random.default_rng(2024)
+    for p in (1.2, 2.0, 3.5, 6.0):
+        for mu in rng.uniform(0.0, 0.999, 2).tolist() + [0.999]:
+            K = el.kp(p, mu)
+            fr._profile.cache_clear()
+            prefilled = fr._profile(p, mu)
+            for L in levels[:9]:
+                v = el.snp_many(p, mu, K * np.concatenate([L.x, 1.0 + L.x]))
+                prefilled.append((v[: L.x.size], v[L.x.size :]))
+            queries = [
+                lambda: fr._sn_l2(p, mu),
+                lambda: fr.tau_k(p, mu, 1),
+                lambda: fr.tau_k(p, mu, np.arange(1, 22)),
+                lambda: fr.tau_k(p, mu, np.arange(1, 202)),
+            ]
+            warm = [q() for q in queries]
+            for q, want in zip(queries, warm):
+                fr._profile.cache_clear()
+                assert np.array_equal(q(), want), (p, mu)
 
 
 def test_rho_coeff_values():

@@ -206,6 +206,10 @@ def test_fraenkel_s_values():
     assert abs(qt.fraenkel_s(q, 1) / math.sqrt(q) - 4.0 * math.pi) < 1e-8
     with pytest.raises(DomainError):
         qt.fraenkel_s(0.3, 2)
+    # a sign is the integer +1 or -1: not a bool, a float or 0
+    for bad in (True, 1.0, 0):
+        with pytest.raises(DomainError):
+            qt.fraenkel_s(0.3, bad)
     with pytest.raises(DomainError):
         qt.fraenkel_s(0.0, 1)
 
@@ -216,11 +220,3 @@ def test_rho_profile_increasing_in_q():
         qs = [0.02 + 0.7 * i / 30 for i in range(31)]
         vals = [(1.0 - q) * q**j / (1.0 - q ** (2 * j + 1)) for q in qs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_nome_type_validation():
-    assert qt.Nome(0.5).q == 0.5
-    with pytest.raises(DomainError):
-        qt.Nome(1.0)
-    with pytest.raises(DomainError):
-        qt.Nome(-0.1)

@@ -23,7 +23,6 @@ from .quadrature import (
     integrate_singular,
 )
 from .elliptic import (
-    PModulus,
     SnpValue,
     jordan_margins,
     kp,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "PModulus",
     "SnpValue",
     "kp",
     "kp_quadrature",
@@ -134,13 +133,6 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     """
     ratio = _pow_ratio(e, p)
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
-
-
-def _one_minus_mupsp(log_s: np.ndarray, p: float, mu: float) -> np.ndarray:
-    """1 - mu**p * s**p from log(s), accurate when the product is near 1."""
-    if mu == 0.0:
-        return np.ones_like(log_s)
-    return -np.expm1(p * (math.log(mu) + log_s))
 
 
 def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult:
@@ -286,19 +278,6 @@ def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:
 
 
 @dataclass(frozen=True)
-class PModulus:
-    """A (p, mu) pair with its complete integral computed at construction."""
-
-    p: float
-    mu: float
-    kp_cached: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        # kp checks (p, mu) before it computes anything
-        object.__setattr__(self, "kp_cached", kp(self.p, self.mu))
-
-
-@dataclass(frozen=True)
 class SnpValue:
     """A single sn_p evaluation: input y, value, and the index of the
     4 K_p period that y fell into during range reduction."""
@@ -348,14 +327,21 @@ class _SnpEngine:
 
     # -- integrand pieces -------------------------------------------------
 
-    def _G(self, v: np.ndarray) -> np.ndarray:
-        """w_p'(v) = (1 - v**p)**(-1/p) (1 - mu**p v**p)**(-1/p), v in [0, 1)."""
+    def _AB(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) = (1 - s**p, 1 - mu**p s**p), both formed from log(s) so
+        they stay accurate when s**p or mu**p s**p is near 1."""
         p = self.p
         with np.errstate(divide="ignore"):
-            log_v = np.log(v)
-        one = -np.expm1(p * log_v)
-        other = _one_minus_mupsp(log_v, p, self.mu)
-        return (one * other) ** (-1.0 / p)
+            log_s = np.log(s)
+        A = -np.expm1(p * log_s)
+        if self.mu == 0.0:
+            return A, np.ones_like(log_s)
+        return A, -np.expm1(p * (math.log(self.mu) + log_s))
+
+    def _G(self, v: np.ndarray) -> np.ndarray:
+        """w_p'(v) = (1 - v**p)**(-1/p) (1 - mu**p v**p)**(-1/p), v in [0, 1)."""
+        A, B = self._AB(v)
+        return (A * B) ** (-1.0 / self.p)
 
     def wp_many(self, z: np.ndarray) -> np.ndarray:
         """w_p at each z in [0, 1], vectorized, from the engine's approximant:
@@ -526,22 +512,16 @@ class _SnpEngine:
 
     def deriv(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
         """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K."""
-        p = self.p
-        with np.errstate(divide="ignore"):
-            log_s = np.log(s)
-        A = -np.expm1(p * log_s)
-        B = _one_minus_mupsp(log_s, p, self.mu)
+        A, B = self._AB(s)
         dsign = np.where((quarter == 0) | (quarter == 3), 1.0, -1.0)
-        return dsign * (A * B) ** (1.0 / p)
+        return dsign * (A * B) ** (1.0 / self.p)
 
     def second(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
         """sn_p'' from s = |sn_p(y)| and the quarter of y mod 4K; the
         chain-rule value below is the one on the rising quarter."""
         p = self.p
+        A, B = self._AB(s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_s = np.log(s)
-            A = -np.expm1(p * log_s)
-            B = _one_minus_mupsp(log_s, p, self.mu)
             h = -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self._mup * A)
         return np.where(quarter <= 1, h, -h)
 

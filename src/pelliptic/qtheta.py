@@ -8,16 +8,21 @@ Lambert-type sum, and the solver for the distinguished nome q0 at which
 (1 - q) * sum_{n>=1} q^n/(1-q^{2n+1}) equals 1.  The modulus mu0
 associated to q0 lies within 1e-7 of 1.
 
-All series stop once the next term falls below 1e-16 relative to the
-running sum.  Arguments with q > 0.99 are rejected outright: every
-quantity of interest here lives well inside the fast-convergence zone,
-and a slowly converged answer near q = 1 would be quietly wrong.
+The series stop by two rules.  The theta series stop at the first term
+below an absolute 1e-16; the Lambert-type series stop at the first term
+below 1e-16 * (1 + running sum).  Arguments with q > 0.99 are rejected
+outright: every quantity of interest here lives well inside the
+fast-convergence zone, and a slowly converged answer near q = 1 would
+be quietly wrong.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,6 +82,30 @@ def agm_jacobi_sn(y: float, mu: float) -> float:
     return math.sin(phi)
 
 
+def _theta_sums(q: float) -> tuple[float, float, float, int]:
+    """(theta2, theta3, theta4, m) from one pass over q**(m*m/4), m = 1, 2, ...
+
+    Odd m give the theta2 terms q^((n+1/2)^2), even m the theta3 terms
+    q^(n^2), which signed (-1)^n are the theta4 terms.  The exponents are
+    exact in binary and the terms fall with m, so stopping at the first
+    term below 1e-16 (the returned m) cuts each series where summing it
+    alone would.
+    """
+    odd, even, signed = [], [0.5], [0.5]
+    m = 1
+    while True:
+        term = q ** (m * m / 4)
+        if term < 1e-16:
+            break
+        if m % 2:
+            odd.append(term)
+        else:
+            even.append(term)
+            signed.append(-term if m % 4 == 2 else term)
+        m += 1
+    return 2.0 * math.fsum(odd), 2.0 * math.fsum(even), 2.0 * math.fsum(signed), m
+
+
 def theta_constants(q: float) -> ThetaConstants:
     """Theta constants theta2 = 2 sum q^((n+1/2)^2), theta3 = 1 + 2 sum q^(n^2).
 
@@ -85,39 +114,8 @@ def theta_constants(q: float) -> ThetaConstants:
     _check_interval("q", q, 0.0, _Q_MAX, "[]")
     if q == 0.0:
         return ThetaConstants(q=q, theta2=0.0, theta3=1.0, terms_used=0)
-    t2_terms = []
-    n = 0
-    while True:
-        term = q ** ((n + 0.5) ** 2)
-        if term < 1e-16:
-            break
-        t2_terms.append(term)
-        n += 1
-    n2 = n
-    t3_terms = [0.5]
-    n = 1
-    while True:
-        term = q ** (n * n)
-        if term < 1e-16:
-            break
-        t3_terms.append(term)
-        n += 1
-    theta2 = 2.0 * math.fsum(t2_terms)
-    theta3 = 2.0 * math.fsum(t3_terms)
-    return ThetaConstants(q=q, theta2=theta2, theta3=theta3, terms_used=max(n2, n))
-
-
-def _theta4(q: float) -> float:
-    """theta4 = 1 + 2 sum (-1)^n q^(n^2); used by the complement branch."""
-    terms = [0.5]
-    n = 1
-    while True:
-        term = q ** (n * n)
-        if term < 1e-16:
-            break
-        terms.append(term if n % 2 == 0 else -term)
-        n += 1
-    return 2.0 * math.fsum(terms)
+    theta2, theta3, _, m = _theta_sums(q)
+    return ThetaConstants(q=q, theta2=theta2, theta3=theta3, terms_used=(m + 1) // 2)
 
 
 def modulus_from_nome(q: float) -> float:
@@ -129,12 +127,12 @@ def modulus_from_nome(q: float) -> float:
     is of the order of the double-precision spacing; if even that rounds
     to 1, the largest representable modulus below 1 is returned.
     """
-    tc = theta_constants(q)
-    r = tc.theta2 / tc.theta3
+    _check_interval("q", q, 0.0, _Q_MAX, "[]")
+    t2, t3, t4, _ = _theta_sums(q)
+    r = t2 / t3
     if r < 0.95:
         return r * r
-    t4 = _theta4(q)
-    t22, t32 = tc.theta2**2, tc.theta3**2
+    t22, t32 = t2**2, t3**2
     comp = t4**4 / (t32 * (t32 + t22))
     m = 1.0 - comp
     if m >= 1.0:
@@ -156,42 +154,40 @@ def nome_from_modulus(mu: float) -> float:
             f"modulus {mu} is too close to 1: the nome map saturates in "
             "double precision before reaching it"
         )
-    if mu == 0.0:
-        return 0.0
     return bracketed_root(lambda q: modulus_from_nome(q) - mu, 0.0, 0.98, tol=1e-13)
+
+
+def _powers(x: float, start: float = 1.0) -> Iterator[float]:
+    """start * x, start * x^2, ... by repeated multiplication."""
+    while True:
+        start *= x
+        yield start
+
+
+def _lambert_sum(terms: Iterable[float]) -> float:
+    """fsum of the positive terms up to the first below 1e-16 * (1 + running sum)."""
+    kept = []
+    partial = 0.0
+    for term in terms:
+        if term < 1e-16 * (1.0 + partial):
+            break
+        kept.append(term)
+        partial += term
+    return math.fsum(kept)
 
 
 def lambert_L(beta: float) -> float:
     """Lambert series L(beta) = sum_{n>=1} beta^n / (1 - beta^n)."""
     _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
-    terms = []
-    partial = 0.0
-    bn = 1.0
-    while True:
-        bn *= beta
-        term = bn / (1.0 - bn)
-        if term < 1e-16 * (1.0 + partial):
-            break
-        terms.append(term)
-        partial += term
-    return math.fsum(terms)
+    return _lambert_sum(bn / (1.0 - bn) for bn in _powers(beta))
 
 
 def q_digamma(q: float, x: float) -> float:
     """q-digamma psi_q(x) = -log(1-q) + log(q) sum_{n>=1} q^(n x)/(1-q^n)."""
     _check_interval("q", q, 0.0, _Q_MAX, "(]")
     _check_interval("x", x, 0.0, math.inf, "()")
-    terms = []
-    partial = 0.0
-    n = 1
-    while True:
-        term = q ** (n * x) / (1.0 - q**n)
-        if term < 1e-16 * (1.0 + partial):
-            break
-        terms.append(term)
-        partial += term
-        n += 1
-    return -math.log1p(-q) + math.log(q) * math.fsum(terms)
+    series = _lambert_sum(q ** (n * x) / (1.0 - q**n) for n in itertools.count(1))
+    return -math.log1p(-q) + math.log(q) * series
 
 
 def lambert_via_digamma(beta: float) -> float:
@@ -207,20 +203,9 @@ def odd_lambert_sum(q: float) -> float:
     L(q^2))/sqrt(q) - 1/(1-q), which :func:`_sharp_equation` uses.
     """
     _check_interval("q", q, 0.0, _Q_MAX, "(]")
-    terms = []
-    partial = 0.0
-    qn = 1.0
-    q2n1 = q
-    q2 = q * q
-    while True:
-        qn *= q
-        q2n1 *= q2
-        term = qn / (1.0 - q2n1)
-        if term < 1e-16 * (1.0 + partial):
-            break
-        terms.append(term)
-        partial += term
-    return math.fsum(terms)
+    return _lambert_sum(
+        qn / (1.0 - q2n1) for qn, q2n1 in zip(_powers(q), _powers(q * q, q))
+    )
 
 
 def _sharp_equation(q: float) -> float:
@@ -244,20 +229,14 @@ def solve_q0(tol: float) -> float:
     return bracketed_root(_sharp_equation, 0.5, 0.95, tol=tol)
 
 
-_mu0_cache: dict = {}
-
-
+@functools.cache
 def mu0() -> float:
     """The modulus whose nome solves the sharp equation; cached.
 
     Lies within 1e-7 of 1 (in double precision, within a few spacing
-    units of 1) while remaining strictly below it.  The cache is
-    write-once: concurrent first calls compute the same deterministic
-    value, so the race is benign.
+    units of 1) while remaining strictly below it.
     """
-    if "mu0" not in _mu0_cache:
-        _mu0_cache["mu0"] = modulus_from_nome(solve_q0(1e-12))
-    return _mu0_cache["mu0"]
+    return modulus_from_nome(solve_q0(1e-12))
 
 
 def fraenkel_s(q: float, sign: int) -> float:

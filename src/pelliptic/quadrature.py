@@ -30,7 +30,6 @@ order, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -221,13 +220,8 @@ def _as_batch(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
     def call(arr: np.ndarray, comp: np.ndarray) -> np.ndarray:
         try:
-            with warnings.catch_warnings():
-                # size-1 arrays squeeze through scalar-only callables with a
-                # deprecation warning instead of a TypeError; route them to
-                # the loop as well
-                warnings.simplefilter("error", DeprecationWarning)
-                out = np.asarray(fn(arr, comp), dtype=float)
-        except (TypeError, ValueError, DeprecationWarning):
+            out = np.asarray(fn(arr, comp), dtype=float)
+        except (TypeError, ValueError):
             out = np.array([float(fn(x, c)) for x, c in zip(arr, comp)])
         if out.shape != arr.shape:
             out = np.array([float(fn(x, c)) for x, c in zip(arr, comp)])

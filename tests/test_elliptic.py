@@ -486,20 +486,6 @@ def test_second_deriv_locally_l1_identity():
     assert abs(total - (edge + abs(el.snp_deriv(p, mu, K + eps)))) < 1e-7
 
 
-def test_pmodulus_eager_cache():
-    pm = el.PModulus(2.0, 0.5)
-    assert pm.kp_cached == el.kp(2.0, 0.5)
-    assert pm.kp_cached >= math.pi / (2.0 * math.sin(math.pi / 2.0)) - 1e-12
-    assert el.PModulus(3.0, 0.6).kp_cached == el.kp(3.0, 0.6)
-    # K_p is always computed; a caller cannot supply its own value
-    with pytest.raises(TypeError):
-        el.PModulus(3.0, 0.6, kp_cached=5.0)
-    with pytest.raises(DomainError):
-        el.PModulus(0.9, 0.5)
-    with pytest.raises(DomainError):
-        el.PModulus(2.0, 1.0)
-
-
 def test_snp_rejects_bad_domain():
     entry_points = [
         el.snp,

@@ -1,7 +1,10 @@
 """Tests for theta constants, nome maps, Lambert series and q0."""
 
 import math
+import random
 
+import mpmath
+import numpy as np
 import pytest
 
 import pelliptic.elliptic as el
@@ -72,6 +75,25 @@ def test_modulus_from_nome_endpoints_and_growth():
     assert all(a < b for a, b in zip(vals, vals[1:]))
     # saturation zone still reports a modulus strictly below 1
     assert qt.modulus_from_nome(0.9) < 1.0
+
+
+def test_theta_constants_and_modulus_match_mpmath():
+    # 40-digit oracle at seeded nomes and q0.  Where theta2/theta3 >= 0.95
+    # the modulus comes from the theta4 complement; plain r^2 is over 4 ulp
+    # off there on this grid, so the 1 ulp bound holds only on that route.
+    rng = random.Random(0)
+    qs = [0.98 * (1.0 - rng.random()) for _ in range(400)] + [qt.solve_q0(1e-12)]
+    with mpmath.workdps(40):
+        for q in qs:
+            tc = qt.theta_constants(q)
+            t2, t3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
+            assert abs(tc.theta2 - t2) <= 1e-15 * t2
+            assert abs(tc.theta3 - t3) <= 1e-15 * t3
+            mu = (t2 / t3) ** 2
+            if float(mu) == 1.0:
+                continue  # nextafter(1, 0) is returned there by design
+            ulps = abs(qt.modulus_from_nome(q) - mu) / np.spacing(float(mu))
+            assert ulps <= (8.0 if tc.theta2 / tc.theta3 < 0.95 else 1.0), q
 
 
 def test_modulus_at_q0_nearly_one():

@@ -12,6 +12,7 @@ from pelliptic.quadrature import (
     QuadratureResult,
     SingularIntegrand,
     _tanh_sinh,
+    _ts_levels,
     bracketed_root,
     integrate_singular,
 )
@@ -116,6 +117,12 @@ def test_scalar_only_smooth_part_fallback():
     f = SingularIntegrand(smooth_part=lambda s, cs: math.exp(-s))
     r = integrate_singular(f, tol=1e-11)
     assert abs(r.value - (1.0 - math.exp(-1.0))) <= 1e-11
+
+
+def test_every_level_holds_several_nodes():
+    # the scalar-only fallback relies on this: a size-1 node array would be
+    # converted to a float by a scalar callable instead of raising TypeError
+    assert all(L.x.size > 1 for L in _ts_levels())
 
 
 def test_complement_argument_is_exact_near_one():

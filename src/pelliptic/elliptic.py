@@ -159,8 +159,9 @@ def _kp_rows(p, mu) -> np.ndarray:
 
     The rows run the integrand and stop test of ``kp_quadrature(p[i],
     mu[i])`` at ``_KP_TOL`` as one driver call, with the right exponent
-    1 - 1/p as a per-row column.  If any row fails to converge (p near 1),
-    every pair goes through scalar :func:`kp` and its series fallback.
+    1 - 1/p as a per-row column.  A row that fails to converge (p near 1)
+    drops out of the batch and goes through scalar :func:`kp` and its
+    series fallback; the other rows finish in the batch.
     """
     p = [float(v) for v in p]
     mu = [float(v) for v in mu]
@@ -168,15 +169,16 @@ def _kp_rows(p, mu) -> np.ndarray:
         _validate_pmu(a, b)
     p_col = np.array(p)[:, None]
     eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
-    try:
-        return _tanh_sinh(
-            lambda lev, x, cx: _tail_factor(cx, p_col, eps, mup),
-            1.0,
-            1.0 - 1.0 / p_col,
-            _KP_TOL,
-        )[0]
-    except NonConvergence:
-        return np.array([kp(a, b) for a, b in zip(p, mu)])
+    value = _tanh_sinh(
+        lambda lev, x, cx, rows: _tail_factor(cx, p_col[rows], eps[rows], mup[rows]),
+        1.0,
+        1.0 - 1.0 / p_col,
+        _KP_TOL,
+        partial=True,
+    )[0]
+    for i in np.flatnonzero(np.isnan(value)):
+        value[i] = kp(p[i], mu[i])
+    return value
 
 
 def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
@@ -314,7 +316,19 @@ class _SnpEngine:
     inverse flattens out.
     """
 
-    __slots__ = ("p", "mu", "K", "_mup", "_series", "_panels", "_table")
+    __slots__ = (
+        "p",
+        "mu",
+        "K",
+        "_mup",
+        "_series",
+        "_panels",
+        "_table",
+        "_neg_inv_p",
+        "_tail_pow",
+        "_v_pow",
+        "_log_mu",
+    )
 
     def __init__(self, p: float, mu: float):
         self.p = p
@@ -324,61 +338,74 @@ class _SnpEngine:
         self._series = _direct_series(p, self._mup)
         self._panels = None
         self._table = None
+        # powers and logs that every Newton pass uses
+        self._neg_inv_p = -1.0 / p
+        self._tail_pow = 1.0 - 1.0 / p  # of the tail variable v = (1-z)**(1-1/p)
+        self._v_pow = p / (p - 1.0)  # z = 1 - v**(p/(p-1))
+        self._log_mu = math.log(mu) if mu > 0.0 else None
 
     # -- integrand pieces -------------------------------------------------
 
     def _AB(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) = (1 - s**p, 1 - mu**p s**p), both formed from log(s) so
-        they stay accurate when s**p or mu**p s**p is near 1."""
+        they stay accurate when s**p or mu**p s**p is near 1.  At s = 0
+        log(s) divides by zero: callers ignore that in np.errstate."""
         p = self.p
-        with np.errstate(divide="ignore"):
-            log_s = np.log(s)
+        log_s = np.log(s)
         A = -np.expm1(p * log_s)
-        if self.mu == 0.0:
+        if self._log_mu is None:
             return A, np.ones_like(log_s)
-        return A, -np.expm1(p * (math.log(self.mu) + log_s))
+        return A, -np.expm1(p * (self._log_mu + log_s))
 
     def _G(self, v: np.ndarray) -> np.ndarray:
         """w_p'(v) = (1 - v**p)**(-1/p) (1 - mu**p v**p)**(-1/p), v in [0, 1)."""
         A, B = self._AB(v)
-        return (A * B) ** (-1.0 / self.p)
+        return (A * B) ** self._neg_inv_p
 
     def wp_many(self, z: np.ndarray) -> np.ndarray:
         """w_p at each z in [0, 1], vectorized, from the engine's approximant:
         the series up to z = 0.6, the tail panels above."""
         z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
         lo = z <= 0.6
-        if np.any(lo):
-            out[lo] = self._direct(z[lo])
-        if np.any(~lo):
-            out[~lo] = self._tail(1.0 - z[~lo])
+        if lo.all():
+            return self._direct(z)
+        if not lo.any():
+            return self._tail(1.0 - z)
+        out = np.empty_like(z)
+        out[lo] = self._direct(z[lo])
+        out[~lo] = self._tail(1.0 - z[~lo])
         return out
 
     def _direct(self, z: np.ndarray) -> np.ndarray:
         """z * sum_N c_N x**N with x = z**p, one row of powers per point."""
         c = self._series
-        x = np.broadcast_to((z**self.p)[:, None], (z.size, c.size - 1))
-        terms = np.cumprod(x, axis=1)
+        terms = np.empty((z.size, c.size - 1))
+        terms[:] = (z**self.p)[:, None]
+        np.cumprod(terms, axis=1, out=terms)
         terms *= c[1:]
-        return z * (c[0] + np.sum(terms, axis=-1))
+        return z * (c[0] + terms.sum(axis=-1))
 
     def _tail(self, e: np.ndarray) -> np.ndarray:
         """K - e**(1-1/p) H(e) at e = 1 - z, with H summed from its panel's
         Chebyshev coefficients as c_0 + sum_k c_k cos(k theta), theta the
         arccos of e mapped onto [-1, 1]."""
-        edges, coef = self._tail_panels()
-        i = np.clip(np.searchsorted(edges, e, side="right") - 1, 0, edges.size - 2)
+        edges, coef, k = self._tail_panels()
+        # np.minimum and np.maximum, not np.clip, and the sum method, not
+        # np.sum: once per Newton pass, the wrappers cost more than the work
+        i = np.searchsorted(edges, e, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), edges.size - 2)
         a, b = edges[i], edges[i + 1]
-        theta = np.arccos(np.clip((2.0 * e - a - b) / (b - a), -1.0, 1.0))
-        terms = np.cos(theta[:, None] * np.arange(1, coef.shape[1]))
+        x = np.minimum(np.maximum((2.0 * e - a - b) / (b - a), -1.0), 1.0)
+        terms = np.cos(np.arccos(x)[:, None] * k)
         terms *= coef[i, 1:]
-        H = coef[i, 0] + np.sum(terms, axis=-1)
-        return self.K - e ** (1.0 - 1.0 / self.p) * H
+        H = coef[i, 0] + terms.sum(axis=-1)
+        return self.K - e**self._tail_pow * H
 
     def _tail_panels(self):
-        """(edges, coef): the panel edges in e = 1 - z and, one row per
-        panel, the Chebyshev coefficients of H, chopped below 2 eps |c_0|."""
+        """(edges, coef, k): the panel edges in e = 1 - z, one row per
+        panel of the Chebyshev coefficients of H, chopped below
+        2 eps |c_0|, and the indices 1, 2, ... of the coefficients after
+        c_0."""
         if self._panels is None:
             p, mu = self.p, self.mu
             # distance from e = 0 to the nearest singularity of H: -(1-mu)/mu,
@@ -396,8 +423,8 @@ class _SnpEngine:
 
             eps, mup = _eps_mup(p, mu)
 
-            def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-                return _tail_factor(np.multiply.outer(e, u), p, eps, mup)
+            def F(lev: int, u: np.ndarray, cu: np.ndarray, rows) -> np.ndarray:
+                return _tail_factor(np.multiply.outer(e[rows], u), p, eps, mup)
 
             try:
                 H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 5e-14)[0]
@@ -413,7 +440,7 @@ class _SnpEngine:
             coef[:, 0] += H0[:, 0]
             coef[np.abs(coef) < 2.0 * _EPS * np.abs(coef[:, :1])] = 0.0
             n = np.nonzero(np.any(coef != 0.0, axis=0))[0][-1] + 1
-            self._panels = (edges, coef[:, :n])
+            self._panels = (edges, coef[:, :n], np.arange(1, n))
         return self._panels
 
     # -- inversion ---------------------------------------------------------
@@ -430,9 +457,9 @@ class _SnpEngine:
         """
         if self._table is None:
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)
-            z = 1.0 - v ** (self.p / (self.p - 1.0))
+            z = 1.0 - v**self._v_pow
             z = np.sort(np.concatenate((z, 1.0 - self._tail_panels()[0][1:])))
-            v = (1.0 - z) ** (1.0 - 1.0 / self.p)
+            v = (1.0 - z) ** self._tail_pow
             w = np.concatenate(([0.0], self.wp_many(z[1:-1]), [self.K]))
             self._table = (v, z, w)
         return self._table
@@ -450,39 +477,41 @@ class _SnpEngine:
         """
         t = np.asarray(t, dtype=float)
         v_tab, z_tab, w_tab = self._brackets()
-        j = np.clip(np.searchsorted(w_tab, t, side="right") - 1, 0, w_tab.size - 2)
+        j = np.searchsorted(w_tab, t, side="right") - 1
+        j = np.minimum(np.maximum(j, 0), w_tab.size - 2)
         z_lo, z_hi = z_tab[j], z_tab[j + 1]
         # for p near 1 the last nodes round to z = 1, so an edge t can land
         # in an empty interval; its start is overwritten below
         with np.errstate(invalid="ignore"):
             frac = np.clip((t - w_tab[j]) / (w_tab[j + 1] - w_tab[j]), 0.0, 1.0)
         v = v_tab[j] + frac * (v_tab[j + 1] - v_tab[j])
-        z = np.clip(1.0 - v ** (self.p / (self.p - 1.0)), z_lo, z_hi)
+        z = np.clip(1.0 - v**self._v_pow, z_lo, z_hi)
         # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
-        at_edge = (t <= 0.0) | (t >= self.K)
-        z[t <= 0.0] = 0.0
-        z[t >= self.K] = 1.0
-        active = ~at_edge
-        for _ in range(80):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                return z
-            za = z[idx]
-            f = self.wp_many(za) - t[idx]
-            lo_upd = f < 0.0
-            z_lo[idx[lo_upd]] = za[lo_upd]
-            z_hi[idx[~lo_upd]] = za[~lo_upd]
-            lo, hi = z_lo[idx], z_hi[idx]
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        low, high = t <= 0.0, t >= self.K
+        z[low] = 0.0
+        z[high] = 1.0
+        # the live points, compacted as they converge: index into t, iterate,
+        # target and bracket
+        idx = np.flatnonzero(~(low | high))
+        za, ta, lo, hi = z[idx], t[idx], z_lo[idx], z_hi[idx]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for _ in range(80):
+                if idx.size == 0:
+                    return z
+                f = self.wp_many(za) - ta
+                below = f < 0.0
+                lo = np.where(below, za, lo)
+                hi = np.where(below, hi, za)
                 step = f / self._G(za)
                 z_new = za - step
-            done = np.abs(step) <= 5e-15
-            z_new[done] = np.clip(z_new[done], lo[done], hi[done])
-            bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
-            z_new[bad] = 0.5 * (lo[bad] + hi[bad])
-            done |= hi - lo <= 1e-14
-            z[idx] = z_new
-            active[idx[done]] = False
+                done = np.abs(step) <= 5e-15
+                z_new = np.where(done, np.minimum(np.maximum(z_new, lo), hi), z_new)
+                bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
+                z_new = np.where(bad, 0.5 * (lo + hi), z_new)
+                done |= hi - lo <= 1e-14
+                z[idx[done]] = z_new[done]
+                live = ~done
+                idx, za, ta, lo, hi = (a[live] for a in (idx, z_new, ta, lo, hi))
         raise NonConvergence(
             f"sn_p inversion stalled for p={self.p}, mu={self.mu}"
         )
@@ -512,7 +541,8 @@ class _SnpEngine:
 
     def deriv(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
         """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K."""
-        A, B = self._AB(s)
+        with np.errstate(divide="ignore"):
+            A, B = self._AB(s)
         dsign = np.where((quarter == 0) | (quarter == 3), 1.0, -1.0)
         return dsign * (A * B) ** (1.0 / self.p)
 
@@ -520,8 +550,8 @@ class _SnpEngine:
         """sn_p'' from s = |sn_p(y)| and the quarter of y mod 4K; the
         chain-rule value below is the one on the rising quarter."""
         p = self.p
-        A, B = self._AB(s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            A, B = self._AB(s)
             h = -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self._mup * A)
         return np.where(quarter <= 1, h, -h)
 

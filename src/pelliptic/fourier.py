@@ -16,8 +16,9 @@ nodes.  A cold profile fills its first six levels, which nearly every
 integral here needs, with one sn_p call over all their nodes: a call costs
 mostly numpy overhead at a few hundred points.  Any set of indices k is
 one call of the routine, one row per k: every row multiplies the same
-cached sn_p values by its own sine factors and stops at its own level, so
-a coefficient does not depend on which other k were asked for with it.
+cached sn_p values by its own sine factors and stops at its own level,
+after which the routine no longer evaluates it, so a coefficient does not
+depend on which other k were asked for with it.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -90,19 +91,20 @@ def _split_integral(p: float, mu: float, g, tol: float):
     """int_0^1 f(x) dx for an integrand built on s(x) = sn_p(2 K_p x, mu),
     split at x = 1/2 and mapped to u in [0, 1].
 
-    ``g(a, b, u)`` returns f(u/2) + f((1+u)/2) given a = sn_p(K u) and
-    b = sn_p(K (1 + u)), with shape (n,) or (rows, n).  Both are read from
-    the profile cache.  The driver visits levels in order, so a level
-    missing from the cache is the next one: it is inverted in one sn_p call
-    together with every later level up to _FILL_LEVEL, and the values are
-    appended one cache entry per level.  The inversion treats each point on
+    ``g(a, b, u, rows)`` returns f(u/2) + f((1+u)/2) given a = sn_p(K u)
+    and b = sn_p(K (1 + u)), with shape (n,) or, for the driver's live
+    ``rows`` only, (live rows, n).  a and b are read from the profile
+    cache.  The driver visits levels in order, so a level missing from the
+    cache is the next one: it is inverted in one sn_p call together with
+    every later level up to _FILL_LEVEL, and the values are appended one
+    cache entry per level.  The inversion treats each point on
     its own, so the values do not depend on how the levels were grouped.
     """
     p, mu = float(p), float(mu)
     levels = _profile(p, mu)
     K = kp(p, mu)
 
-    def F(lev: int, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+    def F(lev: int, u: np.ndarray, cu: np.ndarray, rows) -> np.ndarray:
         if lev == len(levels):
             us = [u] + [L.x for L in _ts_levels()[lev + 1 : _FILL_LEVEL + 1]]
             x = np.concatenate(us)
@@ -110,7 +112,7 @@ def _split_integral(p: float, mu: float, g, tol: float):
             cuts = np.cumsum([w.size for w in us])[:-1]
             a, b = np.split(v[: x.size], cuts), np.split(v[x.size :], cuts)
             levels.extend(zip(a, b))
-        return g(*levels[lev], u)
+        return g(*levels[lev], u, rows)
 
     return 0.5 * _tanh_sinh(F, 1.0, 1.0, tol)[0]
 
@@ -133,8 +135,9 @@ def tau_k(p: float, mu: float, k):
         raise DomainError(f"k must be a positive integer or a 1-D run of them, got {k!r}")
     kh = (0.5 * ks * math.pi)[:, None]
 
-    def g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return a * np.sin(kh * u) + b * np.sin(kh * (1.0 + u))
+    def g(a: np.ndarray, b: np.ndarray, u: np.ndarray, rows) -> np.ndarray:
+        kr = kh[rows]
+        return a * np.sin(kr * u) + b * np.sin(kr * (1.0 + u))
 
     taus = math.sqrt(2.0) * _split_integral(p, mu, g, _TAU_TOL)
     return float(taus[0]) if scalar else taus
@@ -168,7 +171,7 @@ def _sn_l2(p: float, mu: float) -> float:
     for p > 2.
     """
     _validate_pmu(p, mu)
-    return float(_split_integral(p, mu, lambda a, b, u: a**2 + b**2, 1e-12))
+    return float(_split_integral(p, mu, lambda a, b, u, rows: a**2 + b**2, 1e-12))
 
 
 def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:

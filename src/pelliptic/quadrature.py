@@ -7,14 +7,17 @@ turns the trapezoid rule in t into a geometrically convergent scheme even when
 the integrand blows up at an endpoint.
 
 One batched routine runs the level loop for every integral in the package:
-the generic :func:`integrate_singular` here, and the w_p, tau_k and profile
-norm integrals elsewhere.  It halves the step level by level and evaluates
-the caller's smooth factor once per level on that level's new nodes, for
-one integrand or a batch of rows at once.  From level 2 on, a row stops
-when the running minimum of the differences between successive levels,
-plus a truncation allowance taken from the outermost node pair, drops to
-``tol * max(1, |value|)``; that sum is the row's error estimate, floored
-at the spacing of the value.
+the generic :func:`integrate_singular` here, and the K_p rows, the w_p
+tail panels, tau_k and profile norm integrals elsewhere.  It halves the
+step level by level and evaluates the caller's smooth factor once per
+level on that level's new nodes, for one integrand or a batch of rows at
+once.  From level 2 on, a row stops when the running minimum of the
+differences between successive levels, plus a truncation allowance taken
+from the outermost node pair, drops to ``tol * max(1, |value|)``; that
+sum is the row's error estimate, floored at the spacing of the value.  A
+stopped row drops out: the smooth factor is asked, level by level, only
+for the rows still live, so a batch evaluates each row through its own
+stop level and no further, as if it ran alone.
 
 Endpoint distances are taken directly from the transform: 1-s is formed from
 exponentials, never by subtracting s from 1, so the endpoint power factors
@@ -149,23 +152,31 @@ def _ts_levels() -> Sequence[_Level]:
     return _LEVELS
 
 
-def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
+def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = False):
     """Integrate F * x**(ea-1) * (1-x)**(eb-1) over [0, 1], row by row.
 
-    ``F(lev, x, cx)`` receives the nodes of refinement level ``lev`` and
-    their exact complements and returns shape ``(n,)`` or ``(rows, n)``;
-    ``eb`` may be a ``(rows, 1)`` column, one right exponent per row.
+    ``F(lev, x, cx, rows)`` receives the nodes of refinement level ``lev``,
+    their exact complements and the rows still live, and returns its
+    factor on those rows only: shape ``(n,)`` for a single integrand,
+    which ignores ``rows``, or ``(live rows, n)``.  ``rows`` is
+    ``slice(None)`` while every row is live, then an increasing index
+    array into the rows F returned at level 0; ``eb`` may be a
+    ``(rows, 1)`` column, one right exponent per row.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
-    of the outermost node pair is at most ``tol * max(1, |value|)``, and
-    keeps that level's value, so its result does not depend, to the last
-    bit, on the other rows or on how many there are.  The relative part of
-    the test keeps it above the rounding noise of large values, such as
-    K_p near mu = 1.  :class:`NonConvergence` is raised when the levels
-    run out, or at level 2 if a row's truncation allowance alone exceeds
-    twice its target, which no refinement can mend.  Returns (value,
-    abs_error_estimate, nodes_used); the estimate is floored at the spacing
-    of the value.
+    of the outermost node pair is at most ``tol * max(1, |value|)``, keeps
+    that level's value and estimate, and drops out: F is not asked for it
+    again.  A row therefore does not depend, to the last bit, on the other
+    rows or on how many there are.  The relative part of the test keeps it
+    above the rounding noise of large values, such as K_p near mu = 1.
+    A row fails when the levels run out, or at level 2 if its truncation
+    allowance alone exceeds twice its target, which no refinement can
+    mend.  The first failure raises :class:`NonConvergence`; with
+    ``partial`` the failed row drops out with NaN as value and estimate
+    and the other rows finish.  Returns (value, abs_error_estimate,
+    nodes_used), where nodes_used counts the nodes of each level visited
+    once, whatever the number of rows; the estimate is floored at the
+    spacing of the value.
     """
     if np.ndim(eb):
         # one power per distinct exponent, taken with a float exponent as a
@@ -173,45 +184,60 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
         # a scalar exponent that it does not apply to every element of a
         # broadcast column
         eb_vals, eb_row = np.unique(np.ravel(eb), return_inverse=True)
-        right = lambda cx: np.stack([cx ** float(v) for v in eb_vals])[eb_row]
+        powers = lambda cx: np.stack([cx ** float(v) for v in eb_vals])
+        right = lambda cx, rows: powers(cx)[eb_row[rows]]
     else:
-        right = lambda cx: cx**eb
+        right = lambda cx, rows: cx**eb
     nodes = 0
+    rows = slice(None)
     with np.errstate(divide="ignore"):
         for lev, L in enumerate(_ts_levels()):
-            terms = F(lev, L.x, L.cx) * (L.picosh * L.x**ea * right(L.cx))
+            terms = F(lev, L.x, L.cx, rows) * (L.picosh * L.x**ea * right(L.cx, rows))
             nodes += L.x.size
             if lev == 0:
+                # the live rows' state, compacted as rows stop; results are
+                # written to the rows' places in out and err
+                shape = terms.shape[:-1]
+                idx = np.arange(math.prod(shape))
+                out = np.full(idx.size, np.nan)
+                err = np.full(idx.size, np.nan)
                 # one column per level: each row sums its own levels, in
                 # the same order as a row computed alone
-                sums = np.zeros(terms.shape[:-1] + (_MAX_LEVEL + 1,))
-            sums[..., lev] = np.sum(terms, axis=-1)
-            value = (_H0 / 2.0**lev) * np.sum(sums[..., : lev + 1], axis=-1)
-            if lev == 0:
+                sums = np.zeros((idx.size, _MAX_LEVEL + 1))
                 m = L.x.size // 2
                 trunc = np.abs(terms[..., m - 1]) + np.abs(terms[..., 2 * m - 1])
-                best = np.full_like(value, math.inf)
-                out, err = value, best
-                done = np.zeros(value.shape, dtype=bool)
-            elif lev >= _MIN_LEVEL:
+                trunc = np.reshape(trunc, -1)
+                best = np.full(idx.size, math.inf)
+            sums[:, lev] = terms.sum(axis=-1)
+            value = (_H0 / 2.0**lev) * sums[:, : lev + 1].sum(axis=-1)
+            if lev >= _MIN_LEVEL:
                 target = tol * np.maximum(1.0, np.abs(value))
                 best = np.minimum(best, np.abs(value - prev))
-                ok = best + trunc <= target
-                fresh = ok & ~done
-                out = np.where(fresh, value, out)
-                err = np.where(fresh, best + trunc, err)
-                done |= ok
-                if np.all(done):
-                    return out, np.maximum(err, np.spacing(np.abs(out))), nodes
+                est = best + trunc
+                ok = est <= target
                 # the truncation allowance is fixed at level 0, so a row it
                 # alone puts well above its target can never stop
-                if lev == _MIN_LEVEL and (trunc > 2.0 * target).any():
-                    break
+                failed = ~ok & (
+                    trunc > 2.0 * target if lev == _MIN_LEVEL else lev == _MAX_LEVEL
+                )
+                if not partial and failed.any():
+                    raise NonConvergence(
+                        f"tanh-sinh refinement stopped after {nodes} nodes with "
+                        f"error estimate {np.max(est[~ok]):.3e} above tol {tol:.3e}"
+                    )
+                out[idx[ok]] = value[ok]
+                err[idx[ok]] = est[ok]
+                live = ~(ok | failed)
+                if not live.all():
+                    if not live.any():
+                        break
+                    idx, sums, best, trunc, value = (
+                        a[live] for a in (idx, sums, best, trunc, value)
+                    )
+                    rows = idx
             prev = value
-    raise NonConvergence(
-        f"tanh-sinh refinement stopped after {nodes} nodes with error estimate "
-        f"{np.max(best[~done] + trunc[~done]):.3e} above tol {tol:.3e}"
-    )
+    err = np.maximum(err, np.spacing(np.abs(out)))
+    return out.reshape(shape), err.reshape(shape), nodes
 
 
 def _as_batch(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -257,7 +283,7 @@ def integrate_singular(f: SingularIntegrand, tol: float = 1e-12) -> QuadratureRe
     _check_interval("tol", tol, 1e-14, math.inf)
     smooth = _as_batch(f.smooth_part)
     value, err, nodes = _tanh_sinh(
-        lambda lev, x, cx: smooth(x, cx),
+        lambda lev, x, cx, rows: smooth(x, cx),
         1.0 + f.left_exponent,
         1.0 + f.right_exponent,
         tol,
@@ -303,9 +329,9 @@ def bracketed_root(
     _check_interval("hi", hi, lo, math.inf, "()")
     _check_interval("tol", tol, 0.0, math.inf, "()")
     flo = float(g(lo))
-    fhi = float(g(hi))
     if flo == 0.0:
         return lo
+    fhi = float(g(hi))
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):

@@ -259,14 +259,15 @@ def test_region_scan_monotone_prefix():
 
 def test_region_scan_large_grid_matches_kp_across_fallback(monkeypatch):
     # 96 points: the first chunk of 64 is one batched quadrature, the
-    # second holds p = 51/50, which the batch cannot converge, and goes
-    # through scalar kp point by point
+    # second holds the 24 points at p = 51/50, which the batch cannot
+    # converge; they go through scalar kp point by point, and the other
+    # 8 points of that chunk finish in the batch
     ops = [0.2, 0.4, 0.6, 50.0 / 51.0]
     mus = list(np.linspace(0.05, 0.999, 24))
     calls = _counting(monkeypatch, el, "kp")
     rows = ct.region_scan(ops, mus)
     assert len(rows) == 96
-    assert calls[0] == 32
+    assert calls[0] == 24
     for op, mu, val, inside in rows:
         assert val == el.kp(1.0 / op, mu)
         assert inside == int(val < ct.FIRSTCOND_RHS)

@@ -163,6 +163,43 @@ def test_grouped_fill_matches_per_level_fill():
                 assert np.array_equal(q(), want), (p, mu)
 
 
+def _driver_tally(monkeypatch):
+    """Wrap fourier's driver so that every F call records its level and
+    the number of integrand values it returns (live rows times nodes)."""
+    calls = []
+    drive = fr._tanh_sinh
+
+    def wrapped(F, *args, **kwargs):
+        def G(lev, x, cx, rows):
+            out = F(lev, x, cx, rows)
+            calls.append((lev, np.size(out)))
+            return out
+
+        return drive(G, *args, **kwargs)
+
+    monkeypatch.setattr(fr, "_tanh_sinh", wrapped)
+    return calls
+
+
+def test_tau_k_rows_cost_their_own_levels_only(monkeypatch):
+    # a batch of k evaluates each row through its own stop level and no
+    # further, so it costs what the rows cost one by one
+    calls = _driver_tally(monkeypatch)
+    ks = list(range(1, 22, 2))
+    batch = fr.tau_k(2.0, 0.5, ks)
+    total = sum(n for _, n in calls)
+    sizes = [L.x.size for L in quad._ts_levels()]
+    alone, stops = 0, set()
+    for k in ks:
+        calls.clear()
+        assert fr.tau_k(2.0, 0.5, k) == batch[ks.index(k)]
+        stop = calls[-1][0]
+        stops.add(stop)
+        alone += sum(sizes[: stop + 1])
+    assert len(stops) > 1
+    assert total == alone
+
+
 def test_rho_coeff_values():
     for q in (0.1, 0.5, 0.9):
         assert fr.rho_coeff(q, 0) == 1.0

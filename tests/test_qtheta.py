@@ -110,6 +110,20 @@ def test_nome_round_trips():
     assert abs(qt.nome_from_modulus(mu) - 0.5) < 1e-10
 
 
+def test_nome_of_zero_modulus_takes_one_modulus_evaluation(monkeypatch):
+    # g(0) = 0 ends the root search before g is evaluated at the upper end
+    calls = []
+    modulus_from_nome = qt.modulus_from_nome
+
+    def counted(q):
+        calls.append(q)
+        return modulus_from_nome(q)
+
+    monkeypatch.setattr(qt, "modulus_from_nome", counted)
+    assert qt.nome_from_modulus(0.0) == 0.0
+    assert calls == [0.0]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="0.996912 is a squared modulus: its own nome is 0.2848, while "

@@ -185,7 +185,7 @@ def test_truncation_above_target_raises_at_once():
     # driver stops at the first level it tests instead of the last
     levels = []
 
-    def F(lev, x, cx):
+    def F(lev, x, cx, rows):
         levels.append(lev)
         return np.ones_like(x)
 
@@ -199,16 +199,86 @@ def test_column_exponent_rows_match_rows_computed_alone():
     # levels; each keeps the exact bits it has when computed alone
     c = np.array([0.0, 0.5, 3.0, 40.0])[:, None]
     b = np.array([0.0, -0.3, -0.5, -0.8])[:, None]
-    F = lambda lev, x, cx: 1.0 / (1.0 + c * x)
+    F = lambda lev, x, cx, rows: 1.0 / (1.0 + c[rows] * x)
     value, err, _ = _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
     assert value.shape == err.shape == (4,)
     for i in range(4):
         ci, bi = float(c[i, 0]), float(b[i, 0])
-        Fi = lambda lev, x, cx: 1.0 / (1.0 + ci * x)
+        Fi = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
         v, e, _ = _tanh_sinh(Fi, 1.0, 1.0 + bi, 1e-13)
         assert value[i] == v and err[i] == e
     # the constant row: integral of (1-s)**0 = 1
     assert abs(value[0] - 1.0) < 1e-13
+
+
+def _stop_level(ci, bi):
+    """Last level the driver visits for one row 1 / (1 + ci x) computed
+    alone, with right exponent 1 + bi."""
+    levels = []
+
+    def F(lev, x, cx, rows):
+        levels.append(lev)
+        return 1.0 / (1.0 + ci * x)
+
+    _tanh_sinh(F, 1.0, 1.0 + bi, 1e-13)
+    return levels[-1]
+
+
+def test_live_rows_shrink_and_stopped_rows_never_return():
+    # F sees every row at first, then only the rows still live: a row is
+    # asked for through its own stop level and never after it
+    c = np.array([0.0, 0.5, 3.0, 40.0, 900.0])[:, None]
+    b = np.array([0.0, -0.3, -0.5, -0.8, -0.2])[:, None]
+    seen = []
+
+    def F(lev, x, cx, rows):
+        live = np.arange(c.shape[0])[rows]
+        seen.append(live)
+        return 1.0 / (1.0 + c[rows] * x)
+
+    _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
+    assert np.array_equal(seen[0], np.arange(c.shape[0]))
+    for before, after in zip(seen, seen[1:]):
+        assert np.all(np.diff(after) > 0)
+        assert set(after) <= set(before)
+    stops = [_stop_level(float(c[i, 0]), float(b[i, 0])) for i in range(c.shape[0])]
+    assert len(set(stops)) > 1
+    for i, stop in enumerate(stops):
+        visits = [lev for lev, live in enumerate(seen) if i in live]
+        assert visits == list(range(stop + 1))
+
+
+def test_partial_rows_fail_alone():
+    # the second row's right exponent leaves a truncation allowance of about
+    # 1e-10, so it fails at level 2; with partial it comes back as NaN and
+    # the first row keeps the bits it has alone
+    b = np.array([-0.3, -0.96])[:, None]
+    levels = []
+
+    def F(lev, x, cx, rows):
+        levels.append(lev)
+        return np.ones((np.arange(2)[rows].size, x.size))
+
+    value, err, nodes = _tanh_sinh(F, 1.0, 1.0 + b, 1e-13, partial=True)
+    assert np.isnan(value[1]) and np.isnan(err[1])
+    one = lambda lev, x, cx, rows: np.ones_like(x)
+    alone = _tanh_sinh(one, 1.0, 1.0 + float(b[0, 0]), 1e-13)
+    assert value[0] == alone[0] and err[0] == alone[1] and nodes == alone[2]
+    levels.clear()
+    with pytest.raises(NonConvergence):
+        _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
+    assert levels == [0, 1, 2]
+
+
+def test_root_zero_at_lo_evaluates_g_once():
+    evals = []
+
+    def g(x):
+        evals.append(x)
+        return x
+
+    assert bracketed_root(g, 0.0, 1.0, tol=1e-12) == 0.0
+    assert evals == [0.0]
 
 
 def test_root_linear():

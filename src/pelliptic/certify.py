@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _kp_rows, kp
-from .errors import DomainError, _check_int, _check_interval
+from .errors import DomainError, MaxIterations, NoSignChange
+from .errors import _check_int, _check_interval
 from .fourier import tau_k, tau_tail_bound
 from .qtheta import mu0, nome_from_modulus, odd_lambert_sum
-from .quadrature import bracketed_root
 
 __all__ = [
     "ModulusSet",
@@ -53,9 +53,13 @@ _SLACK = 1e-9
 # region_scan: at most this many grid points per batched K_p call
 _CHUNK = 64
 # firstcond_boundary: moduli of the batch that brackets the crossing,
-# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999
+# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999, and their
+# t = log(1 - mu), the variable the crossing is solved in
 _BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
 _BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
+_BOUNDARY_TS = np.log1p(-_BOUNDARY_MUS)
+# firstcond_boundary: at most this many scalar K_p evaluations
+_BOUNDARY_ITER = 60
 _KINDS = ("explicit-list", "constant", "interval-grid")
 
 
@@ -250,24 +254,74 @@ def region_csv(rows) -> str:
 def firstcond_boundary(p: float, tol: float = 1e-10) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
-    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999].  One batched K_p call
-    evaluates 16 moduli geometric in 1 - mu across that range; Brent's
-    method then runs only inside the grid interval where the sign
-    changes, taking K_p at its ends from the batch and calling scalar
-    :func:`kp` for the five or so moduli in between.  When the batch shows
-    no sign change, the root finder gets the whole range and raises its
-    no-sign-change error.
+    Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], solved in
+    t = log(1 - mu), where K_p is close to linear.  One batched K_p call
+    evaluates 16 moduli geometric in 1 - mu across the range; the grid
+    interval where the sign changes is the bracket, and inverse cubic
+    interpolation through the 4 nodes around it gives the first iterate.
+    Secant steps through the last two iterates (the first through the
+    bracket end nearer the root) follow, each point costing one scalar
+    :func:`kp` call at a modulus strictly inside the bracket, which
+    shrinks as the signs come in; a step that would leave the bracket
+    becomes a bisection.  The loop stops once a step moves mu by at most
+    ``tol``, or the bracket is that narrow, and returns that step's
+    endpoint clipped into the bracket: at the simple root the secant
+    converges superlinearly, so the result is far closer than ``tol``.
+    About three scalar calls suffice, never one at a grid modulus.
+
+    Raises
+    ------
+    DomainError
+        If ``tol`` is not positive and finite, checked before any K_p work.
+    NoSignChange
+        If the batch shows no crossing: K_p is already above the threshold
+        at 1e-6 (p below about 1.25) or still below it at 0.999 (p above
+        about 2.02).
     """
-    batch = _kp_rows([p] * _BOUNDARY_MUS.size, _BOUNDARY_MUS)
-    known = dict(zip(_BOUNDARY_MUS.tolist(), batch.tolist()))
-    lo, hi = 1e-6, 0.999
-    above = batch >= FIRSTCOND_RHS
-    if not above[0] and above[-1]:
-        k = int(np.argmax(above))
-        lo, hi = float(_BOUNDARY_MUS[k - 1]), float(_BOUNDARY_MUS[k])
-
-    def g(mu: float) -> float:
-        K = known.get(mu)
-        return (kp(p, mu) if K is None else K) - FIRSTCOND_RHS
-
-    return bracketed_root(g, lo, hi, tol=tol)
+    _check_interval("tol", tol, 0.0, math.inf, "()")
+    mus, ts = _BOUNDARY_MUS.tolist(), _BOUNDARY_TS.tolist()
+    f = (_kp_rows([p] * len(mus), mus) - FIRSTCOND_RHS).tolist()
+    if f[0] > 0.0 or f[-1] < 0.0:
+        raise NoSignChange(
+            f"K_{p}(mu) - 8/(pi^2 - 8) is {f[0]} at mu = {mus[0]} and "
+            f"{f[-1]} at mu = {mus[-1]}, equal signs"
+        )
+    k = next(i for i, fi in enumerate(f) if fi >= 0.0)
+    if f[k] == 0.0:
+        return mus[k]
+    # inverse cubic interpolation: the Lagrange form of t(f) at f = 0
+    j = min(max(k - 2, 0), len(f) - 4)
+    t = 0.0
+    for i in range(j, j + 4):
+        w = ts[i]
+        for m in range(j, j + 4):
+            if m != i:
+                w *= f[m] / (f[m] - f[i])
+        t += w
+    # the bracket: K_p is below the threshold at t = a (mu = lo) and above
+    # it at t = b (mu = hi); the first secant runs through the end nearer
+    # the root
+    a, b, lo, hi = ts[k - 1], ts[k], mus[k - 1], mus[k]
+    t0, f0 = (a, f[k - 1]) if -f[k - 1] < f[k] else (b, f[k])
+    for _ in range(_BOUNDARY_ITER):
+        mu = -math.expm1(t)
+        if not lo < mu < hi:
+            t = 0.5 * (a + b)
+            mu = -math.expm1(t)
+        ft = kp(p, mu) - FIRSTCOND_RHS
+        if ft == 0.0:
+            return mu
+        if ft < 0.0:
+            a, lo = t, mu
+        else:
+            b, hi = t, mu
+        # equal values leave no secant; bisect instead
+        den = ft - f0
+        t, t0, f0 = (t - ft * (t - t0) / den if den else 0.5 * (a + b)), t, ft
+        step_end = -math.expm1(t)
+        if abs(step_end - mu) <= tol or hi - lo <= tol + 8.0 * math.ulp(hi):
+            return min(max(step_end, lo), hi)
+    raise MaxIterations(
+        f"firstcond_boundary({p}): bracket still {hi - lo:.3e} wide after "
+        f"{_BOUNDARY_ITER} K_p evaluations (tol {tol:.3e})"
+    )

@@ -160,8 +160,9 @@ def _kp_rows(p, mu) -> np.ndarray:
     The rows run the integrand and stop test of ``kp_quadrature(p[i],
     mu[i])`` at ``_KP_TOL`` as one driver call, with the right exponent
     1 - 1/p as a per-row column.  A row that fails to converge (p near 1)
-    drops out of the batch and goes through scalar :func:`kp` and its
-    series fallback; the other rows finish in the batch.
+    drops out of the batch and takes :func:`kp`'s series fallback
+    :func:`_kp_series` directly, as the scalar quadrature would fail the
+    same way; the other rows finish in the batch.
     """
     p = [float(v) for v in p]
     mu = [float(v) for v in mu]
@@ -177,7 +178,7 @@ def _kp_rows(p, mu) -> np.ndarray:
         partial=True,
     )[0]
     for i in np.flatnonzero(np.isnan(value)):
-        value[i] = kp(p[i], mu[i])
+        value[i] = _kp_series(p[i], mu[i])
     return value
 
 
@@ -251,9 +252,15 @@ def kp(p: float, mu: float) -> float:
     try:
         return kp_quadrature(p, mu).value
     except NonConvergence:
-        if mu**p <= 0.9:
-            return kp_via_2f1(p, mu)
-        return _kp_near_one_2f1(p, mu)
+        return _kp_series(p, mu)
+
+
+def _kp_series(p: float, mu: float) -> float:
+    """K_p where the quadrature cannot certify its target (p near 1): the
+    mu**p series when mu**p <= 0.9, else the expansion around mu = 1."""
+    if mu**p <= 0.9:
+        return kp_via_2f1(p, mu)
+    return _kp_near_one_2f1(p, mu)
 
 
 def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:

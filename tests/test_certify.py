@@ -7,7 +7,9 @@ its edges.  The p = 2 firstcond boundary modulus was confirmed with a
 0.99691222... and whose nome is 0.31532299...
 """
 
+import bisect
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -260,14 +262,17 @@ def test_region_scan_monotone_prefix():
 def test_region_scan_large_grid_matches_kp_across_fallback(monkeypatch):
     # 96 points: the first chunk of 64 is one batched quadrature, the
     # second holds the 24 points at p = 51/50, which the batch cannot
-    # converge; they go through scalar kp point by point, and the other
-    # 8 points of that chunk finish in the batch
+    # converge; they take the series fallback directly, without a scalar
+    # quadrature rerun, and the other 8 points of that chunk finish in
+    # the batch
     ops = [0.2, 0.4, 0.6, 50.0 / 51.0]
     mus = list(np.linspace(0.05, 0.999, 24))
-    calls = _counting(monkeypatch, el, "kp")
+    series = _counting(monkeypatch, el, "_kp_series")
+    quadratures = _counting(monkeypatch, el, "kp_quadrature")
     rows = ct.region_scan(ops, mus)
     assert len(rows) == 96
-    assert calls[0] == 24
+    assert series[0] == 24
+    assert quadratures[0] == 0
     for op, mu, val, inside in rows:
         assert val == el.kp(1.0 / op, mu)
         assert inside == int(val < ct.FIRSTCOND_RHS)
@@ -357,7 +362,7 @@ def test_firstcond_boundary_matches_mpmath_newton_step(p):
         K = pref * mpmath.hyp2f1(a, a, 1, x)
         dK = pref * a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x) * P * M ** (P - 1)
         root = M - (K - 8 / (mpmath.pi**2 - 8)) / dK
-        assert abs(float(root - M)) < 1e-9
+        assert abs(float(root - M)) < 1e-12
 
 
 def _counting(monkeypatch, module, name):
@@ -384,8 +389,8 @@ def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
 def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
-    # the 16-modulus batch narrows the bracket to one grid interval, so
-    # Brent's method needs its two endpoints and a few steps
+    # the 16-modulus batch narrows the bracket to one grid interval and
+    # starts the secant near the root, so a few steps inside it suffice
     calls = _counting(monkeypatch, ct, "kp")
     b = ct.firstcond_boundary(p)
     assert calls[0] <= 10
@@ -395,7 +400,7 @@ def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
 def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
     # the batch holds K_p at every grid modulus, so scalar kp only ever
-    # sees the moduli Brent's method tries inside the bracket
+    # sees the moduli the secant tries inside the bracket
     seen = []
     kp = ct.kp
 
@@ -406,6 +411,42 @@ def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
     monkeypatch.setattr(ct, "kp", spy)
     ct.firstcond_boundary(p)
     assert seen and not set(seen) & set(ct._BOUNDARY_MUS.tolist())
+
+
+def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
+    # 200 values of p over the whole crossing range [1.3, 2.02], both ends
+    # included: every scalar K_p lies strictly inside the grid interval
+    # that holds the root, and the secant needs about three of them
+    rng = random.Random(2024)
+    ps = [1.3, 2.02] + [rng.uniform(1.3, 2.02) for _ in range(198)]
+    seen = []
+    kp = ct.kp
+
+    def spy(p_, mu):
+        seen.append(mu)
+        return kp(p_, mu)
+
+    monkeypatch.setattr(ct, "kp", spy)
+    grid = ct._BOUNDARY_MUS.tolist()
+    counts = []
+    for p in ps:
+        seen.clear()
+        b = ct.firstcond_boundary(p)
+        k = bisect.bisect_left(grid, b)
+        assert 0 < k < len(grid)
+        assert all(grid[k - 1] < mu < grid[k] for mu in seen)
+        counts.append(len(seen))
+    assert sum(counts) / len(counts) <= 3.5
+    assert max(counts) <= 6
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_firstcond_boundary_rejects_tol_before_any_kp_work(monkeypatch, tol):
+    batches = _counting(monkeypatch, ct, "_kp_rows")
+    scalars = _counting(monkeypatch, ct, "kp")
+    with pytest.raises(DomainError):
+        ct.firstcond_boundary(2.0, tol=tol)
+    assert batches[0] == scalars[0] == 0
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])

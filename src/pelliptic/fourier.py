@@ -17,8 +17,9 @@ integral here needs, with one sn_p call over all their nodes: a call costs
 mostly numpy overhead at a few hundred points.  Any set of indices k is
 one call of the routine, one row per k: every row multiplies the same
 cached sn_p values by its own sine factors and stops at its own level,
-after which the routine no longer evaluates it, so a coefficient does not
-depend on which other k were asked for with it.
+after which the routine no longer evaluates it (every row is evaluated on
+the routine's first block, levels 0-4), so a coefficient does not depend
+on which other k were asked for with it.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -36,7 +37,7 @@ import numpy as np
 
 from .elliptic import kp, snp_many
 from .errors import DomainError, _check_int, _check_interval, _validate_pmu
-from .quadrature import _tanh_sinh, _ts_levels
+from .quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_levels
 
 __all__ = [
     "FourierProfile",
@@ -54,14 +55,15 @@ _TAU1_FLOOR = 4.0 * math.sqrt(2.0) / math.pi**2
 
 _TAU_TOL = 1e-11
 
-# Last tanh-sinh level of the first sn_p inversion of a cold profile: a
-# profile's first call inverts the nodes of levels 0.._FILL_LEVEL at once,
-# and each later level gets a call of its own.  A call over a few hundred
-# points costs mostly numpy overhead: one call per level takes 4.7 ms for
-# levels 0..5, one call over the same 782 points 1.3 ms (numpy 2.4, one
-# core).  On a 7x7 (p, mu) grid, p from 1.1 to 10 and mu from 0 to
-# 0.99999, tau_1..tau_21 stop at level 5, tau_1 alone at level 3 or 4,
-# _sn_l2 at level 4 or 5, and tau_1..tau_201 at level 7.
+# Last tanh-sinh level of the first sn_p inversion of a cold profile: the
+# driver's first call, its block of levels 0..4, inverts the nodes of
+# levels 0.._FILL_LEVEL at once, and each later level gets a call of its
+# own.  A call over a few hundred points costs mostly numpy overhead: one
+# call per level takes 4.7 ms for levels 0..5, one call over the same 782
+# points 1.3 ms (numpy 2.4, one core).  On a 7x7 (p, mu) grid, p from
+# 1.1 to 10 and mu from 0 to 0.99999, tau_1..tau_21 stop at level 5,
+# tau_1 alone at level 3 or 4, _sn_l2 at level 4 or 5, and
+# tau_1..tau_201 at level 7.
 _FILL_LEVEL = 5
 
 
@@ -83,7 +85,8 @@ class FourierProfile:
 def _profile(p: float, mu: float) -> list:
     """Per tanh-sinh level, (sn_p(K u), sn_p(K (1 + u))) at that level's
     nodes u, filled by :func:`_split_integral`: levels 0.._FILL_LEVEL in
-    one sn_p call, each later level in a call of its own."""
+    one sn_p call, each later level in a call of its own.  The driver's
+    block call reads levels 0.._BLOCK_LEVEL from here, concatenated."""
     return []
 
 
@@ -94,25 +97,32 @@ def _split_integral(p: float, mu: float, g, tol: float):
     ``g(a, b, u, rows)`` returns f(u/2) + f((1+u)/2) given a = sn_p(K u)
     and b = sn_p(K (1 + u)), with shape (n,) or, for the driver's live
     ``rows`` only, (live rows, n).  a and b are read from the profile
-    cache.  The driver visits levels in order, so a level missing from the
-    cache is the next one: it is inverted in one sn_p call together with
-    every later level up to _FILL_LEVEL, and the values are appended one
-    cache entry per level.  The inversion treats each point on
-    its own, so the values do not depend on how the levels were grouped.
+    cache: for the driver's block call, the entries of levels
+    0.._BLOCK_LEVEL concatenated in level order, for each later call the
+    entry of its level.  The driver visits levels in order, so the levels
+    missing from the cache are the ones of this call: they are inverted in
+    one sn_p call together with every later level up to _FILL_LEVEL, and
+    the values are appended one cache entry per level.  The inversion
+    treats each point on its own, so the values do not depend on how the
+    levels were grouped.
     """
     p, mu = float(p), float(mu)
     levels = _profile(p, mu)
     K = kp(p, mu)
 
     def F(lev: int, u: np.ndarray, cu: np.ndarray, rows) -> np.ndarray:
-        if lev == len(levels):
-            us = [u] + [L.x for L in _ts_levels()[lev + 1 : _FILL_LEVEL + 1]]
-            x = np.concatenate(us)
+        if lev >= len(levels):
+            new = _ts_levels()[len(levels) : max(lev, _FILL_LEVEL) + 1]
+            x = np.concatenate([L.x for L in new])
             v = snp_many(p, mu, K * np.concatenate([x, 1.0 + x]))
-            cuts = np.cumsum([w.size for w in us])[:-1]
+            cuts = np.cumsum([L.x.size for L in new])[:-1]
             a, b = np.split(v[: x.size], cuts), np.split(v[x.size :], cuts)
             levels.extend(zip(a, b))
-        return g(*levels[lev], u, rows)
+        if lev == _BLOCK_LEVEL:
+            a, b = (np.concatenate(c) for c in zip(*levels[: lev + 1]))
+        else:
+            a, b = levels[lev]
+        return g(a, b, u, rows)
 
     return 0.5 * _tanh_sinh(F, 1.0, 1.0, tol)[0]
 

@@ -182,20 +182,21 @@ def _driver_tally(monkeypatch):
 
 
 def test_tau_k_rows_cost_their_own_levels_only(monkeypatch):
-    # a batch of k evaluates each row through its own stop level and no
-    # further, so it costs what the rows cost one by one
+    # a batch of k evaluates each row in the block of levels 0-4, then
+    # through its own stop level and no further, so it costs what the rows
+    # cost one by one, each of them paying for the block alone too
     calls = _driver_tally(monkeypatch)
     ks = list(range(1, 22, 2))
     batch = fr.tau_k(2.0, 0.5, ks)
     total = sum(n for _, n in calls)
-    sizes = [L.x.size for L in quad._ts_levels()]
+    block = sum(L.x.size for L in quad._ts_levels()[: quad._BLOCK_LEVEL + 1])
     alone, stops = 0, set()
     for k in ks:
         calls.clear()
         assert fr.tau_k(2.0, 0.5, k) == batch[ks.index(k)]
-        stop = calls[-1][0]
-        stops.add(stop)
-        alone += sum(sizes[: stop + 1])
+        assert calls[0] == (quad._BLOCK_LEVEL, block)
+        stops.add(calls[-1][0])
+        alone += sum(n for _, n in calls)
     assert len(stops) > 1
     assert total == alone
 

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from pelliptic.certify import FIRSTCOND_RHS
 from pelliptic.elliptic import kp
 from pelliptic.quadrature import (
+    _BLOCK_LEVEL,
     QuadratureResult,
     SingularIntegrand,
     _tanh_sinh,
@@ -182,16 +183,41 @@ def test_nonconvergence_on_interior_kink():
 def test_truncation_above_target_raises_at_once():
     # x**(-0.96): the node window leaves about 1e-10 of the integral
     # beyond its outermost node, so no level can reach tol 1e-14 and the
-    # driver stops at the first level it tests instead of the last
+    # driver gives up at the first level it tests instead of the last:
+    # after the block call it asks for nothing more, and it reports the
+    # 13 + 12 + 24 = 49 nodes of levels 0-2
     levels = []
 
     def F(lev, x, cx, rows):
         levels.append(lev)
         return np.ones_like(x)
 
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="after 49 nodes"):
         _tanh_sinh(F, 0.04, 1.0, 1e-14)
-    assert levels == [0, 1, 2]
+    assert levels == [_BLOCK_LEVEL]
+
+
+def test_first_call_is_the_block_of_levels_0_to_4():
+    # F gets the nodes of levels 0-4 in level order in one call, for every
+    # row, then one level's nodes per call
+    levels = _ts_levels()
+    c = np.array([0.0, 900.0])[:, None]
+    calls = []
+
+    def F(lev, x, cx, rows):
+        calls.append((lev, x, cx, rows))
+        return 1.0 / (1.0 + c[rows] * x)
+
+    _tanh_sinh(F, 1.0, 1.0, 1e-13)
+    lev, x, cx, rows = calls[0]
+    assert _BLOCK_LEVEL == 4 and lev == 4
+    assert rows == slice(None)
+    assert np.array_equal(x, np.concatenate([L.x for L in levels[:5]]))
+    assert np.array_equal(cx, np.concatenate([L.cx for L in levels[:5]]))
+    assert len(calls) > 1
+    for want, (lev, x, cx, rows) in enumerate(calls[1:], start=5):
+        assert lev == want
+        assert np.array_equal(x, levels[lev].x) and np.array_equal(cx, levels[lev].cx)
 
 
 def test_column_exponent_rows_match_rows_computed_alone():
@@ -212,40 +238,37 @@ def test_column_exponent_rows_match_rows_computed_alone():
 
 
 def _stop_level(ci, bi):
-    """Last level the driver visits for one row 1 / (1 + ci x) computed
-    alone, with right exponent 1 + bi."""
-    levels = []
-
-    def F(lev, x, cx, rows):
-        levels.append(lev)
-        return 1.0 / (1.0 + ci * x)
-
-    _tanh_sinh(F, 1.0, 1.0 + bi, 1e-13)
-    return levels[-1]
+    """Level at which one row 1 / (1 + ci x), with right exponent 1 + bi,
+    stops when computed alone, read off the nodes its stop test used."""
+    F = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
+    nodes = _tanh_sinh(F, 1.0, 1.0 + bi, 1e-13)[2]
+    return np.cumsum([L.x.size for L in _ts_levels()]).tolist().index(nodes)
 
 
 def test_live_rows_shrink_and_stopped_rows_never_return():
-    # F sees every row at first, then only the rows still live: a row is
-    # asked for through its own stop level and never after it
+    # the block call gets every row; after it, F sees only the rows still
+    # live: a row is asked again for levels 5 up to its own stop level and
+    # never after it
     c = np.array([0.0, 0.5, 3.0, 40.0, 900.0])[:, None]
     b = np.array([0.0, -0.3, -0.5, -0.8, -0.2])[:, None]
     seen = []
 
     def F(lev, x, cx, rows):
         live = np.arange(c.shape[0])[rows]
-        seen.append(live)
+        seen.append((lev, live))
         return 1.0 / (1.0 + c[rows] * x)
 
     _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
-    assert np.array_equal(seen[0], np.arange(c.shape[0]))
-    for before, after in zip(seen, seen[1:]):
+    assert seen[0][0] == _BLOCK_LEVEL
+    assert np.array_equal(seen[0][1], np.arange(c.shape[0]))
+    for (_, before), (_, after) in zip(seen, seen[1:]):
         assert np.all(np.diff(after) > 0)
         assert set(after) <= set(before)
     stops = [_stop_level(float(c[i, 0]), float(b[i, 0])) for i in range(c.shape[0])]
-    assert len(set(stops)) > 1
+    assert min(stops) < _BLOCK_LEVEL < max(stops)
     for i, stop in enumerate(stops):
-        visits = [lev for lev, live in enumerate(seen) if i in live]
-        assert visits == list(range(stop + 1))
+        visits = [lev for lev, live in seen if i in live]
+        assert visits == [_BLOCK_LEVEL] + list(range(_BLOCK_LEVEL + 1, stop + 1))
 
 
 def test_partial_rows_fail_alone():
@@ -265,9 +288,9 @@ def test_partial_rows_fail_alone():
     alone = _tanh_sinh(one, 1.0, 1.0 + float(b[0, 0]), 1e-13)
     assert value[0] == alone[0] and err[0] == alone[1] and nodes == alone[2]
     levels.clear()
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="after 49 nodes"):
         _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
-    assert levels == [0, 1, 2]
+    assert levels == [_BLOCK_LEVEL]
 
 
 def test_root_zero_at_lo_evaluates_g_once():

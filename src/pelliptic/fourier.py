@@ -2,24 +2,28 @@
 
 tau_k = sqrt(2) * integral_0^1 sn_p(2 K_p(mu) x, mu) sin(k pi x) dx are the
 coordinates of the first eigenfunction profile in the orthonormal basis
-sqrt(2) sin(k pi x).  The integral is split at x = 1/2 and each half is
-mapped to [0, 1], which parks the lone interior derivative singularity of
-sn_p (present for p > 2) at an endpoint where the double-exponential
-transform absorbs it.  Both halves are computed independently, so the
-even-k coefficients vanish only through genuine numerical cancellation of
-the two pieces, not by construction.
+sqrt(2) sin(k pi x).  The profile s(x) = sn_p(2 K_p x) rises from 0 to 1
+on [0, 1/2] and falls back symmetrically, so each z in [0, 1] is taken at
+x1 = w_p(z) / (2 K_p) and at x2 = 1 - x1.  Integrating each half by parts
+and substituting z = s(x) gives bounded integrals that need only the
+forward w_p, never the inverse sn_p:
+
+    tau_k = sqrt(2) / (k pi) * integral_0^1 [cos(k pi x1) - cos(k pi x2)] dz,
+    integral_0^1 s^2 dx = integral_0^1 2 z (x2 - x1) dz.
+
+The derivative singularity of x1 at z = 1 sits at an endpoint, where the
+double-exponential transform absorbs it.  The two halves stay separate
+terms, so the even-k coefficients vanish only through genuine numerical
+cancellation, not by construction.
 
 All of these integrals run through the package's one tanh-sinh routine.
-sn_p evaluations are the expensive part and depend only on (p, mu), never
-on k, so each profile caches them per refinement level of that routine's
-nodes.  A cold profile fills its first six levels, which nearly every
-integral here needs, with one sn_p call over all their nodes: a call costs
-mostly numpy overhead at a few hundred points.  Any set of indices k is
-one call of the routine, one row per k: every row multiplies the same
-cached sn_p values by its own sine factors and stops at its own level,
-after which the routine no longer evaluates it (every row is evaluated on
-the routine's first block, levels 0-4), so a coefficient does not depend
-on which other k were asked for with it.
+x1 and x2 depend only on (p, mu), never on k, so each profile caches them
+per refinement level of that routine's nodes; a cold profile fills its
+first six levels with one w_p call, since a call costs mostly numpy
+overhead at a few hundred points.  Any set of indices k is one call of
+the routine, one row per k, each stopping at its own level (every row is
+evaluated on the routine's first block, levels 0-4), so a coefficient
+does not depend on which other k were asked for with it.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import kp, snp_many
+from .elliptic import _engine, kp
 from .errors import DomainError, _check_int, _check_interval, _validate_pmu
 from .quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_levels
 
@@ -55,15 +59,16 @@ _TAU1_FLOOR = 4.0 * math.sqrt(2.0) / math.pi**2
 
 _TAU_TOL = 1e-11
 
-# Last tanh-sinh level of the first sn_p inversion of a cold profile: the
-# driver's first call, its block of levels 0..4, inverts the nodes of
-# levels 0.._FILL_LEVEL at once, and each later level gets a call of its
-# own.  A call over a few hundred points costs mostly numpy overhead: one
-# call per level takes 4.7 ms for levels 0..5, one call over the same 782
-# points 1.3 ms (numpy 2.4, one core).  On a 7x7 (p, mu) grid, p from
-# 1.1 to 10 and mu from 0 to 0.99999, tau_1..tau_21 stop at level 5,
-# tau_1 alone at level 3 or 4, _sn_l2 at level 4 or 5, and
-# tau_1..tau_201 at level 7.
+# Last tanh-sinh level of the first w_p call of a cold profile: the
+# driver's first call, its block of levels 0..4, evaluates w_p at the
+# nodes of levels 0.._FILL_LEVEL at once, and each later level gets a
+# call of its own.  A call over a few hundred points costs mostly numpy
+# overhead: at (p, mu) = (2, 0.5), (1.5, 0.9), (3.5, 0.9), (6, 0.3) and
+# (1.2, 0.999), one w_p call per level takes 0.31-0.61 ms for levels
+# 0..5, one call over the same 391 points 0.14-0.25 ms (numpy 2.4, one
+# core).  On a 7x7 (p, mu) grid, p from 1.1 to 10 and mu from 0 to
+# 0.99999, tau_1..tau_21 stop at level 4 or 5, tau_1 alone within the
+# block, _sn_l2 within it or at level 5, and tau_1..tau_201 at 6 or 7.
 _FILL_LEVEL = 5
 
 
@@ -83,48 +88,44 @@ class FourierProfile:
 
 @functools.lru_cache(maxsize=64)
 def _profile(p: float, mu: float) -> list:
-    """Per tanh-sinh level, (sn_p(K u), sn_p(K (1 + u))) at that level's
-    nodes u, filled by :func:`_split_integral`: levels 0.._FILL_LEVEL in
-    one sn_p call, each later level in a call of its own.  The driver's
-    block call reads levels 0.._BLOCK_LEVEL from here, concatenated."""
+    """Per tanh-sinh level, (x1, x2) = (w_p(z) / (2 K_p), 1 - x1) at that
+    level's nodes z, filled by :func:`_split_integral`: levels
+    0.._FILL_LEVEL in one w_p call, each later level in a call of its own.
+    The driver's block call reads levels 0.._BLOCK_LEVEL from here,
+    concatenated."""
     return []
 
 
 def _split_integral(p: float, mu: float, g, tol: float):
-    """int_0^1 f(x) dx for an integrand built on s(x) = sn_p(2 K_p x, mu),
-    split at x = 1/2 and mapped to u in [0, 1].
+    """int_0^1 G(z) dz for G built on the preimages x1 = w_p(z) / (2 K_p)
+    and x2 = 1 - x1 of z on the two halves of the profile.
 
-    ``g(a, b, u, rows)`` returns f(u/2) + f((1+u)/2) given a = sn_p(K u)
-    and b = sn_p(K (1 + u)), with shape (n,) or, for the driver's live
-    ``rows`` only, (live rows, n).  a and b are read from the profile
-    cache: for the driver's block call, the entries of levels
-    0.._BLOCK_LEVEL concatenated in level order, for each later call the
-    entry of its level.  The driver visits levels in order, so the levels
-    missing from the cache are the ones of this call: they are inverted in
-    one sn_p call together with every later level up to _FILL_LEVEL, and
-    the values are appended one cache entry per level.  The inversion
-    treats each point on its own, so the values do not depend on how the
-    levels were grouped.
+    ``g(x1, x2, z, rows)`` returns G with shape (n,) or, for the driver's
+    live ``rows`` only, (live rows, n).  x1 and x2 come from the profile
+    cache: for the driver's block call, levels 0.._BLOCK_LEVEL concatenated
+    in level order, for each later call the entry of its level.  The driver
+    visits levels in order, so the levels missing from the cache are the
+    ones of this call: w_p is evaluated at their nodes in one call, with
+    every later level up to _FILL_LEVEL, and appended one entry per level.
+    w_p treats each point on its own, so grouping does not change a value.
     """
     p, mu = float(p), float(mu)
     levels = _profile(p, mu)
-    K = kp(p, mu)
+    eng = _engine(p, mu)
 
-    def F(lev: int, u: np.ndarray, cu: np.ndarray, rows) -> np.ndarray:
+    def F(lev: int, z: np.ndarray, cz: np.ndarray, rows) -> np.ndarray:
         if lev >= len(levels):
             new = _ts_levels()[len(levels) : max(lev, _FILL_LEVEL) + 1]
-            x = np.concatenate([L.x for L in new])
-            v = snp_many(p, mu, K * np.concatenate([x, 1.0 + x]))
+            x1 = eng.wp_many(np.concatenate([L.x for L in new])) / (2.0 * eng.K)
             cuts = np.cumsum([L.x.size for L in new])[:-1]
-            a, b = np.split(v[: x.size], cuts), np.split(v[x.size :], cuts)
-            levels.extend(zip(a, b))
+            levels.extend((a, 1.0 - a) for a in np.split(x1, cuts))
         if lev == _BLOCK_LEVEL:
-            a, b = (np.concatenate(c) for c in zip(*levels[: lev + 1]))
+            x1, x2 = (np.concatenate(c) for c in zip(*levels[: lev + 1]))
         else:
-            a, b = levels[lev]
-        return g(a, b, u, rows)
+            x1, x2 = levels[lev]
+        return g(x1, x2, z, rows)
 
-    return 0.5 * _tanh_sinh(F, 1.0, 1.0, tol)[0]
+    return _tanh_sinh(F, 1.0, 1.0, tol)[0]
 
 
 def tau_k(p: float, mu: float, k):
@@ -132,9 +133,9 @@ def tau_k(p: float, mu: float, k):
 
     ``k`` is a positive integer, giving a float, or a nonempty 1-D
     sequence of positive integers, giving an array of the coefficients in
-    that order.  All of them are rows of one quadrature on the profile's
-    sn_p cache, each to an error of about 1e-11; a row's value is the same,
-    bit for bit, whatever the other rows are.
+    that order.  All of them are rows of one quadrature of the cosine
+    integral on the profile's w_p cache, each to an error of about 1e-11;
+    a row's value is the same, bit for bit, whatever the other rows are.
     """
     _validate_pmu(p, mu)
     scalar = np.ndim(k) == 0
@@ -143,13 +144,13 @@ def tau_k(p: float, mu: float, k):
     ks = np.array([int(k)]) if scalar else np.asarray(k)
     if ks.ndim != 1 or ks.size == 0 or ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise DomainError(f"k must be a positive integer or a 1-D run of them, got {k!r}")
-    kh = (0.5 * ks * math.pi)[:, None]
+    kpi = ks * math.pi
 
-    def g(a: np.ndarray, b: np.ndarray, u: np.ndarray, rows) -> np.ndarray:
-        kr = kh[rows]
-        return a * np.sin(kr * u) + b * np.sin(kr * (1.0 + u))
+    def g(x1: np.ndarray, x2: np.ndarray, z: np.ndarray, rows) -> np.ndarray:
+        kr = kpi[rows, None]
+        return np.cos(kr * x1) - np.cos(kr * x2)
 
-    taus = math.sqrt(2.0) * _split_integral(p, mu, g, _TAU_TOL)
+    taus = math.sqrt(2.0) / kpi * _split_integral(p, mu, g, _TAU_TOL)
     return float(taus[0]) if scalar else taus
 
 
@@ -175,13 +176,12 @@ def tau1_margin(p: float, mu: float) -> float:
 
 
 def _sn_l2(p: float, mu: float) -> float:
-    """integral_0^1 sn_p(2 K_p x, mu)^2 dx on the shared node cache.
-
-    Split at x = 1/2 like tau_k, since the integrand is only C^1 there
-    for p > 2.
-    """
+    """integral_0^1 sn_p(2 K_p x, mu)^2 dx on the shared node cache, as
+    integral_0^1 2 z (x2 - x1) dz: each half of the profile integrated by
+    parts and taken over z = sn_p, like tau_k."""
     _validate_pmu(p, mu)
-    return float(_split_integral(p, mu, lambda a, b, u, rows: a**2 + b**2, 1e-12))
+    g = lambda x1, x2, z, rows: 2.0 * z * (x2 - x1)
+    return float(_split_integral(p, mu, g, 1e-12))
 
 
 def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:

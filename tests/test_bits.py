@@ -276,49 +276,49 @@ EXPECTED = {
     ],
     "tau_k 2.0,0.5": [
         "0x1.706d28e637b3fp-1",
-        "0x1.9085375d4f30ep-55",
-        "0x1.a0298aa1cec65p-7",
-        "-0x1.99b50d2f2d513p-55",
-        "0x1.deae429c34e2cp-13",
-        "-0x1.6c1eca1cda85ap-57",
-        "0x1.134c0fbc9d01cp-18",
-        "-0x1.b89f9fa14be43p-53",
-        "0x1.3ca7e0168f731p-24",
-        "-0x1.4321018ee516dp-53",
-        "0x1.6c3a52c527ed1p-30",
-        "0x1.6d79a5c2a683dp-51",
-        "0x1.a2f214cfaaf16p-36",
-        "-0x1.39df1a179a2dcp-52",
-        "0x1.e1ddf5bfd73fdp-42",
-        "-0x1.b0fe3a554c7dap-57",
-        "0x1.10ad94d92b43ap-47",
-        "0x1.9eff89378b981p-54",
-        "0x1.300e50814db39p-52",
-        "0x1.3132f9bf91a2fp-52",
-        "-0x1.db2cfe686fe7dp-53",
+        "0x1.f754773243fe4p-55",
+        "0x1.a0298aa1cec8fp-7",
+        "0x1.d3ec7c63971aap-55",
+        "0x1.deae429c34206p-13",
+        "0x1.46bcfbf968cc5p-57",
+        "0x1.134c0fbcc38c6p-18",
+        "0x1.f04b908f2f91bp-56",
+        "0x1.3ca7e0140a60cp-24",
+        "-0x1.29617df60f07dp-57",
+        "0x1.6c3a53cd552fep-30",
+        "-0x1.e5cad4ad7b691p-56",
+        "0x1.a2f26cfbf0827p-36",
+        "0x1.20dfd4646115ap-57",
+        "0x1.e1d9c1a856830p-42",
+        "-0x1.0888e82774255p-62",
+        "0x1.15bbfdf1013dfp-47",
+        "-0x1.23c7c73c60ac8p-57",
+        "0x1.1fa09b5a03984p-53",
+        "-0x1.a165054734324p-58",
+        "0x1.7528e09695edep-58",
     ],
     "tau_k 3.5,0.9": [
-        "0x1.4d7eb8ca88c7cp-1",
-        "0x1.93594aad0d034p-55",
-        "-0x1.32d30a41f0e80p-5",
-        "-0x1.eb8abeb6816d4p-55",
-        "0x1.db371383b6a61p-8",
-        "0x1.9321501172a90p-58",
-        "-0x1.c14632b5ee758p-9",
-        "-0x1.517b143e67a68p-53",
-        "0x1.f9b1d0e517dc6p-10",
-        "-0x1.8702dd5eb9654p-53",
-        "-0x1.4262b6d47c463p-10",
-        "0x1.45bc69b2c5919p-51",
-        "0x1.b5fe716ecd3c3p-11",
-        "-0x1.0b33d3d1a3953p-52",
-        "-0x1.3b09386e9b31dp-11",
-        "-0x1.7867e70425086p-56",
-        "0x1.d6284d9598872p-12",
-        "0x1.93af37d17a9b6p-54",
-        "-0x1.6ab4b14e2cdc9p-12",
-        "0x1.efd96c4c3f7adp-53",
-        "0x1.1e902d30e6d6bp-12",
+        "0x1.4d7eb8ca88c7bp-1",
+        "0x1.5aa1ef078009ap-55",
+        "-0x1.32d30a41f0e77p-5",
+        "0x1.a9aac3cefd95ep-60",
+        "0x1.db371383b6a14p-8",
+        "0x1.103ba3315f5b6p-55",
+        "-0x1.c14632b5ee63cp-9",
+        "-0x1.adccb1deeb0e8p-62",
+        "0x1.f9b1d0e517d39p-10",
+        "0x1.b87b59ddf27b2p-58",
+        "-0x1.4262b6d47c479p-10",
+        "-0x1.957599decaf41p-59",
+        "0x1.b5fe716ecd66bp-11",
+        "0x1.63a4a0e51b7a0p-57",
+        "-0x1.3b09386e9b1c9p-11",
+        "0x1.58614458dac58p-58",
+        "0x1.d6284d959909ep-12",
+        "0x1.cc15cb259bcabp-57",
+        "-0x1.6ab4b14e2d6a4p-12",
+        "0x1.bba303712aacep-58",
+        "0x1.1e902d30e7c39p-12",
     ],
     "wp 1.5,0.999999": [
         "0x1.a961102f7b774p-1",

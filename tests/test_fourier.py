@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
 import pelliptic.qtheta as qt
 import pelliptic.quadrature as quad
-from pelliptic.errors import DomainError
+from pelliptic.errors import DomainError, NonConvergence
 
 GRID_P = [1.2, 1.5, 2.0, 3.0, 5.0]
 GRID_MU = [0.05, 0.3, 0.6, 0.9]
@@ -99,58 +100,131 @@ def test_tau_k_matches_mpmath_reference():
         assert err <= 1e-12, (v["p"], v["mu"], v["k"], err)
 
 
-def _snp_counter(monkeypatch):
-    """Clear the profile cache and record the number of points of every
-    sn_p call the profiles make from then on."""
-    sizes = []
+def _tau_p2_closed_form(mu, ks):
+    """Jacobi's sine series of sn(2 K x, mu) read off as tau_k, from scipy
+    alone: sqrt(2) pi q^(j+1/2) / (mu K (1 - q^(2j+1))) at k = 2j+1, zero at
+    even k."""
+    m = mu * mu
+    K = float(special.ellipk(m))
+    q = math.exp(-math.pi * float(special.ellipkm1(m)) / K)
+    j = (ks - 1) // 2
+    odd = math.sqrt(2.0) * math.pi / (mu * K) * q ** (j + 0.5)
+    odd /= 1.0 - q ** (2 * j + 1)
+    return np.where(ks % 2 == 1, odd, 0.0)
 
-    def counting(p, mu, y):
-        sizes.append(np.size(y))
-        return el.snp_many(p, mu, y)
 
-    monkeypatch.setattr(fr, "snp_many", counting)
+def test_tau_k_matches_jacobi_closed_form_at_p2():
+    ks = np.arange(1, 202)
+    for mu in (0.1, 0.5, 0.9, 0.999):
+        err = np.abs(fr.tau_k(2.0, mu, ks) - _tau_p2_closed_form(mu, ks))
+        assert err.max() <= 2e-15, (mu, err.max())
+        assert err[1::2].max() <= 1e-15, (mu, err[1::2].max())
+
+
+def test_sn_l2_matches_closed_form_at_p2():
+    # int_0^1 sn^2(2 K x) dx = (K - E) / (mu^2 K)
+    for mu in (0.1, 0.5, 0.9, 0.999):
+        m = mu * mu
+        K, E = float(special.ellipk(m)), float(special.ellipe(m))
+        assert abs(fr._sn_l2(2.0, mu) - (K - E) / (m * K)) <= 1e-13, mu
+
+
+def _tau_k_by_inversion(p, mu, ks):
+    """tau_k straight from the definition, sqrt(2) int_0^1 s(x) sin(k pi x)
+    dx with s(x) = sn_p(2 K_p x) inverted at every node: the integral is
+    split at x = 1/2 and each half mapped to u in [0, 1]."""
+    K = el.kp(p, mu)
+    kh = (0.5 * ks * math.pi)[:, None]
+
+    def F(lev, u, cu, rows):
+        a = el.snp_many(p, mu, K * u)
+        b = el.snp_many(p, mu, K * (1.0 + u))
+        return a * np.sin(kh[rows] * u) + b * np.sin(kh[rows] * (1.0 + u))
+
+    return math.sqrt(2.0) * 0.5 * quad._tanh_sinh(F, 1.0, 1.0, 1e-11)[0]
+
+
+def test_tau_k_matches_snp_inversion_route():
+    ks = np.arange(1, 202)
+    for p in (1.05, 1.2, 1.5, 3.0, 6.0):
+        for mu in (0.3, 0.9, 1.0 - 1e-9):
+            diff = np.abs(fr.tau_k(p, mu, ks) - _tau_k_by_inversion(p, mu, ks))
+            assert diff.max() <= 5e-14, (p, mu, diff.max())
+
+
+def test_tau_k_and_sn_l2_converge_on_the_whole_domain():
+    for p in (1.05, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 6.0, 10.0):
+        for mu in (0.0, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+            assert np.all(np.isfinite(fr.tau_k(p, mu, range(1, 202)))), (p, mu)
+            assert 0.0 < fr._sn_l2(p, mu) < 1.0, (p, mu)
+    # below p = 1.05 the w_p tail panels themselves no longer converge
+    with pytest.raises(NonConvergence):
+        fr.tau_k(1.03, 0.5, 1)
+
+
+def _engine_counter(monkeypatch):
+    """Clear the profile cache and record, from then on, the number of
+    points of every w_p call and of every sn_p inversion of any engine."""
+    wp_sizes, inversions = [], []
+    wp_many, invert = el._SnpEngine.wp_many, el._SnpEngine.invert
+
+    def counting_wp(self, z):
+        wp_sizes.append(np.size(z))
+        return wp_many(self, z)
+
+    def counting_invert(self, t):
+        inversions.append(np.size(t))
+        return invert(self, t)
+
+    monkeypatch.setattr(el._SnpEngine, "wp_many", counting_wp)
+    monkeypatch.setattr(el._SnpEngine, "invert", counting_invert)
     fr._profile.cache_clear()
-    return sizes
+    return wp_sizes, inversions
 
 
 def test_warm_profile_makes_no_snp_call(monkeypatch):
-    sizes = _snp_counter(monkeypatch)
+    wp_sizes, inversions = _engine_counter(monkeypatch)
     first = fr.fourier_profile(2.5, 0.45, 41)
-    assert len(sizes) > 0
-    sizes.clear()
+    assert len(wp_sizes) > 0
+    wp_sizes.clear()
     assert fr.fourier_profile(2.5, 0.45, 41) == first
-    assert sizes == []
+    assert fr._sn_l2(2.5, 0.45) > 0.0
+    assert wp_sizes == [] and inversions == []
 
 
 def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
-    sizes = _snp_counter(monkeypatch)
+    wp_sizes, inversions = _engine_counter(monkeypatch)
+    levels = quad._ts_levels()
+    first = sum(L.x.size for L in levels[: fr._FILL_LEVEL + 1])
+    assert first == 391
     fr.fourier_profile(2.5, 0.45, 21)
-    # levels 0..5 hold 391 nodes u, each inverted at K u and at K (1 + u)
-    assert sizes == [782]
-    sizes.clear()
+    # levels 0..5 in one w_p call over their nodes z, and no sn_p at all
+    assert wp_sizes == [first]
+    wp_sizes.clear()
     fr._profile.cache_clear()
     fr.fourier_profile(2.5, 0.45, 201)
     # levels 0..5 in one call, then levels 6 and 7 one call each
-    assert len(sizes) == 3 and sizes[0] == 782
-    sizes.clear()
+    assert wp_sizes == [first, levels[6].x.size, levels[7].x.size]
+    wp_sizes.clear()
     fr._profile.cache_clear()
     fr.tau_k(2.5, 0.45, 1)
-    assert sizes == [782]
+    assert wp_sizes == [first]
+    assert inversions == []
 
 
 def test_grouped_fill_matches_per_level_fill():
     # the one-call fill of the first levels gives, bit for bit, what one
-    # sn_p call per level gives, since the inversion treats each point alone
+    # w_p call per level gives, since w_p treats each point alone
     levels = quad._ts_levels()
     rng = np.random.default_rng(2024)
     for p in (1.2, 2.0, 3.5, 6.0):
         for mu in rng.uniform(0.0, 0.999, 2).tolist() + [0.999]:
-            K = el.kp(p, mu)
+            eng = el._engine(p, mu)
             fr._profile.cache_clear()
             prefilled = fr._profile(p, mu)
             for L in levels[:9]:
-                v = el.snp_many(p, mu, K * np.concatenate([L.x, 1.0 + L.x]))
-                prefilled.append((v[: L.x.size], v[L.x.size :]))
+                x1 = eng.wp_many(L.x) / (2.0 * eng.K)
+                prefilled.append((x1, 1.0 - x1))
             queries = [
                 lambda: fr._sn_l2(p, mu),
                 lambda: fr.tau_k(p, mu, 1),

@@ -63,8 +63,6 @@ def _mu_list(text: str):
         vals = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad modulus list {text!r}") from exc
-    if not vals:
-        raise argparse.ArgumentTypeError("empty modulus list")
     return vals
 
 

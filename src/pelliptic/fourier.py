@@ -17,13 +17,14 @@ terms, so the even-k coefficients vanish only through genuine numerical
 cancellation, not by construction.
 
 All of these integrals run through the package's one tanh-sinh routine.
-x1 and x2 depend only on (p, mu), never on k, so each profile caches them
-per refinement level of that routine's nodes; a cold profile fills its
-first six levels with one w_p call, since a call costs mostly numpy
-overhead at a few hundred points.  Any set of indices k is one call of
-the routine, one row per k, each stopping at its own level (every row is
-evaluated on the routine's first block, levels 0-4), so a coefficient
-does not depend on which other k were asked for with it.
+x1 depends only on (p, mu), never on k, so each profile caches it as one
+array over a prefix of that routine's node table, and forms x2 on each
+call; a cold profile fills its first six levels with one w_p call, since
+a call costs mostly numpy overhead at a few hundred points.  Any set of
+indices k is one call of the routine, one row per k, each stopping at its
+own level (every row is evaluated on the routine's first block, levels
+0-4), so a coefficient does not depend on which other k were asked for
+with it.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -41,7 +42,7 @@ import numpy as np
 
 from .elliptic import _engine, kp
 from .errors import DomainError, _check_int, _check_interval, _validate_pmu
-from .quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_levels
+from .quadrature import _tanh_sinh, _ts_nodes
 
 __all__ = [
     "FourierProfile",
@@ -88,12 +89,10 @@ class FourierProfile:
 
 @functools.lru_cache(maxsize=64)
 def _profile(p: float, mu: float) -> list:
-    """Per tanh-sinh level, (x1, x2) = (w_p(z) / (2 K_p), 1 - x1) at that
-    level's nodes z, filled by :func:`_split_integral`: levels
-    0.._FILL_LEVEL in one w_p call, each later level in a call of its own.
-    The driver's block call reads levels 0.._BLOCK_LEVEL from here,
-    concatenated."""
-    return []
+    """A one-item list holding x1 = w_p(z) / (2 K_p) at the nodes z of a
+    prefix of the tanh-sinh node table, in table order; it starts empty
+    and :func:`_split_integral` extends it."""
+    return [np.empty(0)]
 
 
 def _split_integral(p: float, mu: float, g, tol: float):
@@ -101,29 +100,26 @@ def _split_integral(p: float, mu: float, g, tol: float):
     and x2 = 1 - x1 of z on the two halves of the profile.
 
     ``g(x1, x2, z, rows)`` returns G with shape (n,) or, for the driver's
-    live ``rows`` only, (live rows, n).  x1 and x2 come from the profile
-    cache: for the driver's block call, levels 0.._BLOCK_LEVEL concatenated
-    in level order, for each later call the entry of its level.  The driver
-    visits levels in order, so the levels missing from the cache are the
-    ones of this call: w_p is evaluated at their nodes in one call, with
-    every later level up to _FILL_LEVEL, and appended one entry per level.
-    w_p treats each point on its own, so grouping does not change a value.
+    live ``rows`` only, (live rows, n).  The driver's nodes z for level
+    ``lev`` end at ``cuts[lev + 1]`` in the node table, the block's as the
+    table's prefix, so x1 is the same slice of the profile cache and x2 is
+    formed from it.  The driver visits levels in order, so a call past the
+    cached prefix extends it with one w_p call through level ``lev`` or
+    _FILL_LEVEL, whichever is later.  w_p treats each point on its own, so
+    grouping does not change a value.
     """
     p, mu = float(p), float(mu)
-    levels = _profile(p, mu)
+    cache = _profile(p, mu)
     eng = _engine(p, mu)
+    nodes, _, _, cuts = _ts_nodes()
 
     def F(lev: int, z: np.ndarray, cz: np.ndarray, rows) -> np.ndarray:
-        if lev >= len(levels):
-            new = _ts_levels()[len(levels) : max(lev, _FILL_LEVEL) + 1]
-            x1 = eng.wp_many(np.concatenate([L.x for L in new])) / (2.0 * eng.K)
-            cuts = np.cumsum([L.x.size for L in new])[:-1]
-            levels.extend((a, 1.0 - a) for a in np.split(x1, cuts))
-        if lev == _BLOCK_LEVEL:
-            x1, x2 = (np.concatenate(c) for c in zip(*levels[: lev + 1]))
-        else:
-            x1, x2 = levels[lev]
-        return g(x1, x2, z, rows)
+        end = cuts[lev + 1]
+        if end > cache[0].size:
+            new = nodes[cache[0].size : cuts[max(lev, _FILL_LEVEL) + 1]]
+            cache[0] = np.concatenate([cache[0], eng.wp_many(new) / (2.0 * eng.K)])
+        x1 = cache[0][end - z.size : end]
+        return g(x1, 1.0 - x1, z, rows)
 
     return _tanh_sinh(F, 1.0, 1.0, tol)[0]
 

@@ -200,7 +200,7 @@ def odd_lambert_sum(q: float) -> float:
     """sum_{n>=1} q^n / (1 - q^(2n+1)), summed directly.
 
     It equals the Lambert-series combination (L(sqrt(q)) - 2 L(q) +
-    L(q^2))/sqrt(q) - 1/(1-q), which :func:`_sharp_equation` uses.
+    L(q^2))/sqrt(q) - 1/(1-q); :func:`solve_q0` roots it against 1/(1-q).
     """
     _check_interval("q", q, 0.0, _Q_MAX, "(]")
     return _lambert_sum(
@@ -208,25 +208,16 @@ def odd_lambert_sum(q: float) -> float:
     )
 
 
-def _sharp_equation(q: float) -> float:
-    """F(q) = (L(sqrt(q)) - 2 L(q) + L(q^2)) / sqrt(q) - 2/(1-q).
-
-    Vanishes exactly when (1-q) sum_{n>=1} q^n/(1-q^(2n+1)) = 1.
-    """
-    rq = math.sqrt(q)
-    return (lambert_L(rq) - 2.0 * lambert_L(q) + lambert_L(q * q)) / rq - 2.0 / (
-        1.0 - q
-    )
-
-
 def solve_q0(tol: float) -> float:
     """The unique q in (0, 1) with (1-q) sum_{n>=1} q^n/(1-q^(2n+1)) = 1.
 
-    Root of the sharp equation in the bracket (0.5, 0.95), where it
-    changes sign (about -0.92 at 0.5 and 16.3 at 0.95).
+    Root of the sharp equation odd_lambert_sum(q) - 1/(1-q) in the
+    bracket (0.5, 0.95), where it changes sign (about -0.92 at 0.5 and
+    16.3 at 0.95).
     """
     _check_interval("tol", tol, 1e-12, math.inf)
-    return bracketed_root(_sharp_equation, 0.5, 0.95, tol=tol)
+    sharp = lambda q: odd_lambert_sum(q) - 1.0 / (1.0 - q)
+    return bracketed_root(sharp, 0.5, 0.95, tol=tol)
 
 
 @functools.cache

@@ -7,21 +7,21 @@ turns the trapezoid rule in t into a geometrically convergent scheme even when
 the integrand blows up at an endpoint.
 
 One batched routine runs the level loop for every integral in the package:
-the generic :func:`integrate_singular` here, and the K_p rows, the w_p
-tail panels, tau_k and profile norm integrals elsewhere.  It halves the
-step level by level, for one integrand or a batch of rows at once.  The
-rule fixes every node in advance (Takahasi & Mori, 1974), so the caller's
-smooth factor is evaluated once on the nodes of levels 0-4 together, the
-block, and then once per level on that level's new nodes.  From level 2
-on, a row stops when the running minimum of the differences between
-successive levels, plus a truncation allowance taken from the outermost
-node pair, drops to ``tol * max(1, |value|)``; that sum is the row's
-error estimate, floored at the spacing of the value.  The stop test runs
-level by level on the block's slices as on the later levels, so a row's
-value does not depend on the block.  A stopped row drops out: after the
-block the smooth factor is asked only for the rows still live, so a
-batch evaluates each row through the block, or through its own stop
-level if that comes later, as if it ran alone.
+the generic :func:`integrate_singular` here, and the K_p rows, the w_p tail
+panels, tau_k and profile norm integrals elsewhere.  It halves the step level
+by level, for one integrand or a batch of rows at once.  The rule fixes every
+node in advance (Takahasi & Mori, 1974), so all of them live in one table,
+built once, with each level's new nodes after those of the level before.  The
+caller's smooth factor is evaluated once on the table's prefix of levels 0-4,
+the block, and then once per level on that level's slice.  From level 2 on, a
+row stops when the running minimum of the differences between successive
+levels, plus a truncation allowance taken from the outermost node pair, drops
+to ``tol * max(1, |value|)``; that sum is the row's error estimate, floored
+at the spacing of the value.  The stop test runs level by level on the
+block's slices as on the later levels, so a row's value does not depend on
+the block.  A stopped row drops out: after the block the smooth factor is
+asked only for the rows still live, so a batch evaluates each row through the
+block, or through its own stop level if that comes later, as if it ran alone.
 
 Endpoint distances are taken directly from the transform: 1-s is formed from
 exponentials, never by subtracting s from 1, so the endpoint power factors
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -122,60 +122,36 @@ class SingularIntegrand:
                 )
 
 
-class _Level:
-    """Transform data for the new nodes of one refinement level.
-
-    ``x`` holds the right cluster s, then the left cluster 1-s (level 0
-    ends with the centre 1/2); ``cx`` holds the exact complements 1-x and
-    ``picosh`` the transform weights pi cosh t.
-    """
-
-    __slots__ = ("x", "cx", "picosh")
-
-    def __init__(self, x: np.ndarray, cx: np.ndarray, picosh: np.ndarray):
-        self.x = x
-        self.cx = cx
-        self.picosh = picosh
-
-
-_LEVELS: list[_Level] = []
-
-
-def _ts_levels() -> Sequence[_Level]:
-    """Node tables, built once.  Level 0 holds multiples of _H0, level k>0
-    the odd multiples of _H0/2**k, all restricted to t in (0, _T_MAX]."""
-    if not _LEVELS:
-        for lev in range(_MAX_LEVEL + 1):
-            h = _H0 / 2.0**lev
-            if lev == 0:
-                ks = np.arange(1, int(_T_MAX / h) + 1)
-            else:
-                ks = np.arange(1, int(_T_MAX / h) + 1, 2)
-            t = ks * h
-            u = 0.5 * np.pi * np.sinh(t)
-            e = np.exp(-2.0 * u)
-            s = 1.0 / (1.0 + e)
-            oms = e / (1.0 + e)
-            picosh = np.pi * np.cosh(t)
-            x, cx, w = [s, oms], [oms, s], [picosh, picosh]
-            if lev == 0:
-                x.append([0.5])
-                cx.append([0.5])
-                w.append([np.pi])
-            _LEVELS.append(
-                _Level(np.concatenate(x), np.concatenate(cx), np.concatenate(w))
-            )
-    return _LEVELS
-
-
 @functools.cache
-def _ts_block() -> tuple[_Level, np.ndarray]:
-    """The nodes of levels 0.._BLOCK_LEVEL concatenated in level order, as
-    one _Level, and the offsets that cut it back into its levels."""
-    levels = _ts_levels()[: _BLOCK_LEVEL + 1]
-    cat = lambda name: np.concatenate([getattr(L, name) for L in levels])
-    cuts = np.cumsum([0] + [L.x.size for L in levels])
-    return _Level(cat("x"), cat("cx"), cat("picosh")), cuts
+def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The node table, built once: (x, cx, picosh, cuts), cuts a tuple of ints.
+
+    Level k's new nodes sit at ``cuts[k]:cuts[k+1]``, levels 0.._MAX_LEVEL
+    in order, so the block of levels 0.._BLOCK_LEVEL is the prefix
+    ``[:cuts[_BLOCK_LEVEL + 1]]``.  Level 0 holds the multiples of _H0,
+    level k > 0 the odd multiples of _H0/2**k, all with t in (0, _T_MAX].
+    Within a level, ``x`` holds the right cluster s, then the left cluster
+    1-s (level 0 ends with the centre 1/2); ``cx`` holds the exact
+    complements 1-x and ``picosh`` the transform weights pi cosh t.
+    """
+    x, cx, w, cuts = [], [], [], [0]
+    for lev in range(_MAX_LEVEL + 1):
+        h = _H0 / 2.0**lev
+        t = np.arange(1, int(_T_MAX / h) + 1, 1 if lev == 0 else 2) * h
+        u = 0.5 * np.pi * np.sinh(t)
+        e = np.exp(-2.0 * u)
+        s = 1.0 / (1.0 + e)
+        oms = e / (1.0 + e)
+        picosh = np.pi * np.cosh(t)
+        x += [s, oms]
+        cx += [oms, s]
+        w += [picosh, picosh]
+        if lev == 0:
+            x.append([0.5])
+            cx.append([0.5])
+            w.append([np.pi])
+        cuts.append(cuts[-1] + 2 * t.size + (lev == 0))
+    return np.concatenate(x), np.concatenate(cx), np.concatenate(w), tuple(cuts)
 
 
 def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = False):
@@ -184,13 +160,15 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
     ``F(lev, x, cx, rows)`` receives nodes, their exact complements and
     the rows still live, and returns its factor on those rows only: shape
     ``(n,)`` for a single integrand, which ignores ``rows``, or
-    ``(live rows, n)``.  The first call is the block: ``lev`` is
-    ``_BLOCK_LEVEL``, ``x`` the nodes of levels 0.._BLOCK_LEVEL in level
-    order and ``rows`` ``slice(None)``.  Each later call brings the nodes
-    of the one level ``lev``, and ``rows`` is ``slice(None)`` while every
-    row is live, then an increasing index array into the rows F returned
-    in the block; ``eb`` may be a ``(rows, 1)`` column, one right exponent
-    per row.
+    ``(live rows, n)``.  ``x`` and ``cx`` are views of the node table of
+    :func:`_ts_nodes`, which F must not write to.  The first call is the
+    block: ``lev`` is ``_BLOCK_LEVEL``, ``x`` the table's prefix
+    ``[:cuts[_BLOCK_LEVEL + 1]]``, the nodes of levels 0.._BLOCK_LEVEL in
+    level order, and ``rows`` ``slice(None)``.  Each later call brings
+    ``[cuts[lev]:cuts[lev + 1]]``, the nodes of the one level ``lev``, and
+    ``rows`` is ``slice(None)`` while every row is live, then an increasing
+    index array into the rows F returned in the block; ``eb`` may be a
+    ``(rows, 1)`` column, one right exponent per row.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
     of the outermost node pair is at most ``tol * max(1, |value|)``, keeps
@@ -206,10 +184,10 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
     mend.  The first failure raises :class:`NonConvergence`; with
     ``partial`` the failed row drops out with NaN as value and estimate
     and the other rows finish.  Returns (value, abs_error_estimate,
-    nodes_used), where nodes_used counts the nodes of each level the stop
-    test used once, whatever the number of rows and although F saw every
-    node of the block; the estimate is floored at the spacing of the
-    value.
+    nodes_used), where nodes_used is ``cuts[stop + 1]``, the nodes of the
+    levels through the last one the stop test used, counted once whatever
+    the number of rows and although F saw every node of the block; the
+    estimate is floored at the spacing of the value.
     """
     if np.ndim(eb):
         # one power per distinct exponent, taken with a float exponent as a
@@ -221,20 +199,22 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
         right = lambda cx, rows: powers(cx)[eb_row[rows]]
     else:
         right = lambda cx, rows: cx**eb
-    levels = _ts_levels()
-    B, cuts = _ts_block()
-    nodes = 0
+    X, CX, W, cuts = _ts_nodes()
     rows = slice(None)
-    # F's factor times the weights on nodes L, for the rows live now
-    ask = lambda lev, L: F(lev, L.x, L.cx, rows) * (
-        L.picosh * L.x**ea * right(L.cx, rows)
-    )
+
+    # F's factor times the weights on the table's nodes from a through
+    # level lev, for the rows live now
+    def ask(lev, a):
+        b = cuts[lev + 1]
+        x, cx = X[a:b], CX[a:b]
+        return F(lev, x, cx, rows) * (W[a:b] * x**ea * right(cx, rows))
+
     with np.errstate(divide="ignore"):
-        block = ask(_BLOCK_LEVEL, B)
+        block = ask(_BLOCK_LEVEL, 0)
         # the live rows' state, compacted as rows stop; results are written
         # to the rows' places in out and err
         shape = block.shape[:-1]
-        block = block.reshape(-1, B.x.size)
+        block = block.reshape(-1, cuts[_BLOCK_LEVEL + 1])
         idx = np.arange(block.shape[0])
         out = np.full(idx.size, np.nan)
         err = np.full(idx.size, np.nan)
@@ -243,13 +223,12 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
         sums = np.zeros((idx.size, _MAX_LEVEL + 1))
         for lev in range(_BLOCK_LEVEL + 1):
             sums[:, lev] = block[:, cuts[lev] : cuts[lev + 1]].sum(axis=-1)
-        m = levels[0].x.size // 2
+        m = cuts[1] // 2
         trunc = np.abs(block[:, m - 1]) + np.abs(block[:, 2 * m - 1])
         best = np.full(idx.size, math.inf)
-        for lev, L in enumerate(levels):
+        for lev in range(_MAX_LEVEL + 1):
             if lev > _BLOCK_LEVEL:
-                sums[:, lev] = ask(lev, L).sum(axis=-1)
-            nodes += L.x.size
+                sums[:, lev] = ask(lev, cuts[lev]).sum(axis=-1)
             value = (_H0 / 2.0**lev) * sums[:, : lev + 1].sum(axis=-1)
             if lev >= _MIN_LEVEL:
                 target = tol * np.maximum(1.0, np.abs(value))
@@ -263,8 +242,9 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
                 )
                 if not partial and failed.any():
                     raise NonConvergence(
-                        f"tanh-sinh refinement stopped after {nodes} nodes with "
-                        f"error estimate {np.max(est[~ok]):.3e} above tol {tol:.3e}"
+                        f"tanh-sinh refinement stopped after {cuts[lev + 1]} "
+                        f"nodes with error estimate {np.max(est[~ok]):.3e} above "
+                        f"tol {tol:.3e}"
                     )
                 out[idx[ok]] = value[ok]
                 err[idx[ok]] = est[ok]
@@ -278,7 +258,7 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
                     rows = idx
             prev = value
     err = np.maximum(err, np.spacing(np.abs(out)))
-    return out.reshape(shape), err.reshape(shape), nodes
+    return out.reshape(shape), err.reshape(shape), cuts[lev + 1]
 
 
 def _as_batch(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

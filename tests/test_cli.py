@@ -318,6 +318,10 @@ def test_usage_errors_exit_1():
     assert run_cli().returncode == 1
     assert run_cli("bogus").returncode == 1
     assert run_cli("kp", "--p", "2").returncode == 1
+    # an empty field fails float(), so an empty or blank list is malformed too
+    for mus in ("", ",", " ", "0.1,"):
+        r = run_cli("certify", "--criterion", "firstcond", "--mu-list", mus)
+        assert r.returncode == 1 and "bad modulus list" in r.stderr, mus
 
 
 def test_console_script_installed(tmp_path):

@@ -194,17 +194,19 @@ def test_warm_profile_makes_no_snp_call(monkeypatch):
 
 def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
     wp_sizes, inversions = _engine_counter(monkeypatch)
-    levels = quad._ts_levels()
-    first = sum(L.x.size for L in levels[: fr._FILL_LEVEL + 1])
+    cuts = quad._ts_nodes()[3]
+    first = cuts[fr._FILL_LEVEL + 1]
     assert first == 391
     fr.fourier_profile(2.5, 0.45, 21)
     # levels 0..5 in one w_p call over their nodes z, and no sn_p at all
     assert wp_sizes == [first]
+    assert fr._profile(2.5, 0.45)[0].size == 391
     wp_sizes.clear()
     fr._profile.cache_clear()
     fr.fourier_profile(2.5, 0.45, 201)
     # levels 0..5 in one call, then levels 6 and 7 one call each
-    assert wp_sizes == [first, levels[6].x.size, levels[7].x.size]
+    assert wp_sizes == [first, cuts[7] - cuts[6], cuts[8] - cuts[7]]
+    assert fr._profile(2.5, 0.45)[0].size == cuts[8] == 1561
     wp_sizes.clear()
     fr._profile.cache_clear()
     fr.tau_k(2.5, 0.45, 1)
@@ -215,16 +217,19 @@ def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
 def test_grouped_fill_matches_per_level_fill():
     # the one-call fill of the first levels gives, bit for bit, what one
     # w_p call per level gives, since w_p treats each point alone
-    levels = quad._ts_levels()
+    nodes, _, _, cuts = quad._ts_nodes()
     rng = np.random.default_rng(2024)
     for p in (1.2, 2.0, 3.5, 6.0):
         for mu in rng.uniform(0.0, 0.999, 2).tolist() + [0.999]:
             eng = el._engine(p, mu)
             fr._profile.cache_clear()
             prefilled = fr._profile(p, mu)
-            for L in levels[:9]:
-                x1 = eng.wp_many(L.x) / (2.0 * eng.K)
-                prefilled.append((x1, 1.0 - x1))
+            prefilled[0] = np.concatenate(
+                [
+                    eng.wp_many(nodes[cuts[lev] : cuts[lev + 1]]) / (2.0 * eng.K)
+                    for lev in range(9)
+                ]
+            )
             queries = [
                 lambda: fr._sn_l2(p, mu),
                 lambda: fr.tau_k(p, mu, 1),
@@ -263,7 +268,7 @@ def test_tau_k_rows_cost_their_own_levels_only(monkeypatch):
     ks = list(range(1, 22, 2))
     batch = fr.tau_k(2.0, 0.5, ks)
     total = sum(n for _, n in calls)
-    block = sum(L.x.size for L in quad._ts_levels()[: quad._BLOCK_LEVEL + 1])
+    block = quad._ts_nodes()[3][quad._BLOCK_LEVEL + 1]
     alone, stops = 0, set()
     for k in ks:
         calls.clear()

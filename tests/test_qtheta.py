@@ -220,7 +220,8 @@ def test_odd_lambert_sum_at_q0_gives_unit_s():
 def test_solve_q0_value_and_bracket():
     q0 = qt.solve_q0(1e-10)
     assert abs(q0 - 0.768062) < 1e-4
-    assert qt._sharp_equation(0.5) * qt._sharp_equation(0.95) < 0.0
+    sharp = lambda q: qt.odd_lambert_sum(q) - 1.0 / (1.0 - q)
+    assert sharp(0.5) * sharp(0.95) < 0.0
     assert qt.solve_q0(1e-12) == qt.solve_q0(1e-12)
     with pytest.raises(DomainError):
         qt.solve_q0(1e-13)

@@ -13,7 +13,7 @@ from pelliptic.quadrature import (
     QuadratureResult,
     SingularIntegrand,
     _tanh_sinh,
-    _ts_levels,
+    _ts_nodes,
     bracketed_root,
     integrate_singular,
 )
@@ -123,7 +123,7 @@ def test_scalar_only_smooth_part_fallback():
 def test_every_level_holds_several_nodes():
     # the scalar-only fallback relies on this: a size-1 node array would be
     # converted to a float by a scalar callable instead of raising TypeError
-    assert all(L.x.size > 1 for L in _ts_levels())
+    assert all(np.diff(_ts_nodes()[3]) > 1)
 
 
 def test_complement_argument_is_exact_near_one():
@@ -199,8 +199,8 @@ def test_truncation_above_target_raises_at_once():
 
 def test_first_call_is_the_block_of_levels_0_to_4():
     # F gets the nodes of levels 0-4 in level order in one call, for every
-    # row, then one level's nodes per call
-    levels = _ts_levels()
+    # row, as the node table's prefix, then one level's nodes per call
+    nodes, comps, _, cuts = _ts_nodes()
     c = np.array([0.0, 900.0])[:, None]
     calls = []
 
@@ -212,12 +212,14 @@ def test_first_call_is_the_block_of_levels_0_to_4():
     lev, x, cx, rows = calls[0]
     assert _BLOCK_LEVEL == 4 and lev == 4
     assert rows == slice(None)
-    assert np.array_equal(x, np.concatenate([L.x for L in levels[:5]]))
-    assert np.array_equal(cx, np.concatenate([L.cx for L in levels[:5]]))
+    assert np.array_equal(x, nodes[: cuts[5]])
+    assert np.array_equal(cx, comps[: cuts[5]])
+    assert np.shares_memory(x, nodes)
     assert len(calls) > 1
     for want, (lev, x, cx, rows) in enumerate(calls[1:], start=5):
         assert lev == want
-        assert np.array_equal(x, levels[lev].x) and np.array_equal(cx, levels[lev].cx)
+        level = slice(cuts[lev], cuts[lev + 1])
+        assert np.array_equal(x, nodes[level]) and np.array_equal(cx, comps[level])
 
 
 def test_column_exponent_rows_match_rows_computed_alone():
@@ -242,7 +244,7 @@ def _stop_level(ci, bi):
     stops when computed alone, read off the nodes its stop test used."""
     F = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
     nodes = _tanh_sinh(F, 1.0, 1.0 + bi, 1e-13)[2]
-    return np.cumsum([L.x.size for L in _ts_levels()]).tolist().index(nodes)
+    return _ts_nodes()[3].index(nodes) - 1
 
 
 def test_live_rows_shrink_and_stopped_rows_never_return():

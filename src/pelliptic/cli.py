@@ -7,8 +7,15 @@ with 17 significant digits so the text round-trips losslessly back to
 the same doubles.  Output is deterministic: identical invocations are
 byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (invalid inputs),
-3 non-convergence (a numeric routine gave up), 4 self-test failure.
+Each ``cmd_*`` returns its envelope fields without the command name and
+writes nothing.  ``main`` writes the envelope, or on an error writes
+nothing to stdout and one ``error=`` line to stderr.
+
+Exit codes: 0 success, 1 usage error (bad arguments, or an ``--out``
+file that cannot be written: OSError), 2 domain error (invalid inputs:
+DomainError), 3 non-convergence (a numeric routine gave up:
+NonConvergence), 4 self-test failure (the envelope says
+``selftest=fail``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from . import eigen as eg
 from . import elliptic as el
 from . import fourier as fr
 from . import qtheta as qt
-from .errors import DomainError, NonConvergence, _check_int
+from .errors import DomainError, NonConvergence, _check_int, _check_interval
 
 __all__ = ["main", "build_parser"]
 
@@ -40,14 +47,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
-
-
-def _emit(pairs, warnings=(), out=None) -> None:
-    out = sys.stdout if out is None else out
-    for key, val in pairs:
-        out.write(f"{key}={_fmt(val)}\n")
-    for w in warnings:
-        out.write(f"warning={w}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +76,7 @@ def _mu_grid(text: str):
     return lo, hi, n
 
 
-def cmd_kp(args) -> int:
+def cmd_kp(args) -> list:
     if args.method == "series":
         value = el.kp_via_2f1(args.p, args.mu)
         # an independent error gauge where kp is the quadrature; below p of
@@ -86,38 +85,30 @@ def cmd_kp(args) -> int:
     else:
         res = el.kp_quadrature(args.p, args.mu)
         value, err = res.value, res.abs_error_estimate
-    _emit(
-        [
-            ("command", "kp"),
-            ("p", args.p),
-            ("mu", args.mu),
-            ("method", args.method),
-            ("value", value),
-            ("error_estimate", err),
-        ]
-    )
-    return EXIT_OK
+    return [
+        ("p", args.p),
+        ("mu", args.mu),
+        ("method", args.method),
+        ("value", value),
+        ("error_estimate", err),
+    ]
 
 
-def cmd_snp(args) -> int:
+def cmd_snp(args) -> list:
     sv = el.snp_value(args.p, args.mu, args.y)
-    _emit(
-        [
-            ("command", "snp"),
-            ("p", args.p),
-            ("mu", args.mu),
-            ("y", args.y),
-            ("value", sv.value),
-            ("period_index", sv.branch_period_index),
-        ]
-    )
-    return EXIT_OK
+    return [
+        ("p", args.p),
+        ("mu", args.mu),
+        ("y", args.y),
+        ("value", sv.value),
+        ("period_index", sv.branch_period_index),
+    ]
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> list:
+    _check_int("x_samples", args.x_samples, 0)
     e = eg.eigenpair(args.p, args.mu, args.n)
     pairs = [
-        ("command", "eigen"),
         ("p", args.p),
         ("mu", args.mu),
         ("n", args.n),
@@ -133,14 +124,12 @@ def cmd_eigen(args) -> int:
         for i, x in enumerate(xs):
             pairs.append((f"x_{i}", float(x)))
             pairs.append((f"phi_{i}", eg.eigenfunction_eval(e, float(x))))
-    _emit(pairs)
-    return EXIT_OK
+    return pairs
 
 
-def cmd_tau(args) -> int:
+def cmd_tau(args) -> list:
     prof = fr.fourier_profile(args.p, args.mu, K_max=args.kmax)
     pairs = [
-        ("command", "tau"),
         ("p", args.p),
         ("mu", args.mu),
         ("kmax", args.kmax),
@@ -148,45 +137,21 @@ def cmd_tau(args) -> int:
     for k, c in enumerate(prof.coefficients, start=1):
         pairs.append((f"tau_{k}", c))
     pairs.append(("tail_bound", prof.tail_bound))
-    _emit(pairs)
-    return EXIT_OK
+    return pairs
 
 
-def cmd_q0(args) -> int:
-    value = qt.solve_q0(args.tol)
-    _emit(
-        [
-            ("command", "q0"),
-            ("tol", args.tol),
-            ("value", value),
-        ]
-    )
-    return EXIT_OK
+def cmd_q0(args) -> list:
+    return [("tol", args.tol), ("value", qt.solve_q0(args.tol))]
 
 
-def cmd_mu0(args) -> int:
+def cmd_mu0(args) -> list:
     value = qt.mu0()
-    _emit(
-        [
-            ("command", "mu0"),
-            ("value", value),
-            ("one_minus_value", 1.0 - value),
-        ]
-    )
-    return EXIT_OK
+    return [("value", value), ("one_minus_value", 1.0 - value)]
 
 
-def cmd_s(args) -> int:
+def cmd_s(args) -> list:
     value = qt.fraenkel_s(args.q, args.sign)
-    _emit(
-        [
-            ("command", "s"),
-            ("q", args.q),
-            ("sign", args.sign),
-            ("value", value),
-        ]
-    )
-    return EXIT_OK
+    return [("q", args.q), ("sign", args.sign), ("value", value)]
 
 
 def _build_modulus_set(args) -> tuple[ct.ModulusSet, list]:
@@ -203,18 +168,17 @@ def _build_modulus_set(args) -> tuple[ct.ModulusSet, list]:
     return ct.ModulusSet.grid(lo, hi, n), warnings
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> list:
     ms, warnings = _build_modulus_set(args)
     if args.criterion == "firstcond":
         rep = ct.certify_firstcond(args.p, ms)
     elif args.criterion == "invert":
         rep = ct.certify_invertibility(args.p, ms, K=args.kmax)
     else:
+        # the sharp criterion holds at p = 2 only, and its envelope echoes no p
+        _check_interval("p", args.p, 2.0, 2.0, "[]")
         rep = ct.certify_p2_sharp(ms)
-    pairs = [
-        ("command", "certify"),
-        ("criterion", rep.criterion),
-    ]
+    pairs = [("criterion", rep.criterion)]
     if args.criterion != "p2sharp":
         pairs.append(("p", args.p))
     pairs += [
@@ -228,11 +192,10 @@ def cmd_certify(args) -> int:
         ("verdict", rep.verdict),
         ("caveats", rep.caveats),
     ]
-    _emit(pairs, warnings)
-    return EXIT_OK
+    return pairs + [("warning", w) for w in warnings]
 
 
-def cmd_region(args) -> int:
+def cmd_region(args) -> list:
     _check_int("pgrid", args.pgrid, 1)
     _check_int("mugrid", args.mugrid, 1)
     ops = [(i + 1.0) / (args.pgrid + 1.0) for i in range(args.pgrid)]
@@ -242,17 +205,13 @@ def cmd_region(args) -> int:
     text = ct.region_csv(rows)
     with open(args.out, "w", newline="") as fh:
         fh.write(text)
-    _emit(
-        [
-            ("command", "region"),
-            ("pgrid", args.pgrid),
-            ("mugrid", args.mugrid),
-            ("out", args.out),
-            ("rows", len(rows)),
-            ("inside_count", sum(r[3] for r in rows)),
-        ]
-    )
-    return EXIT_OK
+    return [
+        ("pgrid", args.pgrid),
+        ("mugrid", args.mugrid),
+        ("out", args.out),
+        ("rows", len(rows)),
+        ("inside_count", sum(r[3] for r in rows)),
+    ]
 
 
 def _selftest_checks():
@@ -337,9 +296,9 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> list:
     checks = _selftest_checks()
-    pairs = [("command", "selftest")]
+    pairs = []
     failures = 0
     for name, fn in checks:
         try:
@@ -352,8 +311,7 @@ def cmd_selftest(args) -> int:
     pairs.append(("checks", len(checks)))
     pairs.append(("failures", failures))
     pairs.append(("selftest", "ok" if failures == 0 else "fail"))
-    _emit(pairs)
-    return EXIT_OK if failures == 0 else EXIT_SELFTEST
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,16 +383,24 @@ def build_parser() -> argparse.ArgumentParser:
 _main_parser = functools.cache(build_parser)
 
 
+def _error(exc: Exception, code: int) -> int:
+    sys.stderr.write(f"error={exc}\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = _main_parser().parse_args(argv)
     try:
-        return args.func(args)
+        pairs = args.func(args)
     except DomainError as exc:
-        sys.stderr.write(f"error={exc}\n")
-        return EXIT_DOMAIN
+        return _error(exc, EXIT_DOMAIN)
     except NonConvergence as exc:
-        sys.stderr.write(f"error={exc}\n")
-        return EXIT_NONCONVERGENCE
+        return _error(exc, EXIT_NONCONVERGENCE)
+    except OSError as exc:
+        return _error(exc, EXIT_USAGE)
+    envelope = [("command", args.command), *pairs]
+    sys.stdout.write("".join(f"{key}={_fmt(val)}\n" for key, val in envelope))
+    return EXIT_SELFTEST if ("selftest", "fail") in pairs else EXIT_OK
 
 
 if __name__ == "__main__":

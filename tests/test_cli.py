@@ -178,6 +178,23 @@ def test_certify_modulus_flags_exclusive():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("p", ["3", "nan"])
+def test_certify_p2sharp_rejects_p_other_than_2(p):
+    # the sharp criterion is certified at p = 2 only, and its envelope
+    # echoes no p, so any other p is refused rather than ignored
+    r = run_cli("certify", "--criterion", "p2sharp", "--p", p, "--mu-const", "0.5")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error=p must lie in [2, 2], got ")
+
+
+def test_eigen_negative_x_samples_exits_2():
+    r = run_cli("eigen", "--p", "2", "--mu", "0.5", "--n", "1", "--x-samples", "-3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error=x_samples must be an integer in [0, inf)")
+
+
 def test_certify_saturation_exits_3():
     r = run_cli("certify", "--criterion", "p2sharp", "--mu-const", "0.9999999999")
     assert r.returncode == 3
@@ -299,6 +316,15 @@ def test_region_determinism(tmp_path):
     assert sa == sb
 
 
+def test_region_unwritable_out_exits_1(tmp_path):
+    out = tmp_path / "missing" / "region.csv"
+    r = run_cli("region", "--pgrid", "2", "--mugrid", "2", "--out", str(out))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error=")
+    assert "Traceback" not in r.stderr
+
+
 def test_stdout_byte_identical_between_runs():
     a = run_cli("kp", "--p", "2.5", "--mu", "0.85")
     b = run_cli("kp", "--p", "2.5", "--mu", "0.85")
@@ -312,6 +338,21 @@ def test_selftest_passes():
     assert env["selftest"] == "ok"
     assert env["failures"] == "0"
     assert int(env["checks"]) >= 10
+
+
+def test_selftest_failure_exits_4(monkeypatch, capsys):
+    checks = cli._selftest_checks
+
+    def broken():
+        raise AssertionError("fails on purpose")
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [*checks(), ("broken", broken)])
+    assert cli.main(["selftest"]) == 4
+    env = parse_envelope(capsys.readouterr().out)
+    assert env["selftest"] == "fail"
+    assert env["failures"] == "1"
+    assert env["check_broken"].startswith("FAIL:")
+    assert env["check_kp_closed_form"] == "ok"
 
 
 def test_usage_errors_exit_1():

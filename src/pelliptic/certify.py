@@ -16,12 +16,15 @@ certificates over a finite set of moduli:
 Each certificate reports lhs, rhs, margin = rhs - lhs, a truncation tail
 bound, and a three-way verdict: PASS when the margin clearly exceeds the
 tail plus a fixed numeric slack, FAIL when it is clearly negative, and
-INCONCLUSIVE in between.  A certificate never silently overclaims: sups
-over interval grids carry an explicit non-rigorous-between-nodes caveat.
+INCONCLUSIVE in between.  One private builder makes every report, so the
+verdict rule and the report layout are written once.  A certificate
+never silently overclaims: sups over interval grids carry an explicit
+non-rigorous-between-nodes caveat.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -73,7 +76,6 @@ class ModulusSet:
 
     kind: str
     values: tuple
-    grid_resolution: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -84,8 +86,6 @@ class ModulusSet:
             _check_interval("mu", mu, 0.0, 1.0, "()")
         if self.kind == "constant" and len(self.values) != 1:
             raise DomainError("constant modulus set must hold exactly one value")
-        if self.kind == "interval-grid" and self.grid_resolution != len(self.values):
-            raise DomainError("interval-grid resolution must match the value count")
 
     @staticmethod
     def constant(mu: float) -> "ModulusSet":
@@ -101,7 +101,7 @@ class ModulusSet:
         _check_interval("lo", lo, 0.0, 1.0, "()")
         _check_interval("hi", hi, lo, 1.0, "()")
         vals = tuple(float(v) for v in np.linspace(lo, hi, int(n)))
-        return ModulusSet(kind="interval-grid", values=vals, grid_resolution=int(n))
+        return ModulusSet(kind="interval-grid", values=vals)
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,33 @@ def _verdict(lhs: float, rhs: float, tail: float) -> tuple[str, float]:
     return "FAIL", margin
 
 
+def _report(
+    criterion: str,
+    lhs: float,
+    rhs: float,
+    tail: float = 0.0,
+    K: int = 0,
+    notes=(),
+    inconclusive: str = "",
+) -> CertificateReport:
+    """The one report builder: verdict and margin from :func:`_verdict`,
+    caveats the ``notes`` joined by "; ", then ``inconclusive`` if the
+    verdict is INCONCLUSIVE."""
+    verdict, margin = _verdict(lhs, rhs, tail)
+    if verdict == "INCONCLUSIVE" and inconclusive:
+        notes = [*notes, inconclusive]
+    return CertificateReport(
+        criterion=criterion,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        truncation_K=int(K),
+        tail_bound=tail,
+        verdict=verdict,
+        caveats="; ".join(notes),
+    )
+
+
 def certify_firstcond(p: float, ms: ModulusSet) -> CertificateReport:
     """sup K_p(mu) over the set against the threshold 8/(pi^2 - 8).
 
@@ -135,20 +162,8 @@ def certify_firstcond(p: float, ms: ModulusSet) -> CertificateReport:
     anyway, since K_p is increasing in mu.
     """
     lhs = max(kp(p, mu) for mu in ms.values)
-    verdict, margin = _verdict(lhs, FIRSTCOND_RHS, 0.0)
-    caveats = ""
-    if verdict == "INCONCLUSIVE":
-        caveats = "margin within numeric slack of zero"
-    return CertificateReport(
-        criterion="firstcond",
-        lhs=lhs,
-        rhs=FIRSTCOND_RHS,
-        margin=margin,
-        truncation_K=0,
-        tail_bound=0.0,
-        verdict=verdict,
-        caveats=caveats,
-    )
+    inconclusive = "margin within numeric slack of zero"
+    return _report("firstcond", lhs, FIRSTCOND_RHS, inconclusive=inconclusive)
 
 
 def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateReport:
@@ -165,24 +180,11 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     rhs = float(np.min(taus[:, 0]))
     lhs = math.fsum(np.max(np.abs(taus[:, 1:]), axis=0))
     tail = tau_tail_bound(p, max(kp(p, mu) for mu in ms.values), int(K) + 2)
-    verdict, margin = _verdict(lhs, rhs, tail)
     notes = []
     if ms.kind == "interval-grid":
-        notes.append(
-            "sup over grid points only; not a rigorous sup between nodes"
-        )
-    if verdict == "INCONCLUSIVE":
-        notes.append("tail bound straddles the margin; increase K to shrink it")
-    return CertificateReport(
-        criterion="invertibility",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        truncation_K=int(K),
-        tail_bound=tail,
-        verdict=verdict,
-        caveats="; ".join(notes),
-    )
+        notes.append("sup over grid points only; not a rigorous sup between nodes")
+    inconclusive = "tail bound straddles the margin; increase K to shrink it"
+    return _report("invertibility", lhs, rhs, tail, K, notes, inconclusive)
 
 
 def certify_p2_sharp(ms: ModulusSet) -> CertificateReport:
@@ -197,21 +199,12 @@ def certify_p2_sharp(ms: ModulusSet) -> CertificateReport:
     rhs = mu0()
     q_sup = nome_from_modulus(lhs)
     s_diag = (1.0 - q_sup) * odd_lambert_sum(q_sup)
-    verdict, margin = _verdict(lhs, rhs, 0.0)
     notes = [f"S(q)={s_diag:.17g} at q={q_sup:.17g}"]
-    if verdict == "PASS" and s_diag >= 1.0:
-        verdict = "INCONCLUSIVE"
+    rep = _report("p2-sharp", lhs, rhs, notes=notes)
+    if rep.verdict == "PASS" and s_diag >= 1.0:
         notes.append("rho-sum diagnostic S >= 1 contradicts the margin test")
-    return CertificateReport(
-        criterion="p2-sharp",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        truncation_K=0,
-        tail_bound=0.0,
-        verdict=verdict,
-        caveats="; ".join(notes),
-    )
+        rep = dataclasses.replace(rep, verdict="INCONCLUSIVE", caveats="; ".join(notes))
+    return rep
 
 
 def region_scan(p_points, mu_points) -> list:

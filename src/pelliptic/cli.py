@@ -21,6 +21,7 @@ NonConvergence), 4 self-test failure (the envelope says
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -169,29 +170,27 @@ def _build_modulus_set(args) -> tuple[ct.ModulusSet, list]:
 
 
 def cmd_certify(args) -> list:
+    # only the coefficient test truncates; elsewhere --kmax would go unused
+    if args.kmax is not None and args.criterion != "invert":
+        raise DomainError(
+            f"--kmax applies to --criterion invert only, not {args.criterion}"
+        )
     ms, warnings = _build_modulus_set(args)
     if args.criterion == "firstcond":
         rep = ct.certify_firstcond(args.p, ms)
     elif args.criterion == "invert":
-        rep = ct.certify_invertibility(args.p, ms, K=args.kmax)
+        K = 21 if args.kmax is None else args.kmax
+        rep = ct.certify_invertibility(args.p, ms, K=K)
     else:
         # the sharp criterion holds at p = 2 only, and its envelope echoes no p
         _check_interval("p", args.p, 2.0, 2.0, "[]")
         rep = ct.certify_p2_sharp(ms)
-    pairs = [("criterion", rep.criterion)]
+    # the report's fields in order, with the inputs echoed after the criterion
+    fields = [(f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep)]
+    pairs = fields[:1]
     if args.criterion != "p2sharp":
         pairs.append(("p", args.p))
-    pairs += [
-        ("set_kind", ms.kind),
-        ("set_size", len(ms.values)),
-        ("lhs", rep.lhs),
-        ("rhs", rep.rhs),
-        ("margin", rep.margin),
-        ("truncation_K", rep.truncation_K),
-        ("tail_bound", rep.tail_bound),
-        ("verdict", rep.verdict),
-        ("caveats", rep.caveats),
-    ]
+    pairs += [("set_kind", ms.kind), ("set_size", len(ms.values)), *fields[1:]]
     return pairs + [("warning", w) for w in warnings]
 
 
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mu0", help="modulus of the sharp-threshold nome")
     sp.set_defaults(func=cmd_mu0)
 
-    sp = sub.add_parser("s", help="signed odd Lambert sum S(q)")
+    sp = sub.add_parser("s", help="Fraenkel's scale s = sign 4 pi sqrt(q) / (1 - q)")
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--sign", type=int, choices=(1, -1), default=1)
     sp.set_defaults(func=cmd_s)
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mu-const", type=float)
     group.add_argument("--mu-list", type=_mu_list)
     group.add_argument("--mu-grid", type=_mu_grid, metavar="LO:HI:N")
-    sp.add_argument("--kmax", type=int, default=21)
+    sp.add_argument("--kmax", type=int, help="invert only (default 21)")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("region", help="tabulate the admissible (1/p, mu) region")

@@ -19,6 +19,10 @@ roots of t**2 - 2 lambda t + 2 c**p with c = phi'(0).  Both identities
 are checked numerically by the residual routines below; they exercise the
 full derivative chain of sn_p rather than the algebraic shortcut, so a
 wrong second-derivative formula would show up immediately.
+
+A residual routine folds its grid once, through the checked fold of every
+sn_p entry point; for p != 2 it drops the points where the singular test
+that snp_second_deriv raises on holds, and inverts only the kept ones.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _snp_parts, kp, snp
+from .elliptic import _fold, kp, snp
 from .errors import GridTooCoarse, SingularPoint
 from .errors import _check_finite, _check_int, _check_sign, _validate_pmu
 
@@ -40,13 +44,6 @@ __all__ = [
     "first_integral_residual",
     "ode_residual",
 ]
-
-# points closer than this (in the reduced quarter variable) to a zero of
-# phi' are excluded from residual grids: the second derivative is only
-# locally integrable there for p > 2, and the factor |phi'|**(p-2)
-# degenerates for p < 2.  Slightly wider than the evaluator's own
-# singular margin so fold round-off cannot reinstate a rejected point.
-_EXCLUDE_MARGIN = 1.01e-6
 
 
 @dataclass(frozen=True)
@@ -130,26 +127,31 @@ def eigenfunction_eval(e: EigenPair, x: float) -> float:
     return e.sign * e.amplitude * snp(e.p, e.mu, y)
 
 
-def _admissible(e: EigenPair, grid) -> tuple[np.ndarray, int, int]:
-    """Partition grid points by distance to the zeros of phi'.
+def _admissible(e: EigenPair, grid):
+    """Fold y = 2 n K_p x once over the grid and drop the zeros of phi'.
 
-    Returns (kept y-values, total, excluded).  phi'(x) vanishes where the
-    reduced argument of sn_p hits the quarter period, i.e. at odd
-    multiples of 1/(2n) in x; a margin of ``_EXCLUDE_MARGIN`` in the
-    reduced variable is excluded whenever p != 2.  A NaN or infinite
-    grid point is rejected, not counted as an exclusion.
+    Returns (keep, engine, u, sign, quarter): ``keep`` marks the grid
+    points kept, the rest is :func:`elliptic._fold` at those points.
+    phi' vanishes where u hits K_p, at odd multiples of 1/(2n) in x; for
+    p != 2 the engine's singular test (u within 1e-6 of K_p) excludes a
+    point, as sn_p'' is only locally integrable there for p > 2 and
+    |phi'|**(p-2) degenerates for p < 2.  A NaN or infinite grid point is
+    rejected, not counted as an exclusion.
     """
     xs = _check_finite("grid", grid)
     if xs.ndim != 1 or xs.size == 0:
         raise GridTooCoarse("grid must be a nonempty one-dimensional array")
-    K = kp(e.p, e.mu)
-    y = 2.0 * e.n * K * xs
-    if e.p == 2.0:
-        return y, xs.size, 0
-    r = np.abs(np.mod(y, 2.0 * K))
-    dist = np.abs(r - K)
-    keep = dist > _EXCLUDE_MARGIN
-    return y[keep], xs.size, int(xs.size - np.count_nonzero(keep))
+    eng, u, sign, quarter, _ = _fold(e.p, e.mu, 2.0 * e.n * kp(e.p, e.mu) * xs)
+    keep = np.full(xs.size, True) if e.p == 2.0 else ~eng.singular(u)
+    return keep, eng, u[keep], sign[keep], quarter[keep]
+
+
+def _residual_report(r: np.ndarray, keep: np.ndarray) -> ResidualReport:
+    return ResidualReport(
+        max_abs_residual=float(np.max(np.abs(r))),
+        grid_size=keep.size,
+        excluded_points=int(keep.size - np.count_nonzero(keep)),
+    )
 
 
 def first_integral_residual(e: EigenPair, grid) -> ResidualReport:
@@ -160,23 +162,19 @@ def first_integral_residual(e: EigenPair, grid) -> ResidualReport:
     margin of a zero of phi' are skipped and counted; if fewer than two
     admissible points remain the grid is rejected as too coarse.
     """
-    y, total, excluded = _admissible(e, grid)
-    if y.size < 2:
+    keep, eng, u, _, quarter = _admissible(e, grid)
+    if u.size < 2:
         raise GridTooCoarse(
-            f"only {y.size} admissible grid points (of {total}) remain "
+            f"only {u.size} admissible grid points (of {keep.size}) remain "
             "after excluding the singular margin"
         )
     p, mu = e.p, e.mu
     K = kp(p, mu)
-    eng, s, _, quarter = _snp_parts(p, mu, y)
+    s = eng.invert(u)
     phi = e.amplitude * s
     dphi = e.amplitude * 2.0 * e.n * K * np.abs(eng.deriv(s, quarter))
     r = dphi**p - 0.5 * (e.alpha - phi**p) * (e.beta - phi**p)
-    return ResidualReport(
-        max_abs_residual=float(np.max(np.abs(r))),
-        grid_size=total,
-        excluded_points=excluded,
-    )
+    return _residual_report(r, keep)
 
 
 def ode_residual(e: EigenPair, grid) -> ResidualReport:
@@ -188,8 +186,8 @@ def ode_residual(e: EigenPair, grid) -> ResidualReport:
     p != 2 points within the singular margin of a zero of phi' are
     skipped and counted; if nothing remains, SingularPoint is raised.
     """
-    y, total, excluded = _admissible(e, grid)
-    if y.size == 0:
+    keep, eng, u, sgn, quarter = _admissible(e, grid)
+    if u.size == 0:
         raise SingularPoint(
             "every grid point falls within the singular margin of a "
             "zero of phi'"
@@ -197,7 +195,7 @@ def ode_residual(e: EigenPair, grid) -> ResidualReport:
     p, mu = e.p, e.mu
     K = kp(p, mu)
     scale = 2.0 * e.n * K
-    eng, s, sgn, quarter = _snp_parts(p, mu, y)
+    s = eng.invert(u)
     phi = e.sign * e.amplitude * (sgn * s)
     d1 = e.sign * e.amplitude * scale * eng.deriv(s, quarter)
     d2 = e.sign * e.amplitude * scale**2 * eng.second(s, quarter)
@@ -207,8 +205,4 @@ def ode_residual(e: EigenPair, grid) -> ResidualReport:
         - np.sign(phi) * np.abs(phi) ** (2.0 * p - 1.0)
         + e.lam * np.sign(phi) * np.abs(phi) ** (p - 1.0)
     )
-    return ResidualReport(
-        max_abs_residual=float(np.max(np.abs(r))),
-        grid_size=total,
-        excluded_points=excluded,
-    )
+    return _residual_report(r, keep)

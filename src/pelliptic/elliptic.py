@@ -19,11 +19,14 @@ B = 1 - mu**p s**p at s = sn_p:
 For p > 2 the second derivative diverges at odd multiples of K_p but stays
 locally integrable.
 
-Evaluation reduces y modulo the period, then inverts w_p by a
-bracket-safeguarded Newton iteration vectorized across all requested
-points.  Each (p, mu) engine evaluates w_p from an approximant it builds
-once, so the Newton passes run no quadrature: for z <= 0.6 a power series
-in x = z**p, the z**p-diagonal of the Appell form
+Every sn_p entry point, and eigen's residual grids, start from one
+checked fold: it validates (p, mu) and y and reduces y modulo the period
+to u in [0, K_p].  The singular test |u - K_p| < 1e-6 is made on that
+same u.  Evaluation then inverts w_p at u by a bracket-safeguarded Newton
+iteration vectorized across all requested points.  Each (p, mu) engine
+evaluates w_p from an approximant it builds once, so the Newton passes
+run no quadrature: for z <= 0.6 a power series in x = z**p, the
+z**p-diagonal of the Appell form
 
     w_p(z) = z F1(1/p; 1/p, 1/p; 1 + 1/p; z**p, mu**p z**p),
 
@@ -77,8 +80,9 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 _KP_TOL = 1e-13
-# p > 2 only: margin around odd multiples of K_p inside which the second
-# derivative is treated as singular.
+# margin in the folded variable u around u = K_p, the zeros of sn_p':
+# snp_second_deriv raises inside it for p > 2, where sn_p'' diverges, and
+# eigen's residual grids drop the points inside it for every p != 2
 _SING_MARGIN = 1e-6
 # interior nodes of the table each _SnpEngine builds to start its inversion
 _TAB_NODES = 16
@@ -323,33 +327,15 @@ class _SnpEngine:
     inverse flattens out.
     """
 
-    __slots__ = (
-        "p",
-        "mu",
-        "K",
-        "_mup",
-        "_series",
-        "_panels",
-        "_table",
-        "_neg_inv_p",
-        "_tail_pow",
-        "_v_pow",
-        "_log_mu",
-    )
+    __slots__ = ("p", "mu", "K", "_series", "_panels", "_table")
 
     def __init__(self, p: float, mu: float):
         self.p = p
         self.mu = mu
         self.K = kp(p, mu)
-        self._mup = mu**p
-        self._series = _direct_series(p, self._mup)
+        self._series = _direct_series(p, mu**p)
         self._panels = None
         self._table = None
-        # powers and logs that every Newton pass uses
-        self._neg_inv_p = -1.0 / p
-        self._tail_pow = 1.0 - 1.0 / p  # of the tail variable v = (1-z)**(1-1/p)
-        self._v_pow = p / (p - 1.0)  # z = 1 - v**(p/(p-1))
-        self._log_mu = math.log(mu) if mu > 0.0 else None
 
     # -- integrand pieces -------------------------------------------------
 
@@ -357,17 +343,17 @@ class _SnpEngine:
         """(A, B) = (1 - s**p, 1 - mu**p s**p), both formed from log(s) so
         they stay accurate when s**p or mu**p s**p is near 1.  At s = 0
         log(s) divides by zero: callers ignore that in np.errstate."""
-        p = self.p
+        p, mu = self.p, self.mu
         log_s = np.log(s)
         A = -np.expm1(p * log_s)
-        if self._log_mu is None:
+        if mu == 0.0:
             return A, np.ones_like(log_s)
-        return A, -np.expm1(p * (self._log_mu + log_s))
+        return A, -np.expm1(p * (math.log(mu) + log_s))
 
     def _G(self, v: np.ndarray) -> np.ndarray:
         """w_p'(v) = (1 - v**p)**(-1/p) (1 - mu**p v**p)**(-1/p), v in [0, 1)."""
         A, B = self._AB(v)
-        return (A * B) ** self._neg_inv_p
+        return (A * B) ** (-1.0 / self.p)
 
     def wp_many(self, z: np.ndarray) -> np.ndarray:
         """w_p at each z in [0, 1], vectorized, from the engine's approximant:
@@ -406,7 +392,7 @@ class _SnpEngine:
         terms = np.cos(np.arccos(x)[:, None] * k)
         terms *= coef[i, 1:]
         H = coef[i, 0] + terms.sum(axis=-1)
-        return self.K - e**self._tail_pow * H
+        return self.K - e ** (1.0 - 1.0 / self.p) * H
 
     def _tail_panels(self):
         """(edges, coef, k): the panel edges in e = 1 - z, one row per
@@ -463,10 +449,11 @@ class _SnpEngine:
         w_p alone never needs it.
         """
         if self._table is None:
+            p = self.p
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)
-            z = 1.0 - v**self._v_pow
+            z = 1.0 - v ** (p / (p - 1.0))
             z = np.sort(np.concatenate((z, 1.0 - self._tail_panels()[0][1:])))
-            v = (1.0 - z) ** self._tail_pow
+            v = (1.0 - z) ** (1.0 - 1.0 / p)
             w = np.concatenate(([0.0], self.wp_many(z[1:-1]), [self.K]))
             self._table = (v, z, w)
         return self._table
@@ -492,7 +479,7 @@ class _SnpEngine:
         with np.errstate(invalid="ignore"):
             frac = np.clip((t - w_tab[j]) / (w_tab[j + 1] - w_tab[j]), 0.0, 1.0)
         v = v_tab[j] + frac * (v_tab[j + 1] - v_tab[j])
-        z = np.clip(1.0 - v**self._v_pow, z_lo, z_hi)
+        z = np.clip(1.0 - v ** (self.p / (self.p - 1.0)), z_lo, z_hi)
         # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
         low, high = t <= 0.0, t >= self.K
         z[low] = 0.0
@@ -546,6 +533,11 @@ class _SnpEngine:
         u = np.where(np.abs(u - self.K) <= 8.0 * _EPS * self.K, self.K, u)
         return u, sign, quarter, period.astype(int)
 
+    def singular(self, u: np.ndarray) -> np.ndarray:
+        """True where a folded u lies within _SING_MARGIN of K, a zero of
+        sn_p'; the one singular test of the sn_p and eigen layers."""
+        return np.abs(u - self.K) < _SING_MARGIN
+
     def deriv(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
         """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K."""
         with np.errstate(divide="ignore"):
@@ -559,7 +551,7 @@ class _SnpEngine:
         p = self.p
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             A, B = self._AB(s)
-            h = -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self._mup * A)
+            h = -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self.mu**p * A)
         return np.where(quarter <= 1, h, -h)
 
 
@@ -580,20 +572,22 @@ def wp(p: float, mu: float, z: float) -> float:
     return float(eng.wp_many(np.array([z]))[0])
 
 
-def _snp_args(p: float, mu: float, y):
-    """Input check shared by every sn_p entry point: returns the engine for
-    (p, mu) and y as a flat float array, rejecting non-finite y."""
+def _fold(p: float, mu: float, y):
+    """The one checked fold of every sn_p entry point: validate (p, mu),
+    take its engine, reject non-finite y, and reduce y, flattened, into the
+    fundamental quarter.  Returns (engine, *engine.reduce(y)), that is
+    (engine, u, sign, quarter, period_index)."""
     _validate_pmu(p, mu)
-    return _engine(p, mu), _check_finite("y", y).ravel()
+    eng = _engine(p, mu)
+    return (eng, *eng.reduce(_check_finite("y", y).ravel()))
 
 
 def _snp_parts(p: float, mu: float, y):
-    """Check, reduce and invert y once: (engine, s, sign, quarter) with
+    """Fold and invert y once: (engine, s, sign, quarter) with
     s = |sn_p(y)|, sign = sgn(sn_p(y)) and quarter = the quarter of y mod
     4 K_p.  Every sn_p value and derivative is built from these, so callers
     that need several of them at the same y invert only once."""
-    eng, y = _snp_args(p, mu, y)
-    u, sign, quarter, _ = eng.reduce(y)
+    eng, u, sign, quarter, _ = _fold(p, mu, y)
     return eng, eng.invert(u), sign, quarter
 
 
@@ -606,8 +600,7 @@ def snp(p: float, mu: float, y: float) -> float:
 
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
     """sn_p evaluation bundled with the period index used in reduction."""
-    eng, ys = _snp_args(p, mu, [y])
-    u, sign, _, period = eng.reduce(ys)
+    eng, u, sign, _, period = _fold(p, mu, [y])
     value = sign * eng.invert(u)
     return SnpValue(y=y, value=float(value[0]), branch_period_index=int(period[0]))
 
@@ -639,9 +632,8 @@ def snp_second_deriv(p: float, mu: float, y: float) -> float:
     periodic symmetry.  For p > 2 it diverges at odd multiples of K_p;
     evaluation within 1e-6 of such a point raises :class:`SingularPoint`.
     """
-    eng, ys = _snp_args(p, mu, [y])
-    u, _, quarter, _ = eng.reduce(ys)
-    if p > 2.0 and abs(u[0] - eng.K) < _SING_MARGIN:
+    eng, u, _, quarter, _ = _fold(p, mu, [y])
+    if p > 2.0 and eng.singular(u)[0]:
         raise SingularPoint(
             f"sn_p'' is singular at odd multiples of K_p for p = {p} "
             f"(y within {_SING_MARGIN} of one)"

@@ -188,6 +188,23 @@ def test_certify_p2sharp_rejects_p_other_than_2(p):
     assert r.stderr.startswith("error=p must lie in [2, 2], got ")
 
 
+@pytest.mark.parametrize(
+    "criterion, extra",
+    [("firstcond", ("--p", "2")), ("p2sharp", ())],
+)
+def test_certify_kmax_rejected_outside_invert(criterion, extra):
+    # only the coefficient test truncates, so an explicit --kmax elsewhere
+    # is refused rather than silently ignored
+    r = run_cli(
+        "certify", "--criterion", criterion, *extra,
+        "--mu-const", "0.5", "--kmax", "5",
+    )
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error=") and r.stderr.count("\n") == 1
+    assert "--kmax" in r.stderr
+
+
 def test_eigen_negative_x_samples_exits_2():
     r = run_cli("eigen", "--p", "2", "--mu", "0.5", "--n", "1", "--x-samples", "-3")
     assert r.returncode == 2
@@ -390,3 +407,28 @@ def test_console_script_installed(tmp_path):
     r = run_cli("kp", "--p", "2", "--mu", "0", command=[exe], env=env, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     assert abs(float(parse_envelope(r.stdout)["value"]) - math.pi / 2.0) < 1e-13
+
+
+def test_runtime_needs_numpy_only():
+    # the selftest and the five demos, with every test-only dependency
+    # made unimportable: the library's runtime is numpy alone
+    demos = sorted(str(d) for d in (REPO / "demos").glob("*.py"))
+    assert len(demos) == 5
+    code = f"""
+import runpy, sys
+for name in ("scipy", "mpmath", "hypothesis", "pytest"):
+    sys.modules[name] = None
+import pelliptic
+from pelliptic import cli
+assert cli.main(["selftest"]) == 0
+for demo in {demos!r}:
+    runpy.run_path(demo, run_name="__main__")
+"""
+    r = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert "selftest=ok" in r.stdout

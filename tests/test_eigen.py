@@ -171,8 +171,8 @@ def test_residuals_invert_once_and_match_public_functions(monkeypatch):
     g = np.linspace(0.01, 1.49, 97)
     for p, mu, n, sign in [(2.0, 0.5, 1, 1), (3.0, 0.3, 1, -1), (1.5, 0.9, 2, 1)]:
         e = eg.eigenpair(p, mu, n, sign)
-        y, _, _ = eg._admissible(e, g)
         scale = 2.0 * n * el.kp(p, mu)
+        y = (scale * g)[eg._admissible(e, g)[0]]
         phi = sign * e.amplitude * el.snp_many(p, mu, y)
         d1 = sign * e.amplitude * scale * el.snp_deriv_many(p, mu, y)
         d2 = sign * e.amplitude * scale**2 * el.snp_second_deriv_many(p, mu, y)
@@ -203,6 +203,33 @@ def test_residual_exclusion_counting():
     rep = eg.ode_residual(e, g)
     assert rep.excluded_points == 2
     assert rep.grid_size == 22
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 1.5])
+@pytest.mark.parametrize("mu", [0.5, 0.9])
+def test_exclusion_is_the_second_derivative_singular_set(p, mu):
+    # one singular set: ode_residual drops a point exactly where
+    # snp_second_deriv raises at the argument eigen folds (p > 2), and for
+    # any p != 2 exactly where the folded u is within 1e-6 of K_p.  Both
+    # residuals share the exclusion; at p = 1.5 the first integral is used,
+    # as sn_p' rounds to 0 at the kept points and the ODE residual is NaN
+    e = eg.eigenpair(p, mu, 1)
+    K = el.kp(p, mu)
+    residual = eg.ode_residual if p > 2.0 else eg.first_integral_residual
+    for d in (0.5e-6, 0.999e-6, 1.005e-6, 1.02e-6):
+        for y0 in (K - d, K + d, 3.0 * K - d, 3.0 * K + d):
+            x = y0 / (2.0 * K)
+            rep = residual(e, [0.2, 0.3, x])
+            excluded = rep.excluded_points == 1
+            assert excluded == (d < 1e-6)
+            if p > 2.0:
+                try:
+                    el.snp_second_deriv(p, mu, 2.0 * e.n * K * x)
+                except SingularPoint:
+                    raised = True
+                else:
+                    raised = False
+                assert raised == excluded
 
 
 def test_residual_grid_errors():

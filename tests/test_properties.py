@@ -1,4 +1,4 @@
-"""Seeded property tests of K_p, w_p and sn_p.
+"""Seeded property tests of K_p, w_p, sn_p, tau_k and the certificate verdict.
 
 hypothesis runs derandomized, so every run draws the same examples.  The
 bounds are a few units of rounding in K_p, the scale of every w_p value,
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import pelliptic.certify as ct
 import pelliptic.elliptic as el
+import pelliptic.fourier as fr
 
 SEEDED = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -83,3 +84,29 @@ def test_region_tile_matches_kp_and_increases_in_mu(op, mu):
     for i in range(4):
         vals = [r[2] for r in rows[4 * i : 4 * i + 4]]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@SEEDED
+@given(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=1e-8) | st.floats(min_value=0.0, max_value=10.0),
+)
+def test_verdict_partition_and_report_margin(lhs, rhs, tail):
+    verdict, margin = ct._verdict(lhs, rhs, tail)
+    band = tail + 1e-9
+    assert (verdict == "PASS") == (margin > band)
+    assert (verdict == "FAIL") == (margin < -band)
+    assert (verdict == "INCONCLUSIVE") == (-band <= margin <= band)
+    rep = ct._report("invertibility", lhs, rhs, tail, 21)
+    assert rep.margin == rhs - lhs
+    assert (rep.verdict, rep.tail_bound) == (verdict, tail)
+
+
+@SEEDED
+@given(st.floats(min_value=1.1, max_value=10.0), mus)
+def test_even_tau_vanish(p, mu):
+    # the profile is symmetric about the half period, so the even sine
+    # coefficients cancel; they stay at rounding level
+    taus = fr.tau_k(p, mu, np.arange(2, 21, 2))
+    assert np.max(np.abs(taus)) < 1e-14

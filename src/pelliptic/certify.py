@@ -192,8 +192,7 @@ def certify_p2_sharp(ms: ModulusSet) -> CertificateReport:
 
     Also evaluates the diagnostic S(q) = sum_j rho_j(q) at the nome of
     the sup; a PASS with S >= 1 is internally inconsistent and is demoted
-    to INCONCLUSIVE.  Moduli so close to 1 that the nome map saturates
-    raise the inversion's own error rather than guessing.
+    to INCONCLUSIVE.
     """
     lhs = max(ms.values)
     rhs = mu0()

@@ -23,6 +23,8 @@ wrong second-derivative formula would show up immediately.
 A residual routine folds its grid once, through the checked fold of every
 sn_p entry point; for p != 2 it drops the points where the singular test
 that snp_second_deriv raises on holds, and inverts only the kept ones.
+For p < 2 the ODE residual also drops the kept points where sn_p'
+rounds to 0, where |phi'|**(p-2) phi'' would be 0 * inf.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class ResidualReport:
     """Outcome of a residual sweep.
 
     ``grid_size`` is the number of points supplied; ``excluded_points``
-    of them fell inside the singular margin and were skipped.
+    of them fell inside the singular margin (or, for the ODE residual at
+    p < 2, had sn_p' rounded to 0) and were skipped.
     """
 
     max_abs_residual: float
@@ -184,20 +187,24 @@ def ode_residual(e: EigenPair, grid) -> ResidualReport:
     + lam sgn(phi) |phi|**(p-1) ], with the leading product formed from
     the separately computed first and second derivatives of sn_p.  For
     p != 2 points within the singular margin of a zero of phi' are
-    skipped and counted; if nothing remains, SingularPoint is raised.
+    skipped and counted; for p < 2 so are the kept points where sn_p'
+    rounds to 0.  If nothing remains, SingularPoint is raised.
     """
     keep, eng, u, sgn, quarter = _admissible(e, grid)
-    if u.size == 0:
+    p, mu = e.p, e.mu
+    scale = 2.0 * e.n * kp(p, mu)
+    s = eng.invert(u)
+    d1 = e.sign * e.amplitude * scale * eng.deriv(s, quarter)
+    if p < 2.0:  # |phi'|**(p-2) phi'' is 0 * inf where sn_p' rounds to 0
+        live = d1 != 0.0
+        keep[keep] = live
+        s, sgn, quarter, d1 = s[live], sgn[live], quarter[live], d1[live]
+    if s.size == 0:
         raise SingularPoint(
             "every grid point falls within the singular margin of a "
             "zero of phi'"
         )
-    p, mu = e.p, e.mu
-    K = kp(p, mu)
-    scale = 2.0 * e.n * K
-    s = eng.invert(u)
     phi = e.sign * e.amplitude * (sgn * s)
-    d1 = e.sign * e.amplitude * scale * eng.deriv(s, quarter)
     d2 = e.sign * e.amplitude * scale**2 * eng.second(s, quarter)
     lead = np.abs(d1) ** (p - 2.0) * d2
     r = (p - 1.0) * (

@@ -19,7 +19,7 @@ import pelliptic.certify as ct
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
 import pelliptic.qtheta as qt
-from pelliptic.errors import DomainError, NonConvergence, NoSignChange
+from pelliptic.errors import DomainError, NoSignChange
 
 
 def test_modulus_set_constructors():
@@ -171,17 +171,25 @@ def test_p2_sharp_small_mu():
     assert r.margin > 0.49
 
 
-def test_p2_sharp_saturation_raises():
+def test_p2_sharp_near_one_is_inconclusive():
+    # the margin mu0 - sup mu lies inside the 1e-9 slack; the reported
+    # nome is the closed form's, checked against 40-digit mpmath
     for mu in (1.0 - 1e-9, 1.0 - 1e-10, float(np.nextafter(1.0, 0.0))):
-        with pytest.raises(NonConvergence):
-            ct.certify_p2_sharp(ct.ModulusSet.constant(mu))
+        r = ct.certify_p2_sharp(ct.ModulusSet.constant(mu))
+        assert r.verdict == "INCONCLUSIVE"
+        assert r.margin == r.rhs - r.lhs
+        q = float(r.caveats.rsplit("at q=", 1)[1])
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu) ** 2
+            ref = mpmath.exp(-mpmath.pi * mpmath.ellipk(1 - m) / mpmath.ellipk(m))
+            assert abs(q - ref) <= 1e-15 * ref
 
 
 @pytest.mark.xfail(
     strict=True,
-    raises=NonConvergence,
-    reason="a FAIL verdict would need sup mu between mu0 and 1, but every "
-    "double that close to 1 saturates the nome inversion first",
+    raises=AssertionError,
+    reason="1 - 1e-9 lies below mu0 (1 - mu0 = 4.57e-16), so no correct "
+    "certificate returns FAIL there; its margin is inside the slack",
 )
 def test_p2_sharp_fail_example():
     r = ct.certify_p2_sharp(ct.ModulusSet.constant(1.0 - 1e-9))
@@ -451,8 +459,8 @@ def test_firstcond_boundary_rejects_tol_before_any_kp_work(monkeypatch, tol):
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])
 def test_nome_from_modulus_takes_few_evaluations(monkeypatch, mu):
-    # bisection alone would need log2(0.98 / 1e-13) + 2, about 45
+    # the closed form evaluates no theta-series modulus
     calls = _counting(monkeypatch, qt, "modulus_from_nome")
     q = qt.nome_from_modulus(mu)
-    assert calls[0] <= 16
+    assert calls[0] == 0
     assert abs(qt.modulus_from_nome(q) - mu) < 1e-12

@@ -212,8 +212,12 @@ def test_eigen_negative_x_samples_exits_2():
     assert r.stderr.startswith("error=x_samples must be an integer in [0, inf)")
 
 
-def test_certify_saturation_exits_3():
+def test_certify_near_one_exits_0_and_nonconvergence_exits_3():
     r = run_cli("certify", "--criterion", "p2sharp", "--mu-const", "0.9999999999")
+    assert r.returncode == 0
+    assert parse_envelope(r.stdout)["verdict"] == "INCONCLUSIVE"
+    # the quadrature of K_p cannot reach 1e-13 this close to p = 1
+    r = run_cli("kp", "--p", "1.02", "--mu", "0.5")
     assert r.returncode == 3
     assert r.stderr.startswith("error=")
 

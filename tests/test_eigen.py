@@ -212,7 +212,7 @@ def test_exclusion_is_the_second_derivative_singular_set(p, mu):
     # snp_second_deriv raises at the argument eigen folds (p > 2), and for
     # any p != 2 exactly where the folded u is within 1e-6 of K_p.  Both
     # residuals share the exclusion; at p = 1.5 the first integral is used,
-    # as sn_p' rounds to 0 at the kept points and the ODE residual is NaN
+    # as sn_p' rounds to 0 at the kept points, which the ODE residual drops
     e = eg.eigenpair(p, mu, 1)
     K = el.kp(p, mu)
     residual = eg.ode_residual if p > 2.0 else eg.first_integral_residual
@@ -230,6 +230,21 @@ def test_exclusion_is_the_second_derivative_singular_set(p, mu):
                 else:
                     raised = False
                 assert raised == excluded
+
+
+@pytest.mark.parametrize("p, d", [(1.5, 1.02e-6), (1.5, 1e-5), (1.2, 1e-3)])
+def test_ode_residual_drops_kept_points_where_the_slope_rounds_to_zero(p, d):
+    # u = K_p - d is outside the 1e-6 margin, but sn_p' rounds to 0 there,
+    # so |phi'|**(p-2) phi'' would be 0 * inf: the point is excluded, not NaN
+    e = eg.eigenpair(p, 0.5, 1)
+    K = el.kp(p, 0.5)
+    x = (K - d) / (2.0 * K)
+    assert el.snp_deriv(p, 0.5, K - d) == 0.0
+    rep = eg.ode_residual(e, [0.25, x])
+    assert (rep.grid_size, rep.excluded_points) == (2, 1)
+    assert rep.max_abs_residual == eg.ode_residual(e, [0.25]).max_abs_residual
+    with pytest.raises(SingularPoint):
+        eg.ode_residual(e, [x])
 
 
 def test_residual_grid_errors():

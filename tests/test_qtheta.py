@@ -9,7 +9,7 @@ import pytest
 
 import pelliptic.elliptic as el
 import pelliptic.qtheta as qt
-from pelliptic.errors import DomainError, NonConvergence
+from pelliptic.errors import DomainError
 
 # Erdos-Borwein constant sum 1/(2^n - 1)
 _EB = 1.6066951524152917638
@@ -110,8 +110,8 @@ def test_nome_round_trips():
     assert abs(qt.nome_from_modulus(mu) - 0.5) < 1e-10
 
 
-def test_nome_of_zero_modulus_takes_one_modulus_evaluation(monkeypatch):
-    # g(0) = 0 ends the root search before g is evaluated at the upper end
+def test_nome_of_zero_modulus_takes_no_modulus_evaluation(monkeypatch):
+    # the closed form never evaluates the theta-series modulus
     calls = []
     modulus_from_nome = qt.modulus_from_nome
 
@@ -121,7 +121,7 @@ def test_nome_of_zero_modulus_takes_one_modulus_evaluation(monkeypatch):
 
     monkeypatch.setattr(qt, "modulus_from_nome", counted)
     assert qt.nome_from_modulus(0.0) == 0.0
-    assert calls == [0.0]
+    assert calls == []
 
 
 @pytest.mark.xfail(
@@ -139,12 +139,24 @@ def test_nome_of_firstcond_boundary_modulus():
 
 
 def test_nome_from_modulus_errors():
-    with pytest.raises(NonConvergence):
-        qt.nome_from_modulus(1.0 - 1e-10)
     with pytest.raises(DomainError):
         qt.nome_from_modulus(1.0)
     with pytest.raises(DomainError):
         qt.nome_from_modulus(-0.2)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [1e-8, 0.01, 0.1, 0.5, 0.9, 0.9909, 1.0 - 1e-6, 1.0 - 2e-9, 1.0 - 1e-9,
+     1.0 - 1e-12, float(np.nextafter(1.0, 0.0))],
+)
+def test_nome_matches_mpmath(mu):
+    # 40-digit exp(-pi K(1 - m) / K(m)), m = mu^2 of the exact double; the
+    # last modulus has the smallest complement of a double, mu' = 1.49e-8
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mu) ** 2
+        ref = mpmath.exp(-mpmath.pi * mpmath.ellipk(1 - m) / mpmath.ellipk(m))
+        assert abs(qt.nome_from_modulus(mu) - ref) <= 1e-14 * ref
 
 
 def test_nome_agrees_with_quarter_period_ratio():

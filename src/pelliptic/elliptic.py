@@ -30,18 +30,22 @@ z**p-diagonal of the Appell form
 
     w_p(z) = z F1(1/p; 1/p, 1/p; 1 + 1/p; z**p, mu**p z**p),
 
-and for z > 0.6, K_p - e**(1-1/p) H(e) with e = 1 - z and H a Chebyshev
-interpolant of degree 32 on panels of [0, 0.4] graded toward e = 0
-(Trefethen, Approximation Theory and Approximation Practice, ch. 8).  The
-engine tabulates w_p at 16 interior nodes evenly spaced in the tail
-variable v = (1-z)**(1-1/p) and at the panel edges; every point starts
-inside its table bracket, from z interpolated linearly in v.  A point
-stops once its raw Newton step is at most 5e-15, and that step is taken
-(clipped into the bracket) before the safeguard could swap it for a
-midpoint, so converged points never fall through to bisection.  Scalar
-and batch entry points share that one path, and the approximant is
-evaluated row by row, so a scalar call returns exactly the value the
-batch call gives at the same y.
+and for z > 0.6, w_p(0.6) plus the integral of a bounded integrand g over
+[v, 0.4**(1-1/p)] in the tail variable v = (1-z)**(1-1/p), taken as the
+exact antiderivative of a Chebyshev interpolant of degree 32 on panels
+graded toward v = 0 and around g's singular points (Trefethen,
+Approximation Theory and Approximation Practice, ch. 8 and 19).  Every
+term of that sum is positive, so w_p keeps its relative accuracy where
+K_p is far larger, near p = 1 and mu = 1; the build runs no quadrature,
+and a panel whose interpolant does not resolve g raises NonConvergence.
+The engine tabulates w_p at 16 nodes evenly spaced in v and at the panel
+edges; every point starts inside its table bracket, from z interpolated
+linearly in v.  A point stops once its raw Newton step is at most 5e-15,
+and that step is taken (clipped into the bracket) before the safeguard
+could swap it for a midpoint, so converged points never fall through to
+bisection.  Scalar and batch entry points share that one path, and the
+approximant is evaluated row by row, so a scalar call returns exactly the
+value the batch call gives at the same y.
 """
 
 from __future__ import annotations
@@ -87,17 +91,51 @@ _SING_MARGIN = 1e-6
 # interior nodes of the table each _SnpEngine builds to start its inversion
 _TAB_NODES = 16
 # w_p tail panels: Chebyshev interpolants of degree _CHEB_N - 1, sampled at
-# the first-kind points _CHEB_X; _DCT maps samples to coefficients, with
-# each angle k (2j+1) pi / (2n) reduced modulo 2 pi in integers
+# the first-kind points _CHEB_X, descending from x = 1 to x = -1
 _CHEB_N = 33
 _CHEB_X = np.sin(0.5 * np.pi * np.arange(_CHEB_N - 1, -_CHEB_N, -2) / _CHEB_N)
-_DCT = (2.0 / _CHEB_N) * np.cos(
-    0.5
-    * np.pi
-    / _CHEB_N
-    * (np.outer(np.arange(_CHEB_N), np.arange(1, 2 * _CHEB_N, 2)) % (4 * _CHEB_N))
-)
-_DCT[0] *= 0.5
+# Bernstein-ellipse parameters each tail panel keeps clear of the
+# singular points of its integrand: the branch points v = 0 and v = 1, and
+# the stronger singular points of the tail factor; and the most the
+# integrand may grow across one panel
+_RHO_BRANCH = 3.0
+_RHO_POLE = 4.0
+_TAIL_GROWTH = 4.0
+
+
+def _antiderivative_map() -> np.ndarray:
+    """The fixed map from a panel's samples f(_CHEB_X) to [I, A_1, ..., A_(n-1)].
+
+    The first-kind DCT gives the interpolant f = sum_j c_j T_j(x), with
+    each angle k (2j+1) pi / (2n) reduced modulo 2 pi in integers.  Its
+    antiderivative F = sum_k C_k T_k has C_1 = c_0 - c_2 / 2 and
+    C_k = (c_(k-1) - c_(k+1)) / (2k) (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 19); the degree-n term c_(n-1) / (2n) is
+    dropped.  With x = cos(2 phi),
+
+        integral_x^1 f = sum_k C_k (1 - T_k(x)) = sum_k A_k sin(k phi)**2,
+
+    A_k = 2 C_k, and I = sum over odd k of A_k is the integral over [-1, 1].
+    Each row of the map is a difference of two DCT rows, so its bits do not
+    depend on a BLAS kernel.
+    """
+    n = _CHEB_N
+    dct = (2.0 / n) * np.cos(
+        0.5 * np.pi / n * (np.outer(np.arange(n), np.arange(1, 2 * n, 2)) % (4 * n))
+    )
+    dct[0] *= 0.5
+    # row k of the map is (c_(k-1) - c_(k+1)) / k, with c_0 counted twice
+    # for k = 1 and c_n = 0; row 0 sums the odd rows
+    rows = np.empty((n, n))
+    rows[1:] = dct[:-1]
+    rows[1] *= 2.0
+    rows[1:-1] -= dct[2:]
+    rows[1:] /= np.arange(1, n)[:, None]
+    rows[0] = rows[1::2].sum(axis=0)
+    return rows
+
+
+_ANTIDERIV = _antiderivative_map()
 
 
 def _pow_ratio(e: np.ndarray, p) -> np.ndarray:
@@ -237,6 +275,60 @@ def _direct_series(p: float, mup: float) -> np.ndarray:
     return c[: np.nonzero(keep)[0][-1] + 1]
 
 
+def _tail_edges(p: float, mu: float) -> np.ndarray:
+    """Edges of the w_p tail panels in v = e**(1/r), ascending from 0 to
+    0.4**(1/r), with e = 1 - z and r = p / (p - 1).
+
+    The integrand g(v) = r T(v**r) has branch points at v = 0 and v = 1,
+    and the singular points of the tail factor T: e = -(1-mu)/mu, which
+    lies at v = ((1-mu)/mu)**(1/r) exp(+-i pi/r), and for p > 2 the zeros
+    1 - exp(+-2 pi i/p) of 1 - (1-e)**p.  From the top edge b down, each
+    panel [a, b] is as long as keeps its Bernstein ellipse clear of them:
+    a point s with |s - a| + |s - b| = kappa (b - a), kappa = (rho +
+    1/rho) / 2, bounds the length by 2 (kappa |b - s| - (b - Re s)) /
+    (kappa**2 - 1), which is 3/4 b for s = 0 at rho = 3 (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8).  Near
+    ((1-mu)/mu)**(1/r) that grades the panels by the angle pi/r.  Above it
+    g falls like v**(-1/(p-1)), so a panel also keeps the growth of
+    (e + (1-mu)/mu)**(-1/p), the size of T, within _TAIL_GROWTH.  The last
+    panel reaches v = 0 once e < 1e-17 min(d, 1), d the distance from e = 0
+    to the nearest singular point of T, where g is constant to rounding.
+    """
+    r, q = p / (p - 1.0), (p - 1.0) / p
+    branch = 0.5 * (_RHO_BRANCH + 1.0 / _RHO_BRANCH)
+    kappa = 0.5 * (_RHO_POLE + 1.0 / _RHO_POLE)
+    scale = 2.0 / (kappa * kappa - 1.0)
+    # (Re s, Im s) of the singular points of T, one of each conjugate pair:
+    # e = d_s exp(i theta) lies at v = d_s**(1/r) exp(i theta / r)
+    poles = []
+    d = 2.0 * math.sin(math.pi / max(p, 2.0))
+    if p > 2.0:
+        angle = q * (0.5 * math.pi - math.pi / p)
+        poles.append((d**q * math.cos(angle), d**q * math.sin(angle)))
+    if mu > 0.0:
+        dmu = (1.0 - mu) / mu
+        d = min(d, dmu)
+        poles.append((dmu**q * math.cos(q * math.pi), dmu**q * math.sin(q * math.pi)))
+        shrink = _TAIL_GROWTH ** -p
+    stop = (1e-17 * min(d, 1.0)) ** q
+    b = 0.4**q
+    edges = [b]
+    while True:
+        length = min(2.0 * b / (branch + 1.0), 2.0 * (1.0 - b) / (branch - 1.0))
+        for x, y in poles:
+            length = min(length, scale * (kappa * math.hypot(b - x, y) - b + x))
+        a = b - length
+        if mu > 0.0:
+            floor = (b**r + dmu) * shrink - dmu
+            if floor > 0.0:
+                a = max(a, floor**q)
+        if a <= stop:
+            edges.append(0.0)
+            return np.array(edges[::-1])
+        edges.append(a)
+        b = a
+
+
 @functools.lru_cache(maxsize=8192)
 def kp(p: float, mu: float) -> float:
     """Complete integral K_p(mu) = w_p(1).
@@ -309,22 +401,18 @@ class _SnpEngine:
       integrating gives z * sum_N c_N x**N / (p N + 1) with x = z**p, the
       diagonal of the Appell F1 form of w_p.  The coefficients are made at
       construction (:func:`_direct_series`).
-    * z > 0.6: K_p - w_p(1-e) = e**(1-1/p) H(e) with
-      H(e) = integral_0^1 u**(-1/p) T(e u) du, T the tail factor that K_p
-      integrates.  H is analytic around [0, 0.4]; its nearest
-      singularities are e = -(1-mu)/mu and, for p > 2, the zeros
-      1 - exp(+-2 pi i/p) of 1 - (1-e)**p.  Panels e_0 = 0,
-      e_(k+1) = 2 e_k + d, with d the distance from 0 to the nearer, keep
-      each panel about its own length away from them, so degree 32 in
-      Chebyshev polynomials resolves H to rounding on each (Trefethen,
-      Approximation Theory and Approximation Practice, ch. 8).
-      One batched tanh-sinh quadrature samples H at the first-kind
-      Chebyshev points of every panel.  The panels are built on the first
-      z > 0.6, not at construction: for p close to 1 that quadrature
-      cannot converge, and w_p on the direct branch must not need it.
-
-    Subtracting the tail from K_p keeps K_p - w_p fully accurate where the
-    inverse flattens out.
+    * z > 0.6: with r = p / (p-1), e = 1 - z and v = e**(1/r), substituting
+      1 - s = t**r turns w_p' ds into g(t) dt, g(t) = r T(t**r), T the
+      tail factor that K_p integrates; g is bounded, as the (1-s)**(-1/p)
+      endpoint singularity is gone.  So w_p(z) = w_p(0.6) + the integral of
+      g from v to v(0.4) = 0.4**(1/r): the series value plus positive
+      terms, with nothing to cancel.  Panels of [0, v(0.4)]
+      (:func:`_tail_edges`) each carry the exact antiderivative of the
+      Chebyshev interpolant of g at its 33 first-kind points (Trefethen,
+      Approximation Theory and Approximation Practice, ch. 19), and their
+      integrals, summed from the top, give w_p at every panel edge.  The
+      panels are built on the first z > 0.6, not at construction, so w_p
+      on the direct branch never needs them.
     """
 
     __slots__ = ("p", "mu", "K", "_series", "_panels", "_table")
@@ -379,61 +467,61 @@ class _SnpEngine:
         return z * (c[0] + terms.sum(axis=-1))
 
     def _tail(self, e: np.ndarray) -> np.ndarray:
-        """K - e**(1-1/p) H(e) at e = 1 - z, with H summed from its panel's
-        Chebyshev coefficients as c_0 + sum_k c_k cos(k theta), theta the
-        arccos of e mapped onto [-1, 1]."""
-        edges, coef, k = self._tail_panels()
+        """w_p at e = 1 - z in [0, 0.4]: w_p at the upper edge b of e's panel
+        [a, b] in v plus the integral from v to b, summed per point as
+        sum_k A_k sin(k phi)**2 with sin(phi)**2 = (b - v) / (b - a), which
+        vanishes at v = b term by term.  b - v = -b expm1(log(e / e_b) / r)
+        is formed from e, so the rounding of v = e**(1/r), which r would
+        magnify, never enters."""
+        v_edges, e_edges, coef, k, top = self._tail_panels()
         # np.minimum and np.maximum, not np.clip, and the sum method, not
         # np.sum: once per Newton pass, the wrappers cost more than the work
-        i = np.searchsorted(edges, e, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), edges.size - 2)
-        a, b = edges[i], edges[i + 1]
-        x = np.minimum(np.maximum((2.0 * e - a - b) / (b - a), -1.0), 1.0)
-        terms = np.cos(np.arccos(x)[:, None] * k)
-        terms *= coef[i, 1:]
-        H = coef[i, 0] + terms.sum(axis=-1)
-        return self.K - e ** (1.0 - 1.0 / self.p) * H
+        i = np.searchsorted(e_edges, e, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), e_edges.size - 2)
+        b = v_edges[i + 1]
+        with np.errstate(divide="ignore"):
+            u = np.expm1((self.p - 1.0) / self.p * np.log(e / e_edges[i + 1]))
+        u *= -b / (b - v_edges[i])
+        phi = np.arcsin(np.sqrt(np.minimum(np.maximum(u, 0.0), 1.0)))
+        terms = np.sin(phi[:, None] * k)
+        terms *= terms
+        terms *= coef[i]
+        return top[i] + terms.sum(axis=-1)
 
     def _tail_panels(self):
-        """(edges, coef, k): the panel edges in e = 1 - z, one row per
-        panel of the Chebyshev coefficients of H, chopped below
-        2 eps |c_0|, and the indices 1, 2, ... of the coefficients after
-        c_0."""
+        """(v, e, coef, k, top): the panel edges in v and in e = v**r (the
+        last set to 0.4 exactly), one row per panel of the antiderivative
+        coefficients A_1, A_2, ... of :func:`_antiderivative_map`, chopped
+        below 2 eps times the panel's integral, their indices k, and w_p at
+        each panel's upper edge.
+
+        Raises NonConvergence if a panel's interpolant does not resolve g,
+        that is if its last coefficients are not all chopped.
+        """
         if self._panels is None:
             p, mu = self.p, self.mu
-            # distance from e = 0 to the nearest singularity of H: -(1-mu)/mu,
-            # or for p > 2 the zeros 1 - exp(+-2 pi i / p) of 1 - (1-e)**p
-            d = 2.0 * math.sin(math.pi / max(p, 2.0))
-            if mu > 0.0:
-                d = min(d, (1.0 - mu) / mu)
-            edges = [0.0]
-            while edges[-1] < 0.4:
-                edges.append(2.0 * edges[-1] + d)
-            edges = np.array(edges[:-1] + [0.4])
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            e = (mid[:, None] + half[:, None] * _CHEB_X).ravel()
-
-            eps, mup = _eps_mup(p, mu)
-
-            def F(lev: int, u: np.ndarray, cu: np.ndarray, rows) -> np.ndarray:
-                return _tail_factor(np.multiply.outer(e[rows], u), p, eps, mup)
-
-            try:
-                H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 5e-14)[0]
-            except NonConvergence:
-                # p close to 1: the node window cannot resolve u**(-1/p) to
-                # 5e-14 of H; settle for 1e-11
-                H = _tanh_sinh(F, 1.0 - 1.0 / p, 1.0, 1e-11)[0]
-            H = H.reshape(mid.size, -1)
-            # transform the variation about the middle sample, whose
-            # rounding is then relative to |c_1| rather than to |c_0|
-            H0 = H[:, _CHEB_N // 2 : _CHEB_N // 2 + 1]
-            coef = np.sum((H - H0)[:, None, :] * _DCT, axis=-1)
-            coef[:, 0] += H0[:, 0]
-            coef[np.abs(coef) < 2.0 * _EPS * np.abs(coef[:, :1])] = 0.0
+            r = p / (p - 1.0)
+            v = _tail_edges(p, mu)
+            mid = 0.5 * (v[1:] + v[:-1])
+            half = 0.5 * (v[1:] - v[:-1])
+            t = mid[:, None] + half[:, None] * _CHEB_X
+            g = r * _tail_factor(t**r, p, *_eps_mup(p, mu))
+            coef = np.einsum("pj,kj->pk", g, _ANTIDERIV) * half[:, None]
+            integral = coef[:, 0]
+            coef = coef[:, 1:]
+            coef[np.abs(coef) < 2.0 * _EPS * integral[:, None]] = 0.0
+            # the last two coefficients of every panel must chop to 0
+            if np.any(coef[:, -2:] != 0.0):
+                raise NonConvergence(
+                    f"w_p tail panels do not resolve the integrand for p={p}, mu={mu}"
+                )
             n = np.nonzero(np.any(coef != 0.0, axis=0))[0][-1] + 1
-            self._panels = (edges, coef[:, :n], np.arange(1, n))
+            # w_p at the upper panel edges, summed from w_p(0.6) down
+            w06 = self._direct(np.array([0.6]))
+            top = np.cumsum(np.concatenate((w06, integral[:0:-1])))[::-1]
+            e = v**r
+            e[-1] = 0.4
+            self._panels = (v, e, coef[:, :n], np.arange(1, n + 1), top)
         return self._panels
 
     # -- inversion ---------------------------------------------------------
@@ -442,20 +530,28 @@ class _SnpEngine:
         """(v, z, w) at the table nodes, endpoints included.
 
         _TAB_NODES nodes are evenly spaced in the tail variable
-        v = (1-z)**(1-1/p), in which K - w_p is nearly linear; the tail
-        panel edges z = 1 - e_k join them, so the boundary layer that forms
-        at z = 1 as mu -> 1 is bracketed as finely as it is fitted.  Built
-        by one wp_many call on the first inversion, not at construction, so
-        w_p alone never needs it.
+        v = (1-z)**(1-1/p), in which K - w_p is nearly linear; those at
+        z < 0.6 take w_p from the series and the rest from one tail call.
+        Every tail panel edge is a node too, whose w_p the panel build
+        already holds; the panels are graded in e around the distance of the
+        tail factor's singular point, so the boundary layer that forms at
+        z = 1 as mu -> 1 is bracketed as finely as it is fitted.  Built on
+        the first inversion, not at construction, so w_p alone never needs
+        it.
         """
         if self._table is None:
             p = self.p
-            v = np.linspace(1.0, 0.0, _TAB_NODES + 2)
+            v = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
             z = 1.0 - v ** (p / (p - 1.0))
-            z = np.sort(np.concatenate((z, 1.0 - self._tail_panels()[0][1:])))
-            v = (1.0 - z) ** (1.0 - 1.0 / p)
-            w = np.concatenate(([0.0], self.wp_many(z[1:-1]), [self.K]))
-            self._table = (v, z, w)
+            lo = z < 0.6
+            v_tail, e_tail, _, _, top = self._tail_panels()
+            w = np.concatenate(
+                (self._direct(z[lo]), self._tail(1.0 - z[~lo]), [self.K], top)
+            )
+            v = np.concatenate((v, v_tail))
+            z = np.concatenate((z, 1.0 - e_tail))
+            order = np.argsort(v)[::-1]
+            self._table = (v[order], z[order], w[order])
         return self._table
 
     def invert(self, t: np.ndarray) -> np.ndarray:

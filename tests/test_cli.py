@@ -413,6 +413,32 @@ def test_console_script_installed(tmp_path):
     assert abs(float(parse_envelope(r.stdout)["value"]) - math.pi / 2.0) < 1e-13
 
 
+def test_cold_pipeline_imports_no_module():
+    # the first cold chain of a process (eigenpair, residual, eigenfunction,
+    # both certificates on fresh moduli) imports nothing that `import
+    # pelliptic` did not: a lazy import such as np.unique's numpy.ma would
+    # land its one-off cost on the first timed call
+    code = """
+import sys
+import numpy as np
+import pelliptic
+before = set(sys.modules)
+ms = pelliptic.ModulusSet.explicit((0.37, 0.81))
+e = pelliptic.eigenpair(2.7, 0.37, 1)
+pelliptic.first_integral_residual(e, np.linspace(0.0, 1.0, 101))
+for x in (0.13, 0.5, 0.87):
+    pelliptic.eigenfunction_eval(e, x)
+pelliptic.certify_firstcond(2.7, ms)
+pelliptic.certify_invertibility(2.7, ms, K=21)
+print(sorted(set(sys.modules) - before))
+"""
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_runtime_needs_numpy_only():
     # the selftest and the five demos, with every test-only dependency
     # made unimportable: the library's runtime is numpy alone

@@ -15,6 +15,7 @@ import pytest
 from scipy.special import ellipj, ellipk
 
 import pelliptic.elliptic as el
+import pelliptic.quadrature as quad
 from pelliptic.errors import DomainError, NonConvergence, SingularPoint, SlowConvergence
 from pelliptic.quadrature import SingularIntegrand, integrate_singular
 
@@ -190,47 +191,39 @@ def test_wp_approximant_matches_quadrature():
 
 
 def _mp_wp(p, mu, z):
+    """30-digit w_p(z), split at 1 - 0.5 / 4**j above 0.5 so that a
+    boundary layer at z = 1 sits near an end of each piece."""
     with mpmath.workdps(30):
-        P, M = mpmath.mpf(p), mpmath.mpf(mu)
+        P, M, Z = mpmath.mpf(p), mpmath.mpf(mu), mpmath.mpf(z)
+        pts = [mpmath.mpf(0), mpmath.mpf(0.5)]
+        gap = mpmath.mpf(0.5)
+        while gap > 4 * (1 - Z):
+            gap /= 4
+            pts.append(1 - gap)
         return mpmath.quad(
-            lambda s: ((1 - s**P) * (1 - (M * s) ** P)) ** (-1 / P), [0, 0.5, z]
+            lambda s: ((1 - s**P) * (1 - (M * s) ** P)) ** (-1 / P), pts + [Z]
         )
 
 
 def test_wp_close_to_p_one():
-    # the series branch needs no quadrature, so it works for any p > 1;
-    # the tail samples settle for 1e-11 below p of about 1.058, and below
-    # about 1.048 even that is out of the node window's reach
+    # the series branch needs no quadrature, so it works for any p > 1; the
+    # tail panels resolve their integrand down to p of about 1.01, and a
+    # panel that does not makes the build raise instead of returning a
+    # quiet wrong value
     for p, mu, z in [(1.01, 0.9, 0.6), (1.03, 0.5, 0.3)]:
         ref = _mp_wp(p, mu, z)
         assert abs(el.wp(p, mu, z) - ref) <= 1e-15 * ref
     with pytest.raises(NonConvergence):
-        el.wp(1.03, 0.5, 0.9)
-    for mu in [0.5, 0.99]:
-        ref = _mp_wp(1.05, mu, 0.9)
-        assert abs(el.wp(1.05, mu, 0.9) - ref) <= 1e-12 * ref
+        el.wp(1.005, 0.9, 0.9)
+    for p, mu in [(1.03, 0.5), (1.05, 0.5), (1.05, 0.99)]:
+        ref = _mp_wp(p, mu, 0.9)
+        assert abs(el.wp(p, mu, 0.9) - ref) <= 1e-14 * ref
 
 
-# the tail form K - e**(1-1/p) H(e) cancels where K is much larger than
-# w_p, near p = 1 and mu = 1; the series branch (z <= 0.6) and p = 2 are
-# the passing twins
-_WP_CANCEL = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="w_p's K-anchored tail loses digits to cancellation near p = 1 "
-    "and mu = 1, with no error raised",
-)
-# relative errors 9.7e-3, 7.4e-6 and 1.7e-13 at p = 1.0501, 4.0e-6 and
-# 9.1e-10 at 1.1, 1.3e-7 and 3.5e-10 at 1.2, 3.6e-12 and 5.4e-13 at 1.5
-_WP_CANCELLING = {
-    (1.0501, 1 - 1e-12, 0.61),
-    (1.0501, 1 - 1e-9, 0.7),
-    (1.0501, 0.9, 0.61),
-    *((p, 1 - 1e-12, 0.61) for p in (1.1, 1.2, 1.5)),
-    *((p, 1 - 1e-9, 0.7) for p in (1.1, 1.2, 1.5)),
-}
+# near p = 1 and mu = 1, K_p is far larger than w_p; the tail form
+# w_p(0.6) + integral, with no K_p in it, keeps w_p's relative accuracy
 _WP_CORNER = [
-    pytest.param(p, mu, z, marks=_WP_CANCEL if (p, mu, z) in _WP_CANCELLING else ())
+    (p, mu, z)
     for p in (1.0501, 1.1, 1.2, 1.5, 2.0)
     for mu, z in [(1 - 1e-12, 0.61), (1 - 1e-12, 0.59), (1 - 1e-9, 0.7), (0.9, 0.61)]
 ]
@@ -240,6 +233,60 @@ _WP_CORNER = [
 def test_wp_near_one_matches_mpmath(p, mu, z):
     ref = _mp_wp(p, mu, z)
     assert abs(el.wp(p, mu, z) - ref) <= 1e-14 * ref
+
+
+def _oracle_points(p, mu):
+    """z just either side of 0.6 and of the tail panel edge nearest e = 1e-4."""
+    e = el._SnpEngine(p, mu)._tail_panels()[1]
+    z = 1.0 - e[np.argmin(np.abs(np.log(e[1:] / 1e-4))) + 1]
+    return [math.nextafter(c, side) for c in (0.6, z) for side in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 1.5, 2.0, 6.0])
+@pytest.mark.parametrize("mu", [0.5, 0.9, 1 - 1e-9, 1 - 1e-12])
+def test_wp_and_snp_match_mpmath_across_the_joins(p, mu):
+    # w_p either side of the series/tail join and of a panel join, and
+    # sn_p at those w_p: the exact root s of w_p(s) = y is one 30-digit
+    # Newton step from z, as y is w_p(z) rounded to a double
+    try:
+        zs = _oracle_points(p, mu)
+        got_w = [el.wp(p, mu, z) for z in zs]
+    except NonConvergence:
+        return
+    for z, w in zip(zs, got_w):
+        ref = _mp_wp(p, mu, z)
+        assert abs(w - ref) <= 1e-14 * ref, (z, float((w - ref) / ref))
+        y = float(ref)
+        with mpmath.workdps(30):
+            P, M, Z = mpmath.mpf(p), mpmath.mpf(mu), mpmath.mpf(z)
+            s = Z - (ref - y) * ((1 - Z**P) * (1 - (M * Z) ** P)) ** (1 / P)
+        got_s = el.snp(p, mu, y)
+        assert abs(got_s - s) <= 1e-14 * s, (z, float((got_s - s) / s))
+
+
+def test_tail_build_runs_no_quadrature(monkeypatch):
+    # a cold engine samples the tail integrand once per Chebyshev point of
+    # each panel, at most 64 panels, and runs no tanh-sinh quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("tail build ran the quadrature")
+
+    points = []
+    tail_factor = el._tail_factor
+
+    def counting(e, *args):
+        points.append(np.size(e))
+        return tail_factor(e, *args)
+
+    for p in (1.05, 1.5, 2.0, 6.0, 20.0):
+        for mu in (0.0, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12, math.nextafter(1.0, 0.0)):
+            eng = el._SnpEngine(p, mu)
+            points.clear()
+            monkeypatch.setattr(quad, "_tanh_sinh", no_quadrature)
+            monkeypatch.setattr(el, "_tanh_sinh", no_quadrature)
+            monkeypatch.setattr(el, "_tail_factor", counting)
+            eng._tail_panels()
+            monkeypatch.undo()
+            assert 0 < sum(points) <= el._CHEB_N * 64, (p, mu, sum(points))
 
 
 def test_snp_matches_scipy_ellipj():
@@ -277,9 +324,9 @@ def test_snp_inversion_accuracy_oracle():
 
 def test_invert_takes_few_newton_passes(monkeypatch):
     # every point starts in its table bracket and stops on its raw Newton
-    # step, so no point is left to bisection; a fresh engine counts its
-    # table build as one of the passes.  Near mu = 1 the tail panel edges
-    # in the table bracket the boundary layer at z = 1
+    # step, so no point is left to bisection; the table build itself makes
+    # no wp_many call.  Near mu = 1 the tail panel edges in the table
+    # bracket the boundary layer at z = 1
     passes = []
     wp_many = el._SnpEngine.wp_many
 

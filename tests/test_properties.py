@@ -54,13 +54,17 @@ def test_wp_recovers_y_from_snp(p, mu, f):
 
 
 @SEEDED
-@given(ps, mus)
+@given(
+    st.floats(min_value=1.05, max_value=40.0),
+    st.floats(min_value=0.0, max_value=np.nextafter(1.0, 0.0)),
+)
 def test_wp_continuous_across_branches_and_panels(p, mu):
-    # z = 0.6 joins the series to the tail; z = 1 - e_k joins two tail
+    # z = 0.6 joins the series to the tail; z = 1 - v_k**r joins two tail
     # panels.  Across either w_p moves by its slope times two doubles.
     eng = el._SnpEngine(p, mu)
-    edges = eng._tail_panels()[0]
-    joins = np.concatenate(([0.6], 1.0 - edges[1:-1]))
+    joins = 1.0 - eng._tail_panels()[1][1:]
+    # the deepest edges round to z = 1 or its neighbour, where w_p' is inf
+    joins = joins[joins < np.nextafter(1.0, 0.0)]
     below = np.nextafter(joins, 0.0)
     above = np.nextafter(joins, 1.0)
     jump = np.abs(eng.wp_many(above) - eng.wp_many(below))

@@ -37,15 +37,17 @@ graded toward v = 0 and around g's singular points (Trefethen,
 Approximation Theory and Approximation Practice, ch. 8 and 19).  Every
 term of that sum is positive, so w_p keeps its relative accuracy where
 K_p is far larger, near p = 1 and mu = 1; the build runs no quadrature,
-and a panel whose interpolant does not resolve g raises NonConvergence.
+and raises NonConvergence for p < 1.05 and where a panel's interpolant
+does not resolve g.
 The engine tabulates w_p at 16 nodes evenly spaced in v and at the panel
 edges; every point starts inside its table bracket, from z interpolated
-linearly in v.  A point stops once its raw Newton step is at most 5e-15,
-and that step is taken (clipped into the bracket) before the safeguard
-could swap it for a midpoint, so converged points never fall through to
-bisection.  Scalar and batch entry points share that one path, and the
-approximant is evaluated row by row, so a scalar call returns exactly the
-value the batch call gives at the same y.
+linearly in v.  A point stops once its Newton step is at most 5e-15 and
+small enough that the curvature of w_p cannot move the root it aims at
+by more than a few hundredths of an ulp near z = 1, and that step is
+taken (clipped into the bracket) before the safeguard could swap it for
+a midpoint, so converged points never fall through to bisection.  Scalar and batch entry points share
+that one path, and the approximant is evaluated row by row, so a scalar
+call returns exactly the value the batch call gives at the same y.
 """
 
 from __future__ import annotations
@@ -101,6 +103,16 @@ _CHEB_X = np.sin(0.5 * np.pi * np.arange(_CHEB_N - 1, -_CHEB_N, -2) / _CHEB_N)
 _RHO_BRANCH = 3.0
 _RHO_POLE = 4.0
 _TAIL_GROWTH = 4.0
+# the most of w_p one tail panel's integral may carry, while w_p < 8: a
+# point inside a panel gets the integral from the panel's upper edge to
+# it to a few eps of itself, so this keeps w_p within about an ulp
+_TAIL_SHARE = 0.25
+_TAIL_SHARE_UNTIL = 8.0
+# the smallest p whose tail build is checked against 30-digit mpmath; below
+# it the trailing-coefficient test can pass on a build that is off by more
+# than 1e-14 (by 2.9e-14 at p = 1.001, mu = 0.99, z = 0.99), so the build
+# refuses instead
+_TAIL_P_MIN = 1.05
 
 
 def _antiderivative_map() -> np.ndarray:
@@ -290,9 +302,14 @@ def _tail_edges(p: float, mu: float) -> np.ndarray:
     Approximation Theory and Approximation Practice, ch. 8).  Near
     ((1-mu)/mu)**(1/r) that grades the panels by the angle pi/r.  Above it
     g falls like v**(-1/(p-1)), so a panel also keeps the growth of
-    (e + (1-mu)/mu)**(-1/p), the size of T, within _TAIL_GROWTH.  The last
-    panel reaches v = 0 once e < 1e-17 min(d, 1), d the distance from e = 0
-    to the nearest singular point of T, where g is constant to rounding.
+    (e + (1-mu)/mu)**(-1/p), the size of T, within _TAIL_GROWTH.  While
+    w_p is below _TAIL_SHARE_UNTIL, a panel's integral, estimated as its
+    length times g at its upper edge, is at most _TAIL_SHARE of w_p there
+    (estimated from w_p(0.6) >= 0.6 the same way); above it, where w_p
+    grows by orders of magnitude in the boundary layer as mu -> 1, this
+    would cost a panel per 25% of growth.  The last panel reaches v = 0
+    once e < 1e-17 min(d, 1), d the distance from e = 0 to the nearest
+    singular point of T, where g is constant to rounding.
     """
     r, q = p / (p - 1.0), (p - 1.0) / p
     branch = 0.5 * (_RHO_BRANCH + 1.0 / _RHO_BRANCH)
@@ -311,10 +328,19 @@ def _tail_edges(p: float, mu: float) -> np.ndarray:
         poles.append((dmu**q * math.cos(q * math.pi), dmu**q * math.sin(q * math.pi)))
         shrink = _TAIL_GROWTH ** -p
     stop = (1e-17 * min(d, 1.0)) ** q
+    eps, mup = _eps_mup(p, mu)
     b = 0.4**q
     edges = [b]
+    w = 0.6
     while True:
         length = min(2.0 * b / (branch + 1.0), 2.0 * (1.0 - b) / (branch - 1.0))
+        # g(b) = r _tail_factor(b**r) in scalar math: 0.25 us a panel,
+        # where a numpy call on one point takes 10 us
+        e = b**r
+        ratio = -math.expm1(p * math.log1p(-e)) / e
+        g = r * (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
+        if w < _TAIL_SHARE_UNTIL:
+            length = min(length, _TAIL_SHARE * w / g)
         for x, y in poles:
             length = min(length, scale * (kappa * math.hypot(b - x, y) - b + x))
         a = b - length
@@ -326,6 +352,7 @@ def _tail_edges(p: float, mu: float) -> np.ndarray:
             edges.append(0.0)
             return np.array(edges[::-1])
         edges.append(a)
+        w += g * (b - a)
         b = a
 
 
@@ -495,11 +522,16 @@ class _SnpEngine:
         below 2 eps times the panel's integral, their indices k, and w_p at
         each panel's upper edge.
 
-        Raises NonConvergence if a panel's interpolant does not resolve g,
-        that is if its last coefficients are not all chopped.
+        Raises NonConvergence for p below _TAIL_P_MIN, and if a panel's
+        interpolant does not resolve g, that is if its last coefficients
+        are not all chopped.
         """
         if self._panels is None:
             p, mu = self.p, self.mu
+            if p < _TAIL_P_MIN:
+                raise NonConvergence(
+                    f"w_p tail panels are verified for p >= {_TAIL_P_MIN} only, got p={p}"
+                )
             r = p / (p - 1.0)
             v = _tail_edges(p, mu)
             mid = 0.5 * (v[1:] + v[:-1])
@@ -530,24 +562,20 @@ class _SnpEngine:
         """(v, z, w) at the table nodes, endpoints included.
 
         _TAB_NODES nodes are evenly spaced in the tail variable
-        v = (1-z)**(1-1/p), in which K - w_p is nearly linear; those at
-        z < 0.6 take w_p from the series and the rest from one tail call.
-        Every tail panel edge is a node too, whose w_p the panel build
-        already holds; the panels are graded in e around the distance of the
-        tail factor's singular point, so the boundary layer that forms at
-        z = 1 as mu -> 1 is bracketed as finely as it is fitted.  Built on
-        the first inversion, not at construction, so w_p alone never needs
-        it.
+        v = (1-z)**(1-1/p), in which K - w_p is nearly linear, and take w_p
+        from one wp_many call.  Every tail panel edge is a node too, whose
+        w_p the panel build already holds; the panels are graded in e around
+        the distance of the tail factor's singular point, so the boundary
+        layer that forms at z = 1 as mu -> 1 is bracketed as finely as it is
+        fitted.  Built on the first inversion, not at construction, so w_p
+        alone never needs it.
         """
         if self._table is None:
             p = self.p
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
             z = 1.0 - v ** (p / (p - 1.0))
-            lo = z < 0.6
             v_tail, e_tail, _, _, top = self._tail_panels()
-            w = np.concatenate(
-                (self._direct(z[lo]), self._tail(1.0 - z[~lo]), [self.K], top)
-            )
+            w = np.concatenate((self.wp_many(z), [self.K], top))
             v = np.concatenate((v, v_tail))
             z = np.concatenate((z, 1.0 - e_tail))
             order = np.argsort(v)[::-1]
@@ -560,10 +588,14 @@ class _SnpEngine:
         Each t starts inside its bracket [z_j, z_j+1] of the engine's table,
         from z interpolated linearly in v = (1-z)**(1-1/p), and takes Newton
         steps with the analytic derivative w_p' = G.  A point stops once its
-        raw Newton step |f / G| is at most 5e-15: that step is accepted,
+        Newton step |f / G| is at most 5e-15 and either step**2 <= 4e-18 A,
+        A = 1 - z**p, or the step is at most an ulp or two of z: the step
+        misses the root by about step**2 G' / (2 G) <= step**2 / A, which
+        near z = 1 can be ulps for a 5e-15 step.  That step is accepted,
         clipped into the bracket, before any safeguard can replace it.  A
         larger step that leaves the bracket or is not finite falls back to
-        bisection, so every iterate stays admissible.
+        bisection, so every iterate stays admissible; a point whose bracket
+        closes to a few ulps stops on its step, clipped into the bracket.
         """
         t = np.asarray(t, dtype=float)
         v_tab, z_tab, w_tab = self._brackets()
@@ -584,6 +616,7 @@ class _SnpEngine:
         # target and bracket
         idx = np.flatnonzero(~(low | high))
         za, ta, lo, hi = z[idx], t[idx], z_lo[idx], z_hi[idx]
+        p = self.p
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(80):
                 if idx.size == 0:
@@ -592,13 +625,24 @@ class _SnpEngine:
                 below = f < 0.0
                 lo = np.where(below, za, lo)
                 hi = np.where(below, hi, za)
-                step = f / self._G(za)
+                A, B = self._AB(za)
+                step = f / (A * B) ** (-1.0 / p)
                 z_new = za - step
-                done = np.abs(step) <= 5e-15
+                # the step misses the root by about step**2 G' / (2 G) <=
+                # step**2 / A, as G' / G = z**(p-1) (1/A + mu**p / B) and
+                # B >= A: near z = 1, where A -> 0, a 5e-15 step can miss by
+                # ulps, so a step also stops only once that is below 4e-18,
+                # or once it is an ulp or two of z
+                size = np.abs(step)
+                done = (size <= 5e-15) & (
+                    (step * step <= 4e-18 * A) | (size <= _EPS * za)
+                )
+                # a bracket closed to a few ulps also stops, on its clipped
+                # step: near z = 1 that step can overshoot the last doubles
+                done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
                 z_new = np.where(done, np.minimum(np.maximum(z_new, lo), hi), z_new)
                 bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
                 z_new = np.where(bad, 0.5 * (lo + hi), z_new)
-                done |= hi - lo <= 1e-14
                 z[idx[done]] = z_new[done]
                 live = ~done
                 idx, za, ta, lo, hi = (a[live] for a in (idx, z_new, ta, lo, hi))

@@ -116,19 +116,19 @@ EXPECTED = {
         "0x1.ea20fcc4690afp-1",
         "0x1.ffffdc3e11792p-1",
         "0x1.ceb11bccaf9f7p-1",
-        "-0x1.a833d3eb7edbfp-1",
+        "-0x1.a833d3eb7edbep-1",
         "-0x1.eb7ca1c2f4ff8p-2",
         "0x1.ea20fcc4690b0p-1",
     ],
     "snp 2.5,0.9999999999999999": [
-        "-0x1.71dfc55e017dfp-1",
+        "-0x1.71dfc55e017e0p-1",
         "0x1.1785d669c3dbap-3",
         "0x1.a70d6f10150eap-1",
         "0x1.ffaf0b6194318p-1",
-        "0x1.fffffffffff96p-1",
+        "0x1.fffffffffff95p-1",
         "0x1.fd9cbddaa1346p-1",
         "-0x1.f607f83b09272p-1",
-        "-0x1.71dfc55e017dap-1",
+        "-0x1.71dfc55e017dbp-1",
         "0x1.ffaf0b6194318p-1",
     ],
     "snp 3.5,0.9": [
@@ -160,19 +160,19 @@ EXPECTED = {
         "0x1.03f8edb87ee58p-2",
         "0x1.4b6e9a805ecfap-10",
         "-0x1.87245138d1760p-2",
-        "-0x1.04f10434aac76p-1",
+        "-0x1.04f10434aac77p-1",
         "0x1.b40b5c424a8aap-1",
         "-0x1.03f8edb87ee52p-2",
     ],
     "snp_deriv_many 2.5,0.9999999999999999": [
-        "-0x1.4054e5c351113p-1",
+        "-0x1.4054e5c351111p-1",
         "0x1.fd2dddb762bb0p-1",
         "0x1.d79b1b84cd29ap-2",
         "0x1.7132e5bc108d0p-8",
-        "0x1.082a549a3271cp-36",
+        "0x1.0a25db8c7915dp-36",
         "-0x1.d0029906efda8p-6",
         "-0x1.68ad516a98045p-4",
-        "0x1.4054e5c35111ap-1",
+        "0x1.4054e5c351119p-1",
         "-0x1.7132e5bc108d0p-8",
     ],
     "snp_deriv_many 3.5,0.9": [
@@ -204,19 +204,19 @@ EXPECTED = {
         "0x1.ea20fcc4690afp-1",
         "0x1.ffffdc3e11792p-1",
         "0x1.ceb11bccaf9f7p-1",
-        "-0x1.a833d3eb7edbfp-1",
+        "-0x1.a833d3eb7edbep-1",
         "-0x1.eb7ca1c2f4ff8p-2",
         "0x1.ea20fcc4690b0p-1",
     ],
     "snp_many 2.5,0.9999999999999999": [
-        "-0x1.71dfc55e017dfp-1",
+        "-0x1.71dfc55e017e0p-1",
         "0x1.1785d669c3dbap-3",
         "0x1.a70d6f10150eap-1",
         "0x1.ffaf0b6194318p-1",
-        "0x1.fffffffffff96p-1",
+        "0x1.fffffffffff95p-1",
         "0x1.fd9cbddaa1346p-1",
         "-0x1.f607f83b09272p-1",
-        "-0x1.71dfc55e017dap-1",
+        "-0x1.71dfc55e017dbp-1",
         "0x1.ffaf0b6194318p-1",
     ],
     "snp_many 3.5,0.9": [
@@ -248,7 +248,7 @@ EXPECTED = {
         "-0x1.841619f3e1de2p-1",
         "-0x1.800008f077e2cp-1",
         "-0x1.856ec9a3b98c7p-1",
-        "0x1.80a831d9fce71p-1",
+        "0x1.80a831d9fce70p-1",
         "0x1.16df9ab0e49e6p-1",
         "-0x1.841619f3e1de2p-1",
     ],
@@ -257,10 +257,10 @@ EXPECTED = {
         "-0x1.9b5bfe9050892p-4",
         "-0x1.adfa4382218f5p-1",
         "-0x1.509757c9e873fp-5",
-        "-0x1.061a517f87a58p-26",
+        "-0x1.07939feecfe26p-26",
         "-0x1.18cc87e4ae406p-3",
         "0x1.416ebcee76914p-2",
-        "0x1.ba4e75a52fe16p-1",
+        "0x1.ba4e75a52fe17p-1",
         "-0x1.509757c9e873fp-5",
     ],
     "snp_second_deriv_many 3.5,0.9": [
@@ -276,49 +276,49 @@ EXPECTED = {
     ],
     "tau_k 2.0,0.5": [
         "0x1.706d28e637b3fp-1",
-        "0x1.477b3bd8b8d3fp-54",
-        "0x1.a0298aa1cec8cp-7",
-        "0x1.1da8eeed8ff96p-54",
-        "0x1.deae429c3438ep-13",
-        "-0x1.370e3a22c5929p-58",
-        "0x1.134c0fbcc6f2dp-18",
-        "-0x1.2fbb3d3094250p-62",
-        "0x1.3ca7e013ba599p-24",
-        "0x1.ec02a4f8b2b71p-57",
-        "0x1.6c3a539472fadp-30",
-        "-0x1.98fbdc3c82565p-58",
-        "0x1.a2f278578bb07p-36",
-        "-0x1.e1518849f31c1p-56",
-        "0x1.e1dd81feb69d2p-42",
-        "-0x1.e7fa90ded81b2p-56",
-        "0x1.15a5f5efb424dp-47",
-        "0x1.146fe4c99d3c7p-56",
-        "0x1.14ae7181bbad4p-53",
-        "0x1.d847e7b084db2p-57",
-        "0x1.6ced9f6616630p-57",
+        "0x1.7cc8e07bd495bp-54",
+        "0x1.a0298aa1cec89p-7",
+        "0x1.0612c843e3ed9p-54",
+        "0x1.deae429c345cep-13",
+        "-0x1.ab829ae9f5525p-58",
+        "0x1.134c0fbcc4e61p-18",
+        "0x1.0ac446682134ap-56",
+        "0x1.3ca7e01460cefp-24",
+        "0x1.7562bfba0f420p-57",
+        "0x1.6c3a53c9efa52p-30",
+        "-0x1.c8047da059a5bp-59",
+        "0x1.a2f257cac599ep-36",
+        "-0x1.85244b74559a4p-57",
+        "0x1.e1e01e63ca65ap-42",
+        "-0x1.adc965de7704fp-56",
+        "0x1.1624378101ab0p-47",
+        "-0x1.876df88330433p-59",
+        "0x1.0769e1b1e09ffp-53",
+        "0x1.e76e5c35cc3a6p-57",
+        "-0x1.5f35881541d0dp-61",
     ],
     "tau_k 3.5,0.9": [
         "0x1.4d7eb8ca88c7bp-1",
-        "0x1.8c2b9334f4cc5p-56",
+        "0x1.01586eb04079dp-56",
         "-0x1.32d30a41f0e76p-5",
-        "0x1.6898ae8db5179p-56",
-        "0x1.db371383b6a09p-8",
-        "0x1.8ca1524e815bdp-56",
-        "-0x1.c14632b5ee61cp-9",
-        "0x1.0c349533eae85p-58",
-        "0x1.f9b1d0e517cccp-10",
-        "0x1.0332e500589bfp-61",
-        "-0x1.4262b6d47c434p-10",
-        "0x1.4748d17ebe1a0p-59",
-        "0x1.b5fe716ecd6e0p-11",
-        "0x1.9981200ec750bp-57",
-        "-0x1.3b09386e9b279p-11",
-        "0x1.77bf1a0eafb96p-57",
-        "0x1.d6284d95991b7p-12",
-        "0x1.2541255a75ff4p-56",
-        "-0x1.6ab4b14e2d67ep-12",
-        "0x1.789b33da13745p-59",
-        "0x1.1e902d30e7bf7p-12",
+        "0x1.741f61ccf5cabp-56",
+        "0x1.db371383b6a24p-8",
+        "-0x1.5b0e96bad88cdp-57",
+        "-0x1.c14632b5ee649p-9",
+        "0x1.3deaf52d86387p-64",
+        "0x1.f9b1d0e517d10p-10",
+        "0x1.57db7d87364c6p-59",
+        "-0x1.4262b6d47c478p-10",
+        "-0x1.1e623bf06bec5p-55",
+        "0x1.b5fe716ecd728p-11",
+        "0x1.b94f5c19a2303p-57",
+        "-0x1.3b09386e9b2d9p-11",
+        "-0x1.665aafdfbbc10p-56",
+        "0x1.d6284d95990fcp-12",
+        "0x1.4ee1be3eaa5ccp-57",
+        "-0x1.6ab4b14e2d5d8p-12",
+        "-0x1.00bbd745a69c1p-56",
+        "0x1.1e902d30e7b4dp-12",
     ],
     "wp 1.5,0.999999": [
         "0x1.a961102f7b774p-1",

@@ -33,7 +33,11 @@ for p, mu in ((2.0, 0.5), (3.0, 0.7), (1.3, 0.6)):
     )
 
 print()
-print("p close to 1 runs against the double-precision node horizon of the")
-print("tanh-sinh window, so kp switches to hypergeometric series there:")
-for p, mu in ((1.02, 0.5), (1.02, 0.999)):
-    print(f"  K_{p}({mu}) = {pl.kp(p, mu):.6f}")
+print("p close to 1, where K_p grows like 1/(p-1), is the same quadrature:")
+for p, mu in ((1.02, 0.5), (1.001, 0.5)):
+    quad = pl.kp_quadrature(p, mu)
+    series = pl.kp_via_2f1(p, mu)
+    print(
+        f"  K_{p}({mu}): quadrature {quad.value:.12f}, series {series:.12f}, "
+        f"rel diff {abs(quad.value - series) / series:.1e}"
+    )

@@ -80,8 +80,7 @@ def _mu_grid(text: str):
 def cmd_kp(args) -> list:
     if args.method == "series":
         value = el.kp_via_2f1(args.p, args.mu)
-        # an independent error gauge where kp is the quadrature; below p of
-        # about 1.06, where the quadrature fails, kp is this series and it reads 0
+        # an independent error gauge: kp is the quadrature at every p
         err = abs(value - el.kp(args.p, args.mu))
     else:
         res = el.kp_quadrature(args.p, args.mu)

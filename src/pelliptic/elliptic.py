@@ -10,6 +10,13 @@ function of y, is sn_p(y, mu).  At p = 2 these reduce to the classical
 incomplete/complete elliptic integrals and Jacobi sn with modulus mu (the
 modulus k convention, not the parameter m = k**2).
 
+K_p has one route for every p > 1: tanh-sinh quadrature in v, where
+1 - s = v**m with m = p / (10 (p - 1)), so the weight v**(-0.9) is the
+same at every p and the rest of the integrand is bounded.  Batched rows
+(:func:`_kp_rows`) and the scalar :func:`kp_quadrature` are one driver
+call, so they agree bit for bit.  :func:`kp_via_2f1`, the hypergeometric
+series, is an independent cross-check, not a fallback.
+
 Derivatives follow from the chain rule.  With A = 1 - s**p and
 B = 1 - mu**p s**p at s = sn_p:
 
@@ -60,12 +67,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularPoint, SlowConvergence
 from .errors import _check_finite, _check_int, _check_interval, _validate_pmu
-from .quadrature import (
-    QuadratureResult,
-    SingularIntegrand,
-    integrate_singular,
-    _tanh_sinh,
-)
+from .quadrature import QuadratureResult, _tanh_sinh
 
 __all__ = [
     "SnpValue",
@@ -86,6 +88,14 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 _KP_TOL = 1e-13
+# K_p is integrated in v, 1 - s = v**m with m = _KP_WEIGHT p / (p - 1), so
+# its weight is v**(_KP_WEIGHT - 1) at every p.  The exponent -0.9 lies
+# inside what the node window resolves (down to about -0.93): the part
+# beyond the last node is about 1e-30, where (1-s)**(-1/p) left more than
+# the target near p = 1.  m < 1 for p > 10/9 keeps the singular points of
+# the tail factor off the principal sheet in v, so rows stop no later
+# than in s; m = r (unit weight) puts them at angle pi/r, one more level.
+_KP_WEIGHT = 0.1
 # margin in the folded variable u around u = K_p, the zeros of sn_p':
 # snp_second_deriv raises inside it for p > 2, where sn_p'' diverges, and
 # eigen's residual grids drop the points inside it for every p != 2
@@ -189,51 +199,55 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
 
 
+def _kp_batch(p: list, mu: list, tol: float):
+    """The driver's (value, abs_error_estimate, nodes_used) for K_p at each
+    pair (p[i], mu[i]) of checked floats: the integral over [0, 1] of
+    m v**(_KP_WEIGHT - 1) T(v**m), T the :func:`_tail_factor`.
+
+    m is a column even for one row, so v**m is numpy's elementwise power
+    at every m, never a scalar shortcut (sqrt, copy or square at m = 0.5,
+    1 or 2), and a row has the same bits alone as in any batch.
+    """
+    p_col = np.array(p)[:, None]
+    m = p_col / (p_col - 1.0) * _KP_WEIGHT
+    eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
+    return _tanh_sinh(
+        lambda lev, x, cx, rows: m[rows]
+        * _tail_factor(x ** m[rows], p_col[rows], eps[rows], mup[rows]),
+        _KP_WEIGHT,
+        1.0,
+        tol,
+    )
+
+
 def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult:
     """The K_p integral with the engine's own error assessment attached.
 
-    The smooth factor is :func:`_tail_factor` of the exact endpoint
-    distance, so the integral stays accurate even for 1 - mu of order 1e-15.
-
-    For p close to 1 the endpoint exponent -1/p approaches -1 and the
-    unresolvable tail below the double-precision node horizon grows; the
-    engine then refuses tolerances it cannot certify and raises.
+    The one-row case of :func:`_kp_rows`, at the target ``tol`` (at least
+    1e-14, relative once K_p > 1, which it always is).  The smooth factor
+    is :func:`_tail_factor` of the endpoint distance 1 - s = v**m, formed
+    from v and never by subtraction, so the integral stays accurate even
+    for 1 - mu of order 1e-15.
     """
     _validate_pmu(p, mu)
-    eps, mup = _eps_mup(p, mu)
-    f = SingularIntegrand(
-        smooth_part=lambda s, cs: _tail_factor(cs, p, eps, mup),
-        right_exponent=-1.0 / p,
+    _check_interval("tol", tol, 1e-14, math.inf)
+    value, err, nodes = _kp_batch([float(p)], [float(mu)], tol)
+    return QuadratureResult(
+        value=float(value[0]), abs_error_estimate=float(err[0]), nodes_used=nodes
     )
-    return integrate_singular(f, tol=tol)
 
 
 def _kp_rows(p, mu) -> np.ndarray:
     """K_p at each pair (p[i], mu[i]), equal to :func:`kp` bit for bit.
 
     The rows run the integrand and stop test of ``kp_quadrature(p[i],
-    mu[i])`` at ``_KP_TOL`` as one driver call, with the right exponent
-    1 - 1/p as a per-row column.  A row that fails to converge (p near 1)
-    drops out of the batch and takes :func:`kp`'s series fallback
-    :func:`_kp_series` directly, as the scalar quadrature would fail the
-    same way; the other rows finish in the batch.
+    mu[i])`` at ``_KP_TOL`` as one driver call.
     """
     p = [float(v) for v in p]
     mu = [float(v) for v in mu]
     for a, b in zip(p, mu):
         _validate_pmu(a, b)
-    p_col = np.array(p)[:, None]
-    eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
-    value = _tanh_sinh(
-        lambda lev, x, cx, rows: _tail_factor(cx, p_col[rows], eps[rows], mup[rows]),
-        1.0,
-        1.0 - 1.0 / p_col,
-        _KP_TOL,
-        partial=True,
-    )[0]
-    for i in np.flatnonzero(np.isnan(value)):
-        value[i] = _kp_series(p[i], mu[i])
-    return value
+    return _kp_batch(p, mu, _KP_TOL)[0]
 
 
 def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
@@ -249,27 +263,6 @@ def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) ->
     raise NonConvergence(f"2F1 series did not settle within {terms} terms at y={y}")
 
 
-def _kp_near_one_2f1(p: float, mu: float) -> float:
-    """K_p via the hypergeometric connection formula at the mu -> 1 end.
-
-    Rewrites 2F1(1/p, 1/p; 1; mu**p) in terms of two series in
-    y = 1 - mu**p, which converge in a handful of terms when y < 0.1.
-    Only valid for p in (1, 2), where the gamma factors stay off their
-    poles; that is exactly the regime in which the quadrature route runs
-    out of double-precision headroom.
-    """
-    if not (1.0 < p < 2.0):
-        raise NonConvergence(f"near-one series requires p in (1, 2), got {p}")
-    a = 1.0 / p
-    y = -math.expm1(p * math.log(mu))
-    pref = math.pi / (p * math.sin(math.pi / p))
-    coef_a = math.gamma(1.0 - 2.0 * a) / math.gamma(1.0 - a) ** 2
-    coef_b = math.gamma(2.0 * a - 1.0) / math.gamma(a) ** 2
-    f1 = _f21(a, a, 2.0 * a, y)
-    f2 = _f21(1.0 - a, 1.0 - a, 2.0 - 2.0 * a, y)
-    return pref * (coef_a * f1 + coef_b * y ** (1.0 - 2.0 * a) * f2)
-
-
 def _direct_series(p: float, mup: float) -> np.ndarray:
     """c_N / (p N + 1) for w_p(z) = z * sum_N c_N x**N / (p N + 1), x = z**p.
 
@@ -279,7 +272,8 @@ def _direct_series(p: float, mup: float) -> np.ndarray:
     stops at the last term above 1e-18 of the first there.
     """
     x0 = 0.6**p
-    n = math.ceil(math.log(1e-18) / math.log(x0)) + 1
+    # log(0.6**p) would be log(0) once 0.6**p underflows, near p = 1460
+    n = math.ceil(math.log(1e-18) / (p * math.log(0.6))) + 1
     k = np.arange(1, n)
     poch = np.concatenate(([1.0], np.cumprod((1.0 / p + k - 1.0) / k)))
     c = np.convolve(poch, poch * mup ** np.arange(n))[:n] / (p * np.arange(n) + 1.0)
@@ -360,30 +354,12 @@ def _tail_edges(p: float, mu: float) -> np.ndarray:
 def kp(p: float, mu: float) -> float:
     """Complete integral K_p(mu) = w_p(1).
 
-    Strictly increasing in mu, with K_p(0) = pi / (p sin(pi/p)) > 1.  Computed
-    by tanh-sinh quadrature with the (1-s)**(-1/p) endpoint factor declared
-    to the engine, to a relative error target of 1e-13: the engine's
-    tolerance is relative once |value| > 1, which K_p always is, so at
-    K_p = 4.9e8 (p = 1.2, mu = 1 - 1e-12) the allowed error is about 5e-5.
-
-    For p below about 1.06 the quadrature cannot certify that target in
-    double precision, and the value comes from a hypergeometric series
-    instead: the mu**p expansion when mu**p <= 0.9, else the
-    connection-formula expansion around mu = 1.  Both keep relative
-    accuracy near 1e-14.
+    Strictly increasing in mu, with K_p(0) = pi / (p sin(pi/p)) > 1.  The
+    value of :func:`kp_quadrature`, whose target 1e-13 is relative since
+    K_p > 1: at K_p = 4.9e8 (p = 1.2, mu = 1 - 1e-12) the allowed error is
+    about 5e-5, though the value is far closer.
     """
-    try:
-        return kp_quadrature(p, mu).value
-    except NonConvergence:
-        return _kp_series(p, mu)
-
-
-def _kp_series(p: float, mu: float) -> float:
-    """K_p where the quadrature cannot certify its target (p near 1): the
-    mu**p series when mu**p <= 0.9, else the expansion around mu = 1."""
-    if mu**p <= 0.9:
-        return kp_via_2f1(p, mu)
-    return _kp_near_one_2f1(p, mu)
+    return kp_quadrature(p, mu).value
 
 
 def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:

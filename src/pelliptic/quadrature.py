@@ -7,9 +7,10 @@ turns the trapezoid rule in t into a geometrically convergent scheme even when
 the integrand blows up at an endpoint.
 
 One batched routine runs the level loop for every integral in the package:
-the generic :func:`integrate_singular` here, and the K_p rows, the w_p tail
-panels, tau_k and profile norm integrals elsewhere.  It halves the step level
-by level, for one integrand or a batch of rows at once.  The rule fixes every
+the generic :func:`integrate_singular` here, and the K_p rows and the profile
+integrals behind tau_k elsewhere.  It halves the step level by level, for one
+integrand or a batch of rows at once, with one pair of endpoint exponents
+shared by every row.  The rule fixes every
 node in advance (Takahasi & Mori, 1974), so all of them live in one table,
 built once, with each level's new nodes after those of the level before.  The
 caller's smooth factor is evaluated once on the table's prefix of levels 0-4,
@@ -154,7 +155,7 @@ def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     return np.concatenate(x), np.concatenate(cx), np.concatenate(w), tuple(cuts)
 
 
-def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = False):
+def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     """Integrate F * x**(ea-1) * (1-x)**(eb-1) over [0, 1], row by row.
 
     ``F(lev, x, cx, rows)`` receives nodes, their exact complements and
@@ -167,8 +168,8 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
     level order, and ``rows`` ``slice(None)``.  Each later call brings
     ``[cuts[lev]:cuts[lev + 1]]``, the nodes of the one level ``lev``, and
     ``rows`` is ``slice(None)`` while every row is live, then an increasing
-    index array into the rows F returned in the block; ``eb`` may be a
-    ``(rows, 1)`` column, one right exponent per row.
+    index array into the rows F returned in the block.  The weight
+    exponents ``ea`` and ``eb`` are floats shared by every row.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
     of the outermost node pair is at most ``tol * max(1, |value|)``, keeps
@@ -181,24 +182,13 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
     K_p near mu = 1.
     A row fails when the levels run out, or at level 2 if its truncation
     allowance alone exceeds twice its target, which no refinement can
-    mend.  The first failure raises :class:`NonConvergence`; with
-    ``partial`` the failed row drops out with NaN as value and estimate
-    and the other rows finish.  Returns (value, abs_error_estimate,
-    nodes_used), where nodes_used is ``cuts[stop + 1]``, the nodes of the
-    levels through the last one the stop test used, counted once whatever
-    the number of rows and although F saw every node of the block; the
-    estimate is floored at the spacing of the value.
+    mend; the first failure raises :class:`NonConvergence`.  Returns
+    (value, abs_error_estimate, nodes_used), where nodes_used is
+    ``cuts[stop + 1]``, the nodes of the levels through the last one the
+    stop test used, counted once whatever the number of rows and although
+    F saw every node of the block; the estimate is floored at the spacing
+    of the value.
     """
-    if np.ndim(eb):
-        # one power per distinct exponent, taken with a float exponent as a
-        # row alone takes it: numpy's power has shortcuts (sqrt at 0.5) for
-        # a scalar exponent that it does not apply to every element of a
-        # broadcast column
-        eb_vals, eb_row = np.unique(np.ravel(eb), return_inverse=True)
-        powers = lambda cx: np.stack([cx ** float(v) for v in eb_vals])
-        right = lambda cx, rows: powers(cx)[eb_row[rows]]
-    else:
-        right = lambda cx, rows: cx**eb
     X, CX, W, cuts = _ts_nodes()
     rows = slice(None)
 
@@ -207,7 +197,7 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
     def ask(lev, a):
         b = cuts[lev + 1]
         x, cx = X[a:b], CX[a:b]
-        return F(lev, x, cx, rows) * (W[a:b] * x**ea * right(cx, rows))
+        return F(lev, x, cx, rows) * (W[a:b] * x**ea * cx**eb)
 
     with np.errstate(divide="ignore"):
         block = ask(_BLOCK_LEVEL, 0)
@@ -240,7 +230,7 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
                 failed = ~ok & (
                     trunc > 2.0 * target if lev == _MIN_LEVEL else lev == _MAX_LEVEL
                 )
-                if not partial and failed.any():
+                if failed.any():
                     raise NonConvergence(
                         f"tanh-sinh refinement stopped after {cuts[lev + 1]} "
                         f"nodes with error estimate {np.max(est[~ok]):.3e} above "
@@ -248,12 +238,11 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float, partial: bool = Fa
                     )
                 out[idx[ok]] = value[ok]
                 err[idx[ok]] = est[ok]
-                live = ~(ok | failed)
-                if not live.all():
-                    if not live.any():
-                        break
+                if ok.all():
+                    break
+                if ok.any():
                     idx, sums, best, trunc, value = (
-                        a[live] for a in (idx, sums, best, trunc, value)
+                        a[~ok] for a in (idx, sums, best, trunc, value)
                     )
                     rows = idx
             prev = value

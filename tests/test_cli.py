@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -216,10 +217,16 @@ def test_certify_near_one_exits_0_and_nonconvergence_exits_3():
     r = run_cli("certify", "--criterion", "p2sharp", "--mu-const", "0.9999999999")
     assert r.returncode == 0
     assert parse_envelope(r.stdout)["verdict"] == "INCONCLUSIVE"
-    # the quadrature of K_p cannot reach 1e-13 this close to p = 1
-    r = run_cli("kp", "--p", "1.02", "--mu", "0.5")
+    # the w_p tail build refuses below p = 1.05
+    r = run_cli("tau", "--p", "1.03", "--mu", "0.5", "--kmax", "3")
     assert r.returncode == 3
     assert r.stderr.startswith("error=")
+    # K_p is the quadrature this close to p = 1 too
+    r = run_cli("kp", "--p", "1.02", "--mu", "0.5")
+    assert r.returncode == 0
+    # against the exact decimal: the double nearest it is an ulp (1.4e-14) off
+    value = Decimal(float(parse_envelope(r.stdout)["value"]))
+    assert abs(value - Decimal("96.13032680143358913363")) < Decimal("1e-14")
 
 
 def test_certify_grid_emits_warning():

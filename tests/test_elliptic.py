@@ -48,18 +48,43 @@ def test_kp_against_scipy_agm():
 
 def test_kp_matches_mpmath_hyp2f1():
     # K_p = pi / (p sin(pi/p)) 2F1(1/p, 1/p; 1; mu^p), summed by mpmath at
-    # 30 digits on the exact double inputs; p from 1.044 to 1.058 is where
-    # the quadrature cannot certify 1e-13 and kp takes the series
-    for p in [1.044, 1.048, 1.052, 1.056, 1.058,
+    # 40 digits on the exact double inputs, from p = 1.001 and up to the
+    # last double below mu = 1
+    for p in [1.001, 1.005, 1.01, 1.02, 1.044, 1.05,
               1.1, 1.2, 1.5, 1.9, 2.0, 2.1, 3.0, 6.0, 12.0]:
-        for mu in [0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]:
-            with mpmath.workdps(30):
+        for mu in [0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9,
+                   1.0 - 1e-12, math.nextafter(1.0, 0.0)]:
+            with mpmath.workdps(40):
                 P, M = mpmath.mpf(p), mpmath.mpf(mu)
                 ref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P)) * mpmath.hyp2f1(
                     1 / P, 1 / P, 1, M**P
                 )
                 err = float(abs(el.kp(p, mu) - ref) / ref)
-            assert err <= 1e-14, (p, mu, err)
+            assert err <= 4e-15, (p, mu, err)
+
+
+def test_kp_nodes_stay_within_budget():
+    # the integrand in v stops no later than the one in s did: over this
+    # grid the quadrature in s used 12,392 nodes, at most 391 at a point
+    nodes = [
+        el.kp_quadrature(p, mu).nodes_used
+        for p in [1.075, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 6.0, 20.0]
+        for mu in [0.01, 0.3, 0.6, 0.9, 0.99, 0.999]
+    ]
+    assert sum(nodes) <= 12392
+    assert max(nodes) <= 391
+
+
+def test_kp_rows_equal_scalar_kp():
+    # one batch mixing p where v**m has m = 0.5, about 1 and about 2 with
+    # other p: each row has the bits of the scalar call
+    ps = [1.25, 10.0 / 9.0, 20.0 / 19.0, 1.02, 2.0, 7.0]
+    mus = [0.0, 0.5, 0.999, 1.0 - 1e-12]
+    p, mu = zip(*[(a, b) for a in ps for b in mus])
+    rows = el._kp_rows(p, mu)
+    for i, (a, b) in enumerate(zip(p, mu)):
+        assert rows[i] == el.kp(a, b) == el.kp_quadrature(a, b).value
+        assert el._kp_rows([a], [b])[0] == rows[i]
 
 
 def test_kp_extreme_modulus():
@@ -84,8 +109,7 @@ def test_kp_domain_errors():
 
 
 KP_SMALL_P_REF = {
-    # p close to 1: the quadrature route cannot certify 1e-13 here, so
-    # these pin the hypergeometric fallbacks instead
+    # p close to 1, where the quadrature in s could not certify 1e-13
     (1.02, 0.999): 37464.51399251196374151,
     (1.02, 0.5): 96.13032680143358913363,
     (1.05, 0.98): 664.4345810566760766692,
@@ -100,8 +124,8 @@ def test_kp_small_p_corners():
 
 
 def test_kp_tries_the_quadrature_once(monkeypatch):
-    # at (1.05, 0.5) the quadrature cannot certify 1e-13; kp then takes
-    # the series, without retrying at looser tolerances
+    # kp is the quadrature's value, from one call, even at (1.05, 0.5)
+    # where the quadrature in s once failed
     calls = []
     quad = el.kp_quadrature
 
@@ -111,22 +135,8 @@ def test_kp_tries_the_quadrature_once(monkeypatch):
 
     monkeypatch.setattr(el, "kp_quadrature", counted)
     # past kp's cache, so an earlier call cannot hide the quadrature
-    assert el.kp.__wrapped__(1.05, 0.5) == el.kp_via_2f1(1.05, 0.5)
+    assert el.kp.__wrapped__(1.05, 0.5) == quad(1.05, 0.5).value
     assert calls == [((1.05, 0.5), {})]
-
-
-def test_kp_near_one_series_dual_route():
-    # where the quadrature still certifies, the connection-formula
-    # series must agree with it
-    for p, mu, tol in [(1.0625, 0.95904, 1e-11), (1.1, 0.97, 1e-13)]:
-        q = el.kp_quadrature(p, mu, tol=tol).value
-        s = el._kp_near_one_2f1(p, mu)
-        assert abs(q - s) < 1e-10 * q
-
-
-def test_kp_near_one_series_requires_small_p():
-    with pytest.raises(NonConvergence):
-        el._kp_near_one_2f1(2.5, 0.99)
 
 
 def test_kp_via_2f1_closed_form_and_cross_check():
@@ -217,6 +227,17 @@ def test_wp_close_to_p_one():
     for mu in [0.5, 0.99]:
         ref = _mp_wp(1.05, mu, 0.9)
         assert abs(el.wp(1.05, mu, 0.9) - ref) <= 1e-14 * ref
+
+
+def test_wp_and_snp_at_large_p():
+    # the series length comes from p log 0.6, not from the log of 0.6**p,
+    # which underflows near p = 1460; at p = 1e4 the tail build refuses
+    for p in [1500.0, 5000.0, 1e4]:
+        assert el.wp(p, 0.5, 0.3) == 0.3
+    for p in [1500.0, 5000.0]:
+        assert abs(el.snp(p, 0.5, 0.3) - 0.3) <= el._EPS
+    with pytest.raises(NonConvergence):
+        el.snp(1e4, 0.5, 0.3)
 
 
 # near p = 1 and mu = 1, K_p is far larger than w_p; the tail form

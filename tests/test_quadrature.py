@@ -223,27 +223,27 @@ def test_first_call_is_the_block_of_levels_0_to_4():
 
 
 def test_column_exponent_rows_match_rows_computed_alone():
-    # rows with their own right exponent and integrand stop at different
-    # levels; each keeps the exact bits it has when computed alone
-    c = np.array([0.0, 0.5, 3.0, 40.0])[:, None]
-    b = np.array([0.0, -0.3, -0.5, -0.8])[:, None]
+    # rows of one (rows, 1) column of integrands under one right exponent
+    # stop at different levels; each keeps the exact bits it has when
+    # computed alone
+    c = np.array([0.0, 0.5, 3.0, 900.0])[:, None]
     F = lambda lev, x, cx, rows: 1.0 / (1.0 + c[rows] * x)
-    value, err, _ = _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
+    value, err, _ = _tanh_sinh(F, 1.0, 0.5, 1e-13)
     assert value.shape == err.shape == (4,)
     for i in range(4):
-        ci, bi = float(c[i, 0]), float(b[i, 0])
+        ci = float(c[i, 0])
         Fi = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
-        v, e, _ = _tanh_sinh(Fi, 1.0, 1.0 + bi, 1e-13)
+        v, e, _ = _tanh_sinh(Fi, 1.0, 0.5, 1e-13)
         assert value[i] == v and err[i] == e
-    # the constant row: integral of (1-s)**0 = 1
-    assert abs(value[0] - 1.0) < 1e-13
+    # the constant row: integral of (1-s)**(-1/2) = 2
+    assert abs(value[0] - 2.0) < 1e-13
 
 
-def _stop_level(ci, bi):
-    """Level at which one row 1 / (1 + ci x), with right exponent 1 + bi,
+def _stop_level(ci):
+    """Level at which one row 1 / (1 + ci x), with right exponent 1/2,
     stops when computed alone, read off the nodes its stop test used."""
     F = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
-    nodes = _tanh_sinh(F, 1.0, 1.0 + bi, 1e-13)[2]
+    nodes = _tanh_sinh(F, 1.0, 0.5, 1e-13)[2]
     return _ts_nodes()[3].index(nodes) - 1
 
 
@@ -252,7 +252,6 @@ def test_live_rows_shrink_and_stopped_rows_never_return():
     # live: a row is asked again for levels 5 up to its own stop level and
     # never after it
     c = np.array([0.0, 0.5, 3.0, 40.0, 900.0])[:, None]
-    b = np.array([0.0, -0.3, -0.5, -0.8, -0.2])[:, None]
     seen = []
 
     def F(lev, x, cx, rows):
@@ -260,39 +259,17 @@ def test_live_rows_shrink_and_stopped_rows_never_return():
         seen.append((lev, live))
         return 1.0 / (1.0 + c[rows] * x)
 
-    _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
+    _tanh_sinh(F, 1.0, 0.5, 1e-13)
     assert seen[0][0] == _BLOCK_LEVEL
     assert np.array_equal(seen[0][1], np.arange(c.shape[0]))
     for (_, before), (_, after) in zip(seen, seen[1:]):
         assert np.all(np.diff(after) > 0)
         assert set(after) <= set(before)
-    stops = [_stop_level(float(c[i, 0]), float(b[i, 0])) for i in range(c.shape[0])]
+    stops = [_stop_level(float(c[i, 0])) for i in range(c.shape[0])]
     assert min(stops) < _BLOCK_LEVEL < max(stops)
     for i, stop in enumerate(stops):
         visits = [lev for lev, live in seen if i in live]
         assert visits == [_BLOCK_LEVEL] + list(range(_BLOCK_LEVEL + 1, stop + 1))
-
-
-def test_partial_rows_fail_alone():
-    # the second row's right exponent leaves a truncation allowance of about
-    # 1e-10, so it fails at level 2; with partial it comes back as NaN and
-    # the first row keeps the bits it has alone
-    b = np.array([-0.3, -0.96])[:, None]
-    levels = []
-
-    def F(lev, x, cx, rows):
-        levels.append(lev)
-        return np.ones((np.arange(2)[rows].size, x.size))
-
-    value, err, nodes = _tanh_sinh(F, 1.0, 1.0 + b, 1e-13, partial=True)
-    assert np.isnan(value[1]) and np.isnan(err[1])
-    one = lambda lev, x, cx, rows: np.ones_like(x)
-    alone = _tanh_sinh(one, 1.0, 1.0 + float(b[0, 0]), 1e-13)
-    assert value[0] == alone[0] and err[0] == alone[1] and nodes == alone[2]
-    levels.clear()
-    with pytest.raises(NonConvergence, match="after 49 nodes"):
-        _tanh_sinh(F, 1.0, 1.0 + b, 1e-13)
-    assert levels == [_BLOCK_LEVEL]
 
 
 def test_root_zero_at_lo_evaluates_g_once():

@@ -15,10 +15,15 @@ with Dirichlet boundary values, together with the first integral
     |phi'|**p - (1/2) (alpha - |phi|**p)(beta - |phi|**p) = 0,
 
 where alpha = amplitude**p / mu**p and beta = amplitude**p are the two
-roots of t**2 - 2 lambda t + 2 c**p with c = phi'(0).  Both identities
-are checked numerically by the residual routines below; they exercise the
-full derivative chain of sn_p rather than the algebraic shortcut, so a
-wrong second-derivative formula would show up immediately.
+roots of t**2 - 2 lambda t + 2 c**p with c = phi'(0).  The residual
+routines below evaluate both identities on a grid, with sn_p' and sn_p''
+from the chain-rule formulas of :mod:`elliptic` at s = |sn_p|.  Built that
+way, both are identities in s: they hold for every s in [0, 1], so they
+cannot see an error in the inversion that produced s (scaling every s by
+1 + 1e-3 sin 7t leaves them unchanged).  They check the derivative
+formulas, the signs the fold assigns, and rounding; the sn_p values
+themselves are checked against scipy's Jacobi sn and 30-digit mpmath in
+the tests.
 
 A residual routine folds its grid once, through the checked fold of every
 sn_p entry point; for p != 2 it drops the points where the singular test
@@ -30,12 +35,13 @@ rounds to 0, where |phi'|**(p-2) phi'' would be 0 * inf.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import _fold, kp, snp
-from .errors import GridTooCoarse, SingularPoint
+from .errors import DomainError, GridTooCoarse, SingularPoint
 from .errors import _check_finite, _check_int, _check_sign, _validate_pmu
 
 __all__ = [
@@ -97,17 +103,19 @@ class ResidualReport:
 def _build(p: float, mu: float, n: int, sign: int) -> EigenPair:
     K = kp(p, mu)
     base_amp = 2.0 ** ((p + 1.0) / p) * mu * K
-    base_lam = (1.0 + mu**p) * (2.0 * K) ** p
     # n enters through a single final multiplication, so lam and
-    # amplitude scale across n with no rounding drift
-    return EigenPair(
-        p=p,
-        mu=mu,
-        n=n,
-        sign=sign,
-        amplitude=n * base_amp,
-        lam=float(n) ** p * base_lam,
-    )
+    # amplitude scale across n with no rounding drift.  A float ** that
+    # overflows raises, a product that overflows gives inf; the amplitude,
+    # 2**(1/p) mu (2 n K), is below lam whenever lam is finite
+    try:
+        lam = float(n) ** p * ((1.0 + mu**p) * (2.0 * K) ** p)
+    except OverflowError:
+        lam = math.inf
+    if lam == math.inf:
+        raise DomainError(
+            f"the eigenvalue lambda overflows a double at p={p}, mu={mu}, n={n}"
+        )
+    return EigenPair(p=p, mu=mu, n=n, sign=sign, amplitude=n * base_amp, lam=lam)
 
 
 def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:

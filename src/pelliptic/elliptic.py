@@ -46,14 +46,16 @@ term of that sum is positive, so w_p keeps its relative accuracy where
 K_p is far larger, near p = 1 and mu = 1; the build runs no quadrature,
 and raises NonConvergence for p < 1.05 and where a panel's interpolant
 does not resolve g.
-The engine tabulates w_p at 16 nodes evenly spaced in v and at the panel
-edges; every point starts inside its table bracket, from z interpolated
-linearly in v.  A point stops once its Newton step is at most 5e-15 and
-small enough that the curvature of w_p cannot move the root it aims at
-by more than a few hundredths of an ulp near z = 1, and that step is
-taken (clipped into the bracket) before the safeguard could swap it for
-a midpoint, so converged points never fall through to bisection.  Scalar and batch entry points share
-that one path, and the approximant is evaluated row by row, so a scalar
+The engine tabulates w_p, and the slope dv/dw of v = (1-z)**(1-1/p), at
+96 nodes evenly spaced in v and at the panel edges.  Every point starts
+inside its table bracket, from v interpolated in w by cubic Hermite, and
+stops once the Newton step's curvature miss, step**2 G' / (2 G) with
+G = w_p' bounded at the far end of the step, is below 0.05 eps z, or the
+step is at most an ulp of z; so almost every point stops after one
+Newton pass.  That step is taken (clipped into the bracket) before the
+safeguard could swap it for a midpoint, so converged points never fall
+through to bisection.  Scalar and batch entry points share that one
+path, and the approximant is evaluated row by row, so a scalar
 call returns exactly the value the batch call gives at the same y.
 """
 
@@ -100,8 +102,10 @@ _KP_WEIGHT = 0.1
 # snp_second_deriv raises inside it for p > 2, where sn_p'' diverges, and
 # eigen's residual grids drop the points inside it for every p != 2
 _SING_MARGIN = 1e-6
-# interior nodes of the table each _SnpEngine builds to start its inversion
-_TAB_NODES = 16
+# interior nodes of the table each _SnpEngine builds to start its inversion:
+# with 96, one Newton pass ends almost every 101-point batch of the
+# eigenfunction residuals; with 48, more than half of them take a second
+_TAB_NODES = 96
 # w_p tail panels: Chebyshev interpolants of degree _CHEB_N - 1, sampled at
 # the first-kind points _CHEB_X, descending from x = 1 to x = -1
 _CHEB_N = 33
@@ -535,7 +539,7 @@ class _SnpEngine:
     # -- inversion ---------------------------------------------------------
 
     def _brackets(self):
-        """(v, z, w) at the table nodes, endpoints included.
+        """(v, z, w, dv/dw) at the table nodes, endpoints included.
 
         _TAB_NODES nodes are evenly spaced in the tail variable
         v = (1-z)**(1-1/p), in which K - w_p is nearly linear, and take w_p
@@ -543,46 +547,57 @@ class _SnpEngine:
         w_p the panel build already holds; the panels are graded in e around
         the distance of the tail factor's singular point, so the boundary
         layer that forms at z = 1 as mu -> 1 is bracketed as finely as it is
-        fitted.  Built on the first inversion, not at construction, so w_p
-        alone never needs it.
+        fitted.  Each node also holds the slope dv/dw = -1 / g(v), g the
+        bounded tail integrand, so that a start can interpolate v in w by
+        cubic Hermite.  Built on the first inversion, not at construction,
+        so w_p alone never needs it.
         """
         if self._table is None:
             p = self.p
+            r = p / (p - 1.0)
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
-            z = 1.0 - v ** (p / (p - 1.0))
+            e = v**r
             v_tail, e_tail, _, _, top = self._tail_panels()
-            w = np.concatenate((self.wp_many(z), [self.K], top))
+            w = np.concatenate((self.wp_many(1.0 - e), [self.K], top))
             v = np.concatenate((v, v_tail))
-            z = np.concatenate((z, 1.0 - e_tail))
+            e = np.concatenate((e, e_tail))
+            slope = -1.0 / (r * _tail_factor(e, p, *_eps_mup(p, self.mu)))
             order = np.argsort(v)[::-1]
-            self._table = (v[order], z[order], w[order])
+            self._table = (v[order], 1.0 - e[order], w[order], slope[order])
         return self._table
 
     def invert(self, t: np.ndarray) -> np.ndarray:
         """Solve w_p(z) = t for each t in [0, K], vectorized.
 
         Each t starts inside its bracket [z_j, z_j+1] of the engine's table,
-        from z interpolated linearly in v = (1-z)**(1-1/p), and takes Newton
-        steps with the analytic derivative w_p' = G.  A point stops once its
-        Newton step |f / G| is at most 5e-15 and either step**2 <= 4e-18 A,
-        A = 1 - z**p, or the step is at most an ulp or two of z: the step
-        misses the root by about step**2 G' / (2 G) <= step**2 / A, which
-        near z = 1 can be ulps for a 5e-15 step.  That step is accepted,
-        clipped into the bracket, before any safeguard can replace it.  A
-        larger step that leaves the bracket or is not finite falls back to
-        bisection, so every iterate stays admissible; a point whose bracket
-        closes to a few ulps stops on its step, clipped into the bracket.
+        from v = (1-z)**(1-1/p) interpolated in w by the cubic Hermite
+        polynomial through the bracket's two nodes and their slopes, and
+        takes Newton steps with the analytic derivative w_p' = G.  A step
+        misses the root by about step**2 G' / (2 G), with
+        G' / G = z**(p-1) (1/A + mu**p / B), A = 1 - z**p and
+        B = 1 - mu**p z**p, which grows with z; a point stops once that
+        bound, taken at the far end of the step (at most the bracket's upper
+        end), is below 0.05 eps z, or once its step is at most an ulp of z.
+        That step is accepted, clipped into the bracket, before any
+        safeguard can replace it.  A larger step that leaves the bracket or
+        is not finite falls back to bisection, so every iterate stays
+        admissible; a point whose bracket closes to a few ulps stops on its
+        step, clipped into the bracket.
         """
         t = np.asarray(t, dtype=float)
-        v_tab, z_tab, w_tab = self._brackets()
+        v_tab, z_tab, w_tab, m_tab = self._brackets()
         j = np.searchsorted(w_tab, t, side="right") - 1
         j = np.minimum(np.maximum(j, 0), w_tab.size - 2)
         z_lo, z_hi = z_tab[j], z_tab[j + 1]
+        h = w_tab[j + 1] - w_tab[j]
         # for p near 1 the last nodes round to z = 1, so an edge t can land
         # in an empty interval; its start is overwritten below
         with np.errstate(invalid="ignore"):
-            frac = np.clip((t - w_tab[j]) / (w_tab[j + 1] - w_tab[j]), 0.0, 1.0)
-        v = v_tab[j] + frac * (v_tab[j + 1] - v_tab[j])
+            s = np.clip((t - w_tab[j]) / h, 0.0, 1.0)
+        v0, v1 = v_tab[j], v_tab[j + 1]
+        v = v0 + s * s * (3.0 - 2.0 * s) * (v1 - v0) + h * s * (1.0 - s) * (
+            (1.0 - s) * m_tab[j] - s * m_tab[j + 1]
+        )
         z = np.clip(1.0 - v ** (self.p / (self.p - 1.0)), z_lo, z_hi)
         # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
         low, high = t <= 0.0, t >= self.K
@@ -592,7 +607,7 @@ class _SnpEngine:
         # target and bracket
         idx = np.flatnonzero(~(low | high))
         za, ta, lo, hi = z[idx], t[idx], z_lo[idx], z_hi[idx]
-        p = self.p
+        p, mup = self.p, self.mu**self.p
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(80):
                 if idx.size == 0:
@@ -604,15 +619,15 @@ class _SnpEngine:
                 A, B = self._AB(za)
                 step = f / (A * B) ** (-1.0 / p)
                 z_new = za - step
-                # the step misses the root by about step**2 G' / (2 G) <=
-                # step**2 / A, as G' / G = z**(p-1) (1/A + mu**p / B) and
-                # B >= A: near z = 1, where A -> 0, a 5e-15 step can miss by
-                # ulps, so a step also stops only once that is below 4e-18,
-                # or once it is an ulp or two of z
-                size = np.abs(step)
-                done = (size <= 5e-15) & (
-                    (step * step <= 4e-18 * A) | (size <= _EPS * za)
-                )
+                # the step misses the root by about step**2 G' / (2 G), and
+                # G' / G grows with z, so it is bounded at the far end of the
+                # step, inside the bracket; at z = 1, A = 0 and the bound is
+                # infinite, so a point there stops only on an ulp-sized step
+                # or a closed bracket
+                zf = np.minimum(np.maximum(za, z_new), hi)
+                Af, Bf = self._AB(zf)
+                miss = 0.5 * step * step * zf ** (p - 1.0) * (1.0 / Af + mup / Bf)
+                done = (miss <= 0.05 * _EPS * za) | (np.abs(step) <= _EPS * za)
                 # a bracket closed to a few ulps also stops, on its clipped
                 # step: near z = 1 that step can overshoot the last doubles
                 done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)

@@ -113,17 +113,17 @@ EXPECTED = {
     ],
     "snp 2.0,0.5": [
         "-0x1.eb7ca1c2f5008p-2",
-        "0x1.58bb39ab4bfefp-4",
-        "0x1.272790543d498p-1",
+        "0x1.58bb39ab4bff0p-4",
+        "0x1.272790543d497p-1",
         "0x1.ea20fcc4690afp-1",
         "0x1.ffffdc3e11792p-1",
         "0x1.ceb11bccaf9f7p-1",
         "-0x1.a833d3eb7edc0p-1",
-        "-0x1.eb7ca1c2f4ff8p-2",
+        "-0x1.eb7ca1c2f4ffap-2",
         "0x1.ea20fcc4690b1p-1",
     ],
     "snp 2.5,0.9999999999999999": [
-        "-0x1.71dfc55e017e0p-1",
+        "-0x1.71dfc55e017e1p-1",
         "0x1.1785d669c3db9p-3",
         "0x1.a70d6f10150eap-1",
         "0x1.ffaf0b6194318p-1",
@@ -134,15 +134,15 @@ EXPECTED = {
         "0x1.ffaf0b6194318p-1",
     ],
     "snp 3.5,0.9": [
-        "-0x1.7d8e90a6a6265p-2",
+        "-0x1.7d8e90a6a6264p-2",
         "0x1.fe7c632618c85p-5",
         "0x1.d4d91c0e38628p-2",
         "0x1.cd07c583de2b1p-1",
         "0x1.fff8c0f642054p-1",
-        "0x1.a2a8a9647038bp-1",
+        "0x1.a2a8a9647038cp-1",
         "-0x1.708527183f424p-1",
-        "-0x1.7d8e90a6a6255p-2",
-        "0x1.cd07c583de2b5p-1",
+        "-0x1.7d8e90a6a6254p-2",
+        "0x1.cd07c583de2b4p-1",
     ],
     "snp_deriv_many 1.5,0.999999": [
         "-0x1.bfbcc218fbe95p-23",
@@ -157,8 +157,8 @@ EXPECTED = {
     ],
     "snp_deriv_many 2.0,0.5": [
         "-0x1.b40b5c424a8a5p-1",
-        "0x1.fdbb4377e51b2p-1",
-        "0x1.909b879996529p-1",
+        "0x1.fdbb4377e51b1p-1",
+        "0x1.909b87999652ap-1",
         "0x1.03f8edb87ee58p-2",
         "0x1.4b6e9a805ecfap-10",
         "-0x1.87245138d1760p-2",
@@ -167,7 +167,7 @@ EXPECTED = {
         "-0x1.03f8edb87ee4cp-2",
     ],
     "snp_deriv_many 2.5,0.9999999999999999": [
-        "-0x1.4054e5c351111p-1",
+        "-0x1.4054e5c351110p-1",
         "0x1.fd2dddb762bb0p-1",
         "0x1.d79b1b84cd29ap-2",
         "0x1.7132e5bc108d0p-8",
@@ -183,10 +183,10 @@ EXPECTED = {
         "0x1.efb7d9d7f2cf3p-1",
         "0x1.2f4eb1a9ac2bcp-1",
         "0x1.fcc4e1413627dp-5",
-        "-0x1.75e0555acad06p-1",
+        "-0x1.75e0555acad05p-1",
         "-0x1.abffa6f6b02e3p-1",
         "0x1.f822f340422e1p-1",
-        "-0x1.2f4eb1a9ac2b3p-1",
+        "-0x1.2f4eb1a9ac2b5p-1",
     ],
     "snp_many 1.5,0.999999": [
         "-0x1.ffff35dee088fp-1",
@@ -201,17 +201,17 @@ EXPECTED = {
     ],
     "snp_many 2.0,0.5": [
         "-0x1.eb7ca1c2f5008p-2",
-        "0x1.58bb39ab4bfefp-4",
-        "0x1.272790543d498p-1",
+        "0x1.58bb39ab4bff0p-4",
+        "0x1.272790543d497p-1",
         "0x1.ea20fcc4690afp-1",
         "0x1.ffffdc3e11792p-1",
         "0x1.ceb11bccaf9f7p-1",
         "-0x1.a833d3eb7edc0p-1",
-        "-0x1.eb7ca1c2f4ff8p-2",
+        "-0x1.eb7ca1c2f4ffap-2",
         "0x1.ea20fcc4690b1p-1",
     ],
     "snp_many 2.5,0.9999999999999999": [
-        "-0x1.71dfc55e017e0p-1",
+        "-0x1.71dfc55e017e1p-1",
         "0x1.1785d669c3db9p-3",
         "0x1.a70d6f10150eap-1",
         "0x1.ffaf0b6194318p-1",
@@ -222,15 +222,15 @@ EXPECTED = {
         "0x1.ffaf0b6194318p-1",
     ],
     "snp_many 3.5,0.9": [
-        "-0x1.7d8e90a6a6265p-2",
+        "-0x1.7d8e90a6a6264p-2",
         "0x1.fe7c632618c85p-5",
         "0x1.d4d91c0e38628p-2",
         "0x1.cd07c583de2b1p-1",
         "0x1.fff8c0f642054p-1",
-        "0x1.a2a8a9647038bp-1",
+        "0x1.a2a8a9647038cp-1",
         "-0x1.708527183f424p-1",
-        "-0x1.7d8e90a6a6255p-2",
-        "0x1.cd07c583de2b5p-1",
+        "-0x1.7d8e90a6a6254p-2",
+        "0x1.cd07c583de2b4p-1",
     ],
     "snp_second_deriv_many 1.5,0.999999": [
         "0x1.330f8bc31e853p-27",
@@ -245,17 +245,17 @@ EXPECTED = {
     ],
     "snp_second_deriv_many 2.0,0.5": [
         "0x1.16df9ab0e49edp-1",
-        "-0x1.adb178e89c47fp-4",
-        "-0x1.3fe667615d258p-1",
+        "-0x1.adb178e89c480p-4",
+        "-0x1.3fe667615d257p-1",
         "-0x1.841619f3e1de2p-1",
         "-0x1.800008f077e2cp-1",
         "-0x1.856ec9a3b98c7p-1",
         "0x1.80a831d9fce70p-1",
-        "0x1.16df9ab0e49e6p-1",
+        "0x1.16df9ab0e49e7p-1",
         "-0x1.841619f3e1de2p-1",
     ],
     "snp_second_deriv_many 2.5,0.9999999999999999": [
-        "0x1.ba4e75a52fe17p-1",
+        "0x1.ba4e75a52fe18p-1",
         "-0x1.9b5bfe905088fp-4",
         "-0x1.adfa4382218f5p-1",
         "-0x1.509757c9e873fp-5",
@@ -266,15 +266,15 @@ EXPECTED = {
         "-0x1.509757c9e873fp-5",
     ],
     "snp_second_deriv_many 3.5,0.9": [
-        "0x1.24bf9338693fap-3",
+        "0x1.24bf9338693f8p-3",
         "-0x1.add9a61505f07p-10",
         "-0x1.e870226e67785p-3",
         "-0x1.3cc8ccd42b5bdp+0",
         "-0x1.3f0eb0b5f127ep+4",
-        "-0x1.f3f0b912d3391p-1",
+        "-0x1.f3f0b912d3394p-1",
         "0x1.713a2c83ff884p-1",
-        "0x1.24bf9338693dbp-3",
-        "-0x1.3cc8ccd42b5c5p+0",
+        "0x1.24bf9338693d9p-3",
+        "-0x1.3cc8ccd42b5c4p+0",
     ],
     "tau_k 2.0,0.5": [
         "0x1.706d28e637b40p-1",

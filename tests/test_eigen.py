@@ -57,6 +57,16 @@ def test_eigenpair_validation():
             eg.eigenpair(2.0, 0.5, 1, sign=bad)
 
 
+def test_eigenpair_whose_eigenvalue_overflows_is_a_domain_error():
+    # (2 K_p)**p overflows at p = 1100, n**p at n = 10**200; either used
+    # to escape as a bare OverflowError
+    for p, n in [(1100.0, 1), (2.0, 10**200)]:
+        with pytest.raises(DomainError, match="eigenvalue lambda overflows"):
+            eg.eigenpair(p, 0.5, n)
+    # 10**153 is the last power of ten at p = 2 whose eigenvalue is finite
+    assert math.isfinite(eg.eigenpair(2.0, 0.5, 10**153).lam)
+
+
 def test_boundary_values_and_nodes():
     for p, mu, n in [(1.5, 0.2, 1), (2.0, 0.6, 2), (3.0, 0.6, 3)]:
         e = eg.eigenpair(p, mu, n)

@@ -338,6 +338,102 @@ def test_snp_inversion_accuracy_oracle():
             assert np.max(np.abs(got - ref)) <= 1e-15, (p, mu)
 
 
+def _mp_snp_roots(p, mu, ys, ss):
+    """30-digit sn_p at each y, by Newton's method in v = (1-z)**(1-1/p)
+    from v(s) on K_p - y = integral_0^v g, g = r T(v**r) bounded; the tail
+    factor T is formed with expm1 and log1p, so it keeps 30 digits as
+    e = v**r -> 0, and the integral is split at the boundary layer's scale
+    and at every starting v, so each Newton step adds only a short piece."""
+    with mpmath.workdps(30):
+        P, M = mpmath.mpf(p), mpmath.mpf(mu)
+        r = P / (P - 1)
+        eps, mup = -mpmath.expm1(P * mpmath.log1p(M - 1)), M**P
+        K = mpmath.pi / (P * mpmath.sin(mpmath.pi / P)) * mpmath.hyp2f1(
+            1 / P, 1 / P, 1, mup
+        )
+
+        def g(v):
+            if v == 0:
+                return r * (P * eps) ** (-1 / P)
+            e = v**r
+            ratio = -mpmath.expm1(P * mpmath.log1p(-e)) / e
+            return r * (ratio * (eps + mup * ratio * e)) ** (-1 / P)
+
+        layer = (eps / mup) ** (1 / r)
+        starts = [(1 - mpmath.mpf(s)) ** (1 / r) for s in ss]
+        splits = [c * layer for c in (0.25, 1, 4) if c * layer < max(starts)]
+        knots = sorted({mpmath.mpf(0), *starts, *splits})
+        below = {knots[0]: mpmath.mpf(0)}
+        for a, b in zip(knots, knots[1:]):
+            below[b] = below[a] + mpmath.quad(g, [a, b])
+        roots = []
+        for y, v in zip(ys, starts):
+            target, q = K - mpmath.mpf(y), below[v]
+            for _ in range(8):
+                step = (q - target) / g(v)
+                if abs(step) <= mpmath.mpf(10) ** -28 * max(v, layer):
+                    break
+                q += mpmath.quad(g, [v, v - step])
+                v -= step
+            roots.append(1 - v**r)
+        return roots
+
+
+def test_snp_ulp_errors_against_mpmath():
+    # every point stops on one curvature bound, step**2 G' / (2 G) below
+    # 0.05 ulp, also where A = 1 - z**p -> 0 as y -> K_p; from p = 1.06,
+    # where sn_p rounds to 1 next to K_p, to p = 20, where it does not, and
+    # mu up to the last double below 1.  The error is mostly w_p's own
+    # rounding; the bounds are what the earlier stop rule, three Newton
+    # passes a point, reached on this grid: at most 1.56 ulp, and 67 of
+    # the 75 points within half an ulp
+    errors = []
+    for p in [1.06, 1.5, 2.0, 6.0, 20.0]:
+        for mu in [0.5, 1.0 - 1e-9, math.nextafter(1.0, 0.0)]:
+            fractions = [0.3, 0.8, 1 - 2.0**-8, 1 - 2.0**-20, 1 - 2.0**-36]
+            ys = el.kp(p, mu) * np.array(fractions)
+            got = el.snp_many(p, mu, ys)
+            for s, ref in zip(got, _mp_snp_roots(p, mu, ys, got)):
+                with mpmath.workdps(30):
+                    ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(ref, 2)) - 52)
+                    errors.append(float(abs(mpmath.mpf(s) - ref) / ulp))
+    errors = np.array(errors)
+    assert errors.max() <= 1.56, errors.max()
+    assert np.count_nonzero(errors <= 0.5) >= 67, np.count_nonzero(errors <= 0.5)
+
+
+def test_warm_inversion_takes_one_newton_pass(monkeypatch):
+    # the Hermite start from the table lands close enough that the
+    # curvature rule stops almost every point after its first step: over
+    # the (p, mu) box that the pipeline_cold benchmark draws from, a scalar
+    # sn_p on a warm engine takes one wp_many call in all but a few per
+    # cent of cases and never more than two, and the 101-point grid of the
+    # eigenfunction residuals at most two
+    calls = []
+    wp_many = el._SnpEngine.wp_many
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return wp_many(self, z)
+
+    scalar = []
+    for p in [1.5, 2.0, 3.0, 4.5, 6.0]:
+        for mu in [0.1, 0.5, 0.9, 0.95]:
+            K = el.kp(p, mu)
+            el.snp(p, mu, 0.3)
+            monkeypatch.setattr(el._SnpEngine, "wp_many", counting)
+            for y in K * (np.arange(40) + 0.5) / 10:
+                calls.clear()
+                el.snp(p, mu, float(y))
+                scalar.append(len(calls))
+            calls.clear()
+            el.snp_many(p, mu, 2.0 * K * np.linspace(0.0, 1.0, 101))
+            monkeypatch.undo()
+            assert len(calls) <= 2, (p, mu, len(calls))
+    assert max(scalar) <= 2
+    assert scalar.count(1) >= 0.97 * len(scalar), scalar.count(1) / len(scalar)
+
+
 def test_invert_takes_few_newton_passes(monkeypatch):
     # every point starts in its table bracket and stops on its own step,
     # so no point is left to bisection; a fresh engine counts its table

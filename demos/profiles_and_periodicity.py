@@ -18,7 +18,7 @@ print(f"p = {p}, mu = {mu}, K_p = {K:.12f}")
 print()
 print("one full period, 13 samples:")
 ys = np.linspace(0.0, 4.0 * K, 13)
-vals = pl.snp_many(p, mu, ys)
+vals = pl.snp(p, mu, ys)
 for y, v in zip(ys, vals):
     bar = "#" * int(round(20.0 * (v + 1.0) / 2.0))
     print(f"  sn_p({y:8.4f}) = {v:+.12f}  |{bar}")
@@ -42,6 +42,6 @@ for frac in (0.9, 0.99, 0.999):
     d = pl.snp_deriv(p, mu, frac * K)
     print(f"  sn_p'({frac:.3f} K) = {d:.6e}")
 try:
-    pl.snp_deriv(p, mu, K)
+    pl.snp_second_deriv(p, mu, K)
 except SingularPoint as exc:
-    print(f"  sn_p'(K) raises SingularPoint: {exc}")
+    print(f"  sn_p''(K) raises SingularPoint: {exc}")

@@ -14,16 +14,16 @@ with Dirichlet boundary values, together with the first integral
 
     |phi'|**p - (1/2) (alpha - |phi|**p)(beta - |phi|**p) = 0,
 
-where alpha = amplitude**p / mu**p and beta = amplitude**p are the two
-roots of t**2 - 2 lambda t + 2 c**p with c = phi'(0).  The residual
-routines below evaluate both identities on a grid, with sn_p' and sn_p''
-from the chain-rule formulas of :mod:`elliptic` at s = |sn_p|.  Built that
-way, both are identities in s: they hold for every s in [0, 1], so they
-cannot see an error in the inversion that produced s (scaling every s by
-1 + 1e-3 sin 7t leaves them unchanged).  They check the derivative
-formulas, the signs the fold assigns, and rounding; the sn_p values
-themselves are checked against scipy's Jacobi sn and 30-digit mpmath in
-the tests.
+where alpha = amplitude**p / mu**p = 2 lambda / (1 + mu**p) and
+beta = amplitude**p are the two roots of t**2 - 2 lambda t + 2 c**p with
+c = phi'(0).  The residual routines below evaluate both identities on a
+grid, with sn_p' and sn_p'' from the chain-rule formulas of
+:mod:`elliptic` at s = |sn_p|.  Built that way, both are identities in
+s: they hold for every s in [0, 1], so they cannot see an error in the
+inversion that produced s (scaling every s by 1 + 1e-3 sin 7t leaves
+them unchanged).  They check the derivative formulas, the signs the fold
+assigns, and rounding; the sn_p values themselves are checked against
+scipy's Jacobi sn and 30-digit mpmath in the tests.
 
 A residual routine folds its grid once, through the checked fold of every
 sn_p entry point; for p != 2 it drops the points where the singular test
@@ -76,8 +76,9 @@ class EigenPair:
 
     @property
     def alpha(self) -> float:
-        """Larger root of t**2 - 2 lam t + 2 c**p; equals amplitude**p / mu**p."""
-        return self.amplitude**self.p / self.mu**self.p
+        """Larger root of t**2 - 2 lam t + 2 c**p; equals amplitude**p / mu**p,
+        formed as 2 lam / (1 + mu**p), where no underflow of mu**p divides."""
+        return 2.0 * self.lam / (1.0 + self.mu**self.p)
 
     @property
     def beta(self) -> float:
@@ -125,7 +126,8 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
     zeros of sn_p sit at multiples of 2 K_p, so phi vanishes exactly at the
     multiples of 1/n.
     """
-    # mu = 0 is excluded: alpha = amplitude**p / mu**p is 0/0 there
+    # mu = 0 is excluded: the amplitude, 2**((p+1)/p) n mu K_p, is 0 there
+    # and phi vanishes identically
     _validate_pmu(p, mu, "()")
     _check_int("n", n, 1)
     _check_sign("sign", sign)

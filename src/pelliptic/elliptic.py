@@ -54,9 +54,10 @@ G = w_p' bounded at the far end of the step, is below 0.05 eps z, or the
 step is at most an ulp of z; so almost every point stops after one
 Newton pass.  That step is taken (clipped into the bracket) before the
 safeguard could swap it for a midpoint, so converged points never fall
-through to bisection.  Scalar and batch entry points share that one
-path, and the approximant is evaluated row by row, so a scalar
-call returns exactly the value the batch call gives at the same y.
+through to bisection.  snp, snp_deriv and snp_second_deriv take y as a
+float or an array and run that one path on it; the approximant is
+evaluated row by row, so each element of an array call has the bits of
+the float call at the same y.
 """
 
 from __future__ import annotations
@@ -79,11 +80,8 @@ __all__ = [
     "wp",
     "snp",
     "snp_value",
-    "snp_many",
     "snp_deriv",
-    "snp_deriv_many",
     "snp_second_deriv",
-    "snp_second_deriv_many",
     "jordan_margins",
 ]
 
@@ -203,7 +201,7 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
 
 
-def _kp_batch(p: list, mu: list, tol: float):
+def _kp_batch(p: list, mu: list):
     """The driver's (value, abs_error_estimate, nodes_used) for K_p at each
     pair (p[i], mu[i]) of checked floats: the integral over [0, 1] of
     m v**(_KP_WEIGHT - 1) T(v**m), T the :func:`_tail_factor`.
@@ -220,22 +218,21 @@ def _kp_batch(p: list, mu: list, tol: float):
         * _tail_factor(x ** m[rows], p_col[rows], eps[rows], mup[rows]),
         _KP_WEIGHT,
         1.0,
-        tol,
+        _KP_TOL,
     )
 
 
-def kp_quadrature(p: float, mu: float, tol: float = _KP_TOL) -> QuadratureResult:
+def kp_quadrature(p: float, mu: float) -> QuadratureResult:
     """The K_p integral with the engine's own error assessment attached.
 
-    The one-row case of :func:`_kp_rows`, at the target ``tol`` (at least
-    1e-14, relative once K_p > 1, which it always is).  The smooth factor
-    is :func:`_tail_factor` of the endpoint distance 1 - s = v**m, formed
-    from v and never by subtraction, so the integral stays accurate even
-    for 1 - mu of order 1e-15.
+    The one-row case of :func:`_kp_rows`, at the target 1e-13 (relative,
+    since K_p > 1).  The smooth factor is :func:`_tail_factor` of the
+    endpoint distance 1 - s = v**m, formed from v and never by
+    subtraction, so the integral stays accurate even for 1 - mu of order
+    1e-15.
     """
     _validate_pmu(p, mu)
-    _check_interval("tol", tol, 1e-14, math.inf)
-    value, err, nodes = _kp_batch([float(p)], [float(mu)], tol)
+    value, err, nodes = _kp_batch([float(p)], [float(mu)])
     return QuadratureResult(
         value=float(value[0]), abs_error_estimate=float(err[0]), nodes_used=nodes
     )
@@ -251,7 +248,7 @@ def _kp_rows(p, mu) -> np.ndarray:
     mu = [float(v) for v in mu]
     for a, b in zip(p, mu):
         _validate_pmu(a, b)
-    return _kp_batch(p, mu, _KP_TOL)[0]
+    return _kp_batch(p, mu)[0]
 
 
 def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
@@ -444,11 +441,6 @@ class _SnpEngine:
         if mu == 0.0:
             return A, np.ones_like(log_s)
         return A, -np.expm1(p * (math.log(mu) + log_s))
-
-    def _G(self, v: np.ndarray) -> np.ndarray:
-        """w_p'(v) = (1 - v**p)**(-1/p) (1 - mu**p v**p)**(-1/p), v in [0, 1)."""
-        A, B = self._AB(v)
-        return (A * B) ** (-1.0 / self.p)
 
     def wp_many(self, z: np.ndarray) -> np.ndarray:
         """w_p at each z in [0, 1], vectorized, from the engine's approximant:
@@ -722,11 +714,18 @@ def _snp_parts(p: float, mu: float, y):
     return eng, eng.invert(u), sign, quarter
 
 
-def snp(p: float, mu: float, y: float) -> float:
+def _shaped(y, values: np.ndarray):
+    """``values``, computed on y flattened, as a float when y is a scalar
+    and in the shape of y otherwise."""
+    return float(values[0]) if np.ndim(y) == 0 else values.reshape(np.shape(y))
+
+
+def snp(p: float, mu: float, y):
     """sn_p(y, mu): odd, 4 K_p-periodic, equal to the inverse of w_p on
-    [0, K_p].  Scalar form of :func:`snp_many`, bit-identical to it."""
-    _, s, sign, _ = _snp_parts(p, mu, [y])
-    return float(sign[0] * s[0])
+    [0, K_p].  A float y gives a float, an array of y an array of its
+    shape; each element has the bits of the float call at that y."""
+    _, s, sign, _ = _snp_parts(p, mu, y)
+    return _shaped(y, sign * s)
 
 
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
@@ -736,47 +735,29 @@ def snp_value(p: float, mu: float, y: float) -> SnpValue:
     return SnpValue(y=y, value=float(value[0]), branch_period_index=int(period[0]))
 
 
-def snp_many(p: float, mu: float, y) -> np.ndarray:
-    """Vectorized sn_p over an array of y: range reduction, then a batched
-    safeguarded-Newton inversion of w_p.  The result has the shape of y."""
-    _, s, sign, _ = _snp_parts(p, mu, y)
-    return (sign * s).reshape(np.shape(y))
-
-
-def snp_deriv(p: float, mu: float, y: float) -> float:
+def snp_deriv(p: float, mu: float, y):
     """d/dy sn_p(y, mu) = sgn * ((1 - s**p)(1 - mu**p s**p))**(1/p) with
-    s = |sn_p(y)|; vanishes at odd multiples of K_p."""
-    eng, s, _, quarter = _snp_parts(p, mu, [y])
-    return float(eng.deriv(s, quarter)[0])
-
-
-def snp_deriv_many(p: float, mu: float, y) -> np.ndarray:
-    """Vectorized first derivative, in the shape of y."""
+    s = |sn_p(y)|; vanishes at odd multiples of K_p.  A float or an array
+    of y, as for :func:`snp`."""
     eng, s, _, quarter = _snp_parts(p, mu, y)
-    return eng.deriv(s, quarter).reshape(np.shape(y))
+    return _shaped(y, eng.deriv(s, quarter))
 
 
-def snp_second_deriv(p: float, mu: float, y: float) -> float:
-    """Second derivative of sn_p at y.
+def snp_second_deriv(p: float, mu: float, y):
+    """Second derivative of sn_p at y, a float or an array, as for :func:`snp`.
 
     Negative on (0, 2 K_p) and positive on (2 K_p, 4 K_p) by the odd
     periodic symmetry.  For p > 2 it diverges at odd multiples of K_p;
-    evaluation within 1e-6 of such a point raises :class:`SingularPoint`.
+    if any y lies within 1e-6 of such a point, :class:`SingularPoint` is
+    raised.  For p <= 2 it is finite everywhere.
     """
-    eng, u, _, quarter, _ = _fold(p, mu, [y])
-    if p > 2.0 and eng.singular(u)[0]:
+    eng, u, _, quarter, _ = _fold(p, mu, y)
+    if p > 2.0 and eng.singular(u).any():
         raise SingularPoint(
             f"sn_p'' is singular at odd multiples of K_p for p = {p} "
             f"(y within {_SING_MARGIN} of one)"
         )
-    return float(eng.second(eng.invert(u), quarter)[0])
-
-
-def snp_second_deriv_many(p: float, mu: float, y) -> np.ndarray:
-    """Vectorized second derivative; caller keeps p > 2 grids away from odd
-    multiples of K_p.  The result has the shape of y."""
-    eng, s, _, quarter = _snp_parts(p, mu, y)
-    return eng.second(s, quarter).reshape(np.shape(y))
+    return _shaped(y, eng.second(eng.invert(u), quarter))
 
 
 def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:

@@ -36,10 +36,11 @@ def compute() -> dict:
         y = np.array(FRACTIONS) * K
         key = f"{p!r},{mu!r}"
         out[f"kp {key}"] = [K]
-        out[f"snp_many {key}"] = el.snp_many(p, mu, y).tolist()
-        out[f"snp_deriv_many {key}"] = el.snp_deriv_many(p, mu, y).tolist()
-        second = el.snp_second_deriv_many(p, mu, y)
-        out[f"snp_second_deriv_many {key}"] = second.tolist()
+        # the "_many" keys pin the array calls; they keep the names under
+        # which they were recorded
+        out[f"snp_many {key}"] = el.snp(p, mu, y).tolist()
+        out[f"snp_deriv_many {key}"] = el.snp_deriv(p, mu, y).tolist()
+        out[f"snp_second_deriv_many {key}"] = el.snp_second_deriv(p, mu, y).tolist()
         out[f"snp {key}"] = [el.snp(p, mu, float(v)) for v in y]
         out[f"wp {key}"] = [el.wp(p, mu, 0.6), el.wp(p, mu, math.nextafter(0.6, 1.0))]
     for p, mu in TAU_PAIRS:
@@ -349,6 +350,26 @@ def _computed() -> dict:
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_bits_unchanged(name):
     assert [v.hex() for v in _computed()[name]] == EXPECTED[name]
+
+
+def test_every_pin_is_computed():
+    assert set(_computed()) == set(EXPECTED)
+
+
+def test_float_and_array_calls_agree_bit_for_bit():
+    # a float y gives a float, an array gives an array of its shape, and
+    # each element has the bits of the float call at that y
+    for fn in (el.snp, el.snp_deriv, el.snp_second_deriv):
+        for p, mu in PAIRS:
+            K = el.kp(p, mu)
+            for f in FRACTIONS:
+                y = f * K
+                assert type(fn(p, mu, y)) is float
+                grid = np.array([[y, -y], [y + 4.0 * K, 2.0 * K - y]])
+                rows = fn(p, mu, grid)
+                assert isinstance(rows, np.ndarray) and rows.shape == (2, 2)
+                want = [[fn(p, mu, v).hex() for v in row] for row in grid.tolist()]
+                assert [[v.hex() for v in row] for row in rows.tolist()] == want
 
 
 if __name__ == "__main__":

@@ -129,6 +129,14 @@ def test_eigen_envelope_and_samples():
     assert "x_5" not in env
 
 
+def test_eigen_tiny_modulus_exits_0():
+    # mu**p underflows to 0 at mu = 1e-200; alpha needs no division by it
+    r = run_cli("eigen", "--p", "2", "--mu", "1e-200", "--n", "1")
+    assert r.returncode == 0, r.stderr
+    env = parse_envelope(r.stdout)
+    assert float(env["alpha"]) == eg.eigenpair(2.0, 1e-200, 1).alpha
+
+
 def test_tau_envelope():
     r = run_cli("tau", "--p", "2", "--mu", "0.5", "--kmax", "5")
     assert r.returncode == 0

@@ -91,7 +91,7 @@ def test_sign_change_count():
         for n in (1, 2, 4):
             e = eg.eigenpair(p, mu, n)
             xs = (2.0 * np.arange(600 * n) + 1.0) / (1200.0 * n)
-            v = e.sign * e.amplitude * el.snp_many(p, mu, 2.0 * n * K * xs)
+            v = e.sign * e.amplitude * el.snp(p, mu, 2.0 * n * K * xs)
             s = np.sign(v)
             assert int(np.count_nonzero(s[1:] * s[:-1] < 0)) == n - 1
 
@@ -128,6 +128,10 @@ def test_alpha_beta_small_mu_limits():
     e = eg.eigenpair(2.0, 1e-6, 1)
     assert abs(e.alpha - 2.0 * e.lam) < 1e-9 * e.lam
     assert e.beta < 1e-9
+    # mu**p underflows to 0 here; alpha is still 2 lam / (1 + mu**p)
+    e = eg.eigenpair(2.0, 1e-200, 1)
+    assert e.alpha == 2.0 * e.lam
+    assert e.beta == 0.0
 
 
 def test_first_integral_residual_p2():
@@ -183,9 +187,9 @@ def test_residuals_invert_once_and_match_public_functions(monkeypatch):
         e = eg.eigenpair(p, mu, n, sign)
         scale = 2.0 * n * el.kp(p, mu)
         y = (scale * g)[eg._admissible(e, g)[0]]
-        phi = sign * e.amplitude * el.snp_many(p, mu, y)
-        d1 = sign * e.amplitude * scale * el.snp_deriv_many(p, mu, y)
-        d2 = sign * e.amplitude * scale**2 * el.snp_second_deriv_many(p, mu, y)
+        phi = sign * e.amplitude * el.snp(p, mu, y)
+        d1 = sign * e.amplitude * scale * el.snp_deriv(p, mu, y)
+        d2 = sign * e.amplitude * scale**2 * el.snp_second_deriv(p, mu, y)
         ode = (p - 1.0) * (
             np.abs(d1) ** (p - 2.0) * d2
             - np.sign(phi) * np.abs(phi) ** (2.0 * p - 1.0)

@@ -310,7 +310,7 @@ def test_snp_matches_scipy_ellipj():
         K = el.kp(2.0, mu)
         ys = np.linspace(-1.3 * K, 5.1 * K, 29)
         ref = ellipj(ys, mu * mu)[0]
-        assert np.max(np.abs(el.snp_many(2.0, mu, ys) - ref)) < 1e-9
+        assert np.max(np.abs(el.snp(2.0, mu, ys) - ref)) < 1e-9
 
 
 def _mp_snp(p, mu, y, s):
@@ -328,12 +328,12 @@ def _mp_snp(p, mu, y, s):
 def test_snp_inversion_accuracy_oracle():
     for mu in [0.3, 0.6, 0.9, 0.99]:
         ys = el.kp(2.0, mu) * np.linspace(0.0, 1.0, 42)[1:-1]
-        got = el.snp_many(2.0, mu, ys)
+        got = el.snp(2.0, mu, ys)
         assert np.max(np.abs(got - ellipj(ys, mu * mu)[0])) <= 1e-15, mu
     for p in [1.2, 1.5, 3.0, 6.0]:
         for mu in [0.3, 0.9, 0.99]:
             ys = el.kp(p, mu) * np.linspace(0.0, 1.0, 14)[1:-1]
-            got = el.snp_many(p, mu, ys)
+            got = el.snp(p, mu, ys)
             ref = [_mp_snp(p, mu, y, s) for y, s in zip(ys, got)]
             assert np.max(np.abs(got - ref)) <= 1e-15, (p, mu)
 
@@ -392,7 +392,7 @@ def test_snp_ulp_errors_against_mpmath():
         for mu in [0.5, 1.0 - 1e-9, math.nextafter(1.0, 0.0)]:
             fractions = [0.3, 0.8, 1 - 2.0**-8, 1 - 2.0**-20, 1 - 2.0**-36]
             ys = el.kp(p, mu) * np.array(fractions)
-            got = el.snp_many(p, mu, ys)
+            got = el.snp(p, mu, ys)
             for s, ref in zip(got, _mp_snp_roots(p, mu, ys, got)):
                 with mpmath.workdps(30):
                     ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(ref, 2)) - 52)
@@ -427,7 +427,7 @@ def test_warm_inversion_takes_one_newton_pass(monkeypatch):
                 el.snp(p, mu, float(y))
                 scalar.append(len(calls))
             calls.clear()
-            el.snp_many(p, mu, 2.0 * K * np.linspace(0.0, 1.0, 101))
+            el.snp(p, mu, 2.0 * K * np.linspace(0.0, 1.0, 101))
             monkeypatch.undo()
             assert len(calls) <= 2, (p, mu, len(calls))
     assert max(scalar) <= 2
@@ -476,28 +476,11 @@ def test_snp_scalar_matches_batch():
     for p, mu in [(2.0, 0.5), (3.0, 0.6), (1.3, 0.9)]:
         K = el.kp(p, mu)
         ys = np.linspace(-2.0 * K, 6.0 * K, 17)
-        batch = el.snp_many(p, mu, ys)
-        dbatch = el.snp_deriv_many(p, mu, ys)
+        batch = el.snp(p, mu, ys)
+        dbatch = el.snp_deriv(p, mu, ys)
         for y, b, d in zip(ys, batch, dbatch):
             assert el.snp(p, mu, float(y)) == b
             assert el.snp_deriv(p, mu, float(y)) == d
-
-
-def test_many_entry_points_keep_the_shape_of_y():
-    pairs = [
-        (el.snp_many, el.snp),
-        (el.snp_deriv_many, el.snp_deriv),
-        (el.snp_second_deriv_many, el.snp_second_deriv),
-    ]
-    for p, mu, y in [(2.0, 0.5, 1.0), (3.0, 0.6, -0.7), (1.3, 0.9, 5.0)]:
-        grid = np.array([[y, 0.5 * y], [2.0 * y, -y]])
-        for many, scalar in pairs:
-            r = many(p, mu, y)
-            assert isinstance(r, np.ndarray) and r.shape == ()
-            assert r == scalar(p, mu, y)
-            rows = many(p, mu, grid)
-            assert rows.shape == (2, 2)
-            assert np.array_equal(rows.ravel(), many(p, mu, grid.ravel()))
 
 
 def test_snp_small_mu_is_p_sine():
@@ -603,6 +586,16 @@ def test_second_deriv_singular_point_guard():
         el.snp_second_deriv(3.0, 0.5, 3.0 * K + 1e-8)
     # p = 2 is regular there
     el.snp_second_deriv(2.0, 0.5, el.kp(2.0, 0.5))
+    # an array is held to the same rule: one point within 1e-6 of K_p
+    # refuses the whole array at p > 2, and p <= 2 is finite there
+    for p in (3.0, 2.0, 1.5):
+        K = el.kp(p, 0.5)
+        ys = np.array([0.5 * K, K + 1e-8, 2.5 * K])
+        if p > 2.0:
+            with pytest.raises(SingularPoint):
+                el.snp_second_deriv(p, 0.5, ys)
+        else:
+            assert np.all(np.isfinite(el.snp_second_deriv(p, 0.5, ys)))
 
 
 def test_derivative_chain_by_finite_differences():
@@ -620,7 +613,7 @@ def test_jordan_inequality_grid():
         for mu in [0.1, 0.5, 0.9]:
             K = el.kp(p, mu)
             ys = np.linspace(0.0, K, 102)[1:-1]
-            ratios = el.snp_many(p, mu, ys) / ys
+            ratios = el.snp(p, mu, ys) / ys
             assert np.min(ratios - 1.0 / K) >= -1e-10
             assert np.min(1.0 - ratios) >= -1e-10
 
@@ -677,23 +670,14 @@ def test_second_deriv_locally_l1_identity():
 
 
 def test_snp_rejects_bad_domain():
-    entry_points = [
-        el.snp,
-        el.snp_value,
-        el.snp_many,
-        el.snp_deriv,
-        el.snp_deriv_many,
-        el.snp_second_deriv,
-        el.snp_second_deriv_many,
-    ]
-    for fn in entry_points:
+    for fn in (el.snp, el.snp_value, el.snp_deriv, el.snp_second_deriv):
         for y in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 fn(2.0, 0.5, y)
-    for fn in (el.snp_many, el.snp_deriv_many, el.snp_second_deriv_many):
+    for fn in (el.snp, el.snp_deriv, el.snp_second_deriv):
         with pytest.raises(DomainError):
             fn(2.0, 0.5, [0.1, math.nan, 0.3])
     with pytest.raises(DomainError):
         el.snp(2.0, 1.0, 0.5)
     with pytest.raises(DomainError):
-        el.snp_many(1.0, 0.5, [0.1])
+        el.snp(1.0, 0.5, [0.1])

@@ -137,8 +137,8 @@ def _tau_k_by_inversion(p, mu, ks):
     kh = (0.5 * ks * math.pi)[:, None]
 
     def F(lev, u, cu, rows):
-        a = el.snp_many(p, mu, K * u)
-        b = el.snp_many(p, mu, K * (1.0 + u))
+        a = el.snp(p, mu, K * u)
+        b = el.snp(p, mu, K * (1.0 + u))
         return a * np.sin(kh[rows] * u) + b * np.sin(kh[rows] * (1.0 + u))
 
     return math.sqrt(2.0) * 0.5 * quad._tanh_sinh(F, 1.0, 1.0, 1e-11)[0]

@@ -22,6 +22,12 @@ def test_module_all_is_reexported(module):
         assert getattr(pelliptic, name) is getattr(module, name), name
 
 
+def test_no_many_twins():
+    # one function per quantity, taking a float or an array
+    for module in MODULES:
+        assert not [name for name in module.__all__ if name.endswith("_many")]
+
+
 def test_exceptions_are_reexported():
     assert len(EXCEPTIONS) == 8
     for name in EXCEPTIONS:

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SingularPoint, SlowConvergence
-from .errors import _check_finite, _check_int, _check_interval, _validate_pmu
+from .errors import _check_finite, _check_interval, _validate_pmu
 from .quadrature import QuadratureResult, _tanh_sinh
 
 __all__ = [
@@ -251,19 +251,6 @@ def _kp_rows(p, mu) -> np.ndarray:
     return _kp_batch(p, mu)[0]
 
 
-def _f21(alpha: float, beta: float, gamma: float, y: float, terms: int = 500) -> float:
-    """Gauss series 2F1(alpha, beta; gamma; y) for small positive y, summed
-    until a term drops below 1e-17 of the total, at most ``terms`` terms."""
-    term = 1.0
-    total = 1.0
-    for n in range(terms):
-        term *= (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n)) * y
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            return total
-    raise NonConvergence(f"2F1 series did not settle within {terms} terms at y={y}")
-
-
 def _direct_series(p: float, mup: float) -> np.ndarray:
     """c_N / (p N + 1) for w_p(z) = z * sum_N c_N x**N / (p N + 1), x = z**p.
 
@@ -363,27 +350,34 @@ def kp(p: float, mu: float) -> float:
     return kp_quadrature(p, mu).value
 
 
-def kp_via_2f1(p: float, mu: float, terms: int = 1000) -> float:
+def kp_via_2f1(p: float, mu: float) -> float:
     """K_p(mu) through the Gauss hypergeometric representation.
 
     Sums (B(1/p, 1 - 1/p) / p) * 2F1(1/p, 1/p; 1; mu**p) directly; the Beta
     prefactor reduces to pi / (p sin(pi/p)) by reflection.  Independent of
-    the quadrature route, so the two serve as mutual cross-checks.
+    the quadrature route, so the two serve as mutual cross-checks.  The
+    series stops once a term drops below 1e-17 of the total; for p > 1
+    the n-th term is below (mu**p)**n, so at mu**p <= 0.9 that takes at
+    most 372 terms.
 
     Raises
     ------
     SlowConvergence
-        If mu**p > 0.9, where the series budget is not guaranteed.
-    NonConvergence
-        If ``terms`` is exhausted before the tail drops below 1e-17.
+        If mu**p > 0.9, where the series converges too slowly.
     """
     _validate_pmu(p, mu)
-    _check_int("terms", terms, 1)
     x = mu**p
     if x > 0.9:
         raise SlowConvergence(f"mu**p = {x:.6f} > 0.9; hypergeometric series too slow")
+    a = 1.0 / p
+    term = total = 1.0
+    n = 0
+    while term >= 1e-17 * total:
+        term *= (a + n) * (a + n) / ((1.0 + n) * (1.0 + n)) * x
+        total += term
+        n += 1
     pref = math.pi / (p * math.sin(math.pi / p))
-    return pref * _f21(1.0 / p, 1.0 / p, 1.0, x, terms)
+    return pref * total
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import pelliptic.certify as ct
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
 import pelliptic.qtheta as qt
-from pelliptic.errors import DomainError, NoSignChange
+from pelliptic.errors import DomainError, MaxIterations, NoSignChange
 
 
 def test_modulus_set_constructors():
@@ -163,6 +163,25 @@ def test_p2_sharp_pass_at_0p9909():
     assert r.rhs == qt.mu0()
     assert abs(r.margin - (qt.mu0() - 0.9909)) < 1e-15
     assert "S(q)=" in r.caveats
+
+
+def test_p2_sharp_diagnostic_stays_below_one_on_every_pass():
+    # S increases in q and is 1 at mu0, so up to the last PASS modulus,
+    # 1e-9 below mu0, it stays near 0.75: no PASS contradicts it
+    for mu in (0.5, 0.9909, qt.mu0() - 1.5e-9):
+        r = ct.certify_p2_sharp(ct.ModulusSet.constant(mu))
+        assert r.verdict == "PASS"
+        s = float(r.caveats.split("S(q)=", 1)[1].split(" ", 1)[0])
+        assert 0.0 < s < 0.7601
+
+
+def test_firstcond_takes_one_kp_for_any_set(monkeypatch):
+    # K_p increases in mu, so the sup over 1,000 nodes is one K_p
+    ms = ct.ModulusSet.grid(0.1, 0.9, 1000)
+    calls = _counting(monkeypatch, ct, "kp")
+    r = ct.certify_firstcond(2.0, ms)
+    assert calls[0] == 1
+    assert r.lhs == el.kp(2.0, 0.9)
 
 
 def test_p2_sharp_small_mu():
@@ -445,13 +464,40 @@ def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
     assert max(counts) <= 6
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_firstcond_boundary_rejects_tol_before_any_kp_work(monkeypatch, tol):
-    batches = _counting(monkeypatch, ct, "_kp_rows")
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
+def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
+    # _kp_rows checks p before its quadrature runs
+    quads = _counting(monkeypatch, el, "_kp_batch")
     scalars = _counting(monkeypatch, ct, "kp")
     with pytest.raises(DomainError):
-        ct.firstcond_boundary(2.0, tol=tol)
-    assert batches[0] == scalars[0] == 0
+        ct.firstcond_boundary(p)
+    assert quads[0] == scalars[0] == 0
+
+
+def _stand_in_kp(monkeypatch, f):
+    # K_p replaced by the strictly increasing f(mu), batch and scalar
+    monkeypatch.setattr(ct, "_kp_rows", lambda ps, mus: f(np.asarray(mus)))
+    monkeypatch.setattr(ct, "kp", lambda p, mu: float(f(np.float64(mu))))
+
+
+def test_firstcond_boundary_returns_a_grid_node_on_the_threshold(monkeypatch):
+    node = ct._BOUNDARY_MUS[7]
+    _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + (mu - node))
+    scalars = _counting(monkeypatch, ct, "kp")
+    assert ct.firstcond_boundary(2.0) == node
+    assert scalars[0] == 0
+
+
+def test_firstcond_boundary_bisects_a_step_that_leaves_the_bracket(monkeypatch):
+    # a root where the stand-in bends sharply: the cubic start and the
+    # secant overshoot the bracket, and bisection takes over
+    _stand_in_kp(
+        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.arctan(50.0 * (mu - 0.7))
+    )
+    assert abs(ct.firstcond_boundary(2.0) - 0.7) <= 1e-9
+    monkeypatch.setattr(ct, "_BOUNDARY_ITER", 2)
+    with pytest.raises(MaxIterations):
+        ct.firstcond_boundary(2.0)
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])

@@ -103,9 +103,6 @@ def test_kp_domain_errors():
     for p, mu in [(1.0, 0.5), (0.5, 0.5), (2.0, 1.0), (2.0, -0.1), (2.0, 1.5)]:
         with pytest.raises(DomainError):
             el.kp(p, mu)
-    # a fractional series budget is a domain error, not a TypeError
-    with pytest.raises(DomainError):
-        el.kp_via_2f1(2.0, 0.5, 2.5)
 
 
 KP_SMALL_P_REF = {
@@ -142,14 +139,12 @@ def test_kp_tries_the_quadrature_once(monkeypatch):
 def test_kp_via_2f1_closed_form_and_cross_check():
     assert abs(el.kp_via_2f1(2.0, 0.0) - math.pi / 2.0) < 1e-14
     for p, mu in [(2.0, 0.5), (1.5, 0.3), (3.0, 0.7), (5.0, 0.5)]:
-        assert abs(el.kp_via_2f1(p, mu, 200) - el.kp(p, mu)) < 1e-8
+        assert abs(el.kp_via_2f1(p, mu) - el.kp(p, mu)) < 1e-8
 
 
 def test_kp_via_2f1_slow_convergence_guard():
     with pytest.raises(SlowConvergence):
         el.kp_via_2f1(2.0, 0.96)  # mu^p = 0.9216 > 0.9
-    with pytest.raises(DomainError):
-        el.kp_via_2f1(2.0, 0.5, 0)
 
 
 def test_wp_endpoints_and_arcsin():
@@ -456,6 +451,20 @@ def test_invert_takes_few_newton_passes(monkeypatch):
         eng.invert(t)
         monkeypatch.undo()
         assert len(passes) <= 6, (p, mu, len(passes))
+
+
+def test_invert_raises_when_newton_stalls():
+    # a w_p that turns NaN once the table is built leaves every step
+    # unusable, so the inversion stops after its budget, typed
+    class Stalling(el._SnpEngine):
+        def wp_many(self, z):
+            if self._table is None:
+                return super().wp_many(z)
+            return np.full(np.shape(z), np.nan)
+
+    eng = Stalling(2.0, 0.5)
+    with pytest.raises(NonConvergence, match="stalled"):
+        eng.invert(np.array([0.3, 1.1]))
 
 
 def test_snp_extreme_modulus_frozen():

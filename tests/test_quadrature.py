@@ -118,6 +118,10 @@ def test_scalar_only_smooth_part_fallback():
     f = SingularIntegrand(smooth_part=lambda s, cs: math.exp(-s))
     r = integrate_singular(f, tol=1e-11)
     assert abs(r.value - (1.0 - math.exp(-1.0))) <= 1e-11
+    # one that takes the node arrays but returns one scalar is evaluated
+    # point by point too
+    r = integrate_singular(SingularIntegrand(smooth_part=lambda s, cs: 1.0))
+    assert abs(r.value - 1.0) <= 1e-12
 
 
 def test_every_level_holds_several_nodes():

@@ -59,15 +59,16 @@ _SLACK = 1e-9
 # 10,000-point batch at 108 MB in 0.24 s (one Xeon core)
 _CHUNK = 64
 # firstcond_boundary: moduli of the batch that brackets the crossing,
-# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999, and their
-# t = log(1 - mu), the variable the crossing is solved in
+# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999 (moving
+# nodes below mu = 0.6, or spacing them evenly in log(1 - mu^p), lowered the
+# mean count of scalar K_p calls by 0.01 at most)
 _BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
 _BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
-_BOUNDARY_TS = np.log1p(-_BOUNDARY_MUS)
-# firstcond_boundary: at most this many scalar K_p evaluations, stopping
-# once a step moves mu, or the bracket is, at most this narrow
+# firstcond_boundary: at most this many scalar K_p evaluations; it stops
+# once the interpolation error estimate, or the bracket, is at most this
+# narrow in mu
 _BOUNDARY_ITER = 60
-_BOUNDARY_TOL = 1e-10
+_BOUNDARY_TOL = 1e-12
 _KINDS = ("explicit-list", "constant", "interval-grid")
 
 
@@ -246,23 +247,38 @@ def region_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _inverse_root(points) -> float:
+    """t at f = 0 on the polynomial in f through ``points``, pairs (f, t)
+    with distinct f: inverse interpolation in Lagrange form."""
+    t = 0.0
+    for i, (fi, ti) in enumerate(points):
+        w = ti
+        for m, (fm, _) in enumerate(points):
+            if m != i:
+                w *= fm / (fm - fi)
+        t += w
+    return t
+
+
 def firstcond_boundary(p: float) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
     Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], solved in
-    t = log(1 - mu), where K_p is close to linear.  One batched K_p call
-    evaluates 16 moduli geometric in 1 - mu across the range; the grid
-    interval where the sign changes is the bracket, and inverse cubic
-    interpolation through the 4 nodes around it gives the first iterate.
-    Secant steps through the last two iterates (the first through the
-    bracket end nearer the root) follow, each point costing one scalar
-    :func:`kp` call at a modulus strictly inside the bracket, which
-    shrinks as the signs come in; a step that would leave the bracket
-    becomes a bisection.  The loop stops once a step moves mu by at most
-    1e-10, or the bracket is that narrow, and returns that step's
-    endpoint clipped into the bracket: at the simple root the secant
-    converges superlinearly, so the result is far closer than 1e-10.
-    About three scalar calls suffice, never one at a grid modulus.
+    t = log(1 - mu^p): K_p is 2F1(1/p, 1/p; 1; mu^p) times a constant,
+    close to linear in t both for small mu^p and near its logarithmic
+    singularity at mu^p = 1.  One batched K_p call evaluates 16 moduli
+    geometric in 1 - mu across the range; the grid interval where the sign
+    changes is the bracket.  Every K_p known so far, batch node or scalar
+    evaluation, is a point (t, K_p - threshold); the root estimate is the
+    inverse cubic interpolant through the four points nearest the
+    threshold, and its error estimate the distance, in mu, to the inverse
+    quadratic root through the nearest three.  The loop returns the cubic
+    root once that estimate is at most 1e-12 with the root inside the
+    bracket, or once the bracket itself is that narrow.  Otherwise it
+    evaluates one scalar :func:`kp` at the root, or at the bracket's
+    midpoint in t if the root leaves the bracket, which shrinks as the
+    signs come in.  Over 200 values of p in [1.3, 2.02] that takes 1.9
+    scalar calls on average and 3 at most, never one at a grid modulus.
 
     Raises
     ------
@@ -272,8 +288,15 @@ def firstcond_boundary(p: float) -> float:
         If the batch shows no crossing: K_p is already above the threshold
         at 1e-6 (p below about 1.25) or still below it at 0.999 (p above
         about 2.02).
+    MaxIterations
+        If neither stop is met after 60 scalar K_p evaluations.
     """
-    mus, ts = _BOUNDARY_MUS.tolist(), _BOUNDARY_TS.tolist()
+
+    def modulus(t):
+        # an extrapolated t >= 0 maps to mu = 0, outside every bracket
+        return (-math.expm1(min(t, 0.0))) ** (1.0 / p)
+
+    mus = _BOUNDARY_MUS.tolist()
     f = (_kp_rows([p] * len(mus), mus) - FIRSTCOND_RHS).tolist()
     if f[0] > 0.0 or f[-1] < 0.0:
         raise NoSignChange(
@@ -283,25 +306,23 @@ def firstcond_boundary(p: float) -> float:
     k = next(i for i, fi in enumerate(f) if fi >= 0.0)
     if f[k] == 0.0:
         return mus[k]
-    # inverse cubic interpolation: the Lagrange form of t(f) at f = 0
-    j = min(max(k - 2, 0), len(f) - 4)
-    t = 0.0
-    for i in range(j, j + 4):
-        w = ts[i]
-        for m in range(j, j + 4):
-            if m != i:
-                w *= f[m] / (f[m] - f[i])
-        t += w
+    ts = np.log1p(-(_BOUNDARY_MUS**p)).tolist()
+    # the known points as {f: t}: keyed by f, so the interpolation nodes
+    # are distinct and no Lagrange denominator is zero
+    known = dict(zip(f, ts))
     # the bracket: K_p is below the threshold at t = a (mu = lo) and above
-    # it at t = b (mu = hi); the first secant runs through the end nearer
-    # the root
+    # it at t = b (mu = hi)
     a, b, lo, hi = ts[k - 1], ts[k], mus[k - 1], mus[k]
-    t0, f0 = (a, f[k - 1]) if -f[k - 1] < f[k] else (b, f[k])
     for _ in range(_BOUNDARY_ITER):
-        mu = -math.expm1(t)
+        near = sorted(known.items(), key=lambda pt: abs(pt[0]))
+        t = _inverse_root(near[:4])
+        mu = modulus(t)
+        est = abs(mu - modulus(_inverse_root(near[:3])))
+        if hi - lo <= _BOUNDARY_TOL or (lo <= mu <= hi and est <= _BOUNDARY_TOL):
+            return min(max(mu, lo), hi)
         if not lo < mu < hi:
             t = 0.5 * (a + b)
-            mu = -math.expm1(t)
+            mu = modulus(t)
         ft = kp(p, mu) - FIRSTCOND_RHS
         if ft == 0.0:
             return mu
@@ -309,13 +330,7 @@ def firstcond_boundary(p: float) -> float:
             a, lo = t, mu
         else:
             b, hi = t, mu
-        # equal values leave no secant; bisect instead
-        den = ft - f0
-        t, t0, f0 = (t - ft * (t - t0) / den if den else 0.5 * (a + b)), t, ft
-        step_end = -math.expm1(t)
-        narrow = hi - lo <= _BOUNDARY_TOL + 8.0 * math.ulp(hi)
-        if abs(step_end - mu) <= _BOUNDARY_TOL or narrow:
-            return min(max(step_end, lo), hi)
+        known[ft] = t
     raise MaxIterations(
         f"firstcond_boundary({p}): bracket still {hi - lo:.3e} wide after "
         f"{_BOUNDARY_ITER} K_p evaluations (tol {_BOUNDARY_TOL:.3e})"

@@ -28,9 +28,10 @@ locally integrable.
 
 Every sn_p entry point, and eigen's residual grids, start from one
 checked fold: it validates (p, mu) and y and reduces y modulo the period
-to u in [0, K_p].  The singular test |u - K_p| < 1e-6 is made on that
-same u.  Evaluation then inverts w_p at u by a bracket-safeguarded Newton
-iteration vectorized across all requested points.  Each (p, mu) engine
+to u in [0, K_p], refusing y where doubles are K_p or more apart.  The
+singular test |u - K_p| < 1e-6 is made on that same u.  Evaluation then
+inverts w_p at u by a bracket-safeguarded Newton iteration vectorized
+across all requested points.  Each (p, mu) engine
 evaluates w_p from an approximant it builds once, so the Newton passes
 run no quadrature: for z <= 0.6 a power series in x = z**p, the
 z**p-diagonal of the Appell form
@@ -634,9 +635,15 @@ class _SnpEngine:
 
         Returns (u, sign, quarter, period_index) with u in [0, K] such that
         |sn_p(y)| = sn_p(u) and sign = sgn(sn_p(y)); quarter in {0,1,2,3}
-        locates y mod 4K for derivative signs.
+        locates y mod 4K for derivative signs.  Raises DomainError where
+        ulp(y) >= K: neighbouring doubles a quarter period or more apart
+        leave y mod 4K undetermined.  Below that the fold's error grows
+        like |y| eps.
         """
         y = np.asarray(y, dtype=float)
+        # ulp grows with |y|, so the largest |y| decides for the whole array
+        ymax = float(np.abs(y).max(initial=0.0))
+        _check_interval("ulp(max |y|)", math.ulp(ymax), 0.0, self.K)
         fourk = 4.0 * self.K
         period = np.floor(y / fourk)
         r = y - period * fourk
@@ -717,7 +724,12 @@ def _shaped(y, values: np.ndarray):
 def snp(p: float, mu: float, y):
     """sn_p(y, mu): odd, 4 K_p-periodic, equal to the inverse of w_p on
     [0, K_p].  A float y gives a float, an array of y an array of its
-    shape; each element has the bits of the float call at that y."""
+    shape; each element has the bits of the float call at that y.
+
+    y is folded modulo 4 K_p, whose rounding error grows like |y| eps; a y
+    with ulp(y) >= K_p, where neighbouring doubles are a quarter period or
+    more apart, raises :class:`DomainError`.  Every sn_p entry point folds
+    the same way."""
     _, s, sign, _ = _snp_parts(p, mu, y)
     return _shaped(y, sign * s)
 

@@ -373,7 +373,17 @@ def test_firstcond_boundary_no_crossing_above_p_2_02():
         ct.firstcond_boundary(2.03)
 
 
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def _seeded_ps(n, seed=26):
+    rng = random.Random(seed)
+    return sorted(round(rng.uniform(1.26, 2.02), 4) for _ in range(n))
+
+
+# both ends of the crossing range, the values p = 1.3, 1.5 and 2.0, and
+# 20 seeded values in [1.26, 2.02]
+_NEWTON_PS = [1.26, 1.3, 1.5, 2.0, 2.02] + _seeded_ps(20)
+
+
+@pytest.mark.parametrize("p", _NEWTON_PS)
 def test_firstcond_boundary_matches_mpmath_newton_step(p):
     # one Newton step on the 30-digit K_p = pi/(p sin(pi/p)) 2F1(a, a; 1; x),
     # a = 1/p, x = mu^p, with dK/dmu = pi/(p sin(pi/p)) a^2 2F1(a+1, a+1; 2; x)
@@ -402,29 +412,8 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
-def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
-    # bisection alone would need log2(0.999 / 1e-10) + 2, about 35
-    calls = _counting(monkeypatch, ct, "kp")
-    b = ct.firstcond_boundary(p)
-    assert calls[0] <= 16
-    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-6
-
-
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
-def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
-    # the 16-modulus batch narrows the bracket to one grid interval and
-    # starts the secant near the root, so a few steps inside it suffice
-    calls = _counting(monkeypatch, ct, "kp")
-    b = ct.firstcond_boundary(p)
-    assert calls[0] <= 10
-    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-6
-
-
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
-def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
-    # the batch holds K_p at every grid modulus, so scalar kp only ever
-    # sees the moduli the secant tries inside the bracket
+def _spy_kp(monkeypatch):
+    """The moduli the scalar kp (or its stand-in) is called at, in order."""
     seen = []
     kp = ct.kp
 
@@ -433,6 +422,36 @@ def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
         return kp(p_, mu)
 
     monkeypatch.setattr(ct, "kp", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
+    # bisection alone would need log2(0.999 / 1e-12) + 2, about 42
+    calls = _counting(monkeypatch, ct, "kp")
+    b = ct.firstcond_boundary(p)
+    assert 1 <= calls[0] <= 3
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
+    # the 16-modulus batch, one _kp_rows call, narrows the bracket to one
+    # grid interval and holds the points the first interpolant runs
+    # through, so a few scalar evaluations inside it suffice
+    batches = _counting(monkeypatch, ct, "_kp_rows")
+    calls = _counting(monkeypatch, ct, "kp")
+    b = ct.firstcond_boundary(p)
+    assert batches[0] == 1
+    assert calls[0] <= 3
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
+    # the batch holds K_p at every grid modulus, so scalar kp only ever
+    # sees the moduli tried inside the bracket
+    seen = _spy_kp(monkeypatch)
     ct.firstcond_boundary(p)
     assert seen and not set(seen) & set(ct._BOUNDARY_MUS.tolist())
 
@@ -440,17 +459,11 @@ def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
 def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
     # 200 values of p over the whole crossing range [1.3, 2.02], both ends
     # included: every scalar K_p lies strictly inside the grid interval
-    # that holds the root, and the secant needs about three of them
+    # that holds the root, and the error-estimate stop needs 1 to 3 of
+    # them, 1.895 on average (the secant it replaced: 3.19, at most 5)
     rng = random.Random(2024)
     ps = [1.3, 2.02] + [rng.uniform(1.3, 2.02) for _ in range(198)]
-    seen = []
-    kp = ct.kp
-
-    def spy(p_, mu):
-        seen.append(mu)
-        return kp(p_, mu)
-
-    monkeypatch.setattr(ct, "kp", spy)
+    seen = _spy_kp(monkeypatch)
     grid = ct._BOUNDARY_MUS.tolist()
     counts = []
     for p in ps:
@@ -460,8 +473,8 @@ def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
         assert 0 < k < len(grid)
         assert all(grid[k - 1] < mu < grid[k] for mu in seen)
         counts.append(len(seen))
-    assert sum(counts) / len(counts) <= 3.5
-    assert max(counts) <= 6
+    assert sum(counts) / len(counts) <= 2.0
+    assert 1 <= min(counts) and max(counts) <= 3
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
@@ -489,15 +502,59 @@ def test_firstcond_boundary_returns_a_grid_node_on_the_threshold(monkeypatch):
 
 
 def test_firstcond_boundary_bisects_a_step_that_leaves_the_bracket(monkeypatch):
-    # a root where the stand-in bends sharply: the cubic start and the
-    # secant overshoot the bracket, and bisection takes over
+    # a root where the stand-in bends sharply: the cubic through the batch
+    # lands outside the bracket [0.6019, 0.7488], so the first scalar call
+    # is at the bracket's midpoint in t = log(1 - mu^2)
     _stand_in_kp(
         monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.arctan(50.0 * (mu - 0.7))
     )
-    assert abs(ct.firstcond_boundary(2.0) - 0.7) <= 1e-9
+    seen = _spy_kp(monkeypatch)
+    assert abs(ct.firstcond_boundary(2.0) - 0.7) <= 1e-12
+    a, b = np.log1p(-(ct._BOUNDARY_MUS[2:4] ** 2.0)).tolist()
+    assert seen[0] == (-math.expm1(0.5 * (a + b))) ** 0.5
     monkeypatch.setattr(ct, "_BOUNDARY_ITER", 2)
     with pytest.raises(MaxIterations):
         ct.firstcond_boundary(2.0)
+
+
+def test_firstcond_boundary_returns_an_evaluated_modulus_on_the_threshold(
+    monkeypatch,
+):
+    # the stand-in equals the threshold on [0.69, 0.71], between two grid
+    # nodes; the second scalar call lands there and is returned as it is
+    _stand_in_kp(
+        monkeypatch,
+        lambda mu: ct.FIRSTCOND_RHS
+        + np.minimum(mu - 0.69, 0.0)
+        + np.maximum(mu - 0.71, 0.0),
+    )
+    seen = _spy_kp(monkeypatch)
+    b = ct.firstcond_boundary(2.0)
+    assert 0.69 <= b <= 0.71
+    assert len(seen) == 2 and seen[-1] == b
+
+
+def test_firstcond_boundary_stops_on_the_estimate_alone(monkeypatch):
+    # a stand-in linear in t = log(1 - mu^2): the inverse cubic and
+    # quadratic through the batch agree to rounding, so the estimate stop
+    # returns the root before any scalar call
+    t0 = math.log1p(-0.49)
+    _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + t0 - np.log1p(-(mu**2)))
+    seen = _spy_kp(monkeypatch)
+    assert abs(ct.firstcond_boundary(2.0) - 0.7) <= 1e-15
+    assert seen == []
+
+
+def test_firstcond_boundary_stops_on_a_narrow_bracket(monkeypatch):
+    # a jump of 1 at 0.7 defeats the interpolants, whose estimate never
+    # gets small; the bracket, halved by each step that leaves it, does
+    _stand_in_kp(
+        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.where(mu < 0.7, mu - 1.0, mu)
+    )
+    seen = _spy_kp(monkeypatch)
+    b = ct.firstcond_boundary(2.0)
+    assert abs(b - 0.7) <= ct._BOUNDARY_TOL
+    assert 20 <= len(seen) <= ct._BOUNDARY_ITER
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])

@@ -281,6 +281,11 @@ def test_residual_grid_errors():
                 eg.first_integral_residual(pair, grid)
             with pytest.raises(DomainError):
                 eg.ode_residual(pair, grid)
+        # so is a point where y = 2 n K_p x is too large to fold
+        with pytest.raises(DomainError):
+            eg.first_integral_residual(pair, [0.1, 0.2, 1e300])
+        with pytest.raises(DomainError):
+            eg.ode_residual(pair, [0.1, 0.2, -1e300])
 
 
 def test_eigenfunction_periodic_extension():

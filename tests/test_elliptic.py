@@ -678,6 +678,29 @@ def test_second_deriv_locally_l1_identity():
     assert abs(total - (edge + abs(el.snp_deriv(p, mu, K + eps)))) < 1e-7
 
 
+@pytest.mark.parametrize("p, mu", [(2.0, 0.5), (1.5, 0.99), (3.0, 0.1)])
+def test_snp_fold_refuses_y_where_doubles_are_a_quarter_period_apart(p, mu):
+    # from |y| = limit on, neighbouring doubles are K_p or more apart, so
+    # y mod 4 K_p is undetermined; just below it they are under K_p apart
+    K = el.kp(p, mu)
+    limit = 2.0 ** (math.frexp(K)[1] + 52)
+    below = math.nextafter(limit, 0.0)
+    assert math.ulp(below) < K <= math.ulp(limit)
+    for y in (below, -below):
+        v = el.snp(p, mu, y)
+        assert abs(v) <= 1.0
+        assert el.snp(p, mu, np.array([0.3, y]))[1] == v
+        sv = el.snp_value(p, mu, y)
+        assert sv.value == v
+        assert sv.branch_period_index == math.floor(y / (4.0 * K))
+    for y in (limit, -limit, 1e17, 1e300):
+        for fn in (el.snp, el.snp_value, el.snp_deriv, el.snp_second_deriv):
+            with pytest.raises(DomainError, match="ulp"):
+                fn(p, mu, y)
+        with pytest.raises(DomainError, match="ulp"):
+            el.snp(p, mu, np.array([0.3, y]))
+
+
 def test_snp_rejects_bad_domain():
     for fn in (el.snp, el.snp_value, el.snp_deriv, el.snp_second_deriv):
         for y in (math.nan, math.inf, -math.inf):

@@ -55,8 +55,9 @@ FIRSTCOND_RHS = 8.0 / (math.pi**2 - 8.0)
 _SLACK = 1e-9
 # region_scan: at most this many grid points per batched K_p call, which
 # bounds memory: on the grid of ``pelliptic region --pgrid 100 --mugrid
-# 100``, 64-point chunks peak at 32 MB of RSS in 0.15 s of CPU, and one
-# 10,000-point batch at 108 MB in 0.24 s (one Xeon core)
+# 100``, 64-point chunks peak at 35 MB of RSS in 0.10 s of CPU, and one
+# 10,000-point batch at 94 MB in 0.09 s (one 2 GHz Xeon core, medians of
+# 15 runs)
 _CHUNK = 64
 # firstcond_boundary: moduli of the batch that brackets the crossing,
 # geometric in 1 - mu from the scan range's ends 1e-6 to 0.999 (moving

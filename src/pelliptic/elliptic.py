@@ -14,8 +14,12 @@ K_p has one route for every p > 1: tanh-sinh quadrature in v, where
 1 - s = v**m with m = p / (10 (p - 1)), so the weight v**(-0.9) is the
 same at every p and the rest of the integrand is bounded.  Batched rows
 (:func:`_kp_rows`) and the scalar :func:`kp_quadrature` are one driver
-call, so they agree bit for bit.  :func:`kp_via_2f1`, the hypergeometric
-series, is an independent cross-check, not a fallback.
+call, so they agree bit for bit.  The integrand's factors that depend on
+p alone, v**m and (1 - s**p) / (1 - s), are formed once per distinct p
+and level and kept in a small cache (:func:`_kp_p_factor`), so rows that
+share p, and a scalar call after a batch of its p, share them.
+:func:`kp_via_2f1`, the hypergeometric series, is an independent
+cross-check, not a fallback.
 
 Derivatives follow from the chain rule.  With A = 1 - s**p and
 B = 1 - mu**p s**p at s = sn_p:
@@ -71,7 +75,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularPoint, SlowConvergence
 from .errors import _check_finite, _check_interval, _validate_pmu
-from .quadrature import QuadratureResult, _tanh_sinh
+from .quadrature import QuadratureResult, _tanh_sinh, _ts_nodes, _ts_slice
 
 __all__ = [
     "SnpValue",
@@ -202,25 +206,54 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
 
 
+@functools.lru_cache(maxsize=16)
+def _kp_p_factor(ps: tuple, lev: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e, ratio), read-only, on the nodes v the driver gives K_p's
+    integrand at level lev (:func:`_ts_slice`), one row per p in ps:
+    e = v**m, the endpoint distance 1 - s, and ratio = :func:`_pow_ratio`
+    (e, p), the two factors of :func:`_tail_factor` that depend on p alone.
+
+    Keyed by a call's distinct p's and the level, so the rows of one call
+    that share p share these, and a later call at the same p's (a scalar
+    :func:`kp` after a batch of its p) finds them.  Bounded at 16 entries;
+    one entry holds 2 len(ps) n doubles, n the level's node count: 195 for
+    the block of levels 0-4, 196 at level 5, doubling up to 12,492 at
+    level 11.
+    """
+    p = np.array(ps)[:, None]
+    e = _ts_nodes()[0][_ts_slice(lev)] ** (p / (p - 1.0) * _KP_WEIGHT)
+    ratio = _pow_ratio(e, p)
+    e.flags.writeable = ratio.flags.writeable = False
+    return e, ratio
+
+
 def _kp_batch(p: list, mu: list):
     """The driver's (value, abs_error_estimate, nodes_used) for K_p at each
     pair (p[i], mu[i]) of checked floats: the integral over [0, 1] of
     m v**(_KP_WEIGHT - 1) T(v**m), T the :func:`_tail_factor`.
 
-    m is a column even for one row, so v**m is numpy's elementwise power
-    at every m, never a scalar shortcut (sqrt, copy or square at m = 0.5,
-    1 or 2), and a row has the same bits alone as in any batch.
+    v**m and the ratio (1 - s**p) / (1 - s) depend on p alone, so they come
+    from :func:`_kp_p_factor`, once per distinct p and level, and only
+    ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  Its powers are
+    numpy's elementwise power on a column of exponents at every m and p,
+    never a scalar shortcut (sqrt, copy or square at m = 0.5, 1 or 2), so
+    a row has the same bits alone as in any batch.
     """
+    where = {a: i for i, a in enumerate(dict.fromkeys(p))}
+    ps, k = tuple(where), np.array([where[a] for a in p])
     p_col = np.array(p)[:, None]
     m = p_col / (p_col - 1.0) * _KP_WEIGHT
+    power = -1.0 / p_col
     eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
-    return _tanh_sinh(
-        lambda lev, x, cx, rows: m[rows]
-        * _tail_factor(x ** m[rows], p_col[rows], eps[rows], mup[rows]),
-        _KP_WEIGHT,
-        1.0,
-        _KP_TOL,
-    )
+
+    # m T(e) with T the _tail_factor, x being the nodes of _ts_slice(lev)
+    def F(lev, x, cx, rows):
+        e, ratio = _kp_p_factor(ps, lev)
+        j = k[rows]
+        e, ratio = e[j], ratio[j]
+        return m[rows] * (ratio * (eps[rows] + mup[rows] * ratio * e)) ** power[rows]
+
+    return _tanh_sinh(F, _KP_WEIGHT, 1.0, _KP_TOL)
 
 
 def kp_quadrature(p: float, mu: float) -> QuadratureResult:
@@ -230,7 +263,8 @@ def kp_quadrature(p: float, mu: float) -> QuadratureResult:
     since K_p > 1).  The smooth factor is :func:`_tail_factor` of the
     endpoint distance 1 - s = v**m, formed from v and never by
     subtraction, so the integral stays accurate even for 1 - mu of order
-    1e-15.
+    1e-15.  Its p-only part comes from :func:`_kp_p_factor`, so a call
+    at the p of a recent batch, or of a recent call, reuses it.
     """
     _validate_pmu(p, mu)
     value, err, nodes = _kp_batch([float(p)], [float(mu)])

@@ -18,11 +18,18 @@ the block, and then once per level on that level's slice.  From level 2 on, a
 row stops when the running minimum of the differences between successive
 levels, plus a truncation allowance taken from the outermost node pair, drops
 to ``tol * max(1, |value|)``; that sum is the row's error estimate, floored
-at the spacing of the value.  The stop test runs level by level on the
-block's slices as on the later levels, so a row's value does not depend on
-the block.  A stopped row drops out: after the block the smooth factor is
-asked only for the rows still live, so a batch evaluates each row through the
-block, or through its own stop level if that comes later, as if it ran alone.
+at the spacing of the value.  The block's stop tests are decided for every
+row in one pass: each of its five levels is summed from its own slice, the
+level values are one running sum over those sums, the running minimum one
+accumulate, and each row's first passing level one argmax.  numpy adds
+fewer than 8 terms in order, so those values have the bits of each level
+summed alone; from 8 terms on it sums pairwise, so each later level keeps
+its own sum over the level sums and its own test.  A row's value therefore
+does not depend on the block.  A stopped row drops out: after the block
+the smooth factor is asked only for the rows still live, so a batch
+evaluates each row through the block, or through its own stop level if
+that comes later, as if it ran alone.  The weights are formed once per pair
+of exponents and level, for the levels a call reaches.
 
 Endpoint distances are taken directly from the transform: 1-s is formed from
 exponentials, never by subtracting s from 1, so the endpoint power factors
@@ -65,11 +72,17 @@ _MIN_LEVEL = 2
 # Last level of the block: F is asked once for the nodes of levels
 # 0.._BLOCK_LEVEL together (195 nodes), then level by level.  Below a few
 # hundred nodes a numpy call costs about the same at any length, and most
-# K_p rows stop at level 4 or 5.  The kp_scan benchmark (seed 5, medians
-# of five 50 s runs, one core) ran 391, 441 and 430 tasks/s with blocks
-# through levels 3, 4 and 5: through level 5, a row that stops at level 4
-# pays for 196 nodes it does not use.
+# K_p rows stop at level 4 or 5.  With the block decided in one pass, a
+# larger block costs only integrand work; the kp_scan benchmark (seed 5,
+# 50 s runs, --trace 0, one 2 GHz Xeon core) ran 616 and 624 tasks/s with
+# blocks through level 3, 701-734 (4 runs) through level 4, and 722 and
+# 730 through level 5, inside level 4's spread: through level 5, a row
+# that stops at level 4 pays for 196 nodes it does not use.  The block
+# holds at most 7 levels (_BLOCK_LEVEL <= 6): numpy adds up to 7 terms in
+# order, and the block's running sums rely on it.
 _BLOCK_LEVEL = 4
+# the trapezoid steps h of the block's levels
+_BLOCK_STEPS = _H0 / 2.0 ** np.arange(_BLOCK_LEVEL + 1)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -155,6 +168,37 @@ def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     return np.concatenate(x), np.concatenate(cx), np.concatenate(w), tuple(cuts)
 
 
+def _ts_slice(lev: int) -> slice:
+    """The slice of the node table that the driver gives F at level lev:
+    the block, levels 0.._BLOCK_LEVEL, at _BLOCK_LEVEL, and the one level
+    lev after it."""
+    cuts = _ts_nodes()[3]
+    return slice(0 if lev == _BLOCK_LEVEL else cuts[lev], cuts[lev + 1])
+
+
+@functools.lru_cache(maxsize=32)
+def _ts_weights(ea: float, eb: float, lev: int) -> np.ndarray:
+    """The weights ``W x**ea (1-x)**eb`` on the nodes of :func:`_ts_slice`
+    (lev), read-only.
+
+    Formed once per pair of exponents and level, and only for the levels
+    a call reaches.  Bounded at 32 entries; one entry holds one double per
+    node of its slice, 195 for the block and 12,492 at level 11.
+    """
+    X, CX, W, _ = _ts_nodes()
+    s = _ts_slice(lev)
+    w = W[s] * X[s] ** ea * CX[s] ** eb
+    w.flags.writeable = False
+    return w
+
+
+def _nonconvergence(lev: int, est: np.ndarray, tol: float) -> NonConvergence:
+    return NonConvergence(
+        f"tanh-sinh refinement stopped after {_ts_nodes()[3][lev + 1]} "
+        f"nodes with error estimate {np.max(est):.3e} above tol {tol:.3e}"
+    )
+
+
 def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     """Integrate F * x**(ea-1) * (1-x)**(eb-1) over [0, 1], row by row.
 
@@ -162,24 +206,31 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     the rows still live, and returns its factor on those rows only: shape
     ``(n,)`` for a single integrand, which ignores ``rows``, or
     ``(live rows, n)``.  ``x`` and ``cx`` are views of the node table of
-    :func:`_ts_nodes`, which F must not write to.  The first call is the
-    block: ``lev`` is ``_BLOCK_LEVEL``, ``x`` the table's prefix
-    ``[:cuts[_BLOCK_LEVEL + 1]]``, the nodes of levels 0.._BLOCK_LEVEL in
-    level order, and ``rows`` ``slice(None)``.  Each later call brings
-    ``[cuts[lev]:cuts[lev + 1]]``, the nodes of the one level ``lev``, and
-    ``rows`` is ``slice(None)`` while every row is live, then an increasing
-    index array into the rows F returned in the block.  The weight
-    exponents ``ea`` and ``eb`` are floats shared by every row.
+    :func:`_ts_nodes`, which F must not write to, at :func:`_ts_slice`
+    (lev).  The first call is the block: ``lev`` is ``_BLOCK_LEVEL``,
+    ``x`` the table's prefix ``[:cuts[_BLOCK_LEVEL + 1]]``, the nodes of
+    levels 0.._BLOCK_LEVEL in level order, and ``rows`` ``slice(None)``.
+    Each later call brings ``[cuts[lev]:cuts[lev + 1]]``, the nodes of the
+    one level ``lev``, and ``rows`` is ``slice(None)`` while every row is
+    live, then an increasing index array into the rows F returned in the
+    block.  The weight exponents ``ea`` and ``eb`` are floats shared by
+    every row; the weights are formed once per level by :func:`_ts_weights`.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
     of the outermost node pair is at most ``tol * max(1, |value|)``, keeps
     that level's value and estimate, and drops out: after the block, F is
-    not asked for it again.  Each level of the block is summed from its
-    own slice and tested in turn, with the same arithmetic as a level
-    asked for alone, so a row does not depend, to the last bit, on the
-    block, on the other rows or on how many there are.  The relative part
-    of the test keeps it above the rounding noise of large values, such as
-    K_p near mu = 1.
+    not asked for it again.
+    The block's stop tests are decided for every row in one pass: each
+    level of the block is summed from its own slice, the level values are
+    one running sum over those five sums, the running minimum one
+    accumulate, and each row's first passing level one argmax.  numpy adds
+    fewer than 8 terms in order, so the running sum has the bits of each
+    level's own sum; from 8 terms on it sums pairwise, so the later levels
+    keep ``sums[:, :lev + 1].sum(axis=-1)`` and are tested level by level.
+    Either way a row's arithmetic is that of the row asked for alone, so
+    it does not depend, to the last bit, on the block, on the other rows
+    or on how many there are.  The relative part of the test keeps it
+    above the rounding noise of large values, such as K_p near mu = 1.
     A row fails when the levels run out, or at level 2 if its truncation
     allowance alone exceeds twice its target, which no refinement can
     mend; the first failure raises :class:`NonConvergence`.  Returns
@@ -189,63 +240,70 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     F saw every node of the block; the estimate is floored at the spacing
     of the value.
     """
-    X, CX, W, cuts = _ts_nodes()
+    X, CX, _, cuts = _ts_nodes()
     rows = slice(None)
 
-    # F's factor times the weights on the table's nodes from a through
-    # level lev, for the rows live now
-    def ask(lev, a):
-        b = cuts[lev + 1]
-        x, cx = X[a:b], CX[a:b]
-        return F(lev, x, cx, rows) * (W[a:b] * x**ea * cx**eb)
+    # F's factor times the weights on the nodes of level lev, for the rows
+    # live now
+    def ask(lev):
+        s = _ts_slice(lev)
+        return F(lev, X[s], CX[s], rows) * _ts_weights(ea, eb, lev)
 
     with np.errstate(divide="ignore"):
-        block = ask(_BLOCK_LEVEL, 0)
-        # the live rows' state, compacted as rows stop; results are written
-        # to the rows' places in out and err
+        block = ask(_BLOCK_LEVEL)
         shape = block.shape[:-1]
         block = block.reshape(-1, cuts[_BLOCK_LEVEL + 1])
-        idx = np.arange(block.shape[0])
-        out = np.full(idx.size, np.nan)
-        err = np.full(idx.size, np.nan)
+        n = block.shape[0]
         # one column per level: each row sums its own levels, in the same
         # order as a row computed alone
-        sums = np.zeros((idx.size, _MAX_LEVEL + 1))
+        sums = np.zeros((n, _MAX_LEVEL + 1))
         for lev in range(_BLOCK_LEVEL + 1):
             sums[:, lev] = block[:, cuts[lev] : cuts[lev + 1]].sum(axis=-1)
         m = cuts[1] // 2
         trunc = np.abs(block[:, m - 1]) + np.abs(block[:, 2 * m - 1])
-        best = np.full(idx.size, math.inf)
-        for lev in range(_MAX_LEVEL + 1):
-            if lev > _BLOCK_LEVEL:
-                sums[:, lev] = ask(lev, cuts[lev]).sum(axis=-1)
-            value = (_H0 / 2.0**lev) * sums[:, : lev + 1].sum(axis=-1)
-            if lev >= _MIN_LEVEL:
-                target = tol * np.maximum(1.0, np.abs(value))
-                best = np.minimum(best, np.abs(value - prev))
-                est = best + trunc
-                ok = est <= target
-                # the truncation allowance is fixed at level 0, so a row it
-                # alone puts well above its target can never stop
-                failed = ~ok & (
-                    trunc > 2.0 * target if lev == _MIN_LEVEL else lev == _MAX_LEVEL
+        # levels 0.._BLOCK_LEVEL of every row at once, then the tests of
+        # levels _MIN_LEVEL.._BLOCK_LEVEL, one column each
+        value = np.add.accumulate(sums[:, : _BLOCK_LEVEL + 1], axis=-1) * _BLOCK_STEPS
+        best = np.minimum.accumulate(
+            np.abs(value[:, _MIN_LEVEL:] - value[:, _MIN_LEVEL - 1 : -1]), axis=-1
+        )
+        value = value[:, _MIN_LEVEL:]
+        est = best + trunc[:, None]
+        target = tol * np.maximum(1.0, np.abs(value))
+        ok = est <= target
+        # the truncation allowance is fixed at level 0, so a row it alone
+        # puts well above its target can never stop; such a row also
+        # misses its level-2 test, as est >= trunc
+        if (trunc > 2.0 * target[:, 0]).any():
+            raise _nonconvergence(_MIN_LEVEL, est[~ok[:, 0], 0], tol)
+        # each row's first passing level; a row with none is live, and its
+        # places in out and err are written when it stops
+        first = ok.argmax(axis=-1)
+        pick = (np.arange(n), first)
+        out, err = value[pick], est[pick]
+        live = ~ok[pick]
+        lev = _BLOCK_LEVEL if live.any() else _MIN_LEVEL + int(first.max())
+        # the live rows' state, compacted as rows stop
+        idx, best, value = pick[0], best[:, -1], value[:, -1]
+        while live.any():
+            if not live.all():
+                idx, sums, best, trunc, value = (
+                    a[live] for a in (idx, sums, best, trunc, value)
                 )
-                if failed.any():
-                    raise NonConvergence(
-                        f"tanh-sinh refinement stopped after {cuts[lev + 1]} "
-                        f"nodes with error estimate {np.max(est[~ok]):.3e} above "
-                        f"tol {tol:.3e}"
-                    )
-                out[idx[ok]] = value[ok]
-                err[idx[ok]] = est[ok]
-                if ok.all():
-                    break
-                if ok.any():
-                    idx, sums, best, trunc, value = (
-                        a[~ok] for a in (idx, sums, best, trunc, value)
-                    )
-                    rows = idx
+                rows = idx
             prev = value
+            lev += 1
+            sums[:, lev] = ask(lev).sum(axis=-1)
+            value = (_H0 / 2.0**lev) * sums[:, : lev + 1].sum(axis=-1)
+            target = tol * np.maximum(1.0, np.abs(value))
+            best = np.minimum(best, np.abs(value - prev))
+            est = best + trunc
+            ok = est <= target
+            if lev == _MAX_LEVEL and not ok.all():
+                raise _nonconvergence(lev, est[~ok], tol)
+            out[idx[ok]] = value[ok]
+            err[idx[ok]] = est[ok]
+            live = ~ok
     err = np.maximum(err, np.spacing(np.abs(out)))
     return out.reshape(shape), err.reshape(shape), cuts[lev + 1]
 

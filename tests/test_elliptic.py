@@ -87,6 +87,40 @@ def test_kp_rows_equal_scalar_kp():
         assert el._kp_rows([a], [b])[0] == rows[i]
 
 
+def test_kp_rows_sharing_p_equal_scalar_kp_with_the_p_factor_cold_and_warm():
+    # rows that share p share v**m and (1 - s**p) / (1 - s) through
+    # _kp_p_factor: in a shuffled batch with p repeated in scattered rows
+    # and (p, mu) pairs given twice, every row has the bits of the scalar
+    # quadrature, whether the batch computes the shared factors or finds
+    # them cached
+    pairs = [(a, b) for a in (1.05, 1.63, 2.0, 4.5) for b in (0.0, 0.3, 0.9, 1.0 - 1e-9)]
+    pairs += pairs[::3]
+    order = np.random.default_rng(7).permutation(len(pairs))
+    p, mu = zip(*[pairs[i] for i in order])
+    el._kp_p_factor.cache_clear()
+    cold = el._kp_rows(p, mu)
+    assert el._kp_p_factor.cache_info().misses > 0
+    warm = el._kp_rows(p, mu)
+    assert el._kp_p_factor.cache_info().hits > 0
+    assert cold.tobytes() == warm.tobytes()
+    el._kp_p_factor.cache_clear()
+    for i, (a, b) in enumerate(zip(p, mu)):
+        assert cold[i] == el.kp_quadrature(a, b).value
+    # the scalar calls found the factors of their own p, not the batch's
+    assert el._kp_p_factor.cache_info().hits > 0
+
+
+def test_kp_p_factor_cache_is_bounded_and_documented():
+    # the cache holds one entry per call's distinct p's and level; its
+    # docstring gives the bound and what one entry holds
+    size = el._kp_p_factor.cache_info().maxsize
+    assert size is not None and size <= 64
+    assert f"Bounded at {size} entries" in " ".join(el._kp_p_factor.__doc__.split())
+    e, ratio = el._kp_p_factor((1.5, 3.0), quad._BLOCK_LEVEL)
+    assert e.shape == ratio.shape == (2, quad._ts_nodes()[3][quad._BLOCK_LEVEL + 1])
+    assert not e.flags.writeable and not ratio.flags.writeable
+
+
 def test_kp_extreme_modulus():
     # scipy's ellipk is still fine here; the frozen value guards the
     # boundary-layer handling independently

@@ -276,6 +276,102 @@ def test_live_rows_shrink_and_stopped_rows_never_return():
         assert visits == [_BLOCK_LEVEL] + list(range(_BLOCK_LEVEL + 1, stop + 1))
 
 
+def test_running_sums_of_the_block_have_the_bits_of_each_level_sum():
+    # the driver takes the block's level values from one running sum
+    # (np.cumsum, that is np.add.accumulate) and those of later levels from
+    # .sum(axis=-1); numpy adds fewer than 8 terms in order, so the two
+    # agree bit for bit up to the block's _BLOCK_LEVEL + 1 levels.  A numpy
+    # release that sums short rows in another order fails here, not in
+    # pinned bits
+    rng = np.random.default_rng(20261019)
+    for n in range(1, _BLOCK_LEVEL + 2):
+        x = rng.choice([-1.0, 1.0], (4000, n)) * 10.0 ** rng.uniform(-30, 30, (4000, n))
+        for run in (np.cumsum(x, axis=-1), np.add.accumulate(x, axis=-1)):
+            for k in range(1, n + 1):
+                assert run[:, k - 1].tobytes() == x[:, :k].sum(axis=-1).tobytes()
+
+
+def _boundary_layer_rows():
+    """(amplitude, width) rows a d / (d + (1-x)) under right exponent 1/2,
+    which stop at levels 2, 3, 4, 5, 6 and 7 at tol 1e-13."""
+    return np.array(
+        [[1e-12, 1e-2], [1e-8, 1e-2], [1e-2, 1e-2], [1.0, 1e-2], [1.0, 1e-6], [1e2, 1e-12]]
+    )
+
+
+def test_rows_stopping_at_levels_2_to_7_match_rows_computed_alone():
+    # the block decides levels 2-4 for every row at once, the levels after
+    # it one at a time: each row keeps the value and estimate it has alone,
+    # and the batch reports the nodes of its slowest row
+    cuts = _ts_nodes()[3]
+    rows = _boundary_layer_rows()
+    a, d = rows[:, :1], rows[:, 1:]
+    value, err, nodes = _tanh_sinh(
+        lambda lev, x, cx, live: a[live] * d[live] / (d[live] + cx), 1.0, 0.5, 1e-13
+    )
+    stops = []
+    for i, (ai, di) in enumerate(rows.tolist()):
+        v, e, n = _tanh_sinh(lambda lev, x, cx, live: ai * di / (di + cx), 1.0, 0.5, 1e-13)
+        assert value[i].tobytes() == v.tobytes() and err[i].tobytes() == e.tobytes()
+        stops.append(cuts.index(n) - 1)
+    assert stops == [2, 3, 4, 5, 6, 7]
+    assert nodes == cuts[8]
+
+
+def test_level_2_truncation_failure_in_one_row_raises():
+    # row 1 is (1-x)**(-0.96) under unit weights: its outermost node alone
+    # puts it far above tol, while rows 0 and 2 pass within the block.  The
+    # batch raises at level 2, after the block call alone, with the largest
+    # estimate of the rows that miss level 2 (the message recorded before
+    # the block's stop tests were decided in one pass)
+    c = np.array([0.0, 0.5, 3.0])[:, None]
+    levels = []
+
+    def F(lev, x, cx, rows):
+        levels.append(lev)
+        out = 1.0 / (1.0 + c[rows] * x)
+        out[1] = cx**-0.96
+        return out
+
+    want = (
+        "tanh-sinh refinement stopped after 49 nodes with error estimate "
+        "2.438e-05 above tol 1.000e-13"
+    )
+    with pytest.raises(NonConvergence) as info:
+        _tanh_sinh(F, 1.0, 1.0, 1e-13)
+    assert str(info.value) == want
+    assert levels == [_BLOCK_LEVEL]
+    # the passing rows alone stop inside the block
+    for ci in (0.0, 3.0):
+        nodes = _tanh_sinh(lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x), 1.0, 1.0, 1e-13)[2]
+        assert nodes <= _ts_nodes()[3][_BLOCK_LEVEL + 1]
+
+
+def test_row_still_live_at_level_11_raises():
+    # row 2 has an interior kink no level resolves to 1e-12; rows 0 and 1
+    # stop early, and F is asked for row 2 alone through level 11
+    c = np.array([0.0, 0.5, 3.0])[:, None]
+    seen = []
+
+    def F(lev, x, cx, rows):
+        live = np.arange(3)[rows]
+        seen.append((lev, live.tolist()))
+        out = 1.0 / (1.0 + c[rows] * x)
+        out[live == 2] = np.abs(x - 1.0 / 3.0) ** 0.1
+        return out
+
+    want = (
+        "tanh-sinh refinement stopped after 24985 nodes with error estimate "
+        "1.104e-05 above tol 1.000e-12"
+    )
+    with pytest.raises(NonConvergence) as info:
+        _tanh_sinh(F, 1.0, 1.0, 1e-12)
+    assert str(info.value) == want
+    assert seen == [(_BLOCK_LEVEL, [0, 1, 2])] + [
+        (lev, [2]) for lev in range(_BLOCK_LEVEL + 1, 12)
+    ]
+
+
 def test_root_zero_at_lo_evaluates_g_once():
     evals = []
 

@@ -19,17 +19,14 @@ row stops when the running minimum of the differences between successive
 levels, plus a truncation allowance taken from the outermost node pair, drops
 to ``tol * max(1, |value|)``; that sum is the row's error estimate, floored
 at the spacing of the value.  The block's stop tests are decided for every
-row in one pass: each of its five levels is summed from its own slice, the
-level values are one running sum over those sums, the running minimum one
-accumulate, and each row's first passing level one argmax.  numpy adds
-fewer than 8 terms in order, so those values have the bits of each level
-summed alone; from 8 terms on it sums pairwise, so each later level keeps
-its own sum over the level sums and its own test.  A row's value therefore
-does not depend on the block.  A stopped row drops out: after the block
-the smooth factor is asked only for the rows still live, so a batch
-evaluates each row through the block, or through its own stop level if
-that comes later, as if it ran alone.  The weights are formed once per pair
-of exponents and level, for the levels a call reaches.
+row in one pass, from a running sum over its five level sums; numpy adds
+fewer than 8 terms in order, so each level has the bits it has when summed
+on its own.  Past 7 terms numpy sums pairwise, so each later level keeps
+its own sum and test.  A row's value therefore does not depend on the block.
+A stopped row drops out: after the block the smooth factor is asked only
+for the rows still live, so a batch evaluates each row through the block,
+or through its own stop level if that comes later, as if it ran alone.
+The weights are formed once per pair of exponents and level.
 
 Endpoint distances are taken directly from the transform: 1-s is formed from
 exponentials, never by subtracting s from 1, so the endpoint power factors
@@ -227,10 +224,10 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     fewer than 8 terms in order, so the running sum has the bits of each
     level's own sum; from 8 terms on it sums pairwise, so the later levels
     keep ``sums[:, :lev + 1].sum(axis=-1)`` and are tested level by level.
-    Either way a row's arithmetic is that of the row asked for alone, so
-    it does not depend, to the last bit, on the block, on the other rows
-    or on how many there are.  The relative part of the test keeps it
-    above the rounding noise of large values, such as K_p near mu = 1.
+    Either way a row does not depend, to the last bit, on the block, on
+    the other rows or on how many there are.  The relative part of the
+    test keeps it above the rounding noise of large values, such as K_p
+    near mu = 1.
     A row fails when the levels run out, or at level 2 if its truncation
     allowance alone exceeds twice its target, which no refinement can
     mend; the first failure raises :class:`NonConvergence`.  Returns

@@ -291,20 +291,16 @@ def test_running_sums_of_the_block_have_the_bits_of_each_level_sum():
                 assert run[:, k - 1].tobytes() == x[:, :k].sum(axis=-1).tobytes()
 
 
-def _boundary_layer_rows():
-    """(amplitude, width) rows a d / (d + (1-x)) under right exponent 1/2,
-    which stop at levels 2, 3, 4, 5, 6 and 7 at tol 1e-13."""
-    return np.array(
-        [[1e-12, 1e-2], [1e-8, 1e-2], [1e-2, 1e-2], [1.0, 1e-2], [1.0, 1e-6], [1e2, 1e-12]]
-    )
-
-
 def test_rows_stopping_at_levels_2_to_7_match_rows_computed_alone():
     # the block decides levels 2-4 for every row at once, the levels after
     # it one at a time: each row keeps the value and estimate it has alone,
-    # and the batch reports the nodes of its slowest row
+    # and the batch reports the nodes of its slowest row.  The rows are
+    # boundary layers a d / (d + (1-x)), given as (a, d), under right
+    # exponent 1/2
     cuts = _ts_nodes()[3]
-    rows = _boundary_layer_rows()
+    rows = np.array(
+        [[1e-12, 1e-2], [1e-8, 1e-2], [1e-2, 1e-2], [1.0, 1e-2], [1.0, 1e-6], [1e2, 1e-12]]
+    )
     a, d = rows[:, :1], rows[:, 1:]
     value, err, nodes = _tanh_sinh(
         lambda lev, x, cx, live: a[live] * d[live] / (d[live] + cx), 1.0, 0.5, 1e-13

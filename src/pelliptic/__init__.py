@@ -11,7 +11,6 @@ Each module's ``__all__`` is the one list of its public names.
 from .errors import (
     DomainError,
     GridTooCoarse,
-    InvalidExponent,
     MaxIterations,
     NoSignChange,
     NonConvergence,

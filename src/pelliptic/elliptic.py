@@ -87,7 +87,6 @@ __all__ = [
     "snp_value",
     "snp_deriv",
     "snp_second_deriv",
-    "jordan_margins",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -172,15 +171,17 @@ def _pow_ratio(e: np.ndarray, p) -> np.ndarray:
 
     ``p`` is a float or a column of per-row exponents that broadcasts
     against ``e``.  The direct quotient collapses to 0/0 as e underflows;
-    below 1e-6 a three-term expansion around s = 1 carries full double
-    precision.  Both branches are evaluated on every element, so the value
-    at one e never depends on the other elements or rows.
+    below min(1e-6, 1e-5 / p) a three-term expansion around s = 1 carries
+    full double precision, since its first dropped term is about
+    (p e)**3 / 24 of the value.  Both branches are evaluated on every
+    element, so the value at one e never depends on the other elements or
+    rows; the expansion may overflow where it is not used, at large p e.
     """
     e = np.asarray(e, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         big = -np.expm1(p * np.log1p(-e)) / e
-    small = p * (1.0 + (p - 1.0) * e * (-0.5 + (p - 2.0) * e / 6.0))
-    return np.where(e < 1e-6, small, big)
+        small = p * (1.0 + (p - 1.0) * e * (-0.5 + (p - 2.0) * e / 6.0))
+    return np.where(e < np.minimum(1e-6, 1e-5 / p), small, big)
 
 
 def _eps_mup(p: float, mu: float) -> tuple[float, float]:
@@ -253,7 +254,7 @@ def _kp_batch(p: list, mu: list):
         e, ratio = e[j], ratio[j]
         return m[rows] * (ratio * (eps[rows] + mup[rows] * ratio * e)) ** power[rows]
 
-    return _tanh_sinh(F, _KP_WEIGHT, 1.0, _KP_TOL)
+    return _tanh_sinh(F, _KP_WEIGHT, _KP_TOL)
 
 
 def kp_quadrature(p: float, mu: float) -> QuadratureResult:
@@ -799,15 +800,3 @@ def snp_second_deriv(p: float, mu: float, y):
         )
     return _shaped(y, eng.second(eng.invert(u), quarter))
 
-
-def jordan_margins(p: float, mu: float, y: float) -> tuple[float, float]:
-    """Slack in the two-sided bound 1/K_p <= sn_p(y)/y <= 1 on (0, K_p).
-
-    Returns (sn_p(y)/y - 1/K_p, 1 - sn_p(y)/y); both are nonnegative up to
-    evaluation tolerance.
-    """
-    K = kp(p, mu)
-    _check_interval("y", y, 0.0, K, "()")
-    _, s, _, _ = _snp_parts(p, mu, [y])
-    ratio = float(s[0]) / y
-    return ratio - 1.0 / K, 1.0 - ratio

@@ -24,10 +24,6 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of the operation."""
 
 
-class InvalidExponent(DomainError):
-    """An endpoint exponent is -1 or below, so the integral diverges."""
-
-
 class SingularPoint(DomainError):
     """Evaluation was requested at a point where the quantity is singular."""
 

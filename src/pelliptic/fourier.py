@@ -28,8 +28,8 @@ with it.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
-g(x) = (1-q) sum_j q^j/(1-q^(2j+1)) sqrt(2) sin((2j+1) pi x), with a
-geometric bound for its truncation tail.
+g(x) = (1-q) sum_j q^j/(1-q^(2j+1)) sqrt(2) sin((2j+1) pi x), summed to
+200 terms.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "tau_tail_bound",
     "rho_coeff",
     "g_eval",
-    "g_tail_bound",
 ]
 
 # Step-2 lower bound for tau_1, 4 sqrt(2) / pi^2
@@ -121,7 +120,7 @@ def _split_integral(p: float, mu: float, g, tol: float):
         x1 = cache[0][end - z.size : end]
         return g(x1, 1.0 - x1, z, rows)
 
-    return _tanh_sinh(F, 1.0, 1.0, tol)[0]
+    return _tanh_sinh(F, 1.0, tol)[0]
 
 
 def tau_k(p: float, mu: float, k):
@@ -207,24 +206,16 @@ def rho_coeff(q: float, j: int) -> float:
     return (1.0 - q) * q**j / (1.0 - q ** (2 * j + 1))
 
 
-def g_eval(q: float, x: float, terms: int = 200) -> float:
-    """Partial sum of (1-q) sum_j q^j/(1-q^(2j+1)) sqrt(2) sin((2j+1) pi x).
+def g_eval(q: float, x: float) -> float:
+    """The p = 2 series (1-q) sum_j q^j/(1-q^(2j+1)) sqrt(2) sin((2j+1) pi x),
+    summed over j < 200.
 
-    The truncation error is bounded by :func:`g_tail_bound` for the same
-    (q, terms).
+    The terms past it add up to at most sqrt(2) q^200 / (1 - q^401), since
+    each is below sqrt(2) (1-q) q^j / (1 - q^401).
     """
     _check_interval("q", q, 0.0, 1.0, "()")
     _check_interval("x", x, -math.inf, math.inf, "()")
-    _check_int("terms", terms, 1)
-    js = np.arange(terms)
+    js = np.arange(200)
     coeff = q**js / (1.0 - q ** (2 * js + 1))
     sines = np.sin((2 * js + 1) * math.pi * x)
     return (1.0 - q) * math.sqrt(2.0) * math.fsum(coeff * sines)
-
-
-def g_tail_bound(q: float, terms: int = 200) -> float:
-    """Geometric bound sqrt(2) q^terms / (1 - q^(2 terms + 1)) on the
-    truncation error of :func:`g_eval`."""
-    _check_interval("q", q, 0.0, 1.0, "()")
-    _check_int("terms", terms, 1)
-    return math.sqrt(2.0) * q**terms / (1.0 - q ** (2 * terms + 1))

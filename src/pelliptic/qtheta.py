@@ -2,7 +2,8 @@
 
 This module collects the p = 2 toolkit: an AGM/Landen evaluation of
 Jacobi sn (used as an independent oracle for the generalized functions),
-Jacobi theta constants, the nome <-> modulus maps, the Lambert series
+the nome <-> modulus maps (from the nome through the Jacobi theta
+constants, to it through the AGM), the Lambert series
 L(beta) = sum beta^n / (1 - beta^n), the q-digamma function, an odd-index
 Lambert-type sum, and the solver for the distinguished nome q0 at which
 (1 - q) * sum_{n>=1} q^n/(1-q^{2n+1}) equals 1.  The modulus mu0
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,9 +30,7 @@ from .errors import _check_interval, _check_sign
 from .quadrature import bracketed_root
 
 __all__ = [
-    "ThetaConstants",
     "agm_jacobi_sn",
-    "theta_constants",
     "modulus_from_nome",
     "nome_from_modulus",
     "lambert_L",
@@ -46,19 +44,6 @@ __all__ = [
 
 # series cutoff: beyond this the geometric tails are no longer "fast"
 _Q_MAX = 0.99
-
-
-@dataclass(frozen=True)
-class ThetaConstants:
-    """Theta constants at argument zero for a given nome.
-
-    ``terms_used`` is the largest series index summed before truncation.
-    """
-
-    q: float
-    theta2: float
-    theta3: float
-    terms_used: int
 
 
 def _agm(b: float, c: float) -> tuple[float, list]:
@@ -88,14 +73,13 @@ def agm_jacobi_sn(y: float, mu: float) -> float:
     return math.sin(phi)
 
 
-def _theta_sums(q: float) -> tuple[float, float, float, int]:
-    """(theta2, theta3, theta4, m) from one pass over q**(m*m/4), m = 1, 2, ...
+def _theta_sums(q: float) -> tuple[float, float, float]:
+    """(theta2, theta3, theta4) from one pass over q**(m*m/4), m = 1, 2, ...
 
     Odd m give the theta2 terms q^((n+1/2)^2), even m the theta3 terms
     q^(n^2), which signed (-1)^n are the theta4 terms.  The exponents are
     exact in binary and the terms fall with m, so stopping at the first
-    term below 1e-16 (the returned m) cuts each series where summing it
-    alone would.
+    term below 1e-16 cuts each series where summing it alone would.
     """
     odd, even, signed = [], [0.5], [0.5]
     m = 1
@@ -109,19 +93,7 @@ def _theta_sums(q: float) -> tuple[float, float, float, int]:
             even.append(term)
             signed.append(-term if m % 4 == 2 else term)
         m += 1
-    return 2.0 * math.fsum(odd), 2.0 * math.fsum(even), 2.0 * math.fsum(signed), m
-
-
-def theta_constants(q: float) -> ThetaConstants:
-    """Theta constants theta2 = 2 sum q^((n+1/2)^2), theta3 = 1 + 2 sum q^(n^2).
-
-    Terms are added until the next one drops below 1e-16.
-    """
-    _check_interval("q", q, 0.0, _Q_MAX, "[]")
-    if q == 0.0:
-        return ThetaConstants(q=q, theta2=0.0, theta3=1.0, terms_used=0)
-    theta2, theta3, _, m = _theta_sums(q)
-    return ThetaConstants(q=q, theta2=theta2, theta3=theta3, terms_used=(m + 1) // 2)
+    return 2.0 * math.fsum(odd), 2.0 * math.fsum(even), 2.0 * math.fsum(signed)
 
 
 def modulus_from_nome(q: float) -> float:
@@ -134,7 +106,7 @@ def modulus_from_nome(q: float) -> float:
     to 1, the largest representable modulus below 1 is returned.
     """
     _check_interval("q", q, 0.0, _Q_MAX, "[]")
-    t2, t3, t4, _ = _theta_sums(q)
+    t2, t3, t4 = _theta_sums(q)
     r = t2 / t3
     if r < 0.95:
         return r * r

@@ -1,19 +1,20 @@
 """Deterministic tanh-sinh quadrature and bracketed root finding.
 
-The integration engine targets integrals on [0, 1] whose integrand factors as
-``smooth(s) * s**a * (1-s)**b`` with algebraic endpoint exponents a, b in
-(-1, 0].  The double-exponential substitution s = (1 + tanh((pi/2) sinh t))/2
-turns the trapezoid rule in t into a geometrically convergent scheme even when
-the integrand blows up at an endpoint.
+The integration engine targets integrals on [0, 1] whose integrand factors
+as ``F(x) * x**(ea-1)``, with one algebraic exponent ea - 1 in (-1, 0] at
+the left end.  The double-exponential substitution
+x = (1 + tanh((pi/2) sinh t))/2 turns the trapezoid rule in t into a
+geometrically convergent scheme even when the integrand blows up at an
+endpoint; a caller whose singularity sits at the right end mirrors it, or
+lets F carry it, evaluating F at the exact 1-x.
 
-One batched routine runs the level loop for every integral in the package:
-the generic :func:`integrate_singular` here, and the K_p rows and the profile
-integrals behind tau_k elsewhere.  It halves the step level by level, for one
-integrand or a batch of rows at once, with one pair of endpoint exponents
-shared by every row.  The rule fixes every
+One batched routine, ``_tanh_sinh``, runs the level loop for every integral
+in the package: the K_p rows and the profile integrals behind tau_k.  It
+halves the step level by level, for one integrand or a batch of rows at
+once, with one endpoint exponent shared by every row.  The rule fixes every
 node in advance (Takahasi & Mori, 1974), so all of them live in one table,
 built once, with each level's new nodes after those of the level before.  The
-caller's smooth factor is evaluated once on the table's prefix of levels 0-4,
+caller's factor F is evaluated once on the table's prefix of levels 0-4,
 the block, and then once per level on that level's slice.  From level 2 on, a
 row stops when the running minimum of the differences between successive
 levels, plus a truncation allowance taken from the outermost node pair, drops
@@ -23,17 +24,17 @@ row in one pass, from a running sum over its five level sums; numpy adds
 fewer than 8 terms in order, so each level has the bits it has when summed
 on its own.  Past 7 terms numpy sums pairwise, so each later level keeps
 its own sum and test.  A row's value therefore does not depend on the block.
-A stopped row drops out: after the block the smooth factor is asked only
-for the rows still live, so a batch evaluates each row through the block,
-or through its own stop level if that comes later, as if it ran alone.
-The weights are formed once per pair of exponents and level.
+A stopped row drops out: after the block F is asked only for the rows
+still live, so a batch evaluates each row through the block, or through
+its own stop level if that comes later, as if it ran alone.  The weights
+are formed once per exponent and level.
 
-Endpoint distances are taken directly from the transform: 1-s is formed from
-exponentials, never by subtracting s from 1, so the endpoint power factors
-keep full precision down to distances of order 1e-300.  The smooth factor
-receives both s and the exact 1-s, so integrands with thin boundary layers
-(scale well below 1e-16 next to an endpoint) never have to reconstruct the
-endpoint distance by subtraction.
+Endpoint distances are taken directly from the transform: 1-x is formed from
+exponentials, never by subtracting x from 1, so the endpoint power factors
+keep full precision down to distances of order 1e-300.  F receives both x
+and the exact 1-x, so integrands with thin boundary layers (scale well
+below 1e-16 next to an endpoint) never have to reconstruct the endpoint
+distance by subtraction.
 
 Everything here is pure floating point arithmetic in a fixed evaluation
 order, so identical inputs give bit-identical outputs.
@@ -48,15 +49,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidExponent, MaxIterations, NonConvergence, NoSignChange
-from .errors import _check_interval
+from .errors import MaxIterations, NonConvergence, NoSignChange, _check_interval
 
-__all__ = [
-    "QuadratureResult",
-    "SingularIntegrand",
-    "integrate_singular",
-    "bracketed_root",
-]
+__all__ = ["QuadratureResult", "bracketed_root"]
 
 # Node layout: trapezoid steps h = _H0 / 2**level, |t| <= _T_MAX.  At
 # _T_MAX the endpoint distance 1-s is ~1e-305, still a normal double, so
@@ -97,40 +92,14 @@ class QuadratureResult:
         window.  Never negative.
     nodes_used : int
         Number of nodes in the levels the stop test used, through the
-        level where it stopped.  The smooth part is evaluated on at least
-        the 195 nodes of levels 0-4, so a constant at tol 1e-12 reports
-        97 nodes (levels 0-3) for 195 evaluations.
+        level where it stopped.  The integrand is evaluated on at least
+        the 195 nodes of levels 0-4, so K_p(0.5) at p = 2, which stops at
+        level 3, reports 97 nodes (levels 0-3) for 195 evaluations.
     """
 
     value: float
     abs_error_estimate: float
     nodes_used: int
-
-
-@dataclass(frozen=True)
-class SingularIntegrand:
-    """Integrand ``smooth_part(s, 1-s) * s**a * (1-s)**b`` on [0, 1].
-
-    ``smooth_part`` is called as ``smooth_part(s, cs)`` where ``cs`` is the
-    exact endpoint distance 1-s carried by the transform; use ``cs`` instead
-    of computing ``1 - s``, which is quantized to about 1e-16 near s = 1.
-    It must be bounded on [0, 1] and should accept numpy arrays; scalar-only
-    callables are handled through a slow per-point fallback.  The exponents
-    a (left) and b (right) must lie in (-1, 0]; they carry the entire
-    endpoint singularity.
-    """
-
-    smooth_part: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    left_exponent: float = 0.0
-    right_exponent: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, ex in (("left", self.left_exponent), ("right", self.right_exponent)):
-            if not (-1.0 < ex <= 0.0):
-                raise InvalidExponent(
-                    f"{name} exponent {ex} outside (-1, 0]; the integral "
-                    "diverges or the factor is not a singularity"
-                )
 
 
 @functools.cache
@@ -174,17 +143,18 @@ def _ts_slice(lev: int) -> slice:
 
 
 @functools.lru_cache(maxsize=32)
-def _ts_weights(ea: float, eb: float, lev: int) -> np.ndarray:
-    """The weights ``W x**ea (1-x)**eb`` on the nodes of :func:`_ts_slice`
-    (lev), read-only.
+def _ts_weights(ea: float, lev: int) -> np.ndarray:
+    """The weights ``W x**ea (1-x)`` on the nodes of :func:`_ts_slice`
+    (lev), read-only: W x (1-x) is dx/dt, and x**(ea-1) the left-end
+    factor of the integrand.
 
-    Formed once per pair of exponents and level, and only for the levels
+    Formed once per exponent and level, and only for the levels
     a call reaches.  Bounded at 32 entries; one entry holds one double per
     node of its slice, 195 for the block and 12,492 at level 11.
     """
     X, CX, W, _ = _ts_nodes()
     s = _ts_slice(lev)
-    w = W[s] * X[s] ** ea * CX[s] ** eb
+    w = W[s] * X[s] ** ea * CX[s]
     w.flags.writeable = False
     return w
 
@@ -196,8 +166,8 @@ def _nonconvergence(lev: int, est: np.ndarray, tol: float) -> NonConvergence:
     )
 
 
-def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
-    """Integrate F * x**(ea-1) * (1-x)**(eb-1) over [0, 1], row by row.
+def _tanh_sinh(F: Callable, ea: float, tol: float):
+    """Integrate F x**(ea-1) over [0, 1], row by row.
 
     ``F(lev, x, cx, rows)`` receives nodes, their exact complements and
     the rows still live, and returns its factor on those rows only: shape
@@ -210,7 +180,7 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     Each later call brings ``[cuts[lev]:cuts[lev + 1]]``, the nodes of the
     one level ``lev``, and ``rows`` is ``slice(None)`` while every row is
     live, then an increasing index array into the rows F returned in the
-    block.  The weight exponents ``ea`` and ``eb`` are floats shared by
+    block.  The weight exponent ``ea``, in (0, 1], is a float shared by
     every row; the weights are formed once per level by :func:`_ts_weights`.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
@@ -244,7 +214,7 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
     # live now
     def ask(lev):
         s = _ts_slice(lev)
-        return F(lev, X[s], CX[s], rows) * _ts_weights(ea, eb, lev)
+        return F(lev, X[s], CX[s], rows) * _ts_weights(ea, lev)
 
     with np.errstate(divide="ignore"):
         block = ask(_BLOCK_LEVEL)
@@ -303,59 +273,6 @@ def _tanh_sinh(F: Callable, ea: float, eb: float, tol: float):
             live = ~ok
     err = np.maximum(err, np.spacing(np.abs(out)))
     return out.reshape(shape), err.reshape(shape), cuts[lev + 1]
-
-
-def _as_batch(fn: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Evaluate fn on node arrays, falling back to a python loop for
-    scalar-only callables."""
-
-    def call(arr: np.ndarray, comp: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(fn(arr, comp), dtype=float)
-        except (TypeError, ValueError):
-            out = np.array([float(fn(x, c)) for x, c in zip(arr, comp)])
-        if out.shape != arr.shape:
-            out = np.array([float(fn(x, c)) for x, c in zip(arr, comp)])
-        return out
-
-    return call
-
-
-def integrate_singular(f: SingularIntegrand, tol: float = 1e-12) -> QuadratureResult:
-    """Integrate ``smooth(s, 1-s) * s**a * (1-s)**b`` over [0, 1].
-
-    Parameters
-    ----------
-    f : SingularIntegrand
-        Integrand description; exponents in (-1, 0].
-    tol : float
-        Target error: absolute for integrals of magnitude up to 1, relative
-        beyond.  The engine refines until its error estimate drops to
-        ``tol * max(1, |value|)`` and raises :class:`NonConvergence` if the
-        node budget runs out first or the truncation of the node window
-        alone exceeds the target.
-
-    Returns
-    -------
-    QuadratureResult
-
-    Notes
-    -----
-    The reported estimate is monotone under tol refinement: asking for a
-    smaller tol never yields a larger ``abs_error_estimate`` for the same
-    integrand.  It is never below the spacing of the value.
-    """
-    _check_interval("tol", tol, 1e-14, math.inf)
-    smooth = _as_batch(f.smooth_part)
-    value, err, nodes = _tanh_sinh(
-        lambda lev, x, cx, rows: smooth(x, cx),
-        1.0 + f.left_exponent,
-        1.0 + f.right_exponent,
-        tol,
-    )
-    return QuadratureResult(
-        value=float(value), abs_error_estimate=float(err), nodes_used=nodes
-    )
 
 
 def bracketed_root(

@@ -17,7 +17,6 @@ from scipy.special import ellipj, ellipk
 import pelliptic.elliptic as el
 import pelliptic.quadrature as quad
 from pelliptic.errors import DomainError, NonConvergence, SingularPoint, SlowConvergence
-from pelliptic.quadrature import SingularIntegrand, integrate_singular
 
 # frozen 50-digit references (defining integral, independent implementation)
 KP_REF = {
@@ -61,6 +60,22 @@ def test_kp_matches_mpmath_hyp2f1():
                 )
                 err = float(abs(el.kp(p, mu) - ref) / ref)
             assert err <= 4e-15, (p, mu, err)
+
+
+def test_kp_at_large_p_matches_hyp2f1():
+    # K_p -> 1 from above as p grows; the expansion of (1 - s**p) / (1 - s)
+    # about s = 1 holds only where p (1 - s) is small, and used beyond that
+    # it puts K_p below 1.  Within 2 units of 2**-52 of 40-digit hyp2f1
+    for p in [1e3, 1e6, 1e7, 1e8, 1e10, 1e20, 1e100, 1e300]:
+        for mu in [0.0, 0.5, 0.999]:
+            with mpmath.workdps(40):
+                P, M = mpmath.mpf(p), mpmath.mpf(mu)
+                ref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P)) * mpmath.hyp2f1(
+                    1 / P, 1 / P, 1, M**P
+                )
+                K = el.kp(p, mu)
+                units = float(abs(K - ref) / ref) / el._EPS
+            assert K >= 1.0 and units <= 2.0, (p, mu, K, units)
 
 
 def test_kp_nodes_stay_within_budget():
@@ -198,21 +213,19 @@ def test_wp_strictly_increasing():
 
 
 def _wp_quadrature(p, mu, z):
-    """w_p(z) by the tanh-sinh engine: z * int_0^1 w_p'(z s) ds up to
+    """w_p(z) by the tanh-sinh driver: z * int_0^1 w_p'(z s) ds up to
     z = 0.6, else K - (1-z)**(1-1/p) int_0^1 u**(-1/p) T((1-z) u) du with
     the tail factor T that K_p integrates."""
     if z <= 0.6:
-        f = SingularIntegrand(
-            smooth_part=lambda s, cs: ((1 - (z * s) ** p) * (1 - (mu * z * s) ** p))
-            ** (-1.0 / p)
+        F = lambda lev, s, cs, rows: ((1 - (z * s) ** p) * (1 - (mu * z * s) ** p)) ** (
+            -1.0 / p
         )
-        return z * integrate_singular(f, tol=1e-14).value
+        return z * float(quad._tanh_sinh(F, 1.0, 1e-14)[0])
     e = 1.0 - z
-    f = SingularIntegrand(
-        smooth_part=lambda s, cs: el._tail_factor(e * s, p, *el._eps_mup(p, mu)),
-        left_exponent=-1.0 / p,
+    F = lambda lev, u, cu, rows: el._tail_factor(e * u, p, *el._eps_mup(p, mu))
+    return el.kp(p, mu) - e ** (1.0 - 1.0 / p) * float(
+        quad._tanh_sinh(F, 1.0 - 1.0 / p, 1e-14)[0]
     )
-    return el.kp(p, mu) - e ** (1.0 - 1.0 / p) * integrate_singular(f, tol=1e-14).value
 
 
 def test_wp_approximant_matches_quadrature():
@@ -260,13 +273,22 @@ def test_wp_close_to_p_one():
 
 def test_wp_and_snp_at_large_p():
     # the series length comes from p log 0.6, not from the log of 0.6**p,
-    # which underflows near p = 1460; at p = 1e4 the tail build refuses
-    for p in [1500.0, 5000.0, 1e4]:
+    # which underflows near p = 1460; the tail panels, which the inversion
+    # builds, resolve up to p = 1e6 since (1 - s**p) / (1 - s) is expanded
+    # about s = 1 only where p (1 - s) is small
+    for p in [1500.0, 5000.0, 7000.0, 1e4, 1e6]:
         assert el.wp(p, 0.5, 0.3) == 0.3
-    for p in [1500.0, 5000.0]:
         assert abs(el.snp(p, 0.5, 0.3) - 0.3) <= el._EPS
-    with pytest.raises(NonConvergence):
-        el.snp(1e4, 0.5, 0.3)
+
+
+def test_wp_at_large_p_matches_mpmath_near_one():
+    # near z = 1 the tail panels carry w_p; against 30-digit mpmath they
+    # are within 1.14 units of 2**-52 on this grid
+    for p in [7000.0, 1e5, 1e6]:
+        for z in [0.9999, 1.0 - 1e-6, 1.0 - 1e-9]:
+            ref = _mp_wp(p, 0.5, z)
+            units = float(abs(el.wp(p, 0.5, z) - ref) / ref) / el._EPS
+            assert units <= 1.5, (p, z, units)
 
 
 # near p = 1 and mu = 1, K_p is far larger than w_p; the tail form
@@ -307,6 +329,15 @@ def test_wp_and_snp_match_mpmath_across_the_joins(p, mu):
             s = Z - (ref - y) * ((1 - Z**P) * (1 - (M * Z) ** P)) ** (1 / P)
         got_s = el.snp(p, mu, y)
         assert abs(got_s - s) <= 1e-14 * s, (z, float((got_s - s) / s))
+
+
+def test_tail_build_refuses_panels_that_do_not_resolve(monkeypatch):
+    # no (p, mu) from p = 1.05 to 1e300 is known to build panels whose
+    # interpolants miss g; one panel over the whole tail at mu = 0.99,
+    # across the boundary layer, does, and the build refuses it
+    monkeypatch.setattr(el, "_tail_edges", lambda p, mu: np.array([0.0, 0.4 ** (1.0 / 3.0)]))
+    with pytest.raises(NonConvergence, match="do not resolve"):
+        el._SnpEngine(1.5, 0.99)._tail_panels()
 
 
 def test_tail_build_runs_no_quadrature(monkeypatch):
@@ -661,34 +692,20 @@ def test_jordan_inequality_grid():
             assert np.min(1.0 - ratios) >= -1e-10
 
 
-def test_jordan_margins_endpoints_and_domain():
-    p, mu = 2.0, 0.5
-    K = el.kp(p, mu)
-    lo, up = el.jordan_margins(p, mu, 1e-7)
-    assert up < 1e-9 and lo > 0.0
-    lo, up = el.jordan_margins(p, mu, K - 1e-7)
-    assert lo < 1e-6 and up > 0.0
-    lo, up = el.jordan_margins(2.0, 0.5, 0.8)
-    assert lo >= 0.0 and up >= 0.0
-    with pytest.raises(DomainError):
-        el.jordan_margins(p, mu, 0.0)
-    with pytest.raises(DomainError):
-        el.jordan_margins(p, mu, K + 0.1)
-
-
 def test_second_deriv_locally_l1_identity():
     # for p=3 the second derivative blows up at K_p yet stays integrable:
     # the integral of |sn_p''| over [K-eps, K+eps] telescopes to the sum of
     # |sn_p'| at the two edges.  Each half is computed in the z variable,
     # where |sn''|/|sn'| = s^{p-1} (A B)^{1/p-1} (B + mu^p A) with
-    # A = 1-s^p, B = 1-mu^p s^p, declared right exponent 1/p-1.
+    # A = 1-s^p, B = 1-mu^p s^p; with z = 1 - (1-z0) x its singular factor
+    # is x^(1/p-1), the driver's weight.
     p, mu, eps = 3.0, 0.5, 0.1
     K = el.kp(p, mu)
     z0 = el.snp(p, mu, K - eps)
     mup = mu**p
 
-    def smooth(sig, csig):
-        e = (1.0 - z0) * csig
+    def smooth(lev, x, cx, rows):
+        e = (1.0 - z0) * x
         s = 1.0 - e
         ratio = el._pow_ratio(e, p)
         A = ratio * e
@@ -700,10 +717,7 @@ def test_second_deriv_locally_l1_identity():
             * (B + mup * A)
         )
 
-    half = integrate_singular(
-        SingularIntegrand(smooth_part=smooth, right_exponent=1.0 / p - 1.0),
-        tol=1e-12,
-    ).value
+    half = float(quad._tanh_sinh(smooth, 1.0 / p, 1e-12)[0])
     edge = abs(el.snp_deriv(p, mu, K - eps))
     # both halves equal the edge slope magnitude by symmetry about K
     assert abs(half - edge) < 1e-8

@@ -141,7 +141,7 @@ def _tau_k_by_inversion(p, mu, ks):
         b = el.snp(p, mu, K * (1.0 + u))
         return a * np.sin(kh[rows] * u) + b * np.sin(kh[rows] * (1.0 + u))
 
-    return math.sqrt(2.0) * 0.5 * quad._tanh_sinh(F, 1.0, 1.0, 1e-11)[0]
+    return math.sqrt(2.0) * 0.5 * quad._tanh_sinh(F, 1.0, 1e-11)[0]
 
 
 def test_tau_k_matches_snp_inversion_route():
@@ -344,19 +344,21 @@ def test_g_eval_basics():
     assert abs(fr.g_eval(q, 0.5) - direct) < 1e-14
     with pytest.raises(DomainError):
         fr.g_eval(1.0, 0.3)
-    with pytest.raises(DomainError):
-        fr.g_eval(0.5, 0.3, 0)
     for x in (math.nan, math.inf):
         with pytest.raises(DomainError):
             fr.g_eval(0.5, x)
 
 
 def test_g_tail_bound_controls_truncation():
-    for q in (0.3, 0.7):
+    # g_eval sums 200 terms; the rest is at most sqrt(2) q^200 / (1 - q^401),
+    # which only nomes near 1 make larger than the rounding
+    js = np.arange(4000)
+    for q in (0.9, 0.95, 0.98):
+        bound = math.sqrt(2.0) * q**200 / (1.0 - q**401)
         for x in (0.21, 0.77):
-            coarse = fr.g_eval(q, x, 10)
-            fine = fr.g_eval(q, x, 400)
-            assert abs(coarse - fine) <= fr.g_tail_bound(q, 10)
+            terms = q**js / (1.0 - q ** (2 * js + 1)) * np.sin((2 * js + 1) * math.pi * x)
+            full = (1.0 - q) * math.sqrt(2.0) * math.fsum(terms)
+            assert abs(fr.g_eval(q, x) - full) <= bound + 1e-14
 
 
 def test_eigenfunction_reconstruction_scale():

@@ -49,23 +49,22 @@ def test_agm_sn_domain():
 
 
 def test_theta_constants_at_zero():
-    tc = qt.theta_constants(0.0)
-    assert tc.theta2 == 0.0 and tc.theta3 == 1.0
+    assert qt._theta_sums(0.0) == (0.0, 1.0, 1.0)
 
 
 def test_theta_constants_series_value():
-    tc = qt.theta_constants(0.1)
-    assert abs(tc.theta3 - 1.2002000020000003) < 1e-12
-    assert tc.theta2 >= 0.0 and tc.theta3 >= 1.0 and tc.terms_used > 0
+    theta2, theta3, theta4 = qt._theta_sums(0.1)
+    assert abs(theta3 - 1.2002000020000003) < 1e-12
+    assert abs(theta4 - 0.8001999980000002) < 1e-12
+    assert theta2 >= 0.0
 
 
 def test_theta_constants_rejects_slow_zone():
-    with pytest.raises(DomainError):
-        qt.theta_constants(1.0)
-    with pytest.raises(DomainError):
-        qt.theta_constants(0.995)
-    with pytest.raises(DomainError):
-        qt.theta_constants(-0.1)
+    # the theta series are summed only behind modulus_from_nome, which
+    # refuses the slow zone
+    for q in (1.0, 0.995, -0.1):
+        with pytest.raises(DomainError):
+            qt.modulus_from_nome(q)
 
 
 def test_modulus_from_nome_endpoints_and_growth():
@@ -85,15 +84,17 @@ def test_theta_constants_and_modulus_match_mpmath():
     qs = [0.98 * (1.0 - rng.random()) for _ in range(400)] + [qt.solve_q0(1e-12)]
     with mpmath.workdps(40):
         for q in qs:
-            tc = qt.theta_constants(q)
+            theta2, theta3, theta4 = qt._theta_sums(q)
             t2, t3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
-            assert abs(tc.theta2 - t2) <= 1e-15 * t2
-            assert abs(tc.theta3 - t3) <= 1e-15 * t3
+            t4 = mpmath.jtheta(4, 0, q)
+            assert abs(theta2 - t2) <= 1e-15 * t2
+            assert abs(theta3 - t3) <= 1e-15 * t3
+            assert abs(theta4 - t4) <= 1e-15 * t3
             mu = (t2 / t3) ** 2
             if float(mu) == 1.0:
                 continue  # nextafter(1, 0) is returned there by design
             ulps = abs(qt.modulus_from_nome(q) - mu) / np.spacing(float(mu))
-            assert ulps <= (8.0 if tc.theta2 / tc.theta3 < 0.95 else 1.0), q
+            assert ulps <= (8.0 if theta2 / theta3 < 0.95 else 1.0), q
 
 
 def test_modulus_at_q0_nearly_one():

@@ -8,58 +8,47 @@ from scipy.optimize import brentq
 
 from pelliptic.certify import FIRSTCOND_RHS
 from pelliptic.elliptic import kp
-from pelliptic.quadrature import (
-    _BLOCK_LEVEL,
-    QuadratureResult,
-    SingularIntegrand,
-    _tanh_sinh,
-    _ts_nodes,
-    bracketed_root,
-    integrate_singular,
-)
-from pelliptic.errors import (
-    DomainError,
-    InvalidExponent,
-    MaxIterations,
-    NonConvergence,
-    NoSignChange,
-)
+from pelliptic.quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_nodes, bracketed_root
+from pelliptic.errors import DomainError, MaxIterations, NonConvergence, NoSignChange
 
 TOL = 1e-12
 
 
-def const_one(s, cs):
-    return np.ones_like(s)
+def integrate(f, ea=1.0, tol=TOL):
+    """(value, abs_error_estimate, nodes_used) of f(x, cx) x**(ea-1) over
+    [0, 1], cx the exact 1-x, as one row of the driver."""
+    value, err, nodes = _tanh_sinh(lambda lev, x, cx, rows: f(x, cx), ea, tol)
+    return float(value), float(err), nodes
+
+
+def const_one(x, cx):
+    return np.ones_like(x)
 
 
 def test_integrates_constant():
-    r = integrate_singular(SingularIntegrand(smooth_part=const_one), tol=TOL)
-    assert abs(r.value - 1.0) <= TOL
-    assert r.abs_error_estimate <= TOL
-    assert r.nodes_used > 0
+    value, err, nodes = integrate(const_one)
+    assert abs(value - 1.0) <= TOL
+    assert err <= TOL
+    assert nodes > 0
 
 
 def test_inverse_sqrt_right_endpoint():
-    # integral of (1-s)^(-1/2) is 2, antiderivative -2 sqrt(1-s)
-    f = SingularIntegrand(smooth_part=const_one, right_exponent=-0.5)
-    r = integrate_singular(f, tol=TOL)
-    assert abs(r.value - 2.0) <= TOL
+    # integral of (1-x)^(-1/2) is 2, whether F carries it at the exact
+    # complement or the weight carries its mirror image x^(-1/2)
+    assert abs(integrate(lambda x, cx: cx**-0.5)[0] - 2.0) <= TOL
+    assert abs(integrate(const_one, ea=0.5)[0] - 2.0) <= TOL
 
 
 def test_arcsin_integrand():
-    # (1-s^2)^(-1/2) = (1+s)^(-1/2) * (1-s)^(-1/2); value arcsin(1) = pi/2
-    f = SingularIntegrand(
-        smooth_part=lambda s, cs: (1.0 + s) ** -0.5, right_exponent=-0.5
-    )
-    r = integrate_singular(f, tol=TOL)
-    assert abs(r.value - math.pi / 2.0) <= TOL
+    # (1-s^2)^(-1/2) = (1+s)^(-1/2) * (1-s)^(-1/2), taken at s = 1-x;
+    # value arcsin(1) = pi/2
+    value = integrate(lambda x, cx: (1.0 + cx) ** -0.5, ea=0.5)[0]
+    assert abs(value - math.pi / 2.0) <= TOL
 
 
 def test_left_endpoint_singularity():
-    # s^(-1/3): exact integral 3/2
-    f = SingularIntegrand(smooth_part=const_one, left_exponent=-1.0 / 3.0)
-    r = integrate_singular(f, tol=TOL)
-    assert abs(r.value - 1.5) <= TOL
+    # x^(-1/3): exact integral 3/2
+    assert abs(integrate(const_one, ea=2.0 / 3.0)[0] - 1.5) <= TOL
 
 
 def test_polynomials_up_to_degree_ten():
@@ -72,24 +61,21 @@ def test_polynomials_up_to_degree_ten():
     for cs_list in coeff_sets:
         exact = math.fsum(c / (j + 1.0) for j, c in enumerate(cs_list))
 
-        def poly(s, cs, c=tuple(cs_list)):
-            out = np.zeros_like(s)
+        def poly(x, cx, c=tuple(cs_list)):
+            out = np.zeros_like(x)
             for coef in reversed(c):
-                out = out * s + coef
+                out = out * x + coef
             return out
 
-        r = integrate_singular(SingularIntegrand(smooth_part=poly), tol=TOL)
-        assert abs(r.value - exact) <= 10.0 * TOL
+        assert abs(integrate(poly)[0] - exact) <= 10.0 * TOL
 
 
 def test_estimate_monotone_under_tol_halving():
-    f = SingularIntegrand(
-        smooth_part=lambda s, cs: np.exp(s), right_exponent=-0.25
-    )
+    f = lambda x, cx: np.exp(cx)
     tols = [1e-6, 5e-7, 2.5e-7, 1e-9, 1e-12]
     prev = math.inf
     for t in tols:
-        est = integrate_singular(f, tol=t).abs_error_estimate
+        est = integrate(f, ea=0.75, tol=t)[1]
         assert est <= prev + 1e-300
         prev = est
 
@@ -98,67 +84,29 @@ def test_estimate_not_below_rounding():
     # a polynomial is integrated exactly after a few levels, so the level
     # differences vanish; the estimate must still cover the rounding of
     # the value itself
-    f = SingularIntegrand(smooth_part=lambda s, cs: 1.0 - 2.0 * s + 3.0 * s * s)
-    r = integrate_singular(f, tol=1e-13)
-    assert r.abs_error_estimate >= np.spacing(abs(r.value))
-    assert r.abs_error_estimate <= 1e-13
+    value, err, _ = integrate(lambda x, cx: 1.0 - 2.0 * x + 3.0 * x * x, tol=1e-13)
+    assert err >= np.spacing(abs(value))
+    assert err <= 1e-13
 
 
 def test_deterministic_bit_identical():
-    f = SingularIntegrand(
-        smooth_part=lambda s, cs: np.cos(3.0 * s), right_exponent=-0.5
-    )
-    a = integrate_singular(f, tol=1e-13)
-    b = integrate_singular(f, tol=1e-13)
-    assert a == b
-    assert isinstance(a, QuadratureResult)
-
-
-def test_scalar_only_smooth_part_fallback():
-    f = SingularIntegrand(smooth_part=lambda s, cs: math.exp(-s))
-    r = integrate_singular(f, tol=1e-11)
-    assert abs(r.value - (1.0 - math.exp(-1.0))) <= 1e-11
-    # one that takes the node arrays but returns one scalar is evaluated
-    # point by point too
-    r = integrate_singular(SingularIntegrand(smooth_part=lambda s, cs: 1.0))
-    assert abs(r.value - 1.0) <= 1e-12
-
-
-def test_every_level_holds_several_nodes():
-    # the scalar-only fallback relies on this: a size-1 node array would be
-    # converted to a float by a scalar callable instead of raising TypeError
-    assert all(np.diff(_ts_nodes()[3]) > 1)
+    f = lambda x, cx: np.cos(3.0 * cx)
+    assert integrate(f, ea=0.5, tol=1e-13) == integrate(f, ea=0.5, tol=1e-13)
 
 
 def test_complement_argument_is_exact_near_one():
-    # integrand with a 1e-18-wide boundary layer at s=1; reconstructing 1-s
-    # by subtraction would quantize the layer away entirely
-    delta = 1e-18
-    f = SingularIntegrand(
-        smooth_part=lambda s, cs: delta / (delta + cs), right_exponent=-0.5
-    )
-    r = integrate_singular(f, tol=1e-12)
-    # exact: integral of delta/(delta+u) u^{-1/2} du over (0,1) with u = 1-s,
-    # = 2 sqrt(delta) atan(1/sqrt(delta)) for small delta -> pi sqrt(delta)
-    exact = math.pi * math.sqrt(delta)
-    assert abs(r.value - exact) / exact < 1e-9
-
-
-def test_invalid_exponents_rejected():
-    with pytest.raises(InvalidExponent):
-        SingularIntegrand(smooth_part=const_one, left_exponent=-1.0)
-    with pytest.raises(InvalidExponent):
-        SingularIntegrand(smooth_part=const_one, right_exponent=-1.5)
-    with pytest.raises(InvalidExponent):
-        SingularIntegrand(smooth_part=const_one, left_exponent=0.5)
+    # 1/(d + (1-x)) has a d-wide boundary layer at x = 1; its integral is
+    # log1p(1/d).  The exact complement cx resolves it to the last bit,
+    # while 1 - x, quantized to about 1e-16 there, leaves it unresolved
+    for d, level in [(1e-18, 7), (1e-30, 8)]:
+        value, _, nodes = integrate(lambda x, cx: 1.0 / (d + cx))
+        assert value == math.log1p(1.0 / d)
+        assert nodes == _ts_nodes()[3][level + 1]
+        with pytest.raises(NonConvergence):
+            integrate(lambda x, cx: 1.0 / (d + (1.0 - x)))
 
 
 def test_bad_tol_rejected():
-    f = SingularIntegrand(smooth_part=const_one)
-    with pytest.raises(DomainError):
-        integrate_singular(f, tol=1e-15)
-    with pytest.raises(DomainError):
-        integrate_singular(f, tol=-1.0)
     # bracketed_root: an infinite end or tol is rejected before g runs
     calls = []
 
@@ -174,14 +122,10 @@ def test_bad_tol_rejected():
 
 
 def test_nonconvergence_on_interior_kink():
-    # |s - 1/3|^0.1 has an interior kink the node doubling cannot resolve
+    # |x - 1/3|^0.1 has an interior kink the node doubling cannot resolve
     # to 1e-12 within the fixed level budget
-    f = SingularIntegrand(smooth_part=lambda s, cs: np.abs(s - 1.0 / 3.0) ** 0.1)
     with pytest.raises(NonConvergence):
-        integrate_singular(f, tol=1e-12)
-
-
-# -- bracketed_root -----------------------------------------------------------
+        integrate(lambda x, cx: np.abs(x - 1.0 / 3.0) ** 0.1)
 
 
 def test_truncation_above_target_raises_at_once():
@@ -197,7 +141,7 @@ def test_truncation_above_target_raises_at_once():
         return np.ones_like(x)
 
     with pytest.raises(NonConvergence, match="after 49 nodes"):
-        _tanh_sinh(F, 0.04, 1.0, 1e-14)
+        _tanh_sinh(F, 0.04, 1e-14)
     assert levels == [_BLOCK_LEVEL]
 
 
@@ -212,7 +156,7 @@ def test_first_call_is_the_block_of_levels_0_to_4():
         calls.append((lev, x, cx, rows))
         return 1.0 / (1.0 + c[rows] * x)
 
-    _tanh_sinh(F, 1.0, 1.0, 1e-13)
+    _tanh_sinh(F, 1.0, 1e-13)
     lev, x, cx, rows = calls[0]
     assert _BLOCK_LEVEL == 4 and lev == 4
     assert rows == slice(None)
@@ -227,27 +171,27 @@ def test_first_call_is_the_block_of_levels_0_to_4():
 
 
 def test_column_exponent_rows_match_rows_computed_alone():
-    # rows of one (rows, 1) column of integrands under one right exponent
-    # stop at different levels; each keeps the exact bits it has when
-    # computed alone
+    # rows of one (rows, 1) column of integrands under one exponent stop at
+    # different levels; each keeps the exact bits it has when computed
+    # alone
     c = np.array([0.0, 0.5, 3.0, 900.0])[:, None]
-    F = lambda lev, x, cx, rows: 1.0 / (1.0 + c[rows] * x)
-    value, err, _ = _tanh_sinh(F, 1.0, 0.5, 1e-13)
+    F = lambda lev, x, cx, rows: 1.0 / (1.0 + c[rows] * cx)
+    value, err, _ = _tanh_sinh(F, 0.5, 1e-13)
     assert value.shape == err.shape == (4,)
     for i in range(4):
         ci = float(c[i, 0])
-        Fi = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
-        v, e, _ = _tanh_sinh(Fi, 1.0, 0.5, 1e-13)
+        Fi = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * cx)
+        v, e, _ = _tanh_sinh(Fi, 0.5, 1e-13)
         assert value[i] == v and err[i] == e
-    # the constant row: integral of (1-s)**(-1/2) = 2
+    # the constant row: integral of x**(-1/2) = 2
     assert abs(value[0] - 2.0) < 1e-13
 
 
 def _stop_level(ci):
-    """Level at which one row 1 / (1 + ci x), with right exponent 1/2,
-    stops when computed alone, read off the nodes its stop test used."""
-    F = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x)
-    nodes = _tanh_sinh(F, 1.0, 0.5, 1e-13)[2]
+    """Level at which one row 1 / (1 + ci (1-x)) x**(-1/2) stops when
+    computed alone, read off the nodes its stop test used."""
+    F = lambda lev, x, cx, rows: 1.0 / (1.0 + ci * cx)
+    nodes = _tanh_sinh(F, 0.5, 1e-13)[2]
     return _ts_nodes()[3].index(nodes) - 1
 
 
@@ -261,9 +205,9 @@ def test_live_rows_shrink_and_stopped_rows_never_return():
     def F(lev, x, cx, rows):
         live = np.arange(c.shape[0])[rows]
         seen.append((lev, live))
-        return 1.0 / (1.0 + c[rows] * x)
+        return 1.0 / (1.0 + c[rows] * cx)
 
-    _tanh_sinh(F, 1.0, 0.5, 1e-13)
+    _tanh_sinh(F, 0.5, 1e-13)
     assert seen[0][0] == _BLOCK_LEVEL
     assert np.array_equal(seen[0][1], np.arange(c.shape[0]))
     for (_, before), (_, after) in zip(seen, seen[1:]):
@@ -295,19 +239,18 @@ def test_rows_stopping_at_levels_2_to_7_match_rows_computed_alone():
     # the block decides levels 2-4 for every row at once, the levels after
     # it one at a time: each row keeps the value and estimate it has alone,
     # and the batch reports the nodes of its slowest row.  The rows are
-    # boundary layers a d / (d + (1-x)), given as (a, d), under right
-    # exponent 1/2
+    # boundary layers a d / (d + x), given as (a, d), times x**(-1/2)
     cuts = _ts_nodes()[3]
     rows = np.array(
         [[1e-12, 1e-2], [1e-8, 1e-2], [1e-2, 1e-2], [1.0, 1e-2], [1.0, 1e-6], [1e2, 1e-12]]
     )
     a, d = rows[:, :1], rows[:, 1:]
     value, err, nodes = _tanh_sinh(
-        lambda lev, x, cx, live: a[live] * d[live] / (d[live] + cx), 1.0, 0.5, 1e-13
+        lambda lev, x, cx, live: a[live] * d[live] / (d[live] + x), 0.5, 1e-13
     )
     stops = []
     for i, (ai, di) in enumerate(rows.tolist()):
-        v, e, n = _tanh_sinh(lambda lev, x, cx, live: ai * di / (di + cx), 1.0, 0.5, 1e-13)
+        v, e, n = _tanh_sinh(lambda lev, x, cx, live: ai * di / (di + x), 0.5, 1e-13)
         assert value[i].tobytes() == v.tobytes() and err[i].tobytes() == e.tobytes()
         stops.append(cuts.index(n) - 1)
     assert stops == [2, 3, 4, 5, 6, 7]
@@ -334,12 +277,12 @@ def test_level_2_truncation_failure_in_one_row_raises():
         "2.438e-05 above tol 1.000e-13"
     )
     with pytest.raises(NonConvergence) as info:
-        _tanh_sinh(F, 1.0, 1.0, 1e-13)
+        _tanh_sinh(F, 1.0, 1e-13)
     assert str(info.value) == want
     assert levels == [_BLOCK_LEVEL]
     # the passing rows alone stop inside the block
     for ci in (0.0, 3.0):
-        nodes = _tanh_sinh(lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x), 1.0, 1.0, 1e-13)[2]
+        nodes = _tanh_sinh(lambda lev, x, cx, rows: 1.0 / (1.0 + ci * x), 1.0, 1e-13)[2]
         assert nodes <= _ts_nodes()[3][_BLOCK_LEVEL + 1]
 
 
@@ -361,11 +304,14 @@ def test_row_still_live_at_level_11_raises():
         "1.104e-05 above tol 1.000e-12"
     )
     with pytest.raises(NonConvergence) as info:
-        _tanh_sinh(F, 1.0, 1.0, 1e-12)
+        _tanh_sinh(F, 1.0, 1e-12)
     assert str(info.value) == want
     assert seen == [(_BLOCK_LEVEL, [0, 1, 2])] + [
         (lev, [2]) for lev in range(_BLOCK_LEVEL + 1, 12)
     ]
+
+
+# -- bracketed_root -----------------------------------------------------------
 
 
 def test_root_zero_at_lo_evaluates_g_once():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import pelliptic.certify as ct
+import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
 import pelliptic.quadrature as quad
@@ -43,6 +44,24 @@ TAU_LONG_PAIRS = [(2.0, 0.5), (1.5, 0.9)]
 # one batch with p repeated in rows that are not adjacent
 REPEAT_P = [1.3, 2.5, 1.3, 4.0, 2.5, 1.3, 4.0, 2.5]
 REPEAT_MU = [0.2, 0.9, 0.999999, 0.5, 0.0, 0.95, 1.0 - 1e-12, 0.6]
+# sn_p paths the pairs above miss: at mu = 0, w_p' has B = 1; at p = 1.5,
+# mu = 0.99 the start takes a second Newton pass at small and large z
+# (fractions 0.002, 0.05 and 0.895 of K_p) and one in between
+MU0_PAIR = (2.5, 0.0)
+SECOND_PASS_PAIR = (1.5, 0.99)
+SECOND_PASS_FRACTIONS = [0.002, 0.05, 0.5, 0.895, 0.97]
+# y at the fold's endpoints, 0, K_p, 2 K_p and 4 K_p exactly, and one ulp
+# below K_p, which the fold snaps to K_p
+ENDPOINT_PAIRS = [(2.0, 0.5), MU0_PAIR, SECOND_PASS_PAIR]
+# one array that every point leaves on its first Newton pass, and one
+# that holds both endpoints of [0, K_p] after the fold
+FIRST_PASS_FRACTIONS = [0.1, 0.45, 0.77, 1.6, -0.3]
+BOTH_ENDS_FRACTIONS = [0.0, 0.3, 1.0, 0.7, 2.0, -1.0]
+# snp_value across several periods: (value, period index) per y
+PERIOD_FRACTIONS = [-9.2, -4.0, -0.5, 0.0, 3.99, 4.0, 9.2]
+# eigenpairs (p, mu, n) whose residual maxima on the 101-point grid of
+# the pipeline_cold benchmark are pinned
+RESIDUAL_CASES = [(2.0, 0.5, 1), (3.5, 0.9, 2), (1.5, 0.99, 1), (2.5, 0.3, 3)]
 # one row of the tanh-sinh driver, F x**(ea-1), at stop levels 2, 3, 4
 # and later: F is (name, F(x, cx), ea, tol).  The ea = 0.5 rows are the
 # pins first recorded as (1-s)**(-1/2) times F(s), mirrored to the left
@@ -71,6 +90,38 @@ def compute() -> dict:
         out[f"snp_second_deriv_many {key}"] = el.snp_second_deriv(p, mu, y).tolist()
         out[f"snp {key}"] = [el.snp(p, mu, float(v)) for v in y]
         out[f"wp {key}"] = [el.wp(p, mu, 0.6), el.wp(p, mu, math.nextafter(0.6, 1.0))]
+    for p, mu in (MU0_PAIR, SECOND_PASS_PAIR):
+        K = el.kp(p, mu)
+        key = f"{p!r},{mu!r}"
+        fractions = FRACTIONS if mu == 0.0 else SECOND_PASS_FRACTIONS
+        y = np.array(fractions) * K
+        out[f"snp array {key}"] = el.snp(p, mu, y).tolist()
+        out[f"snp_deriv array {key}"] = el.snp_deriv(p, mu, y).tolist()
+        out[f"snp_second_deriv array {key}"] = el.snp_second_deriv(p, mu, y).tolist()
+        out[f"snp {key}"] = [el.snp(p, mu, float(v)) for v in y]
+    for p, mu in ENDPOINT_PAIRS:
+        K = el.kp(p, mu)
+        key = f"{p!r},{mu!r}"
+        ends = [0.0, K, 2.0 * K, 4.0 * K, math.nextafter(K, 0.0)]
+        out[f"snp endpoints {key}"] = [el.snp(p, mu, v) for v in ends]
+        out[f"snp_deriv endpoints {key}"] = [el.snp_deriv(p, mu, v) for v in ends]
+        out[f"snp first pass {key}"] = el.snp(
+            p, mu, np.array(FIRST_PASS_FRACTIONS) * K
+        ).tolist()
+        out[f"snp both ends {key}"] = el.snp(
+            p, mu, np.array(BOTH_ENDS_FRACTIONS) * K
+        ).tolist()
+        values = [el.snp_value(p, mu, f * K) for f in PERIOD_FRACTIONS]
+        out[f"snp_value {key}"] = [
+            x for v in values for x in (v.value, float(v.branch_period_index))
+        ]
+    grid = np.linspace(0.0, 1.0, 101)
+    for p, mu, n in RESIDUAL_CASES:
+        e = eg.eigenpair(p, mu, n)
+        out[f"residual maxima {p!r},{mu!r},{n}"] = [
+            eg.first_integral_residual(e, grid).max_abs_residual,
+            eg.ode_residual(e, grid).max_abs_residual,
+        ]
     for p, mu in TAU_PAIRS:
         out[f"tau_k {p!r},{mu!r}"] = fr.tau_k(p, mu, np.arange(1, 22)).tolist()
     P, M = np.meshgrid(TILE_P, TILE_MU, indexing="ij")
@@ -209,6 +260,29 @@ EXPECTED = {
         "0x1.0000000000000p-52",
         "0x1.8400000000000p+6",
     ],
+    "residual maxima 1.5,0.99,1": [
+        "0x1.0000000000000p-37",
+        "0x1.8000000000000p-42",
+    ],
+    "residual maxima 2.0,0.5,1": [
+        "0x1.8000000000000p-46",
+        "0x1.8000000000000p-47",
+    ],
+    "residual maxima 2.5,0.3,3": [
+        "0x1.4000000000000p-39",
+        "0x1.2000000000000p-40",
+    ],
+    "residual maxima 3.5,0.9,2": [
+        "0x1.4000000000000p-34",
+        "0x1.4000000000000p-35",
+    ],
+    "snp 1.5,0.99": [
+        "0x1.a901b7498c5aep-6",
+        "0x1.0670d81df42dap-1",
+        "0x1.fc93cf7696d31p-1",
+        "0x1.fff9c48f00b22p-1",
+        "0x1.ffffdadf96b59p-1",
+    ],
     "snp 1.5,0.999999": [
         "-0x1.ffff35dee088fp-1",
         "0x1.ff6af502c6490p-1",
@@ -231,6 +305,17 @@ EXPECTED = {
         "-0x1.eb7ca1c2f4ffap-2",
         "0x1.ea20fcc4690b1p-1",
     ],
+    "snp 2.5,0.0": [
+        "-0x1.914fee30901e5p-2",
+        "0x1.0e91a08aeac26p-4",
+        "0x1.eb0a76da967d5p-2",
+        "0x1.d4e3a957375bep-1",
+        "0x1.fffe5c45e64ddp-1",
+        "0x1.ac8ece6ca88c8p-1",
+        "-0x1.7bc86b33a17abp-1",
+        "-0x1.914fee30901ddp-2",
+        "0x1.d4e3a957375c0p-1",
+    ],
     "snp 2.5,0.9999999999999999": [
         "-0x1.71dfc55e017e1p-1",
         "0x1.1785d669c3db9p-3",
@@ -252,6 +337,129 @@ EXPECTED = {
         "-0x1.708527183f424p-1",
         "-0x1.7d8e90a6a6254p-2",
         "0x1.cd07c583de2b4p-1",
+    ],
+    "snp array 1.5,0.99": [
+        "0x1.a901b7498c5aep-6",
+        "0x1.0670d81df42dap-1",
+        "0x1.fc93cf7696d31p-1",
+        "0x1.fff9c48f00b22p-1",
+        "0x1.ffffdadf96b59p-1",
+    ],
+    "snp array 2.5,0.0": [
+        "-0x1.914fee30901e5p-2",
+        "0x1.0e91a08aeac26p-4",
+        "0x1.eb0a76da967d5p-2",
+        "0x1.d4e3a957375bep-1",
+        "0x1.fffe5c45e64ddp-1",
+        "0x1.ac8ece6ca88c8p-1",
+        "-0x1.7bc86b33a17abp-1",
+        "-0x1.914fee30901ddp-2",
+        "0x1.d4e3a957375c0p-1",
+    ],
+    "snp both ends 1.5,0.99": [
+        "0x0.0p+0",
+        "0x1.efd9adf7f46cap-1",
+        "0x1.0000000000000p+0",
+        "0x1.ff66c3cc4b54cp-1",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+    ],
+    "snp both ends 2.0,0.5": [
+        "0x0.0p+0",
+        "0x1.eb7ca1c2f5004p-2",
+        "0x1.0000000000000p+0",
+        "0x1.ceb11bccaf9f8p-1",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+    ],
+    "snp both ends 2.5,0.0": [
+        "0x0.0p+0",
+        "0x1.914fee30901e7p-2",
+        "0x1.0000000000000p+0",
+        "0x1.ac8ece6ca88c8p-1",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+    ],
+    "snp endpoints 1.5,0.99": [
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+    ],
+    "snp endpoints 2.0,0.5": [
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+    ],
+    "snp endpoints 2.5,0.0": [
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+    ],
+    "snp first pass 1.5,0.99": [
+        "0x1.83370056a6155p-1",
+        "0x1.fafde8fd54ddcp-1",
+        "0x1.ffbd0484a3c90p-1",
+        "0x1.f8ae538314c1dp-1",
+        "-0x1.efd9adf7f46cap-1",
+    ],
+    "snp first pass 2.0,0.5": [
+        "0x1.573550c6cff67p-3",
+        "0x1.5a28b3ccbcfe1p-1",
+        "0x1.e30efac8f8dd9p-1",
+        "0x1.3affb8b93461ap-1",
+        "-0x1.eb7ca1c2f5008p-2",
+    ],
+    "snp first pass 2.5,0.0": [
+        "0x1.0e684371af5cap-3",
+        "0x1.26eb67a0b3aedp-1",
+        "0x1.c9cf09b150c5fp-1",
+        "0x1.084fb5de0d1c5p-1",
+        "-0x1.914fee30901edp-2",
+    ],
+    "snp_deriv array 1.5,0.99": [
+        "0x1.fd2bd025b69d8p-1",
+        "0x1.17e4f0361de83p-1",
+        "0x1.0307f199fd2e4p-8",
+        "0x1.b75e62247a0e2p-14",
+        "0x1.1da0c39c569edp-17",
+    ],
+    "snp_deriv array 2.5,0.0": [
+        "-0x1.ebb58566671f3p-1",
+        "0x1.ffc52e93396c2p-1",
+        "0x1.ddaebbcfce4ffp-1",
+        "0x1.0b8cf5aa1ef24p-1",
+        "0x1.028321c17af7ep-6",
+        "-0x1.53df08def6626p-1",
+        "-0x1.8c026f5cab109p-1",
+        "0x1.ebb58566671f4p-1",
+        "-0x1.0b8cf5aa1ef20p-1",
+    ],
+    "snp_deriv endpoints 1.5,0.99": [
+        "0x1.0000000000000p+0",
+        "-0x0.0p+0",
+        "-0x1.0000000000000p+0",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+    ],
+    "snp_deriv endpoints 2.0,0.5": [
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+        "0x1.0000000000000p+0",
+        "-0x0.0p+0",
+    ],
+    "snp_deriv endpoints 2.5,0.0": [
+        "0x1.0000000000000p+0",
+        "-0x0.0p+0",
+        "-0x1.0000000000000p+0",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
     ],
     "snp_deriv_many 1.5,0.999999": [
         "-0x1.bfbcc218fbe95p-23",
@@ -341,6 +549,24 @@ EXPECTED = {
         "-0x1.7d8e90a6a6254p-2",
         "0x1.cd07c583de2b4p-1",
     ],
+    "snp_second_deriv array 1.5,0.99": [
+        "-0x1.451fbc699d12dp-2",
+        "-0x1.560d6b69155c0p-1",
+        "-0x1.1cd96426d3280p-9",
+        "-0x1.442a2e988fba5p-13",
+        "-0x1.6e477dab93e03p-15",
+    ],
+    "snp_second_deriv array 2.5,0.0": [
+        "0x1.005ccc3e1cea3p-2",
+        "-0x1.16394750328c3p-6",
+        "-0x1.600a312a620ecp-2",
+        "-0x1.365d65c67f18ep+0",
+        "-0x1.fd7f1dab96a83p+2",
+        "-0x1.e13c173746c5ap-1",
+        "0x1.73ebaed6fea81p-1",
+        "0x1.005ccc3e1ce9cp-2",
+        "-0x1.365d65c67f192p+0",
+    ],
     "snp_second_deriv_many 1.5,0.999999": [
         "0x1.330f8bc31e853p-27",
         "-0x1.9863269c327d1p-15",
@@ -384,6 +610,54 @@ EXPECTED = {
         "0x1.713a2c83ff884p-1",
         "0x1.24bf9338693d9p-3",
         "-0x1.3cc8ccd42b5c4p+0",
+    ],
+    "snp_value 1.5,0.99": [
+        "-0x1.ffd454799f218p-1",
+        "-0x1.8000000000000p+1",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+        "-0x1.fc93cf7696d31p-1",
+        "-0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "-0x1.03cb5d21a0d96p-3",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+        "0x1.ffd454799f218p-1",
+        "0x1.0000000000000p+1",
+    ],
+    "snp_value 2.0,0.5": [
+        "-0x1.ea20fcc4690b5p-1",
+        "-0x1.8000000000000p+1",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+        "-0x1.76cf5d0b09954p-1",
+        "-0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "-0x1.142d4f0ca1ad6p-6",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+        "0x1.ea20fcc4690b1p-1",
+        "0x1.0000000000000p+1",
+    ],
+    "snp_value 2.5,0.0": [
+        "-0x1.d4e3a957375bcp-1",
+        "-0x1.8000000000000p+1",
+        "0x0.0p+0",
+        "-0x1.0000000000000p+0",
+        "-0x1.447dce23965efp-1",
+        "-0x1.0000000000000p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "-0x1.b0f6f5cb87fb8p-7",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+0",
+        "0x1.d4e3a957375c0p-1",
+        "0x1.0000000000000p+1",
     ],
     "tau_k 1..201 1.5,0.9": [
         "0x1.b2eb20524786ep-1",

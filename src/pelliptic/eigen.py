@@ -42,7 +42,8 @@ import numpy as np
 
 from .elliptic import _fold, kp, snp
 from .errors import DomainError, GridTooCoarse, SingularPoint
-from .errors import _check_finite, _check_int, _check_sign, _validate_pmu
+from .errors import _check_finite, _check_int, _check_interval, _check_sign
+from .errors import _validate_pmu
 
 __all__ = [
     "EigenPair",
@@ -135,7 +136,9 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
 
 
 def eigenfunction_eval(e: EigenPair, x: float) -> float:
-    """phi(x) = sign * amplitude * sn_p(2 n K_p x, mu), any real x."""
+    """phi(x) = sign * amplitude * sn_p(2 n K_p x, mu), any real x.  A NaN
+    or infinite x raises :class:`DomainError` naming x."""
+    _check_interval("x", x, -math.inf, math.inf, "()")
     y = 2.0 * e.n * kp(e.p, e.mu) * x
     return e.sign * e.amplitude * snp(e.p, e.mu, y)
 

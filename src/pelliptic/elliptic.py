@@ -52,17 +52,24 @@ K_p is far larger, near p = 1 and mu = 1; the build runs no quadrature,
 and raises NonConvergence for p < 1.05 and where a panel's interpolant
 does not resolve g.
 The engine tabulates w_p, and the slope dv/dw of v = (1-z)**(1-1/p), at
-96 nodes evenly spaced in v and at the panel edges.  Every point starts
-inside its table bracket, from v interpolated in w by cubic Hermite, and
-stops once the Newton step's curvature miss, step**2 G' / (2 G) with
-G = w_p' bounded at the far end of the step, is below 0.05 eps z, or the
-step is at most an ulp of z; so almost every point stops after one
-Newton pass.  That step is taken (clipped into the bracket) before the
-safeguard could swap it for a midpoint, so converged points never fall
-through to bisection.  snp, snp_deriv and snp_second_deriv take y as a
-float or an array and run that one path on it; the approximant is
-evaluated row by row, so each element of an array call has the bits of
-the float call at the same y.
+96 nodes evenly spaced in v and at the panel edges, as one row per
+bracket that holds the differences a start needs, so a start is one
+searchsorted and one gather.  Every point starts inside its table
+bracket, from v interpolated in w by cubic Hermite, and stops once the
+Newton step's curvature miss, step**2 G' / (2 G) with G = w_p' bounded
+at the far end of the step, is below 0.05 eps z, or the step is at most
+an ulp of z; so almost every point stops after one Newton pass.  That
+step is taken (clipped into the bracket) before the safeguard could swap
+it for a midpoint, so converged points never fall through to bisection,
+and a pass in which every point stops returns its clipped steps at once.
+snp, snp_deriv and snp_second_deriv take y as a float or an array and
+run that one path on it; the approximant is evaluated row by row, so
+each element of an array call has the bits of the float call at the same
+y.  The fixed numpy cost of a call, not its arithmetic, is most of a
+scalar call's time, so the path calls ufuncs and array methods rather
+than numpy's Python-level wrappers (np.clip, np.searchsorted,
+np.cumprod, the sum, any and all methods), and skips work a pass does
+not need.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -426,6 +434,21 @@ class SnpValue:
     branch_period_index: int
 
 
+class _Panels(NamedTuple):
+    """The w_p tail panels of one (p, mu), built by
+    :meth:`_SnpEngine._tail_panels`; per-panel arrays run over the panels
+    [a, b] in v from v = 0 up."""
+
+    v: np.ndarray  # the edges in v, from 0 up
+    e: np.ndarray  # the edges in e = v**r, the last 0.4 exactly
+    inner: np.ndarray  # e[1:-1], whose searchsorted gives each e its panel
+    e_top: np.ndarray  # e at b, e[1:]
+    scale: np.ndarray  # -b / (b - a)
+    coef: np.ndarray  # the antiderivative coefficients, one row per panel
+    k: np.ndarray  # their indices 1, 2, ...
+    top: np.ndarray  # w_p at b
+
+
 class _SnpEngine:
     """Vectorized w_p evaluation and inversion for one (p, mu) pair.
 
@@ -447,6 +470,11 @@ class _SnpEngine:
       integrals, summed from the top, give w_p at every panel edge.  The
       panels are built on the first z > 0.6, not at construction, so w_p
       on the direct branch never needs them.
+
+    Inversion starts from a table of w_p built on the first call
+    (:meth:`_brackets`), one row per bracket, and takes Newton passes
+    (:meth:`_newton`) that end at once when every point stops, as on the
+    first pass of almost every call.
     """
 
     __slots__ = ("p", "mu", "K", "_series", "_panels", "_table")
@@ -477,9 +505,12 @@ class _SnpEngine:
         the series up to z = 0.6, the tail panels above."""
         z = np.asarray(z, dtype=float)
         lo = z <= 0.6
-        if lo.all():
+        # count_nonzero, not the all and any methods: a Newton pass makes
+        # this call, and the methods' wrappers cost more than the test
+        n = np.count_nonzero(lo)
+        if n == z.size:
             return self._direct(z)
-        if not lo.any():
+        if n == 0:
             return self._tail(1.0 - z)
         out = np.empty_like(z)
         out[lo] = self._direct(z[lo])
@@ -491,9 +522,9 @@ class _SnpEngine:
         c = self._series
         terms = np.empty((z.size, c.size - 1))
         terms[:] = (z**self.p)[:, None]
-        np.cumprod(terms, axis=1, out=terms)
+        terms.cumprod(axis=1, out=terms)
         terms *= c[1:]
-        return z * (c[0] + terms.sum(axis=-1))
+        return z * (c[0] + np.add.reduce(terms, axis=-1))
 
     def _tail(self, e: np.ndarray) -> np.ndarray:
         """w_p at e = 1 - z in [0, 0.4]: w_p at the upper edge b of e's panel
@@ -501,28 +532,29 @@ class _SnpEngine:
         sum_k A_k sin(k phi)**2 with sin(phi)**2 = (b - v) / (b - a), which
         vanishes at v = b term by term.  b - v = -b expm1(log(e / e_b) / r)
         is formed from e, so the rounding of v = e**(1/r), which r would
-        magnify, never enters."""
-        v_edges, e_edges, coef, k, top = self._tail_panels()
-        # np.minimum and np.maximum, not np.clip, and the sum method, not
-        # np.sum: once per Newton pass, the wrappers cost more than the work
-        i = np.searchsorted(e_edges, e, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), e_edges.size - 2)
-        b = v_edges[i + 1]
+        magnify, never enters.  The panel of each e is one searchsorted on
+        the interior edges; its e_b, -b / (b - a), coefficients and w_p at b
+        are gathers from :meth:`_tail_panels`."""
+        panels = self._tail_panels()
+        # the searchsorted method, np.minimum and np.maximum and
+        # np.add.reduce, not the np.searchsorted, np.clip and sum wrappers:
+        # once per Newton pass, the wrappers cost more than the work
+        i = panels.inner.searchsorted(e, side="right")
         with np.errstate(divide="ignore"):
-            u = np.expm1((self.p - 1.0) / self.p * np.log(e / e_edges[i + 1]))
-        u *= -b / (b - v_edges[i])
+            u = np.expm1((self.p - 1.0) / self.p * np.log(e / panels.e_top[i]))
+        u *= panels.scale[i]
         phi = np.arcsin(np.sqrt(np.minimum(np.maximum(u, 0.0), 1.0)))
-        terms = np.sin(phi[:, None] * k)
+        terms = np.sin(phi[:, None] * panels.k)
         terms *= terms
-        terms *= coef[i]
-        return top[i] + terms.sum(axis=-1)
+        terms *= panels.coef[i]
+        return panels.top[i] + np.add.reduce(terms, axis=-1)
 
-    def _tail_panels(self):
-        """(v, e, coef, k, top): the panel edges in v and in e = v**r (the
-        last set to 0.4 exactly), one row per panel of the antiderivative
-        coefficients A_1, A_2, ... of :func:`_antiderivative_map`, chopped
-        below 2 eps times the panel's integral, their indices k, and w_p at
-        each panel's upper edge.
+    def _tail_panels(self) -> _Panels:
+        """The tail panels as :class:`_Panels`: their edges in v and in
+        e = v**r (the last set to 0.4 exactly), and per panel [a, b] in v
+        the antiderivative coefficients A_1, A_2, ... of
+        :func:`_antiderivative_map`, chopped below 2 eps times the panel's
+        integral, e and w_p at b, and -b / (b - a).
 
         Raises NonConvergence for p below _TAIL_P_MIN, and if a panel's
         interpolant does not resolve g, that is if its last coefficients
@@ -555,13 +587,22 @@ class _SnpEngine:
             top = np.cumsum(np.concatenate((w06, integral[:0:-1])))[::-1]
             e = v**r
             e[-1] = 0.4
-            self._panels = (v, e, coef[:, :n], np.arange(1, n + 1), top)
+            self._panels = _Panels(
+                v=v,
+                e=e,
+                inner=e[1:-1],
+                e_top=e[1:],
+                scale=-v[1:] / (v[1:] - v[:-1]),
+                coef=coef[:, :n],
+                k=np.arange(1, n + 1),
+                top=top,
+            )
         return self._panels
 
     # -- inversion ---------------------------------------------------------
 
     def _brackets(self):
-        """(v, z, w, dv/dw) at the table nodes, endpoints included.
+        """(nodes, rows): the table every inversion starts from.
 
         _TAB_NODES nodes are evenly spaced in the tail variable
         v = (1-z)**(1-1/p), in which K - w_p is nearly linear, and take w_p
@@ -573,19 +614,37 @@ class _SnpEngine:
         bounded tail integrand, so that a start can interpolate v in w by
         cubic Hermite.  Built on the first inversion, not at construction,
         so w_p alone never needs it.
+
+        ``nodes`` are the w_j, sorted by v; ``rows`` holds one column per
+        bracket [w_j, w_j+1]: (w_j, h = w_j+1 - w_j, v_j, v_j+1 - v_j, the
+        slopes at w_j and w_j+1, z_j, z_j+1), so a start gathers one column
+        and subtracts nothing the table has not.  Column i serves the t
+        with i nodes at or below it, the bracket j = i - 1 held to the
+        first and last: the first and last brackets are repeated, so
+        searchsorted on ``nodes`` indexes ``rows`` with no clamp.  The
+        search runs over every node, not the interior ones, since for p
+        near 1 the nodes whose z rounds to 1 hold w out of order (w_p at
+        the double 1 is K, a panel edge there keeps its own w), and a
+        binary search over other nodes could pick another bracket there.
         """
         if self._table is None:
             p = self.p
             r = p / (p - 1.0)
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
             e = v**r
-            v_tail, e_tail, _, _, top = self._tail_panels()
-            w = np.concatenate((self.wp_many(1.0 - e), [self.K], top))
-            v = np.concatenate((v, v_tail))
-            e = np.concatenate((e, e_tail))
+            panels = self._tail_panels()
+            w = np.concatenate((self.wp_many(1.0 - e), [self.K], panels.top))
+            v = np.concatenate((v, panels.v))
+            e = np.concatenate((e, panels.e))
             slope = -1.0 / (r * _tail_factor(e, p, *_eps_mup(p, self.mu)))
             order = np.argsort(v)[::-1]
-            self._table = (v[order], 1.0 - e[order], w[order], slope[order])
+            v, z, w, slope = v[order], 1.0 - e[order], w[order], slope[order]
+            j = np.minimum(np.maximum(np.arange(-1, w.size), 0), w.size - 2)
+            rows = np.array([
+                w[j], w[j + 1] - w[j], v[j], v[j + 1] - v[j],
+                slope[j], slope[j + 1], z[j], z[j + 1],
+            ])
+            self._table = (w, rows)
         return self._table
 
     def invert(self, t: np.ndarray) -> np.ndarray:
@@ -593,72 +652,98 @@ class _SnpEngine:
 
         Each t starts inside its bracket [z_j, z_j+1] of the engine's table,
         from v = (1-z)**(1-1/p) interpolated in w by the cubic Hermite
-        polynomial through the bracket's two nodes and their slopes, and
-        takes Newton steps with the analytic derivative w_p' = G.  A step
-        misses the root by about step**2 G' / (2 G), with
-        G' / G = z**(p-1) (1/A + mu**p / B), A = 1 - z**p and
-        B = 1 - mu**p z**p, which grows with z; a point stops once that
-        bound, taken at the far end of the step (at most the bracket's upper
-        end), is below 0.05 eps z, or once its step is at most an ulp of z.
-        That step is accepted, clipped into the bracket, before any
-        safeguard can replace it.  A larger step that leaves the bracket or
-        is not finite falls back to bisection, so every iterate stays
-        admissible; a point whose bracket closes to a few ulps stops on its
-        step, clipped into the bracket.
+        polynomial through the bracket's two nodes and their slopes: one
+        searchsorted on the table's nodes and one gather of the bracket's
+        column (:meth:`_brackets`).  t = 0 and t = K are exact fixed
+        points, z = 0 and z = 1; the rest take the Newton passes of
+        :meth:`_newton`.  When no t is an endpoint, as for almost every
+        call, the starts go to it as they are, with no mask or gather.
         """
         t = np.asarray(t, dtype=float)
-        v_tab, z_tab, w_tab, m_tab = self._brackets()
-        j = np.searchsorted(w_tab, t, side="right") - 1
-        j = np.minimum(np.maximum(j, 0), w_tab.size - 2)
-        z_lo, z_hi = z_tab[j], z_tab[j + 1]
-        h = w_tab[j + 1] - w_tab[j]
+        nodes, rows = self._brackets()
+        w0, h, v0, dv, m0, m1, z_lo, z_hi = rows[:, nodes.searchsorted(t, side="right")]
         # for p near 1 the last nodes round to z = 1, so an edge t can land
         # in an empty interval; its start is overwritten below
         with np.errstate(invalid="ignore"):
-            s = np.clip((t - w_tab[j]) / h, 0.0, 1.0)
-        v0, v1 = v_tab[j], v_tab[j + 1]
-        v = v0 + s * s * (3.0 - 2.0 * s) * (v1 - v0) + h * s * (1.0 - s) * (
-            (1.0 - s) * m_tab[j] - s * m_tab[j + 1]
+            s = np.minimum(np.maximum((t - w0) / h, 0.0), 1.0)
+        v = v0 + s * s * (3.0 - 2.0 * s) * dv + h * s * (1.0 - s) * (
+            (1.0 - s) * m0 - s * m1
         )
-        z = np.clip(1.0 - v ** (self.p / (self.p - 1.0)), z_lo, z_hi)
-        # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
+        z = np.minimum(np.maximum(1.0 - v ** (self.p / (self.p - 1.0)), z_lo), z_hi)
         low, high = t <= 0.0, t >= self.K
+        ends = low | high
+        if np.count_nonzero(ends) == 0:
+            return self._newton(z, t, z_lo, z_hi)
+        # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
         z[low] = 0.0
         z[high] = 1.0
-        # the live points, compacted as they converge: index into t, iterate,
-        # target and bracket
-        idx = np.flatnonzero(~(low | high))
-        za, ta, lo, hi = z[idx], t[idx], z_lo[idx], z_hi[idx]
+        live = np.flatnonzero(~ends)
+        if live.size:
+            z[live] = self._newton(z[live], t[live], z_lo[live], z_hi[live])
+        return z
+
+    def _newton(self, z, t, lo, hi) -> np.ndarray:
+        """Newton passes for w_p(z) = t from starts z in brackets [lo, hi].
+
+        Steps use the analytic derivative w_p' = G.  A step misses the root
+        by about step**2 G' / (2 G), with G' / G = z**(p-1) (1/A + mu**p / B),
+        A = 1 - z**p and B = 1 - mu**p z**p, which grows with z; a point
+        stops once that bound, taken at the far end of the step (at most
+        the bracket's upper end), is below 0.05 eps z, or once its step is
+        at most an ulp of z.  That step is accepted, clipped into the
+        bracket, before any safeguard can replace it.  A point with
+        w_p(z) >= t has hi = z, so its far end is z itself: when no point
+        lies below its root, the far end reuses (A, B).  When every point
+        stops, as on the first pass of almost every call, the clipped steps
+        are the result.  Otherwise a larger step that leaves the bracket or
+        is not finite falls back to bisection, so every iterate stays
+        admissible, and the points that stopped leave the pass; a point
+        whose bracket closes to a few ulps stops on its step, clipped into
+        the bracket.
+        """
         p, mup = self.p, self.mu**self.p
+        # the result, once a pass leaves points live, and the index of the
+        # live points into it
+        out = idx = None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(80):
-                if idx.size == 0:
-                    return z
-                f = self.wp_many(za) - ta
+                f = self.wp_many(z) - t
                 below = f < 0.0
-                lo = np.where(below, za, lo)
-                hi = np.where(below, hi, za)
-                A, B = self._AB(za)
+                lo = np.where(below, z, lo)
+                hi = np.where(below, hi, z)
+                A, B = self._AB(z)
                 step = f / (A * B) ** (-1.0 / p)
-                z_new = za - step
+                z_new = z - step
                 # the step misses the root by about step**2 G' / (2 G), and
                 # G' / G grows with z, so it is bounded at the far end of the
                 # step, inside the bracket; at z = 1, A = 0 and the bound is
                 # infinite, so a point there stops only on an ulp-sized step
                 # or a closed bracket
-                zf = np.minimum(np.maximum(za, z_new), hi)
-                Af, Bf = self._AB(zf)
+                zf, Af, Bf = z, A, B
+                if np.count_nonzero(below):
+                    zf = np.minimum(np.maximum(z, z_new), hi)
+                    Af, Bf = self._AB(zf)
                 miss = 0.5 * step * step * zf ** (p - 1.0) * (1.0 / Af + mup / Bf)
-                done = (miss <= 0.05 * _EPS * za) | (np.abs(step) <= _EPS * za)
-                # a bracket closed to a few ulps also stops, on its clipped
-                # step: near z = 1 that step can overshoot the last doubles
-                done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
-                z_new = np.where(done, np.minimum(np.maximum(z_new, lo), hi), z_new)
+                done = (miss <= 0.05 * _EPS * z) | (np.abs(step) <= _EPS * z)
+                if np.count_nonzero(done) < done.size:
+                    # a bracket closed to a few ulps also stops, on its
+                    # clipped step: near z = 1 that step can overshoot the
+                    # last doubles
+                    done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
+                clipped = np.minimum(np.maximum(z_new, lo), hi)
+                if np.count_nonzero(done) == done.size:
+                    if out is None:
+                        return clipped
+                    out[idx] = clipped
+                    return out
+                if out is None:
+                    out, idx = np.empty_like(z), np.arange(z.size)
+                z_new = np.where(done, clipped, z_new)
                 bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
                 z_new = np.where(bad, 0.5 * (lo + hi), z_new)
-                z[idx[done]] = z_new[done]
+                out[idx[done]] = z_new[done]
                 live = ~done
-                idx, za, ta, lo, hi = (a[live] for a in (idx, z_new, ta, lo, hi))
+                idx, z, t, lo, hi = (a[live] for a in (idx, z_new, t, lo, hi))
         raise NonConvergence(
             f"sn_p inversion stalled for p={self.p}, mu={self.mu}"
         )
@@ -668,29 +753,35 @@ class _SnpEngine:
     def reduce(self, y: np.ndarray):
         """Fold y into the fundamental quarter.
 
-        Returns (u, sign, quarter, period_index) with u in [0, K] such that
+        Returns (u, sign, quarter, period) with u in [0, K] such that
         |sn_p(y)| = sn_p(u) and sign = sgn(sn_p(y)); quarter in {0,1,2,3}
-        locates y mod 4K for derivative signs.  Raises DomainError where
+        locates y mod 4K for derivative signs, and period = floor(y / 4K),
+        as floats, is the index of y's period.  Raises DomainError where
         ulp(y) >= K: neighbouring doubles a quarter period or more apart
         leave y mod 4K undetermined.  Below that the fold's error grows
-        like |y| eps.
+        like |y| eps.  r = y mod 4K is folded to u in place, with one mask
+        r > 2K for both sign and u, and the quarter truncated, as r >= 0.
         """
         y = np.asarray(y, dtype=float)
+        K = self.K
         # ulp grows with |y|, so the largest |y| decides for the whole array
         ymax = float(np.abs(y).max(initial=0.0))
-        _check_interval("ulp(max |y|)", math.ulp(ymax), 0.0, self.K)
-        fourk = 4.0 * self.K
+        _check_interval("ulp(max |y|)", math.ulp(ymax), 0.0, K)
+        fourk = 4.0 * K
         period = np.floor(y / fourk)
         r = y - period * fourk
-        r = np.where(r < 0.0, 0.0, np.where(r >= fourk, 0.0, r))
-        quarter = np.minimum(np.floor(r / self.K).astype(int), 3)
-        sign = np.where(r <= 2.0 * self.K, 1.0, -1.0)
-        u = np.where(r <= 2.0 * self.K, r, r - 2.0 * self.K)
-        u = np.where(u > self.K, 2.0 * self.K - u, u)
+        r[(r < 0.0) | (r >= fourk)] = 0.0
+        # r >= 0, so truncation is the floor
+        quarter = np.minimum((r / K).astype(int), 3)
+        far = r > 2.0 * K
+        sign = np.where(far, -1.0, 1.0)
+        # u is r, folded in place: past 2K by 2K, then past K about K
+        u = np.subtract(r, 2.0 * K, out=r, where=far)
+        np.subtract(2.0 * K, u, out=u, where=u > K)
         # folding r = y mod 4K rounds once, which can leave u one ulp off
         # the quarter point K; snap so endpoint evaluations stay exact
-        u = np.where(np.abs(u - self.K) <= 8.0 * _EPS * self.K, self.K, u)
-        return u, sign, quarter, period.astype(int)
+        u[np.abs(u - K) <= 8.0 * _EPS * K] = K
+        return u, sign, quarter, period
 
     def singular(self, u: np.ndarray) -> np.ndarray:
         """True where a folded u lies within _SING_MARGIN of K, a zero of
@@ -735,7 +826,7 @@ def _fold(p: float, mu: float, y):
     """The one checked fold of every sn_p entry point: validate (p, mu),
     take its engine, reject non-finite y, and reduce y, flattened, into the
     fundamental quarter.  Returns (engine, *engine.reduce(y)), that is
-    (engine, u, sign, quarter, period_index)."""
+    (engine, u, sign, quarter, period)."""
     _validate_pmu(p, mu)
     eng = _engine(p, mu)
     return (eng, *eng.reduce(_check_finite("y", y).ravel()))

@@ -76,6 +76,14 @@ def test_boundary_values_and_nodes():
             assert abs(eg.eigenfunction_eval(e, k / n)) < 1e-9
 
 
+def test_eigenfunction_eval_names_x_when_it_is_not_finite():
+    # the message names the argument the caller passed, not y = 2 n K_p x
+    e = eg.eigenpair(2.0, 0.5, 1)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=r"^x must lie in \(-inf, inf\), got"):
+            eg.eigenfunction_eval(e, x)
+
+
 def test_peak_value_at_half_bump():
     for p, mu, n, sign in [(2.0, 0.5, 1, 1), (3.0, 0.6, 2, -1), (1.5, 0.3, 3, 1)]:
         e = eg.eigenpair(p, mu, n, sign)

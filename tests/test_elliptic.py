@@ -308,7 +308,7 @@ def test_wp_near_one_matches_mpmath(p, mu, z):
 
 def _oracle_points(p, mu):
     """z just either side of 0.6 and of the tail panel edge nearest e = 1e-4."""
-    e = el._SnpEngine(p, mu)._tail_panels()[1]
+    e = el._SnpEngine(p, mu)._tail_panels().e
     z = 1.0 - e[np.argmin(np.abs(np.log(e[1:] / 1e-4))) + 1]
     return [math.nextafter(c, side) for c in (0.6, z) for side in (0.0, 1.0)]
 
@@ -546,7 +546,7 @@ def test_snp_extreme_modulus_frozen():
         assert abs(el.snp(2.0, mu, y) - ref) < 1e-10
 
 
-def test_snp_scalar_matches_batch():
+def test_snp_scalar_matches_batch(monkeypatch):
     for p, mu in [(2.0, 0.5), (3.0, 0.6), (1.3, 0.9)]:
         K = el.kp(p, mu)
         ys = np.linspace(-2.0 * K, 6.0 * K, 17)
@@ -555,6 +555,70 @@ def test_snp_scalar_matches_batch():
         for y, b, d in zip(ys, batch, dbatch):
             assert el.snp(p, mu, float(y)) == b
             assert el.snp_deriv(p, mu, float(y)) == d
+    # every inversion path gives the bits of the float calls: an array
+    # whose points all stop on the first Newton pass, arrays that fold to
+    # the endpoints 0 and K_p, and arrays in which some points take a
+    # second pass.  The sizes of the array call's wp_many calls on a warm
+    # engine show which path it took
+    calls = []
+    wp_many = el._SnpEngine.wp_many
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return wp_many(self, z)
+
+    cases = [
+        (2.0, 0.5, [0.1, 0.45, 0.77, 1.6, -0.3], [5]),
+        (2.0, 0.5, [0.0, 0.3, 1.0, 0.7, 2.0, -1.0], [2]),
+        (1.5, 0.99, [0.002, 0.05, 0.5, 0.895, 0.97], [5, 3]),
+        (1.5, 0.99, [0.0, 0.05, 1.0, 0.895, 0.5], [3, 2]),
+    ]
+    for p, mu, fractions, sizes in cases:
+        ys = np.array(fractions) * el.kp(p, mu)
+        el.snp(p, mu, 0.3)
+        monkeypatch.setattr(el._SnpEngine, "wp_many", counting)
+        calls.clear()
+        el.snp(p, mu, ys)
+        monkeypatch.undo()
+        assert calls == sizes, (p, mu, fractions, calls)
+        for fn in (el.snp, el.snp_deriv, el.snp_second_deriv):
+            want = [fn(p, mu, float(y)).hex() for y in ys]
+            assert [v.hex() for v in fn(p, mu, ys).tolist()] == want
+
+
+def test_far_end_of_a_step_reuses_AB_above_the_root(monkeypatch):
+    # a start above its root, w_p(z) >= t, has the bracket's upper end at
+    # z, so the far end of its step is z and the curvature bound reuses
+    # (A, B): a one-pass warm scalar sn_p calls _AB once there, and twice
+    # from a start below its root.  y in (0, K_p) folds to t = y
+    p, mu = 3.0, 0.6
+    K = el.kp(p, mu)
+    el.snp(p, mu, 0.3)
+    AB, wp_many = el._SnpEngine._AB, el._SnpEngine.wp_many
+    ab_calls, w = [], []
+
+    def counting_AB(self, s):
+        ab_calls.append(np.size(s))
+        return AB(self, s)
+
+    def recording_wp(self, z):
+        out = wp_many(self, z)
+        w.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(el._SnpEngine, "_AB", counting_AB)
+    monkeypatch.setattr(el._SnpEngine, "wp_many", recording_wp)
+    seen = []
+    for y in K * (np.arange(40) + 0.5) / 40:
+        ab_calls.clear()
+        w.clear()
+        el.snp(p, mu, float(y))
+        if len(w) == 1:
+            seen.append((w[0] >= y, len(ab_calls)))
+    monkeypatch.undo()
+    assert len(seen) >= 38
+    assert {above for above, _ in seen} == {True, False}
+    assert all(n == (1 if above else 2) for above, n in seen), seen
 
 
 def test_snp_small_mu_is_p_sine():

@@ -62,7 +62,7 @@ def test_wp_continuous_across_branches_and_panels(p, mu):
     # z = 0.6 joins the series to the tail; z = 1 - v_k**r joins two tail
     # panels.  Across either w_p moves by its slope times two doubles.
     eng = el._SnpEngine(p, mu)
-    joins = 1.0 - eng._tail_panels()[1][1:]
+    joins = 1.0 - eng._tail_panels().e[1:]
     # the deepest edges round to z = 1 or its neighbour, where w_p' is inf
     joins = joins[joins < np.nextafter(1.0, 0.0)]
     below = np.nextafter(joins, 0.0)

@@ -587,16 +587,9 @@ class _SnpEngine:
             top = np.cumsum(np.concatenate((w06, integral[:0:-1])))[::-1]
             e = v**r
             e[-1] = 0.4
-            self._panels = _Panels(
-                v=v,
-                e=e,
-                inner=e[1:-1],
-                e_top=e[1:],
-                scale=-v[1:] / (v[1:] - v[:-1]),
-                coef=coef[:, :n],
-                k=np.arange(1, n + 1),
-                top=top,
-            )
+            scale = -v[1:] / (v[1:] - v[:-1])
+            k = np.arange(1, n + 1)
+            self._panels = _Panels(v, e, e[1:-1], e[1:], scale, coef[:, :n], k, top)
         return self._panels
 
     # -- inversion ---------------------------------------------------------
@@ -617,15 +610,15 @@ class _SnpEngine:
 
         ``nodes`` are the w_j, sorted by v; ``rows`` holds one column per
         bracket [w_j, w_j+1]: (w_j, h = w_j+1 - w_j, v_j, v_j+1 - v_j, the
-        slopes at w_j and w_j+1, z_j, z_j+1), so a start gathers one column
-        and subtracts nothing the table has not.  Column i serves the t
-        with i nodes at or below it, the bracket j = i - 1 held to the
-        first and last: the first and last brackets are repeated, so
-        searchsorted on ``nodes`` indexes ``rows`` with no clamp.  The
-        search runs over every node, not the interior ones, since for p
-        near 1 the nodes whose z rounds to 1 hold w out of order (w_p at
-        the double 1 is K, a panel edge there keeps its own w), and a
-        binary search over other nodes could pick another bracket there.
+        slopes at both nodes, z_j, z_j+1), so a start gathers one column.
+        Column i serves the t with i nodes at or below it, bracket i - 1
+        held to the first and last, which are repeated, so searchsorted on
+        ``nodes`` indexes ``rows`` with no clamp.  It searches every node,
+        not the interior ones: nodes whose z rounds to one double (1, or
+        one just below it; by up to 0.7 K in w near p = 1) can hold w out
+        of order, since an even-v node takes w_p at that double and a
+        panel edge keeps its own w, and a search over other nodes could
+        pick another bracket among them.
         """
         if self._table is None:
             p = self.p

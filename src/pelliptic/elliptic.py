@@ -731,10 +731,9 @@ class _SnpEngine:
                     return out
                 if out is None:
                     out, idx = np.empty_like(z), np.arange(z.size)
-                z_new = np.where(done, clipped, z_new)
+                out[idx[done]] = clipped[done]
                 bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
                 z_new = np.where(bad, 0.5 * (lo + hi), z_new)
-                out[idx[done]] = z_new[done]
                 live = ~done
                 idx, z, t, lo, hi = (a[live] for a in (idx, z_new, t, lo, hi))
         raise NonConvergence(

@@ -18,6 +18,7 @@ import pelliptic.certify as ct
 import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
+import pelliptic.qtheta as qt
 import pelliptic.quadrature as quad
 
 # (p, mu) pairs: p below and above 2, mu up to the last double below 1
@@ -138,6 +139,8 @@ def compute() -> dict:
     for name, fn, ea, tol in DRIVER:
         row = quad._tanh_sinh(lambda lev, x, cx, rows: fn(x, cx), ea, tol)
         out[f"_tanh_sinh {name},{ea!r},{tol!r}"] = [float(v) for v in row]
+    out["q0"] = [qt.solve_q0(1e-12)]
+    out["mu0"] = [qt.mu0()]
     return out
 
 
@@ -259,6 +262,12 @@ EXPECTED = {
         "0x1.0c1523ffc6b84p+0",
         "0x1.0000000000000p-52",
         "0x1.8400000000000p+6",
+    ],
+    "mu0": [
+        "0x1.ffffffffffffcp-1",
+    ],
+    "q0": [
+        "0x1.893f7b3444c13p-1",
     ],
     "residual maxima 1.5,0.99,1": [
         "0x1.0000000000000p-37",

@@ -240,6 +240,14 @@ def test_solve_q0_value_and_bracket():
         qt.solve_q0(1e-13)
 
 
+def test_q0_is_where_the_float_sharp_equation_changes_sign():
+    # no double below q0 gives the sharp equation a sign >= 0
+    q0 = qt.solve_q0(1e-12)
+    sharp = lambda q: qt.odd_lambert_sum(q) - 1.0 / (1.0 - q)
+    assert sharp(math.nextafter(q0, 0.0)) < 0.0
+    assert sharp(q0) >= 0.0
+
+
 def test_mu0_bounds_and_cache():
     m = qt.mu0()
     assert 1.0 - m < 1e-7

@@ -11,7 +11,7 @@ import numpy as np
 
 import pelliptic as pl
 
-q0 = pl.solve_q0(1e-12)
+q0 = pl.solve_q0()
 m0 = pl.mu0()
 print(f"q_0  = {q0:.16f}")
 print(f"mu_0 = {m0:.16f}  (1 - mu_0 = {1.0 - m0:.3e})")

@@ -141,7 +141,7 @@ def cmd_tau(args) -> list:
 
 
 def cmd_q0(args) -> list:
-    return [("tol", args.tol), ("value", qt.solve_q0(args.tol))]
+    return [("value", qt.solve_q0())]
 
 
 def cmd_mu0(args) -> list:
@@ -243,7 +243,7 @@ def _selftest_checks():
         assert abs(direct - via) < 1e-10
 
     def rho_sums_to_one_at_q0():
-        q0 = qt.solve_q0(1e-12)
+        q0 = qt.solve_q0()
         assert 0.7 < q0 < 0.8
         assert abs((1.0 - q0) * qt.odd_lambert_sum(q0) - 1.0) < 1e-9
 
@@ -277,20 +277,20 @@ def _selftest_checks():
         assert ct.certify_firstcond(2.0, ct.ModulusSet.constant(0.5)).verdict == "PASS"
 
     return [
-        ("kp_closed_form", kp_closed_form),
-        ("kp_series_agreement", kp_series_agreement),
-        ("snp_odd_and_periodic", snp_odd_and_periodic),
-        ("snp_matches_agm", snp_matches_agm),
-        ("deriv_consistency", deriv_consistency),
-        ("lambert_identity", lambert_identity),
-        ("rho_sums_to_one_at_q0", rho_sums_to_one_at_q0),
-        ("mu0_in_range", mu0_in_range),
-        ("even_tau_vanishes", even_tau_vanishes),
-        ("tau1_above_floor", tau1_above_floor),
-        ("eigen_p2_closed_form", eigen_p2_closed_form),
-        ("first_integral_residual_small", first_integral_residual_small),
-        ("verdict_partition", verdict_partition),
-        ("firstcond_spot", firstcond_spot),
+        kp_closed_form,
+        kp_series_agreement,
+        snp_odd_and_periodic,
+        snp_matches_agm,
+        deriv_consistency,
+        lambert_identity,
+        rho_sums_to_one_at_q0,
+        mu0_in_range,
+        even_tau_vanishes,
+        tau1_above_floor,
+        eigen_p2_closed_form,
+        first_integral_residual_small,
+        verdict_partition,
+        firstcond_spot,
     ]
 
 
@@ -298,14 +298,14 @@ def cmd_selftest(args) -> list:
     checks = _selftest_checks()
     pairs = []
     failures = 0
-    for name, fn in checks:
+    for fn in checks:
         try:
             fn()
         except Exception as exc:  # any breakage is a failed check
             failures += 1
-            pairs.append((f"check_{name}", f"FAIL: {exc!r}"))
+            pairs.append((f"check_{fn.__name__}", f"FAIL: {exc!r}"))
         else:
-            pairs.append((f"check_{name}", "ok"))
+            pairs.append((f"check_{fn.__name__}", "ok"))
     pairs.append(("checks", len(checks)))
     pairs.append(("failures", failures))
     pairs.append(("selftest", "ok" if failures == 0 else "fail"))
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tau)
 
     sp = sub.add_parser("q0", help="root of the sharp-threshold nome equation")
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=cmd_q0)
 
     sp = sub.add_parser("mu0", help="modulus of the sharp-threshold nome")

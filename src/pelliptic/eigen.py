@@ -136,10 +136,14 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
 
 
 def eigenfunction_eval(e: EigenPair, x: float) -> float:
-    """phi(x) = sign * amplitude * sn_p(2 n K_p x, mu), any real x.  A NaN
-    or infinite x raises :class:`DomainError` naming x."""
+    """phi(x) = sign * amplitude * sn_p(y, mu), y = 2 n K_p x, for every
+    real x at which sn_p can fold y, ulp(y) < K_p: |x| up to about
+    2**51 / n, whatever K_p.  Any other x, NaN and infinities included,
+    raises :class:`DomainError` naming x."""
     _check_interval("x", x, -math.inf, math.inf, "()")
-    y = 2.0 * e.n * kp(e.p, e.mu) * x
+    K = kp(e.p, e.mu)
+    y = 2.0 * e.n * K * x
+    _check_interval(f"x = {x}: ulp(2 n K_p x)", math.ulp(y), 0.0, K)
     return e.sign * e.amplitude * snp(e.p, e.mu, y)
 
 

@@ -613,18 +613,20 @@ class _SnpEngine:
         slopes at both nodes, z_j, z_j+1), so a start gathers one column.
         Column i serves the t with i nodes at or below it, bracket i - 1
         held to the first and last, which are repeated, so searchsorted on
-        ``nodes`` indexes ``rows`` with no clamp.  It searches every node,
-        not the interior ones: nodes whose z rounds to one double (1, or
-        one just below it; by up to 0.7 K in w near p = 1) can hold w out
-        of order, since an even-v node takes w_p at that double and a
-        panel edge keeps its own w, and a search over other nodes could
-        pick another bracket among them.
+        ``nodes`` indexes ``rows`` with no clamp.  Even-v nodes whose z
+        rounds to 1 are left out.  It searches every node, not the interior
+        ones: nodes whose z rounds to one double just below 1 can still
+        hold w slightly out of order, since an even-v node takes w_p at that
+        double and a panel edge keeps its own w.
         """
         if self._table is None:
             p = self.p
             r = p / (p - 1.0)
             v = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
             e = v**r
+            # a node whose z rounds to 1 repeats the v = 0 node's w = K
+            keep = 1.0 - e < 1.0
+            v, e = v[keep], e[keep]
             panels = self._tail_panels()
             w = np.concatenate((self.wp_many(1.0 - e), [self.K], panels.top))
             v = np.concatenate((v, panels.v))

@@ -5,9 +5,10 @@ Jacobi sn (used as an independent oracle for the generalized functions),
 the nome <-> modulus maps (from the nome through the Jacobi theta
 constants, to it through the AGM), the Lambert series
 L(beta) = sum beta^n / (1 - beta^n), the q-digamma function, an odd-index
-Lambert-type sum, and the solver for the distinguished nome q0 at which
-(1 - q) * sum_{n>=1} q^n/(1-q^{2n+1}) equals 1.  The modulus mu0
-associated to q0 has 1 - mu0 = 4.57e-16 (1 - 4.44e-16 in doubles).
+Lambert-type sum, and the distinguished nome q0 at which
+(1 - q) * sum_{n>=1} q^n/(1-q^{2n+1}) equals 1, found by bisection down to
+two adjacent doubles.  The modulus mu0 associated to q0 has
+1 - mu0 = 4.57e-16 (1 - 4.44e-16 in doubles).
 
 The series stop by two rules.  The theta series stop at the first term
 below an absolute 1e-16; the Lambert-type series stop at the first term
@@ -27,7 +28,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import _check_interval, _check_sign
-from .quadrature import bracketed_root
 
 __all__ = [
     "agm_jacobi_sn",
@@ -174,7 +174,7 @@ def odd_lambert_sum(q: float) -> float:
     """sum_{n>=1} q^n / (1 - q^(2n+1)), summed directly.
 
     It equals the Lambert-series combination (L(sqrt(q)) - 2 L(q) +
-    L(q^2))/sqrt(q) - 1/(1-q); :func:`solve_q0` roots it against 1/(1-q).
+    L(q^2))/sqrt(q) - 1/(1-q); :func:`solve_q0` bisects it against 1/(1-q).
     """
     _check_interval("q", q, 0.0, _Q_MAX, "(]")
     return _lambert_sum(
@@ -182,22 +182,28 @@ def odd_lambert_sum(q: float) -> float:
     )
 
 
-def solve_q0(tol: float) -> float:
+def solve_q0() -> float:
     """The unique q in (0, 1) with (1-q) sum_{n>=1} q^n/(1-q^(2n+1)) = 1.
 
-    Root of the sharp equation odd_lambert_sum(q) - 1/(1-q) in the
+    Bisects the sharp equation odd_lambert_sum(q) - 1/(1-q) over the
     bracket (0.5, 0.95), where it changes sign (about -0.92 at 0.5 and
-    16.3 at 0.95).
+    16.3 at 0.95), until its ends are adjacent doubles.  Returns the
+    upper end, where the equation in floats is >= 0; at the lower end it
+    is negative.  That takes 52 evaluations.
     """
-    _check_interval("tol", tol, 1e-12, math.inf)
-    sharp = lambda q: odd_lambert_sum(q) - 1.0 / (1.0 - q)
-    return bracketed_root(sharp, 0.5, 0.95, tol=tol)
+    lo, hi = 0.5, 0.95
+    while (q := 0.5 * (lo + hi)) not in (lo, hi):
+        if odd_lambert_sum(q) - 1.0 / (1.0 - q) >= 0.0:
+            hi = q
+        else:
+            lo = q
+    return hi
 
 
 @functools.cache
 def mu0() -> float:
     """The modulus whose nome solves the sharp equation, 1 - 4.44e-16; cached."""
-    return modulus_from_nome(solve_q0(1e-12))
+    return modulus_from_nome(solve_q0())
 
 
 def fraenkel_s(q: float, sign: int) -> float:

@@ -1,4 +1,4 @@
-"""Deterministic tanh-sinh quadrature and bracketed root finding.
+"""Deterministic tanh-sinh quadrature.
 
 The integration engine targets integrals on [0, 1] whose integrand factors
 as ``F(x) * x**(ea-1)``, with one algebraic exponent ea - 1 in (-1, 0] at
@@ -43,15 +43,14 @@ order, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import MaxIterations, NonConvergence, NoSignChange, _check_interval
+from .errors import NonConvergence
 
-__all__ = ["QuadratureResult", "bracketed_root"]
+__all__ = ["QuadratureResult"]
 
 # Node layout: trapezoid steps h = _H0 / 2**level, |t| <= _T_MAX.  At
 # _T_MAX the endpoint distance 1-s is ~1e-305, still a normal double, so
@@ -75,7 +74,6 @@ _MIN_LEVEL = 2
 _BLOCK_LEVEL = 4
 # the trapezoid steps h of the block's levels
 _BLOCK_STEPS = _H0 / 2.0 ** np.arange(_BLOCK_LEVEL + 1)
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -274,87 +272,3 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
     err = np.maximum(err, np.spacing(np.abs(out)))
     return out.reshape(shape), err.reshape(shape), cuts[lev + 1]
 
-
-def bracketed_root(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 300,
-) -> float:
-    """Find a root of g in [lo, hi] given a sign change.
-
-    Brent's method (R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4) keeps the best point ``b`` and the point
-    ``c`` across the sign change from it.  Each step interpolates (inverse
-    quadratic, or secant with two points) and bisects instead when the
-    proposal leaves the bracket or fails to halve the step of two
-    iterations before; no step is shorter than ``tol / 4 + 2 eps |b|``,
-    where eps is the double epsilon, so a root far from 0 is still
-    reached in steps the spacing of the doubles can take.  Convergence
-    is superlinear at a smooth simple root and takes at most about k**2
-    evaluations, where bisection takes k = log2((hi - lo) / tol).  Every
-    evaluated point lies in [lo, hi]; once ``|c - b| <= tol + 4 eps |b|``
-    the midpoint of b and c is returned.
-
-    Raises
-    ------
-    DomainError
-        If lo or hi is not finite, hi <= lo, or tol is not positive and
-        finite.
-    NoSignChange
-        If g(lo) and g(hi) have the same (nonzero) sign.
-    MaxIterations
-        If the bracket fails to reach ``tol`` within ``max_iter`` steps.
-    """
-    _check_interval("lo", lo, -math.inf, math.inf, "()")
-    _check_interval("hi", hi, lo, math.inf, "()")
-    _check_interval("tol", tol, 0.0, math.inf, "()")
-    flo = float(g(lo))
-    if flo == 0.0:
-        return lo
-    fhi = float(g(hi))
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChange(f"g({lo}) = {flo} and g({hi}) = {fhi} have equal signs")
-
-    a, fa = lo, flo  # the previous b
-    b, fb = hi, fhi
-    c, fc = lo, flo
-    d = e = hi - lo  # the last step and the one before it
-    for _ in range(max_iter):
-        if abs(fc) < abs(fb):
-            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        slack = 2.0 * _EPS * abs(b)
-        if abs(c - b) <= tol + 2.0 * slack:
-            return 0.5 * (b + c)
-        m = 0.5 * (c - b)
-        min_step = 0.25 * tol + slack
-        if abs(e) >= min_step and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                num, den = 2.0 * m * s, 1.0 - s
-            else:
-                r, t = fa / fc, fb / fc
-                num = s * (2.0 * m * r * (r - t) - (b - a) * (t - 1.0))
-                den = (r - 1.0) * (t - 1.0) * (s - 1.0)
-            num, den = abs(num), (-den if num > 0.0 else den)
-            if 2.0 * num < min(3.0 * m * den - abs(min_step * den), abs(e * den)):
-                e, d = d, num / den
-            else:
-                e = d = m
-        else:
-            e = d = m
-        a, fa = b, fb
-        b += d if abs(d) > min_step else math.copysign(min_step, m)
-        fb = float(g(b))
-        if fb == 0.0:
-            return b
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    raise MaxIterations(
-        f"bracket still {abs(c - b):.3e} wide after {max_iter} iterations "
-        f"(tol {tol:.3e})"
-    )

@@ -28,7 +28,7 @@ def _report(tag, ok, detail, elapsed, budget):
 
 def test_01_sharp_nome_value():
     t0 = time.perf_counter()
-    q0 = qt.solve_q0(1e-12)
+    q0 = qt.solve_q0()
     dt = time.perf_counter() - t0
     ok = abs(q0 - 0.768062) < 1e-4 and dt < 1.0
     _report(1, ok, f"solve_q0 = {q0:.17g}, target 0.768062 +/- 1e-4", dt, 1)
@@ -215,7 +215,7 @@ def test_08_lambert_identity_suite():
             qt.lambert_L(rq) - 2.0 * qt.lambert_L(q) + qt.lambert_L(q * q)
         ) / rq - 1.0 / (1.0 - q)
         worst_sum = max(worst_sum, abs(qt.odd_lambert_sum(q) - combo))
-    q0 = qt.solve_q0(1e-12)
+    q0 = qt.solve_q0()
     rho_total = (1.0 - q0) * qt.odd_lambert_sum(q0)
     dt = time.perf_counter() - t0
     ok = worst_dig < 1e-10 and worst_sum < 1e-10 and abs(rho_total - 1.0) < 1e-4

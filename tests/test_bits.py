@@ -139,7 +139,7 @@ def compute() -> dict:
     for name, fn, ea, tol in DRIVER:
         row = quad._tanh_sinh(lambda lev, x, cx, rows: fn(x, cx), ea, tol)
         out[f"_tanh_sinh {name},{ea!r},{tol!r}"] = [float(v) for v in row]
-    out["q0"] = [qt.solve_q0(1e-12)]
+    out["q0"] = [qt.solve_q0()]
     out["mu0"] = [qt.mu0()]
     return out
 

@@ -154,6 +154,14 @@ def test_q0_documented_value():
     assert abs(float(parse_envelope(r.stdout)["value"]) - 0.768062) < 1e-4
 
 
+def test_q0_takes_no_tolerance():
+    # q0 is bisected down to adjacent doubles; no tolerance is accepted
+    r = run_cli("q0", "--tol", "1e-10")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "unrecognized arguments: --tol" in r.stderr
+
+
 def test_mu0_close_to_one():
     r = run_cli("mu0")
     env = parse_envelope(r.stdout)
@@ -357,7 +365,7 @@ def test_selftest_failure_exits_4(monkeypatch, capsys):
     def broken():
         raise AssertionError("fails on purpose")
 
-    monkeypatch.setattr(cli, "_selftest_checks", lambda: [*checks(), ("broken", broken)])
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [*checks(), broken])
     assert cli.main(["selftest"]) == 4
     env = parse_envelope(capsys.readouterr().out)
     assert env["selftest"] == "fail"

@@ -1,6 +1,7 @@
 """Tests for eigenpair construction and residual verification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ def test_eigenfunction_eval_names_x_when_it_is_not_finite():
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=r"^x must lie in \(-inf, inf\), got"):
             eg.eigenfunction_eval(e, x)
+
+
+def test_eigenfunction_eval_names_x_when_y_cannot_be_folded():
+    # a finite x whose y = 2 n K_p x overflows (1e308) or has ulp(y) >= K_p
+    # (1e17) is refused in terms of x, not of the internal y
+    e = eg.eigenpair(2.0, 0.5, 1)
+    for x in (1e308, 1e17, -1e17):
+        with pytest.raises(DomainError, match="^" + re.escape(f"x = {x}: ulp(2 n K_p x)")):
+            eg.eigenfunction_eval(e, x)
+    assert eg.eigenfunction_eval(e, 2.0**50) == 0.0
 
 
 def test_peak_value_at_half_bump():

@@ -518,6 +518,17 @@ def test_invert_takes_few_newton_passes(monkeypatch):
         assert len(passes) <= 6, (p, mu, len(passes))
 
 
+def test_table_nodes_fall_out_of_order_by_rounding_only():
+    # below p = 1.14 the even-v nodes near v = 0 have z = 1 - v**r rounding
+    # to 1; kept, they repeated w = K among the panel edges, up to 0.28 K
+    # out of order at p = 1.08, mu = 1 - 1e-12
+    for p in (1.05, 1.08, 1.1, 1.13):
+        for mu in (0.0, 0.99, 1.0 - 1e-12):
+            eng = el._SnpEngine(p, mu)
+            w, _ = eng._brackets()
+            assert np.diff(w).min() >= -1e-14 * eng.K, (p, mu)
+
+
 def test_invert_raises_when_newton_stalls():
     # a w_p that turns NaN once the table is built leaves every step
     # unusable, so the inversion stops after its budget, typed

@@ -293,7 +293,7 @@ def test_rho_coeff_values():
 
 
 def test_rho_sum_at_q0_is_one():
-    q0 = qt.solve_q0(1e-10)
+    q0 = qt.solve_q0()
     total = sum(fr.rho_coeff(q0, j) for j in range(1, 200))
     assert abs(total - 1.0) < 1e-4
 

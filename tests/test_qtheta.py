@@ -81,7 +81,7 @@ def test_theta_constants_and_modulus_match_mpmath():
     # the modulus comes from the theta4 complement; plain r^2 is over 4 ulp
     # off there on this grid, so the 1 ulp bound holds only on that route.
     rng = random.Random(0)
-    qs = [0.98 * (1.0 - rng.random()) for _ in range(400)] + [qt.solve_q0(1e-12)]
+    qs = [0.98 * (1.0 - rng.random()) for _ in range(400)] + [qt.solve_q0()]
     with mpmath.workdps(40):
         for q in qs:
             theta2, theta3, theta4 = qt._theta_sums(q)
@@ -226,23 +226,21 @@ def test_odd_lambert_sum_identity_grid():
 
 
 def test_odd_lambert_sum_at_q0_gives_unit_s():
-    q0 = qt.solve_q0(1e-10)
+    q0 = qt.solve_q0()
     assert abs((1.0 - q0) * qt.odd_lambert_sum(q0) - 1.0) < 1e-4
 
 
 def test_solve_q0_value_and_bracket():
-    q0 = qt.solve_q0(1e-10)
+    q0 = qt.solve_q0()
     assert abs(q0 - 0.768062) < 1e-4
     sharp = lambda q: qt.odd_lambert_sum(q) - 1.0 / (1.0 - q)
     assert sharp(0.5) * sharp(0.95) < 0.0
-    assert qt.solve_q0(1e-12) == qt.solve_q0(1e-12)
-    with pytest.raises(DomainError):
-        qt.solve_q0(1e-13)
+    assert qt.solve_q0() == qt.solve_q0()
 
 
 def test_q0_is_where_the_float_sharp_equation_changes_sign():
-    # no double below q0 gives the sharp equation a sign >= 0
-    q0 = qt.solve_q0(1e-12)
+    # the float sharp equation is negative one double below q0 and >= 0 at it
+    q0 = qt.solve_q0()
     sharp = lambda q: qt.odd_lambert_sum(q) - 1.0 / (1.0 - q)
     assert sharp(math.nextafter(q0, 0.0)) < 0.0
     assert sharp(q0) >= 0.0

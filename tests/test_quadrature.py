@@ -1,15 +1,12 @@
-"""Tests for the tanh-sinh engine and the bracketed root finder."""
+"""Tests for the tanh-sinh engine."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
-from pelliptic.certify import FIRSTCOND_RHS
-from pelliptic.elliptic import kp
-from pelliptic.quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_nodes, bracketed_root
-from pelliptic.errors import DomainError, MaxIterations, NonConvergence, NoSignChange
+from pelliptic.quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_nodes
+from pelliptic.errors import NonConvergence
 
 TOL = 1e-12
 
@@ -104,21 +101,6 @@ def test_complement_argument_is_exact_near_one():
         assert nodes == _ts_nodes()[3][level + 1]
         with pytest.raises(NonConvergence):
             integrate(lambda x, cx: 1.0 / (d + (1.0 - x)))
-
-
-def test_bad_tol_rejected():
-    # bracketed_root: an infinite end or tol is rejected before g runs
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return x - 1.0
-
-    bad = [(0.0, math.inf, 1e-12), (-math.inf, 2.0, 1e-12), (0.0, 2.0, math.inf)]
-    for lo, hi, tol in bad:
-        with pytest.raises(DomainError):
-            bracketed_root(g, lo, hi, tol=tol)
-    assert calls == []
 
 
 def test_nonconvergence_on_interior_kink():
@@ -310,108 +292,3 @@ def test_row_still_live_at_level_11_raises():
         (lev, [2]) for lev in range(_BLOCK_LEVEL + 1, 12)
     ]
 
-
-# -- bracketed_root -----------------------------------------------------------
-
-
-def test_root_zero_at_lo_evaluates_g_once():
-    evals = []
-
-    def g(x):
-        evals.append(x)
-        return x
-
-    assert bracketed_root(g, 0.0, 1.0, tol=1e-12) == 0.0
-    assert evals == [0.0]
-
-
-def test_root_linear():
-    assert abs(bracketed_root(lambda x: x - 0.25, 0.0, 1.0, tol=1e-12) - 0.25) < 1e-11
-
-
-def test_root_sqrt2():
-    r = bracketed_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
-    assert abs(r - math.sqrt(2.0)) < 1e-11
-
-
-def test_root_half_pi():
-    r = bracketed_root(math.cos, 1.0, 2.0, tol=1e-12)
-    assert abs(r - math.pi / 2.0) < 1e-11
-
-
-def test_root_stays_inside_bracket():
-    for shift in [0.1, 0.33, 0.5, 0.77, 0.9]:
-        g = lambda x, c=shift: (x - c) ** 3 + 0.1 * (x - c)
-        r = bracketed_root(g, 0.0, 1.0, tol=1e-12)
-        assert 0.0 <= r <= 1.0
-        assert abs(r - shift) < 1e-9
-
-
-def test_root_endpoint_hits():
-    assert bracketed_root(lambda x: x, 0.0, 1.0, tol=1e-12) == 0.0
-    assert bracketed_root(lambda x: x - 1.0, 0.0, 1.0, tol=1e-12) == 1.0
-
-
-def test_root_tiny_bracket_returns_midpoint():
-    lo, hi = 0.25 - 4e-13, 0.25 + 4e-13
-    r = bracketed_root(lambda x: x - 0.25, lo, hi, tol=1e-12)
-    assert r == 0.5 * (lo + hi)
-
-
-def test_root_no_sign_change():
-    with pytest.raises(NoSignChange):
-        bracketed_root(lambda x: x * x - 2.0, 2.0, 3.0, tol=1e-12)
-
-
-def test_root_max_iterations():
-    # steep sigmoid defeats interpolation, so the bracket only shrinks
-    # geometrically and three iterations cannot reach tol
-    g = lambda x: math.tanh(1e6 * (x - 1.0 / 3.0))
-    with pytest.raises(MaxIterations):
-        bracketed_root(g, 0.0, 1.0, tol=1e-12, max_iter=3)
-
-
-def test_root_deterministic():
-    g = lambda x: math.tanh(x) - 0.5
-    assert bracketed_root(g, 0.0, 2.0) == bracketed_root(g, 0.0, 2.0)
-
-
-ROOT_CASES = [
-    (lambda x: x - 0.25, 0.0, 1.0),
-    (lambda x: x * x - 2.0, 1.0, 2.0),
-    (math.cos, 1.0, 2.0),
-    *[
-        (lambda x, c=c: (x - c) ** 3 + 0.1 * (x - c), 0.0, 1.0)
-        for c in [0.1, 0.33, 0.5, 0.77, 0.9]
-    ],
-    (lambda x: math.tanh(1e6 * (x - 1.0 / 3.0)), 0.0, 1.0),
-    (lambda x: math.tanh(x) - 0.5, 0.0, 2.0),
-    (lambda mu: kp(2.0, mu) - FIRSTCOND_RHS, 1e-6, 0.999),
-]
-
-
-@pytest.mark.parametrize("case", range(len(ROOT_CASES)))
-def test_root_matches_scipy_brentq(case):
-    g, lo, hi = ROOT_CASES[case]
-    ref = brentq(g, lo, hi, xtol=1e-15)
-    assert abs(bracketed_root(g, lo, hi, tol=TOL) - ref) <= TOL
-
-
-def test_root_steep_sigmoid_converges():
-    # the worst case for interpolation: the bisection fallback must still
-    # close the bracket in about log2(1 / tol) steps
-    g = lambda x: math.tanh(1e6 * (x - 1.0 / 3.0))
-    r = bracketed_root(g, 0.0, 1.0, tol=TOL, max_iter=60)
-    assert abs(r - 1.0 / 3.0) <= TOL
-
-
-def test_root_far_from_zero():
-    # tol lies below the double spacing at the root; the 2 eps |b| term in
-    # the stop test and the minimum step still closes the bracket
-    for g, lo, hi, root in [
-        (lambda x: x - 1e5 - 0.3, 0.0, 2e5, 100000.3),
-        (lambda x: x + 1e5 + 0.3, -2e5, 0.0, -100000.3),
-        (lambda x: x - 1e12 - 0.3, 0.0, 2e12, 1e12 + 0.3),
-    ]:
-        r = bracketed_root(g, lo, hi, tol=1e-12)
-        assert abs(r - root) <= 4.0 * np.spacing(abs(root)), (root, r)

@@ -154,14 +154,6 @@ def test_q0_documented_value():
     assert abs(float(parse_envelope(r.stdout)["value"]) - 0.768062) < 1e-4
 
 
-def test_q0_takes_no_tolerance():
-    # q0 is bisected down to adjacent doubles; no tolerance is accepted
-    r = run_cli("q0", "--tol", "1e-10")
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert "unrecognized arguments: --tol" in r.stderr
-
-
 def test_mu0_close_to_one():
     r = run_cli("mu0")
     env = parse_envelope(r.stdout)
@@ -378,6 +370,9 @@ def test_usage_errors_exit_1():
     assert run_cli().returncode == 1
     assert run_cli("bogus").returncode == 1
     assert run_cli("kp", "--p", "2").returncode == 1
+    # q0 is bisected down to adjacent doubles and takes no tolerance
+    r = run_cli("q0", "--tol", "1e-10")
+    assert r.returncode == 1 and "unrecognized arguments: --tol" in r.stderr
     # an empty field fails float(), so an empty or blank list is malformed too
     for mus in ("", ",", " ", "0.1,"):
         r = run_cli("certify", "--criterion", "firstcond", "--mu-list", mus)

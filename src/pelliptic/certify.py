@@ -16,11 +16,14 @@ certificates over a finite set of moduli:
 
 Each certificate reports lhs, rhs, margin = rhs - lhs, a truncation tail
 bound, and a three-way verdict: PASS when the margin clearly exceeds the
-tail plus a fixed numeric slack, FAIL when it is clearly negative, and
-INCONCLUSIVE in between.  One private builder makes every report, so the
-verdict rule and the report layout are written once.  A certificate
-never silently overclaims: sups over interval grids carry an explicit
-non-rigorous-between-nodes caveat.
+tail plus a fixed numeric slack, FAIL when it is below minus the slack,
+and INCONCLUSIVE in between.  The tail bounds the terms that lhs leaves
+out, so it can only make lhs larger: a negative margin fails the
+inequality whatever the tail.  A FAIL says that the sufficient condition
+does not hold, not that the family is no Riesz basis.  One private
+builder makes every report, so the verdict rule and the report layout
+are written once.  A certificate never silently overclaims: sups over
+interval grids carry an explicit non-rigorous-between-nodes caveat.
 """
 
 from __future__ import annotations
@@ -129,9 +132,10 @@ def _verdict(lhs: float, rhs: float, tail: float) -> tuple[str, float]:
     margin = rhs - lhs
     if margin > tail + _SLACK:
         return "PASS", margin
-    if abs(margin) <= tail + _SLACK:
-        return "INCONCLUSIVE", margin
-    return "FAIL", margin
+    # the tail only adds to lhs, so a clearly negative margin fails whatever it is
+    if margin < -_SLACK:
+        return "FAIL", margin
+    return "INCONCLUSIVE", margin
 
 
 def _report(

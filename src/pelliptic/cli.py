@@ -67,14 +67,12 @@ def _mu_list(text: str):
 
 
 def _mu_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be lo:hi:n, got {text!r}")
+    # a wrong number of parts fails the unpacking with a ValueError too
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = text.split(":")
+        return float(lo), float(hi), int(n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:n, got {text!r}") from exc
-    return lo, hi, n
 
 
 def cmd_kp(args) -> list:

@@ -60,9 +60,10 @@ def test_verdict_partition_edges():
     # margin inside the fixed slack band counts as inconclusive
     v, m = ct._verdict(1.0, 1.0 + 5e-10, 0.0)
     assert v == "INCONCLUSIVE"
-    # a tail bound larger than the margin blocks both PASS and FAIL
+    # a tail bound larger than the margin blocks a PASS; it only adds to
+    # lhs, so it cannot block a FAIL
     assert ct._verdict(1.0, 1.5, 0.6)[0] == "INCONCLUSIVE"
-    assert ct._verdict(1.5, 1.0, 0.6)[0] == "INCONCLUSIVE"
+    assert ct._verdict(1.5, 1.0, 0.6)[0] == "FAIL"
     assert ct._verdict(1.0, 1.5, 0.4999)[0] == "PASS"
 
 
@@ -128,6 +129,16 @@ def test_invertibility_near_one_inconclusive():
     assert "increase K" in r.caveats
     assert r.margin > 0.0
     assert r.tail_bound > r.margin
+
+
+def test_invertibility_fails_when_the_partial_sum_alone_exceeds_tau1():
+    # the odd sum up to K is a lower bound on the full sum, so a negative
+    # margin fails the test although the tail bound (1.44) exceeds it
+    r = ct.certify_invertibility(1.2, ct.ModulusSet.constant(0.99), K=21)
+    assert r.verdict == "FAIL"
+    assert -0.09 < r.margin < -0.08
+    assert r.tail_bound > -r.margin
+    assert "increase K" not in r.caveats
 
 
 def test_invertibility_mixed_set_fails():

@@ -1,16 +1,23 @@
-"""End-to-end CLI tests, through subprocess unless noted.
+"""End-to-end CLI tests.
 
 Each invocation checks the exit code and the flat key=value envelope;
 numeric payloads must round-trip through the printed 17 significant
-digits to the exact doubles the library computes.
+digits to the exact doubles the library computes.  ``run_cli`` calls
+``cli.main`` in the test process, so the tier-1 statement tracer sees
+the CLI too.  Three tests start a Python process because the process is
+what they check: the console-script launcher, the modules a cold chain
+imports, and a runtime with numpy alone.
 """
 
+import io
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
@@ -29,7 +36,7 @@ PKG_PARENT = str(Path(pelliptic.__file__).resolve().parents[1])
 
 
 def cli_env(bin_dir=None):
-    """Environment for a CLI child process.
+    """Environment for a child process.
 
     PYTHONPATH starts with the absolute directory of the imported package,
     so the child imports the same pelliptic from any working directory;
@@ -44,17 +51,23 @@ def cli_env(bin_dir=None):
     return env
 
 
-CLI_MODULE = (sys.executable, "-m", "pelliptic.cli")
-
-
-def run_cli(*args, cwd=None, command=CLI_MODULE, env=None):
-    return subprocess.run(
-        [*command, *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=cli_env() if env is None else env,
-    )
+def run_cli(*args, cwd=None):
+    """``pelliptic *args`` through ``cli.main`` in this process, in cwd if
+    given: the exit code (a ``SystemExit`` gives its code), stdout and
+    stderr, as ``subprocess.run`` reports them."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(here)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def parse_envelope(stdout):
@@ -248,10 +261,12 @@ def test_certify_grid_emits_warning():
 
 
 def test_certify_bad_grid_syntax_exits_1():
-    r = run_cli(
-        "certify", "--criterion", "firstcond", "--p", "2", "--mu-grid", "0.1:0.9"
-    )
-    assert r.returncode == 1
+    for grid in ("0.1:0.9", "0.1:x:5"):
+        r = run_cli(
+            "certify", "--criterion", "firstcond", "--p", "2", "--mu-grid", grid
+        )
+        assert r.returncode == 1
+        assert f"grid must be lo:hi:n, got {grid!r}" in r.stderr, grid
 
 
 def test_certify_invert_report_consistent():
@@ -286,21 +301,27 @@ def test_default_envelopes_match_golden(case, tmp_path):
     assert capture(case["args"], tmp_path) == case
 
 
-def test_main_runs_several_commands_in_one_process(capsys):
+def test_main_runs_several_commands_in_one_process():
     # main reuses one parser across calls; each call must still parse its
     # own arguments and print its own envelope
     cases = {" ".join(c["args"]): c for c in GOLDEN}
     for args in ("q0", "certify --criterion p2sharp --mu-const 0.9909", "s --q 0.3"):
-        case = cases[args]
-        assert cli.main(args.split()) == case["returncode"]
-        assert capsys.readouterr().out == case["stdout"], args
+        r, case = run_cli(*args.split()), cases[args]
+        assert (r.returncode, r.stdout) == (case["returncode"], case["stdout"]), args
     for bad in ([], ["bogus"], ["kp", "--p", "2"]):
+        assert run_cli(*bad).returncode == 1
+    assert run_cli("s", "--q", "0.3").stdout == cases["s --q 0.3"]["stdout"]
+
+
+def test_module_run_as_main_exits_with_the_code_of_main(monkeypatch):
+    # ``python -m pelliptic.cli`` passes main's return value to sys.exit;
+    # runpy warns if the module is already imported, so drop it first
+    monkeypatch.delitem(sys.modules, "pelliptic.cli")
+    for args, code in (("s --q 0.3", 0), ("kp --p 2 --mu 1.5", 2)):
+        monkeypatch.setattr(sys, "argv", ["pelliptic", *args.split()])
         with pytest.raises(SystemExit) as exc:
-            cli.main(bad)
-        assert exc.value.code == 1
-    capsys.readouterr()
-    assert cli.main(["s", "--q", "0.3"]) == 0
-    assert capsys.readouterr().out == cases["s --q 0.3"]["stdout"]
+            runpy.run_module("pelliptic.cli", run_name="__main__")
+        assert exc.value.code == code, args
 
 
 def test_region_writes_csv(tmp_path):
@@ -351,15 +372,16 @@ def test_selftest_passes():
     assert int(env["checks"]) >= 10
 
 
-def test_selftest_failure_exits_4(monkeypatch, capsys):
+def test_selftest_failure_exits_4(monkeypatch):
     checks = cli._selftest_checks
 
     def broken():
         raise AssertionError("fails on purpose")
 
     monkeypatch.setattr(cli, "_selftest_checks", lambda: [*checks(), broken])
-    assert cli.main(["selftest"]) == 4
-    env = parse_envelope(capsys.readouterr().out)
+    r = run_cli("selftest")
+    assert r.returncode == 4
+    env = parse_envelope(r.stdout)
     assert env["selftest"] == "fail"
     assert env["failures"] == "1"
     assert env["check_broken"].startswith("FAIL:")
@@ -401,7 +423,13 @@ def test_console_script_installed(tmp_path):
     env = cli_env(bin_dir)
     exe = shutil.which("pelliptic", path=env["PATH"])
     assert exe == str(launcher)
-    r = run_cli("kp", "--p", "2", "--mu", "0", command=[exe], env=env, cwd=tmp_path)
+    r = subprocess.run(
+        [exe, "kp", "--p", "2", "--mu", "0"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
     assert r.returncode == 0, r.stderr
     assert abs(float(parse_envelope(r.stdout)["value"]) - math.pi / 2.0) < 1e-13
 

@@ -238,7 +238,7 @@ def region_scan(p_points, mu_points) -> list:
     rows = []
     for i in range(0, len(keys), _CHUNK):
         chunk = keys[i : i + _CHUNK]
-        vals = _kp_rows([1.0 / op for op, _ in chunk], [mu for _, mu in chunk])
+        vals = _kp_rows([1.0 / op for op, _ in chunk], [mu for _, mu in chunk])[0]
         for (op, mu), val in zip(chunk, vals.tolist()):
             rows.append((op, mu, val, int(val < FIRSTCOND_RHS)))
     return rows
@@ -302,7 +302,7 @@ def firstcond_boundary(p: float) -> float:
         return (-math.expm1(min(t, 0.0))) ** (1.0 / p)
 
     mus = _BOUNDARY_MUS.tolist()
-    f = (_kp_rows([p] * len(mus), mus) - FIRSTCOND_RHS).tolist()
+    f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
     if f[0] > 0.0 or f[-1] < 0.0:
         raise NoSignChange(
             f"K_{p}(mu) - 8/(pi^2 - 8) is {f[0]} at mu = {mus[0]} and "

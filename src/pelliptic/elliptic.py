@@ -12,12 +12,13 @@ modulus k convention, not the parameter m = k**2).
 
 K_p has one route for every p > 1: tanh-sinh quadrature in v, where
 1 - s = v**m with m = p / (10 (p - 1)), so the weight v**(-0.9) is the
-same at every p and the rest of the integrand is bounded.  Batched rows
-(:func:`_kp_rows`) and the scalar :func:`kp_quadrature` are one driver
-call, so they agree bit for bit.  The integrand's factors that depend on
-p alone, v**m and (1 - s**p) / (1 - s), are formed once per distinct p
-and level and kept in a small cache (:func:`_kp_p_factor`), so rows that
-share p, and a scalar call after a batch of its p, share them.
+same at every p and the rest of the integrand is bounded.  One function,
+:func:`_kp_rows`, runs that integrand, on a batch of rows at once; the
+scalar :func:`kp_quadrature` is its one-row case, so the two agree bit
+for bit.  The integrand's factors that depend on p alone, v**m and
+(1 - s**p) / (1 - s), are formed once per distinct p and level and kept
+in a small cache (:func:`_kp_p_factor`), so rows that share p, and a
+scalar call after a batch of its p, share them.
 :func:`kp_via_2f1`, the hypergeometric series, is an independent
 cross-check, not a fallback.
 
@@ -236,18 +237,24 @@ def _kp_p_factor(ps: tuple, lev: int) -> tuple[np.ndarray, np.ndarray]:
     return e, ratio
 
 
-def _kp_batch(p: list, mu: list):
+def _kp_rows(p, mu):
     """The driver's (value, abs_error_estimate, nodes_used) for K_p at each
-    pair (p[i], mu[i]) of checked floats: the integral over [0, 1] of
-    m v**(_KP_WEIGHT - 1) T(v**m), T the :func:`_tail_factor`.
+    pair (p[i], mu[i]): the integral over [0, 1] of m v**(_KP_WEIGHT - 1)
+    T(v**m), T the :func:`_tail_factor`, at ``_KP_TOL`` as one driver call.
+    Each value equals :func:`kp` bit for bit.
 
-    v**m and the ratio (1 - s**p) / (1 - s) depend on p alone, so they come
-    from :func:`_kp_p_factor`, once per distinct p and level, and only
+    Each raw pair is validated before it is converted to float.  v**m and
+    the ratio (1 - s**p) / (1 - s) depend on p alone, so they come from
+    :func:`_kp_p_factor`, once per distinct p and level, and only
     ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  Its powers are
     numpy's elementwise power on a column of exponents at every m and p,
     never a scalar shortcut (sqrt, copy or square at m = 0.5, 1 or 2), so
     a row has the same bits alone as in any batch.
     """
+    for a, b in zip(p, mu):
+        _validate_pmu(a, b)
+    p = [float(v) for v in p]
+    mu = [float(v) for v in mu]
     where = {a: i for i, a in enumerate(dict.fromkeys(p))}
     ps, k = tuple(where), np.array([where[a] for a in p])
     p_col = np.array(p)[:, None]
@@ -268,31 +275,17 @@ def _kp_batch(p: list, mu: list):
 def kp_quadrature(p: float, mu: float) -> QuadratureResult:
     """The K_p integral with the engine's own error assessment attached.
 
-    The one-row case of :func:`_kp_rows`, at the target 1e-13 (relative,
-    since K_p > 1).  The smooth factor is :func:`_tail_factor` of the
-    endpoint distance 1 - s = v**m, formed from v and never by
-    subtraction, so the integral stays accurate even for 1 - mu of order
-    1e-15.  Its p-only part comes from :func:`_kp_p_factor`, so a call
-    at the p of a recent batch, or of a recent call, reuses it.
+    Row 0 of ``_kp_rows([p], [mu])``, which validates (p, mu), at the
+    target 1e-13 (relative, since K_p > 1).  The smooth factor is
+    :func:`_tail_factor` of the endpoint distance 1 - s = v**m, formed from
+    v and never by subtraction, so the integral stays accurate even for
+    1 - mu of order 1e-15.  Its p-only part comes from :func:`_kp_p_factor`,
+    so a call at the p of a recent batch, or of a recent call, reuses it.
     """
-    _validate_pmu(p, mu)
-    value, err, nodes = _kp_batch([float(p)], [float(mu)])
+    value, err, nodes = _kp_rows([p], [mu])
     return QuadratureResult(
         value=float(value[0]), abs_error_estimate=float(err[0]), nodes_used=nodes
     )
-
-
-def _kp_rows(p, mu) -> np.ndarray:
-    """K_p at each pair (p[i], mu[i]), equal to :func:`kp` bit for bit.
-
-    The rows run the integrand and stop test of ``kp_quadrature(p[i],
-    mu[i])`` at ``_KP_TOL`` as one driver call.
-    """
-    p = [float(v) for v in p]
-    mu = [float(v) for v in mu]
-    for a, b in zip(p, mu):
-        _validate_pmu(a, b)
-    return _kp_batch(p, mu)[0]
 
 
 def _direct_series(p: float, mup: float) -> np.ndarray:
@@ -826,15 +819,6 @@ def _fold(p: float, mu: float, y):
     return (eng, *eng.reduce(_check_finite("y", y).ravel()))
 
 
-def _snp_parts(p: float, mu: float, y):
-    """Fold and invert y once: (engine, s, sign, quarter) with
-    s = |sn_p(y)|, sign = sgn(sn_p(y)) and quarter = the quarter of y mod
-    4 K_p.  Every sn_p value and derivative is built from these, so callers
-    that need several of them at the same y invert only once."""
-    eng, u, sign, quarter, _ = _fold(p, mu, y)
-    return eng, eng.invert(u), sign, quarter
-
-
 def _shaped(y, values: np.ndarray):
     """``values``, computed on y flattened, as a float when y is a scalar
     and in the shape of y otherwise."""
@@ -850,8 +834,8 @@ def snp(p: float, mu: float, y):
     with ulp(y) >= K_p, where neighbouring doubles are a quarter period or
     more apart, raises :class:`DomainError`.  Every sn_p entry point folds
     the same way."""
-    _, s, sign, _ = _snp_parts(p, mu, y)
-    return _shaped(y, sign * s)
+    eng, u, sign, _, _ = _fold(p, mu, y)
+    return _shaped(y, sign * eng.invert(u))
 
 
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
@@ -865,8 +849,8 @@ def snp_deriv(p: float, mu: float, y):
     """d/dy sn_p(y, mu) = sgn * ((1 - s**p)(1 - mu**p s**p))**(1/p) with
     s = |sn_p(y)|; vanishes at odd multiples of K_p.  A float or an array
     of y, as for :func:`snp`."""
-    eng, s, _, quarter = _snp_parts(p, mu, y)
-    return _shaped(y, eng.deriv(s, quarter))
+    eng, u, _, quarter, _ = _fold(p, mu, y)
+    return _shaped(y, eng.deriv(eng.invert(u), quarter))
 
 
 def snp_second_deriv(p: float, mu: float, y):

@@ -126,7 +126,7 @@ def compute() -> dict:
     for p, mu in TAU_PAIRS:
         out[f"tau_k {p!r},{mu!r}"] = fr.tau_k(p, mu, np.arange(1, 22)).tolist()
     P, M = np.meshgrid(TILE_P, TILE_MU, indexing="ij")
-    out["_kp_rows"] = el._kp_rows(P.ravel(), M.ravel()).tolist()
+    out["_kp_rows"] = el._kp_rows(P.ravel(), M.ravel())[0].tolist()
     for p, mu in QUAD_PAIRS:
         r = el.kp_quadrature(p, mu)
         out[f"kp_quadrature {p!r},{mu!r}"] = [
@@ -134,8 +134,8 @@ def compute() -> dict:
         ]
     for p, mu in TAU_LONG_PAIRS:
         out[f"tau_k 1..201 {p!r},{mu!r}"] = fr.tau_k(p, mu, np.arange(1, 202)).tolist()
-    out["_kp_rows 1.63 boundary"] = el._kp_rows([1.63] * 16, ct._BOUNDARY_MUS).tolist()
-    out["_kp_rows repeated p"] = el._kp_rows(REPEAT_P, REPEAT_MU).tolist()
+    out["_kp_rows 1.63 boundary"] = el._kp_rows([1.63] * 16, ct._BOUNDARY_MUS)[0].tolist()
+    out["_kp_rows repeated p"] = el._kp_rows(REPEAT_P, REPEAT_MU)[0].tolist()
     for name, fn, ea, tol in DRIVER:
         row = quad._tanh_sinh(lambda lev, x, cx, rows: fn(x, cx), ea, tol)
         out[f"_tanh_sinh {name},{ea!r},{tol!r}"] = [float(v) for v in row]

@@ -491,7 +491,7 @@ def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
 @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
 def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
     # _kp_rows checks p before its quadrature runs
-    quads = _counting(monkeypatch, el, "_kp_batch")
+    quads = _counting(monkeypatch, el, "_tanh_sinh")
     scalars = _counting(monkeypatch, ct, "kp")
     with pytest.raises(DomainError):
         ct.firstcond_boundary(p)
@@ -500,7 +500,7 @@ def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
 
 def _stand_in_kp(monkeypatch, f):
     # K_p replaced by the strictly increasing f(mu), batch and scalar
-    monkeypatch.setattr(ct, "_kp_rows", lambda ps, mus: f(np.asarray(mus)))
+    monkeypatch.setattr(ct, "_kp_rows", lambda ps, mus: (f(np.asarray(mus)),))
     monkeypatch.setattr(ct, "kp", lambda p, mu: float(f(np.float64(mu))))
 
 

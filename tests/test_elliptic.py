@@ -92,14 +92,17 @@ def test_kp_nodes_stay_within_budget():
 
 def test_kp_rows_equal_scalar_kp():
     # one batch mixing p where v**m has m = 0.5, about 1 and about 2 with
-    # other p: each row has the bits of the scalar call
+    # other p: each row has the bits of the scalar call, and kp_quadrature
+    # is the one-row batch in value, error estimate and node count
     ps = [1.25, 10.0 / 9.0, 20.0 / 19.0, 1.02, 2.0, 7.0]
     mus = [0.0, 0.5, 0.999, 1.0 - 1e-12]
     p, mu = zip(*[(a, b) for a in ps for b in mus])
-    rows = el._kp_rows(p, mu)
+    rows = el._kp_rows(p, mu)[0]
     for i, (a, b) in enumerate(zip(p, mu)):
-        assert rows[i] == el.kp(a, b) == el.kp_quadrature(a, b).value
-        assert el._kp_rows([a], [b])[0] == rows[i]
+        r = el.kp_quadrature(a, b)
+        value, err, nodes = el._kp_rows([a], [b])
+        assert rows[i] == el.kp(a, b) == r.value == value[0]
+        assert (r.abs_error_estimate, r.nodes_used) == (err[0], nodes)
 
 
 def test_kp_rows_sharing_p_equal_scalar_kp_with_the_p_factor_cold_and_warm():
@@ -113,9 +116,9 @@ def test_kp_rows_sharing_p_equal_scalar_kp_with_the_p_factor_cold_and_warm():
     order = np.random.default_rng(7).permutation(len(pairs))
     p, mu = zip(*[pairs[i] for i in order])
     el._kp_p_factor.cache_clear()
-    cold = el._kp_rows(p, mu)
+    cold = el._kp_rows(p, mu)[0]
     assert el._kp_p_factor.cache_info().misses > 0
-    warm = el._kp_rows(p, mu)
+    warm = el._kp_rows(p, mu)[0]
     assert el._kp_p_factor.cache_info().hits > 0
     assert cold.tobytes() == warm.tobytes()
     el._kp_p_factor.cache_clear()

@@ -12,9 +12,13 @@ from pelliptic import certify, eigen, elliptic, errors, fourier, qtheta, quadrat
 
 MODULES = (quadrature, elliptic, qtheta, eigen, fourier, certify)
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pelliptic"
 # public names that no package code or demo calls, kept as a layer of the
 # chain: w_p between K_p and sn_p
 UNREACHED_BY_DESIGN = {"wp"}
+# private functions that no package code calls, kept for a planned caller:
+# the L^2 norm of sn_p trajectories (ROADMAP direction 6)
+PRIVATE_UNCALLED_BY_DESIGN = {"_sn_l2"}
 EXCEPTIONS = {
     name
     for name, obj in vars(errors).items()
@@ -54,15 +58,36 @@ def test_namespace_holds_nothing_else():
     assert isinstance(pelliptic.__version__, str)
 
 
-def test_every_public_name_is_reached_outside_the_tests():
-    # a name in an __all__ is public because the package, its CLI or a demo
-    # uses it; one that only tests reach is dead surface
+def _names_used(paths):
+    """Every identifier read as a name or an attribute in the files."""
     used = set()
-    for path in [*(ROOT / "src" / "pelliptic").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a name in an __all__ is public because the package, its CLI or a demo
+    # uses it; one that only tests reach is dead surface
+    used = _names_used([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")])
     listed = {name for module in MODULES for name in module.__all__}
     assert listed - used - UNREACHED_BY_DESIGN == set()
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # the private counterpart: a module-level _name def or class that no
+    # module of the package refers to is dead code, even if tests run it
+    paths = list(PACKAGE.glob("*.py"))
+    private = {
+        node.name
+        for path in paths
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    assert private - _names_used(paths) - PRIVATE_UNCALLED_BY_DESIGN == set()

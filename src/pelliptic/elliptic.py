@@ -257,17 +257,23 @@ def _kp_rows(p, mu):
     mu = [float(v) for v in mu]
     where = {a: i for i, a in enumerate(dict.fromkeys(p))}
     ps, k = tuple(where), np.array([where[a] for a in p])
-    p_col = np.array(p)[:, None]
+    p_col, eps, mup = np.array([p, *zip(*map(_eps_mup, p, mu))])[:, :, None]
     m = p_col / (p_col - 1.0) * _KP_WEIGHT
     power = -1.0 / p_col
-    eps, mup = np.array([_eps_mup(a, b) for a, b in zip(p, mu)]).T[:, :, None]
 
-    # m T(e) with T the _tail_factor, x being the nodes of _ts_slice(lev)
+    # m T(e) with T the _tail_factor, x being the nodes of _ts_slice(lev),
+    # as m (ratio (eps + mup ratio e))**power formed in place
     def F(lev, x, cx, rows):
         e, ratio = _kp_p_factor(ps, lev)
         j = k[rows]
         e, ratio = e[j], ratio[j]
-        return m[rows] * (ratio * (eps[rows] + mup[rows] * ratio * e)) ** power[rows]
+        out = mup[rows] * ratio
+        out *= e
+        out += eps[rows]
+        out *= ratio
+        out **= power[rows]
+        out *= m[rows]
+        return out
 
     return _tanh_sinh(F, _KP_WEIGHT, _KP_TOL)
 

@@ -29,6 +29,14 @@ still live, so a batch evaluates each row through the block, or through
 its own stop level if that comes later, as if it ran alone.  The weights
 are formed once per exponent and level.
 
+The bookkeeping is a fixed cost of every call, whatever its row count, so
+it is kept to few numpy calls: each level's sum is reduced straight into
+its column of one table (``np.add.reduce`` with ``out=``, the bits of
+``.sum``; ``np.add.reduceat`` sums in another order), and a level at
+which no row stops compacts and scatters nothing.  The driver sets no
+floating-point error state: F runs under the caller's, and an integrand
+that may divide by zero or overflow sets its own ``np.errstate``.
+
 Endpoint distances are taken directly from the transform: 1-x is formed from
 exponentials, never by subtracting x from 1, so the endpoint power factors
 keep full precision down to distances of order 1e-300.  F receives both x
@@ -191,7 +199,8 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
     accumulate, and each row's first passing level one argmax.  numpy adds
     fewer than 8 terms in order, so the running sum has the bits of each
     level's own sum; from 8 terms on it sums pairwise, so the later levels
-    keep ``sums[:, :lev + 1].sum(axis=-1)`` and are tested level by level.
+    keep ``np.add.reduce(sums[:, :lev + 1], axis=-1)`` and are tested
+    level by level.
     Either way a row does not depend, to the last bit, on the block, on
     the other rows or on how many there are.  The relative part of the
     test keeps it above the rounding noise of large values, such as K_p
@@ -214,61 +223,68 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
         s = _ts_slice(lev)
         return F(lev, X[s], CX[s], rows) * _ts_weights(ea, lev)
 
-    with np.errstate(divide="ignore"):
-        block = ask(_BLOCK_LEVEL)
-        shape = block.shape[:-1]
-        block = block.reshape(-1, cuts[_BLOCK_LEVEL + 1])
-        n = block.shape[0]
-        # one column per level: each row sums its own levels, in the same
-        # order as a row computed alone
-        sums = np.zeros((n, _MAX_LEVEL + 1))
-        for lev in range(_BLOCK_LEVEL + 1):
-            sums[:, lev] = block[:, cuts[lev] : cuts[lev + 1]].sum(axis=-1)
-        m = cuts[1] // 2
-        trunc = np.abs(block[:, m - 1]) + np.abs(block[:, 2 * m - 1])
-        # levels 0.._BLOCK_LEVEL of every row at once, then the tests of
-        # levels _MIN_LEVEL.._BLOCK_LEVEL, one column each
-        value = np.add.accumulate(sums[:, : _BLOCK_LEVEL + 1], axis=-1) * _BLOCK_STEPS
-        best = np.minimum.accumulate(
-            np.abs(value[:, _MIN_LEVEL:] - value[:, _MIN_LEVEL - 1 : -1]), axis=-1
-        )
-        value = value[:, _MIN_LEVEL:]
-        est = best + trunc[:, None]
-        target = tol * np.maximum(1.0, np.abs(value))
-        ok = est <= target
-        # the truncation allowance is fixed at level 0, so a row it alone
-        # puts well above its target can never stop; such a row also
-        # misses its level-2 test, as est >= trunc
-        if (trunc > 2.0 * target[:, 0]).any():
-            raise _nonconvergence(_MIN_LEVEL, est[~ok[:, 0], 0], tol)
-        # each row's first passing level; a row with none is live, and its
-        # places in out and err are written when it stops
-        first = ok.argmax(axis=-1)
-        pick = (np.arange(n), first)
-        out, err = value[pick], est[pick]
-        live = ~ok[pick]
-        lev = _BLOCK_LEVEL if live.any() else _MIN_LEVEL + int(first.max())
+    block = ask(_BLOCK_LEVEL)
+    shape = block.shape[:-1]
+    block = block.reshape(-1, cuts[_BLOCK_LEVEL + 1])
+    n = len(block)
+    # one column per level: each row sums its own levels, in the same
+    # order as a row computed alone
+    sums = np.zeros((n, _MAX_LEVEL + 1))
+    for lev in range(_BLOCK_LEVEL + 1):
+        np.add.reduce(block[:, cuts[lev] : cuts[lev + 1]], axis=-1, out=sums[:, lev])
+    m = cuts[1] // 2
+    trunc = np.abs(block[:, m - 1]) + np.abs(block[:, 2 * m - 1])
+    # levels 0.._BLOCK_LEVEL of every row at once, then the tests of
+    # levels _MIN_LEVEL.._BLOCK_LEVEL, one column each
+    value = np.add.accumulate(sums[:, : _BLOCK_LEVEL + 1], axis=-1) * _BLOCK_STEPS
+    best = np.minimum.accumulate(
+        np.abs(value[:, _MIN_LEVEL:] - value[:, _MIN_LEVEL - 1 : -1]), axis=-1
+    )
+    value = value[:, _MIN_LEVEL:]
+    est = best + trunc[:, None]
+    target = tol * np.maximum(1.0, np.abs(value))
+    ok = est <= target
+    # the truncation allowance is fixed at level 0, so a row it alone
+    # puts well above its target can never stop; such a row also
+    # misses its level-2 test, as est >= trunc
+    if np.count_nonzero(trunc > 2.0 * target[:, 0]):
+        raise _nonconvergence(_MIN_LEVEL, est[~ok[:, 0], 0], tol)
+    # each row's first passing level; a row with none is live, and its
+    # places in out and err are written when it stops
+    first = ok.argmax(axis=-1)
+    pick = (np.arange(n), first)
+    out, err, live = value[pick], est[pick], ~ok[pick]
+    lev = _MIN_LEVEL + int(first.max())
+    nlive = np.count_nonzero(live)
+    if nlive:
         # the live rows' state, compacted as rows stop
+        lev = _BLOCK_LEVEL
         idx, best, value = pick[0], best[:, -1], value[:, -1]
-        while live.any():
-            if not live.all():
-                idx, sums, best, trunc, value = (
-                    a[live] for a in (idx, sums, best, trunc, value)
-                )
-                rows = idx
-            prev = value
-            lev += 1
-            sums[:, lev] = ask(lev).sum(axis=-1)
-            value = (_H0 / 2.0**lev) * sums[:, : lev + 1].sum(axis=-1)
-            target = tol * np.maximum(1.0, np.abs(value))
-            best = np.minimum(best, np.abs(value - prev))
-            est = best + trunc
-            ok = est <= target
-            if lev == _MAX_LEVEL and not ok.all():
-                raise _nonconvergence(lev, est[~ok], tol)
-            out[idx[ok]] = value[ok]
-            err[idx[ok]] = est[ok]
+    while nlive:
+        if nlive < len(idx):
+            idx, sums, best, trunc, value = (
+                a[live] for a in (idx, sums, best, trunc, value)
+            )
+            rows = idx
+        prev = value
+        lev += 1
+        # a single integrand's level is 1-D
+        level = ask(lev).reshape(nlive, -1)
+        np.add.reduce(level, axis=-1, out=sums[:, lev])
+        value = (_H0 / 2.0**lev) * np.add.reduce(sums[:, : lev + 1], axis=-1)
+        target = tol * np.maximum(1.0, np.abs(value))
+        best = np.minimum(best, np.abs(value - prev))
+        est = best + trunc
+        ok = est <= target
+        stopped = np.count_nonzero(ok)
+        if stopped == nlive:
+            out[idx], err[idx] = value, est
+            break
+        if lev == _MAX_LEVEL:
+            raise _nonconvergence(lev, est[~ok], tol)
+        if stopped:
+            out[idx[ok]], err[idx[ok]] = value[ok], est[ok]
             live = ~ok
+            nlive -= stopped
     err = np.maximum(err, np.spacing(np.abs(out)))
     return out.reshape(shape), err.reshape(shape), cuts[lev + 1]
-

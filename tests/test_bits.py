@@ -74,6 +74,11 @@ DRIVER = [
     ("1/(1+900cx)", lambda x, cx: 1.0 / (1.0 + 900.0 * cx), 0.5, 1e-13),
     ("1/(1+30x)", lambda x, cx: 1.0 / (1.0 + 30.0 * x), 0.75, 1e-8),
 ]
+# invertibility certificates over several moduli: (p, set, K)
+CERTIFICATES = [
+    (1.5, ct.ModulusSet.explicit([0.2, 0.6, 0.9]), 21),
+    (2.0, ct.ModulusSet.grid(0.05, 0.95, 7), 31),
+]
 
 
 def compute() -> dict:
@@ -139,6 +144,10 @@ def compute() -> dict:
     for name, fn, ea, tol in DRIVER:
         row = quad._tanh_sinh(lambda lev, x, cx, rows: fn(x, cx), ea, tol)
         out[f"_tanh_sinh {name},{ea!r},{tol!r}"] = [float(v) for v in row]
+    for p, ms, K in CERTIFICATES:
+        r = ct.certify_invertibility(p, ms, K)
+        key = f"certify_invertibility {p!r},{ms.kind},{len(ms.values)},{K}"
+        out[key] = [r.lhs, r.rhs, r.margin, r.tail_bound]
     out["q0"] = [qt.solve_q0()]
     out["mu0"] = [qt.mu0()]
     return out
@@ -215,6 +224,18 @@ EXPECTED = {
         "0x1.03d99c7ceed1ep+2",
         "0x1.0000000000000p-50",
         "0x1.8600000000000p+7",
+    ],
+    "certify_invertibility 1.5,explicit-list,3,21": [
+        "0x1.49c9dc91fd52bp-2",
+        "0x1.934346c369ff0p-1",
+        "0x1.dcbcb0f4d6ab5p-2",
+        "0x1.303a90573ed8ep-4",
+    ],
+    "certify_invertibility 2.0,interval-grid,7,31": [
+        "0x1.cc6abf680e28fp-4",
+        "0x1.6a1865be33628p-1",
+        "0x1.308b0dd1319d6p-1",
+        "0x1.8849c152b3028p-6",
     ],
     "kp 1.5,0.999999": [
         "0x1.334a98e504cd4p+8",

@@ -441,8 +441,8 @@ def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
     # bisection alone would need log2(0.999 / 1e-12) + 2, about 42
     calls = _counting(monkeypatch, ct, "kp")
     b = ct.firstcond_boundary(p)
-    assert 1 <= calls[0] <= 3
-    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-10
+    assert 1 <= calls[0] <= 2
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
@@ -454,8 +454,8 @@ def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
     calls = _counting(monkeypatch, ct, "kp")
     b = ct.firstcond_boundary(p)
     assert batches[0] == 1
-    assert calls[0] <= 3
-    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-10
+    assert calls[0] <= 2
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
@@ -470,8 +470,8 @@ def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
 def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
     # 200 values of p over the whole crossing range [1.3, 2.02], both ends
     # included: every scalar K_p lies strictly inside the grid interval
-    # that holds the root, and the error-estimate stop needs 1 to 3 of
-    # them, 1.895 on average (the secant it replaced: 3.19, at most 5)
+    # that holds the root, and the error-estimate stop needs 1 or 2 of
+    # them, 1.51 on average
     rng = random.Random(2024)
     ps = [1.3, 2.02] + [rng.uniform(1.3, 2.02) for _ in range(198)]
     seen = _spy_kp(monkeypatch)
@@ -484,8 +484,8 @@ def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
         assert 0 < k < len(grid)
         assert all(grid[k - 1] < mu < grid[k] for mu in seen)
         counts.append(len(seen))
-    assert sum(counts) / len(counts) <= 2.0
-    assert 1 <= min(counts) and max(counts) <= 3
+    assert sum(counts) / len(counts) <= 1.6
+    assert 1 <= min(counts) and max(counts) <= 2
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
@@ -513,9 +513,9 @@ def test_firstcond_boundary_returns_a_grid_node_on_the_threshold(monkeypatch):
 
 
 def test_firstcond_boundary_bisects_a_step_that_leaves_the_bracket(monkeypatch):
-    # a root where the stand-in bends sharply: the cubic through the batch
-    # lands outside the bracket [0.6019, 0.7488], so the first scalar call
-    # is at the bracket's midpoint in t = log(1 - mu^2)
+    # a root where the stand-in bends sharply: the 7-point interpolant
+    # through the batch lands outside the bracket [0.6019, 0.7488], so the
+    # first scalar call is at the bracket's midpoint in t = log(1 - mu^2)
     _stand_in_kp(
         monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.arctan(50.0 * (mu - 0.7))
     )
@@ -546,8 +546,8 @@ def test_firstcond_boundary_returns_an_evaluated_modulus_on_the_threshold(
 
 
 def test_firstcond_boundary_stops_on_the_estimate_alone(monkeypatch):
-    # a stand-in linear in t = log(1 - mu^2): the inverse cubic and
-    # quadratic through the batch agree to rounding, so the estimate stop
+    # a stand-in linear in t = log(1 - mu^2): the inverse 7- and 6-point
+    # interpolants through the batch agree to rounding, so the estimate stop
     # returns the root before any scalar call
     t0 = math.log1p(-0.49)
     _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + t0 - np.log1p(-(mu**2)))

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import pelliptic.elliptic as el
+import pelliptic.fourier as fr
 from pelliptic.quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_nodes
 from pelliptic.errors import NonConvergence
 
 TOL = 1e-12
+# the corners of (p, mu): p from just above 1 to 1e300, mu from 0 to the
+# last double below 1
+CORNER_P = [1.0 + 1e-9, 1.0 + 1e-6, 1.0001, 1.02, 1.05, 1.5, 2.0, 7.0, 1e6, 1e300]
+CORNER_MU = [0.0, 1e-300, 0.5, 0.999, 1.0 - 1e-15, math.nextafter(1.0, 0.0)]
 
 
 def integrate(f, ea=1.0, tol=TOL):
@@ -205,16 +211,82 @@ def test_live_rows_shrink_and_stopped_rows_never_return():
 def test_running_sums_of_the_block_have_the_bits_of_each_level_sum():
     # the driver takes the block's level values from one running sum
     # (np.cumsum, that is np.add.accumulate) and those of later levels from
-    # .sum(axis=-1); numpy adds fewer than 8 terms in order, so the two
-    # agree bit for bit up to the block's _BLOCK_LEVEL + 1 levels.  A numpy
-    # release that sums short rows in another order fails here, not in
-    # pinned bits
+    # np.add.reduce(axis=-1), which is .sum(axis=-1); numpy adds fewer than
+    # 8 terms in order, so the two agree bit for bit up to the block's
+    # _BLOCK_LEVEL + 1 levels.  It also reduces each level's nodes straight
+    # into a column of its table with out=, which must keep the bits of
+    # .sum(axis=-1) on a row of any length.  A numpy release that sums in
+    # another order fails here, not in pinned bits
     rng = np.random.default_rng(20261019)
     for n in range(1, _BLOCK_LEVEL + 2):
         x = rng.choice([-1.0, 1.0], (4000, n)) * 10.0 ** rng.uniform(-30, 30, (4000, n))
         for run in (np.cumsum(x, axis=-1), np.add.accumulate(x, axis=-1)):
             for k in range(1, n + 1):
                 assert run[:, k - 1].tobytes() == x[:, :k].sum(axis=-1).tobytes()
+    for n in (1, 7, 8, 9, 48, 49, 97, 196, 392, 12492):
+        x = rng.choice([-1.0, 1.0], (40, n)) * 10.0 ** rng.uniform(-30, 30, (40, n))
+        table = np.zeros((40, 12))
+        np.add.reduce(x, axis=-1, out=table[:, 5])
+        assert table[:, 5].tobytes() == x.sum(axis=-1).tobytes()
+
+
+def test_batch_rows_equal_their_one_row_calls():
+    # seeded batches of peaks 1/(1 + (c (x - x0))**2), whose rows stop at
+    # levels 2 to 9: each row of a batch has the value and estimate of its
+    # one-row call (a 1-D integrand), and the batch reports the nodes of
+    # its slowest row.  The batches run one-row calls, the block exit
+    # when every row stops there, compaction and the scatter.  Arithmetic
+    # only, so a value has the same bits in any array shape
+    rng = np.random.default_rng(33)
+    cuts = _ts_nodes()[3]
+    stops, block_only, mixed = set(), 0, 0
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        c = 10.0 ** rng.uniform(-1.0, 2.3, n)
+        x0 = rng.uniform(0.2, 0.8, n)
+        ea = float(rng.choice([1.0, 0.5, 0.3]))
+
+        def batch(lev, x, cx, rows):
+            d = c[rows, None] * (x - x0[rows, None])
+            return 1.0 / (1.0 + d * d)
+
+        value, err, nodes = _tanh_sinh(batch, ea, 1e-4)
+        assert value.shape == err.shape == (n,)
+        alone = []
+        for i in range(n):
+            ci, xi = c[i], x0[i]
+
+            def one(lev, x, cx, rows):
+                d = ci * (x - xi)
+                return 1.0 / (1.0 + d * d)
+
+            v, e, m = _tanh_sinh(one, ea, 1e-4)
+            assert v.shape == e.shape == ()
+            assert float(v).hex() == float(value[i]).hex()
+            assert float(e).hex() == float(err[i]).hex()
+            alone.append(cuts.index(m) - 1)
+        assert nodes == cuts[max(alone) + 1]
+        stops.update(alone)
+        block_only += max(alone) <= _BLOCK_LEVEL
+        mixed += min(alone) < max(alone) and max(alone) > _BLOCK_LEVEL
+    assert stops >= set(range(2, 8))
+    assert block_only > 0 and mixed > 0
+
+
+def test_no_integrand_needs_an_error_state_at_corner_inputs():
+    # the driver sets no np.errstate of its own: at the corners of (p, mu)
+    # nothing in its scope divides by zero, overflows or makes a NaN, for
+    # scalar K_p, one batch of every corner pair, and tau_k at every
+    # corner modulus (the w_p engine takes p >= 1.05)
+    pairs = [(p, mu) for p in CORNER_P for mu in CORNER_MU]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        alone = [el.kp_quadrature(p, mu) for p, mu in pairs]
+        value, err, nodes = el._kp_rows(*zip(*pairs))
+        taus = [fr.tau_k(p, mu, [1, 3, 21]) for p, mu in pairs if p >= 1.05]
+    for r, v, e in zip(alone, value.tolist(), err.tolist()):
+        assert 1.0 <= r.value == v < math.inf and r.abs_error_estimate == e
+    assert nodes == max(r.nodes_used for r in alone)
+    assert np.isfinite(taus).all()
 
 
 def test_rows_stopping_at_levels_2_to_7_match_rows_computed_alone():

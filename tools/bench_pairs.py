@@ -1,0 +1,164 @@
+"""Paired benchmark runs of a parent commit and the working tree.
+
+    python tools/bench_pairs.py PARENT_REF --workload kp_scan --seeds 5,9973 \
+        --pairs 10 --seconds 50 --out BENCH_33.json
+
+Run from anywhere inside the repository.  The committed files of
+PARENT_REF are unpacked (``git archive``) into a temporary directory,
+which is removed at the end.  Each pair runs ``perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` once in that directory and
+once in the working tree, one after the other; the side that goes first
+alternates from pair to pair, and each pair goes through every seed.
+Every run's end-to-end metrics (the ``end_to_end`` names of
+BENCHMARK.json) are written to the output file, with each side's median
+and quartiles and the number of pairs each side won, over all seeds and
+per seed.  A file that already exists keeps its other workloads, so one
+file can hold several.  The file is rewritten after every pair, so a run
+that is stopped keeps the pairs it finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def _quartiles(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list, end_to_end: list) -> dict:
+    """Each metric's median and quartiles per side, and the pairs each side won.
+
+    ``runs`` holds dicts with ``side`` ("parent" or "change"), ``seed``,
+    ``pair`` and ``metrics`` (name to value); a pair is the parent run and
+    the change run with the same seed and pair index.  ``end_to_end`` holds
+    BENCHMARK.json's entries, each with ``name`` and ``better`` ("higher" or
+    "lower").  A pair whose two values are equal is a tie and counts for
+    neither side.  ``gain`` is the change's median over the parent's, less
+    one, and ``parent_iqr`` the distance between the parent's quartiles.
+    """
+    pairs = {}
+    for run in runs:
+        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = run["metrics"]
+    complete = [p for p in pairs.values() if len(p) == 2]
+    out = {"pairs": len(complete)}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        values = {side: [p[side][name] for p in complete] for side in SIDES}
+        wins = {side: 0 for side in SIDES}
+        for a, b in zip(values["parent"], values["change"]):
+            if a != b:
+                wins["change" if sign * (b - a) > 0.0 else "parent"] += 1
+        entry = {"better": metric["better"], "wins": wins}
+        if complete:
+            entry.update({side: _quartiles(values[side]) for side in SIDES})
+            parent = entry["parent"]
+            entry["gain"] = entry["change"]["median"] / parent["median"] - 1.0
+            entry["parent_iqr"] = parent["q3"] - parent["q1"]
+        out[name] = entry
+    return out
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _unpack(ref: str, where: str) -> None:
+    os.makedirs(where)
+    archive = subprocess.Popen(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", where], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {ref} exited with {archive.returncode}")
+
+
+def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with "
+                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_ref")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="comma-separated, e.g. 5,9973")
+    ap.add_argument("--pairs", type=int, required=True, help="pairs per seed")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    names = [m["name"] for m in end_to_end]
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc.setdefault("workloads", {})
+    entry = {
+        "parent": _git("rev-parse", args.parent_ref),
+        "change": _git("rev-parse", "HEAD")
+        + (" with uncommitted changes" if _git("status", "--porcelain") else ""),
+        "command": f"perfbench/run.py --workload {args.workload} --seed SEED "
+        f"--seconds {args.seconds:g} --trace 0",
+        "seeds": seeds,
+        "host": f"{platform.machine()}, {os.cpu_count()} cpus, "
+        f"Python {platform.python_version()}, numpy {np.__version__}",
+        "runs": [],
+    }
+    doc["workloads"][args.workload] = entry
+    tmp = tempfile.mkdtemp(prefix="bench_pairs-")
+    try:
+        trees = {"parent": os.path.join(tmp, "tree"), "change": ROOT}
+        _unpack(args.parent_ref, trees["parent"])
+        for pair in range(args.pairs):
+            for seed in seeds:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    res = _run(trees[side], args.workload, seed, args.seconds)
+                    metrics = {n: res["metrics"][n]["value"] for n in names}
+                    entry["runs"].append({
+                        "side": side, "seed": seed, "pair": pair, "first": order[0],
+                        "correct": res["correct"], "attempted": res["attempted"],
+                        "failed": res["failed"], "metrics": metrics,
+                    })
+                    print(f"pair {pair} seed {seed} {side}: "
+                          + ", ".join(f"{n} {v:.4g}" for n, v in metrics.items()),
+                          flush=True)
+                entry["summary"] = summarize(entry["runs"], end_to_end)
+                entry["by_seed"] = {
+                    str(s): summarize([r for r in entry["runs"] if r["seed"] == s],
+                                      end_to_end)
+                    for s in seeds
+                }
+                with open(args.out, "w") as fh:
+                    json.dump(doc, fh, indent=1)
+                    fh.write("\n")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,8 +42,8 @@ import numpy as np
 
 from .elliptic import _fold, kp, snp
 from .errors import DomainError, GridTooCoarse, SingularPoint
-from .errors import _check_finite, _check_int, _check_interval, _check_sign
-from .errors import _validate_pmu
+from .errors import _check_finite, _check_int, _check_interval, _check_point
+from .errors import _check_sign, _validate_pmu
 
 __all__ = [
     "EigenPair",
@@ -138,8 +138,9 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
 def eigenfunction_eval(e: EigenPair, x: float) -> float:
     """phi(x) = sign * amplitude * sn_p(y, mu), y = 2 n K_p x, for every
     real x at which sn_p can fold y, ulp(y) < K_p: |x| up to about
-    2**51 / n, whatever K_p.  Any other x, NaN and infinities included,
-    raises :class:`DomainError` naming x."""
+    2**51 / n, whatever K_p.  Any other x, NaN, infinities and arrays
+    included, raises :class:`DomainError` naming x."""
+    _check_point("x", x)
     _check_interval("x", x, -math.inf, math.inf, "()")
     K = kp(e.p, e.mu)
     y = 2.0 * e.n * K * x

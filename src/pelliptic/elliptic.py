@@ -61,8 +61,7 @@ Newton step's curvature miss, step**2 G' / (2 G) with G = w_p' bounded
 at the far end of the step, is below 0.05 eps z, or the step is at most
 an ulp of z; so almost every point stops after one Newton pass.  That
 step is taken (clipped into the bracket) before the safeguard could swap
-it for a midpoint, so converged points never fall through to bisection,
-and a pass in which every point stops returns its clipped steps at once.
+it for a midpoint, so converged points never fall through to bisection.
 snp, snp_deriv and snp_second_deriv take y as a float or an array and
 run that one path on it; the approximant is evaluated row by row, so
 each element of an array call has the bits of the float call at the same
@@ -83,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, SingularPoint, SlowConvergence
-from .errors import _check_finite, _check_interval, _validate_pmu
+from .errors import _check_finite, _check_interval, _check_point, _validate_pmu
 from .quadrature import QuadratureResult, _tanh_sinh, _ts_nodes, _ts_slice
 
 __all__ = [
@@ -472,8 +471,7 @@ class _SnpEngine:
 
     Inversion starts from a table of w_p built on the first call
     (:meth:`_brackets`), one row per bracket, and takes Newton passes
-    (:meth:`_newton`) that end at once when every point stops, as on the
-    first pass of almost every call.
+    (:meth:`_newton`).
     """
 
     __slots__ = ("p", "mu", "K", "_series", "_panels", "_table")
@@ -650,8 +648,7 @@ class _SnpEngine:
         searchsorted on the table's nodes and one gather of the bracket's
         column (:meth:`_brackets`).  t = 0 and t = K are exact fixed
         points, z = 0 and z = 1; the rest take the Newton passes of
-        :meth:`_newton`.  When no t is an endpoint, as for almost every
-        call, the starts go to it as they are, with no mask or gather.
+        :meth:`_newton`.
         """
         t = np.asarray(t, dtype=float)
         nodes, rows = self._brackets()
@@ -665,13 +662,10 @@ class _SnpEngine:
         )
         z = np.minimum(np.maximum(1.0 - v ** (self.p / (self.p - 1.0)), z_lo), z_hi)
         low, high = t <= 0.0, t >= self.K
-        ends = low | high
-        if np.count_nonzero(ends) == 0:
-            return self._newton(z, t, z_lo, z_hi)
         # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
         z[low] = 0.0
         z[high] = 1.0
-        live = np.flatnonzero(~ends)
+        live = np.flatnonzero(~(low | high))
         if live.size:
             z[live] = self._newton(z[live], t[live], z_lo[live], z_hi[live])
         return z
@@ -687,18 +681,15 @@ class _SnpEngine:
         at most an ulp of z.  That step is accepted, clipped into the
         bracket, before any safeguard can replace it.  A point with
         w_p(z) >= t has hi = z, so its far end is z itself: when no point
-        lies below its root, the far end reuses (A, B).  When every point
-        stops, as on the first pass of almost every call, the clipped steps
-        are the result.  Otherwise a larger step that leaves the bracket or
-        is not finite falls back to bisection, so every iterate stays
-        admissible, and the points that stopped leave the pass; a point
-        whose bracket closes to a few ulps stops on its step, clipped into
-        the bracket.
+        lies below its root, the far end reuses (A, B).  A point whose
+        bracket closes to a few ulps also stops on its step, clipped into
+        the bracket.  The points that stopped leave the pass; for the rest,
+        a larger step that leaves the bracket or is not finite falls back
+        to bisection, so every iterate stays admissible.
         """
         p, mup = self.p, self.mu**self.p
-        # the result, once a pass leaves points live, and the index of the
-        # live points into it
-        out = idx = None
+        # the result, and the index of the live points into it
+        out, idx = np.empty_like(z), np.arange(z.size)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(80):
                 f = self.wp_many(z) - t
@@ -718,21 +709,14 @@ class _SnpEngine:
                     zf = np.minimum(np.maximum(z, z_new), hi)
                     Af, Bf = self._AB(zf)
                 miss = 0.5 * step * step * zf ** (p - 1.0) * (1.0 / Af + mup / Bf)
+                # a bracket closed to a few ulps also stops, on its clipped
+                # step: near z = 1 that step can overshoot the last doubles
                 done = (miss <= 0.05 * _EPS * z) | (np.abs(step) <= _EPS * z)
-                if np.count_nonzero(done) < done.size:
-                    # a bracket closed to a few ulps also stops, on its
-                    # clipped step: near z = 1 that step can overshoot the
-                    # last doubles
-                    done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
+                done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
                 clipped = np.minimum(np.maximum(z_new, lo), hi)
-                if np.count_nonzero(done) == done.size:
-                    if out is None:
-                        return clipped
-                    out[idx] = clipped
-                    return out
-                if out is None:
-                    out, idx = np.empty_like(z), np.arange(z.size)
                 out[idx[done]] = clipped[done]
+                if np.count_nonzero(done) == done.size:
+                    return out
                 bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
                 z_new = np.where(bad, 0.5 * (lo + hi), z_new)
                 live = ~done
@@ -804,8 +788,9 @@ def _engine(p: float, mu: float) -> _SnpEngine:
 
 
 def wp(p: float, mu: float, z: float) -> float:
-    """Incomplete integral w_p(z) for z in [0, 1]."""
+    """Incomplete integral w_p(z) for a single z in [0, 1]."""
     _validate_pmu(p, mu)
+    _check_point("z", z)
     _check_interval("z", z, 0.0, 1.0, "[]")
     if z == 0.0:
         return 0.0
@@ -845,7 +830,9 @@ def snp(p: float, mu: float, y):
 
 
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
-    """sn_p evaluation bundled with the period index used in reduction."""
+    """sn_p evaluation at a single y bundled with the period index used in
+    reduction."""
+    _check_point("y", y)
     eng, u, sign, _, period = _fold(p, mu, [y])
     value = sign * eng.invert(u)
     return SnpValue(y=y, value=float(value[0]), branch_period_index=int(period[0]))

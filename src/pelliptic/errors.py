@@ -8,7 +8,7 @@ subclasses).
 Every range, count, sign and finiteness check on an input goes through the
 private checks at the end, which raise DomainError as "{name} must lie in
 [lo, hi), got {x}" (or "must be an integer in", "must be +1 or -1", "must
-be finite").  NaN fails every comparison, so each check rejects it; a count
+be a single number", "must be finite").  NaN fails every comparison, so each check rejects it; a count
 or a sign must be an int or a numpy integer, not a bool or a float.  The
 scalar checks are plain comparisons, cheap enough to run once per (p, mu)
 pair of a batch.
@@ -79,6 +79,13 @@ def _check_sign(name: str, s) -> None:
     is_int = isinstance(s, numbers.Integral) and not isinstance(s, bool)
     if not is_int or s not in (1, -1):
         raise DomainError(f"{name} must be +1 or -1, got {s}")
+
+
+def _check_point(name: str, x) -> None:
+    """Reject x unless it is one number: a list or an array, even of one
+    element, is not a point."""
+    if np.ndim(x) != 0:
+        raise DomainError(f"{name} must be a single number, got shape {np.shape(x)}")
 
 
 def _check_finite(name: str, x) -> np.ndarray:

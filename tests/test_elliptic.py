@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipj, ellipk
 
+import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.quadrature as quad
 from pelliptic.errors import DomainError, NonConvergence, SingularPoint, SlowConvergence
@@ -569,11 +570,11 @@ def test_snp_scalar_matches_batch(monkeypatch):
         for y, b, d in zip(ys, batch, dbatch):
             assert el.snp(p, mu, float(y)) == b
             assert el.snp_deriv(p, mu, float(y)) == d
-    # every inversion path gives the bits of the float calls: an array
-    # whose points all stop on the first Newton pass, arrays that fold to
-    # the endpoints 0 and K_p, and arrays in which some points take a
-    # second pass.  The sizes of the array call's wp_many calls on a warm
-    # engine show which path it took
+    # every array gives the bits of the float calls: an array whose points
+    # all stop on the first Newton pass, arrays that fold to the endpoints
+    # 0 and K_p, arrays in which some points take a second pass, and an
+    # array of endpoints alone, which makes no Newton pass.  The sizes of
+    # the array call's wp_many calls on a warm engine show the passes
     calls = []
     wp_many = el._SnpEngine.wp_many
 
@@ -586,6 +587,7 @@ def test_snp_scalar_matches_batch(monkeypatch):
         (2.0, 0.5, [0.0, 0.3, 1.0, 0.7, 2.0, -1.0], [2]),
         (1.5, 0.99, [0.002, 0.05, 0.5, 0.895, 0.97], [5, 3]),
         (1.5, 0.99, [0.0, 0.05, 1.0, 0.895, 0.5], [3, 2]),
+        (2.0, 0.5, [0.0, 1.0, -1.0, 2.0, 4.0], []),
     ]
     for p, mu, fractions, sizes in cases:
         ys = np.array(fractions) * el.kp(p, mu)
@@ -839,3 +841,17 @@ def test_snp_rejects_bad_domain():
         el.snp(2.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         el.snp(1.0, 0.5, [0.1])
+
+
+@pytest.mark.parametrize("x", [np.array([0.3, 0.5]), np.array([0.3]), [0.3, 1.0]],
+                         ids=["array2", "array1", "list"])
+@pytest.mark.parametrize("point", [
+    lambda x: el.snp_value(2.0, 0.5, x),
+    lambda x: el.wp(2.0, 0.5, x),
+    lambda x: eg.eigenfunction_eval(eg.eigenpair(2.0, 0.5, 1), x),
+], ids=["snp_value", "wp", "eigenfunction_eval"])
+def test_point_entry_points_reject_arrays(point, x):
+    # a point-valued function takes one number: an array or a list, even of
+    # one element, is refused rather than read at its first element
+    with pytest.raises(DomainError, match="must be a single number"):
+        point(x)

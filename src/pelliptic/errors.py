@@ -8,10 +8,10 @@ subclasses).
 Every range, count, sign and finiteness check on an input goes through the
 private checks at the end, which raise DomainError as "{name} must lie in
 [lo, hi), got {x}" (or "must be an integer in", "must be +1 or -1", "must
-be a single number", "must be finite").  NaN fails every comparison, so each check rejects it; a count
-or a sign must be an int or a numpy integer, not a bool or a float.  The
-scalar checks are plain comparisons, cheap enough to run once per (p, mu)
-pair of a batch.
+be a single number", "must be finite").  NaN fails every comparison, so
+each check rejects it; a count or a sign must be an int or a numpy
+integer, not a bool or a float.  The scalar checks are plain comparisons,
+cheap enough to run once per (p, mu) pair of a batch.
 """
 
 import math

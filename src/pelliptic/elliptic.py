@@ -68,8 +68,10 @@ each element of an array call has the bits of the float call at the same
 y.  The fixed numpy cost of a call, not its arithmetic, is most of a
 scalar call's time, so the path calls ufuncs and array methods rather
 than numpy's Python-level wrappers (np.clip, np.searchsorted,
-np.cumprod, the sum, any and all methods), and skips work a pass does
-not need.
+np.cumprod, the sum, any and all methods).  Every Newton pass runs the
+same steps on every live point; the one branch kept for speed is in
+w_p, which evaluates a batch that lies wholly on one side of z = 0.6
+without splitting it.
 """
 
 from __future__ import annotations
@@ -654,13 +656,16 @@ class _SnpEngine:
         nodes, rows = self._brackets()
         w0, h, v0, dv, m0, m1, z_lo, z_hi = rows[:, nodes.searchsorted(t, side="right")]
         # for p near 1 the last nodes round to z = 1, so an edge t can land
-        # in an empty interval; its start is overwritten below
+        # in an empty interval; its start is overwritten below.  In a
+        # bracket whose rise in v is below the rounding of its slope terms,
+        # next to v = 0, the cubic can dip below 0; np.fmax, not
+        # np.maximum, turns the NaN of that power into the bracket's end
         with np.errstate(invalid="ignore"):
             s = np.minimum(np.maximum((t - w0) / h, 0.0), 1.0)
-        v = v0 + s * s * (3.0 - 2.0 * s) * dv + h * s * (1.0 - s) * (
-            (1.0 - s) * m0 - s * m1
-        )
-        z = np.minimum(np.maximum(1.0 - v ** (self.p / (self.p - 1.0)), z_lo), z_hi)
+            v = v0 + s * s * (3.0 - 2.0 * s) * dv + h * s * (1.0 - s) * (
+                (1.0 - s) * m0 - s * m1
+            )
+            z = np.minimum(np.fmax(1.0 - v ** (self.p / (self.p - 1.0)), z_lo), z_hi)
         low, high = t <= 0.0, t >= self.K
         # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
         z[low] = 0.0
@@ -679,9 +684,9 @@ class _SnpEngine:
         stops once that bound, taken at the far end of the step (at most
         the bracket's upper end), is below 0.05 eps z, or once its step is
         at most an ulp of z.  That step is accepted, clipped into the
-        bracket, before any safeguard can replace it.  A point with
-        w_p(z) >= t has hi = z, so its far end is z itself: when no point
-        lies below its root, the far end reuses (A, B).  A point whose
+        bracket, before any safeguard can replace it.  Every pass forms
+        (A, B) at the far end min(max(z, z - step), hi); a point with
+        w_p(z) >= t has hi = z, so its far end is z itself.  A point whose
         bracket closes to a few ulps also stops on its step, clipped into
         the bracket.  The points that stopped leave the pass; for the rest,
         a larger step that leaves the bracket or is not finite falls back
@@ -704,10 +709,8 @@ class _SnpEngine:
                 # step, inside the bracket; at z = 1, A = 0 and the bound is
                 # infinite, so a point there stops only on an ulp-sized step
                 # or a closed bracket
-                zf, Af, Bf = z, A, B
-                if np.count_nonzero(below):
-                    zf = np.minimum(np.maximum(z, z_new), hi)
-                    Af, Bf = self._AB(zf)
+                zf = np.minimum(np.maximum(z, z_new), hi)
+                Af, Bf = self._AB(zf)
                 miss = 0.5 * step * step * zf ** (p - 1.0) * (1.0 / Af + mup / Bf)
                 # a bracket closed to a few ulps also stops, on its clipped
                 # step: near z = 1 that step can overshoot the last doubles
@@ -835,7 +838,9 @@ def snp_value(p: float, mu: float, y: float) -> SnpValue:
     _check_point("y", y)
     eng, u, sign, _, period = _fold(p, mu, [y])
     value = sign * eng.invert(u)
-    return SnpValue(y=y, value=float(value[0]), branch_period_index=int(period[0]))
+    return SnpValue(
+        y=float(y), value=float(value[0]), branch_period_index=int(period[0])
+    )
 
 
 def snp_deriv(p: float, mu: float, y):

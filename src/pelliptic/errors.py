@@ -52,10 +52,23 @@ def _num(v) -> str:
     return str(float(v)).removesuffix(".0")
 
 
+def _double(x):
+    """x + 0.0, the double that x becomes, with an int or a fraction beyond
+    the largest double taken as the infinity it exceeds instead of raising
+    OverflowError."""
+    try:
+        return x + 0.0
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _check_interval(name: str, x, lo: float, hi: float, ends: str = "[)") -> None:
     """Reject x outside the interval from lo to hi; ``ends`` spells its
     brackets, "[" or "]" for a closed end and "(" or ")" for an open one.
-    An infinite end is open, so (-inf, inf) admits exactly the finite x."""
+    An infinite end is open, so (-inf, inf) admits exactly the finite x.
+    x is judged as the double it becomes (:func:`_double`), so an int
+    beyond the largest double fails even an interval open to infinity."""
+    x = _double(x)
     if lo < x < hi:  # the common case, decided by one chained comparison
         return
     above = lo < x if ends[0] == "(" else lo <= x
@@ -89,8 +102,13 @@ def _check_point(name: str, x) -> None:
 
 
 def _check_finite(name: str, x) -> np.ndarray:
-    """x as a float array, rejecting it if any entry is NaN or infinite."""
-    x = np.asarray(x, dtype=float)
+    """x as a float array, rejecting it if any entry is NaN or infinite,
+    or an int beyond the largest double (:func:`_double`)."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:
+        x = np.frompyfunc(_double, 1, 1)(np.asarray(x, dtype=object))
+        x = np.asarray(x, dtype=float)
     bad = x[~np.isfinite(x)]
     if bad.size:
         raise DomainError(f"{name} must be finite, got {bad[0]}")

@@ -32,8 +32,9 @@ are formed once per exponent and level.
 The bookkeeping is a fixed cost of every call, whatever its row count, so
 it is kept to few numpy calls: each level's sum is reduced straight into
 its column of one table (``np.add.reduce`` with ``out=``, the bits of
-``.sum``; ``np.add.reduceat`` sums in another order), and a level at
-which no row stops compacts and scatters nothing.  The driver sets no
+``.sum``; ``np.add.reduceat`` sums in another order).  Every level after
+the block runs the same steps: compact the live rows, ask F for them,
+and write out the rows that stop.  The driver sets no
 floating-point error state: F runs under the caller's, and an integrand
 that may divide by zero or overflow sets its own ``np.errstate``.
 
@@ -184,10 +185,10 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
     ``x`` the table's prefix ``[:cuts[_BLOCK_LEVEL + 1]]``, the nodes of
     levels 0.._BLOCK_LEVEL in level order, and ``rows`` ``slice(None)``.
     Each later call brings ``[cuts[lev]:cuts[lev + 1]]``, the nodes of the
-    one level ``lev``, and ``rows`` is ``slice(None)`` while every row is
-    live, then an increasing index array into the rows F returned in the
-    block.  The weight exponent ``ea``, in (0, 1], is a float shared by
-    every row; the weights are formed once per level by :func:`_ts_weights`.
+    one level ``lev``, and ``rows``, an increasing index array of the rows
+    still live into the rows F returned in the block.  The weight exponent
+    ``ea``, in (0, 1], is a float shared by every row; the weights are
+    formed once per level by :func:`_ts_weights`.
     A row stops at the first level (from level 2 on) where the running
     minimum of successive-level differences plus the truncation allowance
     of the outermost node pair is at most ``tol * max(1, |value|)``, keeps
@@ -254,18 +255,14 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
     first = ok.argmax(axis=-1)
     pick = (np.arange(n), first)
     out, err, live = value[pick], est[pick], ~ok[pick]
-    lev = _MIN_LEVEL + int(first.max())
     nlive = np.count_nonzero(live)
-    if nlive:
-        # the live rows' state, compacted as rows stop
-        lev = _BLOCK_LEVEL
-        idx, best, value = pick[0], best[:, -1], value[:, -1]
+    lev = _BLOCK_LEVEL if nlive else _MIN_LEVEL + int(first.max())
+    # the rows' indices and state, compacted to the live rows at every level
+    rows, best, value = pick[0], best[:, -1], value[:, -1]
     while nlive:
-        if nlive < len(idx):
-            idx, sums, best, trunc, value = (
-                a[live] for a in (idx, sums, best, trunc, value)
-            )
-            rows = idx
+        rows, sums, best, trunc, value = (
+            a[live] for a in (rows, sums, best, trunc, value)
+        )
         prev = value
         lev += 1
         # a single integrand's level is 1-D
@@ -276,15 +273,10 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
         best = np.minimum(best, np.abs(value - prev))
         est = best + trunc
         ok = est <= target
-        stopped = np.count_nonzero(ok)
-        if stopped == nlive:
-            out[idx], err[idx] = value, est
-            break
-        if lev == _MAX_LEVEL:
-            raise _nonconvergence(lev, est[~ok], tol)
-        if stopped:
-            out[idx[ok]], err[idx[ok]] = value[ok], est[ok]
-            live = ~ok
-            nlive -= stopped
+        out[rows[ok]], err[rows[ok]] = value[ok], est[ok]
+        live = ~ok
+        nlive -= np.count_nonzero(ok)
+        if nlive and lev == _MAX_LEVEL:
+            raise _nonconvergence(lev, est[live], tol)
     err = np.maximum(err, np.spacing(np.abs(out)))
     return out.reshape(shape), err.reshape(shape), cuts[lev + 1]

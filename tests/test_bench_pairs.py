@@ -11,8 +11,8 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "tasks_per_s", "better": "higher"},
-    {"name": "task_p50_ms", "better": "lower"},
+    {"name": "tasks_per_s", "better": "higher", "bound": 0.25},
+    {"name": "task_p50_ms", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -50,6 +50,66 @@ def test_summary_counts_wins_by_direction_and_skips_unpaired_runs():
     assert rate["change"] == {"median": 107.5, "q1": 101.25, "q3": 115.0}
     assert rate["gain"] == pytest.approx(107.5 / 110.0 - 1.0)
     assert rate["parent_iqr"] == pytest.approx(12.5)
+    assert rate["gain_rule_met"] is False and p50["gain_rule_met"] is False
+    # the change's p50 quartiles, 1.375 and 1.825, are 28% of its median
+    # 1.6 apart, wider than the 25% bound
+    assert rate["regression"] == "none" and p50["regression"] == "unresolved"
+
+
+def _pairs(parent, change, p50=(1.0, 1.0)):
+    """Runs of seed 5, pair i holding rates parent[i] and change[i], and a
+    p50 fixed per side."""
+    runs = []
+    for i, (a, b) in enumerate(zip(parent, change)):
+        runs += [_run("parent", 5, i, a, p50[0]), _run("change", 5, i, b, p50[1])]
+    return runs
+
+
+def test_gain_rule_wants_nine_wins_in_ten_and_a_median_lead_above_the_parent_iqr():
+    parent = [100.0 + i for i in range(10)]  # quartiles 102.25 and 106.75
+    # ten ties: not met
+    out = bench_pairs.summarize(_pairs(parent, parent), METRICS)
+    assert out["tasks_per_s"]["gain_rule_met"] is False
+    # 9 wins and a tie, median 124.5 against 104.5: met
+    out = bench_pairs.summarize(
+        _pairs(parent, [100.0] + [v + 20.0 for v in parent[1:]]), METRICS
+    )
+    assert out["tasks_per_s"]["wins"] == {"parent": 0, "change": 9}
+    assert out["tasks_per_s"]["gain_rule_met"] is True
+    # 8 wins of 10, by the same margin: not met
+    change = [v - 1.0 for v in parent[:2]] + [v + 20.0 for v in parent[2:]]
+    out = bench_pairs.summarize(_pairs(parent, change), METRICS)
+    assert out["tasks_per_s"]["wins"] == {"parent": 2, "change": 8}
+    assert out["tasks_per_s"]["gain_rule_met"] is False
+    # 10 wins of 10, but a median lead of 4 inside the parent's IQR of 4.5
+    out = bench_pairs.summarize(_pairs(parent, [v + 4.0 for v in parent]), METRICS)
+    assert out["tasks_per_s"]["wins"]["change"] == 10
+    assert out["tasks_per_s"]["gain_rule_met"] is False
+    # a lower-is-better metric gains by going down: every p50 pair won by
+    # the change, 0.8 against 1.0 with no spread
+    out = bench_pairs.summarize(_pairs(parent, parent, p50=(1.0, 0.8)), METRICS)
+    assert out["task_p50_ms"]["gain_rule_met"] is True
+    out = bench_pairs.summarize(_pairs(parent, parent, p50=(0.8, 1.0)), METRICS)
+    assert out["task_p50_ms"]["gain_rule_met"] is False
+
+
+@pytest.mark.parametrize("parent, change, p50, rate_verdict, p50_verdict", [
+    # 26% fewer tasks per second and a 30% slower p50: both beyond 25%
+    ([100.0] * 4, [74.0] * 4, (1.0, 1.3), "beyond_bound", "beyond_bound"),
+    # 30% more tasks and a 30% faster p50 are gains, not regressions
+    ([100.0] * 4, [130.0] * 4, (1.0, 0.7), "none", "none"),
+    # 20% worse, inside the bound, with quartiles 10% apart
+    ([95.0, 100.0, 100.0, 105.0], [76.0, 80.0, 80.0, 84.0], (1.0, 1.2), "none", "none"),
+    # medians equal, but the parent's quartiles 40% of its median apart
+    ([60.0, 80.0, 120.0, 140.0], [100.0] * 4, (1.0, 1.0), "unresolved", "none"),
+    # a spread in the change's runs alone also leaves it unresolved
+    ([100.0] * 4, [60.0, 80.0, 120.0, 140.0], (1.0, 1.0), "unresolved", "none"),
+])
+def test_regression_verdict_against_the_bound(parent, change, p50, rate_verdict,
+                                              p50_verdict):
+    out = bench_pairs.summarize(_pairs(parent, change, p50), METRICS)
+    assert out["tasks_per_s"]["regression"] == rate_verdict
+    assert out["task_p50_ms"]["regression"] == p50_verdict
 
 
 def test_summary_of_runs_without_a_complete_pair():

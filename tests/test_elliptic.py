@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from scipy.special import ellipj, ellipk
 
+import pelliptic.certify as ct
 import pelliptic.eigen as eg
 import pelliptic.elliptic as el
+import pelliptic.fourier as fr
 import pelliptic.quadrature as quad
 from pelliptic.errors import DomainError, NonConvergence, SingularPoint, SlowConvergence
 
@@ -602,41 +604,6 @@ def test_snp_scalar_matches_batch(monkeypatch):
             assert [v.hex() for v in fn(p, mu, ys).tolist()] == want
 
 
-def test_far_end_of_a_step_reuses_AB_above_the_root(monkeypatch):
-    # a start above its root, w_p(z) >= t, has the bracket's upper end at
-    # z, so the far end of its step is z and the curvature bound reuses
-    # (A, B): a one-pass warm scalar sn_p calls _AB once there, and twice
-    # from a start below its root.  y in (0, K_p) folds to t = y
-    p, mu = 3.0, 0.6
-    K = el.kp(p, mu)
-    el.snp(p, mu, 0.3)
-    AB, wp_many = el._SnpEngine._AB, el._SnpEngine.wp_many
-    ab_calls, w = [], []
-
-    def counting_AB(self, s):
-        ab_calls.append(np.size(s))
-        return AB(self, s)
-
-    def recording_wp(self, z):
-        out = wp_many(self, z)
-        w.extend(out.tolist())
-        return out
-
-    monkeypatch.setattr(el._SnpEngine, "_AB", counting_AB)
-    monkeypatch.setattr(el._SnpEngine, "wp_many", recording_wp)
-    seen = []
-    for y in K * (np.arange(40) + 0.5) / 40:
-        ab_calls.clear()
-        w.clear()
-        el.snp(p, mu, float(y))
-        if len(w) == 1:
-            seen.append((w[0] >= y, len(ab_calls)))
-    monkeypatch.undo()
-    assert len(seen) >= 38
-    assert {above for above, _ in seen} == {True, False}
-    assert all(n == (1 if above else 2) for above, n in seen), seen
-
-
 def test_snp_small_mu_is_p_sine():
     # at p=2, mu -> 0 the function degenerates to sin
     for y in [0.3, 1.1, 2.5, -0.7]:
@@ -841,6 +808,60 @@ def test_snp_rejects_bad_domain():
         el.snp(2.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         el.snp(1.0, 0.5, [0.1])
+
+
+@pytest.mark.parametrize("y", [np.array(0.3), np.float64(0.3), 3],
+                         ids=["array0d", "float64", "int"])
+def test_snp_value_stores_y_as_a_float(y):
+    # SnpValue.y is typed float: a 0-d array, a numpy float and an int are
+    # stored as the float they equal, with the float call's value and period
+    sv, want = el.snp_value(2.0, 0.5, y), el.snp_value(2.0, 0.5, float(y))
+    assert type(sv.y) is float and sv.y == want.y == float(y)
+    assert sv.value.hex() == want.value.hex()
+    assert sv.branch_period_index == want.branch_period_index
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("call", [
+    lambda: el.kp(_HUGE, 0.5),
+    lambda: el.kp_quadrature(_HUGE, 0.5),
+    lambda: el.kp_via_2f1(_HUGE, 0.5),
+    lambda: el.wp(_HUGE, 0.5, 0.5),
+    lambda: fr.tau_k(_HUGE, 0.5, 1),
+    lambda: eg.eigenpair(_HUGE, 0.5, 1),
+    lambda: ct.certify_firstcond(_HUGE, ct.ModulusSet.constant(0.5)),
+    lambda: ct.firstcond_boundary(_HUGE),
+    lambda: el.snp(2.0, 0.5, _HUGE),
+    lambda: el.snp(2.0, 0.5, [0.3, -_HUGE]),
+    lambda: el.snp_value(2.0, 0.5, _HUGE),
+    lambda: el.snp_deriv(2.0, 0.5, _HUGE),
+    lambda: eg.eigenfunction_eval(eg.eigenpair(2.0, 0.5, 1), _HUGE),
+], ids=["kp", "kp_quadrature", "kp_via_2f1", "wp", "tau_k", "eigenpair",
+        "certify_firstcond", "firstcond_boundary", "snp", "snp_list", "snp_value",
+        "snp_deriv", "eigenfunction_eval"])
+def test_int_beyond_the_largest_double_is_a_domain_error(call):
+    # a Python int compares exactly with a float, so 10**400 lies inside
+    # (1, inf); it is judged as the double it becomes, +-inf, and refused
+    # with DomainError instead of a bare OverflowError further in
+    with pytest.raises(DomainError, match="inf"):
+        call()
+
+
+def test_snp_next_to_K_at_the_largest_modulus():
+    # at p = 6, mu = nextafter(1, 0) the table's last bracket rises by
+    # 3.6e-28 in v, below the rounding of its slope terms, and the cubic
+    # start of some t just below K dips under v = 0; that start's NaN power
+    # must become the bracket's end, not a RuntimeWarning and a stalled
+    # Newton pass.  Every such t has z between the last double below 1 and
+    # 1, so sn_p rounds to 1
+    p, mu = 6.0, math.nextafter(1.0, 0.0)
+    K = el.kp(p, mu)
+    ys = K - np.arange(1, 200) * 2.0**-52
+    assert np.all(el.snp(p, mu, ys) == 1.0)
+    assert el.snp(p, mu, 1.1129126745119506) == 1.0
+    assert [el.snp(p, mu, float(y)) for y in ys[:12]] == [1.0] * 12
 
 
 @pytest.mark.parametrize("x", [np.array([0.3, 0.5]), np.array([0.3]), [0.3, 1.0]],

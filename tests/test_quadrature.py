@@ -235,8 +235,9 @@ def test_batch_rows_equal_their_one_row_calls():
     # levels 2 to 9: each row of a batch has the value and estimate of its
     # one-row call (a 1-D integrand), and the batch reports the nodes of
     # its slowest row.  The batches run one-row calls, the block exit
-    # when every row stops there, compaction and the scatter.  Arithmetic
-    # only, so a value has the same bits in any array shape
+    # when every row stops there, and rows that stop at different levels
+    # after it.  Arithmetic only, so a value has the same bits in any
+    # array shape
     rng = np.random.default_rng(33)
     cuts = _ts_nodes()[3]
     stops, block_only, mixed = set(), 0, 0

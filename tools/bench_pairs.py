@@ -45,10 +45,19 @@ def summarize(runs: list, end_to_end: list) -> dict:
     ``runs`` holds dicts with ``side`` ("parent" or "change"), ``seed``,
     ``pair`` and ``metrics`` (name to value); a pair is the parent run and
     the change run with the same seed and pair index.  ``end_to_end`` holds
-    BENCHMARK.json's entries, each with ``name`` and ``better`` ("higher" or
-    "lower").  A pair whose two values are equal is a tie and counts for
-    neither side.  ``gain`` is the change's median over the parent's, less
-    one, and ``parent_iqr`` the distance between the parent's quartiles.
+    BENCHMARK.json's entries, each with ``name``, ``better`` ("higher" or
+    "lower") and ``bound``, a fraction of the parent's median.  A pair
+    whose two values are equal is a tie and counts for neither side.
+    ``gain`` is the change's median over the parent's, less one, and
+    ``parent_iqr`` the distance between the parent's quartiles.
+
+    Two verdicts follow.  ``gain_rule_met`` is true when the change won at
+    least 9 of every 10 pairs and its median is better than the parent's by
+    more than ``parent_iqr``.  ``regression`` is "beyond_bound" when the
+    change's median is worse than the parent's by more than ``bound``,
+    else "unresolved" when either side's quartiles lie further apart than
+    ``bound`` times its median, so the runs spread too widely to tell, and
+    else "none".
     """
     pairs = {}
     for run in runs:
@@ -65,9 +74,20 @@ def summarize(runs: list, end_to_end: list) -> dict:
         entry = {"better": metric["better"], "wins": wins}
         if complete:
             entry.update({side: _quartiles(values[side]) for side in SIDES})
-            parent = entry["parent"]
-            entry["gain"] = entry["change"]["median"] / parent["median"] - 1.0
+            parent, change = entry["parent"], entry["change"]
+            entry["gain"] = change["median"] / parent["median"] - 1.0
             entry["parent_iqr"] = parent["q3"] - parent["q1"]
+            entry["gain_rule_met"] = (
+                10 * wins["change"] >= 9 * len(complete)
+                and sign * (change["median"] - parent["median"]) > entry["parent_iqr"]
+            )
+            spread = max((q["q3"] - q["q1"]) / q["median"] for q in (parent, change))
+            if -sign * entry["gain"] > metric["bound"]:
+                entry["regression"] = "beyond_bound"
+            elif spread > metric["bound"]:
+                entry["regression"] = "unresolved"
+            else:
+                entry["regression"] = "none"
         out[name] = entry
     return out
 

@@ -62,16 +62,25 @@ at the far end of the step, is below 0.05 eps z, or the step is at most
 an ulp of z; so almost every point stops after one Newton pass.  That
 step is taken (clipped into the bracket) before the safeguard could swap
 it for a midpoint, so converged points never fall through to bisection.
-snp, snp_deriv and snp_second_deriv take y as a float or an array and
-run that one path on it; the approximant is evaluated row by row, so
-each element of an array call has the bits of the float call at the same
-y.  The fixed numpy cost of a call, not its arithmetic, is most of a
-scalar call's time, so the path calls ufuncs and array methods rather
-than numpy's Python-level wrappers (np.clip, np.searchsorted,
-np.cumprod, the sum, any and all methods).  Every Newton pass runs the
-same steps on every live point; the one branch kept for speed is in
-w_p, which evaluates a batch that lies wholly on one side of z = 0.6
-without splitting it.
+snp, snp_deriv and snp_second_deriv take y as a float or an array.  One
+number goes through that one algorithm as a point, a numpy float, and
+an array as arrays.  The point decides with Python ifs what an array
+decides with masks: the fold's guards, the endpoints t = 0 and t = K,
+the bracket update, the stop test and the bisection fallback.  Every
+formula is one expression that both evaluate: the fold arithmetic, the
+cubic Hermite start, the Newton step and its miss bound, (A, B), and
+w_p's series and tail sums.  So each element of an array call has the
+bits of the float call at the same y.  For that the point's powers are
+np.power, never ** on a numpy float (libm's pow, which differs from the
+array loop in the last bit); its clips compare as np.minimum and
+np.maximum do (:func:`_clip`); and a division that can reach 0 stays in
+numpy floats, under one np.errstate per inversion.  Numpy's fixed cost
+per call, not the arithmetic, is most of a point's time: a warm float
+snp at p = 3.3, mu = 0.7 takes a fifth to a quarter of the CPU time of
+the one-element array it replaced, 25-45 us (x86-64, numpy 2.4).  Every
+Newton pass of an array runs the same steps on every live point; the
+one branch kept for speed is in w_p, which evaluates a batch that lies
+wholly on one side of z = 0.6 without splitting it.
 """
 
 from __future__ import annotations
@@ -139,6 +148,25 @@ _TAIL_SHARE_UNTIL = 8.0
 # than 1e-14 (by 2.9e-14 at p = 1.001, mu = 0.99, z = 0.99), so the build
 # refuses instead
 _TAIL_P_MIN = 1.05
+
+
+def _clip(x, lo, hi):
+    """x clipped into [lo, hi] as np.minimum(np.maximum(x, lo), hi) clips
+    it, for an array by those ufuncs and for a point by Python
+    comparisons with their rules: a NaN x stays NaN, and a tie gives the
+    bound (which decides the sign of a zero).  lo and hi are never NaN."""
+    if isinstance(x, np.ndarray):
+        return np.minimum(np.maximum(x, lo), hi)
+    x = lo if x <= lo else x
+    return hi if x >= hi else x
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b) for an array cond, and a if cond else b for a
+    point's cond."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 def _antiderivative_map() -> np.ndarray:
@@ -488,20 +516,25 @@ class _SnpEngine:
 
     # -- integrand pieces -------------------------------------------------
 
-    def _AB(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) = (1 - s**p, 1 - mu**p s**p), both formed from log(s) so
-        they stay accurate when s**p or mu**p s**p is near 1.  At s = 0
-        log(s) divides by zero: callers ignore that in np.errstate."""
+    def _AB(self, s):
+        """(A, B) = (1 - s**p, 1 - mu**p s**p) at a point or an array of s,
+        both formed from log(s) so they stay accurate when s**p or
+        mu**p s**p is near 1; B is 1.0 at mu = 0.  At s = 0 log(s) divides
+        by zero: callers ignore that in np.errstate."""
         p, mu = self.p, self.mu
         log_s = np.log(s)
         A = -np.expm1(p * log_s)
         if mu == 0.0:
-            return A, np.ones_like(log_s)
+            return A, 1.0
         return A, -np.expm1(p * (math.log(mu) + log_s))
 
-    def wp_many(self, z: np.ndarray) -> np.ndarray:
-        """w_p at each z in [0, 1], vectorized, from the engine's approximant:
-        the series up to z = 0.6, the tail panels above."""
+    def wp_many(self, z):
+        """w_p at a point z (a float) or at each z of an array, in [0, 1],
+        from the engine's approximant: the series up to z = 0.6, the tail
+        panels above.  A point z = 1 divides by zero in a log of the tail,
+        which its caller ignores in np.errstate, as for :meth:`_AB`."""
+        if isinstance(z, float):
+            return self._direct(z) if z <= 0.6 else self._tail(1.0 - z)
         z = np.asarray(z, dtype=float)
         lo = z <= 0.6
         # count_nonzero, not the all and any methods: a Newton pass makes
@@ -509,23 +542,26 @@ class _SnpEngine:
         n = np.count_nonzero(lo)
         if n == z.size:
             return self._direct(z)
-        if n == 0:
-            return self._tail(1.0 - z)
-        out = np.empty_like(z)
-        out[lo] = self._direct(z[lo])
-        out[~lo] = self._tail(1.0 - z[~lo])
+        with np.errstate(divide="ignore"):
+            if n == 0:
+                return self._tail(1.0 - z)
+            out = np.empty_like(z)
+            out[lo] = self._direct(z[lo])
+            out[~lo] = self._tail(1.0 - z[~lo])
         return out
 
-    def _direct(self, z: np.ndarray) -> np.ndarray:
+    def _direct(self, z):
         """z * sum_N c_N x**N with x = z**p, one row of powers per point."""
         c = self._series
-        terms = np.empty((z.size, c.size - 1))
-        terms[:] = (z**self.p)[:, None]
-        terms.cumprod(axis=1, out=terms)
+        terms = np.empty(np.shape(z) + (c.size - 1,))
+        # terms.T has the points on its last axis, so x, one value per
+        # point, fills each point's row, and a point's x its one row
+        terms.T[...] = np.power(z, self.p)
+        terms.cumprod(axis=-1, out=terms)
         terms *= c[1:]
         return z * (c[0] + np.add.reduce(terms, axis=-1))
 
-    def _tail(self, e: np.ndarray) -> np.ndarray:
+    def _tail(self, e):
         """w_p at e = 1 - z in [0, 0.4]: w_p at the upper edge b of e's panel
         [a, b] in v plus the integral from v to b, summed per point as
         sum_k A_k sin(k phi)**2 with sin(phi)**2 = (b - v) / (b - a), which
@@ -533,17 +569,17 @@ class _SnpEngine:
         is formed from e, so the rounding of v = e**(1/r), which r would
         magnify, never enters.  The panel of each e is one searchsorted on
         the interior edges; its e_b, -b / (b - a), coefficients and w_p at b
-        are gathers from :meth:`_tail_panels`."""
+        are gathers from :meth:`_tail_panels`.  At e = 0 the log divides by
+        zero: callers ignore that in np.errstate."""
         panels = self._tail_panels()
-        # the searchsorted method, np.minimum and np.maximum and
-        # np.add.reduce, not the np.searchsorted, np.clip and sum wrappers:
-        # once per Newton pass, the wrappers cost more than the work
+        # the searchsorted method and np.add.reduce, not the np.searchsorted
+        # and sum wrappers: once per Newton pass, the wrappers cost more
+        # than the work
         i = panels.inner.searchsorted(e, side="right")
-        with np.errstate(divide="ignore"):
-            u = np.expm1((self.p - 1.0) / self.p * np.log(e / panels.e_top[i]))
+        u = np.expm1((self.p - 1.0) / self.p * np.log(e / panels.e_top[i]))
         u *= panels.scale[i]
-        phi = np.arcsin(np.sqrt(np.minimum(np.maximum(u, 0.0), 1.0)))
-        terms = np.sin(phi[:, None] * panels.k)
+        phi = np.arcsin(np.sqrt(_clip(u, 0.0, 1.0)))
+        terms = np.sin(np.multiply.outer(phi, panels.k))
         terms *= terms
         terms *= panels.coef[i]
         return panels.top[i] + np.add.reduce(terms, axis=-1)
@@ -641,42 +677,56 @@ class _SnpEngine:
             self._table = (w, rows)
         return self._table
 
-    def invert(self, t: np.ndarray) -> np.ndarray:
-        """Solve w_p(z) = t for each t in [0, K], vectorized.
+    def invert(self, t):
+        """Solve w_p(z) = t for a point t (a float) or for each t of an
+        array, in [0, K].
 
-        Each t starts inside its bracket [z_j, z_j+1] of the engine's table,
-        from v = (1-z)**(1-1/p) interpolated in w by the cubic Hermite
-        polynomial through the bracket's two nodes and their slopes: one
-        searchsorted on the table's nodes and one gather of the bracket's
-        column (:meth:`_brackets`).  t = 0 and t = K are exact fixed
-        points, z = 0 and z = 1; the rest take the Newton passes of
-        :meth:`_newton`.
+        t = 0 and t = K are exact fixed points, z = 0 and z = 1.  Every
+        other t starts inside its bracket [z_j, z_j+1] of the engine's
+        table, from v = (1-z)**(1-1/p) interpolated in w by the cubic
+        Hermite polynomial through the bracket's two nodes and their
+        slopes: one searchsorted on the table's nodes and one gather of the
+        bracket's column (:meth:`_brackets`).  It then takes the Newton
+        passes of :meth:`_newton`.  A point decides the endpoints by an if
+        and skips the start there; an array starts every t and masks the
+        endpoints.
         """
-        t = np.asarray(t, dtype=float)
+        point = isinstance(t, float)
+        if point and (t <= 0.0 or t >= self.K):
+            return 0.0 if t <= 0.0 else 1.0
+        if not point:
+            t = np.asarray(t, dtype=float)
         nodes, rows = self._brackets()
         w0, h, v0, dv, m0, m1, z_lo, z_hi = rows[:, nodes.searchsorted(t, side="right")]
-        # for p near 1 the last nodes round to z = 1, so an edge t can land
-        # in an empty interval; its start is overwritten below.  In a
-        # bracket whose rise in v is below the rounding of its slope terms,
-        # next to v = 0, the cubic can dip below 0; np.fmax, not
-        # np.maximum, turns the NaN of that power into the bracket's end
-        with np.errstate(invalid="ignore"):
-            s = np.minimum(np.maximum((t - w0) / h, 0.0), 1.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = _clip((t - w0) / h, 0.0, 1.0)
             v = v0 + s * s * (3.0 - 2.0 * s) * dv + h * s * (1.0 - s) * (
                 (1.0 - s) * m0 - s * m1
             )
-            z = np.minimum(np.fmax(1.0 - v ** (self.p / (self.p - 1.0)), z_lo), z_hi)
-        low, high = t <= 0.0, t >= self.K
-        # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
-        z[low] = 0.0
-        z[high] = 1.0
-        live = np.flatnonzero(~(low | high))
-        if live.size:
-            z[live] = self._newton(z[live], t[live], z_lo[live], z_hi[live])
+            z = 1.0 - np.power(v, self.p / (self.p - 1.0))
+            # for p near 1 the last nodes round to z = 1, so an edge t of an
+            # array can land in an empty interval; its start is overwritten
+            # below.  In a bracket whose rise in v is below the rounding of
+            # its slope terms, next to v = 0, the cubic can dip below 0;
+            # np.fmax, not np.maximum, turns the NaN of that power into the
+            # bracket's end, as the point's z >= z_lo does
+            if point:
+                z = z if z >= z_lo else z_lo
+                return self._newton(z_hi if z >= z_hi else z, t, z_lo, z_hi)
+            z = np.minimum(np.fmax(z, z_lo), z_hi)
+            low, high = t <= 0.0, t >= self.K
+            # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
+            z[low] = 0.0
+            z[high] = 1.0
+            live = np.flatnonzero(~(low | high))
+            if live.size:
+                z[live] = self._newton(z[live], t[live], z_lo[live], z_hi[live])
         return z
 
-    def _newton(self, z, t, lo, hi) -> np.ndarray:
-        """Newton passes for w_p(z) = t from starts z in brackets [lo, hi].
+    def _newton(self, z, t, lo, hi):
+        """Newton passes for w_p(z) = t from a start z in its bracket
+        [lo, hi]: a point's floats or arrays, under the np.errstate of
+        :meth:`invert`.
 
         Steps use the analytic derivative w_p' = G.  A step misses the root
         by about step**2 G' / (2 G), with G' / G = z**(p-1) (1/A + mu**p / B),
@@ -688,50 +738,58 @@ class _SnpEngine:
         (A, B) at the far end min(max(z, z - step), hi); a point with
         w_p(z) >= t has hi = z, so its far end is z itself.  A point whose
         bracket closes to a few ulps also stops on its step, clipped into
-        the bracket.  The points that stopped leave the pass; for the rest,
-        a larger step that leaves the bracket or is not finite falls back
-        to bisection, so every iterate stays admissible.
+        the bracket.  Otherwise a larger step that leaves the bracket or is
+        not finite falls back to bisection, so every iterate stays
+        admissible.  A point decides each of these by an if; an array
+        masks them, and the points that stopped leave the pass.
         """
         p, mup = self.p, self.mu**self.p
-        # the result, and the index of the live points into it
-        out, idx = np.empty_like(z), np.arange(z.size)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for _ in range(80):
-                f = self.wp_many(z) - t
-                below = f < 0.0
-                lo = np.where(below, z, lo)
-                hi = np.where(below, hi, z)
-                A, B = self._AB(z)
-                step = f / (A * B) ** (-1.0 / p)
-                z_new = z - step
-                # the step misses the root by about step**2 G' / (2 G), and
-                # G' / G grows with z, so it is bounded at the far end of the
-                # step, inside the bracket; at z = 1, A = 0 and the bound is
-                # infinite, so a point there stops only on an ulp-sized step
-                # or a closed bracket
-                zf = np.minimum(np.maximum(z, z_new), hi)
-                Af, Bf = self._AB(zf)
-                miss = 0.5 * step * step * zf ** (p - 1.0) * (1.0 / Af + mup / Bf)
-                # a bracket closed to a few ulps also stops, on its clipped
-                # step: near z = 1 that step can overshoot the last doubles
-                done = (miss <= 0.05 * _EPS * z) | (np.abs(step) <= _EPS * z)
-                done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
-                clipped = np.minimum(np.maximum(z_new, lo), hi)
-                out[idx[done]] = clipped[done]
-                if np.count_nonzero(done) == done.size:
-                    return out
-                bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
-                z_new = np.where(bad, 0.5 * (lo + hi), z_new)
-                live = ~done
-                idx, z, t, lo, hi = (a[live] for a in (idx, z_new, t, lo, hi))
+        point = isinstance(z, float)
+        if not point:
+            # the result, and the index of the live points into it
+            out, idx = np.empty_like(z), np.arange(z.size)
+        for _ in range(80):
+            f = self.wp_many(z) - t
+            below = f < 0.0
+            lo = _where(below, z, lo)
+            hi = _where(below, hi, z)
+            A, B = self._AB(z)
+            step = f / np.power(A * B, -1.0 / p)
+            z_new = z - step
+            # the step misses the root by about step**2 G' / (2 G), and
+            # G' / G grows with z, so it is bounded at the far end of the
+            # step, inside the bracket; at z = 1, A = 0 and the bound is
+            # infinite, so a point there stops only on an ulp-sized step
+            # or a closed bracket
+            zf = _clip(z_new, z, hi)
+            Af, Bf = self._AB(zf)
+            miss = 0.5 * step * step * np.power(zf, p - 1.0) * (1.0 / Af + mup / Bf)
+            # a bracket closed to a few ulps also stops, on its clipped
+            # step: near z = 1 that step can overshoot the last doubles
+            if point:
+                if (miss <= 0.05 * _EPS * z or abs(step) <= _EPS * z
+                        or hi - lo <= 2.0 * _EPS * hi and math.isfinite(z_new)):
+                    return _clip(z_new, lo, hi)
+                z = z_new if lo < z_new < hi else 0.5 * (lo + hi)
+                continue
+            done = (miss <= 0.05 * _EPS * z) | (np.abs(step) <= _EPS * z)
+            done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
+            out[idx[done]] = _clip(z_new, lo, hi)[done]
+            if np.count_nonzero(done) == done.size:
+                return out
+            bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
+            z_new = np.where(bad, 0.5 * (lo + hi), z_new)
+            live = ~done
+            idx, z, t, lo, hi = (a[live] for a in (idx, z_new, t, lo, hi))
         raise NonConvergence(
             f"sn_p inversion stalled for p={self.p}, mu={self.mu}"
         )
 
     # -- periodic reduction and evaluation ---------------------------------
 
-    def reduce(self, y: np.ndarray):
-        """Fold y into the fundamental quarter.
+    def reduce(self, y):
+        """Fold a point y (a float) or an array of y into the fundamental
+        quarter.
 
         Returns (u, sign, quarter, period) with u in [0, K] such that
         |sn_p(y)| = sn_p(u) and sign = sgn(sn_p(y)); quarter in {0,1,2,3}
@@ -739,50 +797,59 @@ class _SnpEngine:
         as floats, is the index of y's period.  Raises DomainError where
         ulp(y) >= K: neighbouring doubles a quarter period or more apart
         leave y mod 4K undetermined.  Below that the fold's error grows
-        like |y| eps.  r = y mod 4K is folded to u in place, with one mask
-        r > 2K for both sign and u, and the quarter truncated, as r >= 0.
+        like |y| eps.  r = y mod 4K is folded to u, past 2K by 2K and
+        then past K about K, with one test r > 2K for both sign and u, and
+        the quarter truncated, as r >= 0.  A point decides each step by an
+        if (:func:`_where`), giving floats and an int quarter; an array
+        masks.
         """
-        y = np.asarray(y, dtype=float)
         K = self.K
+        point = isinstance(y, float)
         # ulp grows with |y|, so the largest |y| decides for the whole array
-        ymax = float(np.abs(y).max(initial=0.0))
+        ymax = abs(y) if point else float(np.abs(y).max(initial=0.0))
         _check_interval("ulp(max |y|)", math.ulp(ymax), 0.0, K)
         fourk = 4.0 * K
         period = np.floor(y / fourk)
         r = y - period * fourk
-        r[(r < 0.0) | (r >= fourk)] = 0.0
+        r = _where((r < 0.0) | (r >= fourk), 0.0, r)
         # r >= 0, so truncation is the floor
-        quarter = np.minimum((r / K).astype(int), 3)
+        quarter = min(int(r / K), 3) if point else np.minimum((r / K).astype(int), 3)
         far = r > 2.0 * K
-        sign = np.where(far, -1.0, 1.0)
-        # u is r, folded in place: past 2K by 2K, then past K about K
-        u = np.subtract(r, 2.0 * K, out=r, where=far)
-        np.subtract(2.0 * K, u, out=u, where=u > K)
+        # u is r folded past 2K by 2K, then past K about K
+        u = _where(far, r - 2.0 * K, r)
+        u = _where(u > K, 2.0 * K - u, u)
         # folding r = y mod 4K rounds once, which can leave u one ulp off
         # the quarter point K; snap so endpoint evaluations stay exact
-        u[np.abs(u - K) <= 8.0 * _EPS * K] = K
-        return u, sign, quarter, period
+        u = _where(abs(u - K) <= 8.0 * _EPS * K, K, u)
+        return u, _where(far, -1.0, 1.0), quarter, period
 
-    def singular(self, u: np.ndarray) -> np.ndarray:
-        """True where a folded u lies within _SING_MARGIN of K, a zero of
-        sn_p'; the one singular test of the sn_p and eigen layers."""
-        return np.abs(u - self.K) < _SING_MARGIN
+    def singular(self, u):
+        """True where a folded u, a point or an array, lies within
+        _SING_MARGIN of K, a zero of sn_p'; the one singular test of the
+        sn_p and eigen layers."""
+        return abs(u - self.K) < _SING_MARGIN
 
-    def deriv(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
-        """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K."""
+    def deriv(self, s, quarter):
+        """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K: a point's
+        float and int, or arrays."""
         with np.errstate(divide="ignore"):
             A, B = self._AB(s)
-        dsign = np.where((quarter == 0) | (quarter == 3), 1.0, -1.0)
-        return dsign * (A * B) ** (1.0 / self.p)
+        d = np.power(A * B, 1.0 / self.p)
+        return _where((quarter == 0) | (quarter == 3), d, -d)
 
-    def second(self, s: np.ndarray, quarter: np.ndarray) -> np.ndarray:
-        """sn_p'' from s = |sn_p(y)| and the quarter of y mod 4K; the
-        chain-rule value below is the one on the rising quarter."""
+    def second(self, s, quarter):
+        """sn_p'' from s = |sn_p(y)| and the quarter of y mod 4K, as for
+        :meth:`deriv`; the chain-rule value below is the one on the rising
+        quarter."""
         p = self.p
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             A, B = self._AB(s)
-            h = -(s ** (p - 1.0)) * (A * B) ** (2.0 / p - 1.0) * (B + self.mu**p * A)
-        return np.where(quarter <= 1, h, -h)
+            h = (
+                -np.power(s, p - 1.0)
+                * np.power(A * B, 2.0 / p - 1.0)
+                * (B + self.mu**p * A)
+            )
+        return _where(quarter <= 1, h, -h)
 
 
 @functools.lru_cache(maxsize=256)
@@ -800,23 +867,27 @@ def wp(p: float, mu: float, z: float) -> float:
     eng = _engine(p, mu)
     if z == 1.0:
         return eng.K
-    return float(eng.wp_many(np.array([z]))[0])
+    return float(eng.wp_many(np.float64(z)))
 
 
 def _fold(p: float, mu: float, y):
     """The one checked fold of every sn_p entry point: validate (p, mu),
-    take its engine, reject non-finite y, and reduce y, flattened, into the
-    fundamental quarter.  Returns (engine, *engine.reduce(y)), that is
-    (engine, u, sign, quarter, period)."""
+    take its engine, reject y unless it is real and finite, and reduce it
+    into the fundamental quarter, one number as a point (a numpy float)
+    and anything else flattened.  Returns (engine, *engine.reduce(y)),
+    that is (engine, u, sign, quarter, period)."""
     _validate_pmu(p, mu)
     eng = _engine(p, mu)
-    return (eng, *eng.reduce(_check_finite("y", y).ravel()))
+    y = _check_finite("y", y)
+    return (eng, *eng.reduce(y if isinstance(y, float) else y.ravel()))
 
 
-def _shaped(y, values: np.ndarray):
-    """``values``, computed on y flattened, as a float when y is a scalar
-    and in the shape of y otherwise."""
-    return float(values[0]) if np.ndim(y) == 0 else values.reshape(np.shape(y))
+def _shaped(y, values):
+    """``values``, computed at y's point or on y flattened, as a float or
+    in the shape of y."""
+    if isinstance(values, np.ndarray):
+        return values.reshape(np.shape(y))
+    return float(values)
 
 
 def snp(p: float, mu: float, y):
@@ -836,10 +907,9 @@ def snp_value(p: float, mu: float, y: float) -> SnpValue:
     """sn_p evaluation at a single y bundled with the period index used in
     reduction."""
     _check_point("y", y)
-    eng, u, sign, _, period = _fold(p, mu, [y])
-    value = sign * eng.invert(u)
+    eng, u, sign, _, period = _fold(p, mu, y)
     return SnpValue(
-        y=float(y), value=float(value[0]), branch_period_index=int(period[0])
+        y=float(y), value=float(sign * eng.invert(u)), branch_period_index=int(period)
     )
 
 
@@ -860,10 +930,9 @@ def snp_second_deriv(p: float, mu: float, y):
     raised.  For p <= 2 it is finite everywhere.
     """
     eng, u, _, quarter, _ = _fold(p, mu, y)
-    if p > 2.0 and eng.singular(u).any():
+    if p > 2.0 and np.count_nonzero(eng.singular(u)):
         raise SingularPoint(
             f"sn_p'' is singular at odd multiples of K_p for p = {p} "
             f"(y within {_SING_MARGIN} of one)"
         )
     return _shaped(y, eng.second(eng.invert(u), quarter))
-

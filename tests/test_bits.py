@@ -20,6 +20,7 @@ import pelliptic.elliptic as el
 import pelliptic.fourier as fr
 import pelliptic.qtheta as qt
 import pelliptic.quadrature as quad
+from pelliptic.errors import DomainError, SingularPoint
 
 # (p, mu) pairs: p below and above 2, mu up to the last double below 1
 PAIRS = [(2.0, 0.5), (3.5, 0.9), (1.5, 1.0 - 1e-6), (2.5, math.nextafter(1.0, 0.0))]
@@ -1174,6 +1175,42 @@ def test_every_pin_is_computed():
     assert set(_computed()) == set(EXPECTED)
 
 
+# the seeded grid on which a float call must have an array call's bits:
+# p from 1.05 to 50, these moduli, and at each (p, mu) the y of
+# _grid_ys, 10,080 (p, mu, y) in all
+GRID_SEED = 20261019
+GRID_P = 20
+GRID_MUS = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12]
+GRID_SEEDED_YS = 73
+
+
+def _fold_limit(K: float) -> float:
+    """The smallest positive y with ulp(y) >= K, which the fold refuses;
+    the double below it is the largest that the fold accepts."""
+    m = 0
+    while 2.0 ** (m + 1) < K:
+        m += 1
+    return 2.0 ** (53 + m)
+
+
+def _grid_ys(K: float, rng) -> np.ndarray:
+    """0, -0.0, +-K, 2K, 4K, the double below K, 1e-300 and -1e-300,
+    the double below the fold limit and its negative, and seeded y:
+    fractions of K over three periods either side of 0, and y within
+    1e-9 K of K, of 2 K and of 0."""
+    limit = math.nextafter(_fold_limit(K), 0.0)
+    special = [0.0, -0.0, K, -K, 2.0 * K, 4.0 * K, math.nextafter(K, 0.0),
+               1e-300, -1e-300, limit, -limit]
+    n = GRID_SEEDED_YS - (GRID_SEEDED_YS // 4) * 3
+    near = rng.uniform(-1e-9, 1e-9, (3, GRID_SEEDED_YS // 4)) * K
+    seeded = [rng.uniform(-12.0, 12.0, n) * K, K + near[0], 2.0 * K + near[1], near[2]]
+    return np.concatenate([special, *seeded])
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
 def test_float_and_array_calls_agree_bit_for_bit():
     # a float y gives a float, an array gives an array of its shape, and
     # each element has the bits of the float call at that y
@@ -1188,6 +1225,64 @@ def test_float_and_array_calls_agree_bit_for_bit():
                 assert isinstance(rows, np.ndarray) and rows.shape == (2, 2)
                 want = [[fn(p, mu, v).hex() for v in row] for row in grid.tolist()]
                 assert [[v.hex() for v in row] for row in rows.tolist()] == want
+    # and so over the seeded grid: the hex of snp, snp_deriv and
+    # snp_second_deriv (off the singular margin for p > 2), of snp_value's
+    # value and period, and of wp at z = |sn_p(y)| in (0, 1) against
+    # wp_many on the array of those z.  Every hex holds the sign of a zero
+    rng = np.random.default_rng(GRID_SEED)
+    ps = np.concatenate(([1.05, 2.0, 50.0], np.exp(rng.uniform(
+        math.log(1.05), math.log(50.0), GRID_P - 3))))
+    count = 0
+    for p in ps.tolist():
+        for mu in GRID_MUS:
+            K = el.kp(p, mu)
+            ys = _grid_ys(K, rng)
+            count += ys.size
+            eng, u, _, _, period = el._fold(p, mu, ys)
+            values = el.snp(p, mu, ys)
+            points = [el.snp(p, mu, y) for y in ys.tolist()]
+            assert _hexes(points) == _hexes(values), (p, mu)
+            assert _hexes(el.snp_deriv(p, mu, ys)) == _hexes(
+                [el.snp_deriv(p, mu, y) for y in ys.tolist()]), (p, mu)
+            off = ys[~eng.singular(u)] if p > 2.0 else ys
+            assert _hexes(el.snp_second_deriv(p, mu, off)) == _hexes(
+                [el.snp_second_deriv(p, mu, y) for y in off.tolist()]), (p, mu)
+            sv = [el.snp_value(p, mu, y) for y in ys.tolist()]
+            assert _hexes([v.value for v in sv]) == _hexes(values), (p, mu)
+            assert [v.branch_period_index for v in sv] == period.astype(int).tolist()
+            z = np.abs(values)
+            z = z[(z > 0.0) & (z < 1.0)]
+            assert _hexes([el.wp(p, mu, v) for v in z.tolist()]) == _hexes(
+                eng.wp_many(z)), (p, mu)
+    assert count >= 10_000
+
+
+def _failure(call) -> tuple:
+    """The class and message of the DomainError that ``call`` raises."""
+    with pytest.raises(DomainError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_float_and_array_calls_fail_alike():
+    # a y that a float call refuses is refused, with the same class and
+    # message, in an array of one: NaN, +-inf, an int beyond the largest
+    # double, a y past the fold's ulp limit, and for p > 2 the singular
+    # point of sn_p''
+    p, mu = 3.5, 0.9
+    K = el.kp(p, mu)
+    bad = [math.nan, math.inf, -math.inf, 10**400, -(10**400),
+           _fold_limit(K), -_fold_limit(K)]
+    for fn in (el.snp, el.snp_deriv, el.snp_second_deriv):
+        for y in bad:
+            point = _failure(lambda: fn(p, mu, y))
+            assert point[0] is DomainError, (fn, y, point)
+            assert _failure(lambda: fn(p, mu, np.array([y]))) == point, (fn, y)
+            assert _failure(lambda: el.snp_value(p, mu, y)) == point, y
+    for y in [K, -K, 3.0 * K, K + 1e-7]:
+        point = _failure(lambda: el.snp_second_deriv(p, mu, y))
+        assert point[0] is SingularPoint, (y, point)
+        assert _failure(lambda: el.snp_second_deriv(p, mu, np.array([y]))) == point
 
 
 if __name__ == "__main__":

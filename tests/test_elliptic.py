@@ -549,6 +549,43 @@ def test_invert_raises_when_newton_stalls():
         eng.invert(np.array([0.3, 1.1]))
 
 
+def test_point_inversion_takes_every_branch_of_the_array_path():
+    # a point decides by ifs what an array decides by masks, with the same
+    # formulas, so a float t ends where the same t in an array ends: at
+    # the endpoints t = 0 and t = K, which make no Newton pass; on a step
+    # that leaves its bracket, which falls back to bisection; on a bracket
+    # closed to a few ulps; and after the 80 passes of a stalled inversion
+    eng = el._SnpEngine(2.0, 0.5)
+    assert eng.invert(np.float64(0.0)) == 0.0 and eng.invert(np.float64(-0.0)) == 0.0
+    assert eng.invert(np.float64(eng.K)) == 1.0
+    # t = w_p(0.9) from a start at 0.45 in [0.4, 0.6]: the first step
+    # goes past 0.9, out of the bracket, bisection follows, and the bracket
+    # closes on 0.6; from 0.5 in a bracket two ulps wide the first pass
+    # stops on the closed bracket
+    t = el.wp(2.0, 0.5, 0.9)
+    for z, lo, hi in [(0.45, 0.4, 0.6), (0.5, 0.5 - 1e-16, 0.5 + 1e-16)]:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            point = eng._newton(np.float64(z), np.float64(t), np.float64(lo),
+                                np.float64(hi))
+            batch = eng._newton(np.array([z]), np.array([t]), np.array([lo]),
+                                np.array([hi]))
+        assert type(point) is np.float64 and point.hex() == batch[0].hex()
+        assert point == hi
+
+    class Stalling(el._SnpEngine):
+        def wp_many(self, z):
+            if self._table is None:
+                return super().wp_many(z)
+            passes.append(z)
+            return np.float64(np.nan) if isinstance(z, float) else np.full(np.shape(z), np.nan)
+
+    passes = []
+    eng = Stalling(2.0, 0.5)
+    with pytest.raises(NonConvergence, match="stalled"):
+        eng.invert(np.float64(0.3))
+    assert len(passes) == 80 and all(type(z) is np.float64 for z in passes)
+
+
 def test_snp_extreme_modulus_frozen():
     # scipy's ellipj loses periodicity for m this close to 1, so the
     # references are frozen from a 50-digit computation
@@ -862,6 +899,48 @@ def test_snp_next_to_K_at_the_largest_modulus():
     assert np.all(el.snp(p, mu, ys) == 1.0)
     assert el.snp(p, mu, 1.1129126745119506) == 1.0
     assert [el.snp(p, mu, float(y)) for y in ys[:12]] == [1.0] * 12
+
+
+def _pair():
+    return eg.eigenpair(2.0, 0.5, 1)
+
+
+@pytest.mark.parametrize("x", ["0.3", b"0.3", 0.3 + 0.5j, np.complex64(0.3), None],
+                         ids=["str", "bytes", "complex", "complex64", "None"])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: el.snp(2.0, 0.5, x), "y"),
+    (lambda x: el.snp_value(2.0, 0.5, x), "y"),
+    (lambda x: el.snp_deriv(2.0, 0.5, x), "y"),
+    (lambda x: el.snp_second_deriv(2.0, 0.5, x), "y"),
+    (lambda x: el.wp(2.0, 0.5, x), "z"),
+    (lambda x: el.kp(x, 0.5), "p"),
+    (lambda x: el.kp_quadrature(2.0, x), "mu"),
+    (lambda x: el.kp_via_2f1(x, 0.5), "p"),
+    (lambda x: fr.tau_k(x, 0.5, 1), "p"),
+    (lambda x: eg.eigenpair(2.0, x, 1), "mu"),
+    (lambda x: eg.eigenfunction_eval(_pair(), x), "x"),
+    (lambda x: eg.first_integral_residual(_pair(), [0.1, x, 0.6]), "grid"),
+    (lambda x: eg.ode_residual(_pair(), [0.1, x, 0.6]), "grid"),
+    (lambda x: ct.firstcond_boundary(x), "p"),
+], ids=["snp", "snp_value", "snp_deriv", "snp_second_deriv", "wp", "kp",
+        "kp_quadrature", "kp_via_2f1", "tau_k", "eigenpair", "eigenfunction_eval",
+        "first_integral_residual", "ode_residual", "firstcond_boundary"])
+def test_non_real_input_is_a_domain_error(call, name, x):
+    # text is not parsed, an imaginary part is not dropped, and None is not
+    # a bare TypeError: each is refused, naming the input
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+        call(x)
+
+
+@pytest.mark.parametrize("ys", [["0.1", "0.3"], np.array(["0.3"]), [b"0.3"],
+                                np.array([0.3 + 0.5j]), [None, 0.3]],
+                         ids=["str_list", "str_array", "bytes_list", "complex_array",
+                              "None_list"])
+@pytest.mark.parametrize("fn", [el.snp, el.snp_deriv, el.snp_second_deriv],
+                         ids=["snp", "snp_deriv", "snp_second_deriv"])
+def test_non_real_entries_of_an_array_are_a_domain_error(fn, ys):
+    with pytest.raises(DomainError, match="^y must be a real number, got "):
+        fn(2.0, 0.5, ys)
 
 
 @pytest.mark.parametrize("x", [np.array([0.3, 0.5]), np.array([0.3]), [0.3, 1.0]],

@@ -79,6 +79,18 @@ def test_tau_k_validation():
         fr.tau_k(2.0, 0.5, True)
 
 
+def test_tau_k_takes_a_0d_integer_array_as_its_integer():
+    # a 0-d integer array is one k, as 3, np.int64(3) and every sn_p entry
+    # point's 0-d y are points; a 0-d bool or float array is still refused
+    want = fr.tau_k(2.0, 0.5, 3)
+    for k in (np.array(3), np.array(3, dtype=np.uint8), np.int64(3)):
+        got = fr.tau_k(2.0, 0.5, k)
+        assert type(got) is float and got == want
+    for bad in (np.array(True), np.array(3.0), np.array(0)):
+        with pytest.raises(DomainError, match="k must be an integer in"):
+            fr.tau_k(2.0, 0.5, bad)
+
+
 def test_tau_k_sequence_rows_match_scalar_calls():
     # k = 121..201 run to tanh-sinh level 7, where numpy's sum over the
     # levels would differ between one row and many unless taken per row

@@ -40,7 +40,7 @@ import numpy as np
 
 from .elliptic import _kp_rows, kp
 from .errors import DomainError, MaxIterations, NoSignChange
-from .errors import _check_int, _check_interval
+from .errors import _check_int, _check_interval, _check_real
 from .fourier import tau_k, tau_tail_bound
 from .qtheta import mu0, nome_from_modulus, odd_lambert_sum
 
@@ -83,10 +83,11 @@ _KINDS = ("explicit-list", "constant", "interval-grid")
 
 @dataclass(frozen=True)
 class ModulusSet:
-    """A finite set of moduli, each in (0, 1).
+    """A finite set of moduli, each in (0, 1), held as a tuple of floats.
 
     ``kind`` records how the set was built; ``interval-grid`` sets are
     sampled from a continuum, so sups over them are grid sups only.
+    ``values`` may be given as any list or array of real numbers.
     """
 
     kind: str
@@ -95,28 +96,28 @@ class ModulusSet:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if len(self.values) == 0:
+        values = np.atleast_1d(_check_real("mu", self.values, many=True)).tolist()
+        if len(values) == 0:
             raise DomainError("modulus set must be nonempty")
-        for mu in self.values:
-            _check_interval("mu", mu, 0.0, 1.0, "()")
-        if self.kind == "constant" and len(self.values) != 1:
+        values = tuple(_check_interval("mu", mu, 0.0, 1.0, "()") for mu in values)
+        object.__setattr__(self, "values", values)
+        if self.kind == "constant" and len(values) != 1:
             raise DomainError("constant modulus set must hold exactly one value")
 
     @staticmethod
     def constant(mu: float) -> "ModulusSet":
-        return ModulusSet(kind="constant", values=(float(mu),))
+        return ModulusSet(kind="constant", values=(mu,))
 
     @staticmethod
     def explicit(values) -> "ModulusSet":
-        return ModulusSet(kind="explicit-list", values=tuple(float(v) for v in values))
+        return ModulusSet(kind="explicit-list", values=values)
 
     @staticmethod
     def grid(lo: float, hi: float, n: int) -> "ModulusSet":
-        _check_int("n", n, 2)
-        _check_interval("lo", lo, 0.0, 1.0, "()")
-        _check_interval("hi", hi, lo, 1.0, "()")
-        vals = tuple(float(v) for v in np.linspace(lo, hi, int(n)))
-        return ModulusSet(kind="interval-grid", values=vals)
+        n = _check_int("n", n, 2)
+        lo = _check_interval("lo", lo, 0.0, 1.0, "()")
+        hi = _check_interval("hi", hi, lo, 1.0, "()")
+        return ModulusSet(kind="interval-grid", values=np.linspace(lo, hi, n))
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def _report(
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        truncation_K=int(K),
+        truncation_K=K,
         tail_bound=tail,
         verdict=verdict,
         caveats="; ".join(notes),
@@ -191,12 +192,12 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     of tau_k between nodes is not controlled (tau_k need not be monotone
     in mu), and the report says so.
     """
-    _check_int("K", K, 5, odd=True)
+    K = _check_int("K", K, 5, odd=True)
     # one row per modulus, one column per odd k = 1, 3, ..., K
     taus = np.array([tau_k(p, mu, np.arange(1, K + 1, 2)) for mu in ms.values])
     rhs = float(np.min(taus[:, 0]))
     lhs = math.fsum(np.max(np.abs(taus[:, 1:]), axis=0))
-    tail = tau_tail_bound(p, kp(p, max(ms.values)), int(K) + 2)
+    tail = tau_tail_bound(p, kp(p, max(ms.values)), K + 2)
     notes = []
     if ms.kind == "interval-grid":
         notes.append("sup over grid points only; not a rigorous sup between nodes")
@@ -231,14 +232,12 @@ def region_scan(p_points, mu_points) -> list:
     The sorted grid points go in chunks of at most 64 through one batched
     K_p call each, whose values equal scalar :func:`kp` bit for bit.
     """
-    ps = [float(v) for v in p_points]
-    mus = [float(v) for v in mu_points]
+    ps = np.atleast_1d(_check_real("1/p", p_points, many=True)).tolist()
+    mus = np.atleast_1d(_check_real("mu", mu_points, many=True)).tolist()
     if len(ps) == 0 or len(mus) == 0:
         raise DomainError("grids must be nonempty")
-    for v in ps:
-        _check_interval("1/p", v, 0.0, 1.0, "()")
-    for mu in mus:
-        _check_interval("mu", mu, 0.0, 0.999, "(]")
+    ps = [_check_interval("1/p", v, 0.0, 1.0, "()") for v in ps]
+    mus = [_check_interval("mu", mu, 0.0, 0.999, "(]") for mu in mus]
     keys = [(op, mu) for op in sorted(ps) for mu in sorted(mus)]
     rows = []
     for i in range(0, len(keys), _CHUNK):
@@ -303,6 +302,8 @@ def firstcond_boundary(p: float) -> float:
     MaxIterations
         If neither stop is met after 60 scalar K_p evaluations.
     """
+
+    p = _check_interval("p", p, 1.0, math.inf, "()")
 
     def modulus(t):
         # an extrapolated t >= 0 maps to mu = 0, outside every bracket

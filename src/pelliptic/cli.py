@@ -118,10 +118,9 @@ def cmd_eigen(args) -> list:
         ("c", e.c),
     ]
     if args.x_samples > 0:
-        xs = np.linspace(0.0, 1.0, args.x_samples)
-        for i, x in enumerate(xs):
-            pairs.append((f"x_{i}", float(x)))
-            pairs.append((f"phi_{i}", eg.eigenfunction_eval(e, float(x))))
+        for i, x in enumerate(np.linspace(0.0, 1.0, args.x_samples).tolist()):
+            pairs.append((f"x_{i}", x))
+            pairs.append((f"phi_{i}", eg.eigenfunction_eval(e, x)))
     return pairs
 
 

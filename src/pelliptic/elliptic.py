@@ -93,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, SingularPoint, SlowConvergence
-from .errors import _check_finite, _check_interval, _check_point, _validate_pmu
+from .errors import _check_finite, _check_interval, _check_real, _validate_pmu
 from .quadrature import QuadratureResult, _tanh_sinh, _ts_nodes, _ts_slice
 
 __all__ = [
@@ -272,7 +272,7 @@ def _kp_rows(p, mu):
     T(v**m), T the :func:`_tail_factor`, at ``_KP_TOL`` as one driver call.
     Each value equals :func:`kp` bit for bit.
 
-    Each raw pair is validated before it is converted to float.  v**m and
+    p and mu are lists of floats that their callers checked.  v**m and
     the ratio (1 - s**p) / (1 - s) depend on p alone, so they come from
     :func:`_kp_p_factor`, once per distinct p and level, and only
     ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  Its powers are
@@ -280,10 +280,6 @@ def _kp_rows(p, mu):
     never a scalar shortcut (sqrt, copy or square at m = 0.5, 1 or 2), so
     a row has the same bits alone as in any batch.
     """
-    for a, b in zip(p, mu):
-        _validate_pmu(a, b)
-    p = [float(v) for v in p]
-    mu = [float(v) for v in mu]
     where = {a: i for i, a in enumerate(dict.fromkeys(p))}
     ps, k = tuple(where), np.array([where[a] for a in p])
     p_col, eps, mup = np.array([p, *zip(*map(_eps_mup, p, mu))])[:, :, None]
@@ -310,13 +306,14 @@ def _kp_rows(p, mu):
 def kp_quadrature(p: float, mu: float) -> QuadratureResult:
     """The K_p integral with the engine's own error assessment attached.
 
-    Row 0 of ``_kp_rows([p], [mu])``, which validates (p, mu), at the
+    Row 0 of ``_kp_rows([p], [mu])`` on the checked (p, mu), at the
     target 1e-13 (relative, since K_p > 1).  The smooth factor is
     :func:`_tail_factor` of the endpoint distance 1 - s = v**m, formed from
     v and never by subtraction, so the integral stays accurate even for
     1 - mu of order 1e-15.  Its p-only part comes from :func:`_kp_p_factor`,
     so a call at the p of a recent batch, or of a recent call, reuses it.
     """
+    p, mu = _validate_pmu(p, mu)
     value, err, nodes = _kp_rows([p], [mu])
     return QuadratureResult(
         value=float(value[0]), abs_error_estimate=float(err[0]), nodes_used=nodes
@@ -410,16 +407,25 @@ def _tail_edges(p: float, mu: float) -> np.ndarray:
         b = a
 
 
-@functools.lru_cache(maxsize=8192)
 def kp(p: float, mu: float) -> float:
     """Complete integral K_p(mu) = w_p(1).
 
     Strictly increasing in mu, with K_p(0) = pi / (p sin(pi/p)) > 1.  The
     value of :func:`kp_quadrature`, whose target 1e-13 is relative since
     K_p > 1: at K_p = 4.9e8 (p = 1.2, mu = 1 - 1e-12) the allowed error is
-    about 5e-5, though the value is far closer.
+    about 5e-5, though the value is far closer.  (p, mu) is checked before
+    the cache is consulted, which is keyed by the checked floats and
+    counted by ``kp.cache_info``.
     """
+    return _kp(*_validate_pmu(p, mu))
+
+
+@functools.lru_cache(maxsize=8192)
+def _kp(p: float, mu: float) -> float:
     return kp_quadrature(p, mu).value
+
+
+kp.cache_info = _kp.cache_info
 
 
 def kp_via_2f1(p: float, mu: float) -> float:
@@ -437,7 +443,7 @@ def kp_via_2f1(p: float, mu: float) -> float:
     SlowConvergence
         If mu**p > 0.9, where the series converges too slowly.
     """
-    _validate_pmu(p, mu)
+    p, mu = _validate_pmu(p, mu)
     x = mu**p
     if x > 0.9:
         raise SlowConvergence(f"mu**p = {x:.6f} > 0.9; hypergeometric series too slow")
@@ -509,7 +515,7 @@ class _SnpEngine:
     def __init__(self, p: float, mu: float):
         self.p = p
         self.mu = mu
-        self.K = kp(p, mu)
+        self.K = _kp(p, mu)
         self._series = _direct_series(p, mu**p)
         self._panels = None
         self._table = None
@@ -859,15 +865,14 @@ def _engine(p: float, mu: float) -> _SnpEngine:
 
 def wp(p: float, mu: float, z: float) -> float:
     """Incomplete integral w_p(z) for a single z in [0, 1]."""
-    _validate_pmu(p, mu)
-    _check_point("z", z)
-    _check_interval("z", z, 0.0, 1.0, "[]")
+    p, mu = _validate_pmu(p, mu)
+    z = _check_interval("z", z, 0.0, 1.0, "[]")
     if z == 0.0:
         return 0.0
     eng = _engine(p, mu)
     if z == 1.0:
         return eng.K
-    return float(eng.wp_many(np.float64(z)))
+    return float(eng.wp_many(z))
 
 
 def _fold(p: float, mu: float, y):
@@ -876,8 +881,7 @@ def _fold(p: float, mu: float, y):
     into the fundamental quarter, one number as a point (a numpy float)
     and anything else flattened.  Returns (engine, *engine.reduce(y)),
     that is (engine, u, sign, quarter, period)."""
-    _validate_pmu(p, mu)
-    eng = _engine(p, mu)
+    eng = _engine(*_validate_pmu(p, mu))
     y = _check_finite("y", y)
     return (eng, *eng.reduce(y if isinstance(y, float) else y.ravel()))
 
@@ -906,10 +910,10 @@ def snp(p: float, mu: float, y):
 def snp_value(p: float, mu: float, y: float) -> SnpValue:
     """sn_p evaluation at a single y bundled with the period index used in
     reduction."""
-    _check_point("y", y)
+    y = _check_real("y", y)
     eng, u, sign, _, period = _fold(p, mu, y)
     return SnpValue(
-        y=float(y), value=float(sign * eng.invert(u)), branch_period_index=int(period)
+        y=y, value=float(sign * eng.invert(u)), branch_period_index=int(period)
     )
 
 
@@ -930,9 +934,9 @@ def snp_second_deriv(p: float, mu: float, y):
     raised.  For p <= 2 it is finite everywhere.
     """
     eng, u, _, quarter, _ = _fold(p, mu, y)
-    if p > 2.0 and np.count_nonzero(eng.singular(u)):
+    if eng.p > 2.0 and np.count_nonzero(eng.singular(u)):
         raise SingularPoint(
-            f"sn_p'' is singular at odd multiples of K_p for p = {p} "
+            f"sn_p'' is singular at odd multiples of K_p for p = {eng.p} "
             f"(y within {_SING_MARGIN} of one)"
         )
     return _shaped(y, eng.second(eng.invert(u), quarter))

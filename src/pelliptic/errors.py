@@ -8,10 +8,17 @@ subclasses).
 Every range, count, sign and finiteness check on an input goes through the
 private checks at the end, which raise DomainError as "{name} must lie in
 [lo, hi), got {x}" (or "must be an integer in", "must be +1 or -1", "must
-be a single number", "must be finite", "must be a real number").  NaN
-fails every comparison, so each check rejects it; text, bytes, None and
-complex numbers are not real numbers, so every check of a value rejects
-them rather than parse text or drop an imaginary part.  A count or a
+be a single number", "must be finite", "must be a real number"), and
+return the value they judged, so callers compute with it and never with
+the raw input.  One function, :func:`_check_real`, says what a real number
+is: a ``numbers.Real`` (int, float, bool, Fraction, a numpy integer or
+floating), a numpy bool or a 0-d array of one, taken as the double it
+becomes, an int or a fraction beyond the largest double as the infinity
+it exceeds.  Text, bytes, None, complex numbers and Decimal are refused
+everywhere, entry by entry in an array, rather than parsed, rounded or
+stripped of an imaginary part; a list or an array where one number is
+expected is refused too.
+NaN fails every comparison, so each range check rejects it.  A count or a
 sign must be an int, a numpy integer or a 0-d integer array, not a bool
 or a float.  The scalar checks are plain comparisons, cheap enough to run
 once per (p, mu) pair of a batch.
@@ -55,106 +62,95 @@ def _num(v) -> str:
     return str(float(v)).removesuffix(".0")
 
 
-# what a check of a value refuses as not a real number
-_NOT_REAL = (str, bytes, complex, np.complexfloating, type(None))
+def _check_real(name: str, x, many: bool = False):
+    """x as a float if it is a real number, and with ``many`` a list or an
+    array of them as a float array of its shape; a 0-d array is one number.
+    Anything else raises DomainError naming ``name``: "must be a single
+    number" for a list or an array without ``many``, "must be a real
+    number" for x, or the first entry of x, that is not one."""
+    if type(x) is float:
+        return x
+    if isinstance(x, (numbers.Real, np.bool_)):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    a = np.asarray(x)
+    if not (a.ndim or isinstance(x, np.ndarray)):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    if a.ndim and not many:
+        raise DomainError(f"{name} must be a single number, got shape {a.shape}")
+    if a.dtype.kind not in "biuf":
+        # x's own entries: a list that holds text has become text
+        entries = np.asarray(x, dtype=object)
+        a = np.array([_check_real(name, v) for v in entries.flat]).reshape(a.shape)
+    a = a.astype(float, copy=False)
+    return a if a.ndim else float(a)
 
 
-def _not_real(name: str, x) -> DomainError:
-    return DomainError(f"{name} must be a real number, got {x!r}")
-
-
-def _double(name: str, x):
-    """x + 0.0, the double that x becomes, with an int or a fraction beyond
-    the largest double taken as the infinity it exceeds instead of raising
-    OverflowError.  Anything that does not add to a real number, such as
-    text, bytes, None or a complex number, raises DomainError naming
-    ``name``."""
-    try:
-        v = x + 0.0
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-    except TypeError:
-        raise _not_real(name, x) from None
-    if isinstance(v, float) or not isinstance(v, _NOT_REAL):
-        return v
-    raise _not_real(name, x)
-
-
-def _check_interval(name: str, x, lo: float, hi: float, ends: str = "[)") -> None:
-    """Reject x outside the interval from lo to hi; ``ends`` spells its
-    brackets, "[" or "]" for a closed end and "(" or ")" for an open one.
-    An infinite end is open, so (-inf, inf) admits exactly the finite x.
-    x is judged as the double it becomes (:func:`_double`), so an int
-    beyond the largest double fails even an interval open to infinity, and
-    a value that is not a real number fails every interval."""
+def _check_interval(name: str, x, lo: float, hi: float, ends: str = "[)") -> float:
+    """x as the float it is (:func:`_check_real`) if it lies in the interval
+    from lo to hi; ``ends`` spells its brackets, "[" or "]" for a closed
+    end and "(" or ")" for an open one.  An infinite end is open, so
+    (-inf, inf) admits exactly the finite x, and an int beyond the largest
+    double fails even an interval open to infinity."""
     # the common case, a float inside, is decided by one chained comparison
-    if isinstance(x, float) and lo < x < hi:
-        return
-    x = _double(name, x)
+    if type(x) is float and lo < x < hi:
+        return x
+    x = _check_real(name, x)
     above = lo < x if ends[0] == "(" else lo <= x
     below = x < hi if ends[1] == ")" else x <= hi
     if not (above and below):
         raise DomainError(
             f"{name} must lie in {ends[0]}{_num(lo)}, {_num(hi)}{ends[1]}, got {x}"
         )
+    return x
 
 
-def _check_int(name: str, n, lo: int, odd: bool = False) -> None:
-    """Reject n unless it is an integer (not a bool), or a 0-d array of
-    one, >= lo, and odd if asked."""
+def _check_int(name: str, n, lo: int, odd: bool = False, many: bool = False):
+    """n as an int if it is an integer (not a bool), or a 0-d array of
+    one, >= lo, and odd if asked; with ``many``, a nonempty 1-D list or
+    array of integers >= lo as an int array."""
+    if many and np.ndim(n):
+        a = np.asarray(n)
+        if a.ndim == 1 and a.size and a.dtype.kind in "iu" and np.all(a >= lo):
+            return a
+        raise DomainError(
+            f"{name} must be an integer in [{lo}, inf) or a 1-D run of them, got {n!r}"
+        )
     if isinstance(n, np.ndarray) and n.ndim == 0:
         n = n[()]
     is_int = isinstance(n, numbers.Integral) and not isinstance(n, bool)
     if not is_int or n < lo or (odd and n % 2 == 0):
         kind = "an odd integer" if odd else "an integer"
         raise DomainError(f"{name} must be {kind} in [{lo}, inf), got {n}")
+    return int(n)
 
 
-def _check_sign(name: str, s) -> None:
-    """Reject s unless it is the integer +1 or -1 (not a bool or a float)."""
+def _check_sign(name: str, s) -> int:
+    """s as an int if it is the integer +1 or -1 (not a bool or a float)."""
     is_int = isinstance(s, numbers.Integral) and not isinstance(s, bool)
     if not is_int or s not in (1, -1):
         raise DomainError(f"{name} must be +1 or -1, got {s}")
-
-
-def _check_point(name: str, x) -> None:
-    """Reject x unless it is one number: a list or an array, even of one
-    element, is not a point."""
-    if not isinstance(x, float) and np.ndim(x) != 0:
-        raise DomainError(f"{name} must be a single number, got shape {np.shape(x)}")
+    return int(s)
 
 
 def _check_finite(name: str, x):
-    """x as doubles, a numpy float for one number (a 0-d array too) and a
-    float array otherwise.  Rejects x if any entry is not a real number
-    (text, bytes, None or complex), or is NaN or infinite, an int beyond
-    the largest double counting as infinite (:func:`_double`)."""
-    if isinstance(x, float):
-        v = np.float64(x)
-    else:
-        a = np.asarray(x)
-        if a.dtype.kind in "OSUc":
-            # x's own entries: a list that holds text has become text
-            for v in np.asarray(x, dtype=object).flat:
-                if isinstance(v, _NOT_REAL):
-                    raise _not_real(name, v)
-        try:
-            a = a.astype(float, copy=False)
-        except OverflowError:
-            a = np.asarray(np.frompyfunc(lambda v: _double(name, v), 1, 1)(a), float)
-        if not a.ndim:
-            v = a[()]
-        else:
-            bad = a[~np.isfinite(a)]
-            if not bad.size:
-                return a
-            v = bad[0]
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {v}")
-    return v
+    """x as doubles (:func:`_check_real`), a numpy float for one number
+    and a float array for a list or an array, if every entry is finite."""
+    if type(x) is float and math.isfinite(x):
+        return np.float64(x)
+    x = _check_real(name, x, many=True)
+    bad = np.extract(~np.isfinite(x), x)
+    if bad.size:
+        raise DomainError(f"{name} must be finite, got {bad[0]}")
+    return np.float64(x) if isinstance(x, float) else x
 
 
-def _validate_pmu(p: float, mu: float, mu_ends: str = "[)") -> None:
-    """p in (1, inf) and mu in [0, 1), or (0, 1) with ``mu_ends="()"``."""
-    _check_interval("p", p, 1.0, math.inf, "()")
-    _check_interval("mu", mu, 0.0, 1.0, mu_ends)
+def _validate_pmu(p, mu, mu_ends: str = "[)") -> tuple[float, float]:
+    """(p, mu) as floats if p is in (1, inf) and mu in [0, 1), or (0, 1)
+    with ``mu_ends="()"``."""
+    return (
+        _check_interval("p", p, 1.0, math.inf, "()"),
+        _check_interval("mu", mu, 0.0, 1.0, mu_ends),
+    )

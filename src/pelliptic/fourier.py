@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _engine, kp
-from .errors import DomainError, _check_int, _check_interval, _validate_pmu
+from .errors import _check_int, _check_interval, _validate_pmu
 from .quadrature import _tanh_sinh, _ts_nodes
 
 __all__ = [
@@ -107,7 +107,6 @@ def _split_integral(p: float, mu: float, g, tol: float):
     _FILL_LEVEL, whichever is later.  w_p treats each point on its own, so
     grouping does not change a value.
     """
-    p, mu = float(p), float(mu)
     cache = _profile(p, mu)
     eng = _engine(p, mu)
     nodes, _, _, cuts = _ts_nodes()
@@ -132,21 +131,16 @@ def tau_k(p: float, mu: float, k):
     integral on the profile's w_p cache, each to an error of about 1e-11;
     a row's value is the same, bit for bit, whatever the other rows are.
     """
-    _validate_pmu(p, mu)
-    scalar = np.ndim(k) == 0
-    if scalar:
-        _check_int("k", k, 1)
-    ks = np.array([int(k)]) if scalar else np.asarray(k)
-    if ks.ndim != 1 or ks.size == 0 or ks.dtype.kind not in "iu" or np.any(ks < 1):
-        raise DomainError(f"k must be a positive integer or a 1-D run of them, got {k!r}")
-    kpi = ks * math.pi
+    p, mu = _validate_pmu(p, mu)
+    k = _check_int("k", k, 1, many=True)
+    kpi = np.atleast_1d(k) * math.pi
 
     def g(x1: np.ndarray, x2: np.ndarray, z: np.ndarray, rows) -> np.ndarray:
         kr = kpi[rows, None]
         return np.cos(kr * x1) - np.cos(kr * x2)
 
     taus = math.sqrt(2.0) / kpi * _split_integral(p, mu, g, _TAU_TOL)
-    return float(taus[0]) if scalar else taus
+    return float(taus[0]) if isinstance(k, int) else taus
 
 
 def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
@@ -155,13 +149,13 @@ def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
     The tail bound covers odd indices above K_max using the profile's own
     K_p value as the sup.
     """
-    _validate_pmu(p, mu)
-    _check_int("K_max", K_max, 1)
+    p, mu = _validate_pmu(p, mu)
+    K_max = _check_int("K_max", K_max, 1)
     coeffs = tuple(tau_k(p, mu, np.arange(1, K_max + 1)).tolist())
     start = K_max + 1 if K_max % 2 == 0 else K_max + 2
     tail = tau_tail_bound(p, kp(p, mu), start)
     return FourierProfile(
-        p=p, mu=mu, coefficients=coeffs, K_max=int(K_max), tail_bound=tail
+        p=p, mu=mu, coefficients=coeffs, K_max=K_max, tail_bound=tail
     )
 
 
@@ -174,7 +168,7 @@ def _sn_l2(p: float, mu: float) -> float:
     """integral_0^1 sn_p(2 K_p x, mu)^2 dx on the shared node cache, as
     integral_0^1 2 z (x2 - x1) dz: each half of the profile integrated by
     parts and taken over z = sn_p, like tau_k."""
-    _validate_pmu(p, mu)
+    p, mu = _validate_pmu(p, mu)
     g = lambda x1, x2, z, rows: 2.0 * z * (x2 - x1)
     return float(_split_integral(p, mu, g, 1e-12))
 
@@ -190,8 +184,8 @@ def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:
     unit of slack in the lower limit.
     """
     _check_interval("p", p, 1.0, math.inf, "()")
-    _check_int("K", K, 3, odd=True)
-    _check_interval("sup_kp", sup_kp, 0.0, math.inf, "()")
+    K = _check_int("K", K, 3, odd=True)
+    sup_kp = _check_interval("sup_kp", sup_kp, 0.0, math.inf, "()")
     return 4.0 * math.sqrt(2.0) * sup_kp / math.pi**2 / (2.0 * (K - 2.0))
 
 
@@ -201,8 +195,8 @@ def rho_coeff(q: float, j: int) -> float:
     Equals tau_(2j+1)/tau_1 for the p = 2 profile whose modulus has nome
     q; rho_0 is identically 1.
     """
-    _check_interval("q", q, 0.0, 1.0, "()")
-    _check_int("j", j, 0)
+    q = _check_interval("q", q, 0.0, 1.0, "()")
+    j = _check_int("j", j, 0)
     return (1.0 - q) * q**j / (1.0 - q ** (2 * j + 1))
 
 
@@ -213,8 +207,8 @@ def g_eval(q: float, x: float) -> float:
     The terms past it add up to at most sqrt(2) q^200 / (1 - q^401), since
     each is below sqrt(2) (1-q) q^j / (1 - q^401).
     """
-    _check_interval("q", q, 0.0, 1.0, "()")
-    _check_interval("x", x, -math.inf, math.inf, "()")
+    q = _check_interval("q", q, 0.0, 1.0, "()")
+    x = _check_interval("x", x, -math.inf, math.inf, "()")
     js = np.arange(200)
     coeff = q**js / (1.0 - q ** (2 * js + 1))
     sines = np.sin((2 * js + 1) * math.pi * x)

@@ -63,8 +63,8 @@ def agm_jacobi_sn(y: float, mu: float) -> float:
     parameter is m = mu**2.  Independent of the quadrature-based path,
     which makes it a genuine cross-check for the p = 2 case.
     """
-    _check_interval("y", y, -math.inf, math.inf, "()")
-    _check_interval("mu", mu, 0.0, 1.0)
+    y = _check_interval("y", y, -math.inf, math.inf, "()")
+    mu = _check_interval("mu", mu, 0.0, 1.0)
     a, scales = _agm(math.sqrt((1.0 - mu) * (1.0 + mu)), mu)
     phi = a * y * 2.0 ** len(scales)
     for ai, ci in reversed(scales):
@@ -105,7 +105,7 @@ def modulus_from_nome(q: float) -> float:
     is of the order of the double-precision spacing; if even that rounds
     to 1, the largest representable modulus below 1 is returned.
     """
-    _check_interval("q", q, 0.0, _Q_MAX, "[]")
+    q = _check_interval("q", q, 0.0, _Q_MAX, "[]")
     t2, t3, t4 = _theta_sums(q)
     r = t2 / t3
     if r < 0.95:
@@ -124,7 +124,7 @@ def nome_from_modulus(mu: float) -> float:
     The closed form of exp(-pi K(mu') / K(mu)) (DLMF 19.8.5, 22.2.1), with
     mu' = sqrt((1 - mu)(1 + mu)); it inverts :func:`modulus_from_nome`.
     """
-    _check_interval("mu", mu, 0.0, 1.0)
+    mu = _check_interval("mu", mu, 0.0, 1.0)
     if mu == 0.0:
         return 0.0
     muc = math.sqrt((1.0 - mu) * (1.0 + mu))
@@ -152,21 +152,21 @@ def _lambert_sum(terms: Iterable[float]) -> float:
 
 def lambert_L(beta: float) -> float:
     """Lambert series L(beta) = sum_{n>=1} beta^n / (1 - beta^n)."""
-    _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
+    beta = _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
     return _lambert_sum(bn / (1.0 - bn) for bn in _powers(beta))
 
 
 def q_digamma(q: float, x: float) -> float:
     """q-digamma psi_q(x) = -log(1-q) + log(q) sum_{n>=1} q^(n x)/(1-q^n)."""
-    _check_interval("q", q, 0.0, _Q_MAX, "(]")
-    _check_interval("x", x, 0.0, math.inf, "()")
+    q = _check_interval("q", q, 0.0, _Q_MAX, "(]")
+    x = _check_interval("x", x, 0.0, math.inf, "()")
     series = _lambert_sum(q ** (n * x) / (1.0 - q**n) for n in itertools.count(1))
     return -math.log1p(-q) + math.log(q) * series
 
 
 def lambert_via_digamma(beta: float) -> float:
     """L(beta) recovered from the q-digamma: (psi_beta(1) + log(1-beta)) / log(beta)."""
-    _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
+    beta = _check_interval("beta", beta, 0.0, _Q_MAX, "(]")
     return (q_digamma(beta, 1.0) + math.log1p(-beta)) / math.log(beta)
 
 
@@ -176,7 +176,7 @@ def odd_lambert_sum(q: float) -> float:
     It equals the Lambert-series combination (L(sqrt(q)) - 2 L(q) +
     L(q^2))/sqrt(q) - 1/(1-q); :func:`solve_q0` bisects it against 1/(1-q).
     """
-    _check_interval("q", q, 0.0, _Q_MAX, "(]")
+    q = _check_interval("q", q, 0.0, _Q_MAX, "(]")
     return _lambert_sum(
         qn / (1.0 - q2n1) for qn, q2n1 in zip(_powers(q), _powers(q * q, q))
     )
@@ -200,14 +200,18 @@ def solve_q0() -> float:
     return hi
 
 
-@functools.cache
 def mu0() -> float:
     """The modulus whose nome solves the sharp equation, 1 - 4.44e-16; cached."""
+    return _mu0()
+
+
+@functools.cache
+def _mu0() -> float:
     return modulus_from_nome(solve_q0())
 
 
 def fraenkel_s(q: float, sign: int) -> float:
     """The scale parameter s = sign * 4 pi sqrt(q) / (1 - q), sign = +-1."""
-    _check_interval("q", q, 0.0, _Q_MAX, "(]")
-    _check_sign("sign", sign)
+    q = _check_interval("q", q, 0.0, _Q_MAX, "(]")
+    sign = _check_sign("sign", sign)
     return sign * 4.0 * math.pi * math.sqrt(q) / (1.0 - q)

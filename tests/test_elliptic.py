@@ -8,6 +8,7 @@ a 50-digit evaluation of the defining integrals.
 """
 
 import math
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -187,7 +188,7 @@ def test_kp_tries_the_quadrature_once(monkeypatch):
 
     monkeypatch.setattr(el, "kp_quadrature", counted)
     # past kp's cache, so an earlier call cannot hide the quadrature
-    assert el.kp.__wrapped__(1.05, 0.5) == quad(1.05, 0.5).value
+    assert el._kp.__wrapped__(1.05, 0.5) == quad(1.05, 0.5).value
     assert calls == [((1.05, 0.5), {})]
 
 
@@ -905,8 +906,9 @@ def _pair():
     return eg.eigenpair(2.0, 0.5, 1)
 
 
-@pytest.mark.parametrize("x", ["0.3", b"0.3", 0.3 + 0.5j, np.complex64(0.3), None],
-                         ids=["str", "bytes", "complex", "complex64", "None"])
+@pytest.mark.parametrize("x", ["0.3", b"0.3", 0.3 + 0.5j, np.complex64(0.3), None,
+                               Decimal("0.3")],
+                         ids=["str", "bytes", "complex", "complex64", "None", "Decimal"])
 @pytest.mark.parametrize("call, name", [
     (lambda x: el.snp(2.0, 0.5, x), "y"),
     (lambda x: el.snp_value(2.0, 0.5, x), "y"),
@@ -922,12 +924,22 @@ def _pair():
     (lambda x: eg.first_integral_residual(_pair(), [0.1, x, 0.6]), "grid"),
     (lambda x: eg.ode_residual(_pair(), [0.1, x, 0.6]), "grid"),
     (lambda x: ct.firstcond_boundary(x), "p"),
+    (lambda x: ct.ModulusSet.constant(x), "mu"),
+    (lambda x: ct.ModulusSet.explicit([0.5, x]), "mu"),
+    (lambda x: ct.region_scan([x], [0.5]), "1/p"),
+    (lambda x: ct.region_scan([0.5], [x]), "mu"),
+    (lambda x: ct.certify_firstcond(x, ct.ModulusSet.constant(0.5)), "p"),
+    (lambda x: ct.certify_invertibility(x, ct.ModulusSet.constant(0.5)), "p"),
+    (lambda x: fr.fourier_profile(x, 0.5), "p"),
 ], ids=["snp", "snp_value", "snp_deriv", "snp_second_deriv", "wp", "kp",
         "kp_quadrature", "kp_via_2f1", "tau_k", "eigenpair", "eigenfunction_eval",
-        "first_integral_residual", "ode_residual", "firstcond_boundary"])
+        "first_integral_residual", "ode_residual", "firstcond_boundary",
+        "ModulusSet.constant", "ModulusSet.explicit", "region_scan_p", "region_scan_mu",
+        "certify_firstcond", "certify_invertibility", "fourier_profile"])
 def test_non_real_input_is_a_domain_error(call, name, x):
-    # text is not parsed, an imaginary part is not dropped, and None is not
-    # a bare TypeError: each is refused, naming the input
+    # text is not parsed, a Decimal is not rounded, an imaginary part is not
+    # dropped, and None is not a bare TypeError: each is refused, naming the
+    # input, before any cache sees it
     with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
         call(x)
 
@@ -943,15 +955,44 @@ def test_non_real_entries_of_an_array_are_a_domain_error(fn, ys):
         fn(2.0, 0.5, ys)
 
 
-@pytest.mark.parametrize("x", [np.array([0.3, 0.5]), np.array([0.3]), [0.3, 1.0]],
-                         ids=["array2", "array1", "list"])
-@pytest.mark.parametrize("point", [
-    lambda x: el.snp_value(2.0, 0.5, x),
-    lambda x: el.wp(2.0, 0.5, x),
-    lambda x: eg.eigenfunction_eval(eg.eigenpair(2.0, 0.5, 1), x),
-], ids=["snp_value", "wp", "eigenfunction_eval"])
-def test_point_entry_points_reject_arrays(point, x):
+@pytest.mark.parametrize("shape", [
+    lambda v: np.array([v, 0.5]),
+    lambda v: np.array([v]),
+    lambda v: [v, 1.0],
+    lambda v: [v],
+    lambda v: np.array(v),
+], ids=["array2", "array1", "list", "list1", "array0d"])
+@pytest.mark.parametrize("point, v", [
+    (lambda x: el.snp_value(2.0, 0.5, x).value, 0.3),
+    (lambda x: el.wp(2.0, 0.5, x), 0.3),
+    (lambda x: eg.eigenfunction_eval(eg.eigenpair(2.0, 0.5, 1), x), 0.3),
+    (lambda x: el.kp(x, 0.5), 2.0),
+    (lambda x: el.snp(x, 0.5, 0.3), 2.0),
+    (lambda x: ct.certify_firstcond(x, ct.ModulusSet.constant(0.5)).lhs, 2.0),
+    (lambda x: ct.firstcond_boundary(x), 2.0),
+], ids=["snp_value", "wp", "eigenfunction_eval", "kp_p", "snp_p", "certify_firstcond_p",
+        "firstcond_boundary_p"])
+def test_point_entry_points_reject_arrays(point, v, shape):
     # a point-valued function takes one number: an array or a list, even of
-    # one element, is refused rather than read at its first element
+    # one element, is refused rather than read at its first element (or
+    # hashed by a cache); a 0-d array is one number, with the float's bits
+    x = shape(v)
+    if np.ndim(x) == 0:
+        assert point(x).hex() == point(v).hex()
+        return
     with pytest.raises(DomainError, match="must be a single number"):
         point(x)
+
+
+def test_each_checked_pair_gets_one_cache_entry():
+    # the (p, mu) caches are keyed by the checked floats: an int p and its
+    # float share one engine, whose p is a float, and a value that hashes
+    # like a cached float is still checked
+    el._engine.cache_clear()
+    el.snp(3, 0.4375, 0.3)
+    el.snp(3.0, 0.4375, 0.3)
+    assert el._engine.cache_info().currsize == 1
+    assert type(el._engine(3.0, 0.4375).p) is float
+    el.kp(2.0, 0.5)
+    with pytest.raises(DomainError, match="^p must be a real number, got Decimal"):
+        el.kp(Decimal("2"), 0.5)

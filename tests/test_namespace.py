@@ -2,6 +2,7 @@
 classes of ``errors``, and nothing else."""
 
 import ast
+import functools
 import pathlib
 import types
 
@@ -36,6 +37,15 @@ def test_no_many_twins():
     # one function per quantity, taking a float or an array
     for module in MODULES:
         assert not [name for name in module.__all__ if name.endswith("_many")]
+
+
+def test_no_public_cache():
+    # an lru_cache hashes its raw arguments before the function's checks
+    # run, so a public name is a plain function that checks, then asks a
+    # private cache
+    for module in MODULES:
+        for name in module.__all__:
+            assert not isinstance(getattr(module, name), functools._lru_cache_wrapper), name
 
 
 def test_exceptions_are_reexported():

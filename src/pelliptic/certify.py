@@ -193,8 +193,9 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     in mu), and the report says so.
     """
     K = _check_int("K", K, 5, odd=True)
-    # one row per modulus, one column per odd k = 1, 3, ..., K
-    taus = np.array([tau_k(p, mu, np.arange(1, K + 1, 2)) for mu in ms.values])
+    # one row per modulus, one column per odd k = 1, 3, ..., K, from one
+    # tau_k call
+    taus = tau_k(p, ms.values, np.arange(1, K + 1, 2))
     rhs = float(np.min(taus[:, 0]))
     lhs = math.fsum(np.max(np.abs(taus[:, 1:]), axis=0))
     tail = tau_tail_bound(p, kp(p, max(ms.values)), K + 2)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ __all__ = [
     "first_integral_residual",
     "ode_residual",
 ]
+
+# the largest mode number n: n meets only float arithmetic, so it may pass
+# numpy's index range, and past the largest double its eigenvalue
+# overflows in any case
+_N_MAX = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,8 @@ def eigenpair(p: float, mu: float, n: int, sign: int = 1) -> EigenPair:
     # mu = 0 is excluded: the amplitude, 2**((p+1)/p) n mu K_p, is 0 there
     # and phi vanishes identically
     p, mu = _validate_pmu(p, mu, "()")
-    return _build(p, mu, _check_int("n", n, 1), _check_sign("sign", sign))
+    n = _check_int("n", n, 1, hi=_N_MAX)
+    return _build(p, mu, n, _check_sign("sign", sign))
 
 
 def eigenfunction_eval(e: EigenPair, x: float) -> float:

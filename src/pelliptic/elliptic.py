@@ -260,7 +260,7 @@ def _kp_p_factor(ps: tuple, lev: int) -> tuple[np.ndarray, np.ndarray]:
     level 11.
     """
     p = np.array(ps)[:, None]
-    e = _ts_nodes()[0][_ts_slice(lev)] ** (p / (p - 1.0) * _KP_WEIGHT)
+    e = _ts_nodes(lev)[0][_ts_slice(lev)] ** (p / (p - 1.0) * _KP_WEIGHT)
     ratio = _pow_ratio(e, p)
     e.flags.writeable = ratio.flags.writeable = False
     return e, ratio

@@ -8,7 +8,8 @@ subclasses).
 Every range, count, sign and finiteness check on an input goes through the
 private checks at the end, which raise DomainError as "{name} must lie in
 [lo, hi), got {x}" (or "must be an integer in", "must be +1 or -1", "must
-be a single number", "must be finite", "must be a real number"), and
+be a single number", "must be finite", "must be a real number", "must
+have one shape"), and
 return the value they judged, so callers compute with it and never with
 the raw input.  One function, :func:`_check_real`, says what a real number
 is: a ``numbers.Real`` (int, float, bool, Fraction, a numpy integer or
@@ -20,7 +21,9 @@ stripped of an imaginary part; a list or an array where one number is
 expected is refused too.
 NaN fails every comparison, so each range check rejects it.  A count or a
 sign must be an int, a numpy integer or a 0-d integer array, not a bool
-or a float.  The scalar checks are plain comparisons, cheap enough to run
+or a float, and at most the largest intp, so that numpy can index it.  A
+ragged nesting of lists, which has no shape, is refused wherever a list
+is taken.  The scalar checks are plain comparisons, cheap enough to run
 once per (p, mu) pair of a batch.
 """
 
@@ -28,6 +31,10 @@ import math
 import numbers
 
 import numpy as np
+
+# the largest count that numpy can index: a larger one overflows an
+# intp, or a double in the arithmetic behind it
+_INT_MAX = int(np.iinfo(np.intp).max)
 
 
 class DomainError(ValueError):
@@ -62,6 +69,15 @@ def _num(v) -> str:
     return str(float(v)).removesuffix(".0")
 
 
+def _as_array(name: str, x) -> np.ndarray:
+    """np.asarray(x), with a ragged nesting of lists, which has no array
+    shape, refused as a DomainError naming ``name``."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        raise DomainError(f"{name} must have one shape, got the ragged {x!r}") from None
+
+
 def _check_real(name: str, x, many: bool = False):
     """x as a float if it is a real number, and with ``many`` a list or an
     array of them as a float array of its shape; a 0-d array is one number.
@@ -75,7 +91,7 @@ def _check_real(name: str, x, many: bool = False):
             return float(x)
         except OverflowError:
             return math.inf if x > 0 else -math.inf
-    a = np.asarray(x)
+    a = _as_array(name, x)
     if not (a.ndim or isinstance(x, np.ndarray)):
         raise DomainError(f"{name} must be a real number, got {x!r}")
     if a.ndim and not many:
@@ -107,12 +123,16 @@ def _check_interval(name: str, x, lo: float, hi: float, ends: str = "[)") -> flo
     return x
 
 
-def _check_int(name: str, n, lo: int, odd: bool = False, many: bool = False):
+def _check_int(
+    name: str, n, lo: int, odd: bool = False, many: bool = False, hi: int = _INT_MAX
+):
     """n as an int if it is an integer (not a bool), or a 0-d array of
-    one, >= lo, and odd if asked; with ``many``, a nonempty 1-D list or
-    array of integers >= lo as an int array."""
-    if many and np.ndim(n):
-        a = np.asarray(n)
+    one, in [lo, hi], and odd if asked; with ``many``, a nonempty 1-D list
+    or array of integers >= lo as an int array.  ``hi`` defaults to the
+    largest count that numpy can index; a count that only meets float
+    arithmetic may pass a larger one."""
+    a = _as_array(name, n) if many and not isinstance(n, numbers.Integral) else n
+    if many and np.ndim(a):
         if a.ndim == 1 and a.size and a.dtype.kind in "iu" and np.all(a >= lo):
             return a
         raise DomainError(
@@ -121,10 +141,16 @@ def _check_int(name: str, n, lo: int, odd: bool = False, many: bool = False):
     if isinstance(n, np.ndarray) and n.ndim == 0:
         n = n[()]
     is_int = isinstance(n, numbers.Integral) and not isinstance(n, bool)
-    if not is_int or n < lo or (odd and n % 2 == 0):
-        kind = "an odd integer" if odd else "an integer"
-        raise DomainError(f"{name} must be {kind} in [{lo}, inf), got {n}")
-    return int(n)
+    if is_int:
+        n = int(n)
+    if is_int and lo <= n <= hi and not (odd and n % 2 == 0):
+        return n
+    kind = "an odd integer" if odd else "an integer"
+    top = "inf)" if not is_int or n <= hi else f"{hi if hi <= _INT_MAX else float(hi)}]"
+    # str() of an int past 4300 digits raises, so a huge one is named by its size
+    if is_int and abs(n) > _INT_MAX:
+        n = f"an integer of {n.bit_length()} bits"
+    raise DomainError(f"{name} must be {kind} in [{lo}, {top}, got {n}")
 
 
 def _check_sign(name: str, s) -> int:

@@ -12,19 +12,22 @@ forward w_p, never the inverse sn_p:
     integral_0^1 s^2 dx = integral_0^1 2 z (x2 - x1) dz.
 
 The derivative singularity of x1 at z = 1 sits at an endpoint, where the
-double-exponential transform absorbs it.  The two halves stay separate
-terms, so the even-k coefficients vanish only through genuine numerical
-cancellation, not by construction.
+double-exponential transform absorbs it.  For odd k the bracket is
+exactly 2 cos(k pi x1), since cos(k pi (1 - x1)) = -cos(k pi x1), and an
+odd row evaluates that one cosine.  Even rows keep the two halves as
+separate terms, so the even-k coefficients vanish only through genuine
+numerical cancellation, not by construction.
 
 All of these integrals run through the package's one tanh-sinh routine.
 x1 depends only on (p, mu), never on k, so each profile caches it as one
-array over a prefix of that routine's node table, and forms x2 on each
-call; a cold profile fills its first six levels with one w_p call, since
-a call costs mostly numpy overhead at a few hundred points.  Any set of
-indices k is one call of the routine, one row per k, each stopping at its
-own level (every row is evaluated on the routine's first block, levels
-0-4), so a coefficient does not depend on which other k were asked for
-with it.
+array over a prefix of that routine's node table; a cold profile fills
+its first six levels with one w_p call, since a call costs mostly numpy
+overhead at a few hundred points.  Any set of moduli and indices k is one
+call of the routine, one row per (mu, k), each stopping at its own level
+(every row is evaluated on the routine's first block, levels 0-4), so a
+coefficient does not depend on which other moduli or k were asked for
+with it.  A large set is split into calls of at most _ROWS rows, whole
+moduli to a call, which bounds memory.
 
 The module also carries the explicit p = 2 expansion: coefficient ratios
 rho_j(q) = (1-q) q^j / (1 - q^(2j+1)) and the series
@@ -41,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _engine, kp
-from .errors import _check_int, _check_interval, _validate_pmu
-from .quadrature import _tanh_sinh, _ts_nodes
+from .errors import DomainError, _check_int, _check_interval, _check_real, _validate_pmu
+from .quadrature import _tanh_sinh, _ts_nodes, _ts_slice
 
 __all__ = [
     "FourierProfile",
@@ -58,6 +61,13 @@ __all__ = [
 _TAU1_FLOOR = 4.0 * math.sqrt(2.0) / math.pi**2
 
 _TAU_TOL = 1e-11
+# tau_k: at most this many (mu, k) rows per driver call, whole moduli at a
+# time, which bounds memory, since the integrand's arrays hold rows x
+# nodes doubles (781 nodes at level 7).  A cold certify_invertibility(1.5,
+# ModulusSet.grid(0.05, 0.95, 200), 201) peaks at 33.6 MB of RSS with 256
+# rows, 36.6 MB with 512 and 41.2 MB with 1,024, against 33.4 MB for one
+# call per modulus (numpy 2.4, x86-64)
+_ROWS = 256
 
 # Last tanh-sinh level of the first w_p call of a cold profile: the
 # driver's first call, its block of levels 0..4, evaluates w_p at the
@@ -94,53 +104,118 @@ def _profile(p: float, mu: float) -> list:
     return [np.empty(0)]
 
 
-def _split_integral(p: float, mu: float, g, tol: float):
+def _split_integral(p: float, mus: list, owner: np.ndarray, g, tol: float):
     """int_0^1 G(z) dz for G built on the preimages x1 = w_p(z) / (2 K_p)
-    and x2 = 1 - x1 of z on the two halves of the profile.
+    of z on the rising half of the profile, one row per entry of
+    ``owner``, the index into ``mus`` of the row's modulus.
 
-    ``g(x1, x2, z, rows)`` returns G with shape (n,) or, for the driver's
-    live ``rows`` only, (live rows, n).  The driver's nodes z for level
-    ``lev`` end at ``cuts[lev + 1]`` in the node table, the block's as the
-    table's prefix, so x1 is the same slice of the profile cache and x2 is
-    formed from it.  The driver visits levels in order, so a call past the
-    cached prefix extends it with one w_p call through level ``lev`` or
-    _FILL_LEVEL, whichever is later.  w_p treats each point on its own, so
-    grouping does not change a value.
+    ``g(x1, z, rows)`` returns G for the driver's live ``rows``, with
+    shape (live rows, n), where x1 holds each live row's x1 at the nodes
+    z.  The driver's nodes z for level ``lev`` end at ``cuts[lev + 1]``
+    in the node table, the block's as the table's prefix, so x1 is the
+    same slice of each modulus's profile cache.  The driver visits levels
+    in order, so a call past a cached prefix extends it with one w_p call
+    through level ``lev`` or _FILL_LEVEL, whichever is later.  w_p treats
+    each point on its own, and a row's G only its own x1, so neither the
+    grouping of the fill nor the other rows change a value.
     """
-    cache = _profile(p, mu)
-    eng = _engine(p, mu)
-    nodes, _, _, cuts = _ts_nodes()
+    caches = [_profile(p, mu) for mu in mus]
+    engines = [_engine(p, mu) for mu in mus]
 
     def F(lev: int, z: np.ndarray, cz: np.ndarray, rows) -> np.ndarray:
-        end = cuts[lev + 1]
-        if end > cache[0].size:
-            new = nodes[cache[0].size : cuts[max(lev, _FILL_LEVEL) + 1]]
-            cache[0] = np.concatenate([cache[0], eng.wp_many(new) / (2.0 * eng.K)])
-        x1 = cache[0][end - z.size : end]
-        return g(x1, 1.0 - x1, z, rows)
+        end = _ts_slice(lev).stop
+        for cache, eng in zip(caches, engines):
+            if end > cache[0].size:
+                new = _ts_nodes(max(lev, _FILL_LEVEL))[0][cache[0].size :]
+                cache[0] = np.concatenate([cache[0], eng.wp_many(new) / (2.0 * eng.K)])
+        x1 = np.array([cache[0][end - z.size : end] for cache in caches])
+        return g(x1[owner[rows]], z, rows)
 
     return _tanh_sinh(F, 1.0, tol)[0]
 
 
-def tau_k(p: float, mu: float, k):
+def _check_moduli(mu) -> float | list:
+    """mu as a float if it is one modulus in [0, 1), or as a list of
+    floats if it is a nonempty 1-D run of them."""
+    mu = _check_real("mu", mu, many=True)
+    if isinstance(mu, float):
+        return _check_interval("mu", mu, 0.0, 1.0)
+    if mu.ndim != 1 or not mu.size:
+        raise DomainError(
+            f"mu must be a modulus or a nonempty 1-D run of them, got shape {mu.shape}"
+        )
+    return [_check_interval("mu", m, 0.0, 1.0) for m in mu.tolist()]
+
+
+def _cosine_rows(p: float, mus: list, kpi: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """int_0^1 [cos(k pi x1) - cos(k pi x2)] dz for each modulus in ``mus``
+    (rows) and each k pi in ``kpi`` (columns), as the rows of one driver
+    call.  An odd k's row integrates 2 cos(k pi x1), its exact equal, and
+    an even k's the difference of the two halves, which vanishes only by
+    numerical cancellation."""
+    c, nk = len(mus), kpi.size
+    # row r is entry perm[r] of the flattened (modulus, k) table, the odd
+    # k first; the driver's live rows are increasing, so the odd rows
+    # stay a prefix of them
+    flat = np.arange(c * nk).reshape(c, nk)
+    perm = np.concatenate([flat[:, odd], flat[:, ~odd]], axis=None)
+    owner, j = np.divmod(perm, nk)
+    row_kpi = kpi[j][:, None]
+    odd_rows = c * np.count_nonzero(odd)
+
+    def g(x1: np.ndarray, z: np.ndarray, rows) -> np.ndarray:
+        kr = row_kpi[rows]
+        out = kr * x1
+        np.cos(out, out=out)
+        o = odd_rows if isinstance(rows, slice) else rows.searchsorted(odd_rows)
+        out[:o] *= 2.0
+        if o < len(out):
+            # x1 is this call's own gathered copy, so cos(k pi x2) of the
+            # even rows is formed in it
+            x2 = np.subtract(1.0, x1[o:], out=x1[o:])
+            x2 *= kr[o:]
+            out[o:] -= np.cos(x2, out=x2)
+        return out
+
+    out = np.empty(c * nk)
+    out[perm] = _split_integral(p, mus, owner, g, _TAU_TOL)
+    return out.reshape(c, nk)
+
+
+def tau_k(p: float, mu, k):
     """Sine coefficient sqrt(2) int_0^1 sn_p(2 K_p x, mu) sin(k pi x) dx.
 
-    ``k`` is a positive integer, giving a float, or a nonempty 1-D
-    sequence of positive integers, giving an array of the coefficients in
-    that order.  All of them are rows of one quadrature of the cosine
-    integral on the profile's w_p cache, each to an error of about 1e-11;
-    a row's value is the same, bit for bit, whatever the other rows are.
+    ``k`` is a positive integer or a nonempty 1-D sequence of them, and
+    ``mu`` a modulus in [0, 1) or a nonempty 1-D sequence of them.  One
+    of each gives a float; a sequence of k gives an array of the
+    coefficients in that order, a sequence of moduli one row per modulus,
+    and both an array of shape (moduli, k).  Every (mu, k) pair is a row
+    of one quadrature of the cosine integral on the profile's w_p cache,
+    _ROWS rows a call at most, each to an error of about 1e-11; a row's
+    value is the same, bit for bit, whatever the other rows are.
     """
-    p, mu = _validate_pmu(p, mu)
+    p = _check_interval("p", p, 1.0, math.inf, "()")
+    mu = _check_moduli(mu)
     k = _check_int("k", k, 1, many=True)
-    kpi = np.atleast_1d(k) * math.pi
-
-    def g(x1: np.ndarray, x2: np.ndarray, z: np.ndarray, rows) -> np.ndarray:
-        kr = kpi[rows, None]
-        return np.cos(kr * x1) - np.cos(kr * x2)
-
-    taus = math.sqrt(2.0) / kpi * _split_integral(p, mu, g, _TAU_TOL)
-    return float(taus[0]) if isinstance(k, int) else taus
+    mus = [mu] if isinstance(mu, float) else mu
+    ks = np.atleast_1d(k)
+    kpi, odd = ks * math.pi, ks % 2 == 1
+    # each distinct modulus once, whole moduli to a driver call
+    where = {m: i for i, m in enumerate(dict.fromkeys(mus))}
+    distinct = list(where)
+    per_call = max(1, _ROWS // ks.size)
+    integrals = np.empty((len(distinct), ks.size))
+    for lo in range(0, len(distinct), per_call):
+        chunk = distinct[lo : lo + per_call]
+        integrals[lo : lo + len(chunk)] = _cosine_rows(p, chunk, kpi, odd)
+    if len(distinct) < len(mus):
+        integrals = integrals[[where[m] for m in mus]]
+    taus = math.sqrt(2.0) / kpi * integrals
+    if isinstance(k, int):
+        taus = taus[:, 0]
+    if isinstance(mu, float):
+        taus = float(taus[0]) if isinstance(k, int) else taus[0]
+    return taus
 
 
 def fourier_profile(p: float, mu: float, K_max: int = 201) -> FourierProfile:
@@ -169,8 +244,8 @@ def _sn_l2(p: float, mu: float) -> float:
     integral_0^1 2 z (x2 - x1) dz: each half of the profile integrated by
     parts and taken over z = sn_p, like tau_k."""
     p, mu = _validate_pmu(p, mu)
-    g = lambda x1, x2, z, rows: 2.0 * z * (x2 - x1)
-    return float(_split_integral(p, mu, g, 1e-12))
+    g = lambda x1, z, rows: 2.0 * z * ((1.0 - x1) - x1)
+    return float(_split_integral(p, [mu], np.zeros(1, int), g, 1e-12)[0])
 
 
 def tau_tail_bound(p: float, sup_kp: float, K: int) -> float:

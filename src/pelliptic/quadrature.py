@@ -13,7 +13,8 @@ in the package: the K_p rows and the profile integrals behind tau_k.  It
 halves the step level by level, for one integrand or a batch of rows at
 once, with one endpoint exponent shared by every row.  The rule fixes every
 node in advance (Takahasi & Mori, 1974), so all of them live in one table,
-built once, with each level's new nodes after those of the level before.  The
+with each level's new nodes after those of the level before, each level
+computed the first time a call reaches it.  The
 caller's factor F is evaluated once on the table's prefix of levels 0-4,
 the block, and then once per level on that level's slice.  From level 2 on, a
 row stops when the running minimum of the differences between successive
@@ -109,9 +110,32 @@ class QuadratureResult:
     nodes_used: int
 
 
-@functools.cache
-def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The node table, built once: (x, cx, picosh, cuts), cuts a tuple of ints.
+def _level_cuts() -> tuple[int, ...]:
+    """The offsets cuts[k] where level k's nodes start in the node table,
+    and the table's length last, counted without forming a node: level 0
+    holds the multiples of _H0 in (0, _T_MAX] in each cluster and the
+    centre, level k > 0 the odd multiples of _H0/2**k."""
+    cuts = [0]
+    for lev in range(_MAX_LEVEL + 1):
+        h = _H0 / 2.0**lev
+        n = len(range(1, int(_T_MAX / h) + 1, 1 if lev == 0 else 2))
+        cuts.append(cuts[-1] + 2 * n + (lev == 0))
+    return tuple(cuts)
+
+
+_CUTS = _level_cuts()
+# the node table's rows x, cx and picosh, filled a level at a time by
+# _ts_nodes (np.empty leaves the pages of the levels never asked for
+# untouched), and _VIEWS[k] what _ts_nodes(k) returns, for each level k
+# filled so far
+_TABLE = np.empty((3, _CUTS[-1]))
+_VIEWS = []
+
+
+def _ts_nodes(lev: int = _MAX_LEVEL) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The node table through level lev: (x, cx, picosh, cuts), the first
+    three views of length ``cuts[lev + 1]``, which callers must not write
+    to, and cuts a tuple of ints.
 
     Level k's new nodes sit at ``cuts[k]:cuts[k+1]``, levels 0.._MAX_LEVEL
     in order, so the block of levels 0.._BLOCK_LEVEL is the prefix
@@ -120,33 +144,35 @@ def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     Within a level, ``x`` holds the right cluster s, then the left cluster
     1-s (level 0 ends with the centre 1/2); ``cx`` holds the exact
     complements 1-x and ``picosh`` the transform weights pi cosh t.
+    Each level is computed on its own the first time a call reaches it,
+    and kept: most integrals stop by level 5-7, and the whole table holds
+    24,985 nodes.  A filled level costs one list lookup, as the driver and
+    the K_p factors ask for it at every level.
     """
-    x, cx, w, cuts = [], [], [], [0]
-    for lev in range(_MAX_LEVEL + 1):
-        h = _H0 / 2.0**lev
-        t = np.arange(1, int(_T_MAX / h) + 1, 1 if lev == 0 else 2) * h
+    while len(_VIEWS) <= lev:
+        k = len(_VIEWS)
+        h = _H0 / 2.0**k
+        t = np.arange(1, int(_T_MAX / h) + 1, 1 if k == 0 else 2) * h
         u = 0.5 * np.pi * np.sinh(t)
         e = np.exp(-2.0 * u)
         s = 1.0 / (1.0 + e)
         oms = e / (1.0 + e)
         picosh = np.pi * np.cosh(t)
-        x += [s, oms]
-        cx += [oms, s]
-        w += [picosh, picosh]
-        if lev == 0:
-            x.append([0.5])
-            cx.append([0.5])
-            w.append([np.pi])
-        cuts.append(cuts[-1] + 2 * t.size + (lev == 0))
-    return np.concatenate(x), np.concatenate(cx), np.concatenate(w), tuple(cuts)
+        centre = [[0.5], [0.5], [np.pi]] if k == 0 else [[], [], []]
+        x, cx, w = _TABLE[:, _CUTS[k] : _CUTS[k + 1]]
+        x[:], cx[:], w[:] = (
+            np.concatenate([a, b, c])
+            for a, b, c in zip((s, oms, picosh), (oms, s, picosh), centre)
+        )
+        _VIEWS.append((*_TABLE[:, : _CUTS[k + 1]], _CUTS))
+    return _VIEWS[lev]
 
 
 def _ts_slice(lev: int) -> slice:
     """The slice of the node table that the driver gives F at level lev:
     the block, levels 0.._BLOCK_LEVEL, at _BLOCK_LEVEL, and the one level
     lev after it."""
-    cuts = _ts_nodes()[3]
-    return slice(0 if lev == _BLOCK_LEVEL else cuts[lev], cuts[lev + 1])
+    return slice(0 if lev == _BLOCK_LEVEL else _CUTS[lev], _CUTS[lev + 1])
 
 
 @functools.lru_cache(maxsize=32)
@@ -159,7 +185,7 @@ def _ts_weights(ea: float, lev: int) -> np.ndarray:
     a call reaches.  Bounded at 32 entries; one entry holds one double per
     node of its slice, 195 for the block and 12,492 at level 11.
     """
-    X, CX, W, _ = _ts_nodes()
+    X, CX, W, _ = _ts_nodes(lev)
     s = _ts_slice(lev)
     w = W[s] * X[s] ** ea * CX[s]
     w.flags.writeable = False
@@ -168,7 +194,7 @@ def _ts_weights(ea: float, lev: int) -> np.ndarray:
 
 def _nonconvergence(lev: int, est: np.ndarray, tol: float) -> NonConvergence:
     return NonConvergence(
-        f"tanh-sinh refinement stopped after {_ts_nodes()[3][lev + 1]} "
+        f"tanh-sinh refinement stopped after {_CUTS[lev + 1]} "
         f"nodes with error estimate {np.max(est):.3e} above tol {tol:.3e}"
     )
 
@@ -215,12 +241,13 @@ def _tanh_sinh(F: Callable, ea: float, tol: float):
     F saw every node of the block; the estimate is floored at the spacing
     of the value.
     """
-    X, CX, _, cuts = _ts_nodes()
+    cuts = _CUTS
     rows = slice(None)
 
     # F's factor times the weights on the nodes of level lev, for the rows
     # live now
     def ask(lev):
+        X, CX, _, _ = _ts_nodes(lev)
         s = _ts_slice(lev)
         return F(lev, X[s], CX[s], rows) * _ts_weights(ea, lev)
 

@@ -227,15 +227,15 @@ EXPECTED = {
         "0x1.8600000000000p+7",
     ],
     "certify_invertibility 1.5,explicit-list,3,21": [
-        "0x1.49c9dc91fd52bp-2",
+        "0x1.49c9dc91fd531p-2",
         "0x1.934346c369ff0p-1",
-        "0x1.dcbcb0f4d6ab5p-2",
+        "0x1.dcbcb0f4d6aafp-2",
         "0x1.303a90573ed8ep-4",
     ],
     "certify_invertibility 2.0,interval-grid,7,31": [
-        "0x1.cc6abf680e28fp-4",
+        "0x1.cc6abf680e299p-4",
         "0x1.6a1865be33628p-1",
-        "0x1.308b0dd1319d6p-1",
+        "0x1.308b0dd1319d5p-1",
         "0x1.8849c152b3028p-6",
     ],
     "kp 1.5,0.999999": [
@@ -693,454 +693,454 @@ EXPECTED = {
     "tau_k 1..201 1.5,0.9": [
         "0x1.b2eb20524786ep-1",
         "0x1.ce831db917399p-55",
-        "0x1.84a6314ea5339p-3",
+        "0x1.84a6314ea533cp-3",
         "0x1.e74403d96137fp-55",
-        "0x1.17769a59cfd8bp-4",
+        "0x1.17769a59cfd8dp-4",
         "0x1.69e14563f9338p-56",
-        "0x1.f32f5c0b5eeb5p-6",
+        "0x1.f32f5c0b5eebap-6",
         "0x1.1380b63082cc2p-56",
-        "0x1.e5aafc3946fe6p-7",
+        "0x1.e5aafc3946ff3p-7",
         "0x1.be6766ee8aa9cp-58",
-        "0x1.048a387f9c9b0p-7",
+        "0x1.048a387f9c9dcp-7",
         "0x1.3c3a74356a3c8p-54",
-        "0x1.266e0af837c5ep-8",
+        "0x1.266e0af837c56p-8",
         "-0x1.09bdddc007df9p-57",
-        "0x1.6463d4b687b39p-9",
+        "0x1.6463d4b687b99p-9",
         "0x1.9c55fafd79c3cp-57",
-        "0x1.bf9d9de5e599ap-10",
+        "0x1.bf9d9de5e5982p-10",
         "0x1.55b6f51be17a4p-57",
-        "0x1.289b6e928c975p-10",
+        "0x1.289b6e928ca1bp-10",
         "0x1.06f3d7c357f24p-55",
-        "0x1.938a17e6ad23cp-11",
+        "0x1.938a17e6ad2aap-11",
         "0x1.2d65e987646a1p-54",
-        "0x1.1e9e8440ffcbep-11",
+        "0x1.1e9e8440ffd91p-11",
         "0x1.989c526caea78p-57",
-        "0x1.9e814698d65ddp-12",
+        "0x1.9e814698d6533p-12",
         "0x1.abc72392cd83bp-57",
-        "0x1.36753b3e2c8a9p-12",
+        "0x1.36753b3e2c95ap-12",
         "0x1.43f2fb0ab0fdap-55",
-        "0x1.d6762927e7db0p-13",
+        "0x1.d6762927e7e47p-13",
         "0x1.41d327ce004b6p-54",
-        "0x1.6f0372eb68d74p-13",
+        "0x1.6f0372eb68f05p-13",
         "0x1.a970796639b05p-56",
-        "0x1.204b52e2dbd09p-13",
+        "0x1.204b52e2dbe56p-13",
         "-0x1.3a8884886ed3ap-56",
-        "0x1.d03bcf561902bp-14",
+        "0x1.d03bcf561925ap-14",
         "-0x1.e3000ae25382cp-56",
-        "0x1.771a970948362p-14",
+        "0x1.771a9709484bap-14",
         "-0x1.9e97d8a59088cp-55",
-        "0x1.359e047eb8481p-14",
+        "0x1.359e047eb8931p-14",
         "-0x1.dba91e217e434p-58",
-        "0x1.ffb9dce59b899p-15",
+        "0x1.ffb9dce59c0b9p-15",
         "-0x1.17786bbc996c7p-57",
-        "0x1.aee602313b9ffp-15",
+        "0x1.aee602313c26ap-15",
         "0x1.7d5aade94b976p-54",
-        "0x1.6aa4bd5342b9dp-15",
+        "0x1.6aa4bd5342d2cp-15",
         "0x1.270893be7c480p-54",
-        "0x1.366080981cd61p-15",
+        "0x1.366080981cc80p-15",
         "0x1.5d2a32594bc9ep-56",
-        "0x1.092ca08611659p-15",
+        "0x1.092ca086120b6p-15",
         "-0x1.a2f2ec3ca5c0bp-61",
-        "0x1.cc16127b9b59cp-16",
+        "0x1.cc16127b9b49fp-16",
         "-0x1.e9d67140dfd69p-57",
-        "0x1.8e11dc0140abap-16",
+        "0x1.8e11dc01418b5p-16",
         "-0x1.5f80a8fe06e9fp-55",
-        "0x1.5d489d08c99fbp-16",
+        "0x1.5d489d08ca39bp-16",
         "-0x1.9e051292a40d0p-56",
-        "0x1.31755da7fe651p-16",
+        "0x1.31755da7ff034p-16",
         "0x1.78307e8206cc2p-57",
-        "0x1.0ea2f18ace216p-16",
+        "0x1.0ea2f18acdf10p-16",
         "-0x1.21f567b630c48p-56",
-        "0x1.ddbd92ff97843p-17",
+        "0x1.ddbd92ff982b6p-17",
         "-0x1.16c33cfcd45bap-57",
-        "0x1.aad68d513167bp-17",
+        "0x1.aad68d5131c48p-17",
         "-0x1.5b25a3d0cb5d9p-55",
-        "0x1.7bc4308605313p-17",
+        "0x1.7bc43086081b2p-17",
         "0x1.fbd1bf475a928p-58",
-        "0x1.55c9c72bebf97p-17",
+        "0x1.55c9c72bed62ap-17",
         "0x1.e046f94efc2b5p-59",
-        "0x1.323d342addea1p-17",
+        "0x1.323d342ade849p-17",
         "0x1.ebe5f667c9924p-56",
-        "0x1.1563558cd3db5p-17",
+        "0x1.1563558cd3e6bp-17",
         "0x1.a659d4080469ap-57",
-        "0x1.f42bcbe1ecee5p-18",
+        "0x1.f42bcbe1ef8d3p-18",
         "-0x1.1e9e84e7c0fbdp-57",
-        "0x1.c7a1ea7afd33ep-18",
+        "0x1.c7a1ea7afeb34p-18",
         "0x1.a0296ac145499p-56",
-        "0x1.9d1094951eae7p-18",
+        "0x1.9d1094951daadp-18",
         "0x1.49bea18d5fc3ep-58",
-        "0x1.7a3235a8a1beap-18",
+        "0x1.7a3235a8a03efp-18",
         "-0x1.f68cb38b4efb4p-59",
-        "0x1.589150bd15814p-18",
+        "0x1.589150bd14e4cp-18",
         "-0x1.25004f94e7101p-55",
-        "0x1.3cebc2c05390bp-18",
+        "0x1.3cebc2c050d91p-18",
         "-0x1.500961f7976cbp-57",
-        "0x1.2208fb06461bdp-18",
+        "0x1.2208fb0642c04p-18",
         "0x1.ac187ca8520e3p-55",
-        "0x1.0bdcd4a525d47p-18",
+        "0x1.0bdcd4a525166p-18",
         "0x1.35bcd2526dd0dp-54",
-        "0x1.ec44c048ff441p-19",
+        "0x1.ec44c048fb192p-19",
         "0x1.6ea1ff3d81f5fp-56",
-        "0x1.c8559c7f2b460p-19",
+        "0x1.c8559c7f28441p-19",
         "-0x1.620e4e2205860p-61",
-        "0x1.a4de5244346e9p-19",
+        "0x1.a4de5244357a3p-19",
         "0x1.803694893e1b7p-55",
-        "0x1.877979ca2ea9fp-19",
+        "0x1.877979ca2b7fap-19",
         "-0x1.770da014712d0p-55",
-        "0x1.6a45379587f81p-19",
+        "0x1.6a4537958b1c6p-19",
         "-0x1.46c674335064bp-55",
-        "0x1.5204c8a3336a3p-19",
+        "0x1.5204c8a3319d4p-19",
         "0x1.8a46ebeb2b198p-56",
-        "0x1.39c602715113ep-19",
+        "0x1.39c602714b409p-19",
         "-0x1.039b60980599bp-56",
-        "0x1.259b229a9a995p-19",
+        "0x1.259b229aa00dap-19",
         "0x1.5ff44871b8fa0p-55",
-        "0x1.11537152ea0cdp-19",
+        "0x1.11537152e7d79p-19",
         "-0x1.fce6b292d3acfp-57",
-        "0x1.006ec2aee247ap-19",
+        "0x1.006ec2aee3c60p-19",
         "-0x1.fc0951fe699d8p-57",
-        "0x1.deb3ed52956fap-20",
+        "0x1.deb3ed529d6c6p-20",
         "0x1.2b382be56c9a5p-58",
-        "0x1.c236095d530eep-20",
+        "0x1.c236095d54636p-20",
         "0x1.65f860bb3c3f6p-57",
-        "0x1.a54090af94c4bp-20",
+        "0x1.a54090af9567ep-20",
         "0x1.acf84bd5e736cp-57",
-        "0x1.8d13645d5e068p-20",
+        "0x1.8d13645d5fc97p-20",
         "0x1.21bdfddeb7905p-60",
-        "0x1.7461acf5cf84ap-20",
+        "0x1.7461acf5d32e5p-20",
         "-0x1.699374063b37ep-58",
-        "0x1.5fbf7ef1b7cd9p-20",
+        "0x1.5fbf7ef1b316ep-20",
         "-0x1.283ad2a2f3089p-54",
-        "0x1.4a92dde8a2988p-20",
+        "0x1.4a92dde8a113fp-20",
         "-0x1.14e6290f88d11p-55",
-        "0x1.38de74756e3ccp-20",
+        "0x1.38de74757611cp-20",
         "-0x1.690548cd92394p-56",
-        "0x1.269e7114ecef5p-20",
+        "0x1.269e7114f29c4p-20",
         "-0x1.d89ad5cd23657p-58",
-        "0x1.1759caa3a623bp-20",
+        "0x1.1759caa3a8eb2p-20",
         "0x1.9d3fd0987edeep-57",
-        "0x1.078b8b73d91b6p-20",
+        "0x1.078b8b73e0d8dp-20",
         "0x1.55a7dd4e9a51ep-57",
-        "0x1.f4a1dba5464d2p-21",
+        "0x1.f4a1dba555961p-21",
         "0x1.4d0de00877b63p-56",
-        "0x1.d921888d48496p-21",
+        "0x1.d921888d625cap-21",
         "0x1.c33488980b748p-55",
-        "0x1.c21afd4a6158ap-21",
+        "0x1.c21afd4a83176p-21",
         "0x1.1608026794814p-57",
-        "0x1.aa13ff3c0f5d4p-21",
+        "0x1.aa13ff3c21118p-21",
         "0x1.99710bd37cbabp-56",
-        "0x1.95f4d794cf567p-21",
+        "0x1.95f4d794dfff3p-21",
         "0x1.9d6628671d900p-56",
-        "0x1.80e15a8c951b3p-21",
+        "0x1.80e15a8c9fd8ap-21",
         "0x1.ba73d42658d65p-59",
-        "0x1.6f3a3b1f68f6ap-21",
+        "0x1.6f3a3b1f64a02p-21",
         "0x1.390ca2a9c7ddap-56",
-        "0x1.5cab9e05e5ab7p-21",
+        "0x1.5cab9e05e185ap-21",
         "0x1.b464fd3461bfap-56",
-        "0x1.4d205a5d87ea2p-21",
+        "0x1.4d205a5d8f566p-21",
         "-0x1.a9d1437e068b8p-57",
-        "0x1.3cbaa8cb446d1p-21",
+        "0x1.3cbaa8cb4cb44p-21",
         "0x1.0e0e7d755ab74p-56",
-        "0x1.2efe8c907ce16p-21",
+        "0x1.2efe8c9080d3dp-21",
         "0x1.830213f203483p-54",
-        "0x1.2074f249aab28p-21",
+        "0x1.2074f249ac2b2p-21",
         "0x1.424be634456eep-56",
-        "0x1.1447d5d4832c8p-21",
+        "0x1.1447d5d4865b6p-21",
         "0x1.85938a07f94f6p-54",
-        "0x1.0759d14255492p-21",
+        "0x1.0759d142545e4p-21",
         "0x1.21d841c76a9f7p-58",
-        "0x1.f90b943eebe9cp-22",
+        "0x1.f90b943ef8533p-22",
         "-0x1.173f77b4a09ddp-58",
-        "0x1.e1f9e3eb0a08cp-22",
+        "0x1.e1f9e3eb11a3bp-22",
         "-0x1.a1f7f79b9352bp-58",
-        "0x1.cea8f7bd5b348p-22",
+        "0x1.cea8f7bd7573cp-22",
         "-0x1.ad5d03c7f1b28p-57",
-        "0x1.ba056debf4ee0p-22",
+        "0x1.ba056dec0a0eap-22",
         "0x1.40db77a0e0c77p-56",
-        "0x1.a8be74ef8625cp-22",
+        "0x1.a8be74ef87055p-22",
         "0x1.1acf6776f0ce3p-57",
-        "0x1.963aa1c425ab4p-22",
+        "0x1.963aa1c4293fbp-22",
         "0x1.ded5b06a36a06p-57",
-        "0x1.86bbe6ade7981p-22",
+        "0x1.86bbe6adf8918p-22",
         "0x1.26bce0dc61273p-57",
-        "0x1.7614cb2d7e3c8p-22",
+        "0x1.7614cb2d8ea3cp-22",
         "0x1.b02a436edbe9ep-55",
-        "0x1.682625c8d0a3cp-22",
+        "0x1.682625c8da81dp-22",
         "0x1.518de0d134171p-57",
-        "0x1.5922513d21100p-22",
+        "0x1.5922513d26e97p-22",
         "-0x1.9118e6b6eb3e9p-62",
-        "0x1.4c93956f2a000p-22",
+        "0x1.4c93956f3fe3ap-22",
         "-0x1.1c75dc33af95fp-58",
-        "0x1.3f019b0cb4bf6p-22",
+        "0x1.3f019b0cc7b58p-22",
         "0x1.106c885769580p-55",
-        "0x1.33a950c1d43bbp-22",
+        "0x1.33a950c207753p-22",
         "0x1.457440b715255p-58",
-        "0x1.275e83e499654p-22",
+        "0x1.275e83e4b65c8p-22",
         "-0x1.c5fedb9055163p-55",
-        "0x1.1d18d96ae8e98p-22",
+        "0x1.1d18d96af345ep-22",
         "-0x1.0fd0b9b1646c2p-54",
-        "0x1.11f04291bd08ap-22",
+        "0x1.11f04291cd582p-22",
         "0x1.c0d81f89ae9dcp-57",
-        "0x1.089e2df74e8efp-22",
+        "0x1.089e2df7511f6p-22",
         "0x1.0ad086707c8d6p-55",
-        "0x1.fcef5b325992fp-23",
+        "0x1.fcef5b3264527p-23",
         "0x1.131135438421bp-58",
-        "0x1.ebfc683321354p-23",
+        "0x1.ebfc68336803bp-23",
         "0x1.4e9ae7ce2fe7fp-55",
-        "0x1.d97b95679c1ddp-23",
+        "0x1.d97b95677c746p-23",
         "-0x1.b09b4717774f4p-59",
-        "0x1.ca0ace1fcc095p-23",
+        "0x1.ca0ace1f8a61ap-23",
         "-0x1.1036d321762f3p-57",
-        "0x1.b92537187a6cap-23",
+        "0x1.b92537185a3efp-23",
     ],
     "tau_k 1..201 2.0,0.5": [
         "0x1.706d28e637b40p-1",
         "0x1.97de315ab0460p-59",
-        "0x1.a0298aa1ceca5p-7",
+        "0x1.a0298aa1ceca7p-7",
         "0x1.194cc3fe9a6c5p-57",
-        "0x1.deae429c34572p-13",
+        "0x1.deae429c345f0p-13",
         "0x1.0cc01bae2d0c5p-56",
-        "0x1.134c0fbcc2936p-18",
+        "0x1.134c0fbcc0a78p-18",
         "0x1.d0062efa1bd05p-57",
-        "0x1.3ca7e012f0addp-24",
+        "0x1.3ca7e0136d85dp-24",
         "0x1.70ef40ead1f9ep-56",
-        "0x1.6c3a536e3a03cp-30",
+        "0x1.6c3a53c343fdap-30",
         "-0x1.671cb2c023c97p-56",
-        "0x1.a2f25950d10d5p-36",
+        "0x1.a2f253c678ddep-36",
         "0x1.6832fa00735dfp-58",
-        "0x1.e1e20829712b4p-42",
+        "0x1.e1e2c83ab796ep-42",
         "0x1.04fd57b4e5708p-62",
-        "0x1.15ccf06828db2p-47",
+        "0x1.1584110164ea8p-47",
         "0x1.1571fe9510ee7p-57",
-        "0x1.0a96a15d36de9p-53",
+        "0x1.238350707c6e8p-53",
         "0x1.4307894a492d0p-56",
-        "-0x1.ccf6429be6621p-58",
+        "0x1.b702ea1a92450p-62",
         "0x1.373e718b48a13p-55",
-        "-0x1.d6fb9d19b94e1p-59",
+        "0x1.81ce1bec38792p-57",
         "0x1.c608e5694ebd9p-57",
-        "0x1.1dcbe19e1913ep-57",
+        "0x1.9edda2591c252p-58",
         "-0x1.d8ad9b56a078dp-59",
-        "-0x1.55740b69fffcep-61",
+        "-0x1.99be7418ccc90p-62",
         "-0x1.2b871f1cf497ep-56",
-        "-0x1.2f00c529c9a4fp-56",
+        "-0x1.7589c337b646bp-57",
         "-0x1.e5d7fb3d514c9p-60",
-        "-0x1.542533372b087p-57",
+        "-0x1.73be56bfca4f2p-58",
         "-0x1.03c4ee97760aap-57",
-        "0x1.efe220de03790p-59",
+        "0x1.57f9b3a4d1bbap-58",
         "-0x1.4cd773b2ad555p-59",
-        "0x1.c1d977673a336p-57",
+        "0x1.591aa6aae338cp-56",
         "0x1.4ed4f481a29d1p-57",
-        "-0x1.ec1ba7f975f32p-58",
+        "-0x1.c6bb94bc63452p-57",
         "-0x1.140197add34c1p-57",
-        "-0x1.b8471b847e81dp-59",
+        "-0x1.334ed7129996cp-62",
         "0x1.a160d7efd46d2p-59",
-        "-0x1.1373ef9b99472p-58",
+        "0x1.2f8f708c2114fp-59",
         "-0x1.9de8d6f3ac1c1p-56",
-        "-0x1.2c29492407222p-56",
+        "-0x1.b38078f9fca2bp-57",
         "0x1.ef5c7d072aba8p-56",
-        "0x1.3d8d3393384efp-58",
+        "0x1.972edcf8a51afp-58",
         "0x1.ebea7898a3138p-57",
-        "-0x1.5c2c635512c76p-58",
+        "-0x1.4d763b142ed49p-58",
         "0x1.18702c56ab45fp-57",
-        "-0x1.0768260ff15cap-56",
+        "-0x1.3eacdbc349b81p-57",
         "0x1.f0f60b8db2e23p-57",
-        "0x1.7b9da0442723bp-61",
+        "0x1.213b24c636339p-58",
         "-0x1.c242174162843p-58",
-        "-0x1.7eaf761729869p-61",
+        "-0x1.f419a8de44cfep-59",
         "0x1.d0a5ea3a44045p-56",
-        "-0x1.924b4818595a4p-60",
+        "0x1.233e8031a0b00p-58",
         "-0x1.8f465d0079a9ap-58",
-        "0x1.bac41e4ba406cp-58",
+        "0x1.7606b18e3790dp-57",
         "0x1.4cd70bfa52677p-55",
-        "-0x1.ec36af42ac3d6p-60",
+        "-0x1.01d3805fe050fp-58",
         "0x1.8086557be8d93p-59",
-        "0x1.078ab19f6d286p-58",
+        "-0x1.3f45d81a24d09p-59",
         "0x1.00a88207c4693p-56",
-        "0x1.3647cb0ec7a55p-57",
+        "0x1.726a75866b6a4p-58",
         "-0x1.6ebde50acf014p-59",
-        "0x1.2ba011b2228cap-58",
+        "0x1.bc1e7e34ba06fp-58",
         "0x1.d01bdfa7e55b7p-57",
-        "0x1.28b3859e9d5cdp-58",
+        "-0x1.ef5cb2909bdffp-63",
         "0x1.c47feb361f9a6p-59",
-        "0x1.2f8cd5236a7e4p-58",
+        "-0x1.de7fa0f8177eep-59",
         "-0x1.18b88a37f887bp-55",
-        "0x1.1933f94f546dep-58",
+        "-0x1.7c36638f7696dp-58",
         "0x1.1759bf7343e6fp-59",
-        "-0x1.ec88e178fd2d5p-62",
+        "0x1.6659be4d5c4e1p-58",
         "-0x1.2e78db8c06dd2p-58",
-        "0x1.7f5ddf80cdaeap-58",
+        "0x1.397441c62c055p-58",
         "-0x1.afc91a31ec9d8p-55",
-        "0x1.c6f9b61b89a00p-58",
+        "0x1.5b37d51503fa2p-60",
         "-0x1.2601bfc37b279p-56",
-        "-0x1.8866b2388f759p-59",
+        "-0x1.72852218db34fp-58",
         "0x1.9be41e892db65p-56",
-        "-0x1.8e5cb7fbaaa6fp-58",
+        "-0x1.707c2a2f310dap-59",
         "-0x1.8b4221d593487p-57",
-        "0x1.c81a37e1f79e0p-59",
+        "0x1.652d14620d4ebp-58",
         "0x1.e52a84c457c25p-56",
-        "0x1.0a68ad45c5864p-58",
+        "-0x1.3678afdff7c81p-59",
         "0x1.e342d0feb3f9dp-56",
-        "0x1.df81a37317603p-59",
+        "-0x1.123161000b3ecp-58",
         "0x1.8da81067019aep-55",
-        "0x1.0cadbd1dbebb6p-60",
+        "-0x1.28d7640fe627dp-59",
         "-0x1.2ff593be328f8p-56",
-        "-0x1.a980db060fbd1p-59",
+        "-0x1.4bca9267c62d5p-60",
         "0x1.e8a53fcd332dcp-55",
-        "-0x1.ef59258366899p-57",
+        "-0x1.b38f3a1f01f22p-58",
         "-0x1.1f7eb1fcc09e8p-55",
-        "0x1.2a6986bdd9dbdp-61",
+        "0x1.e05ef1e0716e5p-62",
         "-0x1.a3bc782c5fed6p-58",
-        "0x1.ea11afb8e0ceap-57",
+        "0x1.0fc3fd5f8aa12p-57",
         "-0x1.5ac4401c343ecp-57",
-        "-0x1.80b78c4749010p-58",
+        "0x1.e43e2c1d4f1c0p-63",
         "0x1.2d7cbf27413d9p-57",
-        "-0x1.6d42d122fa97cp-57",
+        "-0x1.1e3f423be6455p-57",
         "-0x1.486ba4e0e972bp-60",
-        "-0x1.96b2bf1e0d701p-59",
+        "0x1.8dbf5ce4587f9p-59",
         "-0x1.a679a40ac83ffp-57",
-        "-0x1.76ce5406af701p-58",
+        "-0x1.82547c1761ff5p-64",
         "0x1.3bbb8bf6f0a08p-58",
-        "0x1.4bfd525d708a9p-58",
+        "0x1.f62861625b1f4p-58",
         "-0x1.359126cdd2d70p-59",
-        "-0x1.0c03701f57457p-59",
+        "-0x1.ab214011a1ce1p-62",
         "-0x1.47e4f5feaf4ebp-59",
-        "0x1.35e74a2fbae2dp-58",
+        "-0x1.0ce4fc304663ep-59",
         "0x1.eee4cd837d036p-57",
-        "0x1.3a9de22279d7ep-57",
+        "-0x1.8592f4542e50ap-60",
         "0x1.1e04d580c03b5p-55",
-        "0x1.d93cd17608c31p-58",
+        "0x1.39a7906249d6cp-60",
         "-0x1.be6895db46005p-56",
-        "-0x1.f06baa31bd074p-60",
+        "-0x1.0d630f67b07b9p-57",
         "0x1.49d8ae1f31349p-57",
-        "-0x1.91e39bf48f503p-59",
+        "0x1.33f41d70c1b5cp-60",
         "0x1.7a01f18a32121p-58",
-        "0x1.a060b098a7ef7p-58",
+        "0x1.22cf42a66b68cp-57",
         "-0x1.0578e0c543e67p-55",
-        "-0x1.dc2fd31e2ff19p-57",
+        "-0x1.9087ed638f348p-58",
         "0x1.9217c52560977p-58",
-        "-0x1.9b2d9586f77c7p-57",
+        "-0x1.551ca1ee3ef6bp-58",
         "0x1.2c1dcbe995277p-56",
-        "0x1.390e0bfa00beap-58",
+        "-0x1.49635ef776c41p-60",
         "0x1.a2ea5d1f1ddf8p-57",
-        "0x1.496b062caeaf9p-57",
+        "0x1.233a57b9d0106p-57",
         "-0x1.ca9a05c2ef37ep-57",
-        "-0x1.e050b8b4087bbp-60",
+        "-0x1.5fe11d59b1d1cp-63",
         "-0x1.02a4d3e9b147dp-56",
-        "0x1.73fc804740617p-56",
+        "0x1.2f96e0ebd93bfp-57",
         "0x1.be94a1ca246d0p-57",
-        "-0x1.37aece9432b57p-57",
+        "-0x1.c80db648efa9ep-58",
         "0x1.053be44f02398p-56",
-        "0x1.d2024cae6ca49p-60",
+        "0x1.7943f0e8b3e91p-58",
         "0x1.0054ab47e968ep-56",
-        "-0x1.f2af3f4fcb6c8p-59",
+        "0x1.2686c8b7a3a95p-58",
         "0x1.83d44ac4eedd9p-55",
-        "-0x1.8ccda14804466p-59",
+        "-0x1.be0bcb92ff44ep-58",
         "-0x1.d82de16d12892p-56",
-        "-0x1.23ba4896947ccp-59",
+        "-0x1.1bab3caeb528bp-60",
         "0x1.287f4a9044644p-58",
-        "-0x1.bea7ff37b9466p-60",
+        "0x1.b38791e9cf145p-60",
         "-0x1.0c5e0c5c98322p-56",
-        "-0x1.b0bd631a31183p-63",
+        "0x1.2ca4f7a232571p-58",
         "-0x1.285a9a43bf4dbp-57",
-        "-0x1.2473a56d532f2p-57",
+        "0x1.a3326af694843p-61",
         "-0x1.e4429d28a442ap-57",
-        "0x1.0319ad7e32df7p-57",
+        "0x1.3d7bd5b7aa8adp-63",
         "0x1.c74bae5cf0411p-57",
-        "0x1.93b7e354aba7fp-60",
+        "0x1.6f907ebbe4e17p-61",
         "0x1.c505398e1732bp-57",
-        "-0x1.9e1f4d2ebe0b6p-60",
+        "-0x1.79b10012bb1d3p-60",
         "-0x1.061cc2a0d9d07p-58",
-        "-0x1.7425629da8773p-61",
+        "0x1.b28991f32ab49p-62",
         "-0x1.c88cc660049b7p-55",
-        "0x1.34c1edd2b00c9p-58",
+        "-0x1.95e0e21890e41p-59",
         "0x1.97e692ade558bp-60",
-        "-0x1.bea578314b5a5p-60",
+        "0x1.bea578314b5a5p-61",
         "-0x1.13073407163c5p-55",
-        "-0x1.3af793fdc34e7p-58",
+        "0x1.042cc2a6852c6p-61",
         "-0x1.1971ae38cb669p-54",
-        "-0x1.b3d18e1a60cc8p-59",
+        "0x1.65984015a4c21p-63",
         "0x1.1d957de939625p-58",
-        "0x1.32634c76f3927p-60",
+        "-0x1.f239b03baa0f8p-60",
         "-0x1.a51b33b3be965p-56",
-        "-0x1.8cdd1b0d09c18p-60",
+        "-0x1.57acffac47c9ep-60",
         "-0x1.2479c1619f249p-58",
-        "0x1.fac9e06f84061p-58",
+        "0x1.514c25e2bb1a8p-58",
         "0x1.27b5f876f7307p-55",
-        "0x1.5763d7b950cd3p-59",
+        "0x1.9faa44f1345e7p-61",
         "0x1.40af622587603p-55",
-        "-0x1.0caccaa9dc96ep-59",
+        "-0x1.0ff7b18a0f9b4p-58",
         "-0x1.5c1065800df02p-56",
-        "0x1.0d8ba91e6a832p-57",
+        "0x1.816fe6b3883aep-58",
         "-0x1.ad8497672d2adp-56",
-        "-0x1.c53c806b858fbp-65",
+        "0x1.2b5e24d2a7dafp-59",
         "0x1.73467d9f6b545p-59",
-        "-0x1.6d75730a73783p-58",
+        "-0x1.45aa71e32e417p-57",
         "-0x1.68bcc5585d8d4p-57",
-        "-0x1.30c9ff46e8116p-60",
+        "0x1.44f0bda4743cdp-61",
         "0x1.02d9cf2f9f19ap-59",
-        "0x1.01444028a6faap-58",
+        "-0x1.61d1c731173c2p-60",
         "-0x1.c6f2bffde5a80p-58",
-        "0x1.ed01e7692234ep-61",
+        "0x1.0198acc08845ep-58",
         "0x1.d899da9cf0e2ep-54",
-        "-0x1.271cfb3c874dbp-59",
+        "0x1.24ac9c11b6d8bp-60",
         "0x1.f41774cb8ecfdp-57",
-        "-0x1.0d65b35367a59p-57",
+        "-0x1.15170bb9b1458p-57",
         "0x1.752dc342d108fp-58",
-        "-0x1.532742404ca7bp-59",
+        "-0x1.9f95104794039p-61",
         "-0x1.0a27f866609d9p-56",
-        "-0x1.5467159e72fdbp-61",
+        "-0x1.3d5ac57d0ddf3p-58",
         "-0x1.086e5141a671fp-56",
-        "0x1.03d6ea75e3ac0p-56",
+        "0x1.42d590847e773p-57",
         "0x1.0e9bf184151efp-55",
-        "0x1.d354fffde4be3p-59",
+        "0x1.88a0deaf3dcc8p-58",
         "0x1.29bd1af6459f8p-56",
-        "0x1.74184c0e66dd3p-61",
+        "-0x1.9b14ed12ac055p-61",
     ],
     "tau_k 2.0,0.5": [
         "0x1.706d28e637b40p-1",
         "0x1.97de315ab0460p-59",
-        "0x1.a0298aa1ceca5p-7",
+        "0x1.a0298aa1ceca7p-7",
         "0x1.194cc3fe9a6c5p-57",
-        "0x1.deae429c34572p-13",
+        "0x1.deae429c345f0p-13",
         "0x1.0cc01bae2d0c5p-56",
-        "0x1.134c0fbcc2936p-18",
+        "0x1.134c0fbcc0a78p-18",
         "0x1.d0062efa1bd05p-57",
-        "0x1.3ca7e012f0addp-24",
+        "0x1.3ca7e0136d85dp-24",
         "0x1.70ef40ead1f9ep-56",
-        "0x1.6c3a536e3a03cp-30",
+        "0x1.6c3a53c343fdap-30",
         "-0x1.671cb2c023c97p-56",
-        "0x1.a2f25950d10d5p-36",
+        "0x1.a2f253c678ddep-36",
         "0x1.6832fa00735dfp-58",
-        "0x1.e1e20829712b4p-42",
+        "0x1.e1e2c83ab796ep-42",
         "0x1.04fd57b4e5708p-62",
-        "0x1.15ccf06828db2p-47",
+        "0x1.1584110164ea8p-47",
         "0x1.1571fe9510ee7p-57",
-        "0x1.0a96a15d36de9p-53",
+        "0x1.238350707c6e8p-53",
         "0x1.4307894a492d0p-56",
-        "-0x1.ccf6429be6621p-58",
+        "0x1.b702ea1a92450p-62",
     ],
     "tau_k 3.5,0.9": [
         "0x1.4d7eb8ca88c7bp-1",
         "0x1.01586eb04079dp-56",
-        "-0x1.32d30a41f0e76p-5",
+        "-0x1.32d30a41f0e74p-5",
         "0x1.741f61ccf5cabp-56",
-        "0x1.db371383b6a24p-8",
+        "0x1.db371383b6a37p-8",
         "-0x1.5b0e96bad88cdp-57",
         "-0x1.c14632b5ee649p-9",
         "0x1.3deaf52d86387p-64",
-        "0x1.f9b1d0e517d10p-10",
+        "0x1.f9b1d0e517d23p-10",
         "0x1.57db7d87364c6p-59",
-        "-0x1.4262b6d47c478p-10",
+        "-0x1.4262b6d47c424p-10",
         "-0x1.1e623bf06bec5p-55",
-        "0x1.b5fe716ecd728p-11",
+        "0x1.b5fe716ecd6bbp-11",
         "0x1.b94f5c19a2303p-57",
-        "-0x1.3b09386e9b2d9p-11",
+        "-0x1.3b09386e9b26ep-11",
         "-0x1.665aafdfbbc10p-56",
-        "0x1.d6284d95990fcp-12",
+        "0x1.d6284d9599114p-12",
         "0x1.4ee1be3eaa5ccp-57",
-        "-0x1.6ab4b14e2d5d8p-12",
+        "-0x1.6ab4b14e2d627p-12",
         "-0x1.00bbd745a69c1p-56",
-        "0x1.1e902d30e7b4dp-12",
+        "0x1.1e902d30e7b59p-12",
     ],
     "wp 1.5,0.999999": [
         "0x1.a961102f7b774p-1",

@@ -887,6 +887,43 @@ def test_int_beyond_the_largest_double_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: fr.tau_k(2.0, 0.5, n),
+    lambda n: fr.rho_coeff(0.3, n),
+    lambda n: fr.tau_tail_bound(2.0, 1.7, n + 1),
+    lambda n: fr.fourier_profile(2.0, 0.5, n),
+    lambda n: ct.ModulusSet.grid(0.2, 0.6, n),
+    lambda n: ct.certify_invertibility(2.0, ct.ModulusSet.explicit([0.2, 0.5]), n + 1),
+    lambda n: eg.eigenpair(2.0, 0.5, n),
+], ids=["tau_k", "rho_coeff", "tau_tail_bound", "fourier_profile", "ModulusSet.grid",
+        "certify_invertibility", "eigenpair"])
+def test_count_beyond_the_largest_double_is_a_domain_error(call):
+    # a count past what numpy can index (past the largest double for the
+    # mode number n) is refused where it is checked, named by its size, not
+    # met by a bare OverflowError or ValueError further in; only counts
+    # beyond the largest double are tried, none that would allocate
+    for n in (_HUGE, 10**5000):
+        with pytest.raises(DomainError, match=f"in \\[.*\\], got an integer of {n.bit_length()} bits$"):
+            call(n)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: el.snp(2.0, 0.5, [0.1, [0.2, 0.3]]), "y"),
+    (lambda: el.wp(2.0, 0.5, [0.1, [0.2, 0.3]]), "z"),
+    (lambda: ct.region_scan([0.5, [0.6, 0.7]], [0.3]), "1/p"),
+    (lambda: ct.ModulusSet.explicit([0.2, [0.3, 0.4]]), "mu"),
+    (lambda: fr.tau_k(2.0, 0.5, [1, [2, 3]]), "k"),
+    (lambda: fr.tau_k(2.0, [0.2, [0.3]], 1), "mu"),
+    (lambda: eg.first_integral_residual(eg.eigenpair(2.0, 0.5, 1), [0.1, [0.2]]), "grid"),
+], ids=["snp", "wp", "region_scan", "ModulusSet.explicit", "tau_k_k", "tau_k_mu",
+        "first_integral_residual"])
+def test_ragged_input_is_a_domain_error(call, name):
+    # a ragged nesting of lists has no array shape: refused naming the
+    # input, not numpy's bare "inhomogeneous shape" ValueError
+    with pytest.raises(DomainError, match=f"^{name} must have one shape, got the ragged "):
+        call()
+
+
 def test_snp_next_to_K_at_the_largest_modulus():
     # at p = 6, mu = nextafter(1, 0) the table's last bracket rises by
     # 3.6e-28 in v, below the rounding of its slope terms, and the cubic

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import pelliptic.certify as ct
 import pelliptic.eigen as eg
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
@@ -103,6 +104,30 @@ def test_tau_k_sequence_rows_match_scalar_calls():
         assert np.array_equal(fr.tau_k(p, 0.6, [201, 3, 1]), batch[[200, 2, 0]])
 
 
+def test_tau_k_many_moduli_match_one_modulus_calls():
+    # one row per (mu, k) in one quadrature: every modulus gets, bit for
+    # bit, what a call for it alone gives, in any order, with a modulus
+    # repeated, and for odd and even k mixed
+    ks = [4, 1, 7, 2, 201, 3]
+    for p in (1.5, 3.0):
+        alone = {mu: fr.tau_k(p, mu, ks) for mu in (0.2, 0.6, 0.95, 0.0)}
+        for mus in ([0.2, 0.6, 0.95], [0.95, 0.0, 0.6, 0.2], [0.6, 0.2, 0.6, 0.6]):
+            fr._profile.cache_clear()
+            batch = fr.tau_k(p, mus, ks)
+            assert batch.shape == (len(mus), len(ks))
+            for row, mu in zip(batch, mus):
+                assert np.array_equal(row, alone[mu]), (p, mus, mu)
+            column = fr.tau_k(p, np.array(mus), 7)
+            assert column.shape == (len(mus),)
+            assert column.tolist() == [fr.tau_k(p, mu, 7) for mu in mus]
+    assert fr.tau_k(2.0, np.array(0.5), [3]).shape == (1,)
+    for bad in ([], [[0.2, 0.3]], np.zeros((2, 2))):
+        with pytest.raises(DomainError, match="mu must be a modulus or a nonempty 1-D run"):
+            fr.tau_k(2.0, bad, 1)
+    with pytest.raises(DomainError, match=r"^mu must lie in \[0, 1\), got 1.0"):
+        fr.tau_k(2.0, [0.5, 1.0], 1)
+
+
 def test_tau_k_matches_mpmath_reference():
     # 30-digit tau_1 and tau_3 at p in {1.5, 3} from perfbench/make_tau_ref.py,
     # an independent route through the cosine integral of w_p
@@ -130,6 +155,8 @@ def test_tau_k_matches_jacobi_closed_form_at_p2():
     for mu in (0.1, 0.5, 0.9, 0.999):
         err = np.abs(fr.tau_k(2.0, mu, ks) - _tau_p2_closed_form(mu, ks))
         assert err.max() <= 2e-15, (mu, err.max())
+        # odd k from one cosine, 2 cos(k pi x1); 4.44e-16 at most, at mu = 0.1
+        assert err[0::2].max() <= 5e-16, (mu, err[0::2].max())
         assert err[1::2].max() <= 1e-15, (mu, err[1::2].max())
 
 
@@ -273,23 +300,45 @@ def _driver_tally(monkeypatch):
 
 
 def test_tau_k_rows_cost_their_own_levels_only(monkeypatch):
-    # a batch of k evaluates each row in the block of levels 0-4, then
-    # through its own stop level and no further, so it costs what the rows
-    # cost one by one, each of them paying for the block alone too
+    # a batch of (mu, k) evaluates each row in the block of levels 0-4,
+    # then through its own stop level and no further, so it costs what the
+    # rows cost one by one, each of them paying for the block alone too
     calls = _driver_tally(monkeypatch)
-    ks = list(range(1, 22, 2))
-    batch = fr.tau_k(2.0, 0.5, ks)
-    total = sum(n for _, n in calls)
     block = quad._ts_nodes()[3][quad._BLOCK_LEVEL + 1]
-    alone, stops = 0, set()
-    for k in ks:
+    for mus, ks in [([0.5], list(range(1, 22, 2))), ([0.5, 0.9, 0.1], [1, 2, 9, 151])]:
         calls.clear()
-        assert fr.tau_k(2.0, 0.5, k) == batch[ks.index(k)]
-        assert calls[0] == (quad._BLOCK_LEVEL, block)
-        stops.add(calls[-1][0])
-        alone += sum(n for _, n in calls)
-    assert len(stops) > 1
-    assert total == alone
+        batch = fr.tau_k(2.0, mus, ks)
+        assert len([c for c in calls if c[0] == quad._BLOCK_LEVEL]) == 1
+        total = sum(n for _, n in calls)
+        alone, stops = 0, set()
+        for i, mu in enumerate(mus):
+            for j, k in enumerate(ks):
+                calls.clear()
+                assert fr.tau_k(2.0, mu, k) == batch[i, j]
+                assert calls[0] == (quad._BLOCK_LEVEL, block)
+                stops.add(calls[-1][0])
+                alone += sum(n for _, n in calls)
+        assert len(stops) > 1
+        assert total == alone
+
+
+def test_certificate_is_one_driver_call_per_chunk(monkeypatch):
+    # every tau_k of a modulus set comes from one tau_k call, whose rows
+    # go through one driver call per chunk of at most _ROWS rows; the
+    # report is what one call per modulus gives
+    ms = ct.ModulusSet.explicit([0.2, 0.6, 0.9])
+    ks = np.arange(1, 22, 2)
+    taus = np.array([fr.tau_k(1.5, mu, ks) for mu in ms.values])
+    calls = _driver_tally(monkeypatch)
+    drives = lambda: sum(lev == quad._BLOCK_LEVEL for lev, _ in calls)
+    rep = ct.certify_invertibility(1.5, ms, 21)
+    assert drives() == 1
+    assert rep.rhs == float(np.min(taus[:, 0]))
+    assert rep.lhs == math.fsum(np.max(np.abs(taus[:, 1:]), axis=0))
+    calls.clear()
+    monkeypatch.setattr(fr, "_ROWS", 2 * ks.size)
+    assert ct.certify_invertibility(1.5, ms, 21) == rep
+    assert drives() == 2
 
 
 def test_rho_coeff_values():

@@ -7,6 +7,7 @@ import pytest
 
 import pelliptic.elliptic as el
 import pelliptic.fourier as fr
+import pelliptic.quadrature as quad
 from pelliptic.quadrature import _BLOCK_LEVEL, _tanh_sinh, _ts_nodes
 from pelliptic.errors import NonConvergence
 
@@ -131,6 +132,47 @@ def test_truncation_above_target_raises_at_once():
     with pytest.raises(NonConvergence, match="after 49 nodes"):
         _tanh_sinh(F, 0.04, 1e-14)
     assert levels == [_BLOCK_LEVEL]
+
+
+def _table_at_once():
+    """The node table formed in one pass over all levels, as it was before
+    the levels were filled on demand: (x, cx, picosh, cuts)."""
+    x, cx, w, cuts = [], [], [], [0]
+    for lev in range(quad._MAX_LEVEL + 1):
+        h = quad._H0 / 2.0**lev
+        t = np.arange(1, int(quad._T_MAX / h) + 1, 1 if lev == 0 else 2) * h
+        u = 0.5 * np.pi * np.sinh(t)
+        e = np.exp(-2.0 * u)
+        s, oms, picosh = 1.0 / (1.0 + e), e / (1.0 + e), np.pi * np.cosh(t)
+        x += [s, oms] + ([[0.5]] if lev == 0 else [])
+        cx += [oms, s] + ([[0.5]] if lev == 0 else [])
+        w += [picosh, picosh] + ([[np.pi]] if lev == 0 else [])
+        cuts.append(cuts[-1] + 2 * t.size + (lev == 0))
+    return np.concatenate(x), np.concatenate(cx), np.concatenate(w), tuple(cuts)
+
+
+def test_node_table_fills_each_level_on_first_use(monkeypatch):
+    # a fresh table holds no level; a call fills the levels it reaches and
+    # no more, and each level gets the bits of the table formed at once
+    x0, cx0, w0, cuts0 = _table_at_once()
+    assert quad._CUTS == cuts0 and cuts0[-1] == 24985
+    monkeypatch.setattr(quad, "_TABLE", np.full((3, cuts0[-1]), np.nan))
+    monkeypatch.setattr(quad, "_VIEWS", [])
+    quad._ts_weights.cache_clear()
+    el._kp_p_factor.cache_clear()
+    nodes = el.kp_quadrature(2.0, 0.5).nodes_used
+    assert nodes == cuts0[4]
+    assert len(quad._VIEWS) == _BLOCK_LEVEL + 1
+    assert not np.isnan(quad._TABLE[:, : cuts0[_BLOCK_LEVEL + 1]]).any()
+    assert np.isnan(quad._TABLE[:, cuts0[_BLOCK_LEVEL + 1] :]).all()
+    x, cx, w, cuts = _ts_nodes(7)
+    assert len(quad._VIEWS) == 8 and x.size == cuts[8]
+    for got, want in zip((x, cx, w), (x0, cx0, w0)):
+        assert np.array_equal(got, want[: cuts[8]])
+    for got, want in zip(_ts_nodes()[:3], (x0, cx0, w0)):
+        assert np.array_equal(got, want)
+    quad._ts_weights.cache_clear()
+    el._kp_p_factor.cache_clear()
 
 
 def test_first_call_is_the_block_of_levels_0_to_4():

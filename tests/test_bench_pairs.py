@@ -119,3 +119,24 @@ def test_summary_of_runs_without_a_complete_pair():
         "better": "higher",
         "wins": {"parent": 0, "change": 0},
     }
+
+
+def test_verdict_lines_read_each_metric_from_the_summary():
+    # parent rates 100..109, change 9 wins and a tie, median 124.5 against
+    # 104.5; p50 1.0 on both sides, ten ties
+    parent = [100.0 + i for i in range(10)]
+    summary = bench_pairs.summarize(
+        _pairs(parent, [100.0] + [v + 20.0 for v in parent[1:]]), METRICS
+    )
+    lines = bench_pairs.verdict_lines("kp_scan", summary, METRICS)
+    assert lines == [
+        "kp_scan tasks_per_s: gain +19.14%, pairs won change 9 parent 0 of 10, "
+        "parent_iqr 4.5, gain_rule_met true, regression none",
+        "kp_scan task_p50_ms: gain +0.00%, pairs won change 0 parent 0 of 10, "
+        "parent_iqr 0, gain_rule_met false, regression none",
+    ]
+    empty = bench_pairs.summarize([_run("parent", 5, 0, 100.0, 2.0)], METRICS)
+    assert bench_pairs.verdict_lines("kp_scan", empty, METRICS) == [
+        "kp_scan tasks_per_s: no complete pair",
+        "kp_scan task_p50_ms: no complete pair",
+    ]

@@ -94,19 +94,69 @@ def test_kp_nodes_stay_within_budget():
     assert max(nodes) <= 391
 
 
-def test_kp_rows_equal_scalar_kp():
+def test_kp_rows_equal_scalar_kp(monkeypatch):
     # one batch mixing p where v**m has m = 0.5, about 1 and about 2 with
-    # other p: each row has the bits of the scalar call, and kp_quadrature
-    # is the one-row batch in value, error estimate and node count
-    ps = [1.25, 10.0 / 9.0, 20.0 / 19.0, 1.02, 2.0, 7.0]
-    mus = [0.0, 0.5, 0.999, 1.0 - 1e-12]
+    # other p, from p = 1.001 to 1e6 and up to the last double below
+    # mu = 1: each row has the bits of the scalar call, and kp_quadrature,
+    # which runs one integrand on the driver's point path, has those of
+    # the one-row batch in value, error estimate and node count.  A spy
+    # on the integrand sees 1-D node arrays for a scalar call and 2-D ones
+    # for a list call
+    seen = []
+    driver = el._tanh_sinh
+
+    def spy(F, ea, tol):
+        def G(lev, x, cx, rows):
+            out = F(lev, x, cx, rows)
+            seen.append(out.ndim)
+            return out
+
+        return driver(G, ea, tol)
+
+    monkeypatch.setattr(el, "_tanh_sinh", spy)
+    ps = [1.001, 1.25, 10.0 / 9.0, 20.0 / 19.0, 1.02, 2.0, 7.0, 1e6]
+    mus = [0.0, 0.5, 0.999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
     p, mu = zip(*[(a, b) for a in ps for b in mus])
     rows = el._kp_rows(p, mu)[0]
+    assert set(seen) == {2}
     for i, (a, b) in enumerate(zip(p, mu)):
+        del seen[:]
         r = el.kp_quadrature(a, b)
+        assert seen and set(seen) == {1}
+        del seen[:]
         value, err, nodes = el._kp_rows([a], [b])
+        assert seen and set(seen) == {2}
         assert rows[i] == el.kp(a, b) == r.value == value[0]
         assert (r.abs_error_estimate, r.nodes_used) == (err[0], nodes)
+    # (2, nextafter(1, 0)) stops at level 7, past the block of levels 0-4,
+    # so the point path's level loop runs
+    cuts = quad._ts_nodes()[3]
+    assert el.kp_quadrature(2.0, math.nextafter(1.0, 0.0)).nodes_used == cuts[8]
+
+
+def test_each_kp_miss_runs_one_quadrature_and_a_hit_none(monkeypatch):
+    # the accounting behind the benchmark's elliptic.kp.misses ==
+    # elliptic.kp_quadrature.calls: a kp cache miss calls kp_quadrature
+    # exactly once, a hit not at all
+    calls = []
+    quadrature = el.kp_quadrature
+
+    def counted(p, mu):
+        calls.append((p, mu))
+        return quadrature(p, mu)
+
+    monkeypatch.setattr(el, "kp_quadrature", counted)
+    for p, mu in [(2.0 + 2.0**-40, 0.3), (1.3 + 2.0**-40, 1.0 - 1e-12)]:
+        before = el.kp.cache_info()
+        value = el.kp(p, mu)
+        miss = el.kp.cache_info()
+        assert (miss.misses - before.misses, miss.hits - before.hits) == (1, 0)
+        assert calls == [(p, mu)]
+        assert el.kp(p, mu) == value
+        hit = el.kp.cache_info()
+        assert (hit.misses - miss.misses, hit.hits - miss.hits) == (0, 1)
+        assert calls == [(p, mu)]
+        del calls[:]
 
 
 def test_kp_rows_sharing_p_equal_scalar_kp_with_the_p_factor_cold_and_warm():

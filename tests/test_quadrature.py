@@ -134,6 +134,27 @@ def test_truncation_above_target_raises_at_once():
     assert levels == [_BLOCK_LEVEL]
 
 
+@pytest.mark.parametrize("ea, tol, F, want", [
+    # the level-2 truncation test, after the block call alone
+    (0.04, 1e-14, lambda x: np.ones_like(x),
+     "tanh-sinh refinement stopped after 49 nodes with error estimate "
+     "2.471e-07 above tol 1.000e-14"),
+    # an interior kink still live when the levels run out at level 11
+    (1.0, 1e-12, lambda x: np.abs(x - 1.0 / 3.0) ** 0.1,
+     "tanh-sinh refinement stopped after 24985 nodes with error estimate "
+     "1.104e-05 above tol 1.000e-12"),
+])
+def test_point_path_raises_the_message_of_the_one_row_batch(ea, tol, F, want):
+    # one integrand returned as (n,) takes the point path, the same one
+    # returned as a (1, n) row the batch path; both raise the same message
+    messages = []
+    for shape in (lambda a: a, lambda a: a[None, :]):
+        with pytest.raises(NonConvergence) as info:
+            _tanh_sinh(lambda lev, x, cx, rows: shape(F(x)), ea, tol)
+        messages.append(str(info.value))
+    assert messages == [want, want]
+
+
 def _table_at_once():
     """The node table formed in one pass over all levels, as it was before
     the levels were filled on demand: (x, cx, picosh, cuts)."""

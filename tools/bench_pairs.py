@@ -14,7 +14,10 @@ BENCHMARK.json) are written to the output file, with each side's median
 and quartiles and the number of pairs each side won, over all seeds and
 per seed.  A file that already exists keeps its other workloads, so one
 file can hold several.  The file is rewritten after every pair, so a run
-that is stopped keeps the pairs it finished.
+that is stopped keeps the pairs it finished.  The output ends with one
+line per end-to-end metric of the workload, read from that summary: the
+gain, the pairs each side won, ``parent_iqr``, ``gain_rule_met`` and
+``regression``.
 """
 
 from __future__ import annotations
@@ -90,6 +93,27 @@ def summarize(runs: list, end_to_end: list) -> dict:
                 entry["regression"] = "none"
         out[name] = entry
     return out
+
+
+def verdict_lines(workload: str, summary: dict, end_to_end: list) -> list:
+    """One line per metric of ``end_to_end`` from ``summary``, as
+    :func:`summarize` returns it: the gain, the pairs each side won,
+    ``parent_iqr``, ``gain_rule_met`` and ``regression``, or that no pair
+    is complete."""
+    lines = []
+    for metric in end_to_end:
+        e = summary[metric["name"]]
+        head = f"{workload} {metric['name']}: "
+        if "gain" not in e:
+            lines.append(head + "no complete pair")
+            continue
+        lines.append(
+            head + f"gain {e['gain']:+.2%}, pairs won change {e['wins']['change']} "
+            f"parent {e['wins']['parent']} of {summary['pairs']}, "
+            f"parent_iqr {e['parent_iqr']:.4g}, gain_rule_met "
+            f"{str(e['gain_rule_met']).lower()}, regression {e['regression']}"
+        )
+    return lines
 
 
 def _git(*args: str) -> str:
@@ -177,6 +201,8 @@ def main(argv=None) -> int:
                     fh.write("\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    if entry["runs"]:
+        print("\n".join(verdict_lines(args.workload, entry["summary"], end_to_end)))
     return 0
 
 

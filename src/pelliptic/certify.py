@@ -40,7 +40,7 @@ import numpy as np
 
 from .elliptic import _kp_rows, kp
 from .errors import DomainError, MaxIterations, NoSignChange
-from .errors import _check_int, _check_interval, _check_real
+from .errors import _check_int, _check_interval, _check_run
 from .fourier import tau_k, tau_tail_bound
 from .qtheta import mu0, nome_from_modulus, odd_lambert_sum
 
@@ -96,10 +96,8 @@ class ModulusSet:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        values = np.atleast_1d(_check_real("mu", self.values, many=True)).tolist()
-        if len(values) == 0:
-            raise DomainError("modulus set must be nonempty")
-        values = tuple(_check_interval("mu", mu, 0.0, 1.0, "()") for mu in values)
+        values = _check_run("mu", self.values, _check_interval, 0.0, 1.0, "()")
+        values = tuple(np.ravel(values).tolist())
         object.__setattr__(self, "values", values)
         if self.kind == "constant" and len(values) != 1:
             raise DomainError("constant modulus set must hold exactly one value")
@@ -233,12 +231,9 @@ def region_scan(p_points, mu_points) -> list:
     The sorted grid points go in chunks of at most 64 through one batched
     K_p call each, whose values equal scalar :func:`kp` bit for bit.
     """
-    ps = np.atleast_1d(_check_real("1/p", p_points, many=True)).tolist()
-    mus = np.atleast_1d(_check_real("mu", mu_points, many=True)).tolist()
-    if len(ps) == 0 or len(mus) == 0:
-        raise DomainError("grids must be nonempty")
-    ps = [_check_interval("1/p", v, 0.0, 1.0, "()") for v in ps]
-    mus = [_check_interval("mu", mu, 0.0, 0.999, "(]") for mu in mus]
+    ps = _check_run("1/p", p_points, _check_interval, 0.0, 1.0, "()")
+    mus = _check_run("mu", mu_points, _check_interval, 0.0, 0.999, "(]")
+    ps, mus = np.ravel(ps).tolist(), np.ravel(mus).tolist()
     keys = [(op, mu) for op in sorted(ps) for mu in sorted(mus)]
     rows = []
     for i in range(0, len(keys), _CHUNK):

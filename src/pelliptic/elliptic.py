@@ -17,12 +17,10 @@ same at every p and the rest of the integrand is bounded.  One function,
 one (p, mu) as a point; the scalar :func:`kp_quadrature` is its one-row
 case, which runs one integrand on 1-D node arrays through the driver's
 point path with float bookkeeping, and agrees with a batch row bit for
-bit.  A warm scalar call takes about a third of the CPU time of the
-one-row batch it replaced, 22-24 us where K_p stops within the first
-195 nodes (x86-64, numpy 2.4).  The integrand's factors that depend on p
-alone, v**m and (1 - s**p) / (1 - s), are formed once per distinct p and
-level and kept in a small cache (:func:`_kp_p_factor`), so rows that
-share p, and a scalar call after a batch of its p, share them.
+bit.  The integrand's factors that depend on p alone, v**m and
+(1 - s**p) / (1 - s), are formed once per distinct p and level and kept
+in a small cache (:func:`_kp_p_factor`), so rows that share p, and a
+scalar call after a batch of its p, share them.
 :func:`kp_via_2f1`, the hypergeometric series, is an independent
 cross-check, not a fallback.
 
@@ -79,9 +77,7 @@ np.power, never ** on a numpy float (libm's pow, which differs from the
 array loop in the last bit); its clips compare as np.minimum and
 np.maximum do (:func:`_clip`); and a division that can reach 0 stays in
 numpy floats, under one np.errstate per inversion.  Numpy's fixed cost
-per call, not the arithmetic, is most of a point's time: a warm float
-snp at p = 3.3, mu = 0.7 takes a fifth to a quarter of the CPU time of
-the one-element array it replaced, 25-45 us (x86-64, numpy 2.4).  Every
+per call, not the arithmetic, is most of a point's time.  Every
 Newton pass of an array runs the same steps on every live point; the
 one branch kept for speed is in w_p, which evaluates a batch that lies
 wholly on one side of z = 0.6 without splitting it.
@@ -242,8 +238,7 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     The second factor is expanded as 1 - mu**p s**p = eps + mu**p (1 - s**p)
     with ``eps, mup`` = :func:`_eps_mup` (p, mu), so the boundary layer
     that forms as mu approaches 1 is evaluated from the exact endpoint
-    distance.  ``p``, ``eps`` and ``mup`` are floats, or columns holding
-    one (p, mu) per row.
+    distance.  ``p``, ``eps`` and ``mup`` are floats.
     """
     ratio = _pow_ratio(e, p)
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)

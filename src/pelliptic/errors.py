@@ -9,7 +9,7 @@ Every range, count, sign and finiteness check on an input goes through the
 private checks at the end, which raise DomainError as "{name} must lie in
 [lo, hi), got {x}" (or "must be an integer in", "must be +1 or -1", "must
 be a single number", "must be finite", "must be a real number", "must
-have one shape"), and
+have one shape", "must be one value or a nonempty 1-D run of them"), and
 return the value they judged, so callers compute with it and never with
 the raw input.  One function, :func:`_check_real`, says what a real number
 is: a ``numbers.Real`` (int, float, bool, Fraction, a numpy integer or
@@ -18,7 +18,10 @@ becomes, an int or a fraction beyond the largest double as the infinity
 it exceeds.  Text, bytes, None, complex numbers and Decimal are refused
 everywhere, entry by entry in an array, rather than parsed, rounded or
 stripped of an imaginary part; a list or an array where one number is
-expected is refused too.
+expected is refused too.  An input that may be a run (``tau_k``'s mu and
+k, a ``ModulusSet``'s values, ``region_scan``'s grids) goes through one
+rule, :func:`_check_run`: one value, or a nonempty 1-D list or array of
+them each checked on its own, so that a bad entry is named by itself.
 NaN fails every comparison, so each range check rejects it.  A count or a
 sign must be an int, a numpy integer or a 0-d integer array, not a bool
 or a float, and at most the largest intp, so that numpy can index it.  A
@@ -123,21 +126,14 @@ def _check_interval(name: str, x, lo: float, hi: float, ends: str = "[)") -> flo
     return x
 
 
-def _check_int(
-    name: str, n, lo: int, odd: bool = False, many: bool = False, hi: int = _INT_MAX
-):
+def _check_int(name: str, n, lo: int, odd: bool = False, hi: int = _INT_MAX) -> int:
     """n as an int if it is an integer (not a bool), or a 0-d array of
-    one, in [lo, hi], and odd if asked; with ``many``, a nonempty 1-D list
-    or array of integers >= lo as an int array.  ``hi`` defaults to the
-    largest count that numpy can index; a count that only meets float
-    arithmetic may pass a larger one."""
-    a = _as_array(name, n) if many and not isinstance(n, numbers.Integral) else n
-    if many and np.ndim(a):
-        if a.ndim == 1 and a.size and a.dtype.kind in "iu" and np.all(a >= lo):
-            return a
-        raise DomainError(
-            f"{name} must be an integer in [{lo}, inf) or a 1-D run of them, got {n!r}"
-        )
+    one, in [lo, hi], and odd if asked.  ``hi`` defaults to the largest
+    count that numpy can index; a count that only meets float arithmetic
+    may pass a larger one."""
+    # the common case, an int inside, skips the numbers.Integral test
+    if type(n) is int and lo <= n <= hi and not (odd and n % 2 == 0):
+        return n
     if isinstance(n, np.ndarray) and n.ndim == 0:
         n = n[()]
     is_int = isinstance(n, numbers.Integral) and not isinstance(n, bool)
@@ -171,6 +167,25 @@ def _check_finite(name: str, x):
     if bad.size:
         raise DomainError(f"{name} must be finite, got {bad[0]}")
     return np.float64(x) if isinstance(x, float) else x
+
+
+def _check_run(name: str, x, check, *args):
+    """check(name, x, *args) for one value, a scalar or a 0-d array, and
+    the list of check(name, v, *args) over the entries v of a nonempty 1-D
+    list or array, so a bad entry is named by itself.  Any other shape
+    raises DomainError naming ``name``."""
+    a = _as_array(name, x)
+    if not a.ndim:
+        return check(name, x, *args)
+    if a.ndim != 1 or not a.size:
+        raise DomainError(
+            f"{name} must be one value or a nonempty 1-D run of them, "
+            f"got shape {a.shape}"
+        )
+    # an array's entries as Python scalars; a list's as they were given,
+    # before numpy made [1, 2.5] all floats
+    entries = a.tolist() if isinstance(x, np.ndarray) else x
+    return [check(name, v, *args) for v in entries]
 
 
 def _validate_pmu(p, mu, mu_ends: str = "[)") -> tuple[float, float]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _engine, kp
-from .errors import DomainError, _check_int, _check_interval, _check_real, _validate_pmu
+from .errors import _check_int, _check_interval, _check_run, _validate_pmu
 from .quadrature import _tanh_sinh, _ts_nodes, _ts_slice
 
 __all__ = [
@@ -134,19 +134,6 @@ def _split_integral(p: float, mus: list, owner: np.ndarray, g, tol: float):
     return _tanh_sinh(F, 1.0, tol)[0]
 
 
-def _check_moduli(mu) -> float | list:
-    """mu as a float if it is one modulus in [0, 1), or as a list of
-    floats if it is a nonempty 1-D run of them."""
-    mu = _check_real("mu", mu, many=True)
-    if isinstance(mu, float):
-        return _check_interval("mu", mu, 0.0, 1.0)
-    if mu.ndim != 1 or not mu.size:
-        raise DomainError(
-            f"mu must be a modulus or a nonempty 1-D run of them, got shape {mu.shape}"
-        )
-    return [_check_interval("mu", m, 0.0, 1.0) for m in mu.tolist()]
-
-
 def _cosine_rows(p: float, mus: list, kpi: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """int_0^1 [cos(k pi x1) - cos(k pi x2)] dz for each modulus in ``mus``
     (rows) and each k pi in ``kpi`` (columns), as the rows of one driver
@@ -195,21 +182,17 @@ def tau_k(p: float, mu, k):
     value is the same, bit for bit, whatever the other rows are.
     """
     p = _check_interval("p", p, 1.0, math.inf, "()")
-    mu = _check_moduli(mu)
-    k = _check_int("k", k, 1, many=True)
-    mus = [mu] if isinstance(mu, float) else mu
+    mu = _check_run("mu", mu, _check_interval, 0.0, 1.0)
+    k = _check_run("k", k, _check_int, 1)
+    mus = mu if isinstance(mu, list) else [mu]
     ks = np.atleast_1d(k)
     kpi, odd = ks * math.pi, ks % 2 == 1
-    # each distinct modulus once, whole moduli to a driver call
-    where = {m: i for i, m in enumerate(dict.fromkeys(mus))}
-    distinct = list(where)
+    # whole moduli to a driver call
     per_call = max(1, _ROWS // ks.size)
-    integrals = np.empty((len(distinct), ks.size))
-    for lo in range(0, len(distinct), per_call):
-        chunk = distinct[lo : lo + per_call]
-        integrals[lo : lo + len(chunk)] = _cosine_rows(p, chunk, kpi, odd)
-    if len(distinct) < len(mus):
-        integrals = integrals[[where[m] for m in mus]]
+    integrals = np.concatenate([
+        _cosine_rows(p, mus[lo : lo + per_call], kpi, odd)
+        for lo in range(0, len(mus), per_call)
+    ])
     taus = math.sqrt(2.0) / kpi * integrals
     if isinstance(k, int):
         taus = taus[:, 0]

@@ -13,9 +13,9 @@ two adjacent doubles.  The modulus mu0 associated to q0 has
 The series stop by two rules.  The theta series stop at the first term
 below an absolute 1e-16; the Lambert-type series stop at the first term
 below 1e-16 * (1 + running sum).  Arguments with q > 0.99 are rejected
-outright: every quantity of interest here lives well inside the
-fast-convergence zone, and a slowly converged answer near q = 1 would
-be quietly wrong.
+outright, and so is a q-digamma whose terms fall by q^x > 0.99: every
+quantity of interest here lives well inside the fast-convergence zone,
+and a slowly converged answer near q = 1 would be quietly wrong.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import _check_interval, _check_sign
+from .errors import SlowConvergence, _check_interval, _check_sign
 
 __all__ = [
     "agm_jacobi_sn",
@@ -157,9 +157,20 @@ def lambert_L(beta: float) -> float:
 
 
 def q_digamma(q: float, x: float) -> float:
-    """q-digamma psi_q(x) = -log(1-q) + log(q) sum_{n>=1} q^(n x)/(1-q^n)."""
+    """q-digamma psi_q(x) = -log(1-q) + log(q) sum_{n>=1} q^(n x)/(1-q^n).
+
+    The terms fall like (q^x)^n, so the series runs about 1/x times as
+    long as at x = 1; like q itself, q^x above 0.99 is refused.
+
+    Raises
+    ------
+    SlowConvergence
+        If q**x > 0.99.
+    """
     q = _check_interval("q", q, 0.0, _Q_MAX, "(]")
     x = _check_interval("x", x, 0.0, math.inf, "()")
+    if q**x > _Q_MAX:
+        raise SlowConvergence(f"q**x = {q**x:.9g} > {_Q_MAX}; q-digamma series too slow")
     series = _lambert_sum(q ** (n * x) / (1.0 - q**n) for n in itertools.count(1))
     return -math.log1p(-q) + math.log(q) * series
 

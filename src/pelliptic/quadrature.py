@@ -42,12 +42,10 @@ estimate as floats.  It sums each level by ``np.add.reduce``, as a row
 does, and any run of 8 or more level sums too, so it gives the value,
 estimate, node count and ``NonConvergence`` message of the same
 integrand returned as a (1, n) row, bit for bit.  A batch's (rows, 12)
-bookkeeping cost a scalar K_p about twice its integrand: a warm
-``kp_quadrature`` at p = 3.3, mu = 0.7, which stops at level 3, takes
-22 us of CPU on the point path against 68 us as a one-row batch (median
-of interleaved rounds, one Xeon core, numpy 2.4).  The driver sets no
-floating-point error state: F runs under the caller's, and an integrand
-that may divide by zero or overflow sets its own ``np.errstate``.
+bookkeeping would cost a scalar K_p about twice its integrand.  The
+driver sets no floating-point error state: F runs under the caller's,
+and an integrand that may divide by zero or overflow sets its own
+``np.errstate``.
 
 Endpoint distances are taken directly from the transform: 1-x is formed from
 exponentials, never by subtracting x from 1, so the endpoint power factors

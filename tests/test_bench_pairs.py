@@ -140,3 +140,14 @@ def test_verdict_lines_read_each_metric_from_the_summary():
         "kp_scan tasks_per_s: no complete pair",
         "kp_scan task_p50_ms: no complete pair",
     ]
+
+
+@pytest.mark.parametrize("value, says", [("1", "set"), ("", "unset"), (None, "unset")])
+def test_host_says_whether_bytecode_writing_is_off(monkeypatch, value, says):
+    # with PYTHONDONTWRITEBYTECODE set, each worker compiles the package
+    # inside its setup_s, so a record names the case it measured
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_pairs.host().endswith(f", PYTHONDONTWRITEBYTECODE {says}")

@@ -8,6 +8,7 @@ a 50-digit evaluation of the defining integrals.
 """
 
 import math
+import re
 from decimal import Decimal
 
 import mpmath
@@ -972,6 +973,31 @@ def test_ragged_input_is_a_domain_error(call, name):
     # input, not numpy's bare "inhomogeneous shape" ValueError
     with pytest.raises(DomainError, match=f"^{name} must have one shape, got the ragged "):
         call()
+
+
+@pytest.mark.parametrize("call, name, good, bad, says", [
+    (lambda x: fr.tau_k(2.0, x, 1), "mu", 0.5, 1.0, r"must lie in \[0, 1\), got 1.0"),
+    (lambda x: fr.tau_k(2.0, 0.5, x), "k", 3, 0, r"must be an integer in \[1, inf\), got 0"),
+    (lambda x: ct.ModulusSet.explicit(x), "mu", 0.5, 1.0, r"must lie in \(0, 1\), got 1.0"),
+    (lambda x: ct.region_scan(x, [0.5]), "1/p", 0.5, 1.0, r"must lie in \(0, 1\), got 1.0"),
+    (lambda x: ct.region_scan([0.5], x), "mu", 0.5, 0.9995,
+     r"must lie in \(0, 0.999\], got 0.9995"),
+], ids=["tau_k_mu", "tau_k_k", "ModulusSet.explicit", "region_scan_p", "region_scan_mu"])
+def test_a_run_input_is_one_value_or_a_nonempty_1d_run(call, name, good, bad, says):
+    # one rule for every input that may be a run: one value, or a nonempty
+    # 1-D list or array of them, each entry checked on its own
+    call(good)
+    call([good, good])
+    for shaped in ([], np.empty(0), [[good, good]], np.full((2, 2), good)):
+        says_shape = (f"{name} must be one value or a nonempty 1-D run of them, "
+                      f"got shape {np.shape(shaped)}")
+        with pytest.raises(DomainError, match=f"^{re.escape(says_shape)}$"):
+            call(shaped)
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must have one shape, got "):
+        call([good, [good, good]])
+    for run in ([good, bad], np.array([good, bad])):
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} {says}$"):
+            call(run)
 
 
 def test_snp_next_to_K_at_the_largest_modulus():

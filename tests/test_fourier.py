@@ -73,7 +73,7 @@ def test_tau_k_validation():
         fr.tau_k(1.0, 0.5, 1)
     with pytest.raises(DomainError):
         fr.tau_k(2.0, 1.0, 1)
-    for bad in ([], [1, 0, 3], np.array([1.0, 3.0]), np.array([[1, 3], [5, 7]])):
+    for bad in ([], [1, 0, 3], np.array([1.0, 3.0]), np.array([[1, 3], [5, 7]]), [True, 3]):
         with pytest.raises(DomainError):
             fr.tau_k(2.0, 0.5, bad)
     with pytest.raises(DomainError):
@@ -121,11 +121,6 @@ def test_tau_k_many_moduli_match_one_modulus_calls():
             assert column.shape == (len(mus),)
             assert column.tolist() == [fr.tau_k(p, mu, 7) for mu in mus]
     assert fr.tau_k(2.0, np.array(0.5), [3]).shape == (1,)
-    for bad in ([], [[0.2, 0.3]], np.zeros((2, 2))):
-        with pytest.raises(DomainError, match="mu must be a modulus or a nonempty 1-D run"):
-            fr.tau_k(2.0, bad, 1)
-    with pytest.raises(DomainError, match=r"^mu must lie in \[0, 1\), got 1.0"):
-        fr.tau_k(2.0, [0.5, 1.0], 1)
 
 
 def test_tau_k_matches_mpmath_reference():

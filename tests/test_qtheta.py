@@ -9,7 +9,7 @@ import pytest
 
 import pelliptic.elliptic as el
 import pelliptic.qtheta as qt
-from pelliptic.errors import DomainError
+from pelliptic.errors import DomainError, SlowConvergence
 
 # Erdos-Borwein constant sum 1/(2^n - 1)
 _EB = 1.6066951524152917638
@@ -206,6 +206,19 @@ def test_q_digamma_domain():
         qt.q_digamma(1.0, 1.0)
     with pytest.raises(DomainError):
         qt.q_digamma(0.5, math.inf)
+
+
+def test_q_digamma_refuses_a_slow_series_at_small_x():
+    # its terms fall like (q^x)^n, so at x = 1e-9 the series would run for
+    # about 2e10 terms: refused by the 0.99 rule the module applies to q
+    slow = r"^q\*\*x = 0\.99\d+ > 0\.99; q-digamma series too slow$"
+    for q, x in ((0.5, 1e-9), (0.5, 1e-3), (0.99, 0.5)):
+        with pytest.raises(SlowConvergence, match=slow):
+            qt.q_digamma(q, x)
+    # the guard moves no value; q^x = 0.99 itself, as q = 0.99, is summed
+    got = [qt.q_digamma(0.5, x).hex() for x in (0.5, 1.0, 2.0)]
+    assert got == ["-0x1.a377c62b4cbd8p+0", "-0x1.ae9f29c64f8a2p-2", "0x1.17293618f7b36p-2"]
+    assert qt.q_digamma(0.99, 1.0).hex() == "-0x1.263ff1223af68p-1"
 
 
 def test_odd_lambert_sum_small_q():

@@ -17,7 +17,9 @@ file can hold several.  The file is rewritten after every pair, so a run
 that is stopped keeps the pairs it finished.  The output ends with one
 line per end-to-end metric of the workload, read from that summary: the
 gain, the pairs each side won, ``parent_iqr``, ``gain_rule_met`` and
-``regression``.
+``regression``.  Each workload's ``host`` says whether
+PYTHONDONTWRITEBYTECODE was set, since then every worker's ``setup_s``
+includes compiling the package.
 """
 
 from __future__ import annotations
@@ -116,6 +118,16 @@ def verdict_lines(workload: str, summary: dict, end_to_end: list) -> list:
     return lines
 
 
+def host() -> str:
+    """The machine, Python and numpy, and whether PYTHONDONTWRITEBYTECODE
+    is set: the workers inherit it, and then each compiles the package
+    from source inside its setup_s."""
+    bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    return (f"{platform.machine()}, {os.cpu_count()} cpus, "
+            f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"PYTHONDONTWRITEBYTECODE {bytecode}")
+
+
 def _git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
@@ -167,8 +179,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload {args.workload} --seed SEED "
         f"--seconds {args.seconds:g} --trace 0",
         "seeds": seeds,
-        "host": f"{platform.machine()}, {os.cpu_count()} cpus, "
-        f"Python {platform.python_version()}, numpy {np.__version__}",
+        "host": host(),
         "runs": [],
     }
     doc["workloads"][args.workload] = entry

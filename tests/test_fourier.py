@@ -112,7 +112,7 @@ def test_tau_k_many_moduli_match_one_modulus_calls():
     for p in (1.5, 3.0):
         alone = {mu: fr.tau_k(p, mu, ks) for mu in (0.2, 0.6, 0.95, 0.0)}
         for mus in ([0.2, 0.6, 0.95], [0.95, 0.0, 0.6, 0.2], [0.6, 0.2, 0.6, 0.6]):
-            fr._profile.cache_clear()
+            el._engine.cache_clear()
             batch = fr.tau_k(p, mus, ks)
             assert batch.shape == (len(mus), len(ks))
             for row, mu in zip(batch, mus):
@@ -197,8 +197,9 @@ def test_tau_k_and_sn_l2_converge_on_the_whole_domain():
 
 
 def _engine_counter(monkeypatch):
-    """Clear the profile cache and record, from then on, the number of
-    points of every w_p call and of every sn_p inversion of any engine."""
+    """Clear the engine cache, and with it every profile, and record, from
+    then on, the number of points of every w_p call and of every sn_p
+    inversion of any engine."""
     wp_sizes, inversions = [], []
     wp_many, invert = el._SnpEngine.wp_many, el._SnpEngine.invert
 
@@ -212,7 +213,7 @@ def _engine_counter(monkeypatch):
 
     monkeypatch.setattr(el._SnpEngine, "wp_many", counting_wp)
     monkeypatch.setattr(el._SnpEngine, "invert", counting_invert)
-    fr._profile.cache_clear()
+    el._engine.cache_clear()
     return wp_sizes, inversions
 
 
@@ -226,6 +227,34 @@ def test_warm_profile_makes_no_snp_call(monkeypatch):
     assert wp_sizes == [] and inversions == []
 
 
+def test_warm_certificate_of_200_moduli_reuses_every_profile(monkeypatch):
+    # each modulus's profile lives on its engine, so a set of 200 moduli
+    # keeps all of them, under the engine cache's bound of 256
+    wp_sizes, inversions = _engine_counter(monkeypatch)
+    ms = ct.ModulusSet.grid(0.05, 0.95, 200)
+    cold = ct.certify_invertibility(1.5, ms, K=21)
+    wp_sizes.clear()
+    misses = el._engine.cache_info().misses
+    assert ct.certify_invertibility(1.5, ms, K=21) == cold
+    assert wp_sizes == [] and inversions == []
+    assert el._engine.cache_info().misses == misses
+
+
+def test_profile_checks_its_k_run_once(monkeypatch):
+    # fourier_profile builds k = 1..K_max from its checked K_max, so no k
+    # is checked again; the other check is the tail bound's start K
+    names = []
+    check_int = fr._check_int
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return check_int(name, *args, **kwargs)
+
+    monkeypatch.setattr(fr, "_check_int", counting)
+    fr.fourier_profile(2.0, 0.5, 201)
+    assert names == ["K_max", "K"]
+
+
 def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
     wp_sizes, inversions = _engine_counter(monkeypatch)
     cuts = quad._ts_nodes()[3]
@@ -234,15 +263,15 @@ def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
     fr.fourier_profile(2.5, 0.45, 21)
     # levels 0..5 in one w_p call over their nodes z, and no sn_p at all
     assert wp_sizes == [first]
-    assert fr._profile(2.5, 0.45)[0].size == 391
+    assert el._engine(2.5, 0.45).x1.size == 391
     wp_sizes.clear()
-    fr._profile.cache_clear()
+    el._engine.cache_clear()
     fr.fourier_profile(2.5, 0.45, 201)
     # levels 0..5 in one call, then levels 6 and 7 one call each
     assert wp_sizes == [first, cuts[7] - cuts[6], cuts[8] - cuts[7]]
-    assert fr._profile(2.5, 0.45)[0].size == cuts[8] == 1561
+    assert el._engine(2.5, 0.45).x1.size == cuts[8] == 1561
     wp_sizes.clear()
-    fr._profile.cache_clear()
+    el._engine.cache_clear()
     fr.tau_k(2.5, 0.45, 1)
     assert wp_sizes == [first]
     assert inversions == []
@@ -255,10 +284,9 @@ def test_grouped_fill_matches_per_level_fill():
     rng = np.random.default_rng(2024)
     for p in (1.2, 2.0, 3.5, 6.0):
         for mu in rng.uniform(0.0, 0.999, 2).tolist() + [0.999]:
+            el._engine.cache_clear()
             eng = el._engine(p, mu)
-            fr._profile.cache_clear()
-            prefilled = fr._profile(p, mu)
-            prefilled[0] = np.concatenate(
+            eng.x1 = np.concatenate(
                 [
                     eng.wp_many(nodes[cuts[lev] : cuts[lev + 1]]) / (2.0 * eng.K)
                     for lev in range(9)
@@ -272,7 +300,7 @@ def test_grouped_fill_matches_per_level_fill():
             ]
             warm = [q() for q in queries]
             for q, want in zip(queries, warm):
-                fr._profile.cache_clear()
+                el._engine.cache_clear()
                 assert np.array_equal(q(), want), (p, mu)
 
 

@@ -26,9 +26,10 @@ are written once.  A certificate never silently overclaims: sups over
 interval grids carry an explicit non-rigorous-between-nodes caveat.
 
 ``firstcond_boundary`` finds where K_p crosses the firstcond threshold
-from one batched K_p call over 16 moduli and then the root of the inverse
-interpolant through the seven known points nearest the threshold,
-refined by a scalar K_p or two.
+from one batched K_p call over 16 moduli up to 0.999, or over the 11 up
+to 0.99 when p <= 1.86, and then the root of the inverse interpolant
+through the seven known points nearest the threshold, refined by a
+scalar K_p or two.
 """
 
 from __future__ import annotations
@@ -68,11 +69,17 @@ _SLACK = 1e-9
 # 15 runs)
 _CHUNK = 64
 # firstcond_boundary: moduli of the batch that brackets the crossing,
-# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999 (moving
-# nodes below mu = 0.6, or spacing them evenly in log(1 - mu^p), lowered the
-# mean count of scalar K_p calls by 0.01 at most)
+# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999, so node
+# 10 is 0.99 (moving nodes below mu = 0.6, or spacing them evenly in
+# log(1 - mu^p), lowered the mean count of scalar K_p calls by 0.01 at
+# most)
 _BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
 _BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
+# firstcond_boundary: at p up to this, the batch is the first 11 moduli,
+# up to _BOUNDARY_MUS[10] = 0.99, and skips the five above, whose rows
+# need tanh-sinh level 5.  K_p falls in p, and K_1.86(_BOUNDARY_MUS[10])
+# is 0.027 above the threshold, so the crossing lies below that modulus
+_BOUNDARY_LOW_P = 1.86
 # firstcond_boundary: at most this many scalar K_p evaluations; it stops
 # once the interpolation error estimate, or the bracket, is at most this
 # narrow in mu
@@ -189,6 +196,11 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     set, which is K_p at the largest modulus.  For interval grids the sup
     of tau_k between nodes is not controlled (tau_k need not be monotone
     in mu), and the report says so.
+
+    An INCONCLUSIVE report with margin above the slack names the least K
+    that could pass: lhs only grows with K and the tail bound falls like
+    1/K, so a PASS at K' needs K' > K tail / (margin - slack), which is
+    2 sqrt(2) K_p(sup) / (pi^2 (margin - slack)).
     """
     K = _check_int("K", K, 5, odd=True)
     # one row per modulus, one column per odd k = 1, 3, ..., K, from one
@@ -201,6 +213,11 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     if ms.kind == "interval-grid":
         notes.append("sup over grid points only; not a rigorous sup between nodes")
     inconclusive = "tail bound straddles the margin; increase K to shrink it"
+    excess = rhs - lhs - _SLACK
+    if excess > 0.0:
+        least = math.floor(K * tail / excess) + 1
+        least += 1 - least % 2
+        inconclusive += f", to at least K = {least}"
     return _report("invertibility", lhs, rhs, tail, K, notes, inconclusive)
 
 
@@ -273,9 +290,17 @@ def firstcond_boundary(p: float) -> float:
     Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], solved in
     t = log(1 - mu^p): K_p is 2F1(1/p, 1/p; 1; mu^p) times a constant,
     close to linear in t both for small mu^p and near its logarithmic
-    singularity at mu^p = 1.  One batched K_p call evaluates 16 moduli
-    geometric in 1 - mu across the range; the grid interval where the sign
-    changes is the bracket.  Every K_p known so far, batch node or scalar
+    singularity at mu^p = 1.  One batched K_p call evaluates moduli
+    geometric in 1 - mu; the grid interval where the sign changes is the
+    bracket.  For p > 1.86 these are all 16 from 1e-6 to 0.999.  For
+    p <= 1.86 they are the first 11, up to 0.99: K_p falls in p, and
+    K_1.86(0.99) is 0.027 above the threshold, so the crossing lies below
+    0.99, and the five moduli above it, whose rows are the ones that need
+    tanh-sinh level 5, are skipped.  Over p in [1.26, 2.02], rows 0-3
+    (mu up to 0.75) stop at level 3, row 4 (0.84) at level 3 or 4, rows
+    5-9 (0.90-0.98) at level 4, row 10 (0.99) at level 5 for p up to
+    about 1.52 and at level 4 above, rows 11 and 12 at level 4 or 5, and
+    rows 13-15 at level 5.  Every K_p known so far, batch node or scalar
     evaluation, is a point (t, K_p - threshold); the root estimate is the
     inverse interpolant through the seven points nearest the threshold,
     and its error estimate the distance, in mu, to the root of the inverse
@@ -293,8 +318,8 @@ def firstcond_boundary(p: float) -> float:
         If p is not a finite number above 1, checked before any K_p work.
     NoSignChange
         If the batch shows no crossing: K_p is already above the threshold
-        at 1e-6 (p below about 1.25) or still below it at 0.999 (p above
-        about 2.02).
+        at 1e-6 (p below about 1.25; the message quotes the batch's top
+        modulus, 0.99) or still below it at 0.999 (p above about 2.02).
     MaxIterations
         If neither stop is met after 60 scalar K_p evaluations.
     """
@@ -305,7 +330,8 @@ def firstcond_boundary(p: float) -> float:
         # an extrapolated t >= 0 maps to mu = 0, outside every bracket
         return (-math.expm1(min(t, 0.0))) ** (1.0 / p)
 
-    mus = _BOUNDARY_MUS.tolist()
+    grid = _BOUNDARY_MUS if p > _BOUNDARY_LOW_P else _BOUNDARY_MUS[:11]
+    mus = grid.tolist()
     f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
     if f[0] > 0.0 or f[-1] < 0.0:
         raise NoSignChange(
@@ -315,7 +341,7 @@ def firstcond_boundary(p: float) -> float:
     k = next(i for i, fi in enumerate(f) if fi >= 0.0)
     if f[k] == 0.0:
         return mus[k]
-    ts = np.log1p(-(_BOUNDARY_MUS**p)).tolist()
+    ts = np.log1p(-(grid**p)).tolist()
     # the known points as {f: t}: keyed by f, so the interpolation nodes
     # are distinct and no denominator of the recurrence is zero
     known = dict(zip(f, ts))

@@ -142,6 +142,32 @@ def test_verdict_lines_read_each_metric_from_the_summary():
     ]
 
 
+def test_report_lines_give_the_pooled_verdicts_then_each_seeds():
+    # seed 5: the change wins both pairs by 20; seed 9973: the parent wins
+    # its one pair by 10
+    runs = [
+        _run("parent", 5, 0, 100.0, 1.0), _run("change", 5, 0, 120.0, 1.0),
+        _run("parent", 5, 1, 102.0, 1.0), _run("change", 5, 1, 122.0, 1.0),
+        _run("parent", 9973, 0, 110.0, 1.0), _run("change", 9973, 0, 100.0, 1.0),
+    ]
+    entry = {
+        "summary": bench_pairs.summarize(runs, METRICS),
+        "by_seed": {
+            str(s): bench_pairs.summarize([r for r in runs if r["seed"] == s], METRICS)
+            for s in (5, 9973)
+        },
+    }
+    lines = bench_pairs.report_lines("kp_scan", entry, METRICS[:1])
+    assert lines == [
+        "kp_scan tasks_per_s: gain +17.65%, pairs won change 2 parent 1 of 3, "
+        "parent_iqr 5, gain_rule_met false, regression none",
+        "kp_scan seed 5 tasks_per_s: gain +19.80%, pairs won change 2 parent 0 "
+        "of 2, parent_iqr 1, gain_rule_met true, regression none",
+        "kp_scan seed 9973 tasks_per_s: gain -9.09%, pairs won change 0 parent 1 "
+        "of 1, parent_iqr 0, gain_rule_met false, regression none",
+    ]
+
+
 @pytest.mark.parametrize("value, says", [("1", "set"), ("", "unset"), (None, "unset")])
 def test_host_says_whether_bytecode_writing_is_off(monkeypatch, value, says):
     # with PYTHONDONTWRITEBYTECODE set, each worker compiles the package

@@ -131,6 +131,29 @@ def test_invertibility_near_one_inconclusive():
     assert r.tail_bound > r.margin
 
 
+@pytest.mark.parametrize("p, mu, least", [
+    (1.2, 0.9, 41), (1.5, 0.997, 49), (2.0, 1.0 - 1e-12, 35),
+])
+def test_invertibility_inconclusive_names_the_least_K_that_could_pass(p, mu, least):
+    # lhs only grows with K and the tail bound falls like 1/K, so no K
+    # below K tail / (margin - slack) can pass
+    ms = ct.ModulusSet.constant(mu)
+    r = ct.certify_invertibility(p, ms, K=21)
+    assert r.verdict == "INCONCLUSIVE"
+    assert r.caveats.endswith(f"increase K to shrink it, to at least K = {least}")
+    bound = 2.0 * math.sqrt(2.0) * el.kp(p, mu) / (math.pi**2 * (r.margin - ct._SLACK))
+    assert least - 2 < bound < least
+    assert ct.certify_invertibility(p, ms, K=least - 2).verdict != "PASS"
+
+
+def test_invertibility_inconclusive_within_the_slack_names_no_K(monkeypatch):
+    # a margin at or below the slack gives no finite bound: the text stays
+    monkeypatch.setattr(ct, "tau_k", lambda p, mus, ks: np.array([[1.0, 1.0]]))
+    r = ct.certify_invertibility(2.0, ct.ModulusSet.constant(0.5), K=5)
+    assert r.margin == 0.0 and r.verdict == "INCONCLUSIVE"
+    assert r.caveats == "tail bound straddles the margin; increase K to shrink it"
+
+
 def test_invertibility_fails_when_the_partial_sum_alone_exceeds_tau1():
     # the odd sum up to K is a lower bound on the full sum, so a negative
     # margin fails the test although the tail bound (1.44) exceeds it
@@ -389,9 +412,12 @@ def _seeded_ps(n, seed=26):
     return sorted(round(rng.uniform(1.26, 2.02), 4) for _ in range(n))
 
 
-# both ends of the crossing range, the values p = 1.3, 1.5 and 2.0, and
-# 20 seeded values in [1.26, 2.02]
-_NEWTON_PS = [1.26, 1.3, 1.5, 2.0, 2.02] + _seeded_ps(20)
+# both ends of the crossing range, the values p = 1.3, 1.5 and 2.0, both
+# sides of the cut at which the batch drops its moduli above 0.99, and 20
+# seeded values in [1.26, 2.02]
+_CUT_ABOVE = float(np.nextafter(ct._BOUNDARY_LOW_P, 2.0))
+_NEWTON_PS = [1.26, 1.3, 1.5, 2.0, 2.02, ct._BOUNDARY_LOW_P, _CUT_ABOVE]
+_NEWTON_PS += _seeded_ps(20)
 
 
 @pytest.mark.parametrize("p", _NEWTON_PS)
@@ -447,8 +473,8 @@ def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
 def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
-    # the 16-modulus batch, one _kp_rows call, narrows the bracket to one
-    # grid interval and holds the points the first interpolant runs
+    # the batch of 11 or 16 moduli, one _kp_rows call, narrows the bracket
+    # to one grid interval and holds the points the first interpolant runs
     # through, so a few scalar evaluations inside it suffice
     batches = _counting(monkeypatch, ct, "_kp_rows")
     calls = _counting(monkeypatch, ct, "kp")
@@ -456,6 +482,78 @@ def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
     assert batches[0] == 1
     assert calls[0] <= 2
     assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
+
+
+def _spy_batches(monkeypatch):
+    """The moduli of each _kp_rows call that firstcond_boundary makes."""
+    batches = []
+    rows = ct._kp_rows
+
+    def spy(ps, mus):
+        batches.append(list(mus))
+        return rows(ps, mus)
+
+    monkeypatch.setattr(ct, "_kp_rows", spy)
+    return batches
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 1.7, 1.86])
+def test_firstcond_boundary_skips_the_moduli_above_0_99_up_to_the_cut(
+    monkeypatch, p
+):
+    # the crossing lies below mu = 0.99 for every p <= 1.86, so the batch
+    # stops at the grid node 0.99
+    batches = _spy_batches(monkeypatch)
+    b = ct.firstcond_boundary(p)
+    assert batches == [ct._BOUNDARY_MUS[:11].tolist()]
+    assert b < ct._BOUNDARY_MUS[10]
+
+
+@pytest.mark.parametrize("p", [_CUT_ABOVE, 1.9, 2.02])
+def test_firstcond_boundary_runs_the_full_grid_above_the_cut(monkeypatch, p):
+    batches = _spy_batches(monkeypatch)
+    ct.firstcond_boundary(p)
+    assert batches == [ct._BOUNDARY_MUS.tolist()]
+
+
+@pytest.mark.parametrize("p", [1.5, 1.7, 1.86])
+def test_firstcond_boundary_builds_no_level_5_kp_factor_below_the_cut(
+    monkeypatch, p
+):
+    # the skipped rows above 0.99 are the ones that need tanh-sinh level 5;
+    # the kept rows and the scalar refinements stop at level 4 here (at
+    # p = 1.3 the 0.99 row itself reaches level 5)
+    el._kp.cache_clear()
+    levels = []
+    factor = el._kp_p_factor
+
+    def spy(ps, lev):
+        levels.append(lev)
+        return factor(ps, lev)
+
+    monkeypatch.setattr(el, "_kp_p_factor", spy)
+    ct.firstcond_boundary(p)
+    assert levels and max(levels) < 5
+
+
+def test_kp_at_the_cut_is_above_the_threshold_at_0_99():
+    # the fact the cut rests on, with the falls of K_p in p tested below:
+    # every p <= 1.86 has K_p(0.99) >= K_1.86(0.99), above the threshold
+    gap = el.kp(ct._BOUNDARY_LOW_P, ct._BOUNDARY_MUS[10]) - ct.FIRSTCOND_RHS
+    assert round(gap, 3) == 0.027
+
+
+def test_kp_does_not_increase_in_p():
+    # a seeded grid of 40 p, log-uniform in [1.001, 50], by 30 moduli in
+    # [0, 1 - 1e-15], half uniform and half with 1 - mu log-uniform
+    rng = random.Random(186)
+    ps = [1.001, 50.0]
+    ps += [math.exp(rng.uniform(math.log(1.001), math.log(50.0))) for _ in range(38)]
+    mus = [0.0, 1.0 - 1e-15] + [rng.uniform(0.0, 1.0) for _ in range(14)]
+    mus += [1.0 - 10.0 ** rng.uniform(-15.0, 0.0) for _ in range(14)]
+    for mu in mus:
+        row = [el.kp(p, mu) for p in sorted(ps)]
+        assert all(a >= b for a, b in zip(row, row[1:])), mu
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])

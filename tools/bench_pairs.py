@@ -17,7 +17,8 @@ file can hold several.  The file is rewritten after every pair, so a run
 that is stopped keeps the pairs it finished.  The output ends with one
 line per end-to-end metric of the workload, read from that summary: the
 gain, the pairs each side won, ``parent_iqr``, ``gain_rule_met`` and
-``regression``.  Each workload's ``host`` says whether
+``regression``; first over all seeds, then once per seed, so a claim can
+be read on one seed alone.  Each workload's ``host`` says whether
 PYTHONDONTWRITEBYTECODE was set, since then every worker's ``setup_s``
 includes compiling the package.
 """
@@ -118,6 +119,15 @@ def verdict_lines(workload: str, summary: dict, end_to_end: list) -> list:
     return lines
 
 
+def report_lines(workload: str, entry: dict, end_to_end: list) -> list:
+    """:func:`verdict_lines` of ``entry["summary"]``, over all seeds, then
+    of each seed's summary in ``entry["by_seed"]``, headed "W seed S"."""
+    lines = verdict_lines(workload, entry["summary"], end_to_end)
+    for seed, summary in entry["by_seed"].items():
+        lines += verdict_lines(f"{workload} seed {seed}", summary, end_to_end)
+    return lines
+
+
 def host() -> str:
     """The machine, Python and numpy, and whether PYTHONDONTWRITEBYTECODE
     is set: the workers inherit it, and then each compiles the package
@@ -213,7 +223,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     if entry["runs"]:
-        print("\n".join(verdict_lines(args.workload, entry["summary"], end_to_end)))
+        print("\n".join(report_lines(args.workload, entry, end_to_end)))
     return 0
 
 

@@ -127,6 +127,9 @@ _SING_MARGIN = 1e-6
 # with 96, one Newton pass ends almost every 101-point batch of the
 # eigenfunction residuals; with 48, more than half of them take a second
 _TAB_NODES = 96
+# their v, evenly spaced from 1 down, without the v = 0 end
+_TAB_V = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
+_TAB_V.flags.writeable = False
 # w_p tail panels: Chebyshev interpolants of degree _CHEB_N - 1, sampled at
 # the first-kind points _CHEB_X, descending from x = 1 to x = -1
 _CHEB_N = 33
@@ -351,6 +354,32 @@ def _direct_series(p: float, mup: float) -> np.ndarray:
     return c[: np.nonzero(keep)[0][-1] + 1]
 
 
+# below this x = z**p the series sum rounds away, and w_p = z exactly: c_0
+# is 1.0 and c_N <= (N + 1) / (p N + 1) < 1 for N >= 1, so the terms after
+# c_0 add up to less than x / (1 - x) < 2**-59, which 1.0 + rounds to 1.0.
+# The sum rounds away up to x = 2**-56; the margin keeps the rounding of x
+# itself from mattering
+_SERIES_ROUNDS_AWAY = 2.0**-60
+
+
+def _series_powers(z, p: float, n: int) -> np.ndarray:
+    """x**N for N = 1..n with x = z**p, on the last axis, one row per point
+    of z (a float or an array), each row one running product of x."""
+    powers = np.empty(np.shape(z) + (n,))
+    # powers.T has the points on its last axis, so x, one value per point,
+    # fills each point's row, and a point's x its one row
+    powers.T[...] = np.power(z, p)
+    return powers.cumprod(axis=-1, out=powers)
+
+
+def _series_sum(z, powers: np.ndarray, c: np.ndarray):
+    """w_p(z) = z * sum_N c_N x**N, x = z**p, from the coefficients c of
+    :func:`_direct_series` and the powers x**N, N >= 1, of
+    :func:`_series_powers`, which may hold more columns than c uses: the
+    one series sum of w_p, for a point or for each row."""
+    return z * (c[0] + np.add.reduce(powers[..., : c.size - 1] * c[1:], axis=-1))
+
+
 def _tail_edges(p: float, mu: float) -> np.ndarray:
     """Edges of the w_p tail panels in v = e**(1/r), ascending from 0 to
     0.4**(1/r), with e = 1 - z and r = p / (p - 1).
@@ -393,25 +422,38 @@ def _tail_edges(p: float, mu: float) -> np.ndarray:
         shrink = _TAIL_GROWTH ** -p
     stop = (1e-17 * min(d, 1.0)) ** q
     eps, mup = _eps_mup(p, mu)
+    up, down, expo = branch + 1.0, branch - 1.0, -1.0 / p
     b = 0.4**q
     edges = [b]
     w = 0.6
+    # each bound replaces length only when strictly smaller, and the floor
+    # replaces a only when strictly larger: min's and max's rule for ties
+    # and NaN, without their call
     while True:
-        length = min(2.0 * b / (branch + 1.0), 2.0 * (1.0 - b) / (branch - 1.0))
+        length = 2.0 * b / up
+        cap = 2.0 * (1.0 - b) / down
+        if cap < length:
+            length = cap
         # g(b) = r _tail_factor(b**r) in scalar math: 0.25 us a panel,
         # where a numpy call on one point takes 10 us
         e = b**r
         ratio = -math.expm1(p * math.log1p(-e)) / e
-        g = r * (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
+        g = r * (ratio * (eps + mup * ratio * e)) ** expo
         if w < _TAIL_SHARE_UNTIL:
-            length = min(length, _TAIL_SHARE * w / g)
+            cap = _TAIL_SHARE * w / g
+            if cap < length:
+                length = cap
         for x, y in poles:
-            length = min(length, scale * (kappa * math.hypot(b - x, y) - b + x))
+            cap = scale * (kappa * math.hypot(b - x, y) - b + x)
+            if cap < length:
+                length = cap
         a = b - length
         if mu > 0.0:
-            floor = (b**r + dmu) * shrink - dmu
+            floor = (e + dmu) * shrink - dmu
             if floor > 0.0:
-                a = max(a, floor**q)
+                floor **= q
+                if floor > a:
+                    a = floor
         if a <= stop:
             edges.append(0.0)
             return np.array(edges[::-1])
@@ -575,15 +617,9 @@ class _SnpEngine:
         return out
 
     def _direct(self, z):
-        """z * sum_N c_N x**N with x = z**p, one row of powers per point."""
+        """w_p on the series side, at a point or an array of z."""
         c = self._series
-        terms = np.empty(np.shape(z) + (c.size - 1,))
-        # terms.T has the points on its last axis, so x, one value per
-        # point, fills each point's row, and a point's x its one row
-        terms.T[...] = np.power(z, self.p)
-        terms.cumprod(axis=-1, out=terms)
-        terms *= c[1:]
-        return z * (c[0] + np.add.reduce(terms, axis=-1))
+        return _series_sum(z, _series_powers(z, self.p, c.size - 1), c)
 
     def _tail(self, e):
         """w_p at e = 1 - z in [0, 0.4]: w_p at the upper edge b of e's panel
@@ -636,11 +672,13 @@ class _SnpEngine:
             coef = coef[:, 1:]
             coef[np.abs(coef) < 2.0 * _EPS * integral[:, None]] = 0.0
             # the last two coefficients of every panel must chop to 0
-            if np.any(coef[:, -2:] != 0.0):
+            if np.count_nonzero(coef[:, -2:]):
                 raise NonConvergence(
                     f"w_p tail panels do not resolve the integrand for p={p}, mu={mu}"
                 )
-            n = np.nonzero(np.any(coef != 0.0, axis=0))[0][-1] + 1
+            # n: through the last column that any panel keeps
+            kept = np.count_nonzero(coef, axis=0)
+            n = kept.size - int((kept[::-1] != 0).argmax())
             # w_p at the upper panel edges, summed from w_p(0.6) down
             w06 = self._direct(np.array([0.6]))
             top = np.cumsum(np.concatenate((w06, integral[:0:-1])))[::-1]
@@ -681,7 +719,7 @@ class _SnpEngine:
         if self._table is None:
             p = self.p
             r = p / (p - 1.0)
-            v = np.linspace(1.0, 0.0, _TAB_NODES + 2)[:-1]
+            v = _TAB_V
             e = v**r
             # a node whose z rounds to 1 repeats the v = 0 node's w = K
             keep = 1.0 - e < 1.0
@@ -692,13 +730,14 @@ class _SnpEngine:
             e = np.concatenate((e, panels.e))
             slope = -1.0 / (r * _tail_factor(e, p, *_eps_mup(p, self.mu)))
             order = np.argsort(v)[::-1]
-            v, z, w, slope = v[order], 1.0 - e[order], w[order], slope[order]
             j = np.minimum(np.maximum(np.arange(-1, w.size), 0), w.size - 2)
-            rows = np.array([
-                w[j], w[j + 1] - w[j], v[j], v[j + 1] - v[j],
-                slope[j], slope[j + 1], z[j], z[j + 1],
-            ])
-            self._table = (w, rows)
+            # one gather, in the order by v, of both nodes of every bracket:
+            # rows w_j, w_j+1, v_j, v_j+1, the two slopes, z_j and z_j+1,
+            # whose second and fourth then become the differences
+            both = order[np.stack((j, j + 1))]
+            rows = np.stack((w, v, slope, 1.0 - e))[:, both].reshape(8, -1)
+            rows[1:4:2] -= rows[0:4:2]
+            self._table = (w[order], rows)
         return self._table
 
     def invert(self, t):

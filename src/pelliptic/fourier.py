@@ -21,8 +21,13 @@ numerical cancellation, not by construction.
 All of these integrals run through the package's one tanh-sinh routine.
 x1 depends only on (p, mu), never on k, so the modulus's sn_p engine
 holds it (``_SnpEngine.x1``) as one array over a prefix of the node
-table; a cold profile fills its first six levels with one w_p call, since
-a call costs mostly numpy overhead at a few hundred points.  Any set of
+table; a cold profile fills its first six levels in one pass.  A pass
+serves every engine of a call that it extends over the same nodes: it
+evaluates each distinct node once (the 95 nodes of levels 0-5 that round
+to z = 1 are one), forms the series powers x**N, x = z**p, once for all
+of them, takes w_p = z where x is so small that the series sum rounds
+away, and sums each engine's tail once; every x1 keeps the bits that the
+engine's w_p gives node by node.  Any set of
 moduli and indices k is one call of the routine, one row per (mu, k),
 each stopping at its own level (every row is evaluated on the routine's
 first block, levels 0-4), so a coefficient does not depend on which
@@ -37,12 +42,13 @@ g(x) = (1-q) sum_j q^j/(1-q^(2j+1)) sqrt(2) sin((2j+1) pi x), summed to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _engine, kp
+from .elliptic import _SERIES_ROUNDS_AWAY, _engine, _series_powers, _series_sum, kp
 from .errors import _check_int, _check_interval, _check_run, _validate_pmu
 from .quadrature import _tanh_sinh, _ts_nodes, _ts_slice
 
@@ -68,16 +74,16 @@ _TAU_TOL = 1e-11
 # call per modulus (numpy 2.4, x86-64)
 _ROWS = 256
 
-# Last tanh-sinh level of the first w_p call of a cold profile: the
-# driver's first call, its block of levels 0..4, evaluates w_p at the
-# nodes of levels 0.._FILL_LEVEL at once, and each later level gets a
-# call of its own.  A call over a few hundred points costs mostly numpy
-# overhead: at (p, mu) = (2, 0.5), (1.5, 0.9), (3.5, 0.9), (6, 0.3) and
-# (1.2, 0.999), one w_p call per level takes 0.31-0.61 ms for levels
-# 0..5, one call over the same 391 points 0.14-0.25 ms (numpy 2.4, one
-# core).  On a 7x7 (p, mu) grid, p from 1.1 to 10 and mu from 0 to
-# 0.99999, tau_1..tau_21 stop at level 4 or 5, tau_1 alone within the
-# block, _sn_l2 within it or at level 5, and tau_1..tau_201 at 6 or 7.
+# Last tanh-sinh level of the first fill pass of a cold profile: the
+# driver's first call, its block of levels 0..4, fills x1 at the nodes of
+# levels 0.._FILL_LEVEL at once, and each later level gets a pass of its
+# own.  A pass over a few hundred points costs mostly numpy overhead: at
+# (p, mu) = (2, 0.5), (1.5, 0.9), (3.5, 0.9), (6, 0.3) and (1.2, 0.999),
+# one w_p call per level took 0.31-0.61 ms for levels 0..5, one call over
+# the same 391 points 0.14-0.25 ms (numpy 2.4, one core).  On a 7x7
+# (p, mu) grid, p from 1.1 to 10 and mu from 0 to 0.99999, tau_1..tau_21
+# stop at level 4 or 5, tau_1 alone within the block, _sn_l2 within it or
+# at level 5, and tau_1..tau_201 at 6 or 7.
 _FILL_LEVEL = 5
 
 
@@ -111,23 +117,65 @@ def _split_integral(p: float, mus: list, owner: np.ndarray, g, tol: float):
     in the node table, the block's as the table's prefix, so x1 is the
     same slice of each modulus's profile, the ``x1`` of its cached sn_p
     engine.  The driver visits levels in order, so a call past a cached
-    prefix extends it with one w_p call through level ``lev`` or
-    _FILL_LEVEL, whichever is later.  w_p treats each point on its own,
-    and a row's G only its own x1, so neither the grouping of the fill nor
-    the other rows change a value.
+    prefix extends it through level ``lev`` or _FILL_LEVEL, whichever is
+    later, in one pass of :func:`_fill` for all the engines whose prefix
+    ends at the same node.  The fill gives each node the bits of the
+    engine's w_p at that node alone, and a row's G uses only its own x1,
+    so neither the grouping of the fill nor the other rows change a value.
     """
     engines = [_engine(p, mu) for mu in mus]
 
     def F(lev: int, z: np.ndarray, cz: np.ndarray, rows) -> np.ndarray:
         end = _ts_slice(lev).stop
-        for eng in engines:
+        # the engines short of end, once each, by the size of their prefix
+        short = {}
+        for eng in dict.fromkeys(engines):
             if end > eng.x1.size:
-                new = _ts_nodes(max(lev, _FILL_LEVEL))[0][eng.x1.size :]
-                eng.x1 = np.concatenate([eng.x1, eng.wp_many(new) / (2.0 * eng.K)])
+                short.setdefault(eng.x1.size, []).append(eng)
+        for start, group in short.items():
+            _fill(group, start, max(lev, _FILL_LEVEL))
         x1 = np.array([eng.x1[end - z.size : end] for eng in engines])
         return g(x1[owner[rows]], z, rows)
 
     return _tanh_sinh(F, 1.0, tol)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _fill_nodes(start: int, lev: int) -> tuple:
+    """The node table's z from ``start`` through level ``lev`` as distinct
+    values: (z <= 0.6 ascending, e = 1 - z for the rest, the index that
+    takes the distinct values back to table order).  The z that round to 1
+    are one node, 95 of the 391 of levels 0-5."""
+    z, back = np.unique(_ts_nodes(lev)[0][start : _ts_slice(lev).stop], return_inverse=True)
+    n = np.count_nonzero(z <= 0.6)
+    out = z[:n], 1.0 - z[n:], back
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _fill(engines: list, start: int, lev: int) -> None:
+    """Extend the profiles x1 = w_p / (2 K_p) of ``engines``, one p, each
+    holding the first ``start`` nodes of the table, through level ``lev``,
+    with the bits that each engine's ``wp_many`` gives on those nodes.
+
+    Each distinct node is evaluated once (:func:`_fill_nodes`).  On the
+    series side, nodes whose x = z**p lies below _SERIES_ROUNDS_AWAY take
+    w_p = z, which the series sum rounds to there, and the rest share one
+    matrix of powers x**N, long enough for every engine's series; each
+    engine applies its own coefficients.  The tail side is one ``_tail``
+    call per engine, where z = 1 divides by zero in a log, as in wp_many.
+    """
+    zs, e, back = _fill_nodes(start, lev)
+    p = engines[0].p
+    # the nodes below z = _SERIES_ROUNDS_AWAY**(1/p); the rounding of that
+    # root moves its x far less than the cut's margin
+    k = zs.searchsorted(_SERIES_ROUNDS_AWAY ** (1.0 / p))
+    powers = _series_powers(zs[k:], p, max(eng._series.size for eng in engines) - 1)
+    with np.errstate(divide="ignore"):
+        for eng in engines:
+            w = (zs[:k], _series_sum(zs[k:], powers, eng._series), eng._tail(e))
+            eng.x1 = np.concatenate((eng.x1, (np.concatenate(w) / (2.0 * eng.K))[back]))
 
 
 def _cosine_rows(p: float, mus: list, kpi: np.ndarray, odd: np.ndarray) -> np.ndarray:

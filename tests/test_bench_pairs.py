@@ -1,6 +1,8 @@
-"""Tests for the summary that tools/bench_pairs.py writes (no benchmark runs)."""
+"""Tests for tools/bench_pairs.py: its summary and its copy of the working tree
+(no benchmark runs)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -177,3 +179,36 @@ def test_host_says_whether_bytecode_writing_is_off(monkeypatch, value, says):
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
     assert bench_pairs.host().endswith(f", PYTHONDONTWRITEBYTECODE {says}")
+
+
+def test_change_tree_is_a_copy_of_the_working_tree(tmp_path):
+    # tracked files as they are on disk, untracked ones unless ignored; a
+    # tracked file deleted on disk and every ignored file stay behind
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "build").mkdir()
+    files = {
+        ".gitignore": "build/\n*.log\n",
+        "tracked.py": "old\n",
+        "src/gone.py": "x\n",
+        "src/kept.py": "y\n",
+    }
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "tracked.py").write_text("edited\n")
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("z\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "build" / "out.o").write_text("ignored\n")
+    out = tmp_path / "change"
+    bench_pairs._copy_tree(str(repo), str(out))
+    copied = {p.relative_to(out).as_posix(): p.read_text()
+              for p in out.rglob("*") if p.is_file()}
+    assert copied == {
+        ".gitignore": "build/\n*.log\n",
+        "tracked.py": "edited\n",
+        "src/kept.py": "y\n",
+        "src/new.py": "z\n",
+    }

@@ -436,6 +436,29 @@ def test_firstcond_boundary_matches_mpmath_newton_step(p):
         assert abs(float(root - M)) < 1e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the stop estimate, the gap between the 7- and 6-point roots, "
+    "undercovers the 1e-12 stop here: the boundary is 1.34e-12 off",
+)
+def test_firstcond_boundary_within_its_stop_of_the_mpmath_root():
+    # the boundary returns 0.3708114882440681 after one scalar kp; the
+    # 30-digit root of pi/(p sin(pi/p)) 2F1(a, a; 1; mu^p) = 8/(pi^2 - 8),
+    # a = 1/p, is 0.3708114882427266...
+    p = 1.3087812341441019
+    with mpmath.workdps(30):
+        P = mpmath.mpf(p)
+        pref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P))
+        root = mpmath.findroot(
+            lambda m: pref * mpmath.hyp2f1(1 / P, 1 / P, 1, m**P)
+            - 8 / (mpmath.pi**2 - 8),
+            0.3708114882,
+        )
+    assert abs(float(root) - 0.37081148824272666) < 1e-16
+    assert abs(ct.firstcond_boundary(p) - float(root)) <= 1e-12
+
+
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that counts its calls."""
     calls = [0]

@@ -198,45 +198,58 @@ def test_tau_k_and_sn_l2_converge_on_the_whole_domain():
 
 def _engine_counter(monkeypatch):
     """Clear the engine cache, and with it every profile, and record, from
-    then on, the number of points of every w_p call and of every sn_p
-    inversion of any engine."""
-    wp_sizes, inversions = [], []
-    wp_many, invert = el._SnpEngine.wp_many, el._SnpEngine.invert
+    then on, what any engine evaluates: the first list gets ("wp_many", n)
+    for a w_p call on n points, ("_tail", n) for a tail sum on n points
+    and ("powers", n) for a power matrix of the profile fill over n
+    nodes; the second the points of every sn_p inversion."""
+    evaluated, inversions = [], []
+    wp_many, tail, invert = el._SnpEngine.wp_many, el._SnpEngine._tail, el._SnpEngine.invert
+    powers = fr._series_powers
 
     def counting_wp(self, z):
-        wp_sizes.append(np.size(z))
+        evaluated.append(("wp_many", np.size(z)))
         return wp_many(self, z)
+
+    def counting_tail(self, e):
+        evaluated.append(("_tail", np.size(e)))
+        return tail(self, e)
+
+    def counting_powers(z, p, n):
+        evaluated.append(("powers", np.size(z)))
+        return powers(z, p, n)
 
     def counting_invert(self, t):
         inversions.append(np.size(t))
         return invert(self, t)
 
     monkeypatch.setattr(el._SnpEngine, "wp_many", counting_wp)
+    monkeypatch.setattr(el._SnpEngine, "_tail", counting_tail)
+    monkeypatch.setattr(fr, "_series_powers", counting_powers)
     monkeypatch.setattr(el._SnpEngine, "invert", counting_invert)
     el._engine.cache_clear()
-    return wp_sizes, inversions
+    return evaluated, inversions
 
 
 def test_warm_profile_makes_no_snp_call(monkeypatch):
-    wp_sizes, inversions = _engine_counter(monkeypatch)
+    evaluated, inversions = _engine_counter(monkeypatch)
     first = fr.fourier_profile(2.5, 0.45, 41)
-    assert len(wp_sizes) > 0
-    wp_sizes.clear()
+    assert ("_tail", 97) in evaluated
+    evaluated.clear()
     assert fr.fourier_profile(2.5, 0.45, 41) == first
     assert fr._sn_l2(2.5, 0.45) > 0.0
-    assert wp_sizes == [] and inversions == []
+    assert evaluated == [] and inversions == []
 
 
 def test_warm_certificate_of_200_moduli_reuses_every_profile(monkeypatch):
     # each modulus's profile lives on its engine, so a set of 200 moduli
     # keeps all of them, under the engine cache's bound of 256
-    wp_sizes, inversions = _engine_counter(monkeypatch)
+    evaluated, inversions = _engine_counter(monkeypatch)
     ms = ct.ModulusSet.grid(0.05, 0.95, 200)
     cold = ct.certify_invertibility(1.5, ms, K=21)
-    wp_sizes.clear()
+    evaluated.clear()
     misses = el._engine.cache_info().misses
     assert ct.certify_invertibility(1.5, ms, K=21) == cold
-    assert wp_sizes == [] and inversions == []
+    assert evaluated == [] and inversions == []
     assert el._engine.cache_info().misses == misses
 
 
@@ -255,26 +268,80 @@ def test_profile_checks_its_k_run_once(monkeypatch):
     assert names == ["K_max", "K"]
 
 
+def _fill_work(start, lev, p, engines=1):
+    """What one fill pass of ``engines`` engines at p from node ``start``
+    through level ``lev`` evaluates, as _engine_counter records it: one
+    power matrix over the distinct series nodes at or above the cut, then
+    one tail sum per engine over the distinct tail nodes."""
+    series, tail, _ = fr._fill_nodes(start, lev)
+    above = series.size - series.searchsorted(el._SERIES_ROUNDS_AWAY ** (1.0 / p))
+    return [("powers", above)] + [("_tail", tail.size)] * engines
+
+
 def test_cold_profile_fills_first_levels_in_one_call(monkeypatch):
-    wp_sizes, inversions = _engine_counter(monkeypatch)
+    evaluated, inversions = _engine_counter(monkeypatch)
     cuts = quad._ts_nodes()[3]
-    first = cuts[fr._FILL_LEVEL + 1]
-    assert first == 391
+    assert cuts[fr._FILL_LEVEL + 1] == 391
+    series, tail, back = fr._fill_nodes(0, fr._FILL_LEVEL)
+    # 297 distinct nodes: the 95 that round to z = 1 are one
+    assert (series.size, tail.size, back.size) == (200, 97, 391)
+    first = _fill_work(0, fr._FILL_LEVEL, 2.5)
+    assert 0 < first[0][1] < series.size
     fr.fourier_profile(2.5, 0.45, 21)
-    # levels 0..5 in one w_p call over their nodes z, and no sn_p at all
-    assert wp_sizes == [first]
+    # levels 0..5 in one pass over their distinct nodes, no w_p call and
+    # no sn_p at all
+    assert evaluated == first
     assert el._engine(2.5, 0.45).x1.size == 391
-    wp_sizes.clear()
+    evaluated.clear()
     el._engine.cache_clear()
     fr.fourier_profile(2.5, 0.45, 201)
-    # levels 0..5 in one call, then levels 6 and 7 one call each
-    assert wp_sizes == [first, cuts[7] - cuts[6], cuts[8] - cuts[7]]
+    # levels 0..5 in one pass, then levels 6 and 7 one pass each
+    assert evaluated == first + _fill_work(cuts[6], 6, 2.5) + _fill_work(cuts[7], 7, 2.5)
     assert el._engine(2.5, 0.45).x1.size == cuts[8] == 1561
-    wp_sizes.clear()
+    evaluated.clear()
     el._engine.cache_clear()
     fr.tau_k(2.5, 0.45, 1)
-    assert wp_sizes == [first]
+    assert evaluated == first
     assert inversions == []
+
+
+def test_cold_set_fills_with_one_power_matrix(monkeypatch):
+    # the engines of a set share p, so one pass serves them all: one
+    # power matrix, and one tail sum per distinct modulus
+    evaluated, inversions = _engine_counter(monkeypatch)
+    mus = [0.1, 0.3, 0.5, 0.7, 0.9, 0.3]
+    fr.tau_k(1.5, mus, np.arange(1, 22))
+    assert evaluated == _fill_work(0, fr._FILL_LEVEL, 1.5, engines=5)
+    assert inversions == []
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 6.0, 50.0])
+def test_fill_has_the_bits_of_wp_many_node_by_node(p):
+    # engines whose series differ in length (at p = 50 every series has
+    # two terms), filled from the start through level 5, then level 6
+    # alone, then levels 7 and 8 in one pass; each x1 must be w_p / (2 K_p)
+    # as wp_many gives it on each node alone
+    nodes, _, _, cuts = quad._ts_nodes(8)
+    engines = [el._SnpEngine(p, mu) for mu in (0.0, 0.5, 1.0 - 1e-15)]
+    assert len({eng._series.size for eng in engines}) > 1 or p == 50.0
+    for start, lev in [(0, 5), (cuts[6], 6), (cuts[7], 8)]:
+        fr._fill(engines, start, lev)
+    for eng in engines:
+        with np.errstate(divide="ignore"):
+            want = [eng.wp_many(z) / (2.0 * eng.K) for z in nodes[: cuts[9]].tolist()]
+        assert eng.x1.tobytes() == np.array(want).tobytes(), (p, eng.mu)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 6.0, 50.0, 1000.0])
+def test_wp_is_z_at_every_table_node_below_the_cut(p):
+    # on the series side, z <= 0.6, where z**p < _SERIES_ROUNDS_AWAY the
+    # series sum rounds away, which the fill takes as w_p = z without a
+    # sum; wp_many sums it
+    nodes = np.sort(quad._ts_nodes()[0])
+    below = nodes[(nodes <= 0.6) & (nodes < el._SERIES_ROUNDS_AWAY ** (1.0 / p))]
+    assert np.all(np.power(below, p) < 2.0**-56) and below.size > 100
+    for mu in (0.0, 0.5, 1.0 - 1e-15):
+        assert np.array_equal(el._SnpEngine(p, mu).wp_many(below), below), mu
 
 
 def test_grouped_fill_matches_per_level_fill():

@@ -4,10 +4,13 @@
         --pairs 10 --seconds 50 --out BENCH_33.json
 
 Run from anywhere inside the repository.  The committed files of
-PARENT_REF are unpacked (``git archive``) into a temporary directory,
-which is removed at the end.  Each pair runs ``perfbench/run.py
---workload W --seed S --seconds T --trace 0`` once in that directory and
-once in the working tree, one after the other; the side that goes first
+PARENT_REF are unpacked (``git archive``) into a temporary directory, and
+the working tree is copied into another next to it: its tracked files as
+they are on disk and its untracked files that .gitignore does not
+exclude.  So neither side runs in the checkout, and both trees are fresh
+copies on the same file system; the two are removed at the end.  Each
+pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace
+0`` once in each tree, one after the other; the side that goes first
 alternates from pair to pair, and each pair goes through every seed.
 Every run's end-to-end metrics (the ``end_to_end`` names of
 BENCHMARK.json) are written to the output file, with each side's median
@@ -154,6 +157,23 @@ def _unpack(ref: str, where: str) -> None:
         raise RuntimeError(f"git archive {ref} exited with {archive.returncode}")
 
 
+def _copy_tree(root: str, where: str) -> None:
+    """Copy the working tree of the repository at ``root`` into ``where``:
+    the tracked files as they are on disk, less those deleted there, and
+    the untracked files that .gitignore does not exclude."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    os.makedirs(where)
+    for name in dict.fromkeys(filter(None, names)):
+        src = os.path.join(root, name)
+        if os.path.isfile(src):
+            dst = os.path.join(where, name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+
+
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -195,8 +215,9 @@ def main(argv=None) -> int:
     doc["workloads"][args.workload] = entry
     tmp = tempfile.mkdtemp(prefix="bench_pairs-")
     try:
-        trees = {"parent": os.path.join(tmp, "tree"), "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
         _unpack(args.parent_ref, trees["parent"])
+        _copy_tree(ROOT, trees["change"])
         for pair in range(args.pairs):
             for seed in seeds:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]

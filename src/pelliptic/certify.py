@@ -26,14 +26,16 @@ are written once.  A certificate never silently overclaims: sups over
 interval grids carry an explicit non-rigorous-between-nodes caveat.
 
 ``firstcond_boundary`` finds where K_p crosses the firstcond threshold
-from one batched K_p call over 16 moduli up to 0.999, or over the 11 up
-to 0.99 when p <= 1.86, and then the root of the inverse interpolant
-through the seven known points nearest the threshold, refined by a
-scalar K_p or two.
+from one batched K_p call over 7 moduli around a root predicted from 9
+anchor roots stored once a process, or over a grid of 16 moduli up to
+0.999 outside the anchors' span, and then the root of the inverse
+interpolant through the seven known points nearest the threshold,
+refined by a scalar K_p now and then.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,18 +70,25 @@ _SLACK = 1e-9
 # 10,000-point batch at 94 MB in 0.09 s (one 2 GHz Xeon core, medians of
 # 15 runs)
 _CHUNK = 64
-# firstcond_boundary: moduli of the batch that brackets the crossing,
-# geometric in 1 - mu from the scan range's ends 1e-6 to 0.999, so node
-# 10 is 0.99 (moving nodes below mu = 0.6, or spacing them evenly in
-# log(1 - mu^p), lowered the mean count of scalar K_p calls by 0.01 at
-# most)
+# firstcond_boundary: moduli of the grid batch, geometric in 1 - mu from
+# the scan range's ends 1e-6 to 0.999 (moving nodes below mu = 0.6, or
+# spacing them evenly in log(1 - mu^p), lowered the mean count of scalar
+# K_p calls by 0.01 at most); the anchors' batch, and the fallback
 _BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
 _BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
-# firstcond_boundary: at p up to this, the batch is the first 11 moduli,
-# up to _BOUNDARY_MUS[10] = 0.99, and skips the five above, whose rows
-# need tanh-sinh level 5.  K_p falls in p, and K_1.86(_BOUNDARY_MUS[10])
-# is 0.027 above the threshold, so the crossing lies below that modulus
-_BOUNDARY_LOW_P = 1.86
+# firstcond_boundary: 9 values of p evenly spaced over the crossing range
+# [1.26, 2.02], at which the root t_b = log(1 - mu_b^p) is stored once a
+# process; the cubic through the 4 nearest predicts t_b at any p in that
+# span to 7.0e-3 at worst (1,500 seeded p)
+_ANCHOR_PS = tuple(np.linspace(1.26, 2.02, 9).tolist())
+# firstcond_boundary: the spacing in t of the 7 window moduli, and their
+# offsets from the predicted root, in decreasing t (increasing mu).  The
+# half-width 0.15 is 21 times the predictor's worst error.  Scalar K_p
+# calls per root over 200 seeded p in [1.3, 2.02] at spacings 0.02, 0.03,
+# 0.05, 0.075 and 0.1: 0, 0.02, 0.15, 0.2 and 0.33; 0.05 keeps a few, so
+# perfbench's kp_scan still sees scalar kp miss its cache
+_WINDOW_STEP = 0.05
+_WINDOW = _WINDOW_STEP * np.arange(3.0, -4.0, -1.0)
 # firstcond_boundary: at most this many scalar K_p evaluations; it stops
 # once the interpolation error estimate, or the bracket, is at most this
 # narrow in mu
@@ -269,13 +278,14 @@ def region_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _inverse_roots(points) -> list:
-    """t at f = 0 on the polynomials in f through the first 1, 2, ...,
-    len(points) of ``points``, pairs (f, t) with distinct f: inverse
+def _inverse_roots(points, n: int) -> list:
+    """t at f = 0 on the polynomials in f through the 1, 2, ..., n of
+    ``points``, pairs (f, t) with distinct f, nearest f = 0: inverse
     interpolation by Neville's recurrence, which gives all of them in one
     pass."""
-    f = [fi for fi, _ in points]
-    t = [ti for _, ti in points]
+    near = sorted(points, key=lambda pt: abs(pt[0]))[:n]
+    f = [fi for fi, _ in near]
+    t = [ti for _, ti in near]
     roots = [t[0]]
     for j in range(1, len(t)):
         for i in range(len(t) - j):
@@ -284,42 +294,77 @@ def _inverse_roots(points) -> list:
     return roots
 
 
+@functools.cache
+def _anchor_roots() -> tuple:
+    """t_b = log(1 - mu_b^p) at each p of ``_ANCHOR_PS``: the root of the
+    inverse interpolant through the 7 of its row of ``_BOUNDARY_MUS``
+    nearest the threshold, no scalar K_p; one ``_kp_rows`` call of 9 x 16
+    rows, once a process (2.2 ms of CPU in a fresh one)."""
+    n = len(_BOUNDARY_MUS)
+    ps = [p for p in _ANCHOR_PS for _ in range(n)]
+    f = _kp_rows(ps, _BOUNDARY_MUS.tolist() * len(_ANCHOR_PS))[0] - FIRSTCOND_RHS
+    roots = []
+    for p, row in zip(_ANCHOR_PS, f.reshape(-1, n).tolist()):
+        ts = np.log1p(-(_BOUNDARY_MUS**p)).tolist()
+        roots.append(_inverse_roots(zip(row, ts), 7)[-1])
+    return tuple(roots)
+
+
+def _window(p: float) -> list:
+    """The 7 moduli at t_hat + ``_WINDOW``, t = log(1 - mu^p), t_hat the
+    cubic through the 4 anchor roots nearest p, shifted if need be so that
+    all 7 lie in the scan range [1e-6, 0.999]; empty for p outside the
+    anchors' span."""
+    if not _ANCHOR_PS[0] <= p <= _ANCHOR_PS[-1]:
+        return []
+    pts = [(a - p, t) for a, t in zip(_ANCHOR_PS, _anchor_roots())]
+    t_hat = _inverse_roots(pts, 4)[-1]
+    half = _WINDOW[0]
+    t_top, t_bottom = math.log1p(-(0.999**p)), math.log1p(-(1e-6**p))
+    centre = min(max(t_hat, t_top + half), t_bottom - half)
+    mus = (-np.expm1(centre + _WINDOW)) ** (1.0 / p)
+    return np.clip(mus, 1e-6, 0.999).tolist()
+
+
 def firstcond_boundary(p: float) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
     Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], solved in
     t = log(1 - mu^p): K_p is 2F1(1/p, 1/p; 1; mu^p) times a constant,
     close to linear in t both for small mu^p and near its logarithmic
-    singularity at mu^p = 1.  One batched K_p call evaluates moduli
-    geometric in 1 - mu; the grid interval where the sign changes is the
-    bracket.  For p > 1.86 these are all 16 from 1e-6 to 0.999.  For
-    p <= 1.86 they are the first 11, up to 0.99: K_p falls in p, and
-    K_1.86(0.99) is 0.027 above the threshold, so the crossing lies below
-    0.99, and the five moduli above it, whose rows are the ones that need
-    tanh-sinh level 5, are skipped.  Over p in [1.26, 2.02], rows 0-3
-    (mu up to 0.75) stop at level 3, row 4 (0.84) at level 3 or 4, rows
-    5-9 (0.90-0.98) at level 4, row 10 (0.99) at level 5 for p up to
-    about 1.52 and at level 4 above, rows 11 and 12 at level 4 or 5, and
-    rows 13-15 at level 5.  Every K_p known so far, batch node or scalar
-    evaluation, is a point (t, K_p - threshold); the root estimate is the
-    inverse interpolant through the seven points nearest the threshold,
-    and its error estimate the distance, in mu, to the root of the inverse
-    interpolant through the nearest six.  The loop returns the 7-point
-    root once that estimate is at most 1e-12 with the root inside the
-    bracket, or once the bracket itself is that narrow.  Otherwise it
-    evaluates one scalar :func:`kp` at the root, or at the bracket's
-    midpoint in t if the root leaves the bracket, which shrinks as the
-    signs come in.  Over 200 values of p in [1.3, 2.02] that takes 1.51
-    scalar calls on average and 2 at most, never one at a grid modulus.
+    singularity at mu^p = 1.  The root t_b is smooth in p: at 9 anchors
+    p evenly spaced over [1.26, 2.02] the first call in a process stores
+    t_b (one batched K_p call of 9 x 16 rows, each root the 7-point
+    inverse interpolation of its row), and at a p in that span the cubic through the 4 nearest anchors predicts t_b
+    to 7.0e-3 at worst.  One batched K_p call evaluates the window of 7
+    moduli 0.05 apart in t around that prediction, shifted if need be to
+    stay in [1e-6, 0.999]; the window interval where the sign changes is
+    the bracket.  At a p outside the anchors' span, or when the window
+    shows no sign change, the batch is instead the grid of 16 moduli
+    geometric in 1 - mu from 1e-6 to 0.999.  Every K_p known so far,
+    batch node or scalar evaluation, is a point (t, K_p - threshold); the
+    root estimate is the inverse interpolant through the seven points
+    nearest the threshold, and its error estimate the distance, in mu,
+    to the root of the inverse interpolant through the nearest six.  The
+    loop returns the 7-point root once that estimate is at most 1e-12
+    with the root inside the bracket, or once the bracket itself is that
+    narrow.  Otherwise it evaluates one scalar :func:`kp` at the root, or
+    at the bracket's midpoint in t if the root leaves the bracket, which
+    shrinks as the signs come in.  Over 200 values of p in [1.3, 2.02]
+    that takes 0.15 scalar calls on average and 1 at most, never one at a
+    batch modulus (0.23 over 2,200 seeded p in [1.26, 2.02], 200 of them
+    within 0.002 of an end).  At p up to 1.88, whose window ends at mu =
+    0.9929, every K_p of a call stops by tanh-sinh level 4; from about
+    1.8805 on, the window's top rows need level 5.
 
     Raises
     ------
     DomainError
         If p is not a finite number above 1, checked before any K_p work.
     NoSignChange
-        If the batch shows no crossing: K_p is already above the threshold
-        at 1e-6 (p below about 1.25; the message quotes the batch's top
-        modulus, 0.99) or still below it at 0.999 (p above about 2.02).
+        If the grid shows no crossing: K_p is already above the threshold
+        at 1e-6 (p below about 1.25) or still below it at 0.999 (p above
+        about 2.02).
     MaxIterations
         If neither stop is met after 60 scalar K_p evaluations.
     """
@@ -330,10 +375,13 @@ def firstcond_boundary(p: float) -> float:
         # an extrapolated t >= 0 maps to mu = 0, outside every bracket
         return (-math.expm1(min(t, 0.0))) ** (1.0 / p)
 
-    grid = _BOUNDARY_MUS if p > _BOUNDARY_LOW_P else _BOUNDARY_MUS[:11]
-    mus = grid.tolist()
-    f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
-    if f[0] > 0.0 or f[-1] < 0.0:
+    # the window, or the grid where there is no window or it shows no
+    # sign change
+    for mus in filter(None, (_window(p), _BOUNDARY_MUS.tolist())):
+        f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
+        if f[0] <= 0.0 <= f[-1]:
+            break
+    else:
         raise NoSignChange(
             f"K_{p}(mu) - 8/(pi^2 - 8) is {f[0]} at mu = {mus[0]} and "
             f"{f[-1]} at mu = {mus[-1]}, equal signs"
@@ -341,7 +389,7 @@ def firstcond_boundary(p: float) -> float:
     k = next(i for i, fi in enumerate(f) if fi >= 0.0)
     if f[k] == 0.0:
         return mus[k]
-    ts = np.log1p(-(grid**p)).tolist()
+    ts = np.log1p(-(np.array(mus) ** p)).tolist()
     # the known points as {f: t}: keyed by f, so the interpolation nodes
     # are distinct and no denominator of the recurrence is zero
     known = dict(zip(f, ts))
@@ -349,8 +397,7 @@ def firstcond_boundary(p: float) -> float:
     # it at t = b (mu = hi)
     a, b, lo, hi = ts[k - 1], ts[k], mus[k - 1], mus[k]
     for _ in range(_BOUNDARY_ITER):
-        near = sorted(known.items(), key=lambda pt: abs(pt[0]))
-        *_, six, t = _inverse_roots(near[:7])
+        *_, six, t = _inverse_roots(known.items(), 7)
         mu = modulus(t)
         est = abs(mu - modulus(six))
         if hi - lo <= _BOUNDARY_TOL or (lo <= mu <= hi and est <= _BOUNDARY_TOL):

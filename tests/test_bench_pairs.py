@@ -1,7 +1,8 @@
-"""Tests for tools/bench_pairs.py: its summary and its copy of the working tree
-(no benchmark runs)."""
+"""Tests for tools/bench_pairs.py: its summary, its copy of the working tree
+and its record of a failed run (no benchmark runs)."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -212,3 +213,46 @@ def test_change_tree_is_a_copy_of_the_working_tree(tmp_path):
         "src/kept.py": "y\n",
         "src/new.py": "z\n",
     }
+
+
+def test_a_failed_run_is_written_to_the_output_before_it_stops(monkeypatch, tmp_path):
+    # pair 0 of seed 5 completes; in pair 1 the change side (which goes
+    # first in odd pairs) fails, and the file holds pair 0 and the failure
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc123")
+    monkeypatch.setattr(bench_pairs, "_unpack", lambda ref, where: None)
+    monkeypatch.setattr(bench_pairs, "_copy_tree", lambda root, where: None)
+    names = ["tasks_per_s", "task_p50_ms", "task_tail_ms", "setup_s", "peak_rss_mb"]
+    report = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {n: {"value": 1.0} for n in names}}
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append(tree)
+        if len(calls) == 3:
+            raise bench_pairs.RunFailed("run.py", 1, "x" * 600 + "\nIndexError: boom\n")
+        return report
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(bench_pairs.RunFailed):
+        bench_pairs.main(["abc123", "--workload", "kp_scan", "--seeds", "5",
+                          "--pairs", "2", "--seconds", "1", "--out", str(out)])
+    entry = json.loads(out.read_text())["workloads"]["kp_scan"]
+    assert [(r["side"], r["pair"]) for r in entry["runs"]] == [
+        ("parent", 0), ("change", 0),
+    ]
+    failure = entry["failure"]
+    assert {k: failure[k] for k in ("side", "seed", "pair", "returncode")} == {
+        "side": "change", "seed": 5, "pair": 1, "returncode": 1,
+    }
+    assert len(failure["stderr"]) == 500 and failure["stderr"].endswith("boom")
+    assert entry["summary"]["pairs"] == 1
+
+
+def test_a_run_that_prints_no_report_fails(monkeypatch, tmp_path):
+    # a worker that exits 0 with empty stdout is a failure, not an IndexError
+    done = subprocess.CompletedProcess([], 0, stdout="", stderr="silent\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: done)
+    with pytest.raises(bench_pairs.RunFailed) as err:
+        bench_pairs._run(str(tmp_path), "kp_scan", 5, 1.0)
+    assert err.value.returncode == 0 and err.value.stderr == "silent"

@@ -407,45 +407,59 @@ def test_firstcond_boundary_no_crossing_above_p_2_02():
         ct.firstcond_boundary(2.03)
 
 
-def _seeded_ps(n, seed=26):
+def _seeded_ps(n, seed=26, lo=1.26, hi=2.02):
     rng = random.Random(seed)
-    return sorted(round(rng.uniform(1.26, 2.02), 4) for _ in range(n))
+    return sorted(round(rng.uniform(lo, hi), 4) for _ in range(n))
 
 
-# both ends of the crossing range, the values p = 1.3, 1.5 and 2.0, both
-# sides of the cut at which the batch drops its moduli above 0.99, and 20
-# seeded values in [1.26, 2.02]
-_CUT_ABOVE = float(np.nextafter(ct._BOUNDARY_LOW_P, 2.0))
-_NEWTON_PS = [1.26, 1.3, 1.5, 2.0, 2.02, ct._BOUNDARY_LOW_P, _CUT_ABOVE]
-_NEWTON_PS += _seeded_ps(20)
+@pytest.fixture(autouse=True, scope="module")
+def _anchors():
+    # the one-time anchor batch runs here, so no test that counts K_p calls
+    # or levels sees it, and no stand-in K_p ever reaches it
+    ct._anchor_roots()
 
 
-@pytest.mark.parametrize("p", _NEWTON_PS)
-def test_firstcond_boundary_matches_mpmath_newton_step(p):
+def _newton_gap(p, b):
     # one Newton step on the 30-digit K_p = pi/(p sin(pi/p)) 2F1(a, a; 1; x),
     # a = 1/p, x = mu^p, with dK/dmu = pi/(p sin(pi/p)) a^2 2F1(a+1, a+1; 2; x)
     # p mu^(p-1), lands within the square of the root's error of the root
-    b = ct.firstcond_boundary(p)
     with mpmath.workdps(30):
         P, M = mpmath.mpf(p), mpmath.mpf(b)
         a, x = 1 / P, M**P
         pref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P))
         K = pref * mpmath.hyp2f1(a, a, 1, x)
         dK = pref * a * a * mpmath.hyp2f1(a + 1, a + 1, 2, x) * P * M ** (P - 1)
-        root = M - (K - 8 / (mpmath.pi**2 - 8)) / dK
-        assert abs(float(root - M)) < 1e-12
+        return abs(float((K - 8 / (mpmath.pi**2 - 8)) / dK))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the stop estimate, the gap between the 7- and 6-point roots, "
-    "undercovers the 1e-12 stop here: the boundary is 1.34e-12 off",
-)
+# both ends of the crossing range, the values p = 1.3, 1.5 and 2.0, both
+# sides of p = 1.86, every anchor, and 20 seeded values in [1.26, 2.02]
+_NEWTON_PS = [1.26, 1.3, 1.5, 2.0, 2.02, 1.86, float(np.nextafter(1.86, 2.0))]
+_NEWTON_PS += list(ct._ANCHOR_PS[1:-1]) + _seeded_ps(20)
+
+
+@pytest.mark.parametrize("p", _NEWTON_PS)
+def test_firstcond_boundary_matches_mpmath_newton_step(p):
+    assert _newton_gap(p, ct.firstcond_boundary(p)) < 1e-12
+
+
+def test_firstcond_boundary_newton_sweep_with_both_window_ends():
+    # 40 seeded p over [1.26, 2.02], and 10 within 0.002 of each end, where
+    # the window is shifted to stay inside [1e-6, 0.999]: every root within
+    # 1e-12 of the 30-digit Newton step (the worst of 2,200 such p, seed 7,
+    # was 7.1e-14)
+    ps = _seeded_ps(40, seed=45)
+    ps += _seeded_ps(10, seed=46, hi=1.262) + _seeded_ps(10, seed=47, lo=2.018)
+    for p in ps:
+        assert _newton_gap(p, ct.firstcond_boundary(p)) < 1e-12, p
+
+
 def test_firstcond_boundary_within_its_stop_of_the_mpmath_root():
-    # the boundary returns 0.3708114882440681 after one scalar kp; the
-    # 30-digit root of pi/(p sin(pi/p)) 2F1(a, a; 1; mu^p) = 8/(pi^2 - 8),
-    # a = 1/p, is 0.3708114882427266...
+    # the 16-node grid alone returned 0.3708114882440681 here after one
+    # scalar kp, 1.34e-12 off; the window's points are 0.05 apart in t,
+    # so the 7-point root is within 5e-16 of the 30-digit root of
+    # pi/(p sin(pi/p)) 2F1(a, a; 1; mu^p) = 8/(pi^2 - 8), a = 1/p,
+    # 0.3708114882427266...
     p = 1.3087812341441019
     with mpmath.workdps(30):
         P = mpmath.mpf(p)
@@ -490,19 +504,6 @@ def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
     # bisection alone would need log2(0.999 / 1e-12) + 2, about 42
     calls = _counting(monkeypatch, ct, "kp")
     b = ct.firstcond_boundary(p)
-    assert 1 <= calls[0] <= 2
-    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
-
-
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
-def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
-    # the batch of 11 or 16 moduli, one _kp_rows call, narrows the bracket
-    # to one grid interval and holds the points the first interpolant runs
-    # through, so a few scalar evaluations inside it suffice
-    batches = _counting(monkeypatch, ct, "_kp_rows")
-    calls = _counting(monkeypatch, ct, "kp")
-    b = ct.firstcond_boundary(p)
-    assert batches[0] == 1
     assert calls[0] <= 2
     assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
 
@@ -520,32 +521,90 @@ def _spy_batches(monkeypatch):
     return batches
 
 
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
+def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
+    # the window of 7 moduli, one _kp_rows call, narrows the bracket to
+    # one window interval and holds the points the first interpolant runs
+    # through, so at most a few scalar evaluations inside it are needed
+    batches = _spy_batches(monkeypatch)
+    calls = _counting(monkeypatch, ct, "kp")
+    b = ct.firstcond_boundary(p)
+    assert batches == [ct._window(p)] and len(batches[0]) == 7
+    assert batches[0][0] < b < batches[0][-1]
+    assert calls[0] <= 2
+    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
+
+
+@pytest.mark.parametrize("p", [1.26, 1.2605, 1.2619, 2.0181, 2.0199, 2.02])
+def test_firstcond_boundary_window_shifts_inside_the_scan_range(p):
+    # within 0.002 of either end of the anchors' span the window centred on
+    # the predicted root would leave [1e-6, 0.999]; shifted, it stands on
+    # that end of the range, its 7 moduli increasing and 0.05 apart in t
+    mus = ct._window(p)
+    ts = np.log1p(-(np.array(mus) ** p))
+    assert len(mus) == 7 and 1e-6 <= mus[0] and mus[-1] <= 0.999
+    assert np.allclose(np.diff(ts), -ct._WINDOW_STEP, rtol=0.0, atol=1e-9)
+    assert mus[0] == pytest.approx(1e-6, rel=1e-8) if p < 1.5 else mus[-1] == 0.999
+
+
+def test_anchor_cubic_predicts_the_root_well_inside_the_window():
+    # the anchors' roots, the grid's 7-point roots at their p, are within
+    # 1.3e-4 of t_b = log(1 - mu_b^p) (at p = 1.26; below 4e-5 elsewhere),
+    # and the cubic through the 4 nearest predicts t_b to 7e-3 at 200
+    # seeded p (7.0e-3 at worst of 1,500), well inside the window's
+    # half-width 0.15
+    roots = ct._anchor_roots()
+    for a, t in zip(ct._ANCHOR_PS, roots):
+        assert abs(t - math.log1p(-(ct.firstcond_boundary(a) ** a))) < 2e-4
+    for p in _seeded_ps(200, seed=86):
+        pts = [(a - p, t) for a, t in zip(ct._ANCHOR_PS, roots)]
+        t_hat = ct._inverse_roots(pts, 4)[-1]
+        assert abs(t_hat - math.log1p(-(ct.firstcond_boundary(p) ** p))) < 7e-3
+
+
+def test_anchor_roots_come_from_one_batch_once(monkeypatch):
+    # 9 x 16 rows in one _kp_rows call, no scalar kp, and not again
+    batches = _spy_batches(monkeypatch)
+    calls = _counting(monkeypatch, ct, "kp")
+    roots = ct._anchor_roots()
+    ct._anchor_roots.cache_clear()
+    assert ct._anchor_roots() == roots and ct._anchor_roots() == roots
+    assert batches == [ct._BOUNDARY_MUS.tolist() * 9] and calls[0] == 0
+
+
 @pytest.mark.parametrize("p", [1.3, 1.5, 1.7, 1.86])
 def test_firstcond_boundary_skips_the_moduli_above_0_99_up_to_the_cut(
     monkeypatch, p
 ):
-    # the crossing lies below mu = 0.99 for every p <= 1.86, so the batch
-    # stops at the grid node 0.99
+    # the crossing lies below mu = 0.99 for every p <= 1.86, and the one
+    # batch, the window, holds none of the five grid moduli above 0.99
     batches = _spy_batches(monkeypatch)
     b = ct.firstcond_boundary(p)
-    assert batches == [ct._BOUNDARY_MUS[:11].tolist()]
+    assert batches == [ct._window(p)]
+    assert not set(batches[0]) & set(ct._BOUNDARY_MUS[11:].tolist())
     assert b < ct._BOUNDARY_MUS[10]
 
 
-@pytest.mark.parametrize("p", [_CUT_ABOVE, 1.9, 2.02])
-def test_firstcond_boundary_runs_the_full_grid_above_the_cut(monkeypatch, p):
+@pytest.mark.parametrize("p", [1.2, 2.021, 2.03])
+def test_firstcond_boundary_runs_the_grid_outside_the_anchor_span(monkeypatch, p):
+    # no window outside [1.26, 2.02]: the batch is the grid of 16, which
+    # finds the crossing at p = 2.021 and shows none at 1.2 or 2.03
     batches = _spy_batches(monkeypatch)
-    ct.firstcond_boundary(p)
+    if p == 2.021:
+        assert _newton_gap(p, ct.firstcond_boundary(p)) < 1e-12
+    else:
+        with pytest.raises(NoSignChange):
+            ct.firstcond_boundary(p)
     assert batches == [ct._BOUNDARY_MUS.tolist()]
 
 
-@pytest.mark.parametrize("p", [1.5, 1.7, 1.86])
+@pytest.mark.parametrize("p", [1.3, 1.5, 1.7, 1.86])
 def test_firstcond_boundary_builds_no_level_5_kp_factor_below_the_cut(
     monkeypatch, p
 ):
-    # the skipped rows above 0.99 are the ones that need tanh-sinh level 5;
-    # the kept rows and the scalar refinements stop at level 4 here (at
-    # p = 1.3 the 0.99 row itself reaches level 5)
+    # the window's rows and the scalar refinements stop at level 4 for p up
+    # to 1.88 (checked 0.0005 apart); from about 1.8805 on, the window's
+    # top rows, above mu = 0.9929, need level 5
     el._kp.cache_clear()
     levels = []
     factor = el._kp_p_factor
@@ -557,13 +616,6 @@ def test_firstcond_boundary_builds_no_level_5_kp_factor_below_the_cut(
     monkeypatch.setattr(el, "_kp_p_factor", spy)
     ct.firstcond_boundary(p)
     assert levels and max(levels) < 5
-
-
-def test_kp_at_the_cut_is_above_the_threshold_at_0_99():
-    # the fact the cut rests on, with the falls of K_p in p tested below:
-    # every p <= 1.86 has K_p(0.99) >= K_1.86(0.99), above the threshold
-    gap = el.kp(ct._BOUNDARY_LOW_P, ct._BOUNDARY_MUS[10]) - ct.FIRSTCOND_RHS
-    assert round(gap, 3) == 0.027
 
 
 def test_kp_does_not_increase_in_p():
@@ -581,32 +633,34 @@ def test_kp_does_not_increase_in_p():
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
 def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
-    # the batch holds K_p at every grid modulus, so scalar kp only ever
-    # sees the moduli tried inside the bracket
+    # the batch holds K_p at every window modulus, so scalar kp only ever
+    # sees the moduli tried inside the bracket (one at p = 1.3, none at
+    # the others, where the window's 7-point root meets the stop)
     seen = _spy_kp(monkeypatch)
     ct.firstcond_boundary(p)
-    assert seen and not set(seen) & set(ct._BOUNDARY_MUS.tolist())
+    assert len(seen) == (p == 1.3)
+    assert not set(seen) & set(ct._window(p))
 
 
 def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
     # 200 values of p over the whole crossing range [1.3, 2.02], both ends
-    # included: every scalar K_p lies strictly inside the grid interval
-    # that holds the root, and the error-estimate stop needs 1 or 2 of
-    # them, 1.51 on average
+    # included: every scalar K_p lies strictly inside the window interval
+    # that holds the root, and the error-estimate stop needs at most 2 of
+    # them, 0.15 on average
     rng = random.Random(2024)
     ps = [1.3, 2.02] + [rng.uniform(1.3, 2.02) for _ in range(198)]
     seen = _spy_kp(monkeypatch)
-    grid = ct._BOUNDARY_MUS.tolist()
     counts = []
     for p in ps:
         seen.clear()
+        window = ct._window(p)
         b = ct.firstcond_boundary(p)
-        k = bisect.bisect_left(grid, b)
-        assert 0 < k < len(grid)
-        assert all(grid[k - 1] < mu < grid[k] for mu in seen)
+        k = bisect.bisect_left(window, b)
+        assert 0 < k < len(window)
+        assert all(window[k - 1] < mu < window[k] for mu in seen)
         counts.append(len(seen))
-    assert sum(counts) / len(counts) <= 1.6
-    assert 1 <= min(counts) and max(counts) <= 2
+    assert sum(counts) / len(counts) <= 0.3
+    assert max(counts) <= 2
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
@@ -620,17 +674,28 @@ def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
 
 
 def _stand_in_kp(monkeypatch, f):
-    # K_p replaced by the strictly increasing f(mu), batch and scalar
-    monkeypatch.setattr(ct, "_kp_rows", lambda ps, mus: (f(np.asarray(mus)),))
+    """K_p replaced by the strictly increasing f(mu), batch and scalar; the
+    moduli of each batch, in order.  Each stand-in below crosses far below
+    the window at p = 2, near 0.9985, so the grid batch follows it."""
+    batches = []
+
+    def rows(ps, mus):
+        batches.append(list(mus))
+        return (f(np.asarray(mus)),)
+
+    monkeypatch.setattr(ct, "_kp_rows", rows)
     monkeypatch.setattr(ct, "kp", lambda p, mu: float(f(np.float64(mu))))
+    return batches
 
 
 def test_firstcond_boundary_returns_a_grid_node_on_the_threshold(monkeypatch):
+    # the window shows no sign change, so the grid is the bracket's batch
     node = ct._BOUNDARY_MUS[7]
-    _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + (mu - node))
+    batches = _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + (mu - node))
     scalars = _counting(monkeypatch, ct, "kp")
     assert ct.firstcond_boundary(2.0) == node
     assert scalars[0] == 0
+    assert batches == [ct._window(2.0), ct._BOUNDARY_MUS.tolist()]
 
 
 def test_firstcond_boundary_bisects_a_step_that_leaves_the_bracket(monkeypatch):

@@ -17,7 +17,10 @@ BENCHMARK.json) are written to the output file, with each side's median
 and quartiles and the number of pairs each side won, over all seeds and
 per seed.  A file that already exists keeps its other workloads, so one
 file can hold several.  The file is rewritten after every pair, so a run
-that is stopped keeps the pairs it finished.  The output ends with one
+that is stopped keeps the pairs it finished.  A run that fails (exits
+nonzero, or prints no report) stops the whole command, but first the
+file gets the runs so far and a ``failure`` entry: the side, seed and
+pair, the exit code and the tail of its stderr.  The output ends with one
 line per end-to-end metric of the workload, read from that summary: the
 gain, the pairs each side won, ``parent_iqr``, ``gain_rule_met`` and
 ``regression``; first over all seeds, then once per seed, so a claim can
@@ -174,14 +177,29 @@ def _copy_tree(root: str, where: str) -> None:
             shutil.copy2(src, dst)
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run that exited nonzero or printed no report: its exit
+    code and the last 500 characters of its stderr."""
+
+    def __init__(self, cmd: str, returncode: int, stderr: str):
+        self.returncode, self.stderr = returncode, stderr.strip()[-500:]
+        super().__init__(f"{cmd} exited with {returncode}: {self.stderr}")
+
+
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with "
-                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RunFailed(f"{' '.join(cmd)} in {tree}", proc.returncode, proc.stderr)
+    return json.loads(lines[-1])
+
+
+def _write(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -222,7 +240,15 @@ def main(argv=None) -> int:
             for seed in seeds:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    res = _run(trees[side], args.workload, seed, args.seconds)
+                    try:
+                        res = _run(trees[side], args.workload, seed, args.seconds)
+                    except RunFailed as err:
+                        entry["failure"] = {
+                            "side": side, "seed": seed, "pair": pair,
+                            "returncode": err.returncode, "stderr": err.stderr,
+                        }
+                        _write(args.out, doc)
+                        raise
                     metrics = {n: res["metrics"][n]["value"] for n in names}
                     entry["runs"].append({
                         "side": side, "seed": seed, "pair": pair, "first": order[0],
@@ -238,9 +264,7 @@ def main(argv=None) -> int:
                                       end_to_end)
                     for s in seeds
                 }
-                with open(args.out, "w") as fh:
-                    json.dump(doc, fh, indent=1)
-                    fh.write("\n")
+                _write(args.out, doc)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     if entry["runs"]:

@@ -27,8 +27,7 @@ interval grids carry an explicit non-rigorous-between-nodes caveat.
 
 ``firstcond_boundary`` finds where K_p crosses the firstcond threshold
 from one batched K_p call over 7 moduli around a root predicted from 9
-anchor roots stored once a process, or over a grid of 16 moduli up to
-0.999 outside the anchors' span, and then the root of the inverse
+anchor roots stored once a process, and then the root of the inverse
 interpolant through the seven known points nearest the threshold,
 refined by a scalar K_p now and then.
 """
@@ -73,7 +72,7 @@ _CHUNK = 64
 # firstcond_boundary: moduli of the grid batch, geometric in 1 - mu from
 # the scan range's ends 1e-6 to 0.999 (moving nodes below mu = 0.6, or
 # spacing them evenly in log(1 - mu^p), lowered the mean count of scalar
-# K_p calls by 0.01 at most); the anchors' batch, and the fallback
+# K_p calls by 0.01 at most); the anchors' batch
 _BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
 _BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
 # firstcond_boundary: 9 values of p evenly spaced over the crossing range
@@ -81,6 +80,11 @@ _BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
 # process; the cubic through the 4 nearest predicts t_b at any p in that
 # span to 7.0e-3 at worst (1,500 seeded p)
 _ANCHOR_PS = tuple(np.linspace(1.26, 2.02, 9).tolist())
+# firstcond_boundary: the cubic is evaluated at p clipped into this
+# interval, which holds the whole crossing range [1.24979, 2.02398]; from
+# p = 1e100 on, every a - p of the anchors would round to -p and the
+# interpolation would divide by zero
+_PREDICT_PS = (1.24, 2.03)
 # firstcond_boundary: the spacing in t of the 7 window moduli, and their
 # offsets from the predicted root, in decreasing t (increasing mu).  The
 # half-width 0.15 is 21 times the predictor's worst error.  Scalar K_p
@@ -312,12 +316,11 @@ def _anchor_roots() -> tuple:
 
 def _window(p: float) -> list:
     """The 7 moduli at t_hat + ``_WINDOW``, t = log(1 - mu^p), t_hat the
-    cubic through the 4 anchor roots nearest p, shifted if need be so that
-    all 7 lie in the scan range [1e-6, 0.999]; empty for p outside the
-    anchors' span."""
-    if not _ANCHOR_PS[0] <= p <= _ANCHOR_PS[-1]:
-        return []
-    pts = [(a - p, t) for a, t in zip(_ANCHOR_PS, _anchor_roots())]
+    cubic through the 4 anchor roots nearest p, taken at p clipped into
+    ``_PREDICT_PS``, shifted if need be so that all 7 lie in the scan
+    range [1e-6, 0.999]."""
+    q = min(max(p, _PREDICT_PS[0]), _PREDICT_PS[1])
+    pts = [(a - q, t) for a, t in zip(_ANCHOR_PS, _anchor_roots())]
     t_hat = _inverse_roots(pts, 4)[-1]
     half = _WINDOW[0]
     t_top, t_bottom = math.log1p(-(0.999**p)), math.log1p(-(1e-6**p))
@@ -335,13 +338,17 @@ def firstcond_boundary(p: float) -> float:
     singularity at mu^p = 1.  The root t_b is smooth in p: at 9 anchors
     p evenly spaced over [1.26, 2.02] the first call in a process stores
     t_b (one batched K_p call of 9 x 16 rows, each root the 7-point
-    inverse interpolation of its row), and at a p in that span the cubic through the 4 nearest anchors predicts t_b
-    to 7.0e-3 at worst.  One batched K_p call evaluates the window of 7
-    moduli 0.05 apart in t around that prediction, shifted if need be to
-    stay in [1e-6, 0.999]; the window interval where the sign changes is
-    the bracket.  At a p outside the anchors' span, or when the window
-    shows no sign change, the batch is instead the grid of 16 moduli
-    geometric in 1 - mu from 1e-6 to 0.999.  Every K_p known so far,
+    inverse interpolation of its row), and at a p in that span the cubic
+    through the 4 nearest anchors predicts t_b to 7.0e-3 at worst; at
+    other p the cubic is taken at the nearer end of [1.24, 2.03].  One
+    batched K_p call evaluates the window of 7 moduli 0.05 apart in t
+    around that prediction, shifted if need be to stay in [1e-6, 0.999];
+    the window interval where the sign changes is the bracket.  A
+    crossing exists for p in [1.2497941463776217, 2.023976105481417], and
+    there the window brackets it (seeded sweeps over both slivers outside
+    the anchors' span, where the window stands on an end of the scan
+    range, included).  K_p rises in mu and falls in p, so at any other p
+    no window shows a sign change.  Every K_p known so far,
     batch node or scalar evaluation, is a point (t, K_p - threshold); the
     root estimate is the inverse interpolant through the seven points
     nearest the threshold, and its error estimate the distance, in mu,
@@ -362,9 +369,9 @@ def firstcond_boundary(p: float) -> float:
     DomainError
         If p is not a finite number above 1, checked before any K_p work.
     NoSignChange
-        If the grid shows no crossing: K_p is already above the threshold
-        at 1e-6 (p below about 1.25) or still below it at 0.999 (p above
-        about 2.02).
+        If the window shows no crossing: K_p is already above the
+        threshold at 1e-6 (p below about 1.2498) or still below it at
+        0.999 (p above about 2.0240).
     MaxIterations
         If neither stop is met after 60 scalar K_p evaluations.
     """
@@ -375,13 +382,9 @@ def firstcond_boundary(p: float) -> float:
         # an extrapolated t >= 0 maps to mu = 0, outside every bracket
         return (-math.expm1(min(t, 0.0))) ** (1.0 / p)
 
-    # the window, or the grid where there is no window or it shows no
-    # sign change
-    for mus in filter(None, (_window(p), _BOUNDARY_MUS.tolist())):
-        f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
-        if f[0] <= 0.0 <= f[-1]:
-            break
-    else:
+    mus = _window(p)
+    f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
+    if not f[0] <= 0.0 <= f[-1]:
         raise NoSignChange(
             f"K_{p}(mu) - 8/(pi^2 - 8) is {f[0]} at mu = {mus[0]} and "
             f"{f[-1]} at mu = {mus[-1]}, equal signs"

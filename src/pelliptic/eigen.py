@@ -194,11 +194,10 @@ def first_integral_residual(e: EigenPair, grid) -> ResidualReport:
             f"only {u.size} admissible grid points (of {keep.size}) remain "
             "after excluding the singular margin"
         )
-    p, mu = e.p, e.mu
-    K = kp(p, mu)
+    p = e.p
     s = eng.invert(u)
     phi = e.amplitude * s
-    dphi = e.amplitude * 2.0 * e.n * K * np.abs(eng.deriv(s, quarter))
+    dphi = e.amplitude * 2.0 * e.n * eng.K * np.abs(eng.deriv(s, quarter))
     r = dphi**p - 0.5 * (e.alpha - phi**p) * (e.beta - phi**p)
     return _residual_report(r, keep)
 
@@ -214,8 +213,8 @@ def ode_residual(e: EigenPair, grid) -> ResidualReport:
     rounds to 0.  If nothing remains, SingularPoint is raised.
     """
     keep, eng, u, sgn, quarter = _admissible(e, grid)
-    p, mu = e.p, e.mu
-    scale = 2.0 * e.n * kp(p, mu)
+    p = e.p
+    scale = 2.0 * e.n * eng.K
     s = eng.invert(u)
     d1 = e.sign * e.amplitude * scale * eng.deriv(s, quarter)
     if p < 2.0:  # |phi'|**(p-2) phi'' is 0 * inf where sn_p' rounds to 0

@@ -18,9 +18,9 @@ one (p, mu) as a point; the scalar :func:`kp_quadrature` is its one-row
 case, which runs one integrand on 1-D node arrays through the driver's
 point path with float bookkeeping, and agrees with a batch row bit for
 bit.  The integrand's factors that depend on p alone, v**m and
-(1 - s**p) / (1 - s), are formed once per distinct p and level and kept
-in a small cache (:func:`_kp_p_factor`), so rows that share p, and a
-scalar call after a batch of its p, share them.
+(1 - s**p) / (1 - s), are formed in each call once per distinct p and
+level, on the nodes the driver hands the integrand, so rows that share p
+share them.
 :func:`kp_via_2f1`, the hypergeometric series, is an independent
 cross-check, not a fallback.
 
@@ -78,9 +78,10 @@ array loop in the last bit); its clips compare as np.minimum and
 np.maximum do (:func:`_clip`); and a division that can reach 0 stays in
 numpy floats, under one np.errstate per inversion.  Numpy's fixed cost
 per call, not the arithmetic, is most of a point's time.  Every
-Newton pass of an array runs the same steps on every live point; the
-one branch kept for speed is in w_p, which evaluates a batch that lies
-wholly on one side of z = 0.6 without splitting it.
+Newton pass of an array runs the same steps on every live point.  w_p
+evaluates a batch that lies wholly at z <= 0.6 by the series alone,
+without splitting it, which keeps such a batch, at any p, off the tail
+build; any other batch is split at z = 0.6.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularPoint, SlowConvergence
 from .errors import _check_finite, _check_interval, _check_real, _validate_pmu
-from .quadrature import QuadratureResult, _tanh_sinh, _ts_nodes, _ts_slice
+from .quadrature import QuadratureResult, _tanh_sinh
 
 __all__ = [
     "SnpValue",
@@ -247,27 +248,6 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
 
 
-@functools.lru_cache(maxsize=16)
-def _kp_p_factor(ps: tuple, lev: int) -> tuple[np.ndarray, np.ndarray]:
-    """(e, ratio), read-only, on the nodes v the driver gives K_p's
-    integrand at level lev (:func:`_ts_slice`), one row per p in ps:
-    e = v**m, the endpoint distance 1 - s, and ratio = :func:`_pow_ratio`
-    (e, p), the two factors of :func:`_tail_factor` that depend on p alone.
-
-    Keyed by a call's distinct p's and the level, so the rows of one call
-    that share p share these, and a later call at the same p's (a scalar
-    :func:`kp` after a batch of its p) finds them.  Bounded at 16 entries;
-    one entry holds 2 len(ps) n doubles, n the level's node count: 195 for
-    the block of levels 0-4, 196 at level 5, doubling up to 12,492 at
-    level 11.
-    """
-    p = np.array(ps)[:, None]
-    e = _ts_nodes(lev)[0][_ts_slice(lev)] ** (p / (p - 1.0) * _KP_WEIGHT)
-    ratio = _pow_ratio(e, p)
-    e.flags.writeable = ratio.flags.writeable = False
-    return e, ratio
-
-
 def _kp_rows(p, mu):
     """The driver's (value, abs_error_estimate, nodes_used) for K_p at the
     pair (p, mu), or at each pair (p[i], mu[i]): the integral over [0, 1]
@@ -279,12 +259,12 @@ def _kp_rows(p, mu):
     Floats run one integrand on 1-D node arrays, which takes the driver's
     point path and gives numpy floats; lists run one row per pair and give
     arrays.  v**m and the ratio (1 - s**p) / (1 - s) depend on p alone, so
-    they come from :func:`_kp_p_factor`, once per distinct p and level
-    (row 0 of the entry of (p,) for floats), and only
-    ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  Its power is
-    np.power on an exponent that is a float or a column, at every m and
-    p, never a scalar shortcut (sqrt, copy or square at m = 0.5, 1 or 2),
-    so a row has the same bits alone, as a point, or in any batch.
+    F forms them once per level for the call's distinct p's, on the nodes
+    the driver hands it, and rows that share p share them; only
+    ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  v**m takes m as
+    a column and the row's power is np.power, at every m and p, never a
+    scalar shortcut (sqrt, copy or square at m = 0.5, 1 or 2), so a row
+    has the same bits alone, as a point, or in any batch.
     """
     point = isinstance(p, float)
     if point:
@@ -294,12 +274,16 @@ def _kp_rows(p, mu):
         ps, k = tuple(where), np.array([where[a] for a in p])
         p_col, eps, mup = np.array([p, *zip(*map(_eps_mup, p, mu))])[:, :, None]
     cols = (eps, mup, -1.0 / p_col, p_col / (p_col - 1.0) * _KP_WEIGHT)
+    # the distinct p's as a column, and their exponents m
+    p_distinct = np.array(ps)[:, None]
+    m_distinct = p_distinct / (p_distinct - 1.0) * _KP_WEIGHT
 
-    # m T(e) with T the _tail_factor, x being the nodes of _ts_slice(lev),
-    # as m (ratio (eps + mup ratio e))**power formed in place; a point's
+    # m T(e) with T the _tail_factor, e = x**m, as
+    # m (ratio (eps + mup ratio e))**power formed in place; a point's
     # cols are floats, a batch's are columns cut to the live rows
     def F(lev, x, cx, rows):
-        e, ratio = _kp_p_factor(ps, lev)
+        e = x**m_distinct
+        ratio = _pow_ratio(e, p_distinct)
         if point:
             e, ratio, c = e[0], ratio[0], cols
         else:
@@ -326,8 +310,7 @@ def kp_quadrature(p: float, mu: float) -> QuadratureResult:
     value, estimate and node count to the last bit.  The smooth
     factor is :func:`_tail_factor` of the endpoint distance 1 - s = v**m,
     formed from v and never by subtraction, so the integral stays accurate
-    even for 1 - mu of order 1e-15.  Its p-only part comes from
-    :func:`_kp_p_factor`, so a call at the p of a recent call reuses it.
+    even for 1 - mu of order 1e-15.
     """
     p, mu = _validate_pmu(p, mu)
     value, err, nodes = _kp_rows(p, mu)
@@ -603,14 +586,13 @@ class _SnpEngine:
             return self._direct(z) if z <= 0.6 else self._tail(1.0 - z)
         z = np.asarray(z, dtype=float)
         lo = z <= 0.6
-        # count_nonzero, not the all and any methods: a Newton pass makes
-        # this call, and the methods' wrappers cost more than the test
-        n = np.count_nonzero(lo)
-        if n == z.size:
+        # an all-series batch stays off the tail build, which refuses p
+        # below _TAIL_P_MIN; count_nonzero, not the all method: a Newton
+        # pass makes this call, and the method's wrapper costs more than
+        # the test
+        if np.count_nonzero(lo) == z.size:
             return self._direct(z)
         with np.errstate(divide="ignore"):
-            if n == 0:
-                return self._tail(1.0 - z)
             out = np.empty_like(z)
             out[lo] = self._direct(z[lo])
             out[~lo] = self._tail(1.0 - z[~lo])

@@ -182,9 +182,11 @@ def test_host_says_whether_bytecode_writing_is_off(monkeypatch, value, says):
     assert bench_pairs.host().endswith(f", PYTHONDONTWRITEBYTECODE {says}")
 
 
-def test_change_tree_is_a_copy_of_the_working_tree(tmp_path):
-    # tracked files as they are on disk, untracked ones unless ignored; a
-    # tracked file deleted on disk and every ignored file stay behind
+def test_change_tree_is_a_copy_of_the_working_tree(monkeypatch, tmp_path):
+    # unpacked from the tree that a temporary index makes of the working
+    # tree: tracked files as they are on disk, untracked ones unless
+    # ignored; a tracked file deleted on disk and every ignored file stay
+    # behind, and the repository's own index is left as it was
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
     (repo / "build").mkdir()
@@ -196,15 +198,19 @@ def test_change_tree_is_a_copy_of_the_working_tree(tmp_path):
     }
     for name, text in files.items():
         (repo / name).write_text(text)
-    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
-    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=repo, check=True)
+    subprocess.run([*git, "add", "."], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "c"], cwd=repo, check=True)
     (repo / "tracked.py").write_text("edited\n")
     (repo / "src" / "gone.py").unlink()
     (repo / "src" / "new.py").write_text("z\n")
     (repo / "run.log").write_text("ignored\n")
     (repo / "build" / "out.o").write_text("ignored\n")
+    index = (repo / ".git" / "index").read_bytes()
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
     out = tmp_path / "change"
-    bench_pairs._copy_tree(str(repo), str(out))
+    bench_pairs._unpack(bench_pairs._working_tree(), str(out))
     copied = {p.relative_to(out).as_posix(): p.read_text()
               for p in out.rglob("*") if p.is_file()}
     assert copied == {
@@ -213,6 +219,7 @@ def test_change_tree_is_a_copy_of_the_working_tree(tmp_path):
         "src/kept.py": "y\n",
         "src/new.py": "z\n",
     }
+    assert (repo / ".git" / "index").read_bytes() == index
 
 
 def test_a_failed_run_is_written_to_the_output_before_it_stops(monkeypatch, tmp_path):
@@ -220,7 +227,7 @@ def test_a_failed_run_is_written_to_the_output_before_it_stops(monkeypatch, tmp_
     # first in odd pairs) fails, and the file holds pair 0 and the failure
     monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc123")
     monkeypatch.setattr(bench_pairs, "_unpack", lambda ref, where: None)
-    monkeypatch.setattr(bench_pairs, "_copy_tree", lambda root, where: None)
+    monkeypatch.setattr(bench_pairs, "_working_tree", lambda: "tree")
     names = ["tasks_per_s", "task_p50_ms", "task_tail_ms", "setup_s", "peak_rss_mb"]
     report = {"correct": True, "attempted": 10, "failed": 0,
               "metrics": {n: {"value": 1.0} for n in names}}

@@ -585,17 +585,41 @@ def test_firstcond_boundary_skips_the_moduli_above_0_99_up_to_the_cut(
     assert b < ct._BOUNDARY_MUS[10]
 
 
-@pytest.mark.parametrize("p", [1.2, 2.021, 2.03])
-def test_firstcond_boundary_runs_the_grid_outside_the_anchor_span(monkeypatch, p):
-    # no window outside [1.26, 2.02]: the batch is the grid of 16, which
-    # finds the crossing at p = 2.021 and shows none at 1.2 or 2.03
+@pytest.mark.parametrize("p", [1.2, 1.255, 1.5, 2.021, 2.0241, 2.03, 1e100, 1e300])
+def test_firstcond_boundary_makes_one_window_batch_at_every_p(monkeypatch, p):
+    # inside the anchors' span, in both slivers of the crossing range
+    # outside it, and beyond that range, where the window shows no sign
+    # change: one _kp_rows batch, the 7-modulus window, and no second
+    # batch; the cubic's p is clipped, so no p divides by zero
     batches = _spy_batches(monkeypatch)
-    if p == 2.021:
+    if 1.2497941463776217 <= p <= 2.023976105481417:
         assert _newton_gap(p, ct.firstcond_boundary(p)) < 1e-12
     else:
         with pytest.raises(NoSignChange):
             ct.firstcond_boundary(p)
-    assert batches == [ct._BOUNDARY_MUS.tolist()]
+    assert batches == [ct._window(p)] and len(batches[0]) == 7
+
+
+def test_firstcond_boundary_sweep_over_the_whole_crossing_range(monkeypatch):
+    # the crossing exists for p in [1.2497941463776217, 2.023976105481417],
+    # where K_p(1e-6) and K_p(0.999) equal the threshold; 200 seeded p in
+    # each sliver outside the anchors' span, where the cubic extrapolates
+    # and the window stands on an end of the scan range, both ends, and
+    # 40 seeded p inside the span: every window brackets its root, and
+    # every root is within 1e-12 of the 30-digit Newton step (the worst
+    # of these 442 p was 1.7e-14)
+    lo, hi = 1.2497941463776217, 2.023976105481417
+    ps = [lo, hi] + _seeded_ps(40, seed=460)
+    rng = random.Random(461)
+    ps += [rng.uniform(lo, 1.26) for _ in range(200)]
+    ps += [rng.uniform(2.02, hi) for _ in range(200)]
+    batches = _spy_batches(monkeypatch)
+    for p in ps:
+        batches.clear()
+        b = ct.firstcond_boundary(p)
+        window = batches[0]
+        assert len(batches) == 1 and window[0] <= b <= window[-1], p
+        assert _newton_gap(p, b) < 1e-12, p
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 1.7, 1.86])
@@ -607,13 +631,16 @@ def test_firstcond_boundary_builds_no_level_5_kp_factor_below_the_cut(
     # top rows, above mu = 0.9929, need level 5
     el._kp.cache_clear()
     levels = []
-    factor = el._kp_p_factor
+    driver = el._tanh_sinh
 
-    def spy(ps, lev):
-        levels.append(lev)
-        return factor(ps, lev)
+    def spy(F, ea, tol):
+        def asked(lev, *args):
+            levels.append(lev)
+            return F(lev, *args)
 
-    monkeypatch.setattr(el, "_kp_p_factor", spy)
+        return driver(asked, ea, tol)
+
+    monkeypatch.setattr(el, "_tanh_sinh", spy)
     ct.firstcond_boundary(p)
     assert levels and max(levels) < 5
 
@@ -673,10 +700,15 @@ def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
     assert quads[0] == scalars[0] == 0
 
 
+# the p of the stand-in tests: its window holds moduli from 0.19 to 0.44,
+# and each stand-in crosses at or near 0.35, between its 4th and 5th
+_STAND_IN_P = 1.3
+
+
 def _stand_in_kp(monkeypatch, f):
     """K_p replaced by the strictly increasing f(mu), batch and scalar; the
-    moduli of each batch, in order.  Each stand-in below crosses far below
-    the window at p = 2, near 0.9985, so the grid batch follows it."""
+    moduli of each batch, in order.  Each stand-in below crosses inside
+    the window at p = 1.3, so the window's batch brackets it."""
     batches = []
 
     def rows(ps, mus):
@@ -688,69 +720,74 @@ def _stand_in_kp(monkeypatch, f):
     return batches
 
 
-def test_firstcond_boundary_returns_a_grid_node_on_the_threshold(monkeypatch):
-    # the window shows no sign change, so the grid is the bracket's batch
-    node = ct._BOUNDARY_MUS[7]
+def test_firstcond_boundary_returns_a_window_node_on_the_threshold(monkeypatch):
+    # the window's batch hits the threshold at a node, which is returned
+    # with no scalar call and no second batch
+    p = _STAND_IN_P
+    node = ct._window(p)[3]
     batches = _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + (mu - node))
     scalars = _counting(monkeypatch, ct, "kp")
-    assert ct.firstcond_boundary(2.0) == node
+    assert ct.firstcond_boundary(p) == node
     assert scalars[0] == 0
-    assert batches == [ct._window(2.0), ct._BOUNDARY_MUS.tolist()]
+    assert batches == [ct._window(p)]
 
 
 def test_firstcond_boundary_bisects_a_step_that_leaves_the_bracket(monkeypatch):
     # a root where the stand-in bends sharply: the 7-point interpolant
-    # through the batch lands outside the bracket [0.6019, 0.7488], so the
-    # first scalar call is at the bracket's midpoint in t = log(1 - mu^2)
+    # through the batch lands outside the bracket [0.3313, 0.3704], so the
+    # first scalar call is at the bracket's midpoint in t = log(1 - mu^p)
+    p = _STAND_IN_P
     _stand_in_kp(
-        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.arctan(50.0 * (mu - 0.7))
+        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.arctan(200.0 * (mu - 0.35))
     )
     seen = _spy_kp(monkeypatch)
-    assert abs(ct.firstcond_boundary(2.0) - 0.7) <= 1e-12
-    a, b = np.log1p(-(ct._BOUNDARY_MUS[2:4] ** 2.0)).tolist()
-    assert seen[0] == (-math.expm1(0.5 * (a + b))) ** 0.5
+    assert abs(ct.firstcond_boundary(p) - 0.35) <= 1e-12
+    a, b = np.log1p(-(np.array(ct._window(p)[3:5]) ** p)).tolist()
+    assert seen[0] == (-math.expm1(0.5 * (a + b))) ** (1.0 / p)
     monkeypatch.setattr(ct, "_BOUNDARY_ITER", 2)
     with pytest.raises(MaxIterations):
-        ct.firstcond_boundary(2.0)
+        ct.firstcond_boundary(p)
 
 
 def test_firstcond_boundary_returns_an_evaluated_modulus_on_the_threshold(
     monkeypatch,
 ):
-    # the stand-in equals the threshold on [0.69, 0.71], between two grid
-    # nodes; the second scalar call lands there and is returned as it is
+    # the stand-in equals the threshold on [0.345, 0.355], between two
+    # window nodes; the first scalar call lands there and is returned as
+    # it is
     _stand_in_kp(
         monkeypatch,
         lambda mu: ct.FIRSTCOND_RHS
-        + np.minimum(mu - 0.69, 0.0)
-        + np.maximum(mu - 0.71, 0.0),
+        + np.minimum(mu - 0.345, 0.0)
+        + np.maximum(mu - 0.355, 0.0),
     )
     seen = _spy_kp(monkeypatch)
-    b = ct.firstcond_boundary(2.0)
-    assert 0.69 <= b <= 0.71
-    assert len(seen) == 2 and seen[-1] == b
+    b = ct.firstcond_boundary(_STAND_IN_P)
+    assert 0.345 <= b <= 0.355
+    assert len(seen) == 1 and seen[-1] == b
 
 
 def test_firstcond_boundary_stops_on_the_estimate_alone(monkeypatch):
-    # a stand-in linear in t = log(1 - mu^2): the inverse 7- and 6-point
+    # a stand-in linear in t = log(1 - mu^p): the inverse 7- and 6-point
     # interpolants through the batch agree to rounding, so the estimate stop
     # returns the root before any scalar call
-    t0 = math.log1p(-0.49)
-    _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + t0 - np.log1p(-(mu**2)))
+    p = _STAND_IN_P
+    t0 = math.log1p(-(0.35**p))
+    _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + t0 - np.log1p(-(mu**p)))
     seen = _spy_kp(monkeypatch)
-    assert abs(ct.firstcond_boundary(2.0) - 0.7) <= 1e-15
+    assert abs(ct.firstcond_boundary(p) - 0.35) <= 1e-15
     assert seen == []
 
 
 def test_firstcond_boundary_stops_on_a_narrow_bracket(monkeypatch):
-    # a jump of 1 at 0.7 defeats the interpolants, whose estimate never
+    # a jump of 1 at 0.35 defeats the interpolants, whose estimate never
     # gets small; the bracket, halved by each step that leaves it, does
     _stand_in_kp(
-        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.where(mu < 0.7, mu - 1.0, mu)
+        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.where(mu < 0.35, mu - 1.0, mu)
     )
     seen = _spy_kp(monkeypatch)
-    b = ct.firstcond_boundary(2.0)
-    assert abs(b - 0.7) <= ct._BOUNDARY_TOL
+    b = ct.firstcond_boundary(_STAND_IN_P)
+    assert abs(b - 0.35) <= ct._BOUNDARY_TOL
     assert 20 <= len(seen) <= ct._BOUNDARY_ITER
 
 

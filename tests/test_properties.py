@@ -5,7 +5,10 @@ bounds are a few units of rounding in K_p, the scale of every w_p value,
 and one or two doubles in the argument of sn_p.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +118,37 @@ def test_even_tau_vanish(p, mu):
     # coefficients cancel; they stay at rounding level
     taus = fr.tau_k(p, mu, np.arange(2, 21, 2))
     assert np.max(np.abs(taus)) < 1e-14
+
+
+# |d tau_k / d mu| <= sqrt(2) K_p' / K_p integrates to a bound between two
+# moduli from K_p alone; over the intervals below and these p, at odd
+# k <= 41, the largest ratio of the left side to the right was 0.343.
+# tau_k carries an error of about 1e-11, which the allowance covers
+_TAU_PS = [1.2, 1.5, 2.0, 3.0, 6.0]
+_ODD_K = list(range(1, 42, 2))
+
+
+def _tau_moves_within_log_kp(p, a, b):
+    ta, tb = fr.tau_k(p, [a, b], _ODD_K)
+    bound = math.sqrt(2.0) * math.log(el.kp(p, b) / el.kp(p, a))
+    return np.max(np.abs(tb - ta)) <= bound + 1e-10
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0.1, 0.2), (0.5, 0.6), (0.9, 0.99), (0.99, 0.999), (0.999, 0.999999)]
+)
+def test_tau_k_moves_less_than_log_kp_between_moduli(a, b):
+    for p in _TAU_PS:
+        assert _tau_moves_within_log_kp(p, a, b), p
+
+
+@SEEDED
+@given(
+    st.sampled_from(_TAU_PS),
+    st.floats(min_value=-6.0, max_value=-0.05),
+    st.floats(min_value=-6.0, max_value=-0.05),
+)
+def test_tau_k_moves_less_than_log_kp_between_seeded_moduli(p, u, v):
+    # moduli 1 - 10**u from 0.109 to 0.999999
+    a, b = sorted((1.0 - 10.0**u, 1.0 - 10.0**v))
+    assert _tau_moves_within_log_kp(p, a, b)

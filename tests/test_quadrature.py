@@ -180,7 +180,6 @@ def test_node_table_fills_each_level_on_first_use(monkeypatch):
     monkeypatch.setattr(quad, "_TABLE", np.full((3, cuts0[-1]), np.nan))
     monkeypatch.setattr(quad, "_VIEWS", [])
     quad._ts_weights.cache_clear()
-    el._kp_p_factor.cache_clear()
     nodes = el.kp_quadrature(2.0, 0.5).nodes_used
     assert nodes == cuts0[4]
     assert len(quad._VIEWS) == _BLOCK_LEVEL + 1
@@ -193,7 +192,6 @@ def test_node_table_fills_each_level_on_first_use(monkeypatch):
     for got, want in zip(_ts_nodes()[:3], (x0, cx0, w0)):
         assert np.array_equal(got, want)
     quad._ts_weights.cache_clear()
-    el._kp_p_factor.cache_clear()
 
 
 def test_first_call_is_the_block_of_levels_0_to_4():

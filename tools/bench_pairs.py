@@ -3,12 +3,14 @@
     python tools/bench_pairs.py PARENT_REF --workload kp_scan --seeds 5,9973 \
         --pairs 10 --seconds 50 --out BENCH_33.json
 
-Run from anywhere inside the repository.  The committed files of
-PARENT_REF are unpacked (``git archive``) into a temporary directory, and
-the working tree is copied into another next to it: its tracked files as
-they are on disk and its untracked files that .gitignore does not
-exclude.  So neither side runs in the checkout, and both trees are fresh
-copies on the same file system; the two are removed at the end.  Each
+Run from anywhere inside the repository.  Both trees are made one way:
+each is a git tree unpacked (``git archive``) into a temporary directory.
+The parent's is PARENT_REF's; the change's is written from the working
+tree through a temporary index, so it holds the tracked files as they
+are on disk, less those deleted there, and the untracked files that
+.gitignore does not exclude, and the repository's own index is left
+untouched.  So neither side runs in the checkout, and both trees are
+fresh copies on the same file system; the two are removed at the end.  Each
 pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace
 0`` once in each tree, one after the other; the side that goes first
 alternates from pair to pair, and each pair goes through every seed.
@@ -160,21 +162,19 @@ def _unpack(ref: str, where: str) -> None:
         raise RuntimeError(f"git archive {ref} exited with {archive.returncode}")
 
 
-def _copy_tree(root: str, where: str) -> None:
-    """Copy the working tree of the repository at ``root`` into ``where``:
-    the tracked files as they are on disk, less those deleted there, and
-    the untracked files that .gitignore does not exclude."""
-    names = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=root, check=True, capture_output=True, text=True,
-    ).stdout.split("\0")
-    os.makedirs(where)
-    for name in dict.fromkeys(filter(None, names)):
-        src = os.path.join(root, name)
-        if os.path.isfile(src):
-            dst = os.path.join(where, name)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            shutil.copy2(src, dst)
+def _working_tree() -> str:
+    """A git tree of the working tree: HEAD's files, updated by ``git add
+    -A`` in a temporary index, so it holds the tracked files as they are
+    on disk, less those deleted there, and the untracked files that
+    .gitignore does not exclude.  The repository's own index is not
+    touched."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        for args in (["read-tree", "HEAD"], ["add", "-A"]):
+            subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                           capture_output=True)
+        return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
 
 
 class RunFailed(RuntimeError):
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     try:
         trees = {side: os.path.join(tmp, side) for side in SIDES}
         _unpack(args.parent_ref, trees["parent"])
-        _copy_tree(ROOT, trees["change"])
+        _unpack(_working_tree(), trees["change"])
         for pair in range(args.pairs):
             for seed in seeds:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]

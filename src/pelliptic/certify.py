@@ -26,21 +26,18 @@ are written once.  A certificate never silently overclaims: sups over
 interval grids carry an explicit non-rigorous-between-nodes caveat.
 
 ``firstcond_boundary`` finds where K_p crosses the firstcond threshold
-from one batched K_p call over 7 moduli around a root predicted from 9
-anchor roots stored once a process, and then the root of the inverse
-interpolant through the seven known points nearest the threshold,
-refined by a scalar K_p now and then.
+by Newton's method on K_p's hypergeometric sum, and lands on the
+quadrature's crossing by one more Newton step from one scalar K_p.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _kp_rows, kp
+from .elliptic import _kp_rows, _kp_sum, _kp_sum_start, kp
 from .errors import DomainError, MaxIterations, NoSignChange
 from .errors import _check_int, _check_interval, _check_run
 from .fourier import tau_k, tau_tail_bound
@@ -69,35 +66,10 @@ _SLACK = 1e-9
 # 10,000-point batch at 94 MB in 0.09 s (one 2 GHz Xeon core, medians of
 # 15 runs)
 _CHUNK = 64
-# firstcond_boundary: moduli of the grid batch, geometric in 1 - mu from
-# the scan range's ends 1e-6 to 0.999 (moving nodes below mu = 0.6, or
-# spacing them evenly in log(1 - mu^p), lowered the mean count of scalar
-# K_p calls by 0.01 at most); the anchors' batch
-_BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
-_BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
-# firstcond_boundary: 9 values of p evenly spaced over the crossing range
-# [1.26, 2.02], at which the root t_b = log(1 - mu_b^p) is stored once a
-# process; the cubic through the 4 nearest predicts t_b at any p in that
-# span to 7.0e-3 at worst (1,500 seeded p)
-_ANCHOR_PS = tuple(np.linspace(1.26, 2.02, 9).tolist())
-# firstcond_boundary: the cubic is evaluated at p clipped into this
-# interval, which holds the whole crossing range [1.24979, 2.02398]; from
-# p = 1e100 on, every a - p of the anchors would round to -p and the
-# interpolation would divide by zero
-_PREDICT_PS = (1.24, 2.03)
-# firstcond_boundary: the spacing in t of the 7 window moduli, and their
-# offsets from the predicted root, in decreasing t (increasing mu).  The
-# half-width 0.15 is 21 times the predictor's worst error.  Scalar K_p
-# calls per root over 200 seeded p in [1.3, 2.02] at spacings 0.02, 0.03,
-# 0.05, 0.075 and 0.1: 0, 0.02, 0.15, 0.2 and 0.33; 0.05 keeps a few, so
-# perfbench's kp_scan still sees scalar kp miss its cache
-_WINDOW_STEP = 0.05
-_WINDOW = _WINDOW_STEP * np.arange(3.0, -4.0, -1.0)
-# firstcond_boundary: at most this many scalar K_p evaluations; it stops
-# once the interpolation error estimate, or the bracket, is at most this
-# narrow in mu
-_BOUNDARY_ITER = 60
-_BOUNDARY_TOL = 1e-12
+# firstcond_boundary: Newton on the sum stops at a step in t = log(1 - mu^p)
+# of at most _NEWTON_STEP, and raises after _BOUNDARY_ITER steps
+_NEWTON_STEP = 1e-9
+_BOUNDARY_ITER = 50
 _KINDS = ("explicit-list", "constant", "interval-grid")
 
 
@@ -282,141 +254,68 @@ def region_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _inverse_roots(points, n: int) -> list:
-    """t at f = 0 on the polynomials in f through the 1, 2, ..., n of
-    ``points``, pairs (f, t) with distinct f, nearest f = 0: inverse
-    interpolation by Neville's recurrence, which gives all of them in one
-    pass."""
-    near = sorted(points, key=lambda pt: abs(pt[0]))[:n]
-    f = [fi for fi, _ in near]
-    t = [ti for _, ti in near]
-    roots = [t[0]]
-    for j in range(1, len(t)):
-        for i in range(len(t) - j):
-            t[i] = (f[i + j] * t[i] - f[i] * t[i + 1]) / (f[i + j] - f[i])
-        roots.append(t[0])
-    return roots
-
-
-@functools.cache
-def _anchor_roots() -> tuple:
-    """t_b = log(1 - mu_b^p) at each p of ``_ANCHOR_PS``: the root of the
-    inverse interpolant through the 7 of its row of ``_BOUNDARY_MUS``
-    nearest the threshold, no scalar K_p; one ``_kp_rows`` call of 9 x 16
-    rows, once a process (2.2 ms of CPU in a fresh one)."""
-    n = len(_BOUNDARY_MUS)
-    ps = [p for p in _ANCHOR_PS for _ in range(n)]
-    f = _kp_rows(ps, _BOUNDARY_MUS.tolist() * len(_ANCHOR_PS))[0] - FIRSTCOND_RHS
-    roots = []
-    for p, row in zip(_ANCHOR_PS, f.reshape(-1, n).tolist()):
-        ts = np.log1p(-(_BOUNDARY_MUS**p)).tolist()
-        roots.append(_inverse_roots(zip(row, ts), 7)[-1])
-    return tuple(roots)
-
-
-def _window(p: float) -> list:
-    """The 7 moduli at t_hat + ``_WINDOW``, t = log(1 - mu^p), t_hat the
-    cubic through the 4 anchor roots nearest p, taken at p clipped into
-    ``_PREDICT_PS``, shifted if need be so that all 7 lie in the scan
-    range [1e-6, 0.999]."""
-    q = min(max(p, _PREDICT_PS[0]), _PREDICT_PS[1])
-    pts = [(a - q, t) for a, t in zip(_ANCHOR_PS, _anchor_roots())]
-    t_hat = _inverse_roots(pts, 4)[-1]
-    half = _WINDOW[0]
-    t_top, t_bottom = math.log1p(-(0.999**p)), math.log1p(-(1e-6**p))
-    centre = min(max(t_hat, t_top + half), t_bottom - half)
-    mus = (-np.expm1(centre + _WINDOW)) ** (1.0 / p)
-    return np.clip(mus, 1e-6, 0.999).tolist()
-
-
 def firstcond_boundary(p: float) -> float:
     """The modulus at which K_p crosses the firstcond threshold.
 
     Root of K_p(mu) = 8/(pi^2 - 8) on [1e-6, 0.999], solved in
-    t = log(1 - mu^p): K_p is 2F1(1/p, 1/p; 1; mu^p) times a constant,
-    close to linear in t both for small mu^p and near its logarithmic
-    singularity at mu^p = 1.  The root t_b is smooth in p: at 9 anchors
-    p evenly spaced over [1.26, 2.02] the first call in a process stores
-    t_b (one batched K_p call of 9 x 16 rows, each root the 7-point
-    inverse interpolation of its row), and at a p in that span the cubic
-    through the 4 nearest anchors predicts t_b to 7.0e-3 at worst; at
-    other p the cubic is taken at the nearer end of [1.24, 2.03].  One
-    batched K_p call evaluates the window of 7 moduli 0.05 apart in t
-    around that prediction, shifted if need be to stay in [1e-6, 0.999];
-    the window interval where the sign changes is the bracket.  A
-    crossing exists for p in [1.2497941463776217, 2.023976105481417], and
-    there the window brackets it (seeded sweeps over both slivers outside
-    the anchors' span, where the window stands on an end of the scan
-    range, included).  K_p rises in mu and falls in p, so at any other p
-    no window shows a sign change.  Every K_p known so far,
-    batch node or scalar evaluation, is a point (t, K_p - threshold); the
-    root estimate is the inverse interpolant through the seven points
-    nearest the threshold, and its error estimate the distance, in mu,
-    to the root of the inverse interpolant through the nearest six.  The
-    loop returns the 7-point root once that estimate is at most 1e-12
-    with the root inside the bracket, or once the bracket itself is that
-    narrow.  Otherwise it evaluates one scalar :func:`kp` at the root, or
-    at the bracket's midpoint in t if the root leaves the bracket, which
-    shrinks as the signs come in.  Over 200 values of p in [1.3, 2.02]
-    that takes 0.15 scalar calls on average and 1 at most, never one at a
-    batch modulus (0.23 over 2,200 seeded p in [1.26, 2.02], 200 of them
-    within 0.002 of an end).  At p up to 1.88, whose window ends at mu =
-    0.9929, every K_p of a call stops by tanh-sinh level 4; from about
-    1.8805 on, the window's top rows need level 5.
+    t = log(1 - mu^p), in which K_p = pi / (p sin(pi/p)) 2F1(1/p, 1/p; 1;
+    mu^p) is close to linear both for small mu^p and near its logarithmic
+    singularity at mu^p = 1.  Newton's method runs on the hypergeometric
+    sum ``elliptic._kp_sum`` (K_p and dK_p/dt from one pass), from the root
+    of its leading terms, each iterate clamped to the scan range, until a
+    step is at most 1e-9 in t (3.6 sums a call on average over [1.3, 2.02]).
+    One scalar :func:`kp` at that root t_s, the quadrature that
+    ``region_scan`` flags against, then gives t_s - (kp(p, mu_s) -
+    threshold) / (dK/dt); the sum agrees with the quadrature to about
+    1e-15, so that step lands on the quadrature's crossing.  An iterate
+    that stays clamped at an end of the range is decided by :func:`kp` at
+    that end, 1e-6 or 0.999 exactly.  A crossing exists for p in
+    [1.2497941463776217, 2.023976105481417]; K_p rises in mu and falls in p.
 
     Raises
     ------
     DomainError
         If p is not a finite number above 1, checked before any K_p work.
     NoSignChange
-        If the window shows no crossing: K_p is already above the
+        If K_p has no crossing in the scan range: it is already above the
         threshold at 1e-6 (p below about 1.2498) or still below it at
-        0.999 (p above about 2.0240).
+        0.999 (p above about 2.0240).  Where K_p(0) = pi / (p sin(pi/p)) is
+        at the threshold or 0.999^p rounds to 0, at once.
     MaxIterations
-        If neither stop is met after 60 scalar K_p evaluations.
+        If Newton's step on the sum is not below 1e-9 after 50 steps.
     """
-
     p = _check_interval("p", p, 1.0, math.inf, "()")
-
-    def modulus(t):
-        # an extrapolated t >= 0 maps to mu = 0, outside every bracket
-        return (-math.expm1(min(t, 0.0))) ** (1.0 / p)
-
-    mus = _window(p)
-    f = (_kp_rows([p] * len(mus), mus)[0] - FIRSTCOND_RHS).tolist()
-    if not f[0] <= 0.0 <= f[-1]:
+    rhs = FIRSTCOND_RHS
+    top = 0.999**p
+    k0 = math.pi / (p * math.sin(math.pi / p))
+    if k0 >= rhs or top == 0.0:
         raise NoSignChange(
-            f"K_{p}(mu) - 8/(pi^2 - 8) is {f[0]} at mu = {mus[0]} and "
-            f"{f[-1]} at mu = {mus[-1]}, equal signs"
+            f"K_{p}(mu) - 8/(pi^2 - 8) has no sign change on [1e-6, 0.999]: "
+            f"K_p(0) = {k0}, 0.999^p = {top}"
         )
-    k = next(i for i, fi in enumerate(f) if fi >= 0.0)
-    if f[k] == 0.0:
-        return mus[k]
-    ts = np.log1p(-(np.array(mus) ** p)).tolist()
-    # the known points as {f: t}: keyed by f, so the interpolation nodes
-    # are distinct and no denominator of the recurrence is zero
-    known = dict(zip(f, ts))
-    # the bracket: K_p is below the threshold at t = a (mu = lo) and above
-    # it at t = b (mu = hi)
-    a, b, lo, hi = ts[k - 1], ts[k], mus[k - 1], mus[k]
+    # the scan range in t, from mu = 0.999 up to mu = 1e-6
+    lo, hi = math.log1p(-top), math.log1p(-(1e-6**p))
+    t = min(max(_kp_sum_start(p, rhs), lo), hi)
     for _ in range(_BOUNDARY_ITER):
-        *_, six, t = _inverse_roots(known.items(), 7)
-        mu = modulus(t)
-        est = abs(mu - modulus(six))
-        if hi - lo <= _BOUNDARY_TOL or (lo <= mu <= hi and est <= _BOUNDARY_TOL):
-            return min(max(mu, lo), hi)
-        if not lo < mu < hi:
-            t = 0.5 * (a + b)
-            mu = modulus(t)
-        ft = kp(p, mu) - FIRSTCOND_RHS
-        if ft == 0.0:
-            return mu
-        if ft < 0.0:
-            a, lo = t, mu
-        else:
-            b, hi = t, mu
-        known[ft] = t
-    raise MaxIterations(
-        f"firstcond_boundary({p}): bracket still {hi - lo:.3e} wide after "
-        f"{_BOUNDARY_ITER} K_p evaluations (tol {_BOUNDARY_TOL:.3e})"
-    )
+        k, dk = _kp_sum(p, t)
+        # a step out of the range stops at its end, where kp decides
+        nxt = min(max(t - (k - rhs) / dk, lo), hi)
+        t, step = nxt, abs(nxt - t)
+        if step <= _NEWTON_STEP:
+            break
+    else:
+        raise MaxIterations(
+            f"firstcond_boundary({p}): Newton step on the sum still above "
+            f"{_NEWTON_STEP:g} after {_BOUNDARY_ITER} steps"
+        )
+    mu = 0.999 if t == lo else 1e-6 if t == hi else (-math.expm1(t)) ** (1.0 / p)
+    f = kp(p, mu) - rhs
+    if f == 0.0:
+        return mu
+    if t == lo and f < 0.0 or t == hi and f > 0.0:
+        raise NoSignChange(
+            f"K_{p}(mu) - 8/(pi^2 - 8) is {f} at mu = {mu}, the end of the scan "
+            "range on the crossing's side"
+        )
+    t = min(max(t - f / dk, lo), hi)
+    return min(max((-math.expm1(t)) ** (1.0 / p), 1e-6), 0.999)

@@ -22,7 +22,8 @@ bit.  The integrand's factors that depend on p alone, v**m and
 level, on the nodes the driver hands the integrand, so rows that share p
 share them.
 :func:`kp_via_2f1`, the hypergeometric series, is an independent
-cross-check, not a fallback.
+cross-check, not a fallback; :func:`_kp_sum` extends that series to every
+modulus, with its slope, for the firstcond boundary's Newton iteration.
 
 Derivatives follow from the chain rule.  With A = 1 - s**p and
 B = 1 - mu**p s**p at s = sn_p:
@@ -211,19 +212,29 @@ _ANTIDERIV = _antiderivative_map()
 def _pow_ratio(e: np.ndarray, p) -> np.ndarray:
     """(1 - s**p) / (1 - s) for s = 1 - e, stable for all e in [0, 1].
 
-    ``p`` is a float or a column of per-row exponents that broadcasts
-    against ``e``.  The direct quotient collapses to 0/0 as e underflows;
-    below min(1e-6, 1e-5 / p) a three-term expansion around s = 1 carries
-    full double precision, since its first dropped term is about
+    ``p`` is a float or a column of exponents, one per row of ``e``.  The
+    direct quotient collapses to 0/0 as e underflows; below
+    min(1e-6, 1e-5 / p) a three-term expansion around s = 1 carries full
+    double precision, since its first dropped term is about
     (p e)**3 / 24 of the value.  Both branches are evaluated on every
     element, so the value at one e never depends on the other elements or
     rows; the expansion may overflow where it is not used, at large p e.
+    Each branch is formed in place, in the order of its expression.
     """
     e = np.asarray(e, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        big = -np.expm1(p * np.log1p(-e)) / e
-        small = p * (1.0 + (p - 1.0) * e * (-0.5 + (p - 2.0) * e / 6.0))
-    return np.where(e < np.minimum(1e-6, 1e-5 / p), small, big)
+        big = np.log1p(-e)
+        big *= p
+        np.expm1(big, out=big)
+        big /= -e
+        small = np.multiply(e, p - 2.0)
+        small /= 6.0
+        small -= 0.5
+        small *= np.multiply(e, p - 1.0)
+        small += 1.0
+        small *= p
+    np.copyto(big, small, where=e < np.minimum(1e-6, 1e-5 / p))
+    return big
 
 
 def _eps_mup(p: float, mu: float) -> tuple[float, float]:
@@ -261,10 +272,11 @@ def _kp_rows(p, mu):
     arrays.  v**m and the ratio (1 - s**p) / (1 - s) depend on p alone, so
     F forms them once per level for the call's distinct p's, on the nodes
     the driver hands it, and rows that share p share them; only
-    ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  v**m takes m as
-    a column and the row's power is np.power, at every m and p, never a
-    scalar shortcut (sqrt, copy or square at m = 0.5, 1 or 2), so a row
-    has the same bits alone, as a point, or in any batch.
+    ``(ratio (eps + mup ratio e))**(-1/p)`` runs per row.  One p passes
+    as a float, several as a column whose rows each row gathers; the power
+    is np.power at every m and p, never a scalar shortcut (sqrt, copy or
+    square at m = 0.5, 1 or 2), so a row has the same bits alone, as a
+    point, or in any batch.
     """
     point = isinstance(p, float)
     if point:
@@ -274,21 +286,21 @@ def _kp_rows(p, mu):
         ps, k = tuple(where), np.array([where[a] for a in p])
         p_col, eps, mup = np.array([p, *zip(*map(_eps_mup, p, mu))])[:, :, None]
     cols = (eps, mup, -1.0 / p_col, p_col / (p_col - 1.0) * _KP_WEIGHT)
-    # the distinct p's as a column, and their exponents m
-    p_distinct = np.array(ps)[:, None]
+    # the distinct p's, as a float or a column, and their exponents m
+    many = len(ps) > 1
+    p_distinct = np.array(ps)[:, None] if many else ps[0]
     m_distinct = p_distinct / (p_distinct - 1.0) * _KP_WEIGHT
 
     # m T(e) with T the _tail_factor, e = x**m, as
     # m (ratio (eps + mup ratio e))**power formed in place; a point's
     # cols are floats, a batch's are columns cut to the live rows
     def F(lev, x, cx, rows):
-        e = x**m_distinct
+        e = np.power(x, m_distinct)
         ratio = _pow_ratio(e, p_distinct)
-        if point:
-            e, ratio, c = e[0], ratio[0], cols
-        else:
+        c = cols if point else [a[rows] for a in cols]
+        if many:
             j = k[rows]
-            e, ratio, c = e[j], ratio[j], [a[rows] for a in cols]
+            e, ratio = e[j], ratio[j]
         eps, mup, power, m = c
         out = mup * ratio
         out *= e
@@ -466,15 +478,110 @@ def _kp(p: float, mu: float) -> float:
 kp.cache_info = _kp.cache_info
 
 
+# zeta(3), zeta(5), ..., zeta(15): where |sigma| < 0.1 and D_0's lgamma
+# form cancels, _y_head sums D_0 = -4 log 2 - sum over m <= 7 of (2 - 2**(1-2m))
+# zeta(2m+1) sigma**(2m) / (2m+1); each is within 8e-15 of 40-digit mpmath
+_ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923, 1.0020083928260821,
+             1.0004941886041194, 1.0001227133475785, 1.000030588236307)
+_D0_COEF = [(2.0 - 2.0 ** (1 - 2 * m)) * z / (2 * m + 1) for m, z in enumerate(_ZETA_ODD, 1)]
+
+
+def _gauss_sum(a: float, x: float) -> tuple[float, float]:
+    """(F, dF/dx) for F = 2F1(a, a; 1; x), 0 < a < 1, 0 <= x < 1: the Gauss
+    series, term n + 1 = term n q_n x with q_n = (a+n)**2 / (n+1)**2 < 1,
+    and dF/dx = sum (n+1) q_n term_n, stopped once a term is below 1e-17
+    of the total."""
+    term = total = 1.0
+    slope = 0.0
+    n = 0
+    while term >= 1e-17 * total:
+        q = (a + n) * (a + n) / ((1.0 + n) * (1.0 + n))
+        slope += (1.0 + n) * q * term
+        term *= q * x
+        total += term
+        n += 1
+    return total, slope
+
+
+def _y_head(a: float, s: float) -> tuple[float, float]:
+    """(G_0, D_0) of :func:`_kp_sum`'s y-series at a = 1/p, sigma = s."""
+    if abs(s) < 0.1:
+        d0 = -4.0 * math.log(2.0) - sum(c * s ** (2 * m) for m, c in enumerate(_D0_COEF, 1))
+    else:
+        d0 = math.lgamma(1.0 - s) - math.lgamma(1.0 + s)
+        d0 = (d0 + 2.0 * (math.lgamma(a + s) - math.lgamma(a))) / s
+    return math.gamma(1.0 + s) / math.gamma(a + s) ** 2, d0
+
+
+def _kp_sum(p: float, t: float) -> tuple[float, float]:
+    """(K_p, dK_p/dt) at the modulus with t = log(1 - mu**p), from one pass
+    over a convergent hypergeometric series.
+
+    K_p = pref 2F1(a, a; 1; x), pref = pi / (p sin(pi/p)), a = 1/p,
+    x = mu**p = 1 - y, y = e**t: the Gauss series (:func:`_gauss_sum`) for
+    x <= 1/2, and above, Abramowitz and Stegun 15.3.6 in y with sigma =
+    1 - 2/p, its halves joined term by term as sum_n -G_n y**n
+    expm1(sigma u_n) / sigma, u_n = t + D_n, G_n = Gamma(1+sigma) (a)_n**2
+    / (Gamma(a+sigma)**2 (1-sigma)_n n!), D_0 = [lgamma(1-sigma) -
+    lgamma(1+sigma) + 2 (lgamma(a+sigma) - lgamma(a))] / sigma and D_n
+    adding [2 log1p(sigma/(a+n)) - log1p(sigma/(1+n)) +
+    log1p(-sigma/(1+n))] / sigma.  That is removable at sigma = 0, A&S
+    15.3.10's log case (the n = 0 term is log(4/k') at p = 2).  Every term
+    is positive and at most y times the one before, as D_n rises to 0, so
+    the sum stops once a term is below 1e-17 of the total.
+    """
+    a = 1.0 / p
+    pref = math.pi / (p * math.sin(math.pi / p))
+    y = math.exp(t)
+    if y >= 0.5:
+        f, df = _gauss_sum(a, -math.expm1(t))
+        return pref * f, -pref * y * df
+    s = 1.0 - 2.0 * a
+    g, d = _y_head(a, s)
+    total = slope = 0.0
+    n = 0
+    while True:
+        e = math.expm1(s * (t + d))
+        term = -g * (e / s if s else t + d)
+        total += term
+        slope += n * term - g * (1.0 + e)
+        if term < 1e-17 * total:
+            return pref * total, pref * slope
+        g *= (a + n) * (a + n) / ((2.0 * a + n) * (1.0 + n)) * y
+        r = 1.0 / (1.0 + n)
+        if s:
+            d += (2.0 * math.log1p(s / (a + n)) - math.log1p(s * r) + math.log1p(-s * r)) / s
+        else:
+            d += 2.0 / (a + n) - 2.0 * r
+        n += 1
+
+
+def _kp_sum_start(p: float, k: float) -> float:
+    """A start for Newton on :func:`_kp_sum` (p, t) = k: x = (k / pref - 1) p**2,
+    where the Gauss series' n <= 1 terms equal k, if x <= 1/2, else the
+    y-series' n = 0 term's root (-inf if that term stays below k)."""
+    pref = math.pi / (p * math.sin(math.pi / p))
+    x = (k / pref - 1.0) * p * p
+    if x <= 0.5:
+        return math.log1p(-x)
+    s = 1.0 - 2.0 / p
+    g, d = _y_head(1.0 / p, s)
+    # -g expm1(s u) / s = k / pref at u = t + d
+    z = -s * k / (pref * g)
+    if z <= -1.0:
+        return -math.inf
+    return (math.log1p(z) / s if s else -k / (pref * g)) - d
+
+
 def kp_via_2f1(p: float, mu: float) -> float:
     """K_p(mu) through the Gauss hypergeometric representation.
 
-    Sums (B(1/p, 1 - 1/p) / p) * 2F1(1/p, 1/p; 1; mu**p) directly; the Beta
-    prefactor reduces to pi / (p sin(pi/p)) by reflection.  Independent of
-    the quadrature route, so the two serve as mutual cross-checks.  The
-    series stops once a term drops below 1e-17 of the total; for p > 1
-    the n-th term is below (mu**p)**n, so at mu**p <= 0.9 that takes at
-    most 372 terms.
+    Sums (B(1/p, 1 - 1/p) / p) * 2F1(1/p, 1/p; 1; mu**p) directly, by the
+    Gauss half of :func:`_kp_sum`; the Beta prefactor reduces to
+    pi / (p sin(pi/p)) by reflection.  Independent of the quadrature
+    route, so the two serve as mutual cross-checks.  The series stops once
+    a term drops below 1e-17 of the total; for p > 1 the n-th term is
+    below (mu**p)**n, so at mu**p <= 0.9 that takes at most 372 terms.
 
     Raises
     ------
@@ -485,15 +592,8 @@ def kp_via_2f1(p: float, mu: float) -> float:
     x = mu**p
     if x > 0.9:
         raise SlowConvergence(f"mu**p = {x:.6f} > 0.9; hypergeometric series too slow")
-    a = 1.0 / p
-    term = total = 1.0
-    n = 0
-    while term >= 1e-17 * total:
-        term *= (a + n) * (a + n) / ((1.0 + n) * (1.0 + n)) * x
-        total += term
-        n += 1
     pref = math.pi / (p * math.sin(math.pi / p))
-    return pref * total
+    return pref * _gauss_sum(1.0 / p, x)[0]
 
 
 @dataclass(frozen=True)

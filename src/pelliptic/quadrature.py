@@ -154,8 +154,8 @@ def _ts_nodes(lev: int = _MAX_LEVEL) -> tuple[np.ndarray, np.ndarray, np.ndarray
     complements 1-x and ``picosh`` the transform weights pi cosh t.
     Each level is computed on its own the first time a call reaches it,
     and kept: most integrals stop by level 5-7, and the whole table holds
-    24,985 nodes.  A filled level costs one list lookup, as the driver and
-    the K_p factors ask for it at every level.
+    24,985 nodes.  A filled level costs one list lookup, as the driver
+    asks for it at every level.
     """
     while len(_VIEWS) <= lev:
         k = len(_VIEWS)

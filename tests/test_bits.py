@@ -43,6 +43,10 @@ QUAD_PAIRS = [
 ]
 # tau_k rows that stop at levels 6 and 7
 TAU_LONG_PAIRS = [(2.0, 0.5), (1.5, 0.9)]
+# 16 rows at one p, moduli geometric in 1 - mu from 1e-6 to 0.999 (the
+# grid the boundary search once batched)
+BOUNDARY_MUS = 1.0 - np.geomspace(1.0 - 1e-6, 1.0 - 0.999, 16)
+BOUNDARY_MUS[[0, -1]] = 1e-6, 0.999
 # one batch with p repeated in rows that are not adjacent
 REPEAT_P = [1.3, 2.5, 1.3, 4.0, 2.5, 1.3, 4.0, 2.5]
 REPEAT_MU = [0.2, 0.9, 0.999999, 0.5, 0.0, 0.95, 1.0 - 1e-12, 0.6]
@@ -140,7 +144,7 @@ def compute() -> dict:
         ]
     for p, mu in TAU_LONG_PAIRS:
         out[f"tau_k 1..201 {p!r},{mu!r}"] = fr.tau_k(p, mu, np.arange(1, 202)).tolist()
-    out["_kp_rows 1.63 boundary"] = el._kp_rows([1.63] * 16, ct._BOUNDARY_MUS)[0].tolist()
+    out["_kp_rows 1.63 boundary"] = el._kp_rows([1.63] * 16, BOUNDARY_MUS)[0].tolist()
     out["_kp_rows repeated p"] = el._kp_rows(REPEAT_P, REPEAT_MU)[0].tolist()
     for name, fn, ea, tol in DRIVER:
         row = quad._tanh_sinh(lambda lev, x, cx, rows: fn(x, cx), ea, tol)

@@ -7,7 +7,6 @@ its edges.  The p = 2 firstcond boundary modulus was confirmed with a
 0.99691222... and whose nome is 0.31532299...
 """
 
-import bisect
 import math
 import random
 
@@ -412,13 +411,6 @@ def _seeded_ps(n, seed=26, lo=1.26, hi=2.02):
     return sorted(round(rng.uniform(lo, hi), 4) for _ in range(n))
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _anchors():
-    # the one-time anchor batch runs here, so no test that counts K_p calls
-    # or levels sees it, and no stand-in K_p ever reaches it
-    ct._anchor_roots()
-
-
 def _newton_gap(p, b):
     # one Newton step on the 30-digit K_p = pi/(p sin(pi/p)) 2F1(a, a; 1; x),
     # a = 1/p, x = mu^p, with dK/dmu = pi/(p sin(pi/p)) a^2 2F1(a+1, a+1; 2; x)
@@ -433,9 +425,10 @@ def _newton_gap(p, b):
 
 
 # both ends of the crossing range, the values p = 1.3, 1.5 and 2.0, both
-# sides of p = 1.86, every anchor, and 20 seeded values in [1.26, 2.02]
+# sides of p = 1.86, the 7 inner points of 9 evenly spaced over
+# [1.26, 2.02], and 20 seeded values in [1.26, 2.02]
 _NEWTON_PS = [1.26, 1.3, 1.5, 2.0, 2.02, 1.86, float(np.nextafter(1.86, 2.0))]
-_NEWTON_PS += list(ct._ANCHOR_PS[1:-1]) + _seeded_ps(20)
+_NEWTON_PS += np.linspace(1.26, 2.02, 9)[1:-1].tolist() + _seeded_ps(20)
 
 
 @pytest.mark.parametrize("p", _NEWTON_PS)
@@ -444,10 +437,9 @@ def test_firstcond_boundary_matches_mpmath_newton_step(p):
 
 
 def test_firstcond_boundary_newton_sweep_with_both_window_ends():
-    # 40 seeded p over [1.26, 2.02], and 10 within 0.002 of each end, where
-    # the window is shifted to stay inside [1e-6, 0.999]: every root within
-    # 1e-12 of the 30-digit Newton step (the worst of 2,200 such p, seed 7,
-    # was 7.1e-14)
+    # 40 seeded p over [1.26, 2.02], and 10 within 0.002 of each end of
+    # that span: every root within 1e-12 of the 30-digit Newton step (the
+    # worst of 609 seeded p over the whole crossing range was 2.3e-14)
     ps = _seeded_ps(40, seed=45)
     ps += _seeded_ps(10, seed=46, hi=1.262) + _seeded_ps(10, seed=47, lo=2.018)
     for p in ps:
@@ -455,9 +447,8 @@ def test_firstcond_boundary_newton_sweep_with_both_window_ends():
 
 
 def test_firstcond_boundary_within_its_stop_of_the_mpmath_root():
-    # the 16-node grid alone returned 0.3708114882440681 here after one
-    # scalar kp, 1.34e-12 off; the window's points are 0.05 apart in t,
-    # so the 7-point root is within 5e-16 of the 30-digit root of
+    # a 16-node grid with inverse interpolation once returned
+    # 0.3708114882440681 here, 1.34e-12 off the 30-digit root of
     # pi/(p sin(pi/p)) 2F1(a, a; 1; mu^p) = 8/(pi^2 - 8), a = 1/p,
     # 0.3708114882427266...
     p = 1.3087812341441019
@@ -499,136 +490,120 @@ def _spy_kp(monkeypatch):
     return seen
 
 
+def _spy_sum(monkeypatch):
+    """The moduli mu = (1 - e^t)^(1/p) the sum (or its stand-in) is asked
+    at, in order."""
+    seen = []
+    kp_sum = ct._kp_sum
+
+    def spy(p_, t):
+        seen.append((-math.expm1(t)) ** (1.0 / p_))
+        return kp_sum(p_, t)
+
+    monkeypatch.setattr(ct, "_kp_sum", spy)
+    return seen
+
+
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
 def test_firstcond_boundary_takes_few_kp_evaluations(monkeypatch, p):
-    # bisection alone would need log2(0.999 / 1e-12) + 2, about 42
+    # bisection alone would need log2(0.999 / 1e-12) + 2, about 42; Newton
+    # on the sum needs one scalar kp, at its root
     calls = _counting(monkeypatch, ct, "kp")
     b = ct.firstcond_boundary(p)
-    assert calls[0] <= 2
+    assert calls[0] == 1
     assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
 
 
-def _spy_batches(monkeypatch):
-    """The moduli of each _kp_rows call that firstcond_boundary makes."""
-    batches = []
-    rows = ct._kp_rows
+@pytest.mark.parametrize(
+    "p", [1.2, 1.255, 1.5, 2.02, 2.021, 2.023976105481417, 2.0241, 2.03, 1e100, 1e300]
+)
+def test_firstcond_boundary_makes_one_scalar_kp_and_no_batch_at_every_p(
+    monkeypatch, p
+):
+    # inside the crossing range, at its top end and beyond it on both
+    # sides: no _kp_rows batch, every quadrature a point, and one scalar
+    # kp, none where K_p(0) is at the threshold or 0.999^p rounds to 0
+    el._kp.cache_clear()
+    batches = _counting(monkeypatch, ct, "_kp_rows")
+    scalars = _counting(monkeypatch, ct, "kp")
+    shapes = []
+    driver = el._tanh_sinh
 
-    def spy(ps, mus):
-        batches.append(list(mus))
-        return rows(ps, mus)
+    def spy(F, ea, tol):
+        def G(lev, x, cx, rows):
+            out = F(lev, x, cx, rows)
+            shapes.append(out.ndim)
+            return out
 
-    monkeypatch.setattr(ct, "_kp_rows", spy)
-    return batches
+        return driver(G, ea, tol)
+
+    monkeypatch.setattr(el, "_tanh_sinh", spy)
+    if 1.2497941463776217 <= p <= 2.023976105481417:
+        assert _newton_gap(p, ct.firstcond_boundary(p)) < 1e-12
+        assert scalars[0] == 1
+    else:
+        with pytest.raises(NoSignChange):
+            ct.firstcond_boundary(p)
+        assert scalars[0] == (p < 1e3 and p > 1.25)
+    assert batches[0] == 0 and set(shapes) <= {1}
 
 
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
-def test_firstcond_boundary_brackets_from_one_batch(monkeypatch, p):
-    # the window of 7 moduli, one _kp_rows call, narrows the bracket to
-    # one window interval and holds the points the first interpolant runs
-    # through, so at most a few scalar evaluations inside it are needed
-    batches = _spy_batches(monkeypatch)
-    calls = _counting(monkeypatch, ct, "kp")
-    b = ct.firstcond_boundary(p)
-    assert batches == [ct._window(p)] and len(batches[0]) == 7
-    assert batches[0][0] < b < batches[0][-1]
-    assert calls[0] <= 2
-    assert abs(el.kp(p, b) - ct.FIRSTCOND_RHS) < 1e-11
+@pytest.mark.parametrize(
+    "p",
+    [1.0 + 1e-15, 1.1, 1.2, 1.2497, 2.0241, 2.03, 2.1, 3.0, 50.0, 700.0, 1e4, 7e5,
+     1e10, 1e100, 1e300],
+)
+def test_firstcond_boundary_raises_only_no_sign_change_beyond_the_range(p):
+    # from p just above 1, where K_p(0) is about 1e15, to p = 1e300, where
+    # 0.999^p is 0, and through p = 700, where the y-series' leading term
+    # stays below the threshold: NoSignChange, and no other exception
+    with pytest.raises(NoSignChange):
+        ct.firstcond_boundary(p)
 
 
 @pytest.mark.parametrize("p", [1.26, 1.2605, 1.2619, 2.0181, 2.0199, 2.02])
-def test_firstcond_boundary_window_shifts_inside_the_scan_range(p):
-    # within 0.002 of either end of the anchors' span the window centred on
-    # the predicted root would leave [1e-6, 0.999]; shifted, it stands on
-    # that end of the range, its 7 moduli increasing and 0.05 apart in t
-    mus = ct._window(p)
-    ts = np.log1p(-(np.array(mus) ** p))
-    assert len(mus) == 7 and 1e-6 <= mus[0] and mus[-1] <= 0.999
-    assert np.allclose(np.diff(ts), -ct._WINDOW_STEP, rtol=0.0, atol=1e-9)
-    assert mus[0] == pytest.approx(1e-6, rel=1e-8) if p < 1.5 else mus[-1] == 0.999
-
-
-def test_anchor_cubic_predicts_the_root_well_inside_the_window():
-    # the anchors' roots, the grid's 7-point roots at their p, are within
-    # 1.3e-4 of t_b = log(1 - mu_b^p) (at p = 1.26; below 4e-5 elsewhere),
-    # and the cubic through the 4 nearest predicts t_b to 7e-3 at 200
-    # seeded p (7.0e-3 at worst of 1,500), well inside the window's
-    # half-width 0.15
-    roots = ct._anchor_roots()
-    for a, t in zip(ct._ANCHOR_PS, roots):
-        assert abs(t - math.log1p(-(ct.firstcond_boundary(a) ** a))) < 2e-4
-    for p in _seeded_ps(200, seed=86):
-        pts = [(a - p, t) for a, t in zip(ct._ANCHOR_PS, roots)]
-        t_hat = ct._inverse_roots(pts, 4)[-1]
-        assert abs(t_hat - math.log1p(-(ct.firstcond_boundary(p) ** p))) < 7e-3
-
-
-def test_anchor_roots_come_from_one_batch_once(monkeypatch):
-    # 9 x 16 rows in one _kp_rows call, no scalar kp, and not again
-    batches = _spy_batches(monkeypatch)
-    calls = _counting(monkeypatch, ct, "kp")
-    roots = ct._anchor_roots()
-    ct._anchor_roots.cache_clear()
-    assert ct._anchor_roots() == roots and ct._anchor_roots() == roots
-    assert batches == [ct._BOUNDARY_MUS.tolist() * 9] and calls[0] == 0
+def test_firstcond_boundary_window_shifts_inside_the_scan_range(monkeypatch, p):
+    # within 0.002 of either end of [1.26, 2.02] the root lies near an end
+    # of the scan range; every Newton iterate, clamped to that range, asks
+    # the sum at a modulus inside [1e-6, 0.999], and so does the one kp
+    sums = _spy_sum(monkeypatch)
+    seen = _spy_kp(monkeypatch)
+    b = ct.firstcond_boundary(p)
+    assert 1e-6 <= b <= 0.999 and _newton_gap(p, b) < 1e-12
+    assert all(1e-6 * (1 - 1e-9) <= mu <= 0.999 * (1 + 1e-15) for mu in sums + seen)
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 1.7, 1.86])
 def test_firstcond_boundary_skips_the_moduli_above_0_99_up_to_the_cut(
     monkeypatch, p
 ):
-    # the crossing lies below mu = 0.99 for every p <= 1.86, and the one
-    # batch, the window, holds none of the five grid moduli above 0.99
-    batches = _spy_batches(monkeypatch)
+    # the crossing lies below mu = 0.99 for every p <= 1.86, and neither
+    # the sum nor the scalar kp is asked above it
+    sums = _spy_sum(monkeypatch)
+    seen = _spy_kp(monkeypatch)
     b = ct.firstcond_boundary(p)
-    assert batches == [ct._window(p)]
-    assert not set(batches[0]) & set(ct._BOUNDARY_MUS[11:].tolist())
-    assert b < ct._BOUNDARY_MUS[10]
+    assert b < 0.99 and max(sums + seen) < 0.99
 
 
-@pytest.mark.parametrize("p", [1.2, 1.255, 1.5, 2.021, 2.0241, 2.03, 1e100, 1e300])
-def test_firstcond_boundary_makes_one_window_batch_at_every_p(monkeypatch, p):
-    # inside the anchors' span, in both slivers of the crossing range
-    # outside it, and beyond that range, where the window shows no sign
-    # change: one _kp_rows batch, the 7-modulus window, and no second
-    # batch; the cubic's p is clipped, so no p divides by zero
-    batches = _spy_batches(monkeypatch)
-    if 1.2497941463776217 <= p <= 2.023976105481417:
-        assert _newton_gap(p, ct.firstcond_boundary(p)) < 1e-12
-    else:
-        with pytest.raises(NoSignChange):
-            ct.firstcond_boundary(p)
-    assert batches == [ct._window(p)] and len(batches[0]) == 7
-
-
-def test_firstcond_boundary_sweep_over_the_whole_crossing_range(monkeypatch):
-    # the crossing exists for p in [1.2497941463776217, 2.023976105481417],
-    # where K_p(1e-6) and K_p(0.999) equal the threshold; 200 seeded p in
-    # each sliver outside the anchors' span, where the cubic extrapolates
-    # and the window stands on an end of the scan range, both ends, and
-    # 40 seeded p inside the span: every window brackets its root, and
-    # every root is within 1e-12 of the 30-digit Newton step (the worst
-    # of these 442 p was 1.7e-14)
-    lo, hi = 1.2497941463776217, 2.023976105481417
-    ps = [lo, hi] + _seeded_ps(40, seed=460)
-    rng = random.Random(461)
-    ps += [rng.uniform(lo, 1.26) for _ in range(200)]
-    ps += [rng.uniform(2.02, hi) for _ in range(200)]
-    batches = _spy_batches(monkeypatch)
-    for p in ps:
-        batches.clear()
-        b = ct.firstcond_boundary(p)
-        window = batches[0]
-        assert len(batches) == 1 and window[0] <= b <= window[-1], p
-        assert _newton_gap(p, b) < 1e-12, p
+def test_kp_does_not_increase_in_p():
+    # a seeded grid of 40 p, log-uniform in [1.001, 50], by 30 moduli in
+    # [0, 1 - 1e-15], half uniform and half with 1 - mu log-uniform
+    rng = random.Random(186)
+    ps = [1.001, 50.0]
+    ps += [math.exp(rng.uniform(math.log(1.001), math.log(50.0))) for _ in range(38)]
+    mus = [0.0, 1.0 - 1e-15] + [rng.uniform(0.0, 1.0) for _ in range(14)]
+    mus += [1.0 - 10.0 ** rng.uniform(-15.0, 0.0) for _ in range(14)]
+    for mu in mus:
+        row = [el.kp(p, mu) for p in sorted(ps)]
+        assert all(a >= b for a, b in zip(row, row[1:])), mu
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 1.7, 1.86])
 def test_firstcond_boundary_builds_no_level_5_kp_factor_below_the_cut(
     monkeypatch, p
 ):
-    # the window's rows and the scalar refinements stop at level 4 for p up
-    # to 1.88 (checked 0.0005 apart); from about 1.8805 on, the window's
-    # top rows, above mu = 0.9929, need level 5
+    # the one scalar kp, at a root below mu = 0.99, stops at level 4 for
+    # p up to 1.86
     el._kp.cache_clear()
     levels = []
     driver = el._tanh_sinh
@@ -645,150 +620,141 @@ def test_firstcond_boundary_builds_no_level_5_kp_factor_below_the_cut(
     assert levels and max(levels) < 5
 
 
-def test_kp_does_not_increase_in_p():
-    # a seeded grid of 40 p, log-uniform in [1.001, 50], by 30 moduli in
-    # [0, 1 - 1e-15], half uniform and half with 1 - mu log-uniform
-    rng = random.Random(186)
-    ps = [1.001, 50.0]
-    ps += [math.exp(rng.uniform(math.log(1.001), math.log(50.0))) for _ in range(38)]
-    mus = [0.0, 1.0 - 1e-15] + [rng.uniform(0.0, 1.0) for _ in range(14)]
-    mus += [1.0 - 10.0 ** rng.uniform(-15.0, 0.0) for _ in range(14)]
-    for mu in mus:
-        row = [el.kp(p, mu) for p in sorted(ps)]
-        assert all(a >= b for a, b in zip(row, row[1:])), mu
-
-
-@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 2.02])
-def test_firstcond_boundary_takes_bracket_ends_from_its_batch(monkeypatch, p):
-    # the batch holds K_p at every window modulus, so scalar kp only ever
-    # sees the moduli tried inside the bracket (one at p = 1.3, none at
-    # the others, where the window's 7-point root meets the stop)
-    seen = _spy_kp(monkeypatch)
-    ct.firstcond_boundary(p)
-    assert len(seen) == (p == 1.3)
-    assert not set(seen) & set(ct._window(p))
-
-
-def test_firstcond_boundary_stays_inside_the_batch_bracket(monkeypatch):
-    # 200 values of p over the whole crossing range [1.3, 2.02], both ends
-    # included: every scalar K_p lies strictly inside the window interval
-    # that holds the root, and the error-estimate stop needs at most 2 of
-    # them, 0.15 on average
-    rng = random.Random(2024)
-    ps = [1.3, 2.02] + [rng.uniform(1.3, 2.02) for _ in range(198)]
-    seen = _spy_kp(monkeypatch)
-    counts = []
+def test_firstcond_boundary_sweep_over_the_whole_crossing_range():
+    # the crossing exists for p in [1.2497941463776217, 2.023976105481417],
+    # where K_p(1e-6) and K_p(0.999) equal the threshold; 200 seeded p in
+    # each sliver outside [1.26, 2.02], where the root is near an end of
+    # the scan range, both ends, and 40 seeded p inside: every root lies
+    # in the scan range and within 1e-12 of the 30-digit Newton step (the
+    # worst of these 442 p was 2.3e-14)
+    lo, hi = 1.2497941463776217, 2.023976105481417
+    ps = [lo, hi] + _seeded_ps(40, seed=460)
+    rng = random.Random(461)
+    ps += [rng.uniform(lo, 1.26) for _ in range(200)]
+    ps += [rng.uniform(2.02, hi) for _ in range(200)]
     for p in ps:
-        seen.clear()
-        window = ct._window(p)
         b = ct.firstcond_boundary(p)
-        k = bisect.bisect_left(window, b)
-        assert 0 < k < len(window)
-        assert all(window[k - 1] < mu < window[k] for mu in seen)
-        counts.append(len(seen))
-    assert sum(counts) / len(counts) <= 0.3
-    assert max(counts) <= 2
+        assert 1e-6 <= b <= 0.999, p
+        assert _newton_gap(p, b) < 1e-12, p
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
 def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
-    # _kp_rows checks p before its quadrature runs
+    # p is checked before the sum or a quadrature runs
     quads = _counting(monkeypatch, el, "_tanh_sinh")
     scalars = _counting(monkeypatch, ct, "kp")
+    sums = _counting(monkeypatch, ct, "_kp_sum")
     with pytest.raises(DomainError):
         ct.firstcond_boundary(p)
-    assert quads[0] == scalars[0] == 0
+    assert quads[0] == scalars[0] == sums[0] == 0
 
 
-# the p of the stand-in tests: its window holds moduli from 0.19 to 0.44,
-# and each stand-in crosses at or near 0.35, between its 4th and 5th
+# the p of the stand-in tests, and t = log(1 - mu^p) at mu = 0.35, where
+# each stand-in crosses or bends; its scan range in t is [-6.65, -1.6e-8]
 _STAND_IN_P = 1.3
+_T35 = math.log1p(-(0.35**_STAND_IN_P))
 
 
-def _stand_in_kp(monkeypatch, f):
-    """K_p replaced by the strictly increasing f(mu), batch and scalar; the
-    moduli of each batch, in order.  Each stand-in below crosses inside
-    the window at p = 1.3, so the window's batch brackets it."""
-    batches = []
-
-    def rows(ps, mus):
-        batches.append(list(mus))
-        return (f(np.asarray(mus)),)
-
-    monkeypatch.setattr(ct, "_kp_rows", rows)
-    monkeypatch.setattr(ct, "kp", lambda p, mu: float(f(np.float64(mu))))
-    return batches
-
-
-def test_firstcond_boundary_returns_a_window_node_on_the_threshold(monkeypatch):
-    # the window's batch hits the threshold at a node, which is returned
-    # with no scalar call and no second batch
-    p = _STAND_IN_P
-    node = ct._window(p)[3]
-    batches = _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + (mu - node))
-    scalars = _counting(monkeypatch, ct, "kp")
-    assert ct.firstcond_boundary(p) == node
-    assert scalars[0] == 0
-    assert batches == [ct._window(p)]
-
-
-def test_firstcond_boundary_bisects_a_step_that_leaves_the_bracket(monkeypatch):
-    # a root where the stand-in bends sharply: the 7-point interpolant
-    # through the batch lands outside the bracket [0.3313, 0.3704], so the
-    # first scalar call is at the bracket's midpoint in t = log(1 - mu^p)
-    p = _STAND_IN_P
-    _stand_in_kp(
-        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.arctan(200.0 * (mu - 0.35))
+def _stand_in(monkeypatch, f, df, kp):
+    """The sum replaced by (threshold + f(t), df(t)) and the scalar kp by
+    kp(mu); the moduli kp is called at, in order."""
+    monkeypatch.setattr(
+        ct, "_kp_sum", lambda p, t: (ct.FIRSTCOND_RHS + f(t), df(t))
     )
-    seen = _spy_kp(monkeypatch)
-    assert abs(ct.firstcond_boundary(p) - 0.35) <= 1e-12
-    a, b = np.log1p(-(np.array(ct._window(p)[3:5]) ** p)).tolist()
-    assert seen[0] == (-math.expm1(0.5 * (a + b))) ** (1.0 / p)
-    monkeypatch.setattr(ct, "_BOUNDARY_ITER", 2)
-    with pytest.raises(MaxIterations):
-        ct.firstcond_boundary(p)
+    seen = []
+
+    def scalar(p, mu):
+        seen.append(mu)
+        return ct.FIRSTCOND_RHS + kp(mu)
+
+    monkeypatch.setattr(ct, "kp", scalar)
+    return seen
+
+
+def _t(mu):
+    return math.log1p(-(mu**_STAND_IN_P))
 
 
 def test_firstcond_boundary_returns_an_evaluated_modulus_on_the_threshold(
     monkeypatch,
 ):
-    # the stand-in equals the threshold on [0.345, 0.355], between two
-    # window nodes; the first scalar call lands there and is returned as
+    # the stand-in kp equals the threshold on [0.345, 0.355], around the
+    # sum's root 0.35; the one scalar call lands there and is returned as
     # it is
-    _stand_in_kp(
+    seen = _stand_in(
         monkeypatch,
-        lambda mu: ct.FIRSTCOND_RHS
-        + np.minimum(mu - 0.345, 0.0)
-        + np.maximum(mu - 0.355, 0.0),
+        lambda t: _T35 - t,
+        lambda t: -1.0,
+        lambda mu: min(mu - 0.345, 0.0) + max(mu - 0.355, 0.0),
     )
-    seen = _spy_kp(monkeypatch)
     b = ct.firstcond_boundary(_STAND_IN_P)
-    assert 0.345 <= b <= 0.355
-    assert len(seen) == 1 and seen[-1] == b
+    assert 0.345 <= b <= 0.355 and abs(b - 0.35) <= 1e-15
+    assert seen == [b]
 
 
 def test_firstcond_boundary_stops_on_the_estimate_alone(monkeypatch):
-    # a stand-in linear in t = log(1 - mu^p): the inverse 7- and 6-point
-    # interpolants through the batch agree to rounding, so the estimate stop
-    # returns the root before any scalar call
-    p = _STAND_IN_P
-    t0 = math.log1p(-(0.35**p))
-    _stand_in_kp(monkeypatch, lambda mu: ct.FIRSTCOND_RHS + t0 - np.log1p(-(mu**p)))
-    seen = _spy_kp(monkeypatch)
-    assert abs(ct.firstcond_boundary(p) - 0.35) <= 1e-15
-    assert seen == []
+    # a stand-in sum linear in t: the first Newton step lands on its root,
+    # the second is below 1e-9 and stops the loop; the stand-in kp, 1e-3
+    # lower in t, moves the root there by the one step on kp
+    sums = []
 
+    def f(t):
+        sums.append(t)
+        return _T35 - t
 
-def test_firstcond_boundary_stops_on_a_narrow_bracket(monkeypatch):
-    # a jump of 1 at 0.35 defeats the interpolants, whose estimate never
-    # gets small; the bracket, halved by each step that leaves it, does
-    _stand_in_kp(
-        monkeypatch, lambda mu: ct.FIRSTCOND_RHS + np.where(mu < 0.35, mu - 1.0, mu)
-    )
-    seen = _spy_kp(monkeypatch)
+    seen = _stand_in(monkeypatch, f, lambda t: -1.0, lambda mu: _T35 - 1e-3 - _t(mu))
     b = ct.firstcond_boundary(_STAND_IN_P)
-    assert abs(b - 0.35) <= ct._BOUNDARY_TOL
-    assert 20 <= len(seen) <= ct._BOUNDARY_ITER
+    assert len(sums) == 2 and abs(sums[1] - _T35) <= 1e-15
+    assert len(seen) == 1 and abs(seen[0] - 0.35) <= 1e-15
+    assert abs(_t(b) - (_T35 - 1e-3)) <= 1e-15
+
+
+@pytest.mark.parametrize("end", [1e-6, 0.999])
+def test_firstcond_boundary_leaves_a_clamped_end_to_kp(monkeypatch, end):
+    # the stand-in sum crosses beyond an end of the scan range, so Newton's
+    # iterate stays clamped there; kp at that end, 1e-6 or 0.999 exactly,
+    # puts the crossing just inside, and the step from the end on kp's
+    # value returns it
+    lo_t, hi_t = _t(0.999), _t(1e-6)
+    beyond = lo_t - 0.01 if end == 0.999 else hi_t + 1e-9
+    inside = lo_t + 1e-4 if end == 0.999 else hi_t - 1e-9
+    seen = _stand_in(
+        monkeypatch, lambda t: beyond - t, lambda t: -1.0, lambda mu: inside - _t(mu)
+    )
+    b = ct.firstcond_boundary(_STAND_IN_P)
+    assert seen == [end]
+    assert 1e-6 <= b <= 0.999
+    assert b == pytest.approx((-math.expm1(inside)) ** (1.0 / _STAND_IN_P), rel=1e-15)
+
+
+@pytest.mark.parametrize("end", [1e-6, 0.999])
+def test_firstcond_boundary_raises_no_sign_change_that_kp_decides(monkeypatch, end):
+    # the stand-in sum and kp both cross beyond an end of the scan range:
+    # kp at that end decides, and NoSignChange is raised
+    lo_t, hi_t = _t(0.999), _t(1e-6)
+    beyond = lo_t - 0.01 if end == 0.999 else hi_t + 1e-9
+    seen = _stand_in(
+        monkeypatch, lambda t: beyond - t, lambda t: -1.0, lambda mu: beyond - _t(mu)
+    )
+    with pytest.raises(NoSignChange):
+        ct.firstcond_boundary(_STAND_IN_P)
+    assert seen == [end]
+
+
+def test_firstcond_boundary_raises_max_iterations_on_a_cycling_sum(monkeypatch):
+    # -sign(t - t0) sqrt|t - t0| sends Newton from t to 2 t0 - t and back,
+    # inside the scan range and never closer: MaxIterations after 50
+    # steps, before any kp
+    t0 = _T35
+    seen = _stand_in(
+        monkeypatch,
+        lambda t: math.copysign(math.sqrt(abs(t - t0)), t0 - t),
+        lambda t: -0.5 / math.sqrt(abs(t - t0)),
+        lambda mu: 0.0,
+    )
+    with pytest.raises(MaxIterations):
+        ct.firstcond_boundary(_STAND_IN_P)
+    assert seen == []
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9909, 0.999])

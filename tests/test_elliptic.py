@@ -129,6 +129,15 @@ def test_kp_rows_equal_scalar_kp(monkeypatch):
         assert seen and set(seen) == {2}
         assert rows[i] == el.kp(a, b) == r.value == value[0]
         assert (r.abs_error_estimate, r.nodes_used) == (err[0], nodes)
+    # a batch whose rows share one p, where F takes p and m as floats and
+    # gathers no rows, has each row's value and estimate bit for bit
+    for a in ps:
+        del seen[:]
+        value, err, _ = el._kp_rows([a] * len(mus), mus)
+        assert seen and set(seen) == {2}
+        for j, b in enumerate(mus):
+            one = el._kp_rows([a], [b])
+            assert (value[j], err[j]) == (one[0][0], one[1][0]) and value[j] == el.kp(a, b)
     # (2, nextafter(1, 0)) stops at level 7, past the block of levels 0-4,
     # so the point path's level loop runs
     cuts = quad._ts_nodes()[3]
@@ -234,6 +243,35 @@ def test_kp_via_2f1_closed_form_and_cross_check():
 def test_kp_via_2f1_slow_convergence_guard():
     with pytest.raises(SlowConvergence):
         el.kp_via_2f1(2.0, 0.96)  # mu^p = 0.9216 > 0.9
+
+
+def test_kp_sum_matches_40_digit_hyp2f1_over_the_crossing_band():
+    # K_p = pref 2F1(a, a; 1; x) and dK_p/dt = -y pref a^2 2F1(a+1, a+1; 2; x),
+    # a = 1/p, x = 1 - y, t = log y, at p = 2 and 2 +- 1e-12, 1e-6 and 1e-3
+    # (sigma = 1 - 2/p near 0, where the y-series takes its removable form),
+    # both ends of the firstcond crossing range and 12 seeded p inside it,
+    # by x from 0 to 1 - 1e-9 on both sides of the switch at x = 1/2: value
+    # and slope within 1e-14 relative (measured: 3.0e-15 and 3.4e-15)
+    rng = np.random.default_rng(47)
+    ps = [2.0, 1.2497941463776217, 2.023976105481417]
+    ps += [2.0 + d for d in (1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3)]
+    ps += rng.uniform(1.2497, 2.024, 12).tolist()
+    xs = [0.0, 1e-9, 0.1, 0.3, 0.5, math.nextafter(0.5, 1.0), 0.7, 0.9, 0.99]
+    xs += [0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+    worst = [0.0, 0.0]
+    with mpmath.workdps(40):
+        for p in ps:
+            for x in xs + rng.uniform(0.0, 1.0, 2).tolist():
+                t = math.log1p(-x)
+                k, dk = el._kp_sum(p, t)
+                P, T = mpmath.mpf(p), mpmath.mpf(t)
+                a, X = 1 / P, -mpmath.expm1(T)
+                pref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P))
+                ref = pref * mpmath.hyp2f1(a, a, 1, X)
+                dref = -mpmath.exp(T) * pref * a * a * mpmath.hyp2f1(a + 1, a + 1, 2, X)
+                worst[0] = max(worst[0], abs(float((k - ref) / ref)))
+                worst[1] = max(worst[1], abs(float((dk - dref) / dref)))
+    assert worst[0] < 1e-14 and worst[1] < 1e-14, worst
 
 
 def test_wp_endpoints_and_arcsin():

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _kp_rows, _kp_sum, _kp_sum_start, kp
+from .elliptic import _kp_rows, _KpSeries, kp
 from .errors import DomainError, MaxIterations, NoSignChange
 from .errors import _check_int, _check_interval, _check_run
 from .fourier import tau_k, tau_tail_bound
@@ -89,7 +89,7 @@ class ModulusSet:
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         values = _check_run("mu", self.values, _check_interval, 0.0, 1.0, "()")
-        values = tuple(np.ravel(values).tolist())
+        values = tuple(values) if isinstance(values, list) else (values,)
         object.__setattr__(self, "values", values)
         if self.kind == "constant" and len(values) != 1:
             raise DomainError("constant modulus set must hold exactly one value")
@@ -235,14 +235,15 @@ def region_scan(p_points, mu_points) -> list:
     """
     ps = _check_run("1/p", p_points, _check_interval, 0.0, 1.0, "()")
     mus = _check_run("mu", mu_points, _check_interval, 0.0, 0.999, "(]")
-    ps, mus = np.ravel(ps).tolist(), np.ravel(mus).tolist()
-    keys = [(op, mu) for op in sorted(ps) for mu in sorted(mus)]
+    ps = sorted(ps) if isinstance(ps, list) else [ps]
+    mus = sorted(mus) if isinstance(mus, list) else [mus]
+    # one division 1/op per op, not one per grid point
+    keys = [(op, p, mu) for op in ps for p in [1.0 / op] for mu in mus]
     rows = []
     for i in range(0, len(keys), _CHUNK):
-        chunk = keys[i : i + _CHUNK]
-        vals = _kp_rows([1.0 / op for op, _ in chunk], [mu for _, mu in chunk])[0]
-        for (op, mu), val in zip(chunk, vals.tolist()):
-            rows.append((op, mu, val, int(val < FIRSTCOND_RHS)))
+        ops, p, mu = zip(*keys[i : i + _CHUNK])
+        vals = _kp_rows(p, mu)[0].tolist()
+        rows += zip(ops, mu, vals, [int(val < FIRSTCOND_RHS) for val in vals])
     return rows
 
 
@@ -261,9 +262,11 @@ def firstcond_boundary(p: float) -> float:
     t = log(1 - mu^p), in which K_p = pi / (p sin(pi/p)) 2F1(1/p, 1/p; 1;
     mu^p) is close to linear both for small mu^p and near its logarithmic
     singularity at mu^p = 1.  Newton's method runs on the hypergeometric
-    sum ``elliptic._kp_sum`` (K_p and dK_p/dt from one pass), from the root
-    of its leading terms, each iterate clamped to the scan range, until a
-    step is at most 1e-9 in t (3.6 sums a call on average over [1.3, 2.02]).
+    sum, one ``elliptic._KpSeries`` built for the call (K_p and dK_p/dt
+    from one pass, its t-free terms formed once and reused by every step),
+    from the root of its leading terms, each iterate clamped to the scan
+    range, until a step is at most 1e-9 in t (3.6 sums a call on average
+    over [1.3, 2.02]).
     One scalar :func:`kp` at that root t_s, the quadrature that
     ``region_scan`` flags against, then gives t_s - (kp(p, mu_s) -
     threshold) / (dK/dt); the sum agrees with the quadrature to about
@@ -287,7 +290,8 @@ def firstcond_boundary(p: float) -> float:
     p = _check_interval("p", p, 1.0, math.inf, "()")
     rhs = FIRSTCOND_RHS
     top = 0.999**p
-    k0 = math.pi / (p * math.sin(math.pi / p))
+    series = _KpSeries(p)
+    k0 = series.pref
     if k0 >= rhs or top == 0.0:
         raise NoSignChange(
             f"K_{p}(mu) - 8/(pi^2 - 8) has no sign change on [1e-6, 0.999]: "
@@ -295,9 +299,9 @@ def firstcond_boundary(p: float) -> float:
         )
     # the scan range in t, from mu = 0.999 up to mu = 1e-6
     lo, hi = math.log1p(-top), math.log1p(-(1e-6**p))
-    t = min(max(_kp_sum_start(p, rhs), lo), hi)
+    t = min(max(series.start(rhs), lo), hi)
     for _ in range(_BOUNDARY_ITER):
-        k, dk = _kp_sum(p, t)
+        k, dk = series(t)
         # a step out of the range stops at its end, where kp decides
         nxt = min(max(t - (k - rhs) / dk, lo), hi)
         t, step = nxt, abs(nxt - t)

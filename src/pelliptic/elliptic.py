@@ -22,8 +22,9 @@ bit.  The integrand's factors that depend on p alone, v**m and
 level, on the nodes the driver hands the integrand, so rows that share p
 share them.
 :func:`kp_via_2f1`, the hypergeometric series, is an independent
-cross-check, not a fallback; :func:`_kp_sum` extends that series to every
-modulus, with its slope, for the firstcond boundary's Newton iteration.
+cross-check, not a fallback; :class:`_KpSeries` extends that series to
+every modulus, with its slope, for the firstcond boundary's Newton
+iteration.
 
 Derivatives follow from the chain rule.  With A = 1 - s**p and
 B = 1 - mu**p s**p at s = sn_p:
@@ -266,9 +267,9 @@ def _kp_rows(p, mu):
     ``_KP_TOL`` as one driver call.  Each value equals :func:`kp` bit for
     bit.
 
-    p and mu are floats, or lists of floats, that their callers checked.
+    p and mu are floats, or sequences of floats, that their callers checked.
     Floats run one integrand on 1-D node arrays, which takes the driver's
-    point path and gives numpy floats; lists run one row per pair and give
+    point path and gives numpy floats; sequences run one row per pair and give
     arrays.  v**m and the ratio (1 - s**p) / (1 - s) depend on p alone, so
     F forms them once per level for the call's distinct p's, on the nodes
     the driver hands it, and rows that share p share them; only
@@ -278,14 +279,16 @@ def _kp_rows(p, mu):
     square at m = 0.5, 1 or 2), so a row has the same bits alone, as a
     point, or in any batch.
     """
+    # each row's eps, mup, -1/p and m from Python floats, as columns for a batch
     point = isinstance(p, float)
     if point:
-        ps, p_col, (eps, mup) = (p,), p, _eps_mup(p, mu)
+        ps, cols = (p,), (*_eps_mup(p, mu), -1.0 / p, p / (p - 1.0) * _KP_WEIGHT)
     else:
         where = {a: i for i, a in enumerate(dict.fromkeys(p))}
         ps, k = tuple(where), np.array([where[a] for a in p])
-        p_col, eps, mup = np.array([p, *zip(*map(_eps_mup, p, mu))])[:, :, None]
-    cols = (eps, mup, -1.0 / p_col, p_col / (p_col - 1.0) * _KP_WEIGHT)
+        eps, mup = zip(*map(_eps_mup, p, mu))
+        power, m = [-1.0 / a for a in p], [a / (a - 1.0) * _KP_WEIGHT for a in p]
+        cols = tuple(np.array([eps, mup, power, m])[:, :, None])
     # the distinct p's, as a float or a column, and their exponents m
     many = len(ps) > 1
     p_distinct = np.array(ps)[:, None] if many else ps[0]
@@ -479,46 +482,19 @@ kp.cache_info = _kp.cache_info
 
 
 # zeta(3), zeta(5), ..., zeta(15): where |sigma| < 0.1 and D_0's lgamma
-# form cancels, _y_head sums D_0 = -4 log 2 - sum over m <= 7 of (2 - 2**(1-2m))
+# form cancels, _KpSeries sums D_0 = -4 log 2 - sum over m <= 7 of (2 - 2**(1-2m))
 # zeta(2m+1) sigma**(2m) / (2m+1); each is within 8e-15 of 40-digit mpmath
 _ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923, 1.0020083928260821,
              1.0004941886041194, 1.0001227133475785, 1.000030588236307)
 _D0_COEF = [(2.0 - 2.0 ** (1 - 2 * m)) * z / (2 * m + 1) for m, z in enumerate(_ZETA_ODD, 1)]
 
 
-def _gauss_sum(a: float, x: float) -> tuple[float, float]:
-    """(F, dF/dx) for F = 2F1(a, a; 1; x), 0 < a < 1, 0 <= x < 1: the Gauss
-    series, term n + 1 = term n q_n x with q_n = (a+n)**2 / (n+1)**2 < 1,
-    and dF/dx = sum (n+1) q_n term_n, stopped once a term is below 1e-17
-    of the total."""
-    term = total = 1.0
-    slope = 0.0
-    n = 0
-    while term >= 1e-17 * total:
-        q = (a + n) * (a + n) / ((1.0 + n) * (1.0 + n))
-        slope += (1.0 + n) * q * term
-        term *= q * x
-        total += term
-        n += 1
-    return total, slope
-
-
-def _y_head(a: float, s: float) -> tuple[float, float]:
-    """(G_0, D_0) of :func:`_kp_sum`'s y-series at a = 1/p, sigma = s."""
-    if abs(s) < 0.1:
-        d0 = -4.0 * math.log(2.0) - sum(c * s ** (2 * m) for m, c in enumerate(_D0_COEF, 1))
-    else:
-        d0 = math.lgamma(1.0 - s) - math.lgamma(1.0 + s)
-        d0 = (d0 + 2.0 * (math.lgamma(a + s) - math.lgamma(a))) / s
-    return math.gamma(1.0 + s) / math.gamma(a + s) ** 2, d0
-
-
-def _kp_sum(p: float, t: float) -> tuple[float, float]:
-    """(K_p, dK_p/dt) at the modulus with t = log(1 - mu**p), from one pass
-    over a convergent hypergeometric series.
+class _KpSeries:
+    """K_p's hypergeometric sum at one p, called as t -> (K_p, dK_p/dt) at
+    the modulus with t = log(1 - mu**p), from one pass over a series.
 
     K_p = pref 2F1(a, a; 1; x), pref = pi / (p sin(pi/p)), a = 1/p,
-    x = mu**p = 1 - y, y = e**t: the Gauss series (:func:`_gauss_sum`) for
+    x = mu**p = 1 - y, y = e**t: the Gauss series (:meth:`gauss`) for
     x <= 1/2, and above, Abramowitz and Stegun 15.3.6 in y with sigma =
     1 - 2/p, its halves joined term by term as sum_n -G_n y**n
     expm1(sigma u_n) / sigma, u_n = t + D_n, G_n = Gamma(1+sigma) (a)_n**2
@@ -529,55 +505,103 @@ def _kp_sum(p: float, t: float) -> tuple[float, float]:
     15.3.10's log case (the n = 0 term is log(4/k') at p = 2).  Every term
     is positive and at most y times the one before, as D_n rises to 0, so
     the sum stops once a term is below 1e-17 of the total.
+
+    What does not depend on t (G_0, each D_n, the ratios G_(n+1) / (G_n y)
+    and the Gauss ratios) is formed on first need, as one lone pass forms
+    it, and kept: a value has the same bits whatever t came before.
     """
-    a = 1.0 / p
-    pref = math.pi / (p * math.sin(math.pi / p))
-    y = math.exp(t)
-    if y >= 0.5:
-        f, df = _gauss_sum(a, -math.expm1(t))
-        return pref * f, -pref * y * df
-    s = 1.0 - 2.0 * a
-    g, d = _y_head(a, s)
-    total = slope = 0.0
-    n = 0
-    while True:
-        e = math.expm1(s * (t + d))
-        term = -g * (e / s if s else t + d)
-        total += term
-        slope += n * term - g * (1.0 + e)
-        if term < 1e-17 * total:
-            return pref * total, pref * slope
-        g *= (a + n) * (a + n) / ((2.0 * a + n) * (1.0 + n)) * y
-        r = 1.0 / (1.0 + n)
-        if s:
-            d += (2.0 * math.log1p(s / (a + n)) - math.log1p(s * r) + math.log1p(-s * r)) / s
+
+    def __init__(self, p: float):
+        self.p, self.a = p, 1.0 / p
+        self.s = 1.0 - 2.0 * self.a
+        self.pref = math.pi / (p * math.sin(math.pi / p))
+        self._gauss = []  # (q_n, (1+n) q_n), q_n = (a+n)**2 / (n+1)**2
+        self._y = []  # (D_n, G_(n+1) / (G_n y))
+
+    def gauss(self, x: float) -> tuple[float, float]:
+        """(F, dF/dx) for F = 2F1(a, a; 1; x), 0 <= x < 1: term n + 1 = term
+        n q_n x, dF/dx = sum (n+1) q_n term_n, stopped once a term is below
+        1e-17 of the total."""
+        a, qs = self.a, self._gauss
+        term = total = 1.0
+        slope = 0.0
+        n = 0
+        while term >= 1e-17 * total:
+            if n == len(qs):
+                q = (a + n) * (a + n) / ((1.0 + n) * (1.0 + n))
+                qs.append((q, (1.0 + n) * q))
+            q, w = qs[n]
+            slope += w * term
+            term *= q * x
+            total += term
+            n += 1
+        return total, slope
+
+    def _y_grow(self) -> list:
+        """The y-series' entries, one more appended; the first sets G_0."""
+        a, s, ys = self.a, self.s, self._y
+        n = len(ys)
+        if n:
+            m = n - 1
+            d, r = ys[m][0], 1.0 / (1.0 + m)
+            if s:
+                d += (2.0 * math.log1p(s / (a + m)) - math.log1p(s * r) + math.log1p(-s * r)) / s
+            else:
+                d += 2.0 / (a + m) - 2.0 * r
+        elif abs(s) < 0.1:
+            d = -4.0 * math.log(2.0) - sum(c * s ** (2 * m) for m, c in enumerate(_D0_COEF, 1))
         else:
-            d += 2.0 / (a + n) - 2.0 * r
-        n += 1
+            d = math.lgamma(1.0 - s) - math.lgamma(1.0 + s)
+            d = (d + 2.0 * (math.lgamma(a + s) - math.lgamma(a))) / s
+        if not n:
+            self.g0 = math.gamma(1.0 + s) / math.gamma(a + s) ** 2
+        ys.append((d, (a + n) * (a + n) / ((2.0 * a + n) * (1.0 + n))))
+        return ys
 
+    def __call__(self, t: float) -> tuple[float, float]:
+        pref, y = self.pref, math.exp(t)
+        if y >= 0.5:
+            f, df = self.gauss(-math.expm1(t))
+            return pref * f, -pref * y * df
+        s, ys = self.s, self._y or self._y_grow()
+        g = self.g0
+        total = slope = 0.0
+        n = 0
+        while True:
+            if n == len(ys):
+                self._y_grow()
+            d, q = ys[n]
+            e = math.expm1(s * (t + d))
+            term = -g * (e / s if s else t + d)
+            total += term
+            slope += n * term - g * (1.0 + e)
+            if term < 1e-17 * total:
+                return pref * total, pref * slope
+            g *= q * y
+            n += 1
 
-def _kp_sum_start(p: float, k: float) -> float:
-    """A start for Newton on :func:`_kp_sum` (p, t) = k: x = (k / pref - 1) p**2,
-    where the Gauss series' n <= 1 terms equal k, if x <= 1/2, else the
-    y-series' n = 0 term's root (-inf if that term stays below k)."""
-    pref = math.pi / (p * math.sin(math.pi / p))
-    x = (k / pref - 1.0) * p * p
-    if x <= 0.5:
-        return math.log1p(-x)
-    s = 1.0 - 2.0 / p
-    g, d = _y_head(1.0 / p, s)
-    # -g expm1(s u) / s = k / pref at u = t + d
-    z = -s * k / (pref * g)
-    if z <= -1.0:
-        return -math.inf
-    return (math.log1p(z) / s if s else -k / (pref * g)) - d
+    def start(self, k: float) -> float:
+        """A start for Newton on this sum = k: x = (k / pref - 1) p**2,
+        where the Gauss series' n <= 1 terms equal k, if x <= 1/2, else the
+        y-series' n = 0 term's root (-inf if that term stays below k)."""
+        p, pref, s = self.p, self.pref, self.s
+        x = (k / pref - 1.0) * p * p
+        if x <= 0.5:
+            return math.log1p(-x)
+        d = (self._y or self._y_grow())[0][0]
+        g = self.g0
+        # -g expm1(s u) / s = k / pref at u = t + d
+        z = -s * k / (pref * g)
+        if z <= -1.0:
+            return -math.inf
+        return (math.log1p(z) / s if s else -k / (pref * g)) - d
 
 
 def kp_via_2f1(p: float, mu: float) -> float:
     """K_p(mu) through the Gauss hypergeometric representation.
 
     Sums (B(1/p, 1 - 1/p) / p) * 2F1(1/p, 1/p; 1; mu**p) directly, by the
-    Gauss half of :func:`_kp_sum`; the Beta prefactor reduces to
+    Gauss half of :class:`_KpSeries`; the Beta prefactor reduces to
     pi / (p sin(pi/p)) by reflection.  Independent of the quadrature
     route, so the two serve as mutual cross-checks.  The series stops once
     a term drops below 1e-17 of the total; for p > 1 the n-th term is
@@ -592,8 +616,8 @@ def kp_via_2f1(p: float, mu: float) -> float:
     x = mu**p
     if x > 0.9:
         raise SlowConvergence(f"mu**p = {x:.6f} > 0.9; hypergeometric series too slow")
-    pref = math.pi / (p * math.sin(math.pi / p))
-    return pref * _gauss_sum(1.0 / p, x)[0]
+    series = _KpSeries(p)
+    return series.pref * series.gauss(x)[0]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,15 @@ def test_modulus_set_constructors():
     assert len(g.values) == 5
 
 
+@pytest.mark.parametrize("mu", [0.5, np.float64(0.5), np.array(0.5), [0.5], (0.5,),
+                                np.array([0.5])])
+def test_modulus_set_holds_one_value_as_a_one_float_tuple(mu):
+    # one value, a numpy float or a 0-d array included, is the set of the
+    # one-element list, and its entry is a Python float
+    e = ct.ModulusSet.explicit(mu)
+    assert e.values == (0.5,) and type(e.values[0]) is float
+
+
 def test_modulus_set_validation():
     with pytest.raises(DomainError):
         ct.ModulusSet.explicit([])
@@ -335,6 +344,20 @@ def test_region_scan_large_grid_matches_kp_across_fallback(monkeypatch):
         assert inside == int(val < ct.FIRSTCOND_RHS)
 
 
+@pytest.mark.parametrize(
+    "op, mu", [(0.5, 0.3), (np.float64(0.5), 0.999), (np.array(0.4), np.array(0.3))]
+)
+def test_region_scan_takes_one_value_as_a_one_element_list(op, mu):
+    # a float, a numpy float or a 0-d array for 1/p or mu gives the rows of
+    # the one-element lists, alone or beside a list for the other grid
+    one = ct.region_scan([float(op)], [float(mu)])
+    assert ct.region_scan(op, mu) == one
+    assert ct.region_scan(op, [float(mu)]) == one
+    assert ct.region_scan([float(op)], mu) == one
+    assert ct.region_scan(op, [0.2, float(mu)]) == ct.region_scan([float(op)], [0.2, float(mu)])
+    assert all(type(v) is float for v in one[0][:3])
+
+
 def test_region_scan_validation():
     with pytest.raises(DomainError):
         ct.region_scan([], [0.5])
@@ -491,16 +514,15 @@ def _spy_kp(monkeypatch):
 
 
 def _spy_sum(monkeypatch):
-    """The moduli mu = (1 - e^t)^(1/p) the sum (or its stand-in) is asked
-    at, in order."""
+    """The moduli mu = (1 - e^t)^(1/p) the sum is asked at, in order."""
     seen = []
-    kp_sum = ct._kp_sum
 
-    def spy(p_, t):
-        seen.append((-math.expm1(t)) ** (1.0 / p_))
-        return kp_sum(p_, t)
+    class Series(el._KpSeries):
+        def __call__(self, t):
+            seen.append((-math.expm1(t)) ** (1.0 / self.p))
+            return super().__call__(t)
 
-    monkeypatch.setattr(ct, "_kp_sum", spy)
+    monkeypatch.setattr(ct, "_KpSeries", Series)
     return seen
 
 
@@ -638,15 +660,30 @@ def test_firstcond_boundary_sweep_over_the_whole_crossing_range():
         assert _newton_gap(p, b) < 1e-12, p
 
 
+@pytest.mark.parametrize("p", [1.2, 1.3, 1.5, 2.0, 2.02, 2.03, 1e300])
+def test_firstcond_boundary_builds_the_sum_once_per_call(monkeypatch, p):
+    # one per-p evaluator serves the start, every Newton step and the
+    # closing slope, whether or not a crossing exists; no sum runs where
+    # K_p(0) is at the threshold (p = 1.2) or 0.999^p rounds to 0
+    sums = _spy_sum(monkeypatch)
+    series = _counting(monkeypatch, ct, "_KpSeries")
+    try:
+        ct.firstcond_boundary(p)
+    except NoSignChange:
+        pass
+    assert series[0] == 1
+    assert (len(sums) > 0) == (1.25 < p < 1e3)
+
+
 @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
 def test_firstcond_boundary_rejects_p_before_any_kp_work(monkeypatch, p):
     # p is checked before the sum or a quadrature runs
     quads = _counting(monkeypatch, el, "_tanh_sinh")
     scalars = _counting(monkeypatch, ct, "kp")
-    sums = _counting(monkeypatch, ct, "_kp_sum")
+    series = _counting(monkeypatch, ct, "_KpSeries")
     with pytest.raises(DomainError):
         ct.firstcond_boundary(p)
-    assert quads[0] == scalars[0] == sums[0] == 0
+    assert quads[0] == scalars[0] == series[0] == 0
 
 
 # the p of the stand-in tests, and t = log(1 - mu^p) at mu = 0.35, where
@@ -656,11 +693,15 @@ _T35 = math.log1p(-(0.35**_STAND_IN_P))
 
 
 def _stand_in(monkeypatch, f, df, kp):
-    """The sum replaced by (threshold + f(t), df(t)) and the scalar kp by
-    kp(mu); the moduli kp is called at, in order."""
-    monkeypatch.setattr(
-        ct, "_kp_sum", lambda p, t: (ct.FIRSTCOND_RHS + f(t), df(t))
-    )
+    """The sum's values replaced by (threshold + f(t), df(t)), its start
+    kept, and the scalar kp by kp(mu); the moduli kp is called at, in
+    order."""
+
+    class Series(el._KpSeries):
+        def __call__(self, t):
+            return ct.FIRSTCOND_RHS + f(t), df(t)
+
+    monkeypatch.setattr(ct, "_KpSeries", Series)
     seen = []
 
     def scalar(p, mu):

@@ -263,7 +263,7 @@ def test_kp_sum_matches_40_digit_hyp2f1_over_the_crossing_band():
         for p in ps:
             for x in xs + rng.uniform(0.0, 1.0, 2).tolist():
                 t = math.log1p(-x)
-                k, dk = el._kp_sum(p, t)
+                k, dk = el._KpSeries(p)(t)
                 P, T = mpmath.mpf(p), mpmath.mpf(t)
                 a, X = 1 / P, -mpmath.expm1(T)
                 pref = mpmath.pi / (P * mpmath.sin(mpmath.pi / P))
@@ -272,6 +272,27 @@ def test_kp_sum_matches_40_digit_hyp2f1_over_the_crossing_band():
                 worst[0] = max(worst[0], abs(float((k - ref) / ref)))
                 worst[1] = max(worst[1], abs(float((dk - dref) / dref)))
     assert worst[0] < 1e-14 and worst[1] < 1e-14, worst
+
+
+def test_kp_series_has_the_same_bits_cold_warm_and_in_any_order():
+    # the t-free parts are formed once on first need and kept: a value from
+    # a fresh evaluator equals the one from an evaluator warmed by other t,
+    # visited in seeded order and reversed, on both sides of the switch at
+    # x = 1/2, at p = 2 exactly (sigma = 0) and where |sigma| < 0.1, where
+    # D_0 is its zeta series
+    rng = np.random.default_rng(48)
+    ps = [2.0, 2.0 + 1e-12, 1.9, 2.1, 1.82, 2.22] + rng.uniform(1.25, 2.03, 10).tolist()
+    for p in ps:
+        xs = rng.uniform(0.0, 1.0 - 1e-9, 12).tolist() + [0.5, 0.9, 1.0 - 1e-9, 1e-9]
+        ts = [math.log1p(-x) for x in xs]
+        cold = {t: el._KpSeries(p)(t) for t in ts}
+        warm = el._KpSeries(p)
+        for t in [*rng.permutation(ts).tolist(), *ts[::-1]]:
+            assert warm(t) == cold[t], (p, t)
+        assert el._KpSeries(p).start(ct.FIRSTCOND_RHS) == warm.start(ct.FIRSTCOND_RHS)
+    # the branches of D_0 that these p reach
+    assert el._KpSeries(2.0).s == 0.0
+    assert 0.0 < abs(el._KpSeries(1.9).s) < 0.1 < abs(el._KpSeries(1.6).s)
 
 
 def test_wp_endpoints_and_arcsin():

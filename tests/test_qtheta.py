@@ -48,6 +48,40 @@ def test_agm_sn_domain():
             qt.agm_jacobi_sn(y, 0.5)
 
 
+def test_agm_stops_at_a_step_that_changes_nothing():
+    # once a and b are adjacent doubles each step repeats the last, with c
+    # at half their ulp, above 1e-17 a; the AGM stops there instead of at
+    # its 60-step cap: at most 7 steps on seeded moduli up to 1 - 1e-11,
+    # and at most 8 from there to the last double below 1
+    rng = random.Random(48)
+    mus = [rng.random() for _ in range(2000)]
+    mus += [1.0 - 10.0 ** -rng.uniform(1.0, 11.0) for _ in range(2000)]
+    near_one = [1.0 - 10.0 ** -rng.uniform(11.0, 15.9) for _ in range(500)]
+    near_one.append(math.nextafter(1.0, 0.0))
+
+    def steps(mu):
+        return len(qt._agm(math.sqrt((1.0 - mu) * (1.0 + mu)), mu)[1])
+
+    assert max(map(steps, mus)) <= 7
+    assert max(map(steps, near_one)) <= 8
+    # 0.123 stalled: a step that moves neither a nor b ends the loop
+    a, landen = qt._agm(math.sqrt((1.0 - 0.123) * (1.0 + 0.123)), 0.123)
+    assert len(landen) == 3
+
+
+def test_agm_sn_at_huge_y_returns_a_value_or_names_y():
+    # y = 1e300 scales by 2**n, n <= 8, and stays finite at every modulus;
+    # near the largest double the start angle overflows, and DomainError
+    # names y instead of math's bare "math domain error"
+    assert -1.0 <= qt.agm_jacobi_sn(1e300, 0.123) <= 1.0
+    rng = random.Random(49)
+    for mu in [rng.random() for _ in range(2000)] + [math.nextafter(1.0, 0.0)]:
+        assert -1.0 <= qt.agm_jacobi_sn(1e300, mu) <= 1.0, mu
+    for y in (1.7e308, -1.7e308, 1.7976931348623157e308):
+        with pytest.raises(DomainError, match=r"y = .*overflows"):
+            qt.agm_jacobi_sn(y, 0.123)
+
+
 def test_theta_constants_at_zero():
     assert qt._theta_sums(0.0) == (0.0, 1.0, 1.0)
 

@@ -11,9 +11,10 @@ and ``pelliptic_change``), sets each up as a benchmark worker does, and
 runs the first N tasks of the seed, made by the working tree's
 ``perfbench/workloads.py``, on both: task by task, the two sides one
 after the other, the side that goes first alternating from task to
-task.  It prints each side's mean task CPU time (``time.process_time``),
-the ratio of the change's to the parent's, and how many tasks gave
-identical outputs (equal ``repr``), then the same as one JSON line.
+task.  It prints each side's mean and median task CPU time
+(``time.process_time``), the ratios of the change's to the parent's, and
+how many tasks gave identical outputs (equal ``repr``), then the same as
+one JSON line.
 
 Both sides see the same phases of host speed, as they alternate within
 milliseconds, so a few thousand tasks size a change of a few percent on a
@@ -31,6 +32,7 @@ import importlib.util
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -42,17 +44,22 @@ from bench_pairs import SIDES, _unpack, _working_tree  # noqa: E402
 
 
 def summarize(cpu: dict, identical: int) -> dict:
-    """Each side's mean task CPU time in microseconds, from ``cpu``, a list
-    of per-task seconds per side, the ratio of the change's mean to the
-    parent's, the number of tasks and how many of them gave identical
-    outputs."""
+    """Each side's mean and median task CPU time in microseconds, from
+    ``cpu``, a list of per-task seconds per side, the ratios of the
+    change's to the parent's, the number of tasks and how many of them gave
+    identical outputs.  The benchmark's ``task_p50_ms`` is a median, which
+    a few slow tasks move less than they move the mean."""
     means = {side: 1e6 * sum(cpu[side]) / len(cpu[side]) for side in SIDES}
+    medians = {side: 1e6 * statistics.median(cpu[side]) for side in SIDES}
     return {
         "tasks": len(cpu["parent"]),
         "identical": identical,
         "parent_us": means["parent"],
         "change_us": means["change"],
         "ratio": means["change"] / means["parent"],
+        "parent_p50_us": medians["parent"],
+        "change_p50_us": medians["change"],
+        "p50_ratio": medians["change"] / medians["parent"],
     }
 
 
@@ -113,7 +120,9 @@ def main(argv=None) -> int:
     summary = summarize(cpu, identical)
     print(f"{args.workload} seed {args.seed}, {summary['tasks']} tasks: mean task CPU "
           f"parent {summary['parent_us']:.1f} us, change {summary['change_us']:.1f} us, "
-          f"ratio {summary['ratio']:.4f}; identical outputs {identical} of "
+          f"ratio {summary['ratio']:.4f}; median parent {summary['parent_p50_us']:.1f} "
+          f"us, change {summary['change_p50_us']:.1f} us, ratio "
+          f"{summary['p50_ratio']:.4f}; identical outputs {identical} of "
           f"{summary['tasks']}")
     print(json.dumps(summary))
     return 0

@@ -191,8 +191,8 @@ def certify_invertibility(p: float, ms: ModulusSet, K: int = 21) -> CertificateR
     # one row per modulus, one column per odd k = 1, 3, ..., K, from one
     # tau_k call
     taus = tau_k(p, ms.values, np.arange(1, K + 1, 2))
-    rhs = float(np.min(taus[:, 0]))
-    lhs = math.fsum(np.max(np.abs(taus[:, 1:]), axis=0))
+    rhs = float(taus[:, 0].min())
+    lhs = math.fsum(np.abs(taus[:, 1:]).max(axis=0))
     tail = tau_tail_bound(p, kp(p, max(ms.values)), K + 2)
     notes = []
     if ms.kind == "interval-grid":

@@ -168,13 +168,13 @@ def _admissible(e: EigenPair, grid):
     if xs.ndim != 1 or xs.size == 0:
         raise GridTooCoarse("grid must be a nonempty one-dimensional array")
     eng, u, sign, quarter, _ = _fold(e.p, e.mu, 2.0 * e.n * kp(e.p, e.mu) * xs)
-    keep = np.full(xs.size, True) if e.p == 2.0 else ~eng.singular(u)
+    keep = np.ones(xs.size, bool) if e.p == 2.0 else ~eng.singular(u)
     return keep, eng, u[keep], sign[keep], quarter[keep]
 
 
 def _residual_report(r: np.ndarray, keep: np.ndarray) -> ResidualReport:
     return ResidualReport(
-        max_abs_residual=float(np.max(np.abs(r))),
+        max_abs_residual=float(np.abs(r).max()),
         grid_size=keep.size,
         excluded_points=int(keep.size - np.count_nonzero(keep)),
     )
@@ -188,7 +188,7 @@ def first_integral_residual(e: EigenPair, grid) -> ResidualReport:
     margin of a zero of phi' are skipped and counted; if fewer than two
     admissible points remain the grid is rejected as too coarse.
     """
-    keep, eng, u, _, quarter = _admissible(e, grid)
+    keep, eng, u, _, _ = _admissible(e, grid)
     if u.size < 2:
         raise GridTooCoarse(
             f"only {u.size} admissible grid points (of {keep.size}) remain "
@@ -196,9 +196,10 @@ def first_integral_residual(e: EigenPair, grid) -> ResidualReport:
         )
     p = e.p
     s = eng.invert(u)
-    phi = e.amplitude * s
-    dphi = e.amplitude * 2.0 * e.n * eng.K * np.abs(eng.deriv(s, quarter))
-    r = dphi**p - 0.5 * (e.alpha - phi**p) * (e.beta - phi**p)
+    phip = (e.amplitude * s) ** p
+    # |sn_p'| is sn_p' on the rising quarter 0
+    dphi = e.amplitude * 2.0 * e.n * eng.K * eng.deriv(s, 0)
+    r = dphi**p - 0.5 * (e.alpha - phip) * (e.beta - phip)
     return _residual_report(r, keep)
 
 

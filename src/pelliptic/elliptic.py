@@ -14,17 +14,11 @@ K_p has one route for every p > 1: tanh-sinh quadrature in v, where
 1 - s = v**m with m = p / (10 (p - 1)), so the weight v**(-0.9) is the
 same at every p and the rest of the integrand is bounded.  One function,
 :func:`_kp_rows`, runs that integrand, on a batch of rows at once or on
-one (p, mu) as a point; the scalar :func:`kp_quadrature` is its one-row
-case, which runs one integrand on 1-D node arrays through the driver's
-point path with float bookkeeping, and agrees with a batch row bit for
-bit.  The integrand's factors that depend on p alone, v**m and
-(1 - s**p) / (1 - s), are formed in each call once per distinct p and
-level, on the nodes the driver hands the integrand, so rows that share p
-share them.
-:func:`kp_via_2f1`, the hypergeometric series, is an independent
-cross-check, not a fallback; :class:`_KpSeries` extends that series to
-every modulus, with its slope, for the firstcond boundary's Newton
-iteration.
+one (p, mu) as a point with the bits of its batch row; the scalar
+:func:`kp_quadrature` is its one-row case.  :func:`kp_via_2f1`, the
+hypergeometric series, is an independent cross-check, not a fallback;
+:class:`_KpSeries` extends that series to every modulus, with its slope,
+for the firstcond boundary's Newton iteration.
 
 Derivatives follow from the chain rule.  With A = 1 - s**p and
 B = 1 - mu**p s**p at s = sn_p:
@@ -40,32 +34,19 @@ checked fold: it validates (p, mu) and y and reduces y modulo the period
 to u in [0, K_p], refusing y where doubles are K_p or more apart.  The
 singular test |u - K_p| < 1e-6 is made on that same u.  Evaluation then
 inverts w_p at u by a bracket-safeguarded Newton iteration vectorized
-across all requested points.  Each (p, mu) engine
-evaluates w_p from an approximant it builds once, so the Newton passes
-run no quadrature: for z <= 0.6 a power series in x = z**p, the
-z**p-diagonal of the Appell form
-
-    w_p(z) = z F1(1/p; 1/p, 1/p; 1 + 1/p; z**p, mu**p z**p),
-
-and for z > 0.6, w_p(0.6) plus the integral of a bounded integrand g over
-[v, 0.4**(1-1/p)] in the tail variable v = (1-z)**(1-1/p), taken as the
-exact antiderivative of a Chebyshev interpolant of degree 32 on panels
-graded toward v = 0 and around g's singular points (Trefethen,
-Approximation Theory and Approximation Practice, ch. 8 and 19).  Every
-term of that sum is positive, so w_p keeps its relative accuracy where
-K_p is far larger, near p = 1 and mu = 1; the build runs no quadrature,
-and raises NonConvergence for p < 1.05 and where a panel's interpolant
-does not resolve g.
-The engine tabulates w_p, and the slope dv/dw of v = (1-z)**(1-1/p), at
-96 nodes evenly spaced in v and at the panel edges, as one row per
-bracket that holds the differences a start needs, so a start is one
-searchsorted and one gather.  Every point starts inside its table
-bracket, from v interpolated in w by cubic Hermite, and stops once the
-Newton step's curvature miss, step**2 G' / (2 G) with G = w_p' bounded
-at the far end of the step, is below 0.05 eps z, or the step is at most
-an ulp of z; so almost every point stops after one Newton pass.  That
-step is taken (clipped into the bracket) before the safeguard could swap
-it for a midpoint, so converged points never fall through to bisection.
+across all requested points, on the approximant of w_p that each (p, mu)
+engine builds once (:class:`_SnpEngine`), so no pass runs a quadrature:
+for z <= 0.6 a power series in x = z**p, the z**p-diagonal of
+w_p(z) = z F1(1/p; 1/p, 1/p; 1 + 1/p; z**p, mu**p z**p), and above,
+w_p(0.6) plus the exact antiderivatives of Chebyshev interpolants of a
+bounded tail integrand on graded panels, all positive terms, so w_p keeps
+its relative accuracy where K_p is far larger, near p = 1 and mu = 1.  A
+start is one searchsorted and one gather in a table of w_p and of dv/dw,
+v = (1-z)**(1-1/p), at 96 nodes evenly spaced in v and at the panel
+edges, then v cubic Hermite in w inside the bracket.  A point stops once
+the Newton step's curvature miss is below 0.05 eps z, or the step is at
+most an ulp of z: almost every point stops after one pass, and an array
+whose points all do returns that pass's clipped steps as they are.
 snp, snp_deriv and snp_second_deriv take y as a float or an array.  One
 number goes through that one algorithm as a point, a numpy float, and
 an array as arrays.  The point decides with Python ifs what an array
@@ -78,12 +59,13 @@ bits of the float call at the same y.  For that the point's powers are
 np.power, never ** on a numpy float (libm's pow, which differs from the
 array loop in the last bit); its clips compare as np.minimum and
 np.maximum do (:func:`_clip`); and a division that can reach 0 stays in
-numpy floats, under one np.errstate per inversion.  Numpy's fixed cost
-per call, not the arithmetic, is most of a point's time.  Every
-Newton pass of an array runs the same steps on every live point.  w_p
-evaluates a batch that lies wholly at z <= 0.6 by the series alone,
-without splitting it, which keeps such a batch, at any p, off the tail
-build; any other batch is split at z = 0.6.
+numpy floats.  Numpy's fixed cost per call, not the arithmetic, is most
+of a point's time, so an entry sets one np.errstate for all of its own
+calls: an inversion for its start and Newton passes, :func:`_kp_rows`
+for its driver, :func:`_tail_factor` for :func:`_pow_ratio` (a split w_p
+batch sets its own, which its direct callers need).  w_p takes a batch
+wholly at z <= 0.6 by the series alone, which keeps it off the tail
+build at any p; any other batch is split at z = 0.6.
 """
 
 from __future__ import annotations
@@ -219,22 +201,23 @@ def _pow_ratio(e: np.ndarray, p) -> np.ndarray:
     double precision, since its first dropped term is about
     (p e)**3 / 24 of the value.  Both branches are evaluated on every
     element, so the value at one e never depends on the other elements or
-    rows; the expansion may overflow where it is not used, at large p e.
-    Each branch is formed in place, in the order of its expression.
+    rows; the 0/0 at e = 0, and the expansion's overflow where it is not
+    used, at large p e, are ignored in the caller's np.errstate.  Each
+    branch is formed in place, in the order of its expression.
     """
-    e = np.asarray(e, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        big = np.log1p(-e)
-        big *= p
-        np.expm1(big, out=big)
-        big /= -e
-        small = np.multiply(e, p - 2.0)
-        small /= 6.0
-        small -= 0.5
-        small *= np.multiply(e, p - 1.0)
-        small += 1.0
-        small *= p
-    np.copyto(big, small, where=e < np.minimum(1e-6, 1e-5 / p))
+    neg = -e
+    big = np.log1p(neg)
+    big *= p
+    np.expm1(big, out=big)
+    big /= neg
+    small = np.multiply(e, p - 2.0)
+    small /= 6.0
+    small -= 0.5
+    small *= np.multiply(e, p - 1.0)
+    small += 1.0
+    small *= p
+    cut = min(1e-6, 1e-5 / p) if isinstance(p, float) else np.minimum(1e-6, 1e-5 / p)
+    np.copyto(big, small, where=e < cut)
     return big
 
 
@@ -256,7 +239,8 @@ def _tail_factor(e: np.ndarray, p, eps, mup) -> np.ndarray:
     that forms as mu approaches 1 is evaluated from the exact endpoint
     distance.  ``p``, ``eps`` and ``mup`` are floats.
     """
-    ratio = _pow_ratio(e, p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = _pow_ratio(e, p)
     return (ratio * (eps + mup * ratio * e)) ** (-1.0 / p)
 
 
@@ -277,7 +261,7 @@ def _kp_rows(p, mu):
     as a float, several as a column whose rows each row gathers; the power
     is np.power at every m and p, never a scalar shortcut (sqrt, copy or
     square at m = 0.5, 1 or 2), so a row has the same bits alone, as a
-    point, or in any batch.
+    point, or in any batch.  The whole driver runs in one np.errstate.
     """
     # each row's eps, mup, -1/p and m from Python floats, as columns for a batch
     point = isinstance(p, float)
@@ -313,7 +297,8 @@ def _kp_rows(p, mu):
         out *= m
         return out
 
-    return _tanh_sinh(F, _KP_WEIGHT, _KP_TOL)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _tanh_sinh(F, _KP_WEIGHT, _KP_TOL)
 
 
 def kp_quadrature(p: float, mu: float) -> QuadratureResult:
@@ -345,11 +330,11 @@ def _direct_series(p: float, mup: float) -> np.ndarray:
     x0 = 0.6**p
     # log(0.6**p) would be log(0) once 0.6**p underflows, near p = 1460
     n = math.ceil(math.log(1e-18) / (p * math.log(0.6))) + 1
-    k = np.arange(1, n)
-    poch = np.concatenate(([1.0], np.cumprod((1.0 / p + k - 1.0) / k)))
-    c = np.convolve(poch, poch * mup ** np.arange(n))[:n] / (p * np.arange(n) + 1.0)
-    keep = c * x0 ** np.arange(n) >= 1e-18 * c[0]
-    return c[: np.nonzero(keep)[0][-1] + 1]
+    k = np.arange(n)
+    poch = np.concatenate(([1.0], ((1.0 / p + k[1:] - 1.0) / k[1:]).cumprod()))
+    c = np.convolve(poch, poch * mup**k)[:n] / (p * k + 1.0)
+    keep = c * x0**k >= 1e-18 * c[0]
+    return c[: keep.nonzero()[0][-1] + 1]
 
 
 # below this x = z**p the series sum rounds away, and w_p = z exactly: c_0
@@ -692,20 +677,27 @@ class _SnpEngine:
     def _AB(self, s):
         """(A, B) = (1 - s**p, 1 - mu**p s**p) at a point or an array of s,
         both formed from log(s) so they stay accurate when s**p or
-        mu**p s**p is near 1; B is 1.0 at mu = 0.  At s = 0 log(s) divides
-        by zero: callers ignore that in np.errstate."""
+        mu**p s**p is near 1; B is 1.0 at mu = 0.  An array's are the rows
+        of one (2, n) pass, -expm1(p (log mu + log s)) with log mu = 0.0 in
+        row 0, which changes no bit.  At s = 0 log(s) divides by zero:
+        callers ignore that in np.errstate."""
         p, mu = self.p, self.mu
         log_s = np.log(s)
-        A = -np.expm1(p * log_s)
         if mu == 0.0:
-            return A, 1.0
-        return A, -np.expm1(p * (math.log(mu) + log_s))
+            return -np.expm1(p * log_s), 1.0
+        if isinstance(s, np.ndarray):
+            AB = np.add.outer((0.0, math.log(mu)), log_s)
+            AB *= p
+            np.expm1(AB, out=AB)
+            return np.negative(AB, out=AB)
+        return -np.expm1(p * log_s), -np.expm1(p * (math.log(mu) + log_s))
 
     def wp_many(self, z):
         """w_p at a point z (a float) or at each z of an array, in [0, 1],
         from the engine's approximant: the series up to z = 0.6, the tail
-        panels above.  A point z = 1 divides by zero in a log of the tail,
-        which its caller ignores in np.errstate, as for :meth:`_AB`."""
+        panels above.  z = 1 divides by zero in a log of the tail: an array
+        ignores that in its own np.errstate, a point in its caller's, as
+        for :meth:`_AB`."""
         if isinstance(z, float):
             return self._direct(z) if z <= 0.6 else self._tail(1.0 - z)
         z = np.asarray(z, dtype=float)
@@ -716,10 +708,11 @@ class _SnpEngine:
         # the test
         if np.count_nonzero(lo) == z.size:
             return self._direct(z)
+        hi = ~lo
         with np.errstate(divide="ignore"):
             out = np.empty_like(z)
             out[lo] = self._direct(z[lo])
-            out[~lo] = self._tail(1.0 - z[~lo])
+            out[hi] = self._tail(1.0 - z[hi])
         return out
 
     def _direct(self, z):
@@ -738,16 +731,15 @@ class _SnpEngine:
         are gathers from :meth:`_tail_panels`.  At e = 0 the log divides by
         zero: callers ignore that in np.errstate."""
         panels = self._tail_panels()
-        # the searchsorted method and np.add.reduce, not the np.searchsorted
-        # and sum wrappers: once per Newton pass, the wrappers cost more
-        # than the work
+        # the searchsorted and take methods and np.add.reduce, not wrappers or
+        # a fancy index of rows: once per Newton pass, those cost more than the work
         i = panels.inner.searchsorted(e, side="right")
         u = np.expm1((self.p - 1.0) / self.p * np.log(e / panels.e_top[i]))
         u *= panels.scale[i]
         phi = np.arcsin(np.sqrt(_clip(u, 0.0, 1.0)))
         terms = np.sin(np.multiply.outer(phi, panels.k))
         terms *= terms
-        terms *= panels.coef[i]
+        terms *= panels.coef[i] if isinstance(e, float) else panels.coef.take(i, axis=0)
         return panels.top[i] + np.add.reduce(terms, axis=-1)
 
     def _tail_panels(self) -> _Panels:
@@ -769,9 +761,9 @@ class _SnpEngine:
                 )
             r = p / (p - 1.0)
             v = _tail_edges(p, mu)
-            mid = 0.5 * (v[1:] + v[:-1])
-            half = 0.5 * (v[1:] - v[:-1])
-            t = mid[:, None] + half[:, None] * _CHEB_X
+            d = v[1:] - v[:-1]
+            half = 0.5 * d
+            t = (0.5 * (v[1:] + v[:-1]))[:, None] + half[:, None] * _CHEB_X
             g = r * _tail_factor(t**r, p, *_eps_mup(p, mu))
             coef = np.einsum("pj,kj->pk", g, _ANTIDERIV) * half[:, None]
             integral = coef[:, 0]
@@ -783,14 +775,13 @@ class _SnpEngine:
                     f"w_p tail panels do not resolve the integrand for p={p}, mu={mu}"
                 )
             # n: through the last column that any panel keeps
-            kept = np.count_nonzero(coef, axis=0)
-            n = kept.size - int((kept[::-1] != 0).argmax())
+            kept = coef.any(axis=0)
+            n = kept.size - int(kept[::-1].argmax())
             # w_p at the upper panel edges, summed from w_p(0.6) down
-            w06 = self._direct(np.array([0.6]))
-            top = np.cumsum(np.concatenate((w06, integral[:0:-1])))[::-1]
+            top = np.concatenate(((self._direct(0.6),), integral[:0:-1])).cumsum()[::-1]
             e = v**r
             e[-1] = 0.4
-            scale = -v[1:] / (v[1:] - v[:-1])
+            scale = -v[1:] / d
             k = np.arange(1, n + 1)
             self._panels = _Panels(v, e, e[1:-1], e[1:], scale, coef[:, :n], k, top)
         return self._panels
@@ -835,15 +826,16 @@ class _SnpEngine:
             v = np.concatenate((v, panels.v))
             e = np.concatenate((e, panels.e))
             slope = -1.0 / (r * _tail_factor(e, p, *_eps_mup(p, self.mu)))
-            order = np.argsort(v)[::-1]
-            j = np.minimum(np.maximum(np.arange(-1, w.size), 0), w.size - 2)
-            # one gather, in the order by v, of both nodes of every bracket:
-            # rows w_j, w_j+1, v_j, v_j+1, the two slopes, z_j and z_j+1,
-            # whose second and fourth then become the differences
-            both = order[np.stack((j, j + 1))]
-            rows = np.stack((w, v, slope, 1.0 - e))[:, both].reshape(8, -1)
+            # (w, v, slope, z) of the nodes in the order by v; column i of rows
+            # holds bracket j = min(max(i - 1, 0), size - 2): w_j, w_j+1, v_j,
+            # v_j+1, the two slopes, z_j and z_j+1, the 2nd and 4th as differences
+            nodes = np.array((w, v, slope, 1.0 - e)).take(v.argsort()[::-1], axis=1)
+            rows = np.empty((4, 2, w.size + 1))
+            rows[:, 0, 1:-1], rows[:, 1, 1:-1] = nodes[:, :-1], nodes[:, 1:]
+            rows[:, :, 0], rows[:, :, -1] = rows[:, :, 1], rows[:, :, -2]
+            rows = rows.reshape(8, -1)
             rows[1:4:2] -= rows[0:4:2]
-            self._table = (w[order], rows)
+            self._table = (nodes[0].copy(), rows)
         return self._table
 
     def invert(self, t):
@@ -866,12 +858,11 @@ class _SnpEngine:
         if not point:
             t = np.asarray(t, dtype=float)
         nodes, rows = self._brackets()
-        w0, h, v0, dv, m0, m1, z_lo, z_hi = rows[:, nodes.searchsorted(t, side="right")]
+        w0, h, v0, dv, m0, m1, z_lo, z_hi = rows.take(nodes.searchsorted(t, side="right"), axis=1)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             s = _clip((t - w0) / h, 0.0, 1.0)
-            v = v0 + s * s * (3.0 - 2.0 * s) * dv + h * s * (1.0 - s) * (
-                (1.0 - s) * m0 - s * m1
-            )
+            c = 1.0 - s
+            v = v0 + s * s * (3.0 - 2.0 * s) * dv + h * s * c * (c * m0 - s * m1)
             z = 1.0 - np.power(v, self.p / (self.p - 1.0))
             # for p near 1 the last nodes round to z = 1, so an edge t of an
             # array can land in an empty interval; its start is overwritten
@@ -887,7 +878,7 @@ class _SnpEngine:
             # endpoints are exact fixed points; skipping them keeps z bitwise 0/1
             z[low] = 0.0
             z[high] = 1.0
-            live = np.flatnonzero(~(low | high))
+            live = (~(low | high)).nonzero()[0]
             if live.size:
                 z[live] = self._newton(z[live], t[live], z_lo[live], z_hi[live])
         return z
@@ -910,13 +901,13 @@ class _SnpEngine:
         the bracket.  Otherwise a larger step that leaves the bracket or is
         not finite falls back to bisection, so every iterate stays
         admissible.  A point decides each of these by an if; an array
-        masks them, and the points that stopped leave the pass.
+        masks them, and the points that stopped leave the pass: an array
+        whose points all stop on the first, the usual case, returns its
+        clipped steps, and otherwise later passes write theirs into them.
         """
         p, mup = self.p, self.mu**self.p
         point = isinstance(z, float)
-        if not point:
-            # the result, and the index of the live points into it
-            out, idx = np.empty_like(z), np.arange(z.size)
+        idx = None
         for _ in range(80):
             f = self.wp_many(z) - t
             below = f < 0.0
@@ -943,9 +934,13 @@ class _SnpEngine:
                 continue
             done = (miss <= 0.05 * _EPS * z) | (np.abs(step) <= _EPS * z)
             done |= (hi - lo <= 2.0 * _EPS * hi) & np.isfinite(z_new)
-            out[idx[done]] = _clip(z_new, lo, hi)[done]
+            clipped = _clip(z_new, lo, hi)
+            if idx is not None:
+                out[idx[done]] = clipped[done]
             if np.count_nonzero(done) == done.size:
-                return out
+                return clipped if idx is None else out
+            if idx is None:
+                out, idx = clipped, np.arange(z.size)
             bad = ~done & (~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi))
             z_new = np.where(bad, 0.5 * (lo + hi), z_new)
             live = ~done
@@ -1000,7 +995,7 @@ class _SnpEngine:
 
     def deriv(self, s, quarter):
         """sn_p' from s = |sn_p(y)| and the quarter of y mod 4K: a point's
-        float and int, or arrays."""
+        float and int, or arrays; an int quarter holds for every s."""
         with np.errstate(divide="ignore"):
             A, B = self._AB(s)
         d = np.power(A * B, 1.0 / self.p)

@@ -163,9 +163,9 @@ def _check_finite(name: str, x):
     if type(x) is float and math.isfinite(x):
         return np.float64(x)
     x = _check_real(name, x, many=True)
-    bad = np.extract(~np.isfinite(x), x)
-    if bad.size:
-        raise DomainError(f"{name} must be finite, got {bad[0]}")
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) < finite.size:
+        raise DomainError(f"{name} must be finite, got {np.extract(~finite, x)[0]}")
     return np.float64(x) if isinstance(x, float) else x
 
 

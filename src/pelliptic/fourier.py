@@ -135,7 +135,7 @@ def _split_integral(p: float, mus: list, owner: np.ndarray, g, tol: float):
         for start, group in short.items():
             _fill(group, start, max(lev, _FILL_LEVEL))
         x1 = np.array([eng.x1[end - z.size : end] for eng in engines])
-        return g(x1[owner[rows]], z, rows)
+        return g(x1.take(owner[rows], axis=0), z, rows)
 
     return _tanh_sinh(F, 1.0, tol)[0]
 
@@ -187,15 +187,17 @@ def _cosine_rows(p: float, mus: list, kpi: np.ndarray, odd: np.ndarray) -> np.nd
     c, nk = len(mus), kpi.size
     # row r is entry perm[r] of the flattened (modulus, k) table, the odd
     # k first; the driver's live rows are increasing, so the odd rows
-    # stay a prefix of them
-    flat = np.arange(c * nk).reshape(c, nk)
-    perm = np.concatenate([flat[:, odd], flat[:, ~odd]], axis=None)
-    owner, j = np.divmod(perm, nk)
-    row_kpi = kpi[j][:, None]
+    # stay a prefix of them.  With every k odd that is the table's order
+    perm = np.arange(c * nk)
     odd_rows = c * np.count_nonzero(odd)
+    if odd_rows < perm.size:
+        flat = perm.reshape(c, nk)
+        perm = np.concatenate([flat[:, odd], flat[:, ~odd]], axis=None)
+    owner, j = np.divmod(perm, nk)
+    row_kpi = kpi[j]
 
     def g(x1: np.ndarray, z: np.ndarray, rows) -> np.ndarray:
-        kr = row_kpi[rows]
+        kr = row_kpi[rows][:, None]
         out = kr * x1
         np.cos(out, out=out)
         o = odd_rows if isinstance(rows, slice) else rows.searchsorted(odd_rows)
@@ -208,8 +210,9 @@ def _cosine_rows(p: float, mus: list, kpi: np.ndarray, odd: np.ndarray) -> np.nd
             out[o:] -= np.cos(x2, out=x2)
         return out
 
-    out = np.empty(c * nk)
-    out[perm] = _split_integral(p, mus, owner, g, _TAU_TOL)
+    out = _split_integral(p, mus, owner, g, _TAU_TOL)
+    if odd_rows < perm.size:
+        out[perm] = out.copy()
     return out.reshape(c, nk)
 
 

@@ -66,16 +66,17 @@ def agm_jacobi_sn(y: float, mu: float) -> float:
 
     Modulus convention: mu is the modulus itself, so the classical
     parameter is m = mu**2.  Independent of the quadrature-based path,
-    which makes it a genuine cross-check for the p = 2 case.  DomainError
-    names y where the start angle a y 2**n of the n Landen steps overflows
-    (|y| above about 2.3e307 at mu = 0.123, where n = 3).
+    which makes it a genuine cross-check for the p = 2 case.  As sn_p's
+    fold does, DomainError names y where ulp(y) reaches the quarter period
+    pi / (2 AGM(1, mu')) from the same AGM: neighbouring doubles a quarter
+    period or more apart leave sn(y) undetermined (|y| from 2**53 at
+    mu = 0.123, where the quarter period is 1.5768).
     """
     y = _check_interval("y", y, -math.inf, math.inf, "()")
     mu = _check_interval("mu", mu, 0.0, 1.0)
     a, scales = _agm(math.sqrt((1.0 - mu) * (1.0 + mu)), mu)
+    _check_interval(f"y = {y!r}: ulp(y)", math.ulp(y), 0.0, 0.5 * math.pi / a)
     phi = a * y * 2.0 ** len(scales)
-    if math.isinf(phi):
-        raise DomainError(f"y = {y!r} is too large: the start angle a y 2**n overflows")
     for ai, ci in reversed(scales):
         arg = ci * math.sin(phi) / ai
         phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, arg))))

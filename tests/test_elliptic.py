@@ -728,6 +728,30 @@ def test_snp_extreme_modulus_frozen():
         assert abs(el.snp(2.0, mu, y) - ref) < 1e-10
 
 
+def test_ab_rows_of_an_array_have_the_bits_of_their_expressions():
+    # an array's (A, B) are the rows of one (2, n) pass; each has the bits
+    # of its own expression, -expm1(p log s) and -expm1(p (log mu + log s)),
+    # and of the point's (A, B) at that s, with s = 0 and s = 1 among the
+    # seeded s; at mu = 0, B is 1.0
+    rng = np.random.default_rng(50)
+    s = np.concatenate(([0.0, 1.0], rng.random(300), rng.random(50) ** 40))
+    for p, mu in [(1.5, 0.99), (2.0, 0.5), (3.7, 1e-300), (6.0, 0.0), (40.0, 0.3)]:
+        eng = el._SnpEngine(p, mu)
+        with np.errstate(divide="ignore"):
+            A, B = eng._AB(s)
+            log_s = np.log(s)
+            assert A.tobytes() == (-np.expm1(p * log_s)).tobytes(), (p, mu)
+            if mu == 0.0:
+                assert B == 1.0
+            else:
+                assert B.tobytes() == (-np.expm1(p * (math.log(mu) + log_s))).tobytes()
+            points = [eng._AB(np.float64(v)) for v in s.tolist()]
+        assert [a.hex() for a, _ in points] == [a.hex() for a in A.tolist()], (p, mu)
+        assert [float(b).hex() for _, b in points] == [
+            float(b).hex() for b in np.broadcast_to(B, s.shape).tolist()
+        ], (p, mu)
+
+
 def test_snp_scalar_matches_batch(monkeypatch):
     for p, mu in [(2.0, 0.5), (3.0, 0.6), (1.3, 0.9)]:
         K = el.kp(p, mu)

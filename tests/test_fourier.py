@@ -117,6 +117,9 @@ def test_tau_k_many_moduli_match_one_modulus_calls():
             assert batch.shape == (len(mus), len(ks))
             for row, mu in zip(batch, mus):
                 assert np.array_equal(row, alone[mu]), (p, mus, mu)
+            # every k odd keeps the table's order, with no odd-first permutation
+            odd = fr.tau_k(p, mus, [1, 7, 201, 3])
+            assert np.array_equal(odd, batch[:, [1, 2, 4, 5]]), (p, mus)
             column = fr.tau_k(p, np.array(mus), 7)
             assert column.shape == (len(mus),)
             assert column.tolist() == [fr.tau_k(p, mu, 7) for mu in mus]

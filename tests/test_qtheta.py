@@ -70,16 +70,26 @@ def test_agm_stops_at_a_step_that_changes_nothing():
 
 
 def test_agm_sn_at_huge_y_returns_a_value_or_names_y():
-    # y = 1e300 scales by 2**n, n <= 8, and stays finite at every modulus;
-    # near the largest double the start angle overflows, and DomainError
-    # names y instead of math's bare "math domain error"
-    assert -1.0 <= qt.agm_jacobi_sn(1e300, 0.123) <= 1.0
-    rng = random.Random(49)
-    for mu in [rng.random() for _ in range(2000)] + [math.nextafter(1.0, 0.0)]:
-        assert -1.0 <= qt.agm_jacobi_sn(1e300, mu) <= 1.0, mu
-    for y in (1.7e308, -1.7e308, 1.7976931348623157e308):
-        with pytest.raises(DomainError, match=r"y = .*overflows"):
+    # as sn_p's fold does, DomainError names y where ulp(y) reaches the
+    # quarter period pi / (2 a) of the AGM's own a, where neighbouring
+    # doubles of y are a quarter period or more apart (before this check
+    # 1e16 gave 0.863 at mu = 0.123 and the next double up 0.100); below
+    # that y gives a value, at every modulus
+    quarter = 0.5 * math.pi / qt._agm(math.sqrt((1.0 - 0.123) * (1.0 + 0.123)), 0.123)[0]
+    assert quarter == el.kp(2.0, 0.123) == 1.5767885681322258
+    for y in (2.0**53, -(2.0**53), 1e16, 1e300, 1.7e308, 1.7976931348623157e308):
+        with pytest.raises(DomainError, match=r"y = .*: ulp\(y\) must lie in \[0, 1.5767885681322258\)"):
             qt.agm_jacobi_sn(y, 0.123)
+    rng = random.Random(49)
+    for mu in [rng.random() for _ in range(2000)] + [0.0, math.nextafter(1.0, 0.0)]:
+        quarter = 0.5 * math.pi / qt._agm(math.sqrt((1.0 - mu) * (1.0 + mu)), mu)[0]
+        # the largest power of two whose ulp is below the quarter period
+        y = 2.0 ** (math.ceil(math.log2(quarter)) + 51)
+        assert math.ulp(y) < quarter <= 2.0 * math.ulp(y), mu
+        assert -1.0 <= qt.agm_jacobi_sn(y, mu) <= 1.0, mu
+        assert -1.0 <= qt.agm_jacobi_sn(math.nextafter(2.0 * y, 0.0), mu) <= 1.0, mu
+        with pytest.raises(DomainError, match=r"ulp\(y\)"):
+            qt.agm_jacobi_sn(2.0 * y, mu)
 
 
 def test_theta_constants_at_zero():
